@@ -29,7 +29,7 @@ pub use hb::{analyze, Analysis, CrashWindow, PersistenceRace, RaceKind, RaceSite
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::{BlockDevice, IoFlags, RamDisk, RecordingDevice};
+    use b3_block::{BlockDevice, CowSnapshotDevice, DiskImage, IoFlags, RecordingDevice};
     use b3_vfs::workload::Op;
     use b3_vfs::Workload;
 
@@ -45,7 +45,7 @@ mod tests {
     }
 
     fn record(steps: &[Step]) -> b3_block::IoLog {
-        let mut dev = RecordingDevice::new(Box::new(RamDisk::new(64)));
+        let mut dev = RecordingDevice::new(CowSnapshotDevice::new(DiskImage::empty(64)));
         let handle = dev.log_handle();
         for step in steps {
             match step {

@@ -153,6 +153,20 @@ impl FileSystem for CheckpointFs {
         self.inner.unmount()
     }
 
+    fn fork(&self, _device: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
+        // The fork's markers must go to the fork's log, and a log handle
+        // cannot be had from a `dyn BlockDevice`: this wrapper forks the
+        // recording it already holds — which has the blocks `_device` is
+        // required to have — instead of adopting `_device`.
+        let device = self.log.fork_device();
+        let log = device.log_handle();
+        Box::new(CheckpointFs {
+            inner: self.inner.fork(Box::new(device)),
+            log,
+            pending: self.pending.clone(),
+        })
+    }
+
     fn guarantees(&self) -> GuaranteeProfile {
         self.inner.guarantees()
     }
@@ -256,7 +270,7 @@ impl<'a> AppHarness<'a> {
     /// mount, collecting the IO log and crash-point metadata.
     fn profile_workload(&self, base: &DiskImage, workload: &TxnWorkload) -> FsResult<AppProfile> {
         let snapshot = CowSnapshotDevice::new(base.clone());
-        let recording = RecordingDevice::new(Box::new(snapshot));
+        let recording = RecordingDevice::new(snapshot);
         let log = recording.log_handle();
         let inner = self.spec.mount(Box::new(recording))?;
         let mut fs = CheckpointFs::new(inner, log);
@@ -377,6 +391,28 @@ mod tests {
             CowFsSpec::new(KernelEra::Patched),
             CrashMonkeyConfig::exhaustive_crash_points(),
         )
+    }
+
+    #[test]
+    fn a_forked_checkpoint_fs_marks_its_own_log() {
+        let (spec, config) = setup();
+        let base = formatted_app_image(&spec, &config).unwrap();
+        let recording = RecordingDevice::new(CowSnapshotDevice::new(base));
+        let log = recording.log_handle();
+        let mut fs = CheckpointFs::new(spec.mount(Box::new(recording)).unwrap(), log);
+        fs.create("kept").unwrap();
+        fs.fsync("kept").unwrap();
+        let before = fs.log.snapshot();
+
+        // The supplied device is not adopted (see `CheckpointFs::fork`).
+        let unused = Box::new(CowSnapshotDevice::new(DiskImage::empty(1)));
+        let mut fork = fs.fork(unused);
+        fork.create("fork-only").unwrap();
+        fork.fsync("fork-only").unwrap();
+        assert!(!fs.exists("fork-only"));
+        assert!(fork.exists("kept"));
+        assert!(fs.log.snapshot() == before, "the fork wrote to its own log");
+        assert_eq!(fs.take_checkpoints(), vec![1]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! workload, plus the isolated recovery step (`RecoverySession` consuming
 //! adjacent-state deltas vs `FsSpec::mount` per state). The committed
 //! before/after trajectory lives in `BENCH_7.json` (emitted by
-//! `examples/bench_recovery.rs`).
+//! the one-off example `b3-bench` superseded).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

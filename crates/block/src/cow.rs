@@ -146,6 +146,27 @@ impl DiskImage {
     }
 }
 
+/// Content equality: the same size and every block reads the same, however
+/// the layers are stacked (a block no layer holds equals one written with
+/// zeroes). Clones of one image compare in O(1).
+impl PartialEq for DiskImage {
+    fn eq(&self, other: &DiskImage) -> bool {
+        if self.num_blocks != other.num_blocks {
+            return false;
+        }
+        if self.ptr_eq(other) {
+            return true;
+        }
+        let mut written: std::collections::HashSet<BlockIndex> = std::collections::HashSet::new();
+        for image in [self, other] {
+            image.for_each_layer_oldest_first(&mut |layer| written.extend(layer.keys()));
+        }
+        written
+            .into_iter()
+            .all(|index| self.read_block(index) == other.read_block(index))
+    }
+}
+
 /// A writable copy-on-write overlay on top of a [`DiskImage`].
 ///
 /// Reads fall through to the base image unless the block has been overwritten
@@ -339,6 +360,23 @@ mod tests {
         for i in 0..64 {
             assert_eq!(flat.read_block(i).unwrap(), last.read_block(i).unwrap());
         }
+    }
+
+    #[test]
+    fn images_compare_by_content_not_by_layering() {
+        let mut snap = CowSnapshotDevice::new(base_image());
+        snap.write_block(7, b"layered", IoFlags::DATA).unwrap();
+        snap.write_block(9, &[0u8; BLOCK_SIZE], IoFlags::DATA)
+            .unwrap();
+        let layered = snap.freeze();
+        assert!(layered == layered.flatten());
+        assert!(layered != base_image());
+
+        // A block written with zeroes reads like one never written.
+        let mut other = CowSnapshotDevice::new(base_image());
+        other.write_block(7, b"layered", IoFlags::DATA).unwrap();
+        assert!(layered == other.freeze());
+        assert!(DiskImage::empty(8) != DiskImage::empty(9));
     }
 
     #[test]

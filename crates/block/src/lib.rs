@@ -10,9 +10,10 @@
 //! RAM-backed disk they sit on:
 //!
 //! * [`RamDisk`] — a fixed-size, RAM-backed block device.
-//! * [`RecordingDevice`] — a wrapper device that forwards IO to an inner
-//!   device while appending every write, flush, and checkpoint to a shared
-//!   [`IoLog`].
+//! * [`RecordingDevice`] — a wrapper device that forwards IO to a snapshot
+//!   device while appending every write, flush, and checkpoint to an
+//!   [`IoLog`] it shares with a [`LogHandle`], through which the recording
+//!   can be forked.
 //! * [`CowSnapshotDevice`] — a copy-on-write overlay over an immutable
 //!   [`DiskImage`]; resetting a snapshot simply drops the overlay.
 //! * [`replay`] — utilities that replay a recorded [`IoLog`] up to a chosen

@@ -6,12 +6,20 @@
 //! into whose request stream CrashMonkey inserts *checkpoint* markers, one
 //! per completed persistence operation, so that the low-level IO stream can
 //! later be cut at exactly the persistence points.
+//!
+//! The wrapper sits on a [`CowSnapshotDevice`] and keeps both — the
+//! snapshot's overlay and the log — behind the state it shares with its
+//! [`LogHandle`], so the holder of the handle can *fork* the recording
+//! ([`LogHandle::fork_device`]): an independent device with the same
+//! contents and the same log so far, whose blocks and payloads are
+//! reference-counted [`Bytes`] shared with the original, never copied.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
+use crate::cow::CowSnapshotDevice;
 use crate::device::{BlockDevice, BlockIndex, BLOCK_SIZE};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
@@ -76,13 +84,15 @@ impl IoRecord {
 }
 
 /// The complete recorded IO stream of one workload execution.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IoLog {
     records: Vec<IoRecord>,
     next_seq: u64,
     checkpoints: u32,
     /// Running number of write records appended so far.
     writes: usize,
+    /// Running total of write payload bytes appended so far.
+    recorded_bytes: u64,
     /// `checkpoint_writes[id - 1]` is the number of write records that
     /// precede checkpoint marker `id` — maintained on append so
     /// [`IoLog::writes_until_checkpoint`] is a lookup instead of a rescan.
@@ -119,13 +129,7 @@ impl IoLog {
     /// persistent storage per workload (§6.5); this figure feeds that
     /// comparison.
     pub fn recorded_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| match r {
-                IoRecord::Write { data, .. } => data.len() as u64,
-                _ => 0,
-            })
-            .sum()
+        self.recorded_bytes
     }
 
     /// Number of write records between the start of the log and the given
@@ -164,6 +168,7 @@ impl IoLog {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.writes += 1;
+        self.recorded_bytes += data.len() as u64;
         self.records.push(IoRecord::Write {
             seq,
             index,
@@ -189,96 +194,112 @@ impl IoLog {
     }
 }
 
-/// A cloneable handle onto the shared [`IoLog`] of a [`RecordingDevice`].
+/// What a [`RecordingDevice`] and its [`LogHandle`]s share: the snapshot the
+/// file system writes to and the log of what it wrote.
+#[derive(Clone)]
+struct Recording {
+    inner: CowSnapshotDevice,
+    log: IoLog,
+}
+
+/// A cloneable handle onto the shared state of a [`RecordingDevice`].
 ///
 /// CrashMonkey keeps one of these while the file system under test owns the
-/// device itself; the handle is how CrashMonkey inserts checkpoint markers
-/// and later retrieves the recorded stream.
+/// device itself; the handle is how CrashMonkey inserts checkpoint markers,
+/// forks the recording, and later retrieves the recorded stream.
 #[derive(Clone)]
 pub struct LogHandle {
-    log: Arc<Mutex<IoLog>>,
+    shared: Arc<Mutex<Recording>>,
 }
 
 impl LogHandle {
     /// Inserts a checkpoint marker into the IO stream and returns its id.
     pub fn checkpoint(&self) -> CheckpointId {
-        self.log.lock().push_checkpoint()
+        self.shared.lock().log.push_checkpoint()
     }
 
     /// Returns a snapshot (clone) of the log at this instant.
     pub fn snapshot(&self) -> IoLog {
-        self.log.lock().clone()
+        self.shared.lock().log.clone()
+    }
+
+    /// Moves the log out, leaving an empty one behind — for when recording
+    /// is over and the stream is wanted without a copy.
+    pub fn take_log(&self) -> IoLog {
+        std::mem::take(&mut self.shared.lock().log)
+    }
+
+    /// Forks the recording: a new device holding the blocks and the log this
+    /// one holds now, sharing nothing mutable with it. Later IO on either
+    /// side is invisible to the other; sequence numbers and checkpoint ids
+    /// continue from the fork point on both. O(overlay + log) reference
+    /// count bumps — no block or payload is copied.
+    pub fn fork_device(&self) -> RecordingDevice {
+        RecordingDevice {
+            shared: Arc::new(Mutex::new(self.shared.lock().clone())),
+        }
     }
 
     /// Number of checkpoints inserted so far.
     pub fn num_checkpoints(&self) -> u32 {
-        self.log.lock().num_checkpoints()
+        self.shared.lock().log.num_checkpoints()
     }
 
     /// Number of records of any kind.
     pub fn len(&self) -> usize {
-        self.log.lock().len()
+        self.shared.lock().log.len()
     }
 
     /// True if nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.log.lock().is_empty()
+        self.shared.lock().log.is_empty()
     }
 
     /// Total bytes of recorded write payload.
     pub fn recorded_bytes(&self) -> u64 {
-        self.log.lock().recorded_bytes()
+        self.shared.lock().log.recorded_bytes()
     }
 }
 
 impl std::fmt::Debug for LogHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let log = self.log.lock();
+        let shared = self.shared.lock();
         f.debug_struct("LogHandle")
-            .field("records", &log.len())
-            .field("checkpoints", &log.num_checkpoints())
+            .field("records", &shared.log.len())
+            .field("checkpoints", &shared.log.num_checkpoints())
             .finish()
     }
 }
 
 /// The wrapper block device that records all IO passing through it.
 pub struct RecordingDevice {
-    inner: Box<dyn BlockDevice>,
-    log: Arc<Mutex<IoLog>>,
+    shared: Arc<Mutex<Recording>>,
 }
 
 impl RecordingDevice {
     /// Wraps `inner`, recording every write and flush into a fresh log.
-    pub fn new(inner: Box<dyn BlockDevice>) -> Self {
+    pub fn new(inner: CowSnapshotDevice) -> Self {
         RecordingDevice {
-            inner,
-            log: Arc::new(Mutex::new(IoLog::new())),
+            shared: Arc::new(Mutex::new(Recording {
+                inner,
+                log: IoLog::new(),
+            })),
         }
     }
 
-    /// Returns a handle to the shared log. Call this before handing the
+    /// Returns a handle to the shared state. Call this before handing the
     /// device to the file system under test.
     pub fn log_handle(&self) -> LogHandle {
         LogHandle {
-            log: Arc::clone(&self.log),
+            shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Consumes the wrapper, returning the inner device.
-    pub fn into_inner(self) -> Box<dyn BlockDevice> {
-        self.inner
-    }
-
-    /// Access to the wrapped device (e.g. to freeze its final image).
-    pub fn inner(&self) -> &dyn BlockDevice {
-        self.inner.as_ref()
     }
 }
 
 impl std::fmt::Debug for RecordingDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecordingDevice")
-            .field("num_blocks", &self.inner.num_blocks())
+            .field("num_blocks", &self.num_blocks())
             .field("log", &self.log_handle())
             .finish()
     }
@@ -286,27 +307,33 @@ impl std::fmt::Debug for RecordingDevice {
 
 impl BlockDevice for RecordingDevice {
     fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
+        self.shared.lock().inner.num_blocks()
     }
 
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
-        self.inner.read_block(index)
+        self.shared.lock().inner.read_block(index)
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
-        self.inner.write_block(index, data, flags)?;
-        self.log.lock().push_write(index, data, flags);
+        let mut shared = self.shared.lock();
+        shared.inner.write_block(index, data, flags)?;
+        shared.log.push_write(index, data, flags);
         Ok(())
     }
 
     fn flush(&mut self) -> BlockResult<()> {
-        self.inner.flush()?;
-        self.log.lock().push_flush();
+        let mut shared = self.shared.lock();
+        shared.inner.flush()?;
+        shared.log.push_flush();
         Ok(())
     }
 
     fn stats(&self) -> DeviceStats {
-        self.inner.stats()
+        self.shared.lock().inner.stats()
+    }
+
+    fn freeze_image(&self) -> Option<crate::DiskImage> {
+        self.shared.lock().inner.freeze_image()
     }
 }
 
@@ -319,17 +346,17 @@ pub fn max_record_payload() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ramdisk::RamDisk;
+    use crate::cow::DiskImage;
 
-    fn recording_ramdisk(blocks: u64) -> (RecordingDevice, LogHandle) {
-        let device = RecordingDevice::new(Box::new(RamDisk::new(blocks)));
+    fn recording(blocks: u64) -> (RecordingDevice, LogHandle) {
+        let device = RecordingDevice::new(CowSnapshotDevice::new(DiskImage::empty(blocks)));
         let handle = device.log_handle();
         (device, handle)
     }
 
     #[test]
     fn writes_are_forwarded_and_recorded() {
-        let (mut dev, log) = recording_ramdisk(16);
+        let (mut dev, log) = recording(16);
         dev.write_block(3, b"recorded", IoFlags::DATA).unwrap();
         assert_eq!(&dev.read_block(3).unwrap()[..8], b"recorded");
         let snapshot = log.snapshot();
@@ -348,7 +375,7 @@ mod tests {
 
     #[test]
     fn flushes_and_checkpoints_are_recorded_in_order() {
-        let (mut dev, log) = recording_ramdisk(16);
+        let (mut dev, log) = recording(16);
         dev.write_block(0, b"a", IoFlags::META).unwrap();
         dev.flush().unwrap();
         let cp1 = log.checkpoint();
@@ -371,7 +398,7 @@ mod tests {
 
     #[test]
     fn writes_until_checkpoint_counts_prefix_writes() {
-        let (mut dev, log) = recording_ramdisk(16);
+        let (mut dev, log) = recording(16);
         dev.write_block(0, b"a", IoFlags::META).unwrap();
         dev.write_block(1, b"b", IoFlags::META).unwrap();
         log.checkpoint();
@@ -386,7 +413,7 @@ mod tests {
 
     #[test]
     fn writes_until_checkpoint_index_matches_scanning_reference() {
-        let (mut dev, log) = recording_ramdisk(64);
+        let (mut dev, log) = recording(64);
         // An irregular interleaving: bare checkpoints, runs of writes,
         // flushes between markers, writes after the last marker.
         log.checkpoint();
@@ -417,18 +444,70 @@ mod tests {
 
     #[test]
     fn recorded_bytes_sums_payloads() {
-        let (mut dev, log) = recording_ramdisk(16);
+        let (mut dev, log) = recording(16);
         dev.write_block(0, &[1u8; 100], IoFlags::DATA).unwrap();
         dev.write_block(1, &[2u8; 200], IoFlags::DATA).unwrap();
         assert_eq!(log.recorded_bytes(), 300);
     }
 
     #[test]
+    fn recorded_bytes_counter_matches_a_rescan() {
+        let (mut dev, log) = recording(16);
+        dev.write_block(0, &[1u8; 100], IoFlags::DATA).unwrap();
+        dev.flush().unwrap();
+        log.checkpoint();
+        dev.write_block(1, &[2u8; BLOCK_SIZE], IoFlags::DATA)
+            .unwrap();
+        let snapshot = log.snapshot();
+        let rescanned: u64 = snapshot
+            .records()
+            .iter()
+            .map(|r| match r {
+                IoRecord::Write { data, .. } => data.len() as u64,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(snapshot.recorded_bytes(), rescanned);
+        assert_eq!(log.fork_device().log_handle().recorded_bytes(), rescanned);
+    }
+
+    #[test]
     fn log_handle_survives_device_consumption() {
-        let (mut dev, log) = recording_ramdisk(16);
+        let (mut dev, log) = recording(16);
         dev.write_block(0, b"kept", IoFlags::DATA).unwrap();
-        let inner = dev.into_inner();
-        assert_eq!(&inner.read_block(0).unwrap()[..4], b"kept");
+        drop(dev);
         assert_eq!(log.len(), 1);
+        let taken = log.take_log();
+        assert_eq!(taken.len(), 1);
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn a_fork_carries_blocks_and_log_and_then_diverges() {
+        let (mut dev, log) = recording(16);
+        dev.write_block(0, b"shared", IoFlags::META).unwrap();
+        log.checkpoint();
+
+        let mut fork = log.fork_device();
+        let fork_log = fork.log_handle();
+        assert_eq!(&fork.read_block(0).unwrap()[..6], b"shared");
+        assert_eq!(fork_log.snapshot(), log.snapshot());
+
+        // Each side's later IO is invisible to the other, in both directions.
+        fork.write_block(1, b"fork-only", IoFlags::DATA).unwrap();
+        dev.write_block(2, b"parent-only", IoFlags::DATA).unwrap();
+        dev.write_block(0, b"parent", IoFlags::META).unwrap();
+        assert!(dev.read_block(1).unwrap().iter().all(|&b| b == 0));
+        assert!(fork.read_block(2).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(&fork.read_block(0).unwrap()[..6], b"shared");
+        assert_eq!(fork_log.len(), 3);
+        assert_eq!(log.len(), 4);
+
+        // Sequence numbers and checkpoint ids continue from the fork point
+        // on both sides, as if each had recorded the prefix itself.
+        assert_eq!(fork_log.checkpoint(), 2);
+        assert_eq!(log.checkpoint(), 2);
+        assert_eq!(fork_log.snapshot().records()[2].seq(), 2);
+        assert_eq!(log.snapshot().records()[2].seq(), 2);
     }
 }

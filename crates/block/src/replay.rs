@@ -298,7 +298,7 @@ mod tests {
             .unwrap();
         let image = base.snapshot();
 
-        let mut dev = RecordingDevice::new(Box::new(CowSnapshotDevice::new(image.clone())));
+        let mut dev = RecordingDevice::new(CowSnapshotDevice::new(image.clone()));
         let log = dev.log_handle();
 
         dev.write_block(1, b"first", IoFlags::DATA).unwrap();

@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn full_replay_reproduces_final_state(actions in prop::collection::vec(action_strategy(), 1..40)) {
         let base = DiskImage::empty(64);
-        let mut device = RecordingDevice::new(Box::new(CowSnapshotDevice::new(base.clone())));
+        let mut device = RecordingDevice::new(CowSnapshotDevice::new(base.clone()));
         let log_handle = device.log_handle();
 
         for action in &actions {
@@ -72,7 +72,7 @@ proptest! {
         after in prop::collection::vec((32u64..64, any::<u8>()), 1..10),
     ) {
         let base = DiskImage::empty(64);
-        let mut device = RecordingDevice::new(Box::new(CowSnapshotDevice::new(base.clone())));
+        let mut device = RecordingDevice::new(CowSnapshotDevice::new(base.clone()));
         let log_handle = device.log_handle();
         for (block, byte) in &before {
             device.write_block(*block, &[*byte; 16], IoFlags::DATA).unwrap();

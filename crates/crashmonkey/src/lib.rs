@@ -9,7 +9,9 @@
 //!    *checkpoint* marker into the recorded IO stream after every
 //!    persistence operation and capturing, at each checkpoint, fine-grained
 //!    *oracles* — snapshots of the files and directories that have been
-//!    explicitly persisted so far.
+//!    explicitly persisted so far. The operation prefix a workload shares
+//!    with the one before it is not run again: the harness forks the file
+//!    system where the two part (the `trunk` module).
 //! 2. **Constructs crash states**: for a chosen checkpoint, replays the
 //!    recorded IO from the initial image up to that checkpoint onto a fresh
 //!    copy-on-write snapshot. The result is exactly the storage state at the
@@ -30,6 +32,7 @@ pub mod profiler;
 pub mod recovery;
 pub mod report;
 mod triage;
+mod trunk;
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,6 +48,7 @@ pub use config::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
 pub use recovery::{session_for, RecoverySession};
 pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
+pub use trunk::ProfileSharing;
 
 /// The CrashMonkey test harness for one target file system.
 pub struct CrashMonkey<'a> {
@@ -65,6 +69,9 @@ pub struct CrashMonkey<'a> {
     /// (see the `triage` module). Sound per harness because the spec, era,
     /// device geometry, and post-mkfs base image are all fixed here.
     triage: std::sync::Mutex<triage::TriageCache>,
+    /// The forked profile states along the previous workload's operation
+    /// path, which the next workload resumes from (see the `trunk` module).
+    trunk: std::sync::Mutex<trunk::Trunk>,
 }
 
 impl<'a> CrashMonkey<'a> {
@@ -82,6 +89,7 @@ impl<'a> CrashMonkey<'a> {
             interner: None,
             recovery_session: std::sync::Mutex::new(None),
             triage: std::sync::Mutex::new(triage::TriageCache::default()),
+            trunk: std::sync::Mutex::new(trunk::Trunk::default()),
         }
     }
 
@@ -131,26 +139,58 @@ impl<'a> CrashMonkey<'a> {
             .len()
     }
 
-    /// Tests one workload end to end: profile, construct crash states, check
-    /// consistency. Returns the outcome including any bug reports.
-    pub fn test_workload(&self, workload: &Workload) -> FsResult<WorkloadOutcome> {
-        let total_start = Instant::now();
+    /// How much profiling work prefix sharing has saved this harness so
+    /// far: operations executed against operations resumed from a frame.
+    pub fn profile_sharing(&self) -> ProfileSharing {
+        self.trunk
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .sharing()
+    }
 
-        // Phase 1: profile (mounting a snapshot of the cached mkfs image).
-        let profile_start = Instant::now();
+    /// Profiles a workload on a snapshot of the cached mkfs image, running
+    /// only the operations it does not share with the previous one. The
+    /// result is what [`Profiler::profile_on`] returns for the same
+    /// workload, which debug builds assert.
+    pub fn profile_only(&self, workload: &Workload) -> FsResult<ProfileResult> {
         let base_image = self.formatted_image()?;
         let profiler = match &self.interner {
             Some(interner) => Profiler::with_interner(self.spec, &self.config, interner.clone()),
             None => Profiler::new(self.spec, &self.config),
         };
-        let profile = profiler.profile_on(base_image, workload)?;
+        let profile = self
+            .trunk
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .profile(&profiler, &base_image, workload)?;
+        #[cfg(debug_assertions)]
+        {
+            let scratch = profiler.profile_on(base_image, workload)?;
+            assert!(
+                profile == scratch,
+                "prefix-shared profile of {} diverged from a from-scratch one:\n\
+                 shared: {profile:?}\nscratch: {scratch:?}",
+                workload.name
+            );
+        }
+        Ok(profile)
+    }
+
+    /// Tests one workload end to end: profile, construct crash states, check
+    /// consistency. Returns the outcome including any bug reports.
+    pub fn test_workload(&self, workload: &Workload) -> FsResult<WorkloadOutcome> {
+        let total_start = Instant::now();
+
+        // Phase 1: profile.
+        let profile_start = Instant::now();
+        let profile = self.profile_only(workload)?;
         let profile_time = profile_start.elapsed();
 
         let mut outcome = WorkloadOutcome::new(workload, self.spec.name());
         outcome.resource = ResourceStats {
             recorded_io_bytes: profile.log.recorded_bytes(),
             crash_state_overlay_bytes: 0,
-            workload_storage_bytes: workload.to_string().len() as u64,
+            workload_storage_bytes: report::rendered_len(workload),
         };
 
         if let Some(error) = &profile.exec_error {
@@ -272,15 +312,6 @@ impl<'a> CrashMonkey<'a> {
             modeled_kernel_delay_seconds: self.config.modeled_kernel_delay_seconds(),
         };
         Ok(outcome)
-    }
-
-    /// Convenience: profile a workload without checking (used by benches).
-    pub fn profile_only(&self, workload: &Workload) -> FsResult<ProfileResult> {
-        let profiler = match &self.interner {
-            Some(interner) => Profiler::with_interner(self.spec, &self.config, interner.clone()),
-            None => Profiler::new(self.spec, &self.config),
-        };
-        profiler.profile(workload)
     }
 
     /// Convenience: build the crash state for one checkpoint of a profile.
@@ -637,6 +668,126 @@ mod tests {
         assert!(
             !interner.is_empty(),
             "profiling must populate the shared interner"
+        );
+    }
+
+    /// Delegates to CowFs and counts `mkfs` calls.
+    struct CountingSpec {
+        inner: CowFsSpec,
+        formats: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FsSpec for CountingSpec {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn mkfs(
+            &self,
+            device: Box<dyn b3_block::BlockDevice>,
+        ) -> FsResult<Box<dyn b3_vfs::fs::FileSystem>> {
+            self.formats
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.mkfs(device)
+        }
+
+        fn mount(
+            &self,
+            device: Box<dyn b3_block::BlockDevice>,
+        ) -> FsResult<Box<dyn b3_vfs::fs::FileSystem>> {
+            self.inner.mount(device)
+        }
+    }
+
+    #[test]
+    fn profile_only_formats_once_and_matches_a_from_scratch_profile() {
+        let spec = CountingSpec {
+            inner: CowFsSpec::patched(),
+            formats: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+        let workload = multi_checkpoint_workload();
+        let first = monkey.profile_only(&workload).unwrap();
+        let second = monkey.profile_only(&workload).unwrap();
+        let formats = || spec.formats.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(formats(), 1, "the mkfs image must be cached");
+        assert!(first == second);
+
+        let scratch = Profiler::new(&spec, monkey.config())
+            .profile(&workload)
+            .unwrap();
+        assert_eq!(formats(), 2, "Profiler::profile formats for itself");
+        assert!(first == scratch);
+        // The second call resumed before the final op of the first.
+        let sharing = monkey.profile_sharing();
+        let ops = workload.total_ops() as u64;
+        assert_eq!(sharing.mounts, 1);
+        assert_eq!(sharing.ops_applied, ops + 1);
+        assert_eq!(sharing.ops_resumed, ops - 1);
+    }
+
+    #[test]
+    fn siblings_of_a_failed_workload_report_the_same_skip_reason() {
+        // The rename (op 1) fails; the siblings share ops 0..=1 and differ
+        // after it, so each is answered from the kept failed run.
+        let failing = |name: &str, last: Op| {
+            w(
+                name,
+                vec![Op::Creat { path: "foo".into() }],
+                vec![
+                    Op::Rename {
+                        from: "missing".into(),
+                        to: "elsewhere".into(),
+                    },
+                    last,
+                ],
+            )
+        };
+        let siblings = [
+            failing("first", Op::Sync),
+            failing("second", Op::Fsync { path: "foo".into() }),
+            failing(
+                "third",
+                Op::Unlink {
+                    path: "elsewhere".into(),
+                },
+            ),
+        ];
+        for spec in [CowFsSpec::patched(), CowFsSpec::new(KernelEra::V3_13)] {
+            let shared = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+            for (index, workload) in siblings.iter().enumerate() {
+                let outcome = shared.test_workload(workload).unwrap();
+                let scratch = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small())
+                    .test_workload(workload)
+                    .unwrap();
+                assert!(outcome.skipped.is_some());
+                assert_eq!(outcome.skipped, scratch.skipped, "{}", workload.name);
+                assert_eq!(
+                    outcome.resource.recorded_io_bytes,
+                    scratch.resource.recorded_io_bytes
+                );
+                // Only the first sibling ran anything: both its ops.
+                assert_eq!(shared.profile_sharing().ops_applied, 2);
+                assert_eq!(shared.profile_sharing().ops_resumed, 2 * index as u64);
+            }
+            // A workload that leaves the failed prefix runs again.
+            let healthy = w(
+                "healthy",
+                vec![Op::Creat { path: "foo".into() }],
+                vec![Op::Fsync { path: "foo".into() }],
+            );
+            let outcome = shared.test_workload(&healthy).unwrap();
+            assert!(outcome.skipped.is_none());
+            assert_eq!(outcome.checkpoints_tested, 1);
+        }
+    }
+
+    #[test]
+    fn workload_storage_bytes_is_the_rendered_length() {
+        let workload = multi_checkpoint_workload();
+        assert_eq!(
+            report::rendered_len(&workload),
+            workload.to_string().len() as u64
         );
     }
 

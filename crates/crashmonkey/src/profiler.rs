@@ -18,11 +18,16 @@
 //! checker-hot-path item of the ROADMAP. Debug builds assert after every
 //! checkpoint that the incremental oracle is byte-identical to a full
 //! capture, so the whole test suite doubles as an equivalence proof.
+//!
+//! Profiling is a resumable state machine: a `ProfileState` is one run
+//! stopped between two operations, `Profiler::step` advances it by one,
+//! and a state can be forked. The harness's trunk (the `trunk` module) uses
+//! that to run the operation prefix consecutive workloads share only once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use b3_block::{CowSnapshotDevice, DiskImage, IoLog, RecordingDevice};
+use b3_block::{CowSnapshotDevice, DiskImage, IoLog, LogHandle, RecordingDevice};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::exec::Executor;
 use b3_vfs::fs::{FileSystem, FsSpec, WriteMode};
@@ -32,6 +37,7 @@ use b3_vfs::snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot};
 use b3_vfs::workload::{Op, Workload, WriteSpec};
 
 use crate::config::CrashMonkeyConfig;
+use crate::trunk::Trunk;
 
 /// What a persistence operation guaranteed about one path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +54,7 @@ pub struct Expectation {
 }
 
 /// Everything captured at one persistence point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointInfo {
     /// Checkpoint id in the recorded IO stream (1-based).
     pub id: u32,
@@ -75,7 +81,7 @@ pub struct CheckpointInfo {
 }
 
 /// The result of profiling one workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileResult {
     /// The initial (pre-mkfs) image crash states are replayed onto.
     pub base_image: DiskImage,
@@ -90,6 +96,7 @@ pub struct ProfileResult {
 /// Incrementally maintained oracle state: the current logical snapshot plus
 /// the bookkeeping needed to refresh only what changed since the previous
 /// checkpoint.
+#[derive(Clone)]
 struct OracleTracker {
     snapshot: LogicalSnapshot,
     /// Inode number of every captured path at its last refresh; lets a write
@@ -176,6 +183,13 @@ impl OracleTracker {
     /// Brings the snapshot up to date with `fs` and returns it as a shared
     /// oracle.
     fn checkpoint(&mut self, fs: &dyn FileSystem) -> FsResult<Arc<LogicalSnapshot>> {
+        self.settle(fs)?;
+        Ok(Arc::new(self.snapshot.clone()))
+    }
+
+    /// Brings the snapshot up to date with `fs`, leaving nothing dirty. On
+    /// an error the dirty marks stay, so a later call redoes the work.
+    fn settle(&mut self, fs: &dyn FileSystem) -> FsResult<()> {
         if !self.initialized {
             self.snapshot = LogicalSnapshot::capture(fs)?;
             if self.saw_link {
@@ -202,7 +216,7 @@ impl OracleTracker {
             );
         }
 
-        Ok(Arc::new(self.snapshot.clone()))
+        Ok(())
     }
 
     fn rebuild_inos(&mut self, fs: &dyn FileSystem) {
@@ -370,109 +384,200 @@ impl<'a> Profiler<'a> {
         self.profile_on(base_image, workload)
     }
 
-    /// Profiles a workload: mounts a snapshot of the pre-formatted
-    /// `base_image` on a recording wrapper, runs the workload start to
-    /// finish while recording IO, inserting checkpoints, and capturing
-    /// oracles and expectations.
+    /// Profiles a workload start to finish on a snapshot of the
+    /// pre-formatted `base_image`: a run through an empty trunk, with
+    /// nothing to resume from. This is the from-scratch reference every
+    /// prefix-shared profile must equal.
     pub fn profile_on(
         &self,
         base_image: DiskImage,
         workload: &Workload,
     ) -> FsResult<ProfileResult> {
-        let snapshot_device = CowSnapshotDevice::new(base_image.clone());
-        let recording = RecordingDevice::new(Box::new(snapshot_device));
-        let log_handle = recording.log_handle();
+        Trunk::default().profile(self, &base_image, workload)
+    }
 
-        let mut fs = self.spec.mount(Box::new(recording))?;
-        let mut executor = Executor::new();
-        let mut oracle_tracker = OracleTracker::new(self.interner.clone());
-        let mut persisted: BTreeMap<String, Expectation> = BTreeMap::new();
-        let mut persisted_renames: Vec<(String, String)> = Vec::new();
-        // All renames executed so far: (old path, new path, moved inode).
-        let mut renames_seen: Vec<(String, String, u64)> = Vec::new();
-        let mut durable_renames: Vec<(String, String)> = Vec::new();
-        let mut checkpoints = Vec::new();
-        let mut exec_error = None;
+    /// Mounts a snapshot of `base_image` on a recording wrapper: the state
+    /// every workload starts from, before its first operation.
+    pub(crate) fn mount(&self, base_image: &DiskImage) -> FsResult<ProfileState> {
+        let recording = RecordingDevice::new(CowSnapshotDevice::new(base_image.clone()));
+        let log = recording.log_handle();
+        Ok(ProfileState {
+            fs: self.spec.mount(Box::new(recording))?,
+            log,
+            executor: Executor::new(),
+            oracle: OracleTracker::new(self.interner.clone()),
+            persisted: BTreeMap::new(),
+            persisted_renames: Vec::new(),
+            renames_seen: Vec::new(),
+            durable_renames: Vec::new(),
+            checkpoints: Vec::new(),
+            exec_error: None,
+        })
+    }
 
-        for (op_index, op) in workload.all_ops().enumerate() {
-            if let Err(error) = executor.apply(fs.as_mut(), op) {
-                exec_error = Some(error);
-                break;
+    /// Runs the next operation of a workload on `state`: executes it while
+    /// recording IO and, at a persistence point, inserts the checkpoint and
+    /// captures oracle and expectations. An operation that fails to execute
+    /// ends the run: the error is kept in the state, not returned.
+    pub(crate) fn step(&self, state: &mut ProfileState, op: &Op) -> FsResult<()> {
+        debug_assert!(!state.failed(), "a failed run takes no further steps");
+        let op_index = state.depth();
+        let fs = state.fs.as_mut();
+        if let Err(error) = state.executor.apply(fs, op) {
+            state.exec_error = Some(error);
+            return Ok(());
+        }
+        state.oracle.note_op(op);
+
+        // A rename moves the persisted object to a new name: the old
+        // path is no longer guaranteed to exist (the new one is not
+        // guaranteed either, unless re-persisted), but the pair is
+        // remembered for the rename-atomicity check.
+        if let Op::Rename { from, to } = op {
+            let from = normalize(from);
+            let to = normalize(to);
+            if let Ok(meta) = fs.metadata(&to) {
+                state
+                    .renames_seen
+                    .push((from.clone(), to.clone(), meta.ino));
             }
-            oracle_tracker.note_op(op);
-
-            // A rename moves the persisted object to a new name: the old
-            // path is no longer guaranteed to exist (the new one is not
-            // guaranteed either, unless re-persisted), but the pair is
-            // remembered for the rename-atomicity check.
-            if let Op::Rename { from, to } = op {
-                let from = normalize(from);
-                let to = normalize(to);
-                if let Ok(meta) = fs.metadata(&to) {
-                    renames_seen.push((from.clone(), to.clone(), meta.ino));
-                }
-                let moved: Vec<String> = persisted
-                    .keys()
-                    .filter(|p| p.as_str() == from || is_ancestor(&from, p))
-                    .cloned()
-                    .collect();
-                if moved.iter().any(|p| p == &from) {
-                    persisted_renames.push((from.clone(), to.clone()));
-                }
-                for path in moved {
-                    persisted.remove(&path);
-                }
+            let moved: Vec<String> = state
+                .persisted
+                .keys()
+                .filter(|p| p.as_str() == from || is_ancestor(&from, p))
+                .cloned()
+                .collect();
+            if moved.iter().any(|p| p == &from) {
+                state.persisted_renames.push((from.clone(), to.clone()));
             }
+            for path in moved {
+                state.persisted.remove(&path);
+            }
+        }
 
-            // Op-order-aware durability of renames: an fsync of exactly the
-            // renamed inode's new name — or a global sync — executed after
-            // the rename makes the rename itself durable. The inode check
-            // keeps a later `creat` at the new name from counting.
-            match op {
-                Op::Fsync { path } => {
-                    let path = normalize(path);
-                    if let Ok(meta) = fs.metadata(&path) {
-                        for (from, to, ino) in &renames_seen {
-                            if *to == path && *ino == meta.ino {
-                                push_unique(&mut durable_renames, (from.clone(), to.clone()));
-                            }
+        // Op-order-aware durability of renames: an fsync of exactly the
+        // renamed inode's new name — or a global sync — executed after
+        // the rename makes the rename itself durable. The inode check
+        // keeps a later `creat` at the new name from counting.
+        match op {
+            Op::Fsync { path } => {
+                let path = normalize(path);
+                if let Ok(meta) = fs.metadata(&path) {
+                    for (from, to, ino) in &state.renames_seen {
+                        if *to == path && *ino == meta.ino {
+                            push_unique(&mut state.durable_renames, (from.clone(), to.clone()));
                         }
                     }
                 }
-                Op::Sync => {
-                    for (from, to, _) in &renames_seen {
-                        push_unique(&mut durable_renames, (from.clone(), to.clone()));
-                    }
+            }
+            Op::Sync => {
+                for (from, to, _) in &state.renames_seen {
+                    push_unique(&mut state.durable_renames, (from.clone(), to.clone()));
                 }
-                _ => {}
             }
-
-            let is_checkpoint = op.is_persistence_point()
-                || (self.config.direct_write_is_persistence_point && is_direct_write(op));
-            if !is_checkpoint {
-                continue;
-            }
-
-            let oracle = oracle_tracker.checkpoint(fs.as_ref())?;
-            update_expectations(&mut persisted, &oracle, op, fs.as_ref());
-            let id = log_handle.checkpoint();
-            checkpoints.push(CheckpointInfo {
-                id,
-                op_index,
-                op_description: op.to_string(),
-                persisted: persisted.clone(),
-                persisted_renames: persisted_renames.clone(),
-                durable_renames: durable_renames.clone(),
-                oracle,
-            });
+            _ => {}
         }
 
-        Ok(ProfileResult {
-            base_image,
-            log: log_handle.snapshot(),
-            checkpoints,
-            exec_error,
-        })
+        let is_checkpoint = op.is_persistence_point()
+            || (self.config.direct_write_is_persistence_point && is_direct_write(op));
+        if !is_checkpoint {
+            return Ok(());
+        }
+
+        let oracle = state.oracle.checkpoint(fs)?;
+        update_expectations(&mut state.persisted, &oracle, op, fs);
+        let id = state.log.checkpoint();
+        state.checkpoints.push(CheckpointInfo {
+            id,
+            op_index,
+            op_description: op.to_string(),
+            persisted: state.persisted.clone(),
+            persisted_renames: state.persisted_renames.clone(),
+            durable_renames: state.durable_renames.clone(),
+            oracle,
+        });
+        Ok(())
+    }
+}
+
+/// One profiling run stopped between two operations: the mounted file
+/// system, the handle on its recorder, and everything captured so far.
+/// [`Profiler::step`] advances it; [`ProfileState::fork`] copies it, so the
+/// operations it has run need not be run again for the next workload that
+/// starts with them.
+pub(crate) struct ProfileState {
+    fs: Box<dyn FileSystem>,
+    log: LogHandle,
+    /// Its counter seeds write data, so it is part of the state.
+    executor: Executor,
+    oracle: OracleTracker,
+    persisted: BTreeMap<String, Expectation>,
+    persisted_renames: Vec<(String, String)>,
+    /// All renames executed so far: (old path, new path, moved inode).
+    renames_seen: Vec<(String, String, u64)>,
+    durable_renames: Vec<(String, String)>,
+    checkpoints: Vec<CheckpointInfo>,
+    /// Set by the operation that could not be executed; it ended the run.
+    exec_error: Option<FsError>,
+}
+
+impl ProfileState {
+    /// Number of operations run so far, the failing one included.
+    pub(crate) fn depth(&self) -> usize {
+        self.executor.ops_applied() as usize
+    }
+
+    /// True once an operation failed to execute.
+    pub(crate) fn failed(&self) -> bool {
+        self.exec_error.is_some()
+    }
+
+    /// An independent copy of the run: file system, recording device and
+    /// log are forked, the captured state is cloned (oracle entries and
+    /// block payloads stay shared behind their `Arc`s).
+    pub(crate) fn fork(&self) -> ProfileState {
+        let device = self.log.fork_device();
+        let log = device.log_handle();
+        ProfileState {
+            fs: self.fs.fork(Box::new(device)),
+            log,
+            executor: self.executor.clone(),
+            oracle: self.oracle.clone(),
+            persisted: self.persisted.clone(),
+            persisted_renames: self.persisted_renames.clone(),
+            renames_seen: self.renames_seen.clone(),
+            durable_renames: self.durable_renames.clone(),
+            checkpoints: self.checkpoints.clone(),
+            exec_error: self.exec_error.clone(),
+        }
+    }
+
+    /// Refreshes the incremental oracle now, so that forks of this state
+    /// start with nothing dirty instead of each re-capturing the same
+    /// paths at its first checkpoint. What the oracle holds at a checkpoint
+    /// does not depend on when it was refreshed.
+    pub(crate) fn settle_oracle(&mut self) -> FsResult<()> {
+        self.oracle.settle(self.fs.as_ref())
+    }
+
+    /// The profile of the operations run so far.
+    pub(crate) fn result(&self, base_image: &DiskImage) -> ProfileResult {
+        ProfileResult {
+            base_image: base_image.clone(),
+            log: self.log.snapshot(),
+            checkpoints: self.checkpoints.clone(),
+            exec_error: self.exec_error.clone(),
+        }
+    }
+
+    /// [`ProfileState::result`] of a run that is over, without the copies.
+    pub(crate) fn into_result(self, base_image: &DiskImage) -> ProfileResult {
+        ProfileResult {
+            base_image: base_image.clone(),
+            log: self.log.take_log(),
+            checkpoints: self.checkpoints,
+            exec_error: self.exec_error,
+        }
     }
 }
 

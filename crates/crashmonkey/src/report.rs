@@ -334,6 +334,23 @@ pub struct ResourceStats {
     pub workload_storage_bytes: u64,
 }
 
+/// Length in bytes of `value`'s text rendering, counted as it is written
+/// instead of by building the string.
+pub(crate) fn rendered_len(value: &impl std::fmt::Display) -> u64 {
+    struct ByteCount(u64);
+    impl std::fmt::Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len() as u64;
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    // The sink never fails, and neither do the workload language's
+    // `Display` impls.
+    let _ = std::fmt::Write::write_fmt(&mut count, format_args!("{value}"));
+    count.0
+}
+
 /// The outcome of testing one workload on one file system.
 #[derive(Debug, Clone)]
 pub struct WorkloadOutcome {

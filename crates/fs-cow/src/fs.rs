@@ -296,6 +296,20 @@ impl FileSystem for CowFs {
         Ok(self.dev)
     }
 
+    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
+        // The trees are shared, not copied: both sides only ever mutate
+        // theirs through `working_mut`'s copy-on-write.
+        Box::new(CowFs {
+            dev,
+            sb: self.sb,
+            bugs: self.bugs,
+            working: Arc::clone(&self.working),
+            committed: self.committed.clone(),
+            log: self.log.clone(),
+            recorder_state: self.recorder_state.clone(),
+        })
+    }
+
     fn guarantees(&self) -> GuaranteeProfile {
         GuaranteeProfile::linux_default()
     }

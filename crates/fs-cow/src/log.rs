@@ -198,7 +198,7 @@ pub enum SyncKind {
 }
 
 /// Mutable per-transaction recorder state owned by [`crate::CowFs`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RecorderState {
     /// Inodes that already have an `Inode` item in the current log.
     pub logged_inos: HashSet<InodeId>,

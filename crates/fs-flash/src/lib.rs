@@ -495,6 +495,18 @@ impl FileSystem for FlashFs {
         Ok(self.dev)
     }
 
+    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
+        Box::new(FlashFs {
+            dev,
+            sb: self.sb,
+            bugs: self.bugs,
+            working: self.working.clone(),
+            checkpoint: self.checkpoint.clone(),
+            records: self.records.clone(),
+            zero_range_keep: self.zero_range_keep.clone(),
+        })
+    }
+
     fn guarantees(&self) -> GuaranteeProfile {
         GuaranteeProfile::linux_default()
     }

@@ -278,6 +278,16 @@ impl FileSystem for JournalFs {
         Ok(self.dev)
     }
 
+    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
+        Box::new(JournalFs {
+            dev,
+            sb: self.sb,
+            bugs: self.bugs,
+            working: self.working.clone(),
+            committed: self.committed.clone(),
+        })
+    }
+
     fn guarantees(&self) -> GuaranteeProfile {
         GuaranteeProfile::linux_default()
     }

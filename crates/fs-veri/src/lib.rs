@@ -228,6 +228,16 @@ impl FileSystem for VeriFs {
         Ok(self.dev)
     }
 
+    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
+        Box::new(VeriFs {
+            dev,
+            sb: self.sb,
+            bugs: self.bugs,
+            working: self.working.clone(),
+            committed: self.committed.clone(),
+        })
+    }
+
     fn guarantees(&self) -> GuaranteeProfile {
         GuaranteeProfile::linux_default()
     }

@@ -1104,6 +1104,10 @@ fn serve_slot(index: usize, ctx: &SlotContext<'_>) -> FsResult<()> {
     }
 }
 
+/// A merged shard result whose delta record is not on disk yet: the
+/// persister, the merge number, and the encoded `shard | ShardResult`.
+type UnpersistedDelta<'a> = (&'a Persister, u64, Vec<u8>);
+
 /// Serves one established link: handshake, then alternate claims and
 /// assignments until the queue drains or a stop condition fires.
 /// `in_flight` tracks shards assigned over this link that have not been
@@ -1113,6 +1117,55 @@ fn serve_link(
     link: &mut dyn WorkerLink,
     ctx: &SlotContext<'_>,
     in_flight: &mut Vec<u32>,
+) -> LinkEnd {
+    let mut unpersisted = None;
+    let end = serve_session(index, link, ctx, in_flight, &mut unpersisted);
+    // However the session ended, a result that was merged must reach the
+    // disk. A persist failure is a coordinator-side problem; respawning
+    // the worker cannot fix the disk.
+    match persist_delta(ctx.coord, unpersisted.take()) {
+        Ok(()) => end,
+        Err(error) => LinkEnd::Fatal(error),
+    }
+}
+
+/// Durably appends one merged shard's delta record (one small fsync'd
+/// append), compacting the file when the deltas have outgrown the last
+/// snapshot. Always called outside the coordinator lock, so other links
+/// never stall behind the file IO.
+fn persist_delta(coord: &Coord, delta: Option<UnpersistedDelta<'_>>) -> FsResult<()> {
+    let Some((persister, version, delta)) = delta else {
+        return Ok(());
+    };
+    if persister.append_delta(version, &delta)? {
+        let (version, snapshot) = {
+            let state = coord
+                .state
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            (state.merged_this_run as u64, state.checkpoint.to_bytes())
+        };
+        persister.compact(version, &snapshot)?;
+    }
+    Ok(())
+}
+
+/// The session behind [`serve_link`]. The delta record of a batch's last
+/// result is left in `unpersisted` while the worker's next `Claim` — which
+/// the worker writes right behind that `ShardDone` — is read and answered,
+/// so the worker runs its next shard while the record is fsync'd instead
+/// of idling through the fsync (whose latency is the disk's, not ours: it
+/// was the one part of a fan-out's wall time that varied run to run). The
+/// record is appended as soon as the `Assign` is out, and before this link
+/// waits for shards or shuts the worker down; [`serve_link`] persists what
+/// is left when the session ends any other way. Killing the coordinator
+/// still loses only results whose append had not returned.
+fn serve_session<'a>(
+    index: usize,
+    link: &mut dyn WorkerLink,
+    ctx: &SlotContext<'a>,
+    in_flight: &mut Vec<u32>,
+    unpersisted: &mut Option<UnpersistedDelta<'a>>,
 ) -> LinkEnd {
     let coord = ctx.coord;
     let config = ctx.config;
@@ -1250,7 +1303,20 @@ fn serve_link(
                         // Queue empty but other workers still hold
                         // shards; if one of them dies, its shards come
                         // back to the queue — wait instead of shutting
-                        // this worker down and stranding that work.
+                        // this worker down and stranding that work. The
+                        // wait has no bound, so nothing stays unpersisted
+                        // across it.
+                        if unpersisted.is_some() {
+                            drop(state);
+                            if let Err(error) = persist_delta(coord, unpersisted.take()) {
+                                return LinkEnd::Fatal(error);
+                            }
+                            state = coord
+                                .state
+                                .lock()
+                                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                            continue;
+                        }
                         state = coord
                             .wake
                             .wait(state)
@@ -1258,6 +1324,9 @@ fn serve_link(
                     }
                 };
                 if batch.is_empty() {
+                    if let Err(error) = persist_delta(coord, unpersisted.take()) {
+                        return LinkEnd::Fatal(error);
+                    }
                     return match link.send(&ToWorker::Shutdown.to_frame()) {
                         Ok(()) => LinkEnd::Finished,
                         Err(error) => LinkEnd::Lost(error),
@@ -1266,6 +1335,11 @@ fn serve_link(
                 in_flight.extend(&batch);
                 if let Err(error) = link.send(&ToWorker::Assign(batch).to_frame()) {
                     return LinkEnd::Lost(error);
+                }
+                // The worker is running again: now the fsync costs it
+                // nothing.
+                if let Err(error) = persist_delta(coord, unpersisted.take()) {
+                    return LinkEnd::Fatal(error);
                 }
             }
             FromWorker::ShardDone { shard, result } => {
@@ -1339,27 +1413,13 @@ fn serve_link(
                     }
                 }
                 // The file IO happens outside the coordinator lock so
-                // workers don't stall behind it: one small fsync'd
-                // append per shard, plus the occasional compaction.
-                if let Some((persister, version, delta)) = to_persist {
-                    match persister.append_delta(version, &delta) {
-                        Ok(true) => {
-                            let (version, snapshot) = {
-                                let state = coord
-                                    .state
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                (state.merged_this_run as u64, state.checkpoint.to_bytes())
-                            };
-                            if let Err(error) = persister.compact(version, &snapshot) {
-                                return LinkEnd::Fatal(error);
-                            }
-                        }
-                        Ok(false) => {}
-                        // A persist failure is a coordinator-side problem;
-                        // respawning the worker cannot fix the disk.
-                        Err(error) => return LinkEnd::Fatal(error),
-                    }
+                // workers don't stall behind it. When this was the last
+                // shard the worker held, its `Claim` is already on the
+                // wire: answer that first (see the function docs).
+                if in_flight.is_empty() {
+                    *unpersisted = to_persist;
+                } else if let Err(error) = persist_delta(coord, to_persist) {
+                    return LinkEnd::Fatal(error);
                 }
             }
         }
@@ -1549,6 +1609,55 @@ mod tests {
         ));
     }
 
+    /// Serves `link` as the only slot of a fresh coordinator with all of
+    /// `job`'s shards queued.
+    fn serve_mock_link(
+        job: &SweepJob,
+        config: &DistribConfig,
+        persister: Option<&Persister>,
+        link: &mut dyn WorkerLink,
+    ) -> LinkEnd {
+        let coord = Coord {
+            state: Mutex::new(CoordState {
+                queue: (0..job.num_shards as u32).collect(),
+                in_flight: 0,
+                checkpoint: job.empty_checkpoint(),
+                tested: 0,
+                skipped: 0,
+                pruned: 0,
+                buggy: 0,
+                merged_this_run: 0,
+                processed_this_run: 0,
+                assigned_candidates: 0,
+                stopping: false,
+                workers: vec![WorkerTelemetry::idle()],
+                failed_workers: 0,
+                respawns: 0,
+                seen_groups: Default::default(),
+            }),
+            wake: Condvar::new(),
+        };
+        let job_frame = ToWorker::Job {
+            job: Box::new(job.clone()),
+            fingerprint: job.empty_checkpoint().fingerprint().to_string(),
+        }
+        .to_frame();
+        let shard_sizes = vec![5u64; job.num_shards];
+        let transport = ChildTransport::new(WorkerCommand::new("unused"));
+        let ctx = SlotContext {
+            job_frame: &job_frame,
+            shard_sizes: &shard_sizes,
+            avg_shard_workloads: 5.0,
+            coord: &coord,
+            persister,
+            config,
+            transport: &transport,
+            on_discovery: None,
+            should_stop: None,
+        };
+        serve_link(0, link, &ctx, &mut Vec::new())
+    }
+
     /// A pre-handshake (protocol v1) worker never sends Hello — its first
     /// action is to wait for a Job. Because the coordinator sends the Job
     /// eagerly, such a worker answers `Claim` instead of `Hello`, and the
@@ -1578,51 +1687,152 @@ mod tests {
             workers: 1,
             ..DistribConfig::default()
         };
-        let coord = Coord {
-            state: Mutex::new(CoordState {
-                queue: [0u32, 1].into(),
-                in_flight: 0,
-                checkpoint: job.empty_checkpoint(),
-                tested: 0,
-                skipped: 0,
-                pruned: 0,
-                buggy: 0,
-                merged_this_run: 0,
-                processed_this_run: 0,
-                assigned_candidates: 0,
-                stopping: false,
-                workers: vec![WorkerTelemetry::idle()],
-                failed_workers: 0,
-                respawns: 0,
-                seen_groups: Default::default(),
-            }),
-            wake: Condvar::new(),
-        };
-        let job_frame = ToWorker::Job {
-            job: Box::new(job.clone()),
-            fingerprint: job.empty_checkpoint().fingerprint().to_string(),
-        }
-        .to_frame();
-        let shard_sizes = vec![5u64, 5];
-        let transport = ChildTransport::new(WorkerCommand::new("unused"));
-        let ctx = SlotContext {
-            job_frame: &job_frame,
-            shard_sizes: &shard_sizes,
-            avg_shard_workloads: 5.0,
-            coord: &coord,
-            persister: None,
-            config: &config,
-            transport: &transport,
-            on_discovery: None,
-            should_stop: None,
-        };
-        let mut in_flight = Vec::new();
-        match serve_link(0, &mut V1Link, &ctx, &mut in_flight) {
+        match serve_mock_link(&job, &config, None, &mut V1Link) {
             LinkEnd::Fatal(error) => {
                 assert!(error.to_string().contains("Hello"), "{error}");
             }
             LinkEnd::Finished => panic!("a pre-handshake worker must not finish cleanly"),
             LinkEnd::Lost(error) => panic!("must be fatal, not retryable: {error}"),
         }
+    }
+
+    /// Plays a healthy worker from the coordinator's side of the link —
+    /// `Hello`, then `Claim` → `Assign` → one `ShardDone` per shard →
+    /// `Claim` … — and notes how many delta records the checkpoint file
+    /// holds at every `Assign` / `Shutdown` sent and at every `recv`.
+    struct ScriptedWorker {
+        checkpoint_path: PathBuf,
+        /// Frames the "worker" has written and the link has not delivered.
+        outbox: VecDeque<Vec<u8>>,
+        /// Dies (recv error) instead of claiming again after this many
+        /// results.
+        die_after_results: Option<usize>,
+        results: usize,
+        deltas_at_assign: Vec<usize>,
+        deltas_at_recv: Vec<usize>,
+        deltas_at_shutdown: Option<usize>,
+    }
+
+    impl ScriptedWorker {
+        fn new(checkpoint_path: PathBuf, die_after_results: Option<usize>) -> ScriptedWorker {
+            let hello = FromWorker::Hello(Hello {
+                version: PROTOCOL_VERSION,
+                calibrated_rate: 0.0,
+                auth: String::new(),
+            });
+            ScriptedWorker {
+                checkpoint_path,
+                outbox: [hello.to_frame(), FromWorker::Claim.to_frame()].into(),
+                die_after_results,
+                results: 0,
+                deltas_at_assign: Vec::new(),
+                deltas_at_recv: Vec::new(),
+                deltas_at_shutdown: None,
+            }
+        }
+
+        fn deltas_on_disk(&self) -> usize {
+            segment_stats(&self.checkpoint_path).unwrap().deltas
+        }
+    }
+
+    impl WorkerLink for ScriptedWorker {
+        fn endpoint(&self) -> &str {
+            "mock:scripted"
+        }
+        fn send(&mut self, payload: &[u8]) -> FsResult<()> {
+            match ToWorker::from_frame(payload)? {
+                ToWorker::Assign(shards) => {
+                    self.deltas_at_assign.push(self.deltas_on_disk());
+                    for shard in shards {
+                        let result = crate::sweep::ShardResult::default();
+                        self.outbox
+                            .push_back(FromWorker::ShardDone { shard, result }.to_frame());
+                        self.results += 1;
+                    }
+                    if self.die_after_results.is_none_or(|n| self.results < n) {
+                        self.outbox.push_back(FromWorker::Claim.to_frame());
+                    }
+                }
+                ToWorker::Shutdown => self.deltas_at_shutdown = Some(self.deltas_on_disk()),
+                ToWorker::Job { .. } | ToWorker::Challenge { .. } => {}
+            }
+            Ok(())
+        }
+        fn recv(&mut self) -> FsResult<Vec<u8>> {
+            self.deltas_at_recv.push(self.deltas_on_disk());
+            self.outbox
+                .pop_front()
+                .ok_or_else(|| FsError::Device("scripted worker died".into()))
+        }
+        fn close(&mut self) {}
+        fn abort(&mut self) {}
+    }
+
+    /// Serves one [`ScriptedWorker`] link over a 4-shard job with a fresh
+    /// segment-log checkpoint.
+    fn serve_scripted(
+        test: &str,
+        assign_batch: usize,
+        die_after_results: Option<usize>,
+    ) -> (LinkEnd, ScriptedWorker, usize) {
+        let dir = std::env::temp_dir().join(format!("b3-distrib-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.b3sg");
+
+        let job = SweepJob::new(Bounds::tiny(), 4);
+        let config = DistribConfig {
+            workers: 1,
+            assign_batch,
+            ..DistribConfig::default()
+        };
+        let persister = Persister::open(&path, &job.empty_checkpoint()).unwrap();
+        let mut worker = ScriptedWorker::new(path.clone(), die_after_results);
+        let end = serve_mock_link(&job, &config, Some(&persister), &mut worker);
+        let deltas = segment_stats(&path).unwrap().deltas;
+        let _ = std::fs::remove_dir_all(&dir);
+        (end, worker, deltas)
+    }
+
+    /// The fsync of a batch's last result must not sit between the worker's
+    /// `Claim` and its `Assign` — and must not be put off any further than
+    /// that either.
+    #[test]
+    fn next_assign_goes_out_before_the_previous_result_is_fsynced() {
+        let (end, worker, deltas) = serve_scripted("overlap", 1, None);
+        assert!(matches!(end, LinkEnd::Finished));
+        // Assign k goes out while result k-1 is still unpersisted…
+        assert_eq!(worker.deltas_at_assign, [0, 0, 1, 2]);
+        // …which is on disk by the time the link reads again (recvs: Hello,
+        // first Claim, then ShardDone + Claim per shard).
+        assert_eq!(worker.deltas_at_recv, [0, 0, 0, 0, 1, 1, 2, 2, 3, 3]);
+        // Nothing is left for after the worker's shutdown.
+        assert_eq!(worker.deltas_at_shutdown, Some(4));
+        assert_eq!(deltas, 4);
+    }
+
+    /// Inside a batch no `Claim` is coming, so every result but the batch's
+    /// last is persisted before the link reads the next frame.
+    #[test]
+    fn results_inside_a_batch_are_persisted_at_once() {
+        let (end, worker, deltas) = serve_scripted("batch", 2, None);
+        assert!(matches!(end, LinkEnd::Finished));
+        assert_eq!(worker.deltas_at_assign, [0, 1]);
+        // Hello, Claim, ShardDone 0, ShardDone 1, Claim, ShardDone 2, …
+        assert_eq!(worker.deltas_at_recv, [0, 0, 0, 1, 1, 2, 3, 3]);
+        assert_eq!(worker.deltas_at_shutdown, Some(4));
+        assert_eq!(deltas, 4);
+    }
+
+    /// A worker that dies right behind a result (before claiming again)
+    /// ends the session with that result merged but unpersisted; it must
+    /// still reach the disk.
+    #[test]
+    fn a_result_is_persisted_even_if_the_worker_dies_before_claiming_again() {
+        let (end, worker, deltas) = serve_scripted("dies", 1, Some(2));
+        assert!(matches!(end, LinkEnd::Lost(_)));
+        assert_eq!(worker.results, 2);
+        assert_eq!(deltas, 2);
     }
 }

@@ -40,7 +40,7 @@ impl Default for ExecPolicy {
 }
 
 /// Stateful workload executor.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Executor {
     policy: ExecPolicy,
     op_counter: u64,

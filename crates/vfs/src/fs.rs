@@ -195,6 +195,25 @@ pub trait FileSystem: Send {
     /// point.
     fn unmount(self: Box<Self>) -> FsResult<Box<dyn BlockDevice>>;
 
+    /// Forks the mounted file system: returns an independent copy of all of
+    /// its in-memory state — working tree, committed/checkpointed trees,
+    /// pending logs, allocation cursors — that performs its IO on `device`.
+    ///
+    /// The caller supplies the device because a file system cannot copy the
+    /// `dyn BlockDevice` it owns, and because the caller usually wants to
+    /// keep its own handle on the new device (CrashMonkey forks its
+    /// recorder with [`b3_block::LogHandle::fork_device`]). `device` must
+    /// hold exactly the blocks this file system's own device holds now.
+    ///
+    /// The contract, which the per-file-system fork property tests pin: from
+    /// here on, no operation on either side — including persistence
+    /// operations — may change anything the other side can observe, and any
+    /// operation sequence applied to the fork must behave (results, logical
+    /// state, and block IO issued) exactly as it would have on `self`.
+    /// Sharing immutable state behind an `Arc` is fine; sharing anything
+    /// that is later mutated in place is not.
+    fn fork(&self, device: Box<dyn BlockDevice>) -> Box<dyn FileSystem>;
+
     // --- misc ---------------------------------------------------------------------
 
     /// The crash-consistency guarantees this file system aims to provide.

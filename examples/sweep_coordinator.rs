@@ -71,6 +71,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use b3::crashmonkey::ProfileSharing;
 use b3::prelude::*;
 use b3_harness::distrib::{
     load_checkpoint, run_with_transport, segment_stats, worker_connect, worker_main,
@@ -223,6 +224,26 @@ fn preset_bounds(name: &str) -> Result<Bounds, String> {
         ))
 }
 
+/// Workloads profiled locally for the summary's prefix-sharing line.
+const SHARING_SAMPLE: usize = 2000;
+
+/// Measures prefix sharing on the head of shard 0. The harnesses that ran
+/// the sweep live in the worker processes and report outcomes only, so the
+/// summary samples the figure here: the workloads are profiled (not crash
+/// tested) through one local harness, in generator order like a worker.
+fn sampled_profile_sharing(job: &SweepJob, bounds: &Bounds) -> (usize, ProfileSharing) {
+    let spec = job.fs.spec(job.era);
+    let monkey = CrashMonkey::with_config(spec.as_ref(), job.crashmonkey);
+    let shard = bounds.shard(0, job.num_shards);
+    let mut profiled = 0;
+    for workload in WorkloadGenerator::for_shard(bounds.clone(), &shard).take(SHARING_SAMPLE) {
+        // A workload that cannot be profiled is the sweep's to report.
+        let _ = monkey.profile_only(&workload);
+        profiled += 1;
+    }
+    (profiled, monkey.profile_sharing())
+}
+
 /// Builds the transport the flags ask for. Boxed because the choice is
 /// runtime; the coordinator only sees `&dyn Transport`.
 fn build_transport(args: &Args) -> Result<Box<dyn Transport>, String> {
@@ -347,7 +368,7 @@ fn main() {
         transport.describe()
     );
 
-    let mut job = SweepJob::new(bounds, num_shards);
+    let mut job = SweepJob::new(bounds.clone(), num_shards);
     job.fs = args.fs;
     job.crashmonkey.crash_points = args.crash_points;
     match args.crash_points {
@@ -444,6 +465,16 @@ fn main() {
             outcome.failed_workers
         );
     }
+    let (profiled, sharing) = sampled_profile_sharing(&job, &bounds);
+    println!(
+        "prefix sharing (first {profiled} workloads of shard 0, profiled here): \
+         {} ops applied, {} resumed from a shared prefix ({:.0} %), {} forks, {} mount(s)",
+        sharing.ops_applied,
+        sharing.ops_resumed,
+        sharing.resumed_share() * 100.0,
+        sharing.forks,
+        sharing.mounts,
+    );
     if outcome.is_complete() {
         if !groups.is_empty() {
             println!("\nde-duplicated bug groups (skeleton x consequence):");
