@@ -33,6 +33,17 @@ pub enum CrashPointPolicy {
 }
 
 impl CrashPointPolicy {
+    /// Parses the `--crash-points` CLI spellings (`triaged` starts with no
+    /// audit budget).
+    pub fn parse(text: &str) -> Option<CrashPointPolicy> {
+        match text {
+            "last" => Some(CrashPointPolicy::LastOnly),
+            "all" => Some(CrashPointPolicy::All),
+            "triaged" => Some(CrashPointPolicy::AllTriaged { audit: 0 }),
+            _ => None,
+        }
+    }
+
     /// Selects the checkpoints to test from a profile.
     pub fn select<'a>(&self, checkpoints: &'a [CheckpointInfo]) -> Vec<&'a CheckpointInfo> {
         match self {

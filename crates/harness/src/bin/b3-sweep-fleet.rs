@@ -51,13 +51,10 @@ use b3_ace::{Bounds, SequencePreset};
 use b3_app::{EngineProfile, TxnBounds};
 use b3_crashmonkey::CrashPointPolicy;
 use b3_harness::distrib::{
-    inspect_queue, worker_main, ChildTransport, DistribConfig, FleetClient, FleetConfig,
-    FleetCoordinator, JobState, JobStatus, TcpTransport, Transport, WorkerCommand, WorkerOptions,
-    DEFAULT_CALIBRATION_WORKLOADS,
+    inspect_queue, worker_from_args, ChildTransport, DistribConfig, FleetClient, FleetConfig,
+    FleetCoordinator, JobState, JobStatus, TcpTransport, Transport, WorkerCommand,
 };
-use b3_harness::{
-    bug_group_table, AppSweep, FsKind, GroupTable, PruneMode, RunConfig, Sweep, SweepCheckpoint,
-};
+use b3_harness::{bug_group_table, FsKind, GroupTable, PruneMode, RunConfig};
 use b3_vfs::codec::Encoder;
 use b3_vfs::KernelEra;
 
@@ -144,14 +141,12 @@ impl JobSpec {
                 });
             }
             "--crash-points" => {
-                self.crash_points = match reader.value(flag, inline).as_str() {
-                    "last" => CrashPointPolicy::LastOnly,
-                    "all" => CrashPointPolicy::All,
-                    "triaged" => CrashPointPolicy::AllTriaged { audit: 0 },
-                    other => fail(format!(
-                        "unknown crash-point policy {other:?} (last/all/triaged)"
-                    )),
-                };
+                let name = reader.value(flag, inline);
+                self.crash_points = CrashPointPolicy::parse(&name).unwrap_or_else(|| {
+                    fail(format!(
+                        "unknown crash-point policy {name:?} (last/all/triaged)"
+                    ))
+                });
             }
             "--triage-audit" => {
                 let audit = reader
@@ -187,6 +182,7 @@ impl JobSpec {
         job.era = self.era;
         job.prune = self.prune;
         job.crashmonkey.crash_points = self.crash_points;
+        job.validate().unwrap_or_else(|e| fail(e));
         job
     }
 }
@@ -510,30 +506,15 @@ fn cmd_groups(mut reader: ArgReader) {
         (None, true) => {
             // The in-process reference sweep over the identical space: the
             // grouped table the fleet's distributed runs must byte-match.
-            let job = spec.job();
-            let fs_spec = job.fs.spec(job.era);
             let config = RunConfig {
                 threads: 2,
-                crashmonkey: job.crashmonkey,
                 ..RunConfig::default()
             };
-            match &job.space {
-                b3_harness::SweepSpace::Fs(bounds) => {
-                    let mut reference = SweepCheckpoint::new(bounds, job.num_shards);
-                    let _ = Sweep::new(fs_spec.as_ref(), config)
-                        .shards(job.num_shards)
-                        .prune(job.prune)
-                        .run_resumable(bounds, &mut reference);
-                    reference.grouped()
-                }
-                b3_harness::SweepSpace::App { bounds, engine } => {
-                    let sweep =
-                        AppSweep::new(fs_spec.as_ref(), config, *engine).shards(job.num_shards);
-                    let mut reference = sweep.empty_checkpoint(bounds);
-                    let _ = sweep.run_resumable(bounds, &mut reference);
-                    reference.grouped()
-                }
-            }
+            let (_, reference) = spec
+                .job()
+                .run_in_process(&config)
+                .unwrap_or_else(|e| fail(e));
+            reference.grouped()
         }
         _ => fail("groups needs exactly one of --checkpoint FILE or --single-process"),
     };
@@ -582,11 +563,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Children the daemon spawns as sweep workers re-enter here.
     if argv.first().is_some_and(|arg| arg == "--worker") {
-        let mut options = WorkerOptions::default();
-        if argv.iter().any(|arg| arg == "--calibrate") {
-            options.calibration_workloads = DEFAULT_CALIBRATION_WORKLOADS;
-        }
-        std::process::exit(worker_main(options));
+        std::process::exit(worker_from_args(argv));
     }
     let Some(command) = argv.first().cloned() else {
         fail("usage: b3-sweep-fleet <serve|enqueue|status|results|groups|watch> [flags]");

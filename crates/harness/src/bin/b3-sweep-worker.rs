@@ -22,55 +22,8 @@
 //! abruptly just before its `N+1`-th workload, simulating a worker VM dying
 //! mid-shard.
 
-use b3_harness::distrib::{
-    worker_connect, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS,
-};
-
 fn main() {
-    let mut options = WorkerOptions::default();
-    let mut connect: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
-            None => (arg, None),
-        };
-        let mut value = |name: &str| -> String {
-            inline.clone().or_else(|| args.next()).unwrap_or_else(|| {
-                eprintln!("b3-sweep-worker: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--die-after-workloads" => {
-                options.die_after_workloads = Some(
-                    value("--die-after-workloads")
-                        .parse()
-                        .expect("--die-after-workloads needs a number"),
-                );
-            }
-            "--connect" => connect = Some(value("--connect")),
-            "--secret" => options.secret = Some(value("--secret")),
-            "--calibrate" => {
-                options.calibration_workloads = match inline {
-                    Some(burst) => burst.parse().expect("--calibrate needs a number"),
-                    None => DEFAULT_CALIBRATION_WORKLOADS,
-                };
-            }
-            other => {
-                eprintln!("b3-sweep-worker: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if options.secret.is_none() {
-        options.secret = std::env::var("B3_SWEEP_SECRET")
-            .ok()
-            .filter(|s| !s.is_empty());
-    }
-    let code = match connect {
-        Some(addr) => worker_connect(&addr, options),
-        None => worker_main(options),
-    };
-    std::process::exit(code);
+    std::process::exit(b3_harness::distrib::worker_from_args(
+        std::env::args().skip(1),
+    ));
 }

@@ -68,7 +68,8 @@ use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::KernelEra;
 
 use crate::corpus::FsKind;
-use crate::runner::RunSummary;
+use crate::engine::{self, in_process_scope, JobSpace};
+use crate::runner::{spawn_progress_monitor, RunConfig, RunSummary};
 use crate::sweep::{Progress, PruneMode, SweepCheckpoint, WorkerThroughput};
 
 pub mod auth;
@@ -88,7 +89,8 @@ pub use transport::{
     ChildTransport, SshTransport, TcpTransport, Transport, WorkerCommand, WorkerLink,
 };
 pub use worker::{
-    worker_connect, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS, WORKER_CRASH_EXIT,
+    worker_connect, worker_from_args, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS,
+    WORKER_CRASH_EXIT,
 };
 
 use crate::dedup::GroupKey;
@@ -141,6 +143,51 @@ pub struct SweepJob {
     pub prune: PruneMode,
 }
 
+/// Evaluates `$body` with `$space` bound to the job's concrete
+/// [`JobSpace`](crate::engine::JobSpace), on the job's file system and
+/// fingerprinted under `$scope`. A macro because the body is generic over
+/// the space's type, which a closure cannot be. This is the one place a
+/// [`SweepSpace`] is dispatched on to run anything: the distributed worker
+/// and [`SweepJob::run_in_process`] both come through here.
+macro_rules! with_job_space {
+    ($job:expr, $scope:expr, |$space:ident| $body:expr) => {{
+        use $crate::distrib::{SweepJob, SweepSpace};
+        use $crate::engine::{AppSpace, FsSpace};
+        use $crate::sweep::SweepCheckpoint;
+        let (job, scope): (&SweepJob, &str) = ($job, $scope);
+        let spec = job.fs.spec(job.era);
+        let (spec, config) = (spec.as_ref(), job.crashmonkey);
+        match &job.space {
+            SweepSpace::Fs(bounds) => {
+                let classifier = (!job.prune.is_off()).then(|| b3_ace::Classifier::new(bounds));
+                let $space = &FsSpace {
+                    spec,
+                    config,
+                    bounds,
+                    checkpoint: SweepCheckpoint::scoped(bounds, job.num_shards, scope),
+                    prune: job.prune,
+                    classifier: classifier.as_ref(),
+                    interner: Default::default(),
+                };
+                $body
+            }
+            SweepSpace::App { bounds, engine } => {
+                let engine = *engine;
+                let checkpoint = SweepCheckpoint::scoped_app(bounds, job.num_shards, scope);
+                let $space = &AppSpace {
+                    spec,
+                    config,
+                    engine,
+                    bounds,
+                    checkpoint,
+                };
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_job_space;
+
 impl SweepJob {
     /// A job over the given file-system operation space with the paper's
     /// evaluation-era defaults (CowFs at 4.16, small CrashMonkey device).
@@ -174,6 +221,50 @@ impl SweepJob {
         }
     }
 
+    /// The engine profile, when this is a [`SweepSpace::App`] job.
+    fn engine(&self) -> Option<EngineProfile> {
+        match &self.space {
+            SweepSpace::Fs(_) => None,
+            SweepSpace::App { engine, .. } => Some(*engine),
+        }
+    }
+
+    /// Rejects jobs no runner can honor. Today that is one rule:
+    /// canonicalization is a file-system-workload concept, so an app job
+    /// asking for it would have coordinator and workers disagree about
+    /// what gets skipped. Checked by the coordinator before any worker is
+    /// contacted, by every worker before it claims a shard, and by
+    /// [`SweepJob::run_in_process`].
+    pub fn validate(&self) -> FsResult<()> {
+        if self.engine().is_some() && !self.prune.is_off() {
+            return Err(FsError::InvalidArgument(
+                "app sweeps have no canonicalization: prune must be off".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs this job on `config.threads` threads of this process — the
+    /// single-process reference every distributed run of the job must
+    /// byte-match — and returns the summary with the checkpoint it filled.
+    /// The job's own CrashMonkey configuration is used, not `config`'s; the
+    /// checkpoint is the one [`Sweep`](crate::Sweep) or
+    /// [`AppSweep`](crate::AppSweep) would start from for the same job
+    /// (and can resume), not one scoped by [`SweepJob::scope`].
+    pub fn run_in_process(&self, config: &RunConfig) -> FsResult<(RunSummary, SweepCheckpoint)> {
+        self.validate()?;
+        let config = RunConfig {
+            crashmonkey: self.crashmonkey,
+            ..*config
+        };
+        let scope = in_process_scope(self.engine(), self.crashmonkey.crash_points, self.prune);
+        Ok(with_job_space!(self, &scope, |space| {
+            let mut checkpoint = space.empty_checkpoint().clone();
+            let summary = engine::run_resumable(space, &config, None, &mut checkpoint);
+            (summary, checkpoint)
+        }))
+    }
+
     /// Exact (app) or estimated (fs) number of candidate workloads in the
     /// whole space.
     pub fn total_candidates(&self) -> u64 {
@@ -191,6 +282,16 @@ impl SweepJob {
         }
     }
 
+    /// The crash-point policy as (code, triage audit budget): 0 = last-only,
+    /// 1 = all, 2 = all-triaged — on the wire and in [`SweepJob::scope`].
+    fn crash_point_code(&self) -> (u8, u32) {
+        match self.crashmonkey.crash_points {
+            CrashPointPolicy::LastOnly => (0, 0),
+            CrashPointPolicy::All => (1, 0),
+            CrashPointPolicy::AllTriaged { audit } => (2, audit),
+        }
+    }
+
     /// The execution context this job's checkpoints are scoped to: the file
     /// system, kernel era, CrashMonkey configuration, and (when pruning is
     /// on) the prune mode + canonicalization version. Two jobs over
@@ -199,14 +300,12 @@ impl SweepJob {
     /// other.
     pub fn scope(&self) -> String {
         let cm = &self.crashmonkey;
-        // Crash-point code: 0 = last-only, 1 = all, 2 = all-triaged (with
-        // the audit budget appended when non-zero). The 0/1 spellings
-        // predate triage, so existing scopes are unchanged.
-        let cp = match cm.crash_points {
-            CrashPointPolicy::LastOnly => "0".to_string(),
-            CrashPointPolicy::All => "1".to_string(),
-            CrashPointPolicy::AllTriaged { audit: 0 } => "2".to_string(),
-            CrashPointPolicy::AllTriaged { audit } => format!("2a{audit}"),
+        // The wire's crash-point code, with the audit budget appended when
+        // non-zero. The 0/1 spellings predate triage, so existing scopes
+        // are unchanged.
+        let cp = match self.crash_point_code() {
+            (code, 0) => code.to_string(),
+            (code, audit) => format!("{code}a{audit}"),
         };
         let mut scope = format!(
             "{}@{}/blk{}/cp{}{}{}",
@@ -220,7 +319,7 @@ impl SweepJob {
         // App jobs drive the WAL/KV engine on top of the file system, and
         // the engine's seeded-bug profile changes every shard result — so
         // it scopes the checkpoint exactly like the file system itself.
-        if let SweepSpace::App { engine, .. } = &self.space {
+        if let Some(engine) = self.engine() {
             scope.push_str(&format!("/app:{}", engine.describe()));
         }
         let canon = self.prune.scope_component();
@@ -263,11 +362,7 @@ impl SweepJob {
         enc.put_u64(self.crashmonkey.device_blocks);
         // Protocol v5: a one-byte policy code plus the triage audit budget
         // (v4 sent a single `All` bool here).
-        let (cp_code, cp_audit) = match self.crashmonkey.crash_points {
-            CrashPointPolicy::LastOnly => (0u8, 0u32),
-            CrashPointPolicy::All => (1, 0),
-            CrashPointPolicy::AllTriaged { audit } => (2, audit),
-        };
+        let (cp_code, cp_audit) = self.crash_point_code();
         enc.put_u8(cp_code);
         enc.put_u32(cp_audit);
         enc.put_bool(self.crashmonkey.direct_write_is_persistence_point);
@@ -756,11 +851,7 @@ pub fn run_with_transport_hooked(
     hooks: DistribHooks<'_>,
 ) -> FsResult<DistribOutcome> {
     config.validate()?;
-    if matches!(job.space, SweepSpace::App { .. }) && !job.prune.is_off() {
-        return Err(FsError::InvalidArgument(
-            "app sweeps have no canonicalization: prune must be off".into(),
-        ));
-    }
+    job.validate()?;
     let progress = hooks.progress;
     let started = Instant::now();
     let checkpoint = match &config.checkpoint_path {
@@ -854,29 +945,19 @@ pub fn run_with_transport_hooked(
     std::thread::scope(|scope| -> FsResult<()> {
         if let Some(callback) = progress {
             let coord = &coord;
-            let done = &done;
-            let interval = config.progress_interval;
-            scope.spawn(move || {
-                let mut last_fired = Instant::now();
-                while !done.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(20));
-                    if last_fired.elapsed() >= interval {
-                        let snapshot = coord
-                            .state
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .progress(started, total_workloads, seeded_shards);
-                        callback(&snapshot);
-                        last_fired = Instant::now();
-                    }
-                }
-                let snapshot = coord
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .progress(started, total_workloads, seeded_shards);
-                callback(&snapshot);
-            });
+            spawn_progress_monitor(
+                scope,
+                callback,
+                config.progress_interval,
+                &done,
+                move || {
+                    coord
+                        .state
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .progress(started, total_workloads, seeded_shards)
+                },
+            );
         }
 
         let handles: Vec<_> = (0..workers_to_spawn)

@@ -160,19 +160,18 @@ pub fn segment_stats(path: &Path) -> FsResult<SegmentStats> {
 }
 
 /// Loads a checkpoint file written by [`save_checkpoint`] or a coordinator's
-/// `Persister`. Accepts both the segment format (replaying deltas onto the
-/// latest snapshot, tolerating a torn trailing record) and a bare serialized
-/// checkpoint (the pre-segment legacy format). Returns `Ok(None)` when the
-/// file does not exist.
+/// `Persister`: replays the deltas onto the latest snapshot, tolerating a
+/// torn trailing record. Returns `Ok(None)` when the file does not exist;
+/// a file that does not start with the segment magic is `Corrupted`.
 pub fn load_checkpoint(path: &Path) -> FsResult<Option<SweepCheckpoint>> {
     match std::fs::read(path) {
-        Ok(bytes) => {
-            if bytes.len() >= 4 && bytes[0..4] == SEGMENT_MAGIC {
-                replay_segment_file(&bytes, path).map(Some)
-            } else {
-                SweepCheckpoint::from_bytes(&bytes).map(Some)
-            }
+        Ok(bytes) if bytes.starts_with(&SEGMENT_MAGIC) => {
+            replay_segment_file(&bytes, path).map(Some)
         }
+        Ok(_) => Err(FsError::Corrupted(format!(
+            "{} is not a segment checkpoint",
+            path.display()
+        ))),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(FsError::Device(format!(
             "read checkpoint {}: {e}",

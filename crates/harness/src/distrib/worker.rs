@@ -18,14 +18,12 @@ use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::KernelEra;
 
-use b3_app::AppHarness;
-
 use super::protocol::PROTOCOL_VERSION;
 use super::protocol::{read_frame, transport_err, write_frame, FromWorker, Hello, ToWorker};
-use super::SweepSpace;
-use crate::appsweep::run_app_shard;
+use super::with_job_space;
 use crate::corpus::FsKind;
-use crate::sweep::{run_shard, PruneContext};
+use crate::engine::JobSpace;
+use crate::runner::LiveCounters;
 
 /// Exit code a worker uses when its injected crash hook fires (the chaos
 /// tests' stand-in for a worker VM dying mid-shard).
@@ -112,6 +110,62 @@ pub fn worker_connect(addr: &str, options: WorkerOptions) -> i32 {
     exit_code(run())
 }
 
+/// The whole worker command line, shared by the `b3-sweep-worker` binary
+/// and every coordinator binary that re-executes itself as its own worker:
+/// `--connect HOST:PORT` (dial a coordinator instead of speaking over
+/// stdio), `--calibrate[=N]`, `--secret S` (default: the `B3_SWEEP_SECRET`
+/// environment variable), `--die-after-workloads N`, and the `--worker`
+/// marker those re-executions carry. Runs the worker to completion and
+/// returns the process exit code (2 for a bad command line).
+pub fn worker_from_args(args: impl IntoIterator<Item = String>) -> i32 {
+    match parse_args(args.into_iter()) {
+        Ok((Some(addr), options)) => worker_connect(&addr, options),
+        Ok((None, options)) => worker_main(options),
+        Err(message) => {
+            eprintln!("b3 sweep worker: {message}");
+            2
+        }
+    }
+}
+
+/// The `--connect` address, if any, and the options of a worker command
+/// line.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<String>, WorkerOptions), String> {
+    let mut options = WorkerOptions {
+        secret: std::env::var("B3_SWEEP_SECRET")
+            .ok()
+            .filter(|s| !s.is_empty()),
+        ..WorkerOptions::default()
+    };
+    let mut connect = None;
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let number = |text: &str| text.parse().map_err(|e| format!("{flag}: {e}"));
+        match (flag, inline) {
+            ("--worker", None) => {}
+            ("--calibrate", None) => options.calibration_workloads = DEFAULT_CALIBRATION_WORKLOADS,
+            ("--calibrate", Some(burst)) => options.calibration_workloads = number(&burst)?,
+            ("--connect" | "--secret" | "--die-after-workloads", inline) => {
+                let value = inline
+                    .or_else(|| args.next())
+                    .ok_or(format!("{flag} needs a value"))?;
+                match flag {
+                    "--connect" => connect = Some(value),
+                    "--secret" => options.secret = Some(value),
+                    _ => options.die_after_workloads = Some(number(&value)?),
+                }
+            }
+            _ => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok((connect, options))
+}
+
 fn exit_code(result: FsResult<()>) -> i32 {
     match result {
         Ok(()) => 0,
@@ -146,17 +200,12 @@ fn worker_loop(
         ToWorker::Challenge { nonce } => match &options.secret {
             Some(secret) => super::auth::auth_tag(secret, nonce),
             None => {
-                let reason = "coordinator requires a shared secret (--secret) \
-                              but this worker has none"
-                    .to_string();
-                write_frame(
+                return reject(
                     writer,
-                    &FromWorker::Reject {
-                        reason: reason.clone(),
-                    }
-                    .to_frame(),
-                )?;
-                return Err(FsError::InvalidArgument(reason));
+                    "coordinator requires a shared secret (--secret) \
+                     but this worker has none"
+                        .into(),
+                )
             }
         },
         _ => String::new(),
@@ -191,94 +240,68 @@ fn worker_loop(
     // so refuse loudly instead.
     let actual_fingerprint = job.empty_checkpoint().fingerprint().to_string();
     if actual_fingerprint != expected_fingerprint {
-        let reason = format!(
-            "job fingerprint mismatch: coordinator expects {expected_fingerprint:?} \
-             but this worker computes {actual_fingerprint:?} (mismatched binaries?)"
-        );
-        write_frame(
+        return reject(
             writer,
-            &FromWorker::Reject {
-                reason: reason.clone(),
-            }
-            .to_frame(),
-        )?;
-        return Err(FsError::InvalidArgument(reason));
+            format!(
+                "job fingerprint mismatch: coordinator expects {expected_fingerprint:?} \
+                 but this worker computes {actual_fingerprint:?} (mismatched binaries?)"
+            ),
+        );
     }
+    if let Err(error) = job.validate() {
+        return reject(writer, error.to_string());
+    }
+    let die_after = options.die_after_workloads;
+    with_job_space!(&job, &job.scope(), |space| claim_loop(
+        reader, writer, space, die_after
+    ))
+}
 
-    let spec = job.fs.spec(job.era);
-    let mut workloads_until_crash = options.die_after_workloads;
-    // The chaos hook: die mid-shard, leaving the claimed shard unreported.
-    let mut tick = move || {
+/// Refuses the session: tells the coordinator why, then fails the worker
+/// with the same reason.
+fn reject(writer: &mut impl Write, reason: String) -> FsResult<()> {
+    write_frame(
+        writer,
+        &FromWorker::Reject {
+            reason: reason.clone(),
+        }
+        .to_frame(),
+    )?;
+    Err(FsError::InvalidArgument(reason))
+}
+
+/// The steady-state worker loop over the job's space: `Claim` →
+/// `Assign`/`Shutdown` → one `ShardDone` per assigned shard, each shard run
+/// by the sweep engine on one tester that lives as long as the worker
+/// process (so its caches dedup across every shard it runs).
+fn claim_loop<S: JobSpace>(
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+    space: &S,
+    mut workloads_until_crash: Option<u64>,
+) -> FsResult<()> {
+    let mut tester = space.tester();
+    // Nobody watches a worker's live counters; the coordinator counts from
+    // the `ShardDone` frames.
+    let live = LiveCounters::default();
+    // The shard gate never stops a shard — it is the chaos hook
+    // ([`WorkerOptions::die_after_workloads`]): die mid-shard, leaving the
+    // claimed shard unreported.
+    let mut tick = || {
         if let Some(remaining) = &mut workloads_until_crash {
             if *remaining == 0 {
                 std::process::exit(WORKER_CRASH_EXIT);
             }
             *remaining -= 1;
         }
+        true
     };
-
-    match &job.space {
-        SweepSpace::Fs(bounds) => {
-            // One bounded oracle interner for the life of the worker
-            // process, so content-equal oracle entries dedup across every
-            // shard it runs.
-            let interner = std::sync::Arc::new(b3_vfs::snapshot::EntryInterner::new());
-            let monkey = CrashMonkey::with_interner(spec.as_ref(), job.crashmonkey, interner);
-            // The classifier is a pure function of the bounds, and the
-            // sampling seed of the (canon-version-scoped) fingerprint both
-            // sides already agreed on — so every worker prunes and audits
-            // the exact same candidates the coordinator (or any
-            // replacement worker) would.
-            let classifier = (!job.prune.is_off()).then(|| b3_ace::Classifier::new(bounds));
-            let prune_ctx = PruneContext::new(job.prune, classifier.as_ref(), &actual_fingerprint);
-            claim_loop(reader, writer, |shard| {
-                run_shard(
-                    &monkey,
-                    bounds,
-                    shard,
-                    job.num_shards,
-                    &prune_ctx,
-                    &mut tick,
-                )
-            })
-        }
-        SweepSpace::App { bounds, engine } => {
-            // Canonicalization is a file-system-workload concept; an app
-            // job asking for it means the coordinator and this worker
-            // would disagree about what gets skipped — refuse loudly.
-            if !job.prune.is_off() {
-                let reason = "app sweeps have no canonicalization: prune must be off".to_string();
-                write_frame(
-                    writer,
-                    &FromWorker::Reject {
-                        reason: reason.clone(),
-                    }
-                    .to_frame(),
-                )?;
-                return Err(FsError::InvalidArgument(reason));
-            }
-            let harness = AppHarness::new(spec.as_ref(), job.crashmonkey, *engine);
-            claim_loop(reader, writer, |shard| {
-                run_app_shard(&harness, bounds, shard, job.num_shards, &mut tick)
-            })
-        }
-    }
-}
-
-/// The steady-state worker loop: `Claim` → `Assign`/`Shutdown` →
-/// `ShardDone`, with `run` supplying the per-shard result (the fs or app
-/// shard runner).
-fn claim_loop(
-    reader: &mut impl Read,
-    writer: &mut impl Write,
-    mut run: impl FnMut(u32) -> crate::sweep::ShardResult,
-) -> FsResult<()> {
     loop {
         write_frame(writer, &FromWorker::Claim.to_frame())?;
         match ToWorker::from_frame(&read_frame(reader)?)? {
             ToWorker::Assign(shards) => {
                 for shard in shards {
-                    let result = run(shard);
+                    let (result, _) = space.run_shard(&mut tester, shard, &live, &mut tick);
                     write_frame(writer, &FromWorker::ShardDone { shard, result }.to_frame())?;
                 }
             }

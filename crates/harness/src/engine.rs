@@ -1,0 +1,691 @@
+//! The one shard engine behind [`Sweep`](crate::Sweep),
+//! [`AppSweep`](crate::AppSweep) and the distributed worker.
+//!
+//! B3's pipeline is space-agnostic (paper §5–§6.1): enumerate a bounded
+//! space, cut it into independent shards, crash-test each shard workload by
+//! workload, merge the results. A [`JobSpace`] supplies what differs
+//! between spaces — generator, per-thread tester, per-candidate
+//! [`Decision`] — and the rest is written once: [`shard_loop`] is the only
+//! shard loop, [`run_resumable`] the only in-process scheduler. Both are
+//! monomorphized per space; nothing is dispatched dynamically per workload.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+use b3_ace::canon::{Class, Classifier};
+use b3_ace::{Bounds, WorkloadGenerator};
+use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnWorkloadGenerator};
+use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome};
+use b3_vfs::error::FsResult;
+use b3_vfs::fs::FsSpec;
+use b3_vfs::snapshot::EntryInterner;
+use b3_vfs::workload::Workload;
+
+use crate::runner::{spawn_progress_monitor, LiveCounters, RunConfig, RunSummary, WorkerGuard};
+use crate::sweep::{fnv1a64, AuditFailure, ProgressHook, PruneMode, ShardResult, SweepCheckpoint};
+
+/// What to do with one generated candidate.
+pub(crate) enum Decision<W> {
+    /// Crash-test it (representative, or the space does not prune).
+    Test,
+    /// Count it as pruned: equivalent to an earlier representative.
+    Prune,
+    /// Count it as pruned, and also crash-test it against its
+    /// representative, recording any divergence.
+    Audit(AuditPlan<W>),
+}
+
+/// An audit obligation for one sampled non-representative member.
+pub(crate) struct AuditPlan<W> {
+    /// The class's canonical key.
+    key: String,
+    /// The representative's materialized workload; `None` when it could not
+    /// be materialized — itself a divergence, since the member *was*.
+    rep: Option<W>,
+}
+
+/// One bounded workload space cut into shards, plus how to crash-test a
+/// shard of it. Implemented once for ACE [`Bounds`] + [`CrashMonkey`] and
+/// once for [`TxnBounds`] + [`AppHarness`].
+pub(crate) trait JobSpace: Sync {
+    /// Per-thread crash-testing state; lives across the shards a thread
+    /// (or worker process) runs.
+    type Tester;
+
+    /// The empty checkpoint of this (space, shard count, scope): its
+    /// fingerprint is what a checkpoint must carry to be resumed here.
+    fn empty_checkpoint(&self) -> &SweepCheckpoint;
+    /// Exact or estimated number of candidates in the whole space.
+    fn total_candidates(&self) -> u64;
+    fn tester(&self) -> Self::Tester;
+    /// Runs one shard through [`shard_loop`]. The result must be a pure
+    /// function of (fingerprint, shard): whatever the tester carried over
+    /// from its previous shard is dropped first.
+    fn run_shard(
+        &self,
+        tester: &mut Self::Tester,
+        shard: u32,
+        live: &LiveCounters,
+        gate: impl FnMut() -> bool,
+    ) -> (ShardResult, bool);
+}
+
+/// The one shard loop: decides, gates, crash-tests and absorbs every
+/// workload of a shard. `gate` runs before every *executed* workload
+/// (tested or audited); when it returns false the shard is abandoned and
+/// the partial result comes back with `false`. Pruned candidates pass no
+/// gate, so they consume neither workload budget nor a worker's chaos tick
+/// — a budgeted representative sweep covers proportionally more of the
+/// space.
+fn shard_loop<W>(
+    workloads: impl Iterator<Item = W>,
+    mut decide: impl FnMut(&W) -> Decision<W>,
+    test: impl Fn(&W) -> FsResult<WorkloadOutcome>,
+    name: impl Fn(&W) -> &str,
+    live: &LiveCounters,
+    mut gate: impl FnMut() -> bool,
+) -> (ShardResult, bool) {
+    let mut result = ShardResult::default();
+    for workload in workloads {
+        let audit = match decide(&workload) {
+            Decision::Test => None,
+            Decision::Prune => {
+                result.pruned += 1;
+                live.pruned.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            Decision::Audit(plan) => Some(plan),
+        };
+        if !gate() {
+            return (result, false);
+        }
+        let Some(plan) = audit else {
+            live.record(result.absorb(test(&workload)));
+            continue;
+        };
+        result.pruned += 1;
+        live.pruned.fetch_add(1, Ordering::Relaxed);
+        // Crash-test the pruned member and its representative and record a
+        // divergence; both timings count (audit work is real work).
+        result.audited += 1;
+        let mut signature = |workload: &W| {
+            let outcome = test(workload);
+            if let Ok(outcome) = &outcome {
+                result.workload_time_nanos += outcome.timing.total.as_nanos() as u64;
+            }
+            outcome_signature(&outcome)
+        };
+        let member = signature(&workload);
+        let (representative, detail) = match &plan.rep {
+            None => (
+                "<unmaterializable>",
+                "phase 4 rejected the representative's op sequence but emitted the member's".into(),
+            ),
+            Some(rep) => match signature(rep) {
+                same if same == member => continue,
+                other => (
+                    name(rep),
+                    format!("member outcome {member} diverges from representative outcome {other}"),
+                ),
+            },
+        };
+        result.audit_failures.push(AuditFailure {
+            class: plan.key,
+            representative: representative.into(),
+            member: name(&workload).into(),
+            detail,
+        });
+    }
+    (result, true)
+}
+
+/// The audit-relevant signature of one crash-test outcome: skipped/error
+/// status, or the sorted deduplicated set of `(crash point, consequence)`
+/// pairs. Deliberately excludes workload names, paths, and free-text
+/// reasons, which legitimately differ between a member and its
+/// representative.
+fn outcome_signature(outcome: &FsResult<WorkloadOutcome>) -> String {
+    match outcome {
+        Err(_) => "error".into(),
+        Ok(outcome) => {
+            if outcome.skipped.is_some() {
+                return "skipped".into();
+            }
+            let mut pairs: Vec<(u32, u8)> = outcome
+                .bugs
+                .iter()
+                .map(|bug| (bug.crash_point, bug.consequence.code()))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            format!("{pairs:?}")
+        }
+    }
+}
+
+/// Runs (or resumes) an in-process sweep of `space` on `config.threads`
+/// threads that steal whole shards, recording every completed shard into
+/// `checkpoint`. Shards already recorded are not re-run; a shard the
+/// workload budget or bug limit interrupts is left unrecorded (the next
+/// call re-runs it in full) but still counts toward the *returned* summary,
+/// so a sweep stopped by `stop_after_bugs` reports the bug that stopped it.
+///
+/// # Panics
+/// Panics when `checkpoint` was not made for this space, shard count and
+/// scope.
+pub(crate) fn run_resumable<S: JobSpace>(
+    space: &S,
+    config: &RunConfig,
+    progress: Option<ProgressHook<'_>>,
+    checkpoint: &mut SweepCheckpoint,
+) -> RunSummary {
+    let empty = space.empty_checkpoint();
+    assert!(
+        checkpoint.fingerprint() == empty.fingerprint()
+            && checkpoint.num_shards() == empty.num_shards(),
+        "sweep checkpoint belongs to a different \
+         bounds/shard/crash-point/prune/engine configuration"
+    );
+    let start = Instant::now();
+    let pending = checkpoint.missing_shards();
+
+    // Seed the live counters with the checkpointed work so progress
+    // reports are global, not per-resume.
+    let seeded = checkpoint.summary();
+    let seeded_shards = checkpoint.completed_shards();
+    let counters = LiveCounters {
+        tested: seeded.tested.into(),
+        skipped: seeded.skipped.into(),
+        pruned: seeded.pruned.into(),
+        bugs: (checkpoint.total_buggy() as usize).into(),
+        completed_shards: seeded_shards.into(),
+    };
+
+    let next_pending = AtomicUsize::new(0);
+    let budget = AtomicUsize::new(config.stop_after_workloads.unwrap_or(usize::MAX));
+    let done = AtomicBool::new(false);
+    let threads = config.threads.max(1);
+    let active_workers = AtomicUsize::new(threads);
+    let recorded = Mutex::new(checkpoint);
+    let abandoned: Mutex<Vec<ShardResult>> = Mutex::new(Vec::new());
+    // True while neither the bug limit nor the workload budget is spent.
+    let gate = || {
+        let bug_limit_hit = config
+            .stop_after_bugs
+            .is_some_and(|limit| counters.bugs.load(Ordering::Relaxed) >= limit);
+        let take_budget = |left: usize| left.checked_sub(1);
+        !bug_limit_hit
+            && budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take_budget)
+                .is_ok()
+    };
+
+    std::thread::scope(|scope| {
+        if let Some((callback, interval)) = progress {
+            let total = Some(space.total_candidates());
+            let counters = &counters;
+            spawn_progress_monitor(scope, callback, interval, &done, move || {
+                counters.snapshot(start, total, empty.num_shards(), seeded_shards)
+            });
+        }
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let _guard = WorkerGuard::new(&active_workers, &done);
+                let mut tester = space.tester();
+                while let Some(&shard) = pending.get(next_pending.fetch_add(1, Ordering::Relaxed)) {
+                    let (result, complete) = space.run_shard(&mut tester, shard, &counters, gate);
+                    if !complete {
+                        abandoned
+                            .lock()
+                            .expect("abandoned results poisoned")
+                            .push(result);
+                        break;
+                    }
+                    counters.completed_shards.fetch_add(1, Ordering::Relaxed);
+                    recorded
+                        .lock()
+                        .expect("checkpoint poisoned")
+                        .record(shard, result);
+                }
+            });
+        }
+    });
+
+    let checkpoint = recorded.into_inner().expect("checkpoint poisoned");
+    let abandoned = abandoned.into_inner().expect("abandoned results poisoned");
+    let mut summary = checkpoint.summary();
+    if !abandoned.is_empty() {
+        let mut grouped = checkpoint.grouped();
+        for partial in abandoned {
+            partial.add_counts(&mut summary);
+            grouped.merge_from(&partial.groups);
+        }
+        summary.reports = grouped.into_exemplars();
+    }
+    summary.elapsed = start.elapsed();
+    summary
+}
+
+/// The checkpoint-scope string of an in-process sweep:
+/// `[app:<engine>][/cp:<policy>][/canon<v>:<mode>]`. Every default
+/// (`LastOnly`, `PruneMode::Off`, no engine) contributes nothing, so
+/// checkpoints that predate a knob keep their fingerprints; any other
+/// value scopes the checkpoint, because per-shard results under different
+/// policies, prune modes or engine profiles are not comparable.
+pub(crate) fn in_process_scope(
+    engine: Option<EngineProfile>,
+    crash_points: CrashPointPolicy,
+    prune: PruneMode,
+) -> String {
+    let crash_points = match crash_points {
+        CrashPointPolicy::LastOnly => String::new(),
+        CrashPointPolicy::All => "cp:all".into(),
+        CrashPointPolicy::AllTriaged { audit: 0 } => "cp:triaged".into(),
+        CrashPointPolicy::AllTriaged { audit } => format!("cp:triaged-audit{audit}"),
+    };
+    let engine = engine.map_or_else(String::new, |engine| format!("app:{}", engine.describe()));
+    let parts = [engine, crash_points, prune.scope_component()];
+    let parts: Vec<&str> = parts
+        .iter()
+        .map(String::as_str)
+        .filter(|part| !part.is_empty())
+        .collect();
+    parts.join("/")
+}
+
+/// ACE's bounded file-system operation space, crash-tested by CrashMonkey,
+/// with equivalence-class pruning ([`PruneMode`]) deciding each candidate.
+pub(crate) struct FsSpace<'a> {
+    pub(crate) spec: &'a (dyn FsSpec + Sync),
+    pub(crate) config: CrashMonkeyConfig,
+    pub(crate) bounds: &'a Bounds,
+    /// [`SweepCheckpoint::scoped`] of the bounds, shard count and scope.
+    pub(crate) checkpoint: SweepCheckpoint,
+    pub(crate) prune: PruneMode,
+    /// Required unless `prune` is off. A pure function of the bounds, so
+    /// every thread and worker process prunes the same candidates.
+    pub(crate) classifier: Option<&'a Classifier>,
+    /// One bounded oracle interner shared by every tester of the space:
+    /// content-equal oracle/expectation entries produced by different
+    /// workloads (and different shards) collapse to one allocation.
+    pub(crate) interner: Arc<EntryInterner>,
+}
+
+impl FsSpace<'_> {
+    /// Classifies one candidate. `class_counts` holds the members audited
+    /// so far per class in the current shard; `seed` drives audit sampling.
+    fn decide(
+        &self,
+        workload: &Workload,
+        seed: u64,
+        class_counts: &mut HashMap<String, u32>,
+    ) -> Decision<Workload> {
+        let Some(classifier) = self.classifier.filter(|_| !self.prune.is_off()) else {
+            return Decision::Test;
+        };
+        let Some(Class::Member {
+            key,
+            rep_ops,
+            rep_index,
+        }) = classifier.classify(&workload.ops)
+        else {
+            return Decision::Test;
+        };
+        if let PruneMode::Audit { samples_per_class } = self.prune {
+            let count = class_counts.entry(key.clone()).or_insert(0);
+            if *count < samples_per_class && selected(seed, &workload.name) {
+                *count += 1;
+                return Decision::Audit(AuditPlan {
+                    key,
+                    rep: classifier.representative_workload(&rep_ops, rep_index),
+                });
+            }
+        }
+        Decision::Prune
+    }
+}
+
+/// Deterministic coin flip per candidate: the trailing digits of the
+/// workload name are its global enumeration index, mixed (SplitMix64-style)
+/// with the sweep seed.
+fn selected(seed: u64, name: &str) -> bool {
+    let index = name
+        .rsplit('-')
+        .next()
+        .and_then(|digits| digits.parse::<u64>().ok())
+        .unwrap_or(0);
+    let mut z = seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) & 1 == 0
+}
+
+impl<'a> JobSpace for FsSpace<'a> {
+    type Tester = CrashMonkey<'a>;
+
+    fn empty_checkpoint(&self) -> &SweepCheckpoint {
+        &self.checkpoint
+    }
+
+    fn total_candidates(&self) -> u64 {
+        WorkloadGenerator::estimate_candidates(self.bounds)
+    }
+
+    fn tester(&self) -> CrashMonkey<'a> {
+        CrashMonkey::with_interner(self.spec, self.config, self.interner.clone())
+    }
+
+    fn run_shard(
+        &self,
+        monkey: &mut CrashMonkey<'a>,
+        shard: u32,
+        live: &LiveCounters,
+        gate: impl FnMut() -> bool,
+    ) -> (ShardResult, bool) {
+        // Triage witnesses and audit sampling state are per shard: a
+        // shard's audited counter depends on which crash states hit the
+        // witness cache and which members were sampled before.
+        monkey.reset_triage();
+        let mut class_counts = HashMap::new();
+        // Seeded from the (canon-version-scoped) fingerprint: the sampled
+        // members are the same on every thread and worker process of a
+        // sweep, but differ across unrelated sweeps.
+        let seed = fnv1a64(self.checkpoint.fingerprint().as_bytes());
+        let shard = self
+            .bounds
+            .shard(shard as usize, self.checkpoint.num_shards());
+        shard_loop(
+            WorkloadGenerator::for_shard(self.bounds.clone(), &shard),
+            |workload| self.decide(workload, seed, &mut class_counts),
+            |workload| monkey.test_workload(workload),
+            |workload| &workload.name,
+            live,
+            gate,
+        )
+    }
+}
+
+/// The bounded transaction space, crash-tested through the `b3_app` WAL/KV
+/// engine. Nothing is pruned: canonicalization is a file-system-workload
+/// concept.
+pub(crate) struct AppSpace<'a> {
+    pub(crate) spec: &'a (dyn FsSpec + Sync),
+    pub(crate) config: CrashMonkeyConfig,
+    pub(crate) engine: EngineProfile,
+    pub(crate) bounds: &'a TxnBounds,
+    /// [`SweepCheckpoint::scoped_app`] of the bounds, shard count and scope.
+    pub(crate) checkpoint: SweepCheckpoint,
+}
+
+impl<'a> JobSpace for AppSpace<'a> {
+    type Tester = AppHarness<'a>;
+
+    fn empty_checkpoint(&self) -> &SweepCheckpoint {
+        &self.checkpoint
+    }
+
+    fn total_candidates(&self) -> u64 {
+        self.bounds.candidates()
+    }
+
+    fn tester(&self) -> AppHarness<'a> {
+        AppHarness::new(self.spec, self.config, self.engine)
+    }
+
+    fn run_shard(
+        &self,
+        harness: &mut AppHarness<'a>,
+        shard: u32,
+        live: &LiveCounters,
+        gate: impl FnMut() -> bool,
+    ) -> (ShardResult, bool) {
+        let shard = self
+            .bounds
+            .shard(shard as usize, self.checkpoint.num_shards());
+        shard_loop(
+            TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard),
+            |_| Decision::Test,
+            |workload| harness.test_workload(workload),
+            |workload| &workload.name,
+            live,
+            gate,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use b3_fs_cow::CowFsSpec;
+    use b3_vfs::KernelEra;
+
+    const SHARDS: usize = 6;
+
+    fn threads(threads: usize, stop_after_workloads: Option<usize>) -> RunConfig {
+        RunConfig {
+            threads,
+            stop_after_workloads,
+            ..RunConfig::default()
+        }
+    }
+
+    /// The tiny space at two operations over three interchangeable
+    /// files, so equivalence classes have members to prune.
+    fn seq2_bounds() -> Bounds {
+        let mut bounds = Bounds::tiny();
+        bounds.seq_len = 2;
+        bounds.files = b3_vfs::workload::FileSet::new(
+            Vec::new(),
+            vec!["foo".into(), "bar".into(), "baz".into()],
+        );
+        bounds
+    }
+
+    /// The engine-level differential every space must pass: each shard of
+    /// the threaded in-process engine equals the worker path (ungated
+    /// `run_shard` calls on one long-lived tester, here in reverse order so
+    /// the tester carries over different state than the engine's threads
+    /// did), and a budget-interrupted run resumed to completion equals the
+    /// uninterrupted one shard by shard.
+    fn check_engine<S: JobSpace>(space: &S) -> RunSummary {
+        let mut reference = space.empty_checkpoint().clone();
+        let uninterrupted = run_resumable(space, &threads(2, None), None, &mut reference);
+        assert!(reference.is_complete());
+
+        let mut tester = space.tester();
+        let live = LiveCounters::default();
+        for shard in (0..SHARDS as u32).rev() {
+            let (result, complete) = space.run_shard(&mut tester, shard, &live, || true);
+            assert!(complete);
+            assert!(
+                result.same_outcome(reference.shard_result(shard)),
+                "shard {shard}: worker path {result:?} != engine {:?}",
+                reference.shard_result(shard)
+            );
+        }
+
+        // One more than the hungriest shard needs: every round completes
+        // at least one shard, and interrupts the next.
+        let hungriest = (0..SHARDS as u32)
+            .map(|shard| reference.shard_result(shard))
+            .map(|result| result.tested + result.skipped + result.audited)
+            .max();
+        let budgeted = threads(1, hungriest.map(|most| most as usize + 1));
+        let mut resumed = space.empty_checkpoint().clone();
+        let mut rounds = 0;
+        while !resumed.is_complete() {
+            let summary = run_resumable(space, &budgeted, None, &mut resumed);
+            let recorded = resumed.summary();
+            assert!(summary.tested + summary.skipped >= recorded.tested + recorded.skipped);
+            rounds += 1;
+            assert!(rounds < 100, "the budgeted sweep must converge");
+        }
+        assert!(rounds > 1, "the budget must actually interrupt the sweep");
+        for shard in 0..SHARDS as u32 {
+            assert!(resumed
+                .shard_result(shard)
+                .same_outcome(reference.shard_result(shard)));
+        }
+        uninterrupted
+    }
+
+    #[test]
+    fn in_process_engine_matches_the_worker_path_on_every_space() {
+        let spec = CowFsSpec::new(KernelEra::V4_16);
+        // A triage audit budget makes `audited` depend on which crash
+        // states hit the tester's witness cache, so a tester that failed to
+        // reset per shard would diverge here.
+        let config = CrashMonkeyConfig {
+            crash_points: CrashPointPolicy::AllTriaged { audit: 1 },
+            ..CrashMonkeyConfig::small()
+        };
+        let bounds = seq2_bounds();
+        let classifier = Classifier::new(&bounds);
+        let audit = PruneMode::Audit {
+            samples_per_class: 2,
+        };
+        for prune in [PruneMode::Off, PruneMode::Representative, audit] {
+            let scope = in_process_scope(None, config.crash_points, prune);
+            let space = FsSpace {
+                spec: &spec,
+                config,
+                bounds: &bounds,
+                checkpoint: SweepCheckpoint::scoped(&bounds, SHARDS, &scope),
+                prune,
+                classifier: Some(&classifier),
+                interner: Arc::default(),
+            };
+            let summary = check_engine(&space);
+            assert!(summary.tested > 0 && !summary.reports.is_empty());
+            assert_eq!(summary.pruned > 0, !prune.is_off(), "{prune:?}");
+            assert!(summary.audit_failures.is_empty());
+        }
+
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let engine = EngineProfile {
+            torn_commit: true,
+            ..EngineProfile::fixed()
+        };
+        let config = CrashMonkeyConfig::exhaustive_crash_points();
+        let scope = in_process_scope(Some(engine), config.crash_points, PruneMode::Off);
+        let bounds = TxnBounds::tiny();
+        let space = AppSpace {
+            spec: &spec,
+            config,
+            engine,
+            bounds: &bounds,
+            checkpoint: SweepCheckpoint::scoped_app(&bounds, SHARDS, &scope),
+        };
+        let summary = check_engine(&space);
+        assert_eq!(summary.tested, 20);
+        assert!(!summary.reports.is_empty());
+    }
+
+    #[test]
+    fn the_gate_runs_before_every_executed_workload_and_never_for_a_pruned_one() {
+        let spec = CowFsSpec::new(KernelEra::V4_16);
+        let bounds = seq2_bounds();
+        let classifier = Classifier::new(&bounds);
+        let prune = PruneMode::Audit {
+            samples_per_class: 2,
+        };
+        let space = FsSpace {
+            spec: &spec,
+            config: CrashMonkeyConfig::small(),
+            bounds: &bounds,
+            checkpoint: SweepCheckpoint::scoped(&bounds, SHARDS, &prune.scope_component()),
+            prune,
+            classifier: Some(&classifier),
+            interner: Arc::default(),
+        };
+        let mut tester = space.tester();
+        let live = LiveCounters::default();
+        let (mut gated, mut pruned, mut audited) = (0, 0, 0);
+        for shard in 0..SHARDS as u32 {
+            let mut calls = 0;
+            let (result, _) = space.run_shard(&mut tester, shard, &live, || {
+                calls += 1;
+                true
+            });
+            // Under `LastOnly` there is no triage, so `audited` counts
+            // exactly the canonicalization audits.
+            assert_eq!(calls, result.tested + result.skipped + result.audited);
+            gated += calls;
+            pruned += result.pruned;
+            audited += result.audited;
+        }
+        assert!(
+            audited > 0 && pruned > audited,
+            "{pruned} pruned, {audited} audited"
+        );
+        let candidates = WorkloadGenerator::new(bounds.clone()).count();
+        assert_eq!(gated + pruned - audited, candidates as u64);
+
+        // A closed gate abandons the shard before anything runs: the
+        // pruned head of the shard is counted, nothing is tested.
+        let (partial, complete) = space.run_shard(&mut tester, 0, &live, || false);
+        assert!(!complete);
+        assert_eq!(partial.tested + partial.skipped + partial.audited, 0);
+    }
+
+    /// The emitted scope strings are frozen: existing checkpoints must
+    /// keep resuming, and audit sampling is seeded from them.
+    #[test]
+    fn in_process_scope_spellings_are_pinned() {
+        use CrashPointPolicy::{All, AllTriaged, LastOnly};
+        let canon = b3_ace::CANON_VERSION;
+        let rep = PruneMode::Representative;
+        let engine = EngineProfile {
+            torn_commit: true,
+            ..EngineProfile::fixed()
+        };
+        let app = format!("app:{}", engine.describe());
+        assert_eq!(in_process_scope(None, LastOnly, PruneMode::Off), "");
+        assert_eq!(in_process_scope(None, All, PruneMode::Off), "cp:all");
+        assert_eq!(
+            in_process_scope(None, LastOnly, rep),
+            format!("canon{canon}:rep")
+        );
+        assert_eq!(
+            in_process_scope(None, AllTriaged { audit: 0 }, rep),
+            format!("cp:triaged/canon{canon}:rep")
+        );
+        assert_eq!(
+            in_process_scope(None, AllTriaged { audit: 4 }, PruneMode::Off),
+            "cp:triaged-audit4"
+        );
+        assert_eq!(
+            in_process_scope(Some(engine), LastOnly, PruneMode::Off),
+            app
+        );
+        assert_eq!(
+            in_process_scope(Some(engine), All, PruneMode::Off),
+            format!("{app}/cp:all")
+        );
+    }
+
+    #[test]
+    fn an_interrupted_shard_is_unrecorded_but_counted_in_the_summary() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let engine = EngineProfile::fixed();
+        let bounds = TxnBounds::tiny();
+        let config = CrashMonkeyConfig::small();
+        let scope = in_process_scope(Some(engine), config.crash_points, PruneMode::Off);
+        // 20 workloads over 8 shards of 2 or 3: a budget of 6 ends inside
+        // the third shard.
+        let space = AppSpace {
+            spec: &spec,
+            config,
+            engine,
+            bounds: &bounds,
+            checkpoint: SweepCheckpoint::scoped_app(&bounds, 8, &scope),
+        };
+        let mut checkpoint = space.empty_checkpoint().clone();
+        let summary = run_resumable(&space, &threads(1, Some(6)), None, &mut checkpoint);
+        assert_eq!(summary.tested, 6);
+        assert_eq!(checkpoint.completed_shards(), 2);
+        assert_eq!(checkpoint.summary().tested, 5);
+    }
+}

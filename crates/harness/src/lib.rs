@@ -13,7 +13,10 @@
 //! * [`sweep`] — sharded, resumable sweeps: workers steal whole generator
 //!   shards ([`b3_ace::Bounds::shard`]), completed shards are recorded in a
 //!   serializable [`sweep::SweepCheckpoint`], and a killed sweep resumes
-//!   where it left off.
+//!   where it left off. [`Sweep`] (file-system spaces) and [`AppSweep`]
+//!   (`b3_app` transaction spaces) are thin facades over one crate-private
+//!   `engine`: a single shard loop and a single in-process scheduler,
+//!   generic over the job space, which the distributed worker runs too.
 //! * [`distrib`] — multi-process *and* multi-host fan-out over the same
 //!   shard machinery: a coordinator process owns the shard queue and
 //!   checkpoint file, workers claim shards over a framed protocol carried
@@ -38,18 +41,17 @@
 //! * [`report`] — plain-text table formatting used by the benches and
 //!   examples that regenerate the paper's tables.
 
-pub mod appsweep;
 pub mod baseline;
 pub mod corpus;
 pub mod dedup;
 pub mod distrib;
+mod engine;
 pub mod postprocess;
 pub mod report;
 pub mod runner;
 pub mod study;
 pub mod sweep;
 
-pub use appsweep::AppSweep;
 pub use corpus::{CorpusEntry, FsKind, ReproStatus};
 pub use dedup::{GroupEntry, GroupTable};
 pub use distrib::{
@@ -61,4 +63,6 @@ pub use distrib::{
 pub use postprocess::{group_reports, BugGroup, KnownBugDatabase};
 pub use report::{bug_group_table, Table};
 pub use runner::{run_stream, run_stream_observed, RunConfig, RunSummary};
-pub use sweep::{AuditFailure, Progress, PruneMode, Sweep, SweepCheckpoint, WorkerThroughput};
+pub use sweep::{
+    AppSweep, AuditFailure, Progress, PruneMode, Sweep, SweepCheckpoint, WorkerThroughput,
+};

@@ -20,7 +20,7 @@ use b3_crashmonkey::{BugReport, CrashMonkey, CrashMonkeyConfig, WorkloadOutcome}
 use b3_vfs::fs::FsSpec;
 use b3_vfs::workload::Workload;
 
-use crate::sweep::Progress;
+use crate::sweep::{Absorbed, Progress};
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -111,6 +111,7 @@ impl RunSummary {
 }
 
 /// Live counters shared between workers and the progress monitor.
+#[derive(Default)]
 pub(crate) struct LiveCounters {
     pub tested: AtomicUsize,
     pub skipped: AtomicUsize,
@@ -120,13 +121,16 @@ pub(crate) struct LiveCounters {
 }
 
 impl LiveCounters {
-    pub fn new() -> Self {
-        LiveCounters {
-            tested: AtomicUsize::new(0),
-            skipped: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            bugs: AtomicUsize::new(0),
-            completed_shards: AtomicUsize::new(0),
+    /// Mirrors one absorbed workload outcome into the live counters.
+    pub fn record(&self, absorbed: Absorbed) {
+        match absorbed {
+            Absorbed::Tested { buggy } => {
+                self.tested.fetch_add(1, Ordering::Relaxed);
+                self.bugs.fetch_add(usize::from(buggy), Ordering::Relaxed);
+            }
+            Absorbed::Skipped => {
+                self.skipped.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -186,30 +190,25 @@ impl Drop for WorkerGuard<'_> {
 }
 
 /// Spawns the periodic progress-monitor thread inside `scope`. Fires the
-/// callback every `interval` until `done` is set, then once more with the
-/// final counters.
-#[allow(clippy::too_many_arguments)]
+/// callback with a fresh `snapshot` every `interval` until `done` is set,
+/// then once more with the final one.
 pub(crate) fn spawn_progress_monitor<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     callback: &'env (dyn Fn(&Progress) + Sync),
-    counters: &'env LiveCounters,
-    done: &'env AtomicBool,
-    started: Instant,
     interval: Duration,
-    total_workloads: Option<u64>,
-    total_shards: usize,
-    seeded_shards: usize,
+    done: &'env AtomicBool,
+    snapshot: impl Fn() -> Progress + Send + 'scope,
 ) {
     scope.spawn(move || {
         let mut last_fired = Instant::now();
         while !done.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(20));
             if last_fired.elapsed() >= interval {
-                callback(&counters.snapshot(started, total_workloads, total_shards, seeded_shards));
+                callback(&snapshot());
                 last_fired = Instant::now();
             }
         }
-        callback(&counters.snapshot(started, total_workloads, total_shards, seeded_shards));
+        callback(&snapshot());
     });
 }
 
@@ -247,7 +246,7 @@ where
         pulled: 0,
     });
     let summary = Mutex::new(RunSummary::default());
-    let counters = LiveCounters::new();
+    let counters = LiveCounters::default();
     // Shared oracle interner: content-equal oracle/expectation entries
     // produced by different workloads collapse to one allocation.
     let interner = std::sync::Arc::new(b3_vfs::snapshot::EntryInterner::new());
@@ -259,9 +258,9 @@ where
 
     std::thread::scope(|scope| {
         if let Some(callback) = progress {
-            spawn_progress_monitor(
-                scope, callback, &counters, &done, start, interval, None, 0, 0,
-            );
+            spawn_progress_monitor(scope, callback, interval, &done, || {
+                counters.snapshot(start, None, 0, 0)
+            });
         }
         for _ in 0..threads {
             scope.spawn(|| {

@@ -1,12 +1,17 @@
-//! Sharded, resumable sweeps over ACE-generated workload spaces.
+//! Sharded, resumable sweeps over bounded workload spaces: the public
+//! facades ([`Sweep`] for ACE's file-system spaces, [`AppSweep`] for
+//! `b3_app` transaction spaces) and the data they share — per-shard
+//! results, checkpoints, progress, prune modes. The shard loop and the
+//! thread scheduler behind both facades live once, in the crate's `engine`
+//! module.
 //!
 //! Where [`crate::runner::run_stream`] fans a single workload iterator out
-//! to worker threads, a [`Sweep`] splits the bounded space itself into
+//! to worker threads, a sweep splits the bounded space itself into
 //! deterministic generator shards ([`Bounds::shard`]) and lets workers
 //! *steal whole shards*: claiming a shard is one atomic increment, and
-//! inside a shard a worker drives its own `WorkloadGenerator` with no
-//! shared state at all — the in-process analogue of the paper copying
-//! workload subsets to 780 VMs (§6.1).
+//! inside a shard a worker drives its own generator with no shared state
+//! at all — the in-process analogue of the paper copying workload subsets
+//! to 780 VMs (§6.1).
 //!
 //! Because every shard is independently enumerable, a sweep can stop and
 //! resume: a [`SweepCheckpoint`] records the per-shard results of every
@@ -15,23 +20,22 @@
 //! therefore converges to exactly the same [`RunSummary`] counts as an
 //! uninterrupted one — partially processed shards are simply re-run.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
 
-use b3_ace::canon::{Class, Classifier};
+use b3_ace::canon::Classifier;
 use b3_ace::{Bounds, WorkloadGenerator, CANON_VERSION};
-use b3_crashmonkey::{CrashMonkey, CrashPointPolicy, WorkloadOutcome};
+use b3_app::{EngineProfile, TxnBounds};
+use b3_crashmonkey::WorkloadOutcome;
 use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::fs::FsSpec;
-use b3_vfs::snapshot::EntryInterner;
-use b3_vfs::workload::Workload;
 
 use crate::dedup::GroupTable;
+use crate::engine::{self, in_process_scope, AppSpace, FsSpace};
 use crate::postprocess::BugGroup;
-use crate::runner::{spawn_progress_monitor, LiveCounters, RunConfig, RunSummary};
+use crate::runner::{RunConfig, RunSummary};
 
 /// Live throughput of one remote worker process, as observed by a
 /// distributed sweep coordinator (see [`crate::distrib`]).
@@ -265,180 +269,6 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// SplitMix64-style finalizer mixing the sweep seed with a candidate index.
-fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// What to do with one generated candidate under the active [`PruneMode`].
-pub(crate) enum Decision {
-    /// Crash-test it (representative, or pruning is off).
-    Test,
-    /// Count it as pruned; when `audit` is set, also crash-test it against
-    /// its representative and record any divergence.
-    Prune { audit: Option<AuditPlan> },
-}
-
-/// An audit obligation for one sampled non-representative member.
-pub(crate) struct AuditPlan {
-    /// The class's canonical key.
-    key: String,
-    /// The representative's materialized workload; `None` when phase 4
-    /// rejected the representative's op sequence — itself a divergence,
-    /// since the member *was* materialized.
-    rep: Option<Workload>,
-}
-
-/// The per-sweep pruning context shared by the in-process shard loop and
-/// the distributed worker's [`run_shard`]: the classifier (if any), the
-/// audit sampling parameters, and the deterministic sampling seed.
-pub(crate) struct PruneContext<'c> {
-    classifier: Option<&'c Classifier>,
-    samples_per_class: u32,
-    seed: u64,
-}
-
-impl<'c> PruneContext<'c> {
-    /// Builds the context for a mode. `fingerprint` is the sweep's
-    /// checkpoint fingerprint (already canon-version-scoped), which seeds
-    /// audit sampling.
-    pub(crate) fn new(
-        mode: PruneMode,
-        classifier: Option<&'c Classifier>,
-        fingerprint: &str,
-    ) -> PruneContext<'c> {
-        let samples_per_class = match mode {
-            PruneMode::Audit { samples_per_class } => samples_per_class,
-            _ => 0,
-        };
-        PruneContext {
-            classifier: match mode {
-                PruneMode::Off => None,
-                _ => classifier,
-            },
-            samples_per_class,
-            seed: fnv1a64(fingerprint.as_bytes()),
-        }
-    }
-
-    /// Classifies one candidate. `class_counts` is the caller's per-shard
-    /// map of audited members per class (kept per shard so sampling is a
-    /// pure function of (fingerprint, shard) and re-runs of a shard agree).
-    pub(crate) fn decide(
-        &self,
-        workload: &Workload,
-        class_counts: &mut HashMap<String, u32>,
-    ) -> Decision {
-        let Some(classifier) = self.classifier else {
-            return Decision::Test;
-        };
-        match classifier.classify(&workload.ops) {
-            None | Some(Class::Representative { .. }) => Decision::Test,
-            Some(Class::Member {
-                key,
-                rep_ops,
-                rep_index,
-            }) => {
-                let mut audit = None;
-                if self.samples_per_class > 0 {
-                    let count = class_counts.entry(key.clone()).or_insert(0);
-                    if *count < self.samples_per_class && self.selected(&workload.name) {
-                        *count += 1;
-                        audit = Some(AuditPlan {
-                            key,
-                            rep: classifier.representative_workload(&rep_ops, rep_index),
-                        });
-                    }
-                }
-                Decision::Prune { audit }
-            }
-        }
-    }
-
-    /// Deterministic coin flip per candidate: the trailing digits of the
-    /// workload name are its global enumeration index, mixed with the
-    /// sweep seed.
-    fn selected(&self, name: &str) -> bool {
-        let index = name
-            .rsplit('-')
-            .next()
-            .and_then(|digits| digits.parse::<u64>().ok())
-            .unwrap_or(0);
-        mix(self.seed, index) & 1 == 0
-    }
-}
-
-/// The audit-relevant signature of one crash-test outcome: skipped/error
-/// status, or the sorted deduplicated set of `(crash point, consequence)`
-/// pairs. Deliberately excludes workload names, paths, and free-text
-/// reasons, which legitimately differ between a member and its
-/// representative.
-fn outcome_signature(outcome: &FsResult<WorkloadOutcome>) -> String {
-    match outcome {
-        Err(_) => "error".into(),
-        Ok(outcome) => {
-            if outcome.skipped.is_some() {
-                return "skipped".into();
-            }
-            let mut pairs: Vec<(u32, u8)> = outcome
-                .bugs
-                .iter()
-                .map(|bug| (bug.crash_point, bug.consequence.code()))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            format!("{pairs:?}")
-        }
-    }
-}
-
-/// Runs one audit obligation: crash-tests the pruned member and its
-/// representative and records a divergence, folding both timings into the
-/// shard's workload time (audit work is real work).
-pub(crate) fn audit_member(
-    monkey: &CrashMonkey<'_>,
-    member: &Workload,
-    plan: AuditPlan,
-    result: &mut ShardResult,
-) {
-    result.audited += 1;
-    let member_outcome = monkey.test_workload(member);
-    if let Ok(outcome) = &member_outcome {
-        result.workload_time_nanos += outcome.timing.total.as_nanos() as u64;
-    }
-    let Some(rep) = plan.rep else {
-        result.audit_failures.push(AuditFailure {
-            class: plan.key,
-            representative: "<unmaterializable>".into(),
-            member: member.name.clone(),
-            detail: "phase 4 rejected the representative's op sequence \
-                     but emitted the member's"
-                .into(),
-        });
-        return;
-    };
-    let rep_outcome = monkey.test_workload(&rep);
-    if let Ok(outcome) = &rep_outcome {
-        result.workload_time_nanos += outcome.timing.total.as_nanos() as u64;
-    }
-    let member_signature = outcome_signature(&member_outcome);
-    let rep_signature = outcome_signature(&rep_outcome);
-    if member_signature != rep_signature {
-        result.audit_failures.push(AuditFailure {
-            class: plan.key,
-            representative: rep.name.clone(),
-            member: member.name.clone(),
-            detail: format!(
-                "member outcome {member_signature} diverges from \
-                 representative outcome {rep_signature}"
-            ),
-        });
-    }
-}
-
 /// The recorded outcome of one completed shard. Also the unit of work the
 /// distributed protocol ([`crate::distrib`]) ships from worker processes
 /// back to the coordinator.
@@ -605,45 +435,6 @@ impl ShardResult {
     }
 }
 
-/// Runs one generator shard to completion on the given CrashMonkey
-/// instance. `tick` runs before every *executed* workload (tested or
-/// audited; pruned candidates cost no tick) — the distributed worker uses
-/// it to implement its crash-injection test hook.
-pub(crate) fn run_shard(
-    monkey: &CrashMonkey<'_>,
-    bounds: &Bounds,
-    shard_index: u32,
-    num_shards: usize,
-    prune: &PruneContext<'_>,
-    mut tick: impl FnMut(),
-) -> ShardResult {
-    let shard = bounds.shard(shard_index as usize, num_shards);
-    let generator = WorkloadGenerator::for_shard(bounds.clone(), &shard);
-    let mut result = ShardResult::default();
-    // Triage witnesses must not leak across shards: a shard's audited
-    // counter depends on which crash states hit the cache, and a shard's
-    // result must be a pure function of (bounds, scope, shard index).
-    monkey.reset_triage();
-    let mut class_counts: HashMap<String, u32> = HashMap::new();
-    for workload in generator {
-        match prune.decide(&workload, &mut class_counts) {
-            Decision::Test => {
-                tick();
-                result.absorb(monkey.test_workload(&workload));
-            }
-            Decision::Prune { audit: None } => {
-                result.pruned += 1;
-            }
-            Decision::Prune { audit: Some(plan) } => {
-                result.pruned += 1;
-                tick();
-                audit_member(monkey, &workload, plan, &mut result);
-            }
-        }
-    }
-    result
-}
-
 // "B3S4": bumped from "B3S3" when shard results grew the pruned/audited
 // counters and the audit-failure list (representative sweeps). "B3S3"
 // itself was the bump from raw report lists to grouped exemplar + count
@@ -723,19 +514,6 @@ impl SweepCheckpoint {
             WorkloadGenerator::estimate_candidates(bounds),
             num_shards
         )
-    }
-
-    /// True when this checkpoint belongs to the given (unscoped) bounds and
-    /// shard count.
-    pub fn matches(&self, bounds: &Bounds, num_shards: usize) -> bool {
-        self.matches_scoped(bounds, num_shards, "")
-    }
-
-    /// True when this checkpoint belongs to the given bounds, shard count,
-    /// and scope (see [`SweepCheckpoint::scoped`]).
-    pub fn matches_scoped(&self, bounds: &Bounds, num_shards: usize, scope: &str) -> bool {
-        self.fingerprint == Self::fingerprint_for(bounds, num_shards, scope)
-            && self.num_shards as usize == num_shards
     }
 
     /// The fingerprint tying this checkpoint to one (bounds, shard count)
@@ -878,6 +656,11 @@ impl SweepCheckpoint {
         self.results.insert(shard, result);
     }
 
+    #[cfg(test)]
+    pub(crate) fn shard_result(&self, shard: u32) -> &ShardResult {
+        &self.results[&shard]
+    }
+
     /// Serializes the checkpoint.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
@@ -924,7 +707,19 @@ impl SweepCheckpoint {
     }
 }
 
-/// A sharded, resumable sweep over one bounded workload space.
+/// A periodic progress callback and how often it fires.
+pub(crate) type ProgressHook<'a> = (&'a (dyn Fn(&Progress) + Sync), Duration);
+
+/// The default shard count: eight shards per worker thread (small enough
+/// chunks that a killed run loses little work, large enough that claiming
+/// stays negligible).
+fn default_shards(config: &RunConfig) -> usize {
+    config.threads.max(1) * 8
+}
+
+/// A sharded, resumable sweep over one bounded file-system workload space:
+/// the ACE + CrashMonkey front of the shared shard engine (the crate's
+/// `engine` module), which [`AppSweep`] fronts for transaction spaces.
 pub struct Sweep<'a> {
     spec: &'a (dyn FsSpec + Sync),
     config: RunConfig,
@@ -933,23 +728,19 @@ pub struct Sweep<'a> {
     /// Test-only classifier override (see
     /// [`Sweep::with_classifier_for_tests`]).
     classifier_override: Option<Classifier>,
-    progress: Option<&'a (dyn Fn(&Progress) + Sync)>,
-    progress_interval: Duration,
+    progress: Option<ProgressHook<'a>>,
 }
 
 impl<'a> Sweep<'a> {
-    /// Creates a sweep with a default shard count of eight shards per worker
-    /// thread (small enough chunks that a killed run loses little work,
-    /// large enough that claiming stays negligible).
+    /// Creates a sweep with the default shard count.
     pub fn new(spec: &'a (dyn FsSpec + Sync), config: RunConfig) -> Self {
         Sweep {
             spec,
-            num_shards: (config.threads.max(1) * 8).max(1),
+            num_shards: default_shards(&config),
             config,
             prune: PruneMode::Off,
             classifier_override: None,
             progress: None,
-            progress_interval: Duration::from_secs(1),
         }
     }
 
@@ -983,43 +774,16 @@ impl<'a> Sweep<'a> {
         callback: &'a (dyn Fn(&Progress) + Sync),
         interval: Duration,
     ) -> Self {
-        self.progress = Some(callback);
-        self.progress_interval = interval;
+        self.progress = Some((callback, interval));
         self
-    }
-
-    /// The checkpoint-scope component of this sweep's execution context:
-    /// the crash-point policy (empty for the default `LastOnly`, so
-    /// pre-existing checkpoints keep their fingerprints) combined with the
-    /// prune mode's component. A checkpoint written by an
-    /// [`CrashPointPolicy::All`] sweep can therefore never resume under a
-    /// `LastOnly` configuration, or vice versa — their per-shard results
-    /// are not comparable.
-    fn scope_component(&self) -> String {
-        let mut scope = String::new();
-        match self.config.crashmonkey.crash_points {
-            CrashPointPolicy::LastOnly => {}
-            CrashPointPolicy::All => scope.push_str("cp:all"),
-            CrashPointPolicy::AllTriaged { audit: 0 } => scope.push_str("cp:triaged"),
-            CrashPointPolicy::AllTriaged { audit } => {
-                scope.push_str(&format!("cp:triaged-audit{audit}"));
-            }
-        }
-        let canon = self.prune.scope_component();
-        if !canon.is_empty() {
-            if !scope.is_empty() {
-                scope.push('/');
-            }
-            scope.push_str(&canon);
-        }
-        scope
     }
 
     /// An empty checkpoint for this sweep's (bounds, shard count, crash
     /// points, prune mode) tuple — the one [`Sweep::run_resumable`]
     /// accepts.
     pub fn empty_checkpoint(&self, bounds: &Bounds) -> SweepCheckpoint {
-        SweepCheckpoint::scoped(bounds, self.num_shards, &self.scope_component())
+        let scope = in_process_scope(None, self.config.crashmonkey.crash_points, self.prune);
+        SweepCheckpoint::scoped(bounds, self.num_shards, &scope)
     }
 
     /// Runs the whole sweep in one go.
@@ -1038,192 +802,104 @@ impl<'a> Sweep<'a> {
     /// an uninterrupted run's counts.
     ///
     /// # Panics
-    /// Panics when the checkpoint does not [`SweepCheckpoint::matches`] the
-    /// bounds and shard count of this sweep.
+    /// Panics when the checkpoint is not the [`Sweep::empty_checkpoint`] of
+    /// this sweep and bounds (or a resumed copy of it).
     pub fn run_resumable(&self, bounds: &Bounds, checkpoint: &mut SweepCheckpoint) -> RunSummary {
-        assert!(
-            checkpoint.matches_scoped(bounds, self.num_shards, &self.scope_component()),
-            "sweep checkpoint belongs to a different bounds/shard/crash-point/prune configuration"
-        );
-        let start = Instant::now();
-        let total_workloads = WorkloadGenerator::estimate_candidates(bounds);
         // Build the classifier once per sweep (it is read-only and shared
         // by reference across the worker threads).
-        let built_classifier: Option<Classifier> = match (&self.classifier_override, self.prune) {
-            (_, PruneMode::Off) | (Some(_), _) => None,
-            (None, _) => Some(Classifier::new(bounds)),
+        let built = (self.classifier_override.is_none() && !self.prune.is_off())
+            .then(|| Classifier::new(bounds));
+        let space = FsSpace {
+            spec: self.spec,
+            config: self.config.crashmonkey,
+            bounds,
+            checkpoint: self.empty_checkpoint(bounds),
+            prune: self.prune,
+            classifier: self.classifier_override.as_ref().or(built.as_ref()),
+            interner: Arc::default(),
         };
-        let prune_ctx = PruneContext::new(
-            self.prune,
-            self.classifier_override
-                .as_ref()
-                .or(built_classifier.as_ref()),
-            checkpoint.fingerprint(),
-        );
-        let pending: Vec<u32> = (0..self.num_shards as u32)
-            .filter(|shard| !checkpoint.results.contains_key(shard))
-            .collect();
-
-        let counters = LiveCounters::new();
-        // Seed the live counters with the checkpointed work so progress
-        // reports are global, not per-resume.
-        let seeded = checkpoint.summary();
-        let seeded_buggy = checkpoint.total_buggy();
-        counters.tested.store(seeded.tested, Ordering::Relaxed);
-        counters.skipped.store(seeded.skipped, Ordering::Relaxed);
-        counters.pruned.store(seeded.pruned, Ordering::Relaxed);
-        counters
-            .bugs
-            .store(seeded_buggy as usize, Ordering::Relaxed);
-        let checkpoint_completed = checkpoint.completed_shards();
-        counters
-            .completed_shards
-            .store(checkpoint_completed, Ordering::Relaxed);
-
-        // One bounded oracle interner shared by every worker thread:
-        // content-equal oracle/expectation entries produced by different
-        // workloads (and different shards) collapse to one allocation.
-        let interner = Arc::new(EntryInterner::new());
-        let next_pending = AtomicUsize::new(0);
-        let budget = AtomicUsize::new(self.config.stop_after_workloads.unwrap_or(usize::MAX));
-        let done = AtomicBool::new(false);
-        let threads = self.config.threads.max(1);
-        let active_workers = AtomicUsize::new(threads);
-        let recorded: Mutex<&mut SweepCheckpoint> = Mutex::new(checkpoint);
-        // Work from shards a budget or bug limit interrupted: not recorded
-        // in the checkpoint (the resume re-runs those shards), but included
-        // in this call's summary so the stopping bug is reported.
-        let abandoned: Mutex<Vec<ShardResult>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            if let Some(callback) = self.progress {
-                spawn_progress_monitor(
-                    scope,
-                    callback,
-                    &counters,
-                    &done,
-                    start,
-                    self.progress_interval,
-                    Some(total_workloads),
-                    self.num_shards,
-                    checkpoint_completed,
-                );
-            }
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let _guard = crate::runner::WorkerGuard::new(&active_workers, &done);
-                    let monkey = CrashMonkey::with_interner(
-                        self.spec,
-                        self.config.crashmonkey,
-                        interner.clone(),
-                    );
-                    'steal: loop {
-                        let slot = next_pending.fetch_add(1, Ordering::Relaxed);
-                        let Some(&shard_index) = pending.get(slot) else {
-                            break 'steal;
-                        };
-                        let shard = bounds.shard(shard_index as usize, self.num_shards);
-                        let generator = WorkloadGenerator::for_shard(bounds.clone(), &shard);
-                        let mut result = ShardResult::default();
-                        // Audit sampling state is per shard so the sampled
-                        // members are a pure function of (fingerprint,
-                        // shard) and a re-run shard reproduces its result.
-                        // Triage witnesses reset for the same reason (see
-                        // `run_shard`).
-                        monkey.reset_triage();
-                        let mut class_counts: HashMap<String, u32> = HashMap::new();
-                        for workload in generator {
-                            let decision = prune_ctx.decide(&workload, &mut class_counts);
-                            if let Decision::Prune { audit: None } = decision {
-                                // Pruned candidates cost no crash test, so
-                                // they consume no workload budget either —
-                                // a budgeted representative sweep covers
-                                // proportionally more of the space.
-                                result.pruned += 1;
-                                counters.pruned.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            let bug_limit_hit = self.config.stop_after_bugs.is_some_and(|limit| {
-                                counters.bugs.load(Ordering::Relaxed) >= limit
-                            });
-                            if bug_limit_hit || !take_budget(&budget) {
-                                // Interrupted mid-shard: keep the partial
-                                // work for this call's summary, but leave
-                                // the shard unrecorded so a resume re-runs
-                                // it in full.
-                                abandoned
-                                    .lock()
-                                    .expect("abandoned results poisoned")
-                                    .push(result);
-                                break 'steal;
-                            }
-                            match decision {
-                                Decision::Test => {
-                                    match result.absorb(monkey.test_workload(&workload)) {
-                                        Absorbed::Tested { buggy } => {
-                                            counters.tested.fetch_add(1, Ordering::Relaxed);
-                                            if buggy {
-                                                counters.bugs.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                        }
-                                        Absorbed::Skipped => {
-                                            counters.skipped.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                Decision::Prune { audit: Some(plan) } => {
-                                    result.pruned += 1;
-                                    counters.pruned.fetch_add(1, Ordering::Relaxed);
-                                    audit_member(&monkey, &workload, plan, &mut result);
-                                }
-                                Decision::Prune { audit: None } => unreachable!(),
-                            }
-                        }
-                        counters.completed_shards.fetch_add(1, Ordering::Relaxed);
-                        recorded
-                            .lock()
-                            .expect("checkpoint poisoned")
-                            .record(shard_index, result);
-                    }
-                });
-            }
-        });
-
-        let checkpoint = recorded.into_inner().expect("checkpoint poisoned");
-        let mut summary = RunSummary::default();
-        for result in checkpoint.results.values() {
-            result.add_counts(&mut summary);
-        }
-        // Fold abandoned partial shards into the counts *and* the grouped
-        // view, so a sweep stopped by `stop_after_bugs` still reports the
-        // bug that stopped it.
-        let mut grouped = checkpoint.grouped();
-        for partial in abandoned.into_inner().expect("abandoned results poisoned") {
-            partial.add_counts(&mut summary);
-            grouped.merge_from(&partial.groups);
-        }
-        summary.reports = grouped.into_exemplars();
-        summary.elapsed = start.elapsed();
-        summary
+        engine::run_resumable(&space, &self.config, self.progress, checkpoint)
     }
 }
 
-/// Decrements the shared workload budget; false when it is exhausted.
-pub(crate) fn take_budget(budget: &AtomicUsize) -> bool {
-    let mut remaining = budget.load(Ordering::Relaxed);
-    loop {
-        if remaining == 0 {
-            return false;
+/// A sharded, resumable, in-process sweep over one bounded transaction
+/// space against one (file system, engine profile) pair: the `b3_app` front
+/// of the shard engine [`Sweep`] runs on. Because the per-shard results are
+/// ordinary [`ShardResult`]s, app sweeps flow through the sweep
+/// checkpoints, the distributed coordinator, and the fleet daemon without
+/// any format changes.
+pub struct AppSweep<'a> {
+    spec: &'a (dyn FsSpec + Sync),
+    config: RunConfig,
+    engine: EngineProfile,
+    num_shards: usize,
+    progress: Option<ProgressHook<'a>>,
+}
+
+impl<'a> AppSweep<'a> {
+    /// Creates an app sweep with the same default shard count as
+    /// [`Sweep::new`].
+    pub fn new(spec: &'a (dyn FsSpec + Sync), config: RunConfig, engine: EngineProfile) -> Self {
+        AppSweep {
+            spec,
+            num_shards: default_shards(&config),
+            config,
+            engine,
+            progress: None,
         }
-        match budget.compare_exchange_weak(
-            remaining,
-            remaining - 1,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return true,
-            Err(current) => remaining = current,
-        }
+    }
+
+    /// Overrides the number of generator shards.
+    pub fn shards(mut self, num_shards: usize) -> Self {
+        self.num_shards = num_shards.max(1);
+        self
+    }
+
+    /// Installs a periodic progress callback (see [`Sweep::on_progress`]).
+    pub fn on_progress(
+        mut self,
+        callback: &'a (dyn Fn(&Progress) + Sync),
+        interval: Duration,
+    ) -> Self {
+        self.progress = Some((callback, interval));
+        self
+    }
+
+    /// An empty checkpoint for this sweep's (bounds, shard count, engine,
+    /// crash points) tuple — the one [`AppSweep::run_resumable`] accepts.
+    /// The engine profile always scopes it: a buggy-engine sweep and a
+    /// fixed-engine sweep must never share a checkpoint.
+    pub fn empty_checkpoint(&self, bounds: &TxnBounds) -> SweepCheckpoint {
+        let crash_points = self.config.crashmonkey.crash_points;
+        let scope = in_process_scope(Some(self.engine), crash_points, PruneMode::Off);
+        SweepCheckpoint::scoped_app(bounds, self.num_shards, &scope)
+    }
+
+    /// Runs the whole sweep in one go.
+    pub fn run(&self, bounds: &TxnBounds) -> RunSummary {
+        let mut checkpoint = self.empty_checkpoint(bounds);
+        self.run_resumable(bounds, &mut checkpoint)
+    }
+
+    /// Runs (or resumes) the sweep, recording every completed shard into
+    /// `checkpoint`, exactly as [`Sweep::run_resumable`] does.
+    ///
+    /// # Panics
+    /// Panics when the checkpoint belongs to a different bounds, shard
+    /// count, engine profile, or crash-point policy.
+    pub fn run_resumable(
+        &self,
+        bounds: &TxnBounds,
+        checkpoint: &mut SweepCheckpoint,
+    ) -> RunSummary {
+        let space = AppSpace {
+            spec: self.spec,
+            config: self.config.crashmonkey,
+            engine: self.engine,
+            bounds,
+            checkpoint: self.empty_checkpoint(bounds),
+        };
+        engine::run_resumable(&space, &self.config, self.progress, checkpoint)
     }
 }
 
@@ -1276,9 +952,12 @@ mod tests {
         let bytes = checkpoint.to_bytes();
         let decoded = SweepCheckpoint::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, checkpoint);
-        assert!(decoded.matches(&bounds, 4));
-        assert!(!decoded.matches(&bounds, 5));
-        assert!(!decoded.matches(&Bounds::paper_seq1(), 4));
+        let belongs_to = |bounds: &Bounds, shards| {
+            decoded.fingerprint() == SweepCheckpoint::new(bounds, shards).fingerprint()
+        };
+        assert!(belongs_to(&bounds, 4));
+        assert!(!belongs_to(&bounds, 5));
+        assert!(!belongs_to(&Bounds::paper_seq1(), 4));
     }
 
     #[test]
@@ -1422,17 +1101,16 @@ mod tests {
         use b3_vfs::workload::OpKind;
         let forward = Bounds::paper_seq2().with_ops(vec![OpKind::Link, OpKind::Rename]);
         let reversed = Bounds::paper_seq2().with_ops(vec![OpKind::Rename, OpKind::Link]);
-        let checkpoint = SweepCheckpoint::new(&forward, 4);
-        assert!(checkpoint.matches(&forward, 4));
-        assert!(
-            !checkpoint.matches(&reversed, 4),
+        assert_ne!(
+            SweepCheckpoint::new(&forward, 4).fingerprint(),
+            SweepCheckpoint::new(&reversed, 4).fingerprint(),
             "reordered ops permute the enumeration; the fingerprint must differ"
         );
     }
 
     #[test]
     fn progress_reports_shard_completion() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let bounds = Bounds::tiny();
         let spec = CowFsSpec::patched();
         let final_shards = AtomicUsize::new(0);
@@ -1446,5 +1124,92 @@ mod tests {
             .run(&bounds);
         assert!(summary.tested > 0);
         assert_eq!(final_shards.load(Ordering::Relaxed), 3);
+    }
+
+    fn app_config() -> RunConfig {
+        RunConfig {
+            threads: 2,
+            crashmonkey: b3_crashmonkey::CrashMonkeyConfig::exhaustive_crash_points(),
+            ..RunConfig::default()
+        }
+    }
+
+    #[test]
+    fn fixed_engine_tiny_sweep_is_clean_and_complete() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::fixed()).shards(4);
+        let summary = sweep.run(&TxnBounds::tiny());
+        assert_eq!(summary.tested, 20);
+        assert_eq!(summary.skipped, 0);
+        assert!(summary.reports.is_empty(), "{:?}", summary.reports);
+    }
+
+    #[test]
+    fn buggy_engine_sweep_finds_deterministic_exemplars() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let engine = EngineProfile {
+            commit_without_data_fsync: true,
+            ..EngineProfile::fixed()
+        };
+        let first = AppSweep::new(&spec, app_config(), engine)
+            .shards(4)
+            .run(&TxnBounds::tiny());
+        let second = AppSweep::new(&spec, app_config(), engine)
+            .shards(7)
+            .run(&TxnBounds::tiny());
+        assert!(!first.reports.is_empty());
+        let names = |summary: &RunSummary| -> Vec<String> {
+            summary
+                .reports
+                .iter()
+                .map(|r| r.workload_name.clone())
+                .collect()
+        };
+        assert_eq!(
+            names(&first),
+            names(&second),
+            "exemplars are independent of the shard decomposition"
+        );
+    }
+
+    #[test]
+    fn resume_skips_recorded_shards_and_completes() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::fixed()).shards(5);
+        let bounds = TxnBounds::tiny();
+        let mut checkpoint = sweep.empty_checkpoint(&bounds);
+        // Budget-limited first pass: some shards recorded, some not.
+        let budgeted = AppSweep {
+            config: RunConfig {
+                stop_after_workloads: Some(7),
+                ..app_config()
+            },
+            ..AppSweep::new(&spec, app_config(), EngineProfile::fixed())
+        }
+        .shards(5);
+        budgeted.run_resumable(&bounds, &mut checkpoint);
+        assert!(!checkpoint.is_complete());
+        let resumed = sweep.run_resumable(&bounds, &mut checkpoint);
+        assert!(checkpoint.is_complete());
+        assert_eq!(resumed.tested, 20);
+    }
+
+    #[test]
+    fn engine_profile_scopes_the_checkpoint() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let fixed = AppSweep::new(&spec, app_config(), EngineProfile::fixed());
+        let buggy = AppSweep::new(
+            &spec,
+            app_config(),
+            EngineProfile {
+                torn_commit: true,
+                ..EngineProfile::fixed()
+            },
+        );
+        let bounds = TxnBounds::tiny();
+        assert_ne!(
+            fixed.empty_checkpoint(&bounds).fingerprint(),
+            buggy.empty_checkpoint(&bounds).fingerprint()
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of distributed *application-level* sweeps: `SweepJob`s
 //! carrying `SweepSpace::App` fan transaction workloads out to real
 //! `b3-sweep-worker` child processes, and the reassembled result must be
-//! byte-identical to the in-process [`AppSweep`] over the same space.
+//! byte-identical to the in-process sweep over the same space.
 //!
 //! * The **differential** tests prove a 2-worker distributed app sweep
 //!   (stdio children and TCP loopback) equals the in-process sweep: same
@@ -43,18 +43,11 @@ fn app_job(fs: FsKind, engine: EngineProfile) -> SweepJob {
 
 /// The uninterrupted in-process reference sweep over the same job.
 fn in_process_summary(job: &SweepJob) -> RunSummary {
-    let spec = job.fs.spec(job.era);
     let config = RunConfig {
         threads: 2,
-        crashmonkey: job.crashmonkey,
         ..RunConfig::default()
     };
-    let SweepSpace::App { bounds, engine } = &job.space else {
-        panic!("app job expected");
-    };
-    AppSweep::new(spec.as_ref(), config, *engine)
-        .shards(NUM_SHARDS)
-        .run(bounds)
+    job.run_in_process(&config).expect("valid job").0
 }
 
 /// Serializes every report of a summary, so equality can be asserted on
@@ -223,6 +216,65 @@ fn app_job_with_pruning_is_refused() {
         error.to_string().contains("prune"),
         "unexpected error: {error}"
     );
+}
+
+/// `SweepJob::run_in_process` is the facades' engine under the facades'
+/// own checkpoint scope: for either space, the checkpoint it fills is one
+/// the matching facade accepts (and so resumes).
+#[test]
+fn in_process_runner_fills_the_facades_checkpoints() {
+    let config = RunConfig {
+        threads: 2,
+        ..RunConfig::default()
+    };
+    let job = app_job(FsKind::Cow, all_bugs());
+    let (summary, mut checkpoint) = job.run_in_process(&config).expect("valid job");
+    let SweepSpace::App { bounds, engine } = &job.space else {
+        panic!("app job expected");
+    };
+    let spec = job.fs.spec(job.era);
+    let facade_config = RunConfig {
+        crashmonkey: job.crashmonkey,
+        ..config
+    };
+    let facade = AppSweep::new(spec.as_ref(), facade_config, *engine).shards(NUM_SHARDS);
+    assert_eq!(
+        checkpoint.fingerprint(),
+        facade.empty_checkpoint(bounds).fingerprint()
+    );
+    let resumed = facade.run_resumable(bounds, &mut checkpoint);
+    assert_summaries_equivalent(&resumed, &summary);
+
+    let mut job = SweepJob::new(b3_ace::Bounds::tiny(), NUM_SHARDS);
+    job.crashmonkey.crash_points = CrashPointPolicy::AllTriaged { audit: 3 };
+    job.prune = PruneMode::Audit {
+        samples_per_class: 2,
+    };
+    let (_, checkpoint) = job.run_in_process(&config).expect("valid job");
+    let spec = job.fs.spec(job.era);
+    let facade_config = RunConfig {
+        crashmonkey: job.crashmonkey,
+        ..config
+    };
+    let facade = b3_harness::Sweep::new(spec.as_ref(), facade_config)
+        .shards(NUM_SHARDS)
+        .prune(job.prune);
+    let bounds = job.fs_bounds().expect("fs job");
+    assert_eq!(
+        checkpoint.fingerprint(),
+        facade.empty_checkpoint(bounds).fingerprint()
+    );
+    assert!(checkpoint
+        .fingerprint()
+        .starts_with("cp:triaged-audit3/canon"));
+
+    // An invalid job is an error here too, not a sweep of something else.
+    let mut invalid = app_job(FsKind::Cow, EngineProfile::fixed());
+    invalid.prune = PruneMode::Representative;
+    let error = invalid
+        .run_in_process(&config)
+        .expect_err("app job with pruning must be refused");
+    assert!(error.to_string().contains("prune"), "{error}");
 }
 
 #[test]

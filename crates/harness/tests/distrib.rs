@@ -14,7 +14,7 @@
 //! * The **segment** tests cover the append-only checkpoint file: per-shard
 //!   delta appends instead of full rewrites, replay equivalence, tolerance
 //!   of the torn trailing record a killed coordinator can leave, and the
-//!   legacy single-blob format.
+//!   rejection of files that are not segment logs.
 //! * The **transport** tests drive the same differential and chaos
 //!   equivalences over the TCP and ssh-pipe transports: 4 TCP workers are
 //!   byte-identical to the single-process sweep, a TCP worker killed
@@ -349,22 +349,20 @@ fn torn_trailing_record_is_ignored_on_load() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Pre-segment checkpoint files (a bare serialized checkpoint, no record
-/// framing) still load, so old files resume instead of erroring.
+/// A file without the segment magic — such as the bare serialized
+/// checkpoint nothing has written since the segment log replaced it — is
+/// rejected outright, never guessed at.
 #[test]
-fn legacy_single_blob_checkpoint_still_loads() {
-    let path = checkpoint_path("legacy");
+fn a_bare_checkpoint_blob_is_not_a_segment_checkpoint() {
+    let path = checkpoint_path("bare-blob");
     let job = SweepJob::new(small_seq2_bounds(), NUM_SHARDS);
-    let checkpoint = job.empty_checkpoint();
-    std::fs::write(&path, checkpoint.to_bytes()).expect("legacy write");
-    let loaded = load_checkpoint(&path)
-        .expect("legacy checkpoint loads")
-        .expect("checkpoint file exists");
-    assert_eq!(loaded, checkpoint);
+    std::fs::write(&path, job.empty_checkpoint().to_bytes()).expect("blob write");
+    let error = load_checkpoint(&path).expect_err("a bare blob must not load");
     assert!(
-        segment_stats(&path).is_err(),
-        "a legacy blob is not a segment file"
+        error.to_string().contains("not a segment checkpoint"),
+        "{error}"
     );
+    assert!(segment_stats(&path).is_err());
     let _ = std::fs::remove_file(&path);
 }
 

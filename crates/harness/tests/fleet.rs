@@ -18,11 +18,12 @@
 use std::path::{Path, PathBuf};
 
 use b3_ace::Bounds;
+use b3_crashmonkey::CrashPointPolicy;
 use b3_harness::distrib::{
     inspect_queue, ChildTransport, DistribConfig, FleetClient, FleetConfig, FleetCoordinator,
     JobState, SweepJob, WorkerCommand,
 };
-use b3_harness::{FsKind, GroupTable, RunConfig, Sweep, SweepCheckpoint};
+use b3_harness::{FsKind, GroupTable, PruneMode, RunConfig};
 use b3_vfs::codec::Encoder;
 use b3_vfs::KernelEra;
 
@@ -73,18 +74,11 @@ fn group_bytes(groups: &GroupTable) -> Vec<u8> {
 /// The single-process reference: the same space swept in-process must
 /// produce the byte-identical grouped table.
 fn single_process_group_bytes(job: &SweepJob) -> Vec<u8> {
-    let spec = job.fs.spec(job.era);
     let config = RunConfig {
         threads: 2,
-        crashmonkey: job.crashmonkey,
         ..RunConfig::default()
     };
-    let bounds = job.fs_bounds().expect("fs job");
-    let mut reference = SweepCheckpoint::new(bounds, job.num_shards);
-    let _ = Sweep::new(spec.as_ref(), config)
-        .shards(job.num_shards)
-        .prune(job.prune)
-        .run_resumable(bounds, &mut reference);
+    let (_, reference) = job.run_in_process(&config).expect("valid job");
     group_bytes(&reference.grouped())
 }
 
@@ -157,6 +151,47 @@ fn fleet_drains_two_jobs_across_a_daemon_restart_byte_identically() {
     let (_, groups_modern) = fleet.results(id_modern).expect("modern results load");
     let (_, groups_old) = fleet.results(id_old).expect("old results load");
     assert!(groups_old.len() > groups_modern.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `b3-sweep-fleet groups --single-process` is the CLI's in-process
+/// reference for a job spec. Under a non-default crash-point policy and
+/// prune mode it must run (its hand-rolled job → sweep adapter used to
+/// build an unscoped checkpoint and panic) and write the same bytes the
+/// fleet serves for the same job — and the same bytes as the library's
+/// in-process runner.
+#[test]
+fn single_process_cli_reference_matches_the_fleet_under_a_non_default_scope() {
+    let dir = fleet_dir("cli-reference");
+    let mut job = seq2_job(KernelEra::V4_16);
+    job.crashmonkey.crash_points = CrashPointPolicy::AllTriaged { audit: 0 };
+    job.prune = PruneMode::Representative;
+
+    let fleet = FleetCoordinator::open(fleet_config(&dir)).expect("fleet opens");
+    let id = fleet.enqueue(job.clone()).expect("enqueue");
+    let ran = fleet
+        .run_until_idle(&ChildTransport::new(worker_command()))
+        .expect("queue drains");
+    assert_eq!(ran, 1);
+    let (status, groups) = fleet.results(id).expect("results load");
+    assert_eq!(status.state, JobState::Done);
+    assert!(!groups.is_empty());
+
+    let out = dir.join("single-process.groups");
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_b3-sweep-fleet"))
+        .args(["groups", "--single-process", "--preset", "tiny-seq2"])
+        .args(["--crash-points", "triaged", "--prune", "rep", "--out"])
+        .arg(&out)
+        .output()
+        .expect("b3-sweep-fleet runs");
+    assert!(
+        cli.status.success(),
+        "groups --single-process failed: {}",
+        String::from_utf8_lossy(&cli.stderr)
+    );
+    let cli_bytes = std::fs::read(&out).expect("--out file written");
+    assert_eq!(cli_bytes, group_bytes(&groups));
+    assert_eq!(cli_bytes, single_process_group_bytes(&job));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

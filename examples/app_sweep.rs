@@ -35,10 +35,10 @@ use std::time::Duration;
 
 use b3::prelude::*;
 use b3_harness::distrib::{
-    run_with_transport, worker_connect, worker_main, ChildTransport, DistribConfig, SweepJob,
-    TcpTransport, Transport, WorkerCommand, WorkerOptions,
+    run_with_transport, worker_from_args, ChildTransport, DistribConfig, SweepJob, TcpTransport,
+    Transport, WorkerCommand,
 };
-use b3_harness::{bug_group_table, AppSweep, FsKind, Progress, RunConfig};
+use b3_harness::{bug_group_table, FsKind, Progress, RunConfig};
 
 struct Args {
     workers: usize,
@@ -128,21 +128,8 @@ fn main() {
     // Child processes re-exec this binary with `--worker`: the generic
     // sweep worker, which dispatches on the job's space kind byte and runs
     // the transaction-oracle path for app jobs.
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.iter().any(|arg| arg == "--worker") {
-        let mut connect = None;
-        let mut iter = argv.iter().skip(1);
-        while let Some(arg) = iter.next() {
-            if arg == "--connect" {
-                connect = iter.next().cloned();
-            }
-        }
-        let options = WorkerOptions::default();
-        let code = match connect {
-            Some(addr) => worker_connect(&addr, options),
-            None => worker_main(options),
-        };
-        std::process::exit(code);
+    if std::env::args().any(|arg| arg == "--worker") {
+        std::process::exit(worker_from_args(std::env::args().skip(1)));
     }
     let args = match parse_args() {
         Ok(args) => args,
@@ -179,18 +166,16 @@ fn main() {
 
     let (summary, groups) = if args.in_process {
         println!("mode: in-process, {} worker threads", args.workers.max(1));
-        let spec = job.fs.spec(job.era);
         let config = RunConfig {
             threads: args.workers.max(1),
-            crashmonkey: job.crashmonkey,
             stop_after_workloads: args.stop_after,
             ..RunConfig::default()
         };
-        let sweep = AppSweep::new(spec.as_ref(), config, args.engine).shards(num_shards);
-        let mut checkpoint = sweep.empty_checkpoint(&bounds);
-        let summary = sweep.run_resumable(&bounds, &mut checkpoint);
-        let groups = checkpoint.bug_groups();
-        (summary, groups)
+        let (summary, checkpoint) = job.run_in_process(&config).unwrap_or_else(|error| {
+            eprintln!("app_sweep: {error}");
+            std::process::exit(1);
+        });
+        (summary, checkpoint.bug_groups())
     } else {
         let transport: Box<dyn Transport> = {
             let self_exe = std::env::current_exe().expect("example knows its own executable");

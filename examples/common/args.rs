@@ -2,40 +2,38 @@
 
 use b3::prelude::CrashPointPolicy;
 
-/// Parses `--crash-points {last,all}` / `--crash-points=...`: which
-/// persistence points each workload is crash-tested at. Defaults to
-/// `last`, the paper's strategy for exhaustively generated spaces.
-pub fn parse_crash_points() -> CrashPointPolicy {
+/// The value of `--name V` / `--name=V` on the command line, if present.
+fn flag_value(name: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
-    let parse = |value: &str| match value {
-        "last" => CrashPointPolicy::LastOnly,
-        "all" => CrashPointPolicy::All,
-        other => panic!("unknown crash-point policy {other:?} (last/all)"),
-    };
     while let Some(arg) = args.next() {
-        if arg == "--crash-points" {
-            let value = args.next().expect("--crash-points needs last/all");
-            return parse(&value);
+        if arg == name {
+            return Some(
+                args.next()
+                    .unwrap_or_else(|| panic!("{name} needs a value")),
+            );
         }
-        if let Some(value) = arg.strip_prefix("--crash-points=") {
-            return parse(value);
+        if let Some(value) = arg
+            .strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix('='))
+        {
+            return Some(value.to_string());
         }
     }
-    CrashPointPolicy::LastOnly
+    None
+}
+
+/// Parses `--crash-points {last,all,triaged}` / `--crash-points=...`:
+/// which persistence points each workload is crash-tested at. Defaults to
+/// `last`, the paper's strategy for exhaustively generated spaces.
+pub fn parse_crash_points() -> CrashPointPolicy {
+    flag_value("--crash-points").map_or(CrashPointPolicy::LastOnly, |value| {
+        CrashPointPolicy::parse(&value)
+            .unwrap_or_else(|| panic!("unknown crash-point policy {value:?} (last/all/triaged)"))
+    })
 }
 
 /// Parses `--stop-after N` / `--stop-after=N` from the command line: a
 /// workload budget for the example's sweeps. Returns `None` when absent.
 pub fn parse_stop_after() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--stop-after" {
-            let value = args.next().expect("--stop-after needs a number");
-            return Some(value.parse().expect("--stop-after needs a number"));
-        }
-        if let Some(value) = arg.strip_prefix("--stop-after=") {
-            return Some(value.parse().expect("--stop-after needs a number"));
-        }
-    }
-    None
+    flag_value("--stop-after").map(|value| value.parse().expect("--stop-after needs a number"))
 }

@@ -74,9 +74,8 @@ use std::time::Duration;
 use b3::crashmonkey::ProfileSharing;
 use b3::prelude::*;
 use b3_harness::distrib::{
-    load_checkpoint, run_with_transport, segment_stats, worker_connect, worker_main,
-    ChildTransport, DistribConfig, SshTransport, SweepJob, TcpTransport, Transport, WorkerCommand,
-    WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS,
+    load_checkpoint, run_with_transport, segment_stats, worker_from_args, ChildTransport,
+    DistribConfig, SshTransport, SweepJob, TcpTransport, Transport, WorkerCommand,
 };
 use b3_harness::{bug_group_table, FsKind, Progress, PruneMode};
 
@@ -178,16 +177,10 @@ fn parse_args() -> Result<Args, String> {
                 parsed.audit_k = Some(value()?.parse().map_err(|e| format!("--audit-k: {e}"))?);
             }
             "--crash-points" => {
-                parsed.crash_points = match value()?.as_str() {
-                    "last" => CrashPointPolicy::LastOnly,
-                    "all" => CrashPointPolicy::All,
-                    "triaged" => CrashPointPolicy::AllTriaged { audit: 0 },
-                    other => {
-                        return Err(format!(
-                            "unknown crash-point policy {other:?} (last/all/triaged)"
-                        ))
-                    }
-                }
+                let name = value()?;
+                parsed.crash_points = CrashPointPolicy::parse(&name).ok_or(format!(
+                    "unknown crash-point policy {name:?} (last/all/triaged)"
+                ))?;
             }
             "--triage-audit" => {
                 let audit = value()?
@@ -293,23 +286,8 @@ fn build_transport(args: &Args) -> Result<Box<dyn Transport>, String> {
 fn main() {
     // Child processes re-exec this binary with `--worker`; everything after
     // that flag configures the worker side of the protocol.
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.iter().any(|arg| arg == "--worker") {
-        let mut options = WorkerOptions::default();
-        let mut connect = None;
-        let mut iter = argv.iter().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--connect" => connect = iter.next().cloned(),
-                "--calibrate" => options.calibration_workloads = DEFAULT_CALIBRATION_WORKLOADS,
-                _ => {}
-            }
-        }
-        let code = match connect {
-            Some(addr) => worker_connect(&addr, options),
-            None => worker_main(options),
-        };
-        std::process::exit(code);
+    if std::env::args().any(|arg| arg == "--worker") {
+        std::process::exit(worker_from_args(std::env::args().skip(1)));
     }
     let args = match parse_args() {
         Ok(args) => args,
