@@ -11,7 +11,7 @@
 //!   unordered);
 //! * a **persistence-race report** — write pairs and rename/fsync patterns
 //!   left unordered at a crash point, mapped back to the syscall span that
-//!   produced them ([`analyze`], printed by the `b3-analyze` binary);
+//!   produced them ([`analyze`], printed by `b3 analyze`);
 //! * a **crash-state triage** — each crash point partitioned into *hazard
 //!   windows* (states that can differ across legal reorderings) and
 //!   *provably-quiescent* states (bit-identical to an already-tested

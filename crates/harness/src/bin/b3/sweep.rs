@@ -1,0 +1,174 @@
+//! `b3 sweep`: run (or resume) one job to the end and print its summary.
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use b3_ace::{Bounds, WorkloadGenerator};
+use b3_crashmonkey::CrashMonkey;
+use b3_harness::distrib::{load_checkpoint, run_with_transport, segment_stats};
+use b3_harness::{Progress, RunConfig, SweepJob};
+
+use crate::args::Args;
+use crate::job::JobSpec;
+use crate::pool::PoolSpec;
+use crate::{print_groups, Exit, EXIT_AUDIT};
+
+pub fn run(mut args: Args) -> Result<(), Exit> {
+    let (mut spec, mut pool) = (JobSpec::new(), PoolSpec::new());
+    let mut in_process = false;
+    let mut checkpoint: Option<PathBuf> = None;
+    let mut stop_after: Option<usize> = None;
+    let mut out: Option<PathBuf> = None;
+    while let Some(flag) = args.next_flag() {
+        if spec.take(&flag, &mut args)? || pool.take(&flag, &mut args)? {
+            continue;
+        }
+        match flag.as_str() {
+            "--in-process" => in_process = true,
+            "--checkpoint" => checkpoint = Some(args.value()?.into()),
+            "--stop-after" => stop_after = Some(args.parsed()?),
+            "--out" => out = Some(args.value()?.into()),
+            _ => return Err(args.unknown()),
+        }
+    }
+    if in_process && checkpoint.is_some() {
+        return Err(Exit::usage(
+            "--checkpoint needs a worker pool: an --in-process sweep is not persisted",
+        ));
+    }
+
+    let mut resumed_shards = None;
+    if let Some(path) = &checkpoint {
+        let existing = load_checkpoint(path)
+            .map_err(|e| Exit::runtime(format!("unreadable checkpoint: {e}")))?;
+        match existing {
+            Some(existing) => {
+                println!(
+                    "resuming from {}: {}/{} shards already complete",
+                    path.display(),
+                    existing.completed_shards(),
+                    existing.num_shards()
+                );
+                resumed_shards = Some(existing.num_shards());
+            }
+            None => println!("checkpoint file {} (new sweep)", path.display()),
+        }
+    }
+    let job = spec.job(resumed_shards)?;
+    let total = job.total_candidates();
+    println!(
+        "sweeping {} ({total} candidates, {} shards) under {}",
+        spec.preset,
+        job.num_shards,
+        job.scope()
+    );
+
+    let (summary, swept) = if in_process {
+        let threads = pool.workers.max(1);
+        println!("in-process on {threads} threads");
+        let config = RunConfig {
+            threads,
+            stop_after_workloads: stop_after,
+            ..RunConfig::default()
+        };
+        job.run_in_process(&config)?
+    } else {
+        let (mut config, transport) = pool.build()?;
+        config.checkpoint_path.clone_from(&checkpoint);
+        config.stop_after_workloads = stop_after;
+        config.progress_interval = Duration::from_secs(2);
+        println!("{} workers via {}", config.workers, transport.describe());
+        let progress = |p: &Progress| println!("  [progress] {}", p.describe());
+        let outcome = run_with_transport(&job, &config, transport.as_ref(), Some(&progress))?;
+        println!(
+            "{:.0} workloads/s this run | {} worker respawn(s) | {} worker(s) lost, \
+             their shards re-queued",
+            outcome.throughput_this_run(),
+            outcome.respawns,
+            outcome.failed_workers
+        );
+        (outcome.summary, outcome.checkpoint)
+    };
+
+    let groups = swept.grouped();
+    println!(
+        "\n{} of {total} candidates tested ({} skipped, {} pruned as equivalent, {} audited) | \
+         {} raw reports | bug groups: {} | {}/{} shards complete",
+        summary.tested,
+        summary.skipped,
+        summary.pruned,
+        summary.audited,
+        summary.raw_reports,
+        groups.len(),
+        swept.completed_shards(),
+        swept.num_shards(),
+    );
+    if !summary.audit_failures.is_empty() {
+        let mut message = format!(
+            "AUDIT FAILURE: {} audited workload(s) diverged from the verdict they were \
+             assumed to share (canon v{}):",
+            summary.audit_failures.len(),
+            b3_ace::CANON_VERSION,
+        );
+        for failure in &summary.audit_failures {
+            message.push_str(&format!("\n  {failure}"));
+        }
+        return Err(Exit {
+            code: EXIT_AUDIT,
+            message,
+        });
+    }
+    if let Some(path) = &checkpoint {
+        if let (Ok(metadata), Ok(stats)) = (std::fs::metadata(path), segment_stats(path)) {
+            println!(
+                "checkpoint file: {} bytes ({} snapshot(s) + {} delta record(s))",
+                metadata.len(),
+                stats.snapshots,
+                stats.deltas,
+            );
+        }
+    }
+    if let Some(bounds) = job.fs_bounds() {
+        print_sampled_profile_sharing(&job, bounds);
+    }
+    print_groups(out.as_deref(), &groups)?;
+    match (swept.is_complete(), &checkpoint) {
+        (true, _) => println!("sweep complete"),
+        (false, Some(path)) => println!(
+            "sweep incomplete; re-run the same command to resume from {}",
+            path.display()
+        ),
+        (false, None) => println!("sweep incomplete and no --checkpoint was given"),
+    }
+    Ok(())
+}
+
+/// Workloads profiled locally for the summary's prefix-sharing line.
+const SHARING_SAMPLE: usize = 2000;
+
+/// Measures prefix sharing on the head of shard 0. The harnesses that ran
+/// the sweep report outcomes only (and may live in other processes), so
+/// the summary samples the figure here: the workloads are profiled (not
+/// crash tested) through one local harness, in generator order like a
+/// worker.
+fn print_sampled_profile_sharing(job: &SweepJob, bounds: &Bounds) {
+    let spec = job.fs.spec(job.era);
+    let monkey = CrashMonkey::with_config(spec.as_ref(), job.crashmonkey);
+    let shard = bounds.shard(0, job.num_shards);
+    let mut profiled = 0;
+    for workload in WorkloadGenerator::for_shard(bounds.clone(), &shard).take(SHARING_SAMPLE) {
+        // A workload that cannot be profiled is the sweep's to report.
+        let _ = monkey.profile_only(&workload);
+        profiled += 1;
+    }
+    let sharing = monkey.profile_sharing();
+    println!(
+        "prefix sharing (first {profiled} workloads of shard 0, profiled here): \
+         {} ops applied, {} resumed from a shared prefix ({:.0} %), {} forks, {} mount(s)",
+        sharing.ops_applied,
+        sharing.ops_resumed,
+        sharing.resumed_share() * 100.0,
+        sharing.forks,
+        sharing.mounts,
+    );
+}

@@ -46,7 +46,7 @@ use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 
 use super::protocol::{read_frame, transport_err, wire, write_frame, MAX_FRAME_BYTES};
-use super::segment::{load_checkpoint, segment_record, write_atomic};
+use super::segment::{load_checkpoint, segment_record, write_atomic, AppendLog};
 use super::{run_with_transport_hooked, DistribConfig, DistribHooks, SweepJob, Transport};
 use crate::dedup::GroupTable;
 use crate::postprocess::BugGroup;
@@ -71,7 +71,8 @@ pub enum JobState {
     Running,
     /// Swept to completion; results are final.
     Done,
-    /// The sweep errored out (reason in [`JobStatus::error`]). Terminal.
+    /// The sweep errored out, or completed with a diverged audit (reason
+    /// in [`JobStatus::error`]). Terminal.
     Failed,
     /// Withdrawn by a client while still queued. Terminal.
     Cancelled,
@@ -363,7 +364,7 @@ pub struct FleetConfig {
     /// Shared secret non-loopback TCP workers must answer the HMAC
     /// challenge with (see [`super::auth`]). The embedding binary passes it
     /// to [`super::TcpTransport::with_secret`]; the coordinator itself
-    /// stores it only so `b3-sweep-fleet serve` has one place to configure.
+    /// stores it only so `b3 fleet serve` has one place to configure.
     pub secret: Option<String>,
 }
 
@@ -391,24 +392,16 @@ struct JobRecord {
 struct FleetState {
     jobs: BTreeMap<u64, JobRecord>,
     next_id: u64,
-    journal: std::fs::File,
+    /// The same [`AppendLog`] the `B3SG` delta appends go through: every
+    /// record fsync'd, and rolled back if the append fails part-way, so
+    /// the journal survives the same kills and full disks the checkpoints
+    /// do.
+    journal: AppendLog,
 }
 
 impl FleetState {
-    /// Durably appends one journal record (fsync'd, like the `B3SG` delta
-    /// appends — the journal must survive the same kills the checkpoints
-    /// do).
-    fn append(&mut self, record: &[u8]) -> FsResult<()> {
-        use std::io::Write;
-        self.journal
-            .write_all(record)
-            .and_then(|()| self.journal.sync_data())
-            .map_err(|e| FsError::Device(format!("append fleet queue journal: {e}")))
-    }
-
     fn append_state(&mut self, id: u64, state: JobState, error: &str) -> FsResult<()> {
-        let record = state_record(id, state, error);
-        self.append(&record)
+        self.journal.append(&state_record(id, state, error))
     }
 
     fn status_row(id: u64, record: &JobRecord) -> JobStatus {
@@ -518,7 +511,7 @@ fn compacted_queue_bytes(jobs: &BTreeMap<u64, JobRecord>) -> Vec<u8> {
 }
 
 /// Reads a fleet directory's queue journal without a running daemon —
-/// offline inspection for `b3-sweep-fleet status --dir`. States are
+/// offline inspection for `b3 fleet status --dir`. States are
 /// reported exactly as recorded (a job the daemon died with mid-flight
 /// shows `Running`; [`FleetCoordinator::open`] is what re-queues it).
 pub fn inspect_queue(dir: &Path) -> FsResult<Vec<JobStatus>> {
@@ -586,11 +579,9 @@ impl FleetCoordinator {
                 record.state = JobState::Queued;
             }
         }
-        write_atomic(&path, &compacted_queue_bytes(&jobs))?;
-        let journal = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| FsError::Device(format!("open fleet queue {}: {e}", path.display())))?;
+        let compacted = compacted_queue_bytes(&jobs);
+        write_atomic(&path, &compacted)?;
+        let journal = AppendLog::open(&path, compacted.len() as u64)?;
         let next_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
         Ok(FleetCoordinator {
             config,
@@ -625,8 +616,7 @@ impl FleetCoordinator {
     pub fn enqueue(&self, job: SweepJob) -> FsResult<u64> {
         let mut state = self.locked();
         let id = state.next_id;
-        let record = job_record(id, &job);
-        state.append(&record)?;
+        state.journal.append(&job_record(id, &job))?;
         state.next_id += 1;
         state.jobs.insert(
             id,
@@ -771,10 +761,22 @@ impl FleetCoordinator {
             },
         );
         let (final_state, error) = match &outcome {
-            Ok(outcome) if outcome.is_complete() => (JobState::Done, String::new()),
             // Wound down early (graceful stop or a stop budget): the
             // checkpoint keeps the progress, the job keeps its turn.
-            Ok(_) => (JobState::Queued, String::new()),
+            Ok(outcome) if !outcome.is_complete() => (JobState::Queued, String::new()),
+            Ok(outcome) => match outcome.summary.audit_failures.as_slice() {
+                [] => (JobState::Done, String::new()),
+                // A diverged audit is the job's verdict, not a footnote:
+                // the shortcut it enabled is unsound for this space. The
+                // groups stay fetchable through `results`.
+                failures @ [first, ..] => (
+                    JobState::Failed,
+                    format!(
+                        "audit failure: {} audited workload(s) diverged, first: {first}",
+                        failures.len()
+                    ),
+                ),
+            },
             Err(e) => (JobState::Failed, e.to_string()),
         };
 
@@ -832,7 +834,7 @@ impl FleetCoordinator {
     /// Serves client connections on `listener` until a stop is requested.
     /// Each connection gets its own thread; `Subscribe` turns a connection
     /// into a one-way event stream. Runs on its own thread next to the
-    /// scheduler loop (see `b3-sweep-fleet serve`).
+    /// scheduler loop (see `b3 fleet serve`).
     pub fn serve_clients(&self, listener: TcpListener) -> FsResult<()> {
         listener
             .set_nonblocking(true)
@@ -983,7 +985,7 @@ fn read_client_frame(stream: &mut TcpStream, stop: &AtomicBool) -> FsResult<Opti
 }
 
 /// A blocking client of a fleet daemon's control listener — what
-/// `b3-sweep-fleet enqueue/status/results/cancel/watch` and the
+/// `b3 fleet enqueue/status/results/watch` and the
 /// integration tests use.
 pub struct FleetClient {
     reader: std::io::BufReader<TcpStream>,
@@ -1274,6 +1276,67 @@ mod tests {
         // Wrong magic.
         let error = replay_queue(b"NOPE", &path).unwrap_err();
         assert!(error.to_string().contains("magic"), "{error}");
+    }
+
+    /// A job whose sweep completes but whose audit diverged must not be
+    /// reported `done`: it ends `Failed` with the divergence in its error,
+    /// durably, and its groups stay fetchable.
+    #[test]
+    fn complete_run_with_audit_failures_fails_the_job() {
+        use crate::sweep::{AuditFailure, ShardResult};
+        let dir = fleet_dir("audit");
+        let mut job = SweepJob::new(Bounds::tiny(), 1);
+        job.prune = crate::PruneMode::Audit {
+            samples_per_class: 2,
+        };
+        let fleet = FleetCoordinator::open(FleetConfig::new(&dir)).expect("fleet opens");
+        let id = fleet.enqueue(job.clone()).expect("job enqueues");
+
+        // The job's checkpoint already holds its only shard — with one
+        // audited member that diverged from its representative.
+        let mut checkpoint = job.empty_checkpoint();
+        checkpoint.record(
+            0,
+            ShardResult {
+                tested: 3,
+                audited: 1,
+                audit_failures: vec![AuditFailure {
+                    class: "creat(A)".into(),
+                    representative: "tiny-0000001".into(),
+                    member: "tiny-0000004".into(),
+                    detail: "member reports a bug its representative does not".into(),
+                }],
+                ..ShardResult::default()
+            },
+        );
+        super::super::save_checkpoint(&fleet.checkpoint_path(id), &checkpoint)
+            .expect("checkpoint seeds");
+
+        // Nothing is left to sweep, so no worker is ever needed.
+        let transport =
+            super::super::ChildTransport::new(super::super::WorkerCommand::new("unused"));
+        assert_eq!(fleet.run_until_idle(&transport).expect("queue drains"), 1);
+        let check = |fleet: &FleetCoordinator| {
+            let (status, groups) = fleet.results(id).expect("results stay fetchable");
+            assert_eq!(status.state, JobState::Failed);
+            for needle in [
+                "1 audited workload(s) diverged",
+                "creat(A)",
+                "tiny-0000004",
+                "tiny-0000001",
+            ] {
+                assert!(
+                    status.error.contains(needle),
+                    "{needle:?} not in {:?}",
+                    status.error
+                );
+            }
+            assert!(groups.is_empty());
+        };
+        check(&fleet);
+        drop(fleet);
+        check(&FleetCoordinator::open(FleetConfig::new(&dir)).expect("fleet reopens"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

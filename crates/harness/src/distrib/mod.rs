@@ -8,7 +8,7 @@
 //! codec-serialized protocol ([`protocol`], specified in
 //! `docs/PROTOCOL.md`) over whatever byte pipe a [`Transport`] provides —
 //! a child's stdio ([`ChildTransport`]), an inbound TCP connection
-//! ([`TcpTransport`], workers dial in with `b3-sweep-worker --connect`),
+//! ([`TcpTransport`], workers dial in with `b3 worker --connect`),
 //! or an ssh session ([`SshTransport`], the remote worker's stdio *is* the
 //! pipe):
 //!
@@ -89,8 +89,7 @@ pub use transport::{
     ChildTransport, SshTransport, TcpTransport, Transport, WorkerCommand, WorkerLink,
 };
 pub use worker::{
-    worker_connect, worker_from_args, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS,
-    WORKER_CRASH_EXIT,
+    worker_connect, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS, WORKER_CRASH_EXIT,
 };
 
 use crate::dedup::GroupKey;
@@ -771,18 +770,6 @@ fn sized_batch(config: &DistribConfig, rate: Option<f64>, avg_shard_workloads: f
     }
     let sized = (rate * target.as_secs_f64() / avg_shard_workloads) as usize;
     sized.clamp(base, config.max_batch)
-}
-
-/// Runs (or resumes) a distributed sweep over stdio worker child
-/// processes — the transport-pinned convenience wrapper around
-/// [`run_with_transport`] that PR 3 callers use.
-pub fn run_distributed(
-    job: &SweepJob,
-    config: &DistribConfig,
-    worker: &WorkerCommand,
-    progress: Option<&(dyn Fn(&Progress) + Sync)>,
-) -> FsResult<DistribOutcome> {
-    run_with_transport(job, config, &ChildTransport::new(worker.clone()), progress)
 }
 
 /// Observation and control hooks for [`run_with_transport_hooked`] — what

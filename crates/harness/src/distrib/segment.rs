@@ -223,6 +223,96 @@ pub fn save_checkpoint(path: &Path, checkpoint: &SweepCheckpoint) -> FsResult<()
     write_atomic(path, &snapshot_file_bytes(checkpoint))
 }
 
+/// The file operations [`AppendLog`] needs — `std::fs::File` in production,
+/// a writer that fails on cue in the tests.
+pub(super) trait LogFile: std::io::Write {
+    fn sync_data(&mut self) -> std::io::Result<()>;
+    fn set_len(&mut self, len: u64) -> std::io::Result<()>;
+}
+
+impl LogFile for std::fs::File {
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        std::fs::File::sync_data(self)
+    }
+
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        std::fs::File::set_len(self, len)
+    }
+}
+
+/// Durable appends to a record log (the `B3SG` checkpoint deltas and the
+/// `B3FQ` fleet queue journal): one `write_all` + `fdatasync` per record,
+/// keeping the invariant both replays rely on — torn bytes only ever sit at
+/// the *tail* of the file.
+///
+/// A failed append (ENOSPC, EIO…) may have written part of the record. A
+/// complete record appended *after* such bytes would be swallowed by the
+/// torn record's declared length on replay, so the failed append is rolled
+/// back by truncating the file to its last-good length; if even that fails
+/// the log is *wedged* and refuses further appends. Only an atomic rewrite
+/// of the file (a compaction), after which the owner opens a fresh
+/// `AppendLog`, gets rid of a wedge.
+pub(super) struct AppendLog<F: LogFile = std::fs::File> {
+    file: F,
+    path: PathBuf,
+    /// Length of the file up to the end of its last complete record.
+    good_len: u64,
+    wedged: bool,
+}
+
+impl AppendLog {
+    /// Opens `path` — just (re)written in full, `good_len` bytes long — for
+    /// appends.
+    pub(super) fn open(path: &Path, good_len: u64) -> FsResult<AppendLog> {
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| FsError::Device(format!("open {}: {e}", path.display())))?;
+        Ok(AppendLog::over(file, path, good_len))
+    }
+}
+
+impl<F: LogFile> AppendLog<F> {
+    fn over(file: F, path: &Path, good_len: u64) -> AppendLog<F> {
+        AppendLog {
+            file,
+            path: path.to_path_buf(),
+            good_len,
+            wedged: false,
+        }
+    }
+
+    /// Bytes of complete records (and the header) in the file.
+    pub(super) fn len(&self) -> u64 {
+        self.good_len
+    }
+
+    /// Durably appends one framed record, or leaves the file as it was.
+    pub(super) fn append(&mut self, record: &[u8]) -> FsResult<()> {
+        let failed = |why: &dyn std::fmt::Display| {
+            FsError::Device(format!("append to {}: {why}", self.path.display()))
+        };
+        if self.wedged {
+            return Err(failed(
+                &"a previous failed append left a torn record that could not be truncated",
+            ));
+        }
+        let appended = self
+            .file
+            .write_all(record)
+            .and_then(|()| self.file.sync_data());
+        if let Err(error) = appended {
+            // Roll the file back to its last-good length; on success the
+            // torn bytes are gone and later appends are safe again.
+            let error = failed(&error);
+            self.wedged = self.file.set_len(self.good_len).is_err();
+            return Err(error);
+        }
+        self.good_len += record.len() as u64;
+        Ok(())
+    }
+}
+
 /// Incremental checkpoint persistence over the segment log.
 ///
 /// Opening the persister compacts the file to a fresh snapshot (one atomic
@@ -240,21 +330,13 @@ pub(super) struct Persister {
 
 struct PersisterState {
     /// Append handle to the live segment file (replaced on compaction,
-    /// since the rename puts a new inode at the path).
-    file: std::fs::File,
+    /// since the rename puts a new inode at the path — which is also what
+    /// clears a wedged log).
+    log: AppendLog,
     /// Size of the last compacted file (its lone snapshot record).
     snapshot_bytes: u64,
-    /// Delta bytes appended since that compaction.
-    segment_bytes: u64,
     /// Newest merge version recorded on disk (delta or compaction).
     last_version: u64,
-    /// Set when a failed append may have left a torn record that could
-    /// *not* be truncated away. Appending anything after such a record
-    /// would let its declared length swallow the next record on replay —
-    /// breaking the "torn records only ever sit at the tail" invariant —
-    /// so further appends are refused until a compaction (an atomic full
-    /// rewrite) replaces the file.
-    wedged: bool,
 }
 
 impl Persister {
@@ -264,65 +346,30 @@ impl Persister {
     pub(super) fn open(path: &Path, checkpoint: &SweepCheckpoint) -> FsResult<Persister> {
         let bytes = snapshot_file_bytes(checkpoint);
         write_atomic(path, &bytes)?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| FsError::Device(format!("open checkpoint {}: {e}", path.display())))?;
         Ok(Persister {
             path: path.to_path_buf(),
             state: Mutex::new(PersisterState {
-                file,
+                log: AppendLog::open(path, bytes.len() as u64)?,
                 snapshot_bytes: bytes.len() as u64,
-                segment_bytes: 0,
                 last_version: 0,
-                wedged: false,
             }),
         })
     }
 
     /// Durably appends one delta record (`payload` is the encoded
-    /// `shard | ShardResult` of merge number `version`). Returns true when
-    /// the deltas have outgrown the snapshot and a compaction is due.
-    ///
-    /// A failed append (ENOSPC, EIO…) may have written a partial record; the
-    /// partial bytes are truncated away so the file stays replayable, and if
-    /// even the truncation fails the persister refuses further appends
-    /// (appending a complete record *after* torn bytes would let the torn
-    /// record's declared length swallow it on replay) until a compaction
-    /// atomically rewrites the file.
+    /// `shard | ShardResult` of merge number `version`) through the
+    /// [`AppendLog`], so a failed append never leaves torn bytes in the
+    /// middle of the file. Returns true when the deltas have outgrown the
+    /// snapshot and a compaction is due.
     pub(super) fn append_delta(&self, version: u64, payload: &[u8]) -> FsResult<bool> {
-        use std::io::Write;
-        let record = segment_record(REC_DELTA, payload);
         let mut state = self
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.wedged {
-            return Err(FsError::Device(format!(
-                "append checkpoint {}: a previous failed append left a torn \
-                 record that could not be truncated",
-                self.path.display()
-            )));
-        }
-        let append = state
-            .file
-            .write_all(&record)
-            .and_then(|()| state.file.sync_data());
-        if let Err(error) = append {
-            // Roll the file back to its last-good length; on success the
-            // torn bytes are gone and later appends are safe again.
-            let good_len = state.snapshot_bytes + state.segment_bytes;
-            if state.file.set_len(good_len).is_err() {
-                state.wedged = true;
-            }
-            return Err(FsError::Device(format!(
-                "append checkpoint {}: {error}",
-                self.path.display()
-            )));
-        }
-        state.segment_bytes += record.len() as u64;
+        state.log.append(&segment_record(REC_DELTA, payload))?;
         state.last_version = state.last_version.max(version);
-        Ok(state.segment_bytes > state.snapshot_bytes.max(MIN_COMPACT_BYTES))
+        let delta_bytes = state.log.len() - state.snapshot_bytes;
+        Ok(delta_bytes > state.snapshot_bytes.max(MIN_COMPACT_BYTES))
     }
 
     /// Atomically rewrites the file as one snapshot (the checkpoint as of
@@ -341,17 +388,122 @@ impl Persister {
         bytes.extend_from_slice(&SEGMENT_MAGIC);
         bytes.extend_from_slice(&segment_record(REC_SNAPSHOT, snapshot_payload));
         write_atomic(&self.path, &bytes)?;
-        state.file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| {
-                FsError::Device(format!("reopen checkpoint {}: {e}", self.path.display()))
-            })?;
+        state.log = AppendLog::open(&self.path, bytes.len() as u64)?;
         state.snapshot_bytes = bytes.len() as u64;
-        state.segment_bytes = 0;
         state.last_version = version;
-        // The atomic rewrite replaced whatever a failed append left behind.
-        state.wedged = false;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// A log file that writes through to the real file until its byte
+    /// budget runs out (then fails mid-record, like ENOSPC), and whose
+    /// truncation can be made to fail too.
+    struct FailingFile {
+        file: std::fs::File,
+        budget: usize,
+        truncate_fails: bool,
+    }
+
+    impl Write for FailingFile {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("injected: no space left on device"));
+            }
+            let written = self.file.write(&bytes[..bytes.len().min(self.budget)])?;
+            self.budget -= written;
+            Ok(written)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl LogFile for FailingFile {
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.file.sync_data()
+        }
+
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            if self.truncate_fails {
+                return Err(std::io::Error::other("injected: truncate failed"));
+            }
+            self.file.set_len(len)
+        }
+    }
+
+    /// The append half both journaled logs share, driven through a writer
+    /// that fails after N bytes: a failed append leaves the file replaying
+    /// to exactly the records before it, the next append lands and replays,
+    /// and when the rollback itself fails the log refuses appends until the
+    /// file is rewritten.
+    #[test]
+    fn failed_appends_roll_back_and_a_failed_rollback_wedges_the_log() {
+        let path = std::env::temp_dir().join(format!("b3-appendlog-{}.b3sg", std::process::id()));
+        let checkpoint = SweepCheckpoint::scoped(&b3_ace::Bounds::tiny(), 4, "test");
+        let header = snapshot_file_bytes(&checkpoint);
+        write_atomic(&path, &header).expect("snapshot writes");
+        let record = segment_record(REC_DELTA, &[7u8; 40]);
+        let replayed = || {
+            let stats = segment_stats(&path).expect("log replays");
+            (stats.deltas, stats.truncated_tail_bytes)
+        };
+        let failing = |budget: usize, truncate_fails: bool| FailingFile {
+            file: std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .expect("log opens"),
+            budget,
+            truncate_fails,
+        };
+
+        // One record fits, the second is cut off 10 bytes in.
+        let mut log = AppendLog::over(
+            failing(record.len() + 10, false),
+            &path,
+            header.len() as u64,
+        );
+        log.append(&record).expect("first append fits the budget");
+        let error = log
+            .append(&record)
+            .expect_err("second append runs out of space");
+        assert!(error.to_string().contains("injected"), "{error}");
+        assert_eq!(replayed(), (1, 0), "the torn bytes were truncated away");
+        assert_eq!(log.len(), (header.len() + record.len()) as u64);
+
+        // The log is usable again: a later append lands right after the
+        // last good record and replays.
+        log.file.budget = usize::MAX;
+        log.append(&record)
+            .expect("append after a rolled-back failure");
+        assert_eq!(replayed(), (2, 0));
+
+        // A failure whose rollback fails too leaves torn bytes at the tail
+        // (still replayable) and wedges the log, so no complete record can
+        // ever land behind them…
+        let mut log = AppendLog::over(failing(10, true), &path, log.len());
+        log.append(&record).expect_err("append runs out of space");
+        assert_eq!(replayed(), (2, 10));
+        log.file.budget = usize::MAX;
+        let error = log
+            .append(&record)
+            .expect_err("a wedged log refuses appends");
+        assert!(
+            error.to_string().contains("could not be truncated"),
+            "{error}"
+        );
+        assert_eq!(replayed(), (2, 10), "the refused append wrote nothing");
+
+        // …until the owner rewrites the file and opens a fresh log over it.
+        write_atomic(&path, &header).expect("compaction rewrites the file");
+        let mut log = AppendLog::open(&path, header.len() as u64).expect("fresh log opens");
+        log.append(&record).expect("append after the rewrite");
+        assert_eq!(replayed(), (1, 0));
+        let _ = std::fs::remove_file(&path);
     }
 }

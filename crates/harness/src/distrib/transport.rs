@@ -8,9 +8,9 @@
 //! * [`ChildTransport`] — spawn a worker child process on this machine and
 //!   speak over its stdio (the PR 3 behavior, still the default).
 //! * [`TcpTransport`] — bind a listener; workers connect with
-//!   `b3-sweep-worker --connect host:port` from anywhere on the network.
+//!   `b3 worker --connect host:port` from anywhere on the network.
 //!   Optionally, a *launcher* command spawns a local worker per connection
-//!   (used by the loopback tests and the `sweep_coordinator` example).
+//!   (used by the loopback tests and `b3 sweep --transport tcp`).
 //! * [`SshTransport`] — re-exec the worker on a remote host over `ssh`,
 //!   whose stdio *is* the pipe; no daemon or open port needed on the remote
 //!   side.
@@ -34,8 +34,8 @@ use super::protocol::{read_frame, transport_err, write_frame};
 /// How to launch one worker process.
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
-    /// Path to the worker executable (typically the `b3-sweep-worker` binary
-    /// or a `--worker`-mode re-exec of the coordinator binary).
+    /// Path to the worker executable (typically the `b3` binary, with
+    /// `worker` as the first of `args`).
     pub program: PathBuf,
     /// Arguments passed before the protocol takes over the link.
     pub args: Vec<String>,
@@ -290,7 +290,7 @@ impl WorkerLink for TcpLink {
 
 /// The TCP transport: the coordinator binds a listener and every
 /// [`Transport::connect`] accepts one inbound worker connection (a
-/// `b3-sweep-worker --connect host:port` started anywhere that can reach
+/// `b3 worker --connect host:port` started anywhere that can reach
 /// the listener). Endpoints are the worker's peer `host:port`.
 ///
 /// With a *launcher* ([`TcpTransport::with_launcher`]), each connect first
@@ -535,7 +535,7 @@ pub struct SshTransport {
 
 impl SshTransport {
     /// A transport running `remote_command` (program + args, e.g.
-    /// `["b3-sweep-worker", "--calibrate"]`) on each of `hosts` via `ssh`.
+    /// `["b3", "worker", "--calibrate"]`) on each of `hosts` via `ssh`.
     ///
     /// # Panics
     /// Panics if `hosts` or `remote_command` is empty.

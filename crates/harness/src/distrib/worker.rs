@@ -81,8 +81,8 @@ fn calibration_rate(workloads: u64) -> f64 {
 
 /// The worker side of the protocol, speaking frames over this process's
 /// stdin/stdout — used when a stdio-child or ssh-pipe transport spawned us
-/// and owns the pipe. Returns the process exit code; the caller (the
-/// `b3-sweep-worker` binary or a `--worker`-mode coordinator) passes it to
+/// and owns the pipe. Returns the process exit code; the caller (the `b3`
+/// binary's `worker` subcommand, which owns the command line) passes it to
 /// [`std::process::exit`].
 pub fn worker_main(options: WorkerOptions) -> i32 {
     let mut stdin = std::io::stdin().lock();
@@ -92,7 +92,7 @@ pub fn worker_main(options: WorkerOptions) -> i32 {
 
 /// The worker side of the protocol over TCP: dials `addr` (a coordinator's
 /// [`TcpTransport`](super::transport::TcpTransport) listener, as passed to
-/// `b3-sweep-worker --connect`) and runs the same loop as [`worker_main`]
+/// `b3 worker --connect`) and runs the same loop as [`worker_main`]
 /// over the socket. Returns the process exit code.
 pub fn worker_connect(addr: &str, options: WorkerOptions) -> i32 {
     let run = || -> FsResult<()> {
@@ -110,67 +110,11 @@ pub fn worker_connect(addr: &str, options: WorkerOptions) -> i32 {
     exit_code(run())
 }
 
-/// The whole worker command line, shared by the `b3-sweep-worker` binary
-/// and every coordinator binary that re-executes itself as its own worker:
-/// `--connect HOST:PORT` (dial a coordinator instead of speaking over
-/// stdio), `--calibrate[=N]`, `--secret S` (default: the `B3_SWEEP_SECRET`
-/// environment variable), `--die-after-workloads N`, and the `--worker`
-/// marker those re-executions carry. Runs the worker to completion and
-/// returns the process exit code (2 for a bad command line).
-pub fn worker_from_args(args: impl IntoIterator<Item = String>) -> i32 {
-    match parse_args(args.into_iter()) {
-        Ok((Some(addr), options)) => worker_connect(&addr, options),
-        Ok((None, options)) => worker_main(options),
-        Err(message) => {
-            eprintln!("b3 sweep worker: {message}");
-            2
-        }
-    }
-}
-
-/// The `--connect` address, if any, and the options of a worker command
-/// line.
-fn parse_args(
-    mut args: impl Iterator<Item = String>,
-) -> Result<(Option<String>, WorkerOptions), String> {
-    let mut options = WorkerOptions {
-        secret: std::env::var("B3_SWEEP_SECRET")
-            .ok()
-            .filter(|s| !s.is_empty()),
-        ..WorkerOptions::default()
-    };
-    let mut connect = None;
-    while let Some(arg) = args.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let number = |text: &str| text.parse().map_err(|e| format!("{flag}: {e}"));
-        match (flag, inline) {
-            ("--worker", None) => {}
-            ("--calibrate", None) => options.calibration_workloads = DEFAULT_CALIBRATION_WORKLOADS,
-            ("--calibrate", Some(burst)) => options.calibration_workloads = number(&burst)?,
-            ("--connect" | "--secret" | "--die-after-workloads", inline) => {
-                let value = inline
-                    .or_else(|| args.next())
-                    .ok_or(format!("{flag} needs a value"))?;
-                match flag {
-                    "--connect" => connect = Some(value),
-                    "--secret" => options.secret = Some(value),
-                    _ => options.die_after_workloads = Some(number(&value)?),
-                }
-            }
-            _ => return Err(format!("unknown argument {arg:?}")),
-        }
-    }
-    Ok((connect, options))
-}
-
 fn exit_code(result: FsResult<()>) -> i32 {
     match result {
         Ok(()) => 0,
         Err(error) => {
-            eprintln!("b3 sweep worker: {error}");
+            eprintln!("b3 worker: {error}");
             1
         }
     }

@@ -25,7 +25,7 @@
 //!   every returned shard result is merged
 //!   ([`sweep::SweepCheckpoint::merge`]) and persisted — the true analogue
 //!   of the paper's 780-VM cluster. On top of it sits the fleet daemon
-//!   ([`distrib::FleetCoordinator`], the `b3-sweep-fleet` binary): a
+//!   ([`distrib::FleetCoordinator`], `b3 fleet serve`): a
 //!   long-lived multi-tenant coordinator with a journaled job queue,
 //!   client frames over TCP, and live bug-group discovery streams.
 //! * [`dedup`] — first-class report deduplication: the grouped
@@ -55,10 +55,10 @@ pub mod sweep;
 pub use corpus::{CorpusEntry, FsKind, ReproStatus};
 pub use dedup::{GroupEntry, GroupTable};
 pub use distrib::{
-    run_distributed, run_with_transport, run_with_transport_hooked, ChildTransport, DistribConfig,
-    DistribHooks, DistribOutcome, FleetClient, FleetConfig, FleetCoordinator, FleetEvent, JobState,
-    JobStatus, SshTransport, SweepJob, SweepSpace, TcpTransport, Transport, WorkerCommand,
-    WorkerLink, WorkerOptions,
+    run_with_transport, run_with_transport_hooked, ChildTransport, DistribConfig, DistribHooks,
+    DistribOutcome, FleetClient, FleetConfig, FleetCoordinator, FleetEvent, JobState, JobStatus,
+    SshTransport, SweepJob, SweepSpace, TcpTransport, Transport, WorkerCommand, WorkerLink,
+    WorkerOptions,
 };
 pub use postprocess::{group_reports, BugGroup, KnownBugDatabase};
 pub use report::{bug_group_table, Table};

@@ -239,6 +239,18 @@ pub struct AuditFailure {
     pub detail: String,
 }
 
+/// The one-line form every reporter (the `b3 sweep` summary, a failed
+/// fleet job's error) prints.
+impl std::fmt::Display for AuditFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "class {:?}: member {} vs representative {}: {}",
+            self.class, self.member, self.representative, self.detail
+        )
+    }
+}
+
 impl AuditFailure {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.class);

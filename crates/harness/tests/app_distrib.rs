@@ -1,6 +1,6 @@
 //! End-to-end tests of distributed *application-level* sweeps: `SweepJob`s
 //! carrying `SweepSpace::App` fan transaction workloads out to real
-//! `b3-sweep-worker` child processes, and the reassembled result must be
+//! `b3 worker` child processes, and the reassembled result must be
 //! byte-identical to the in-process sweep over the same space.
 //!
 //! * The **differential** tests prove a 2-worker distributed app sweep
@@ -18,7 +18,7 @@
 use b3_app::{EngineProfile, TxnBounds};
 use b3_crashmonkey::{Consequence, CrashPointPolicy};
 use b3_harness::distrib::{
-    run_distributed, run_with_transport, DistribConfig, SweepJob, TcpTransport, WorkerCommand,
+    run_with_transport, ChildTransport, DistribConfig, SweepJob, TcpTransport, WorkerCommand,
 };
 use b3_harness::{AppSweep, FsKind, PruneMode, RunConfig, RunSummary, SweepSpace};
 use b3_vfs::codec::Encoder;
@@ -27,7 +27,12 @@ use b3_vfs::KernelEra;
 const NUM_SHARDS: usize = 8;
 
 fn worker_command() -> WorkerCommand {
-    WorkerCommand::new(env!("CARGO_BIN_EXE_b3-sweep-worker"))
+    WorkerCommand::new(env!("CARGO_BIN_EXE_b3")).arg("worker")
+}
+
+/// The default pool: stdio child workers.
+fn stdio_workers() -> ChildTransport {
+    ChildTransport::new(worker_command())
 }
 
 /// An app job over the tiny transaction space: every crash point tested,
@@ -97,7 +102,7 @@ fn two_worker_distributed_app_sweep_matches_in_process() {
         workers: 2,
         ..DistribConfig::default()
     };
-    let outcome = run_distributed(&job, &config, &worker_command(), None)
+    let outcome = run_with_transport(&job, &config, &stdio_workers(), None)
         .expect("distributed app sweep runs");
     assert!(outcome.is_complete());
     assert_eq!(outcome.failed_workers, 0);
@@ -171,7 +176,7 @@ fn seeded_bug_matrix_is_detected_distributed_on_two_file_systems() {
         for (engine, expected) in &bugs {
             let job = app_job(fs, *engine);
             let single = in_process_summary(&job);
-            let outcome = run_distributed(&job, &config, &worker_command(), None)
+            let outcome = run_with_transport(&job, &config, &stdio_workers(), None)
                 .expect("distributed app sweep runs");
             assert!(outcome.is_complete());
             assert_summaries_equivalent(&outcome.summary, &single);
@@ -191,7 +196,7 @@ fn seeded_bug_matrix_is_detected_distributed_on_two_file_systems() {
         let fixed_job = app_job(fs, EngineProfile::fixed());
         let single = in_process_summary(&fixed_job);
         assert!(single.reports.is_empty(), "fixed engine must be clean");
-        let outcome = run_distributed(&fixed_job, &config, &worker_command(), None)
+        let outcome = run_with_transport(&fixed_job, &config, &stdio_workers(), None)
             .expect("distributed fixed-engine sweep runs");
         assert!(outcome.is_complete());
         assert_summaries_equivalent(&outcome.summary, &single);
@@ -210,7 +215,7 @@ fn app_job_with_pruning_is_refused() {
         workers: 1,
         ..DistribConfig::default()
     };
-    let error = run_distributed(&job, &config, &worker_command(), None)
+    let error = run_with_transport(&job, &config, &stdio_workers(), None)
         .expect_err("app job with pruning must be refused");
     assert!(
         error.to_string().contains("prune"),

@@ -141,9 +141,9 @@ fn four_worker_representative_sweep_matches_full_sweep() {
         workers: 4,
         ..DistribConfig::default()
     };
-    let transport = ChildTransport::new(b3_harness::distrib::WorkerCommand::new(env!(
-        "CARGO_BIN_EXE_b3-sweep-worker"
-    )));
+    let transport = ChildTransport::new(
+        b3_harness::distrib::WorkerCommand::new(env!("CARGO_BIN_EXE_b3")).arg("worker"),
+    );
     let outcome = run_with_transport(&job, &config, &transport, None)
         .expect("4-worker representative sweep runs");
     assert!(outcome.is_complete());

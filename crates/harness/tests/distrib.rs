@@ -24,7 +24,8 @@
 //!   fingerprint does not match what it computes (the mismatched-binary
 //!   handshake).
 //!
-//! Workers are real child processes running the `b3-sweep-worker` binary.
+//! Workers are real child processes running the `b3` binary's `worker`
+//! subcommand.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -33,8 +34,8 @@ use b3_ace::{Bounds, WorkloadGenerator};
 use b3_fs_cow::CowFsSpec;
 use b3_harness::distrib::protocol::{FromWorker, Hello, ToWorker, PROTOCOL_VERSION};
 use b3_harness::distrib::{
-    load_checkpoint, run_distributed, run_with_transport, save_checkpoint, segment_stats,
-    ChildTransport, DistribConfig, SshTransport, SweepJob, TcpTransport, Transport, WorkerCommand,
+    load_checkpoint, run_with_transport, save_checkpoint, segment_stats, ChildTransport,
+    DistribConfig, SshTransport, SweepJob, TcpTransport, Transport, WorkerCommand,
 };
 use b3_harness::{group_reports, run_stream, BugGroup, RunConfig, RunSummary, Sweep};
 use b3_vfs::codec::Encoder;
@@ -43,7 +44,12 @@ use b3_vfs::KernelEra;
 const NUM_SHARDS: usize = 12;
 
 fn worker_command() -> WorkerCommand {
-    WorkerCommand::new(env!("CARGO_BIN_EXE_b3-sweep-worker"))
+    WorkerCommand::new(env!("CARGO_BIN_EXE_b3")).arg("worker")
+}
+
+/// The default pool: stdio child workers.
+fn stdio_workers() -> ChildTransport {
+    ChildTransport::new(worker_command())
 }
 
 /// A small two-operation space (~130 workloads): big enough that every
@@ -128,7 +134,7 @@ fn four_worker_distributed_sweep_matches_single_process() {
     let callback = |p: &b3_harness::Progress| {
         *final_progress.lock().unwrap() = Some(p.clone());
     };
-    let outcome = run_distributed(&job, &config, &worker_command(), Some(&callback))
+    let outcome = run_with_transport(&job, &config, &stdio_workers(), Some(&callback))
         .expect("distributed sweep runs");
     assert!(outcome.is_complete());
     assert_eq!(outcome.failed_workers, 0);
@@ -175,7 +181,7 @@ fn distributed_sweep_rejects_checkpoint_of_a_different_sweep() {
         checkpoint_path: Some(path.clone()),
         ..DistribConfig::default()
     };
-    let result = run_distributed(&other_job, &config, &worker_command(), None);
+    let result = run_with_transport(&other_job, &config, &stdio_workers(), None);
     assert!(result.is_err(), "mismatched checkpoint must be rejected");
 
     // Same bounds and shards, different execution context (file system):
@@ -183,7 +189,7 @@ fn distributed_sweep_rejects_checkpoint_of_a_different_sweep() {
     // checkpoint scope must reject the resume too.
     let mut other_fs_job = SweepJob::new(Bounds::tiny(), 4);
     other_fs_job.fs = b3_harness::FsKind::Journal;
-    let result = run_distributed(&other_fs_job, &config, &worker_command(), None);
+    let result = run_with_transport(&other_fs_job, &config, &stdio_workers(), None);
     assert!(
         result.is_err(),
         "a checkpoint recorded on another file system must be rejected"
@@ -208,7 +214,7 @@ fn chaos_killed_workers_and_coordinator_converge_to_uninterrupted_counts() {
         ..DistribConfig::default()
     };
     let dying_worker = worker_command().arg("--die-after-workloads").arg("15");
-    let crashed = run_distributed(&job, &config, &dying_worker, None);
+    let crashed = run_with_transport(&job, &config, &ChildTransport::new(dying_worker), None);
     assert!(
         crashed.is_err(),
         "a run whose every worker dies must report the failure"
@@ -238,7 +244,7 @@ fn chaos_killed_workers_and_coordinator_converge_to_uninterrupted_counts() {
             checkpoint_path: Some(path.clone()),
             ..DistribConfig::default()
         };
-        let outcome = run_distributed(&job, &config, &worker_command(), None)
+        let outcome = run_with_transport(&job, &config, &stdio_workers(), None)
             .expect("resumed coordinator runs");
         assert_eq!(outcome.failed_workers, 0);
         rounds += 1;
@@ -276,7 +282,7 @@ fn checkpoint_file_grows_by_deltas_not_rewrites() {
         ..DistribConfig::default()
     };
     let outcome =
-        run_distributed(&job, &config, &worker_command(), None).expect("partial run succeeds");
+        run_with_transport(&job, &config, &stdio_workers(), None).expect("partial run succeeds");
     assert!(!outcome.is_complete());
 
     let stats = segment_stats(&path).expect("segment file parses");
@@ -311,7 +317,7 @@ fn torn_trailing_record_is_ignored_on_load() {
         checkpoint_path: Some(path.clone()),
         ..DistribConfig::default()
     };
-    run_distributed(&job, &config, &worker_command(), None).expect("partial run succeeds");
+    run_with_transport(&job, &config, &stdio_workers(), None).expect("partial run succeeds");
     let before = load_checkpoint(&path)
         .expect("checkpoint file is readable")
         .expect("checkpoint file exists");
@@ -343,7 +349,7 @@ fn torn_trailing_record_is_ignored_on_load() {
         ..DistribConfig::default()
     };
     let outcome =
-        run_distributed(&job, &config, &worker_command(), None).expect("resumed run succeeds");
+        run_with_transport(&job, &config, &stdio_workers(), None).expect("resumed run succeeds");
     assert!(outcome.is_complete());
     assert_summaries_equivalent(&outcome.summary, &single);
     let _ = std::fs::remove_file(&path);
@@ -546,7 +552,7 @@ fn ssh_pipe_workers_match_single_process() {
     };
     let transport = SshTransport::new(
         ["testhost-a", "testhost-b"],
-        [env!("CARGO_BIN_EXE_b3-sweep-worker")],
+        [env!("CARGO_BIN_EXE_b3"), "worker"],
     )
     .with_ssh_program(&stub);
 
@@ -755,8 +761,8 @@ fn listener_sweep_finishes_without_waiting_for_missing_workers() {
     let addr = transport.local_addr().to_string();
 
     // Only ONE worker ever dials in; the other two slots wait in accept.
-    let mut worker = std::process::Command::new(env!("CARGO_BIN_EXE_b3-sweep-worker"))
-        .arg("--connect")
+    let mut worker = std::process::Command::new(env!("CARGO_BIN_EXE_b3"))
+        .args(["worker", "--connect"])
         .arg(&addr)
         .spawn()
         .expect("external worker starts");

@@ -12,7 +12,11 @@
 //!   results for unknown jobs, and a subscriber that receives exactly the
 //!   run's bug-group discoveries as a live event stream.
 //!
-//! Sweep workers are real `b3-sweep-worker` child processes; fleet clients
+//! * The **dial-in** test runs the daemon as a real `b3 fleet serve
+//!   --listen` process and joins its pool with a `b3 worker --connect`
+//!   started by somebody else, authenticated by the shared secret.
+//!
+//! Sweep workers are real `b3 worker` child processes; fleet clients
 //! speak real TCP to `serve_clients`.
 
 use std::path::{Path, PathBuf};
@@ -30,7 +34,7 @@ use b3_vfs::KernelEra;
 const NUM_SHARDS: usize = 12;
 
 fn worker_command() -> WorkerCommand {
-    WorkerCommand::new(env!("CARGO_BIN_EXE_b3-sweep-worker"))
+    WorkerCommand::new(env!("CARGO_BIN_EXE_b3")).arg("worker")
 }
 
 /// A per-test fleet directory in the system temp directory.
@@ -154,12 +158,10 @@ fn fleet_drains_two_jobs_across_a_daemon_restart_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `b3-sweep-fleet groups --single-process` is the CLI's in-process
-/// reference for a job spec. Under a non-default crash-point policy and
-/// prune mode it must run (its hand-rolled job → sweep adapter used to
-/// build an unscoped checkpoint and panic) and write the same bytes the
-/// fleet serves for the same job — and the same bytes as the library's
-/// in-process runner.
+/// `b3 sweep --in-process --out` is the CLI's in-process reference for a
+/// job spec. Under a non-default crash-point policy and prune mode it must
+/// write the same bytes the fleet serves for the same job — and the same
+/// bytes as the library's in-process runner.
 #[test]
 fn single_process_cli_reference_matches_the_fleet_under_a_non_default_scope() {
     let dir = fleet_dir("cli-reference");
@@ -178,20 +180,100 @@ fn single_process_cli_reference_matches_the_fleet_under_a_non_default_scope() {
     assert!(!groups.is_empty());
 
     let out = dir.join("single-process.groups");
-    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_b3-sweep-fleet"))
-        .args(["groups", "--single-process", "--preset", "tiny-seq2"])
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_b3"))
+        .args(["sweep", "--in-process", "--preset", "tiny-seq2"])
         .args(["--crash-points", "triaged", "--prune", "rep", "--out"])
         .arg(&out)
         .output()
-        .expect("b3-sweep-fleet runs");
+        .expect("b3 runs");
     assert!(
         cli.status.success(),
-        "groups --single-process failed: {}",
+        "sweep --in-process failed: {}",
         String::from_utf8_lossy(&cli.stderr)
     );
     let cli_bytes = std::fs::read(&out).expect("--out file written");
     assert_eq!(cli_bytes, group_bytes(&groups));
     assert_eq!(cli_bytes, single_process_group_bytes(&job));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kills the daemon process when the test ends, pass or fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `b3 fleet serve --listen ADDR --secret S` takes its workers from outside
+/// its own process tree: a `b3 worker --connect ADDR --secret S` somebody
+/// else started joins the pool (challenged even on loopback here), while
+/// one with the wrong secret is turned away (costing the daemon one of its
+/// two worker slots for this job), and the job the admitted worker runs is
+/// byte-identical to the in-process reference.
+#[test]
+fn daemon_with_a_listener_admits_an_externally_started_worker() {
+    use std::io::BufRead;
+    let b3 = env!("CARGO_BIN_EXE_b3");
+    let dir = fleet_dir("dial-in");
+    let mut daemon = std::process::Command::new(b3)
+        .args(["fleet", "serve", "--workers", "2", "--dir"])
+        .arg(&dir)
+        .args(["--control", "127.0.0.1:0", "--listen", "127.0.0.1:0"])
+        .args(["--secret", "fleet-test-secret", "--challenge-loopback"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let stdout = std::io::BufReader::new(daemon.stdout.take().expect("daemon stdout is piped"));
+    let _daemon = KillOnDrop(daemon);
+
+    // The daemon prints where its two listeners materialized.
+    let mut lines = stdout
+        .lines()
+        .map(|line| line.expect("daemon stdout reads"));
+    let mut address_after = |marker: &str| {
+        let line = lines
+            .find(|line| line.contains(marker))
+            .unwrap_or_else(|| panic!("daemon never printed {marker:?}"));
+        let rest = &line[line.find(marker).expect("marker found") + marker.len()..];
+        rest.split([' ', ',']).next().expect("address").to_string()
+    };
+    let workers = address_after("worker listener on ");
+    let control = address_after("control on ");
+
+    let job = seq2_job(KernelEra::V4_16);
+    let mut client = FleetClient::connect(&control).expect("client connects");
+    let id = client.enqueue(&job).expect("enqueue");
+
+    let worker = |secret: &str| {
+        std::process::Command::new(b3)
+            .args(["worker", "--connect", &workers, "--secret", secret])
+            .status()
+            .expect("worker runs")
+    };
+    assert!(
+        !worker("not-the-secret").success(),
+        "a worker with the wrong secret must be refused"
+    );
+    assert!(
+        worker("fleet-test-secret").success(),
+        "the worker runs the job to Shutdown"
+    );
+
+    // The worker leaves at Shutdown, a moment before the daemon journals
+    // the job's end state.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let (status, groups) = loop {
+        let (status, groups) = client.results(id).expect("results over the wire");
+        if status.state.is_terminal() || std::time::Instant::now() > deadline {
+            break (status, groups);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(status.state, JobState::Done, "{}", status.error);
+    assert_eq!(group_bytes(&groups), single_process_group_bytes(&job));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -22,7 +22,9 @@
 
 use b3_ace::Bounds;
 use b3_crashmonkey::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
-use b3_harness::distrib::{run_distributed, DistribConfig, SweepJob, WorkerCommand};
+use b3_harness::distrib::{
+    run_with_transport, ChildTransport, DistribConfig, SweepJob, WorkerCommand,
+};
 use b3_harness::{FsKind, RunConfig, RunSummary, Sweep};
 use b3_vfs::codec::Encoder;
 use b3_vfs::workload::FileSet;
@@ -128,8 +130,9 @@ fn distributed_patch_forward_matches_in_process_remount() {
         workers: 4,
         ..DistribConfig::default()
     };
-    let worker = WorkerCommand::new(env!("CARGO_BIN_EXE_b3-sweep-worker"));
-    let outcome = run_distributed(&job, &config, &worker, None).expect("distributed sweep runs");
+    let workers = ChildTransport::new(WorkerCommand::new(env!("CARGO_BIN_EXE_b3")).arg("worker"));
+    let outcome =
+        run_with_transport(&job, &config, &workers, None).expect("distributed sweep runs");
     assert!(outcome.is_complete());
     assert_eq!(outcome.failed_workers, 0);
 

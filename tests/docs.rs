@@ -4,6 +4,8 @@
 //! * **Intra-repo links**: every relative link in `README.md` and
 //!   `docs/*.md` must point at an existing file, and every `#anchor` must
 //!   match a heading in its target document.
+//! * **One command line**: no markdown file names an entry point the `b3`
+//!   binary replaced.
 //! * **Wire-spec consistency**: the frame-tag table in `docs/PROTOCOL.md`
 //!   must match the `wire` constants in
 //!   `b3_harness::distrib::protocol`, and the documented protocol version
@@ -151,6 +153,68 @@ fn intra_repo_links_resolve() {
         }
     }
     assert!(broken.is_empty(), "broken intra-repo links:\n{broken:#?}");
+}
+
+/// Every `.md` file of the repository (build directories aside).
+fn markdown_files(dir: &std::path::Path, found: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("repository directory reads") {
+        let path = entry.expect("directory entry reads").path();
+        let name = path
+            .file_name()
+            .and_then(|name| name.to_str())
+            .unwrap_or("");
+        if path.is_dir() {
+            if !matches!(name, "target" | ".git" | ".bench_build") {
+                markdown_files(&path, found);
+            }
+        } else if name.ends_with(".md") {
+            found.push(path);
+        }
+    }
+}
+
+/// The sweep stack has one command line, `b3` (README.md, "Command line").
+/// A document that still names one of the five entry points it replaced
+/// sends readers to a command that no longer exists. History is exempt:
+/// the change log, the roadmap's done-items and the issue being worked.
+#[test]
+fn no_document_names_a_replaced_entry_point() {
+    const REPLACED: [&str; 5] = [
+        "b3-sweep-fleet",
+        "b3-sweep-worker",
+        "b3-analyze",
+        "sweep_coordinator",
+        "app_sweep",
+    ];
+    const HISTORY: [&str; 3] = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"];
+    let root = repo_root();
+    let mut files = Vec::new();
+    markdown_files(&root, &mut files);
+    let mut stale = Vec::new();
+    for file in files {
+        let relative = file.strip_prefix(&root).expect("file is under the root");
+        if HISTORY
+            .iter()
+            .any(|name| relative == std::path::Path::new(name))
+        {
+            continue;
+        }
+        let markdown = std::fs::read_to_string(&file).expect("markdown file reads");
+        for (number, line) in markdown.lines().enumerate() {
+            // `b3-analyze` is also the package name of `crates/analyze`;
+            // the README's crate table may list it, as a crate.
+            if line.starts_with("| `b3-analyze` |") {
+                continue;
+            }
+            for name in REPLACED.iter().filter(|name| line.contains(**name)) {
+                stale.push(format!("{}:{}: {name}", relative.display(), number + 1));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "replaced entry points still documented:\n{stale:#?}"
+    );
 }
 
 /// Parses the PROTOCOL.md frame-tag table into `name -> tag` pairs. Rows
