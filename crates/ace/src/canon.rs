@@ -36,7 +36,10 @@
 //!   always a representative, and a representative-only sweep reproduces
 //!   the exact exemplar bytes. The check is purely local to the candidate,
 //!   which keeps representative selection stable under any
-//!   [`Bounds::shard`] split.
+//!   [`Bounds::shard`] split — and it reads the skeleton and the phase-2
+//!   digits only, never the persistence digits, so the verdict is one per
+//!   *core* ([`Classifier::classify_core`]): a sweep asks once per core
+//!   block and prunes a non-representative block without building it.
 //!
 //! The scheme is versioned ([`CANON_VERSION`]): the harness mixes the
 //! version into checkpoint fingerprints and the distributed job scope, so
@@ -44,12 +47,13 @@
 //! reject each other instead of silently pruning different candidates.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use b3_vfs::workload::{FileSet, Op, OpKind, Workload};
+use b3_vfs::workload::{FileSet, Op, Workload};
 
 use crate::bounds::Bounds;
-use crate::generator::persistence_option_count;
-use crate::phases::{persistence_options, phase2_candidates, phase4_dependencies};
+use crate::phases::phase4_dependencies;
+use crate::table::SpaceTable;
 
 /// Version of the canonicalization scheme (key grammar + automorphism
 /// definition + representative rule). Bump whenever any of the three
@@ -127,29 +131,6 @@ impl Sigma {
     }
 }
 
-/// Per-kind phase-2 facts: the candidate list and its inverse lookup.
-struct KindTable {
-    candidates: Vec<Op>,
-    index: HashMap<Op, usize>,
-}
-
-/// Per-skeleton odometer facts mirroring the generator's enumeration
-/// order: skeletons are a rightmost-fastest odometer over `bounds.ops`,
-/// and within a skeleton the candidate index decomposes as
-/// `prefix + core_index * per_core + persist_index`.
-struct SkeletonInfo {
-    /// Kind indices (into `bounds.ops`) per sequence position.
-    kinds: Vec<usize>,
-    /// Global candidate index of this skeleton's first candidate.
-    prefix: u64,
-    /// Product of per-position persistence radices.
-    per_core: u64,
-    /// Phase-2 radix per position.
-    core_radix: Vec<u64>,
-    /// Phase-3 radix per position.
-    persist_radix: Vec<u64>,
-}
-
 /// Decomposition of an assembled candidate back into odometer digits.
 struct Decomposed {
     skeleton: usize,
@@ -157,32 +138,54 @@ struct Decomposed {
     persist_digits: Vec<usize>,
 }
 
-/// Classifies assembled candidates into canonical equivalence classes for
-/// one [`Bounds`] configuration. Read-only after construction; share by
-/// reference across sweep worker threads.
+/// How [`Classifier::classify_core`] placed one core (a skeleton plus its
+/// phase-2 digit tuple) within its class. Holds for every candidate of the
+/// core's persistence block.
+pub struct CoreClass<'c> {
+    /// The minimizing in-space automorphism and the core digits it maps to;
+    /// `None` for a representative.
+    best: Option<(Vec<usize>, &'c Sigma)>,
+}
+
+impl CoreClass<'_> {
+    /// True when no automorphism maps the core to an earlier one.
+    pub fn is_representative(&self) -> bool {
+        self.best.is_none()
+    }
+}
+
+/// Classifies candidates into canonical equivalence classes for one
+/// [`Bounds`] configuration. Read-only after construction; share across
+/// sweep worker threads.
 pub struct Classifier {
-    bounds: Bounds,
+    /// The bounds' enumeration tables, shared with the sweep's generators.
+    table: Arc<SpaceTable>,
     /// Directory paths of the file set (for dir/file typing in keys).
     dirs: HashSet<String>,
     /// Non-identity automorphisms as digit-translation tables.
     sigmas: Vec<Sigma>,
-    kinds: Vec<KindTable>,
-    kind_index: HashMap<OpKind, usize>,
-    skeletons: Vec<SkeletonInfo>,
-    skeleton_lookup: HashMap<Vec<usize>, usize>,
     /// Test-only hook: collapse directory structure out of keys (see
     /// [`Classifier::unsound_for_tests`]).
     flatten_keys: bool,
 }
 
 impl Classifier {
-    /// Builds the classifier for `bounds`: enumerates the file-set
-    /// automorphism group, compiles each automorphism into digit tables,
-    /// and precomputes the skeleton prefix sums used for analytic
-    /// candidate-index reconstruction.
+    /// Builds the classifier for `bounds` on tables of its own.
     pub fn new(bounds: &Bounds) -> Classifier {
-        let maps = forest_automorphisms(&bounds.files);
-        Self::with_maps(bounds, maps, false)
+        Self::on_table(SpaceTable::new(bounds))
+    }
+
+    /// Builds the classifier on a sweep's shared tables: enumerates the
+    /// file-set automorphism group and compiles each automorphism into
+    /// per-kind digit-translation tables.
+    pub fn on_table(table: Arc<SpaceTable>) -> Classifier {
+        let maps = forest_automorphisms(&table.bounds().files);
+        Self::with_maps(table, maps, false)
+    }
+
+    /// The bounds this classifier was built for.
+    pub fn bounds(&self) -> &Bounds {
+        self.table.bounds()
     }
 
     /// The number of non-identity automorphisms in use (16 for the paper
@@ -210,49 +213,29 @@ impl Classifier {
                 maps.push(map);
             }
         }
-        Self::with_maps(bounds, maps, true)
+        Self::with_maps(SpaceTable::new(bounds), maps, true)
     }
 
     fn with_maps(
-        bounds: &Bounds,
+        table: Arc<SpaceTable>,
         maps: Vec<HashMap<String, String>>,
         flatten_keys: bool,
     ) -> Classifier {
-        let kinds: Vec<KindTable> = bounds
-            .ops
-            .iter()
-            .map(|kind| {
-                let candidates = phase2_candidates(*kind, bounds);
-                let index = candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, op)| (op.clone(), i))
-                    .collect();
-                KindTable { candidates, index }
-            })
-            .collect();
-        let kind_index = bounds
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, kind)| (*kind, i))
-            .collect();
-
+        let bounds = table.bounds();
         let sigmas = maps
             .into_iter()
             .filter(|map| map.iter().any(|(from, to)| from != to))
             .map(|map| {
-                let digit = kinds
-                    .iter()
-                    .map(|table| {
-                        table
-                            .candidates
+                let digit = (0..bounds.ops.len())
+                    .map(|kind| {
+                        let kind = table.kind(kind);
+                        kind.candidates
                             .iter()
                             .map(|op| {
                                 let mapped = map_op_paths(op, &mut |p| {
                                     map.get(p).cloned().unwrap_or_else(|| p.to_string())
                                 });
-                                table.index.get(&mapped).copied()
+                                kind.index.get(&mapped).copied()
                             })
                             .collect()
                     })
@@ -260,53 +243,11 @@ impl Classifier {
                 Sigma { map, digit }
             })
             .collect();
-
-        // Skeletons in generator enumeration order (rightmost position
-        // fastest), with per-skeleton prefix sums of candidate counts.
-        let mut skeletons = Vec::new();
-        let mut skeleton_lookup = HashMap::new();
-        let mut prefix = 0u64;
-        if !bounds.ops.is_empty() || bounds.seq_len == 0 {
-            let mut digits = vec![0usize; bounds.seq_len];
-            loop {
-                let core_radix: Vec<u64> = digits
-                    .iter()
-                    .map(|&k| kinds[k].candidates.len() as u64)
-                    .collect();
-                let persist_radix: Vec<u64> = digits
-                    .iter()
-                    .enumerate()
-                    .map(|(position, &k)| {
-                        let is_last = position + 1 == bounds.seq_len;
-                        persistence_option_count(bounds.ops[k], is_last, bounds)
-                    })
-                    .collect();
-                let per_core: u64 = persist_radix.iter().product();
-                let total: u64 = core_radix.iter().product::<u64>().saturating_mul(per_core);
-                skeleton_lookup.insert(digits.clone(), skeletons.len());
-                skeletons.push(SkeletonInfo {
-                    kinds: digits.clone(),
-                    prefix,
-                    per_core,
-                    core_radix,
-                    persist_radix,
-                });
-                prefix = prefix.saturating_add(total);
-                if !advance(&mut digits, bounds.ops.len()) {
-                    break;
-                }
-            }
-        }
-
         Classifier {
-            bounds: bounds.clone(),
             dirs: bounds.files.dirs().iter().cloned().collect(),
             sigmas,
-            kinds,
-            kind_index,
-            skeletons,
-            skeleton_lookup,
             flatten_keys,
+            table,
         }
     }
 
@@ -358,61 +299,72 @@ impl Classifier {
         label
     }
 
+    /// Classifies one core: the skeleton (its index in enumeration order)
+    /// and the phase-2 digit per position. The verdict never reads the
+    /// persistence digits, so it holds for the core's whole block.
+    pub fn classify_core(&self, skeleton: usize, core_digits: &[usize]) -> CoreClass<'_> {
+        let kinds = self.table.skeleton_kinds(skeleton);
+        let mut best: Option<(Vec<usize>, &Sigma)> = None;
+        let mut digits = Vec::with_capacity(core_digits.len());
+        for sigma in &self.sigmas {
+            digits.clear();
+            digits.extend(
+                core_digits
+                    .iter()
+                    .zip(kinds)
+                    .map_while(|(&digit, &kind)| sigma.digit[kind][digit]),
+            );
+            // A shorter tuple means an image outside the enumerated space.
+            if digits.len() < core_digits.len() || digits.as_slice() >= core_digits {
+                continue;
+            }
+            match &mut best {
+                Some((smallest, _)) if digits >= *smallest => {}
+                Some((smallest, by)) => {
+                    smallest.clone_from(&digits);
+                    *by = sigma;
+                }
+                None => best = Some((digits.clone(), sigma)),
+            }
+        }
+        CoreClass { best }
+    }
+
     /// Classifies one assembled candidate (core ops interleaved with their
-    /// phase-3 persistence ops, i.e. a generated `Workload`'s `ops`).
-    /// Returns `None` when the sequence does not decompose into this
-    /// bounds' candidate space (never the case for workloads the bounds'
-    /// own generator emitted).
+    /// phase-3 persistence ops, i.e. a generated `Workload`'s `ops`):
+    /// [`classify_core`](Self::classify_core) of its digits plus the
+    /// canonical key and, for a member, its representative. Returns `None`
+    /// when the sequence does not decompose into this bounds' candidate
+    /// space (never the case for workloads the bounds' own generator
+    /// emitted).
     pub fn classify(&self, ops: &[Op]) -> Option<Class> {
         let d = self.decompose(ops)?;
         let key = self.key(ops);
-        let skeleton = &self.skeletons[d.skeleton];
-        let mut best: Option<(Vec<usize>, &Sigma)> = None;
-        for sigma in &self.sigmas {
-            let mut digits = Vec::with_capacity(d.core_digits.len());
-            let mut in_space = true;
-            for (position, &digit) in d.core_digits.iter().enumerate() {
-                match sigma.digit[skeleton.kinds[position]][digit] {
-                    Some(translated) => digits.push(translated),
-                    None => {
-                        in_space = false;
-                        break;
-                    }
-                }
-            }
-            if !in_space || digits >= d.core_digits {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(b, _)| digits < *b) {
-                best = Some((digits, sigma));
-            }
-        }
-        Some(match best {
+        Some(match self.classify_core(d.skeleton, &d.core_digits).best {
             None => Class::Representative { key },
-            Some((digits, sigma)) => {
-                let rep_ops: Vec<Op> = ops.iter().map(|op| sigma.apply(op)).collect();
-                let rep_index = self.index_of(d.skeleton, &digits, &d.persist_digits);
-                Class::Member {
-                    key,
-                    rep_ops,
-                    rep_index,
-                }
-            }
+            Some((digits, sigma)) => Class::Member {
+                key,
+                rep_ops: ops.iter().map(|op| sigma.apply(op)).collect(),
+                rep_index: self.table.index_of(d.skeleton, &digits, &d.persist_digits),
+            },
         })
     }
 
     /// The global candidate index (0-based) of an assembled candidate —
     /// the inverse of the generator's `skip_to` addressing, computed
-    /// analytically from the cached skeleton prefix sums.
+    /// analytically from the table's skeleton prefix sums.
     pub fn candidate_index(&self, ops: &[Op]) -> Option<u64> {
         let d = self.decompose(ops)?;
-        Some(self.index_of(d.skeleton, &d.core_digits, &d.persist_digits))
+        Some(
+            self.table
+                .index_of(d.skeleton, &d.core_digits, &d.persist_digits),
+        )
     }
 
     /// The workload name the generator gives the candidate at a global
     /// index (names are 1-based zero-padded enumeration indices).
     pub fn workload_name(&self, index: u64) -> String {
-        format!("{}-{:07}", self.bounds.name_prefix, index + 1)
+        self.table.workload_name(index)
     }
 
     /// Builds the representative's full workload (phase-4 setup included)
@@ -423,59 +375,40 @@ impl Classifier {
     /// itself an audit failure).
     pub fn representative_workload(&self, rep_ops: &[Op], rep_index: u64) -> Option<Workload> {
         let name = self.workload_name(rep_index);
-        phase4_dependencies(&name, rep_ops.to_vec(), &self.bounds)
-    }
-
-    fn index_of(&self, skeleton: usize, core_digits: &[usize], persist_digits: &[usize]) -> u64 {
-        let info = &self.skeletons[skeleton];
-        let mut core = 0u64;
-        for (position, &digit) in core_digits.iter().enumerate() {
-            core = core * info.core_radix[position] + digit as u64;
-        }
-        let mut persist = 0u64;
-        for (position, &digit) in persist_digits.iter().enumerate() {
-            persist = persist * info.persist_radix[position] + digit as u64;
-        }
-        info.prefix + core * info.per_core + persist
+        phase4_dependencies(&name, rep_ops.to_vec(), self.bounds())
     }
 
     /// Splits an assembled sequence back into per-position (core op,
     /// persistence choice) pairs and resolves the odometer digits.
     fn decompose(&self, ops: &[Op]) -> Option<Decomposed> {
-        let mut pairs: Vec<(&Op, Option<&Op>)> = Vec::new();
+        let seq_len = self.bounds().seq_len;
+        let mut kinds = Vec::with_capacity(seq_len);
+        let mut core_digits = Vec::with_capacity(seq_len);
+        let mut chosen: Vec<Option<&Op>> = Vec::with_capacity(seq_len);
         let mut iter = ops.iter().peekable();
         while let Some(op) = iter.next() {
             if op.is_persistence_point() {
                 return None; // persistence op with no preceding core op
             }
-            let persist = match iter.peek() {
-                Some(next) if next.is_persistence_point() => iter.next(),
-                _ => None,
-            };
-            pairs.push((op, persist));
+            let kind = self.table.kind_index(op.kind())?;
+            kinds.push(kind);
+            core_digits.push(*self.table.kind(kind).index.get(op)?);
+            chosen.push(iter.next_if(|next| next.is_persistence_point()));
         }
-        if pairs.len() != self.bounds.seq_len {
+        if kinds.len() != seq_len {
             return None;
         }
-
-        let skeleton_digits: Vec<usize> = pairs
-            .iter()
-            .map(|(op, _)| self.kind_index.get(&op.kind()).copied())
+        let persist_digits = (0..seq_len)
+            .map(|position| {
+                let is_last = position + 1 == seq_len;
+                self.table.kind(kinds[position]).persistence[core_digits[position]]
+                    [usize::from(is_last)]
+                .iter()
+                .position(|option| option.as_ref() == chosen[position])
+            })
             .collect::<Option<_>>()?;
-        let skeleton = *self.skeleton_lookup.get(&skeleton_digits)?;
-
-        let mut core_digits = Vec::with_capacity(pairs.len());
-        let mut persist_digits = Vec::with_capacity(pairs.len());
-        for (position, (core, persist)) in pairs.iter().enumerate() {
-            let table = &self.kinds[skeleton_digits[position]];
-            core_digits.push(*table.index.get(*core)?);
-            let is_last = position + 1 == pairs.len();
-            let options = persistence_options(core, is_last, &self.bounds);
-            let chosen: Option<Op> = persist.cloned();
-            persist_digits.push(options.iter().position(|option| *option == chosen)?);
-        }
         Some(Decomposed {
-            skeleton,
+            skeleton: self.table.skeleton_of(&kinds),
             core_digits,
             persist_digits,
         })
@@ -755,18 +688,6 @@ fn heap_permute(items: &mut Vec<usize>, start: usize, out: &mut Vec<Vec<usize>>)
         heap_permute(items, start + 1, out);
         items.swap(start, i);
     }
-}
-
-/// Rightmost-fastest odometer step over uniform radix; false on wrap.
-fn advance(digits: &mut [usize], radix: usize) -> bool {
-    for position in (0..digits.len()).rev() {
-        digits[position] += 1;
-        if digits[position] < radix {
-            return true;
-        }
-        digits[position] = 0;
-    }
-    false
 }
 
 #[cfg(test)]

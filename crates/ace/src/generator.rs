@@ -8,26 +8,56 @@
 //! phase-2 argument choices, then phase-3 persistence choices, rightmost
 //! position fastest), which makes it *addressable*: [`WorkloadGenerator::skip_to`]
 //! positions the generator at any global candidate index in
-//! O(|skeletons| + seq_len), and [`Bounds::shard`] splits the space into
+//! O(log |skeletons| + seq_len), and [`Bounds::shard`] splits the space into
 //! deterministic, independently enumerable chunks whose concatenation is
 //! exactly the unsharded enumeration — including workload names.
+//!
+//! Phase 4 rides the odometer. The generator keeps one [`SimState`] per op
+//! position along `c1 p1 c2 p2 …` (core op, its persistence choice, next
+//! core op, …) and, when the odometer moves, re-simulates only from the
+//! first position whose digit changed. A prefix phase 4 rejects takes every
+//! candidate that shares it along: the subtree is discarded by cursor
+//! arithmetic, without assembling any of its members. Nothing is built —
+//! no op vector, no name, no [`Workload`] — until a caller asks for the
+//! parked candidate ([`WorkloadGenerator::workload`]), so a caller that only
+//! needs to *count* a block of candidates ([`WorkloadGenerator::count_block`],
+//! how a representative sweep prunes a non-representative core) pays for
+//! the simulation alone.
 
-use b3_vfs::workload::{Op, OpKind, Workload};
+use std::sync::Arc;
+
+use b3_vfs::workload::{Op, Workload};
 
 use crate::bounds::Bounds;
-use crate::phases::{persistence_options, phase2_candidates, phase4_dependencies};
+use crate::canon::Classifier;
+use crate::phases::phase4_dependencies;
+use crate::sim::{SimOutcome, SimState};
+use crate::table::{bump, SpaceTable};
 
 /// Counters describing one generation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenerationStats {
     /// Skeletons produced by phase 1 (for a shard: the whole space's count).
     pub skeletons: u64,
-    /// Candidate workloads examined (phase 2 × phase 3 combinations).
+    /// Candidate workloads examined (phase 2 × phase 3 combinations),
+    /// including those discarded a subtree at a time.
     pub candidates: u64,
     /// Candidates discarded by phase 4 as impossible to execute.
     pub discarded: u64,
-    /// Valid workloads emitted.
+    /// Valid workloads found: emitted, or counted by
+    /// [`WorkloadGenerator::count_block`] without being built.
     pub emitted: u64,
+    /// Operations simulated by phase 4 (re-simulating every candidate from
+    /// an empty namespace would be `candidates × ops per candidate`).
+    pub sim_applies: u64,
+    /// Rejected prefixes whose candidates were discarded by cursor
+    /// arithmetic (a prefix cut by a range boundary counts on both sides).
+    pub subtrees_discarded: u64,
+    /// Cores (phase-2 digit tuples) the installed classifier was asked
+    /// about — once per core with at least one valid candidate.
+    pub cores_classified: u64,
+    /// Of those, the cores that are not their class's representative.
+    pub cores_pruned: u64,
 }
 
 /// One deterministic chunk of a bounded workload space.
@@ -64,63 +94,75 @@ impl WorkloadShard {
 
 impl Bounds {
     /// Splits the bounded candidate space into `of` near-equal shards and
-    /// returns shard `index` (zero-based).
+    /// returns shard `index` (zero-based). Builds the bounds'
+    /// [`SpaceTable`]; callers cutting many shards should build it once and
+    /// use [`SpaceTable::shard`].
     ///
     /// # Panics
     /// Panics when `index >= of` or `of == 0`.
     pub fn shard(&self, index: usize, of: usize) -> WorkloadShard {
-        assert!(of > 0, "cannot split a space into zero shards");
-        assert!(index < of, "shard index {index} out of range 0..{of}");
-        let total = WorkloadGenerator::estimate_candidates(self) as u128;
-        let start = (total * index as u128 / of as u128) as u64;
-        let end = (total * (index as u128 + 1) / of as u128) as u64;
-        WorkloadShard {
-            index,
-            of,
-            start,
-            end,
-        }
+        SpaceTable::new(self).shard(index, of)
     }
 
     /// All `of` shards of this space, in order.
     pub fn shards(&self, of: usize) -> Vec<WorkloadShard> {
-        (0..of).map(|i| self.shard(i, of)).collect()
+        let table = SpaceTable::new(self);
+        (0..of).map(|i| table.shard(i, of)).collect()
     }
 }
 
-/// Per-operation-kind cached facts used by the odometer arithmetic.
-#[derive(Debug, Clone)]
-struct KindInfo {
-    /// Phase-2 argument candidates for this kind.
-    candidates: Vec<Op>,
-    /// Phase-3 option count when the operation is not last.
-    persist_non_last: usize,
-    /// Phase-3 option count when the operation is last.
-    persist_last: usize,
+/// One valid candidate a [`WorkloadGenerator`] is parked on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leaf {
+    /// Global candidate index (0-based). The candidate's workload name ends
+    /// in `index + 1`.
+    pub index: u64,
+    /// False when the installed [`Classifier`] says the candidate's core is
+    /// not its class's representative — constant over the core's whole
+    /// persistence block. Always true without a classifier.
+    pub representative: bool,
+}
+
+/// The phase-4 trunk: the namespace after every op position of the last
+/// simulated candidate, `c1 p1 c2 p2 …`.
+struct SimStack {
+    /// `states[k]` is the namespace after the first `k` slots (`states[0]`
+    /// stays empty); `2 * seq_len + 1` entries.
+    states: Vec<SimState>,
+    /// The digit of each slot that `states` was simulated for, under the
+    /// generator's current skeleton. `digits.len()` slots are valid.
+    digits: Vec<usize>,
 }
 
 /// A lazy, exhaustive, addressable workload generator for one [`Bounds`]
 /// configuration (optionally restricted to a candidate range — a shard).
+///
+/// As an [`Iterator`] it yields every valid workload. The block-level API
+/// underneath — [`next_leaf`](Self::next_leaf), [`workload`](Self::workload),
+/// [`count_block`](Self::count_block) — is the same machine, for callers
+/// that do not need every candidate built.
 pub struct WorkloadGenerator {
-    bounds: Bounds,
-    /// Cached per-kind candidates and persistence counts, aligned with
-    /// `bounds.ops`.
-    kinds: Vec<KindInfo>,
-    /// Phase-1 odometer: one digit per sequence position, radix
-    /// `bounds.ops.len()`, rightmost fastest. `None` once exhausted.
-    skeleton: Option<Vec<usize>>,
-    /// Phase-2 odometer: argument choice per position.
-    core_odometer: Vec<usize>,
-    /// The concrete core operations selected by `core_odometer`.
-    core_ops: Vec<Op>,
-    /// Phase-3 options per position for the current core.
-    persist_options: Vec<Vec<Option<Op>>>,
-    /// Phase-3 odometer: persistence choice per position.
-    persist_odometer: Vec<usize>,
-    /// Global candidate index of the next candidate to examine.
+    table: Arc<SpaceTable>,
+    /// The core filter: asked once per core, reported on every [`Leaf`].
+    classifier: Option<Arc<Classifier>>,
+    /// The odometers. They describe candidate `cursor` whenever
+    /// `cursor < end`; past the end of the space they are stale.
+    skeleton: usize,
+    core: Vec<usize>,
+    persist: Vec<usize>,
+    /// Per-position radices of the current skeleton.
+    core_radix: Vec<u64>,
+    persist_radix: Vec<u64>,
+    /// Global index of the candidate the odometers describe.
     cursor: u64,
+    /// True when candidate `cursor` was handed out as a [`Leaf`] (and is
+    /// counted in `stats`); the next step moves past it first.
+    parked: bool,
     /// One past the last candidate this generator may examine.
     end: u64,
+    sim: SimStack,
+    /// The last classified core block: (its first candidate, its verdict).
+    verdict: Option<(u64, bool)>,
     stats: GenerationStats,
 }
 
@@ -138,37 +180,50 @@ impl WorkloadGenerator {
     /// Creates a generator restricted to global candidate indices
     /// `start..end`.
     pub fn with_range(bounds: Bounds, start: u64, end: u64) -> Self {
-        let kinds: Vec<KindInfo> = bounds
-            .ops
-            .iter()
-            .map(|kind| KindInfo {
-                candidates: phase2_candidates(*kind, &bounds),
-                persist_non_last: persistence_option_count(*kind, false, &bounds) as usize,
-                persist_last: persistence_option_count(*kind, true, &bounds) as usize,
-            })
-            .collect();
-        let num_skeletons = (bounds.ops.len() as u64).saturating_pow(bounds.seq_len as u32);
+        Self::on_table(SpaceTable::new(&bounds), start, end)
+    }
+
+    /// Creates a generator over `start..end` of an already built table —
+    /// what a sweep uses, so its shards do not each rebuild the tables.
+    pub fn on_table(table: Arc<SpaceTable>, start: u64, end: u64) -> Self {
+        let seq_len = table.bounds().seq_len;
         let mut generator = WorkloadGenerator {
-            skeleton: Some(vec![0; bounds.seq_len]),
-            core_odometer: Vec::new(),
-            core_ops: Vec::new(),
-            persist_options: Vec::new(),
-            persist_odometer: Vec::new(),
+            classifier: None,
+            skeleton: usize::MAX,
+            core: vec![0; seq_len],
+            persist: vec![0; seq_len],
+            core_radix: Vec::with_capacity(seq_len),
+            persist_radix: Vec::with_capacity(seq_len),
             cursor: 0,
-            end,
+            parked: false,
+            end: end.min(table.total()),
+            sim: SimStack {
+                states: vec![SimState::new(); 2 * seq_len + 1],
+                digits: Vec::with_capacity(2 * seq_len),
+            },
+            verdict: None,
             stats: GenerationStats {
-                skeletons: num_skeletons,
+                skeletons: table.num_skeletons() as u64,
                 ..GenerationStats::default()
             },
-            kinds,
-            bounds,
+            table,
         };
-        if generator.bounds.ops.is_empty() && generator.bounds.seq_len > 0 {
-            generator.skeleton = None;
-        } else {
-            generator.seek(start);
-        }
+        generator.seek(start);
         generator
+    }
+
+    /// Installs the core filter: every [`Leaf`] reports whether its core is
+    /// its equivalence class's representative, decided once per core.
+    ///
+    /// # Panics
+    /// Panics when the classifier was built for other bounds.
+    pub fn classified_by(mut self, classifier: Arc<Classifier>) -> Self {
+        assert!(
+            classifier.bounds() == self.table.bounds(),
+            "the classifier belongs to different bounds"
+        );
+        self.classifier = Some(classifier);
+        self
     }
 
     /// Statistics so far (complete once the iterator is exhausted). For a
@@ -180,17 +235,17 @@ impl WorkloadGenerator {
 
     /// The bounds this generator explores.
     pub fn bounds(&self) -> &Bounds {
-        &self.bounds
+        self.table.bounds()
     }
 
     /// The global candidate index of the next candidate to be examined.
     pub fn cursor(&self) -> u64 {
-        self.cursor
+        self.cursor + u64::from(self.parked)
     }
 
     /// Repositions the generator at the given global candidate index without
     /// enumerating the candidates before it. Runs in
-    /// O(|skeletons| + seq_len); the skipped candidates do not appear in
+    /// O(log |skeletons| + seq_len); the skipped candidates do not appear in
     /// [`GenerationStats`].
     pub fn skip_to(&mut self, index: u64) {
         self.seek(index);
@@ -200,268 +255,251 @@ impl WorkloadGenerator {
     /// (before phase-4 filtering), computed analytically without walking the
     /// space.
     pub fn estimate_candidates(bounds: &Bounds) -> u64 {
-        if bounds.ops.is_empty() && bounds.seq_len > 0 {
-            return 0;
-        }
-        let per_kind: Vec<(u64, u64, u64)> = bounds
-            .ops
-            .iter()
-            .map(|kind| {
-                (
-                    phase2_candidates(*kind, bounds).len() as u64,
-                    persistence_option_count(*kind, false, bounds),
-                    persistence_option_count(*kind, true, bounds),
-                )
-            })
-            .collect();
-        let mut total = 0u64;
-        let mut skeleton = vec![0usize; bounds.seq_len];
-        loop {
-            let mut product = 1u64;
-            for (position, &kind_idx) in skeleton.iter().enumerate() {
-                let is_last = position + 1 == bounds.seq_len;
-                let (args, non_last, last) = per_kind[kind_idx];
-                let persistence = if is_last { last } else { non_last };
-                product = product.saturating_mul(args).saturating_mul(persistence);
-            }
-            total = total.saturating_add(product);
-            if !advance_digits(&mut skeleton, |_| bounds.ops.len()) {
-                break;
-            }
-        }
-        total
+        SpaceTable::new(bounds).total()
     }
 
-    /// Candidates a skeleton expands to: the product of per-position
-    /// (argument choices × persistence choices).
-    fn skeleton_candidates(&self, skeleton: &[usize]) -> u64 {
-        let mut product = 1u64;
-        for (position, &kind_idx) in skeleton.iter().enumerate() {
-            let info = &self.kinds[kind_idx];
-            let persistence = if position + 1 == skeleton.len() {
-                info.persist_last
-            } else {
-                info.persist_non_last
-            };
-            product = product
-                .saturating_mul(info.candidates.len() as u64)
-                .saturating_mul(persistence as u64);
+    /// Parks on the next valid candidate of the range and reports it; `None`
+    /// once the range is exhausted. Nothing is built: ask
+    /// [`workload`](Self::workload) for the candidate, or
+    /// [`count_block`](Self::count_block) to count its core block instead.
+    pub fn next_leaf(&mut self) -> Option<Leaf> {
+        if !self.park(self.end) {
+            return None;
         }
-        product
+        Some(Leaf {
+            index: self.cursor,
+            representative: self.core_is_representative(),
+        })
     }
 
-    /// Positions the odometers at global candidate index `index`, skipping
-    /// whole skeletons analytically.
+    /// Builds the parked candidate: its ops, its phase-4 setup (read off the
+    /// simulation that validated it) and its name.
+    ///
+    /// # Panics
+    /// Panics when the generator is not parked on a candidate.
+    pub fn workload(&self) -> Workload {
+        assert!(self.parked, "no parked candidate: call next_leaf first");
+        let setup = self.sim.states[self.sim.digits.len()].setup().to_vec();
+        let name = self.table.workload_name(self.cursor);
+        let workload = Workload::with_setup(name, setup, self.assemble());
+        debug_assert_eq!(
+            Some(&workload),
+            phase4_dependencies(&workload.name, workload.ops.clone(), self.bounds()).as_ref(),
+            "the incremental simulation diverged from phase 4"
+        );
+        workload
+    }
+
+    /// Counts the parked candidate plus the valid candidates after it in its
+    /// core block (the candidates sharing its phase-2 digits) and range,
+    /// without building any of them, and leaves the generator past the
+    /// block.
+    ///
+    /// # Panics
+    /// Panics when the generator is not parked on a candidate.
+    pub fn count_block(&mut self) -> u64 {
+        assert!(self.parked, "no parked candidate: call next_leaf first");
+        let (_, block_end) = self.block();
+        let limit = block_end.min(self.end);
+        let mut valid = 1;
+        while self.park(limit) {
+            valid += 1;
+        }
+        valid
+    }
+
+    /// The core block holding candidate `cursor`: first index, one past the
+    /// last.
+    fn block(&self) -> (u64, u64) {
+        let per_core: u64 = self.persist_radix.iter().product();
+        let start = self.table.skeleton_start(self.skeleton);
+        let block_start = start + (self.cursor - start) / per_core * per_core;
+        (block_start, block_start + per_core)
+    }
+
+    /// Positions the odometers at global candidate index `index`.
     fn seek(&mut self, index: u64) {
-        if self.bounds.ops.is_empty() && self.bounds.seq_len > 0 {
-            self.skeleton = None;
-            self.cursor = index;
-            return;
-        }
-        let mut skeleton = vec![0usize; self.bounds.seq_len];
-        let mut remaining = index;
-        loop {
-            let total = self.skeleton_candidates(&skeleton);
-            if remaining < total {
-                break;
-            }
-            remaining -= total;
-            if !advance_digits(&mut skeleton, |_| self.bounds.ops.len()) {
-                self.skeleton = None;
-                self.cursor = index;
-                return;
-            }
-        }
-
-        // Decompose the remainder: argument choices are the outer odometer,
-        // persistence choices the inner one, rightmost position fastest.
-        let per_core: u64 = skeleton
-            .iter()
-            .enumerate()
-            .map(|(position, &kind_idx)| {
-                let info = &self.kinds[kind_idx];
-                if position + 1 == skeleton.len() {
-                    info.persist_last as u64
-                } else {
-                    info.persist_non_last as u64
-                }
-            })
-            .product();
-        let core_index = remaining / per_core.max(1);
-        let persist_index = remaining % per_core.max(1);
-
-        let mut core_odometer = vec![0usize; skeleton.len()];
-        let mut idx = core_index;
-        for position in (0..skeleton.len()).rev() {
-            let radix = self.kinds[skeleton[position]].candidates.len() as u64;
-            core_odometer[position] = (idx % radix) as usize;
-            idx /= radix;
-        }
-
-        self.skeleton = Some(skeleton);
-        self.core_odometer = core_odometer;
-        self.rebuild_core();
-
-        let mut persist_odometer = vec![0usize; self.persist_options.len()];
-        let mut idx = persist_index;
-        for position in (0..persist_odometer.len()).rev() {
-            let radix = self.persist_options[position].len() as u64;
-            persist_odometer[position] = (idx % radix) as usize;
-            idx /= radix;
-        }
-        self.persist_odometer = persist_odometer;
         self.cursor = index;
-    }
-
-    /// Rebuilds `core_ops` and `persist_options` from the skeleton and core
-    /// odometer.
-    fn rebuild_core(&mut self) {
-        let Some(skeleton) = &self.skeleton else {
+        self.parked = false;
+        let Some(skeleton) = self.table.skeleton_containing(index) else {
             return;
         };
-        let len = skeleton.len();
-        self.core_ops = skeleton
-            .iter()
-            .zip(&self.core_odometer)
-            .map(|(&kind_idx, &choice)| self.kinds[kind_idx].candidates[choice].clone())
-            .collect();
-        self.persist_options = self
-            .core_ops
+        if skeleton != self.skeleton {
+            self.skeleton = skeleton;
+            self.sim.digits.clear();
+            self.core_radix.clear();
+            self.core_radix.extend(self.table.core_radix(skeleton));
+            self.persist_radix.clear();
+            self.persist_radix
+                .extend(self.table.persist_radix(skeleton));
+        }
+        // Within a skeleton the index is one mixed-radix number: argument
+        // digits above persistence digits, rightmost position fastest.
+        let mut rest = index - self.table.skeleton_start(skeleton);
+        for (digit, radix) in self.persist.iter_mut().zip(&self.persist_radix).rev() {
+            *digit = (rest % radix) as usize;
+            rest /= radix;
+        }
+        for (digit, radix) in self.core.iter_mut().zip(&self.core_radix).rev() {
+            *digit = (rest % radix) as usize;
+            rest /= radix;
+        }
+    }
+
+    /// Moves the odometers to the next candidate: persistence digits first,
+    /// then arguments, then the next non-empty skeleton.
+    fn advance(&mut self) {
+        self.cursor += 1;
+        let moved = bump(&mut self.persist, |i| self.persist_radix[i])
+            || bump(&mut self.core, |i| self.core_radix[i]);
+        if !moved {
+            self.seek(self.cursor);
+        }
+    }
+
+    /// Parks on the next valid candidate before `limit`; false (and
+    /// unparked at `limit` or beyond) when there is none.
+    fn park(&mut self, limit: u64) -> bool {
+        if self.parked {
+            self.parked = false;
+            self.advance();
+        }
+        while self.cursor < limit {
+            match self.simulate() {
+                Ok(()) => {
+                    self.parked = true;
+                    self.stats.candidates += 1;
+                    self.stats.emitted += 1;
+                    return true;
+                }
+                Err(slot) => self.discard_subtree(slot, limit),
+            }
+        }
+        false
+    }
+
+    /// Brings the trunk up to candidate `cursor`, re-simulating from the
+    /// first slot whose digit differs from what the trunk holds. `Err(slot)`
+    /// when phase 4 rejects the op at `slot`.
+    fn simulate(&mut self) -> Result<(), usize> {
+        let table = &*self.table;
+        let kinds = table.skeleton_kinds(self.skeleton);
+        let (core, persist) = (&self.core, &self.persist);
+        let digit = |slot: usize| [core, persist][slot % 2][slot / 2];
+        let sim = &mut self.sim;
+        let shared = sim
+            .digits
             .iter()
             .enumerate()
-            .map(|(position, op)| persistence_options(op, position + 1 == len, &self.bounds))
-            .collect();
+            .take_while(|&(slot, &simulated)| simulated == digit(slot))
+            .count();
+        sim.digits.truncate(shared);
+        for slot in shared..2 * kinds.len() {
+            let position = slot / 2;
+            let kind = table.kind(kinds[position]);
+            let op = if slot % 2 == 0 {
+                Some(&kind.candidates[core[position]])
+            } else {
+                let is_last = position + 1 == kinds.len();
+                kind.persistence[core[position]][usize::from(is_last)][persist[position]].as_ref()
+            };
+            let (below, above) = sim.states.split_at_mut(slot + 1);
+            above[0].clone_from(&below[slot]);
+            if let Some(op) = op {
+                self.stats.sim_applies += 1;
+                if above[0].apply(op, &table.bounds().files).is_err() {
+                    return Err(slot);
+                }
+            }
+            sim.digits.push(digit(slot));
+        }
+        Ok(())
+    }
+
+    /// Discards, by cursor arithmetic, the candidates from `cursor` on that
+    /// share the prefix phase 4 rejected at `slot`: within the core block,
+    /// every persistence choice of the positions after the rejected slot.
+    /// (Argument digits are outside the persistence digits in enumeration
+    /// order, so the candidates sharing the prefix under other later
+    /// arguments are not contiguous with these.) Stops at `limit`.
+    fn discard_subtree(&mut self, slot: usize, limit: u64) {
+        debug_assert!(
+            matches!(
+                SimState::plan(&self.assemble(), &self.bounds().files),
+                SimOutcome::Invalid(_)
+            ),
+            "phase 4 accepts candidate {} of a discarded subtree",
+            self.cursor
+        );
+        let free: u64 = self.persist_radix[slot.div_ceil(2)..].iter().product();
+        let start = self.table.skeleton_start(self.skeleton);
+        let subtree_end = start + ((self.cursor - start) / free + 1) * free;
+        let stop = subtree_end.min(limit);
+        self.stats.candidates += stop - self.cursor;
+        self.stats.discarded += stop - self.cursor;
+        self.stats.subtrees_discarded += 1;
+        self.seek(stop);
+    }
+
+    /// The installed classifier's verdict on the parked candidate's core,
+    /// asked once per core block.
+    fn core_is_representative(&mut self) -> bool {
+        let Some(classifier) = &self.classifier else {
+            return true;
+        };
+        let (block, _) = self.block();
+        if let Some((_, verdict)) = self.verdict.filter(|(classified, _)| *classified == block) {
+            return verdict;
+        }
+        let verdict = classifier
+            .classify_core(self.skeleton, &self.core)
+            .is_representative();
+        debug_assert_eq!(
+            classifier
+                .classify(&self.assemble())
+                .map(|class| class.is_representative()),
+            Some(verdict),
+            "the per-core verdict diverged from the per-candidate classifier"
+        );
+        self.stats.cores_classified += 1;
+        self.stats.cores_pruned += u64::from(!verdict);
+        self.verdict = Some((block, verdict));
+        verdict
     }
 
     /// Assembles the candidate op sequence at the current odometer position.
     fn assemble(&self) -> Vec<Op> {
-        let mut ops = Vec::with_capacity(self.core_ops.len() * 2);
-        for (position, op) in self.core_ops.iter().enumerate() {
-            ops.push(op.clone());
-            if let Some(p) = &self.persist_options[position][self.persist_odometer[position]] {
-                ops.push(p.clone());
-            }
+        let kinds = self.table.skeleton_kinds(self.skeleton);
+        let mut ops = Vec::with_capacity(kinds.len() * 2);
+        for (position, &kind) in kinds.iter().enumerate() {
+            let kind = self.table.kind(kind);
+            let core = self.core[position];
+            let is_last = position + 1 == kinds.len();
+            ops.push(kind.candidates[core].clone());
+            ops.extend(
+                kind.persistence[core][usize::from(is_last)][self.persist[position]].clone(),
+            );
         }
         ops
     }
-
-    /// Advances to the next candidate: persistence odometer first, then
-    /// arguments, then the skeleton.
-    fn advance(&mut self) {
-        if self.skeleton.is_none() {
-            return;
-        }
-        if advance_digits(&mut self.persist_odometer, |i| {
-            self.persist_options[i].len()
-        }) {
-            return;
-        }
-        let kinds = &self.kinds;
-        let skeleton = self.skeleton.as_ref().expect("checked above");
-        if advance_digits(&mut self.core_odometer, |i| {
-            kinds[skeleton[i]].candidates.len()
-        }) {
-            self.rebuild_core();
-            self.persist_odometer = vec![0; self.persist_options.len()];
-            return;
-        }
-        self.advance_skeleton();
-    }
-
-    /// Moves to the next skeleton with a non-empty candidate product.
-    fn advance_skeleton(&mut self) {
-        loop {
-            let Some(skeleton) = &mut self.skeleton else {
-                return;
-            };
-            if !advance_digits(skeleton, |_| self.bounds.ops.len()) {
-                self.skeleton = None;
-                return;
-            }
-            let ready = skeleton
-                .iter()
-                .all(|&kind_idx| !self.kinds[kind_idx].candidates.is_empty());
-            if ready {
-                self.core_odometer = vec![0; self.bounds.seq_len];
-                self.rebuild_core();
-                self.persist_odometer = vec![0; self.persist_options.len()];
-                return;
-            }
-        }
-    }
-}
-
-/// The phase-3 alternatives a single operation admits, without building the
-/// option list. Mirrors [`phases::persistence_options`]; the generator's
-/// sharding arithmetic and [`WorkloadGenerator::estimate_candidates`] both
-/// rely on the two staying in lock-step, which
-/// `tests::persistence_counts_match_options` pins down.
-pub(crate) fn persistence_option_count(kind: OpKind, is_last: bool, bounds: &Bounds) -> u64 {
-    let choices = &bounds.persistence;
-    let mut count = 0u64;
-    if choices.fsync {
-        count += 1;
-    }
-    if choices.fdatasync && is_last && kind.is_data_op() {
-        count += 1;
-    }
-    if choices.sync {
-        count += 1;
-    }
-    if !is_last && choices.allow_none {
-        count += 1;
-    }
-    count.max(1)
-}
-
-/// Increments a mixed-radix odometer (rightmost digit fastest); returns
-/// false when the odometer wrapped around (i.e. it was at its last value).
-fn advance_digits(digits: &mut [usize], radix: impl Fn(usize) -> usize) -> bool {
-    for position in (0..digits.len()).rev() {
-        digits[position] += 1;
-        if digits[position] < radix(position) {
-            return true;
-        }
-        digits[position] = 0;
-    }
-    false
 }
 
 impl Iterator for WorkloadGenerator {
     type Item = Workload;
 
     fn next(&mut self) -> Option<Workload> {
-        loop {
-            if self.skeleton.is_none() || self.cursor >= self.end {
-                return None;
-            }
-            // A skeleton containing a kind with no argument candidates has an
-            // empty product; seek/advance never land inside one except at
-            // startup, where the initial all-zeros skeleton may be empty.
-            if self.core_ops.is_empty() && self.bounds.seq_len > 0 {
-                self.advance_skeleton();
-                continue;
-            }
-            let ops = self.assemble();
-            self.cursor += 1;
-            self.stats.candidates += 1;
-            let name = format!("{}-{:07}", self.bounds.name_prefix, self.cursor);
-            self.advance();
-            match phase4_dependencies(&name, ops, &self.bounds) {
-                Some(workload) => {
-                    self.stats.emitted += 1;
-                    return Some(workload);
-                }
-                None => self.stats.discarded += 1,
-            }
-        }
+        self.next_leaf().map(|_| self.workload())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::{phase1_skeletons, phase2_parameters, phase3_persistence};
+    use crate::phases::{
+        persistence_options, phase1_skeletons, phase2_candidates, phase2_parameters,
+        phase3_persistence,
+    };
+    use crate::table::persistence_option_count;
 
     #[test]
     fn tiny_bounds_generate_quickly_and_deterministically() {
@@ -483,6 +521,48 @@ mod tests {
         assert_eq!(stats.emitted, emitted);
         assert_eq!(stats.candidates, stats.emitted + stats.discarded);
         assert!(stats.skeletons > 0);
+
+        // The same holds when subtrees are discarded unexamined, member
+        // blocks are counted unbuilt and the space is entered mid-way: two
+        // operations over three interchangeable files.
+        let mut bounds = Bounds::tiny();
+        bounds.seq_len = 2;
+        bounds.files = b3_vfs::workload::FileSet::new(
+            Vec::new(),
+            vec!["foo".into(), "bar".into(), "baz".into()],
+        );
+        let total = WorkloadGenerator::estimate_candidates(&bounds);
+        let entry = total / 3;
+        let mut plain = WorkloadGenerator::new(bounds.clone());
+        plain.skip_to(entry);
+        let from_scratch: u64 = plain.map(|workload| workload.ops.len() as u64).sum();
+        let classifier = Arc::new(Classifier::new(&bounds));
+        let mut generator = WorkloadGenerator::new(bounds).classified_by(classifier);
+        generator.skip_to(entry);
+        let mut valid = 0;
+        while let Some(leaf) = generator.next_leaf() {
+            valid += if leaf.representative {
+                1
+            } else {
+                generator.count_block()
+            };
+        }
+        let stats = generator.stats();
+        assert_eq!(generator.cursor(), total);
+        assert_eq!(
+            stats.candidates,
+            total - entry,
+            "skipped-over candidates do not count"
+        );
+        assert_eq!(stats.emitted, valid);
+        assert_eq!(stats.candidates, stats.emitted + stats.discarded);
+        assert!(0 < stats.subtrees_discarded && stats.subtrees_discarded < stats.discarded);
+        assert!(0 < stats.cores_pruned && stats.cores_pruned < stats.cores_classified);
+        assert!(
+            stats.sim_applies < from_scratch,
+            "{} applies against {from_scratch} from scratch",
+            stats.sim_applies
+        );
     }
 
     #[test]
@@ -595,8 +675,7 @@ mod tests {
     fn persistence_counts_match_options() {
         // The analytic count must stay in lock-step with the option builder
         // for every kind in every preset, else sharding arithmetic drifts.
-        use crate::bounds::SequencePreset;
-        for preset in SequencePreset::ALL {
+        for preset in crate::bounds::SequencePreset::ALL {
             let bounds = preset.bounds();
             for kind in &bounds.ops {
                 for candidate in phase2_candidates(*kind, &bounds) {

@@ -25,12 +25,16 @@ pub mod canon;
 pub mod generator;
 pub mod phases;
 pub mod sim;
+pub mod table;
 
 pub use adapter::to_crashmonkey_test;
 pub use bounds::{Bounds, PersistenceChoices, SequencePreset};
-pub use canon::{apply_path_map, forest_automorphisms, Class, Classifier, CANON_VERSION};
-pub use generator::{GenerationStats, WorkloadGenerator};
+pub use canon::{
+    apply_path_map, forest_automorphisms, Class, Classifier, CoreClass, CANON_VERSION,
+};
+pub use generator::{GenerationStats, Leaf, WorkloadGenerator};
 pub use phases::{phase1_skeletons, phase2_parameters, phase3_persistence, phase4_dependencies};
+pub use table::SpaceTable;
 
 use b3_vfs::workload::Workload;
 

@@ -45,6 +45,12 @@ impl SimState {
         SimState::default()
     }
 
+    /// The dependency operations the simulated ops needed so far, in the
+    /// order phase 4 prepends them.
+    pub fn setup(&self) -> &[Op] {
+        &self.setup
+    }
+
     fn kind(&self, path: &str) -> Option<SimKind> {
         let path = normalize(path);
         if path.is_empty() {

@@ -1,9 +1,10 @@
 //! `b3 sweep`: run (or resume) one job to the end and print its summary.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
-use b3_ace::{Bounds, WorkloadGenerator};
+use b3_ace::{Bounds, Classifier, SpaceTable, WorkloadGenerator};
 use b3_crashmonkey::CrashMonkey;
 use b3_harness::distrib::{load_checkpoint, run_with_transport, segment_stats};
 use b3_harness::{Progress, RunConfig, SweepJob};
@@ -129,7 +130,7 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
         }
     }
     if let Some(bounds) = job.fs_bounds() {
-        print_sampled_profile_sharing(&job, bounds);
+        print_sampled_sharing(&job, bounds);
     }
     print_groups(out.as_deref(), &groups)?;
     match (swept.is_complete(), &checkpoint) {
@@ -143,20 +144,26 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
     Ok(())
 }
 
-/// Workloads profiled locally for the summary's prefix-sharing line.
+/// Workloads generated and profiled locally for the summary's sharing lines.
 const SHARING_SAMPLE: usize = 2000;
 
-/// Measures prefix sharing on the head of shard 0. The harnesses that ran
-/// the sweep report outcomes only (and may live in other processes), so
-/// the summary samples the figure here: the workloads are profiled (not
-/// crash tested) through one local harness, in generator order like a
-/// worker.
-fn print_sampled_profile_sharing(job: &SweepJob, bounds: &Bounds) {
+/// Measures prefix sharing — the profiler's and the generator's — on the
+/// head of shard 0. The harnesses that ran the sweep report outcomes only
+/// (and may live in other processes), so the summary samples the figures
+/// here: the workloads are generated through one local generator (with the
+/// job's classifier when it prunes) and profiled (not crash tested) through
+/// one local harness, in generator order like a worker.
+fn print_sampled_sharing(job: &SweepJob, bounds: &Bounds) {
     let spec = job.fs.spec(job.era);
     let monkey = CrashMonkey::with_config(spec.as_ref(), job.crashmonkey);
-    let shard = bounds.shard(0, job.num_shards);
+    let table = SpaceTable::new(bounds);
+    let shard = table.shard(0, job.num_shards);
+    let mut generator = WorkloadGenerator::on_table(table.clone(), shard.start, shard.end);
+    if !job.prune.is_off() {
+        generator = generator.classified_by(Arc::new(Classifier::on_table(table)));
+    }
     let mut profiled = 0;
-    for workload in WorkloadGenerator::for_shard(bounds.clone(), &shard).take(SHARING_SAMPLE) {
+    for workload in generator.by_ref().take(SHARING_SAMPLE) {
         // A workload that cannot be profiled is the sweep's to report.
         let _ = monkey.profile_only(&workload);
         profiled += 1;
@@ -170,5 +177,16 @@ fn print_sampled_profile_sharing(job: &SweepJob, bounds: &Bounds) {
         sharing.resumed_share() * 100.0,
         sharing.forks,
         sharing.mounts,
+    );
+    let generation = generator.stats();
+    println!(
+        "generation (same workloads, generated here): {} candidates examined, {} ops \
+         simulated by phase 4, {} rejected prefix(es) discarded with their subtree, \
+         {} core(s) classified, {} of them non-representative",
+        generation.candidates,
+        generation.sim_applies,
+        generation.subtrees_discarded,
+        generation.cores_classified,
+        generation.cores_pruned,
     );
 }

@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use b3_ace::{Bounds, WorkloadGenerator};
+use b3_ace::{Bounds, SpaceTable, WorkloadGenerator};
 use b3_app::{EngineProfile, TxnBounds};
 use b3_crashmonkey::{CrashMonkeyConfig, CrashPointPolicy};
 use b3_vfs::codec::{Decoder, Encoder};
@@ -158,16 +158,8 @@ macro_rules! with_job_space {
         let (spec, config) = (spec.as_ref(), job.crashmonkey);
         match &job.space {
             SweepSpace::Fs(bounds) => {
-                let classifier = (!job.prune.is_off()).then(|| b3_ace::Classifier::new(bounds));
-                let $space = &FsSpace {
-                    spec,
-                    config,
-                    bounds,
-                    checkpoint: SweepCheckpoint::scoped(bounds, job.num_shards, scope),
-                    prune: job.prune,
-                    classifier: classifier.as_ref(),
-                    interner: Default::default(),
-                };
+                let checkpoint = SweepCheckpoint::scoped(bounds, job.num_shards, scope);
+                let $space = &FsSpace::new(spec, config, bounds, checkpoint, job.prune, None);
                 $body
             }
             SweepSpace::App { bounds, engine } => {
@@ -273,11 +265,19 @@ impl SweepJob {
         }
     }
 
-    /// Number of candidate workloads in shard `index` of this job's split.
-    pub fn shard_candidates(&self, index: usize) -> u64 {
+    /// Number of candidate workloads in every shard of this job's split.
+    pub fn shard_sizes(&self) -> Vec<u64> {
+        let of = self.num_shards;
         match &self.space {
-            SweepSpace::Fs(bounds) => bounds.shard(index, self.num_shards).candidates(),
-            SweepSpace::App { bounds, .. } => bounds.shard(index, self.num_shards).candidates(),
+            SweepSpace::Fs(bounds) => {
+                let table = SpaceTable::new(bounds);
+                (0..of)
+                    .map(|index| table.shard(index, of).candidates())
+                    .collect()
+            }
+            SweepSpace::App { bounds, .. } => (0..of)
+                .map(|index| bounds.shard(index, of).candidates())
+                .collect(),
         }
     }
 
@@ -909,9 +909,7 @@ pub fn run_with_transport_hooked(
     }
     .to_frame();
     let workers_to_spawn = config.workers.max(1);
-    let shard_sizes: Vec<u64> = (0..job.num_shards)
-        .map(|index| job.shard_candidates(index))
-        .collect();
+    let shard_sizes = job.shard_sizes();
     let avg_shard_workloads = if job.num_shards > 0 {
         total_workloads as f64 / job.num_shards as f64
     } else {

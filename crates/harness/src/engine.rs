@@ -4,8 +4,9 @@
 //! B3's pipeline is space-agnostic (paper §5–§6.1): enumerate a bounded
 //! space, cut it into independent shards, crash-test each shard workload by
 //! workload, merge the results. A [`JobSpace`] supplies what differs
-//! between spaces — generator, per-thread tester, per-candidate
-//! [`Decision`] — and the rest is written once: [`shard_loop`] is the only
+//! between spaces — generator, per-thread tester, the [`Step`] each
+//! candidate (or pruned run of candidates) becomes — and the rest is
+//! written once: [`shard_loop`] is the only
 //! shard loop, [`run_resumable`] the only in-process scheduler. Both are
 //! monomorphized per space; nothing is dispatched dynamically per workload.
 
@@ -15,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use b3_ace::canon::{Class, Classifier};
-use b3_ace::{Bounds, WorkloadGenerator};
+use b3_ace::{Bounds, SpaceTable, WorkloadGenerator};
 use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnWorkloadGenerator};
 use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome};
 use b3_vfs::error::FsResult;
@@ -26,15 +27,17 @@ use b3_vfs::workload::Workload;
 use crate::runner::{spawn_progress_monitor, LiveCounters, RunConfig, RunSummary, WorkerGuard};
 use crate::sweep::{fnv1a64, AuditFailure, ProgressHook, PruneMode, ShardResult, SweepCheckpoint};
 
-/// What to do with one generated candidate.
-pub(crate) enum Decision<W> {
+/// One step of a shard: a candidate to run, or candidates counted without
+/// being built.
+pub(crate) enum Step<W> {
     /// Crash-test it (representative, or the space does not prune).
-    Test,
-    /// Count it as pruned: equivalent to an earlier representative.
-    Prune,
+    Test(W),
+    /// Count a run of candidates as pruned: each is equivalent to an
+    /// earlier representative.
+    Pruned(u64),
     /// Count it as pruned, and also crash-test it against its
     /// representative, recording any divergence.
-    Audit(AuditPlan<W>),
+    Audit(W, AuditPlan<W>),
 }
 
 /// An audit obligation for one sampled non-representative member.
@@ -72,31 +75,29 @@ pub(crate) trait JobSpace: Sync {
     ) -> (ShardResult, bool);
 }
 
-/// The one shard loop: decides, gates, crash-tests and absorbs every
-/// workload of a shard. `gate` runs before every *executed* workload
-/// (tested or audited); when it returns false the shard is abandoned and
-/// the partial result comes back with `false`. Pruned candidates pass no
-/// gate, so they consume neither workload budget nor a worker's chaos tick
-/// — a budgeted representative sweep covers proportionally more of the
-/// space.
+/// The one shard loop: gates, crash-tests and absorbs every step of a
+/// shard. `gate` runs before every *executed* workload (tested or audited);
+/// when it returns false the shard is abandoned and the partial result comes
+/// back with `false`. Pruned candidates pass no gate, so they consume
+/// neither workload budget nor a worker's chaos tick — a budgeted
+/// representative sweep covers proportionally more of the space.
 fn shard_loop<W>(
-    workloads: impl Iterator<Item = W>,
-    mut decide: impl FnMut(&W) -> Decision<W>,
+    steps: impl Iterator<Item = Step<W>>,
     test: impl Fn(&W) -> FsResult<WorkloadOutcome>,
     name: impl Fn(&W) -> &str,
     live: &LiveCounters,
     mut gate: impl FnMut() -> bool,
 ) -> (ShardResult, bool) {
     let mut result = ShardResult::default();
-    for workload in workloads {
-        let audit = match decide(&workload) {
-            Decision::Test => None,
-            Decision::Prune => {
-                result.pruned += 1;
-                live.pruned.fetch_add(1, Ordering::Relaxed);
+    for step in steps {
+        let (workload, audit) = match step {
+            Step::Test(workload) => (workload, None),
+            Step::Pruned(run) => {
+                result.pruned += run;
+                live.pruned.fetch_add(run as usize, Ordering::Relaxed);
                 continue;
             }
-            Decision::Audit(plan) => Some(plan),
+            Step::Audit(workload, plan) => (workload, Some(plan)),
         };
         if !gate() {
             return (result, false);
@@ -296,67 +297,127 @@ pub(crate) fn in_process_scope(
 }
 
 /// ACE's bounded file-system operation space, crash-tested by CrashMonkey,
-/// with equivalence-class pruning ([`PruneMode`]) deciding each candidate.
+/// with equivalence-class pruning ([`PruneMode`]) deciding each core block.
 pub(crate) struct FsSpace<'a> {
-    pub(crate) spec: &'a (dyn FsSpec + Sync),
-    pub(crate) config: CrashMonkeyConfig,
-    pub(crate) bounds: &'a Bounds,
+    spec: &'a (dyn FsSpec + Sync),
+    config: CrashMonkeyConfig,
+    /// The bounds' enumeration tables, built once for every shard's
+    /// generator and the classifier.
+    table: Arc<SpaceTable>,
     /// [`SweepCheckpoint::scoped`] of the bounds, shard count and scope.
-    pub(crate) checkpoint: SweepCheckpoint,
-    pub(crate) prune: PruneMode,
-    /// Required unless `prune` is off. A pure function of the bounds, so
+    checkpoint: SweepCheckpoint,
+    prune: PruneMode,
+    /// Present unless `prune` is off. A pure function of the bounds, so
     /// every thread and worker process prunes the same candidates.
-    pub(crate) classifier: Option<&'a Classifier>,
+    classifier: Option<Arc<Classifier>>,
     /// One bounded oracle interner shared by every tester of the space:
     /// content-equal oracle/expectation entries produced by different
     /// workloads (and different shards) collapse to one allocation.
-    pub(crate) interner: Arc<EntryInterner>,
+    interner: Arc<EntryInterner>,
 }
 
-impl FsSpace<'_> {
-    /// Classifies one candidate. `class_counts` holds the members audited
-    /// so far per class in the current shard; `seed` drives audit sampling.
-    fn decide(
-        &self,
-        workload: &Workload,
-        seed: u64,
-        class_counts: &mut HashMap<String, u32>,
-    ) -> Decision<Workload> {
-        let Some(classifier) = self.classifier.filter(|_| !self.prune.is_off()) else {
-            return Decision::Test;
+impl<'a> FsSpace<'a> {
+    /// The space of `bounds` under `prune`, fingerprinted by `checkpoint`.
+    /// `classifier` substitutes the one the prune modes consult (tests
+    /// only); it is ignored when pruning is off.
+    pub(crate) fn new(
+        spec: &'a (dyn FsSpec + Sync),
+        config: CrashMonkeyConfig,
+        bounds: &Bounds,
+        checkpoint: SweepCheckpoint,
+        prune: PruneMode,
+        classifier: Option<Arc<Classifier>>,
+    ) -> Self {
+        let table = SpaceTable::new(bounds);
+        let classifier = (!prune.is_off())
+            .then(|| classifier.unwrap_or_else(|| Arc::new(Classifier::on_table(table.clone()))));
+        FsSpace {
+            spec,
+            config,
+            table,
+            checkpoint,
+            prune,
+            classifier,
+            interner: Arc::default(),
+        }
+    }
+
+    /// The steps of shard `shard`, with fresh audit sampling state.
+    fn steps(&self, shard: u32) -> FsSteps<'_> {
+        let shard = self
+            .table
+            .shard(shard as usize, self.checkpoint.num_shards());
+        let mut generator = WorkloadGenerator::on_table(self.table.clone(), shard.start, shard.end);
+        if let Some(classifier) = &self.classifier {
+            generator = generator.classified_by(classifier.clone());
+        }
+        FsSteps {
+            generator,
+            classifier: self.classifier.as_deref(),
+            prune: self.prune,
+            // Seeded from the (canon-version-scoped) fingerprint: the
+            // sampled members are the same on every thread and worker
+            // process of a sweep, but differ across unrelated sweeps.
+            seed: fnv1a64(self.checkpoint.fingerprint().as_bytes()),
+            class_counts: HashMap::new(),
+        }
+    }
+}
+
+/// The steps of one shard of an [`FsSpace`]: the generator's valid
+/// candidates, with every non-representative core block counted (or, under
+/// [`PruneMode::Audit`], sampled) instead of built.
+struct FsSteps<'s> {
+    generator: WorkloadGenerator,
+    classifier: Option<&'s Classifier>,
+    prune: PruneMode,
+    /// Drives audit sampling.
+    seed: u64,
+    /// Members audited so far per class in this shard.
+    class_counts: HashMap<String, u32>,
+}
+
+impl Iterator for FsSteps<'_> {
+    type Item = Step<Workload>;
+
+    fn next(&mut self) -> Option<Step<Workload>> {
+        let leaf = self.generator.next_leaf()?;
+        if leaf.representative {
+            return Some(Step::Test(self.generator.workload()));
+        }
+        let (PruneMode::Audit { samples_per_class }, Some(classifier)) =
+            (self.prune, self.classifier)
+        else {
+            return Some(Step::Pruned(self.generator.count_block()));
         };
+        // The cheap coin first: only a sampled member is built and keyed.
+        if !selected(self.seed, leaf.index + 1) {
+            return Some(Step::Pruned(1));
+        }
+        let workload = self.generator.workload();
         let Some(Class::Member {
             key,
             rep_ops,
             rep_index,
         }) = classifier.classify(&workload.ops)
         else {
-            return Decision::Test;
+            unreachable!("a member core holds a candidate that is not a class member");
         };
-        if let PruneMode::Audit { samples_per_class } = self.prune {
-            let count = class_counts.entry(key.clone()).or_insert(0);
-            if *count < samples_per_class && selected(seed, &workload.name) {
-                *count += 1;
-                return Decision::Audit(AuditPlan {
-                    key,
-                    rep: classifier.representative_workload(&rep_ops, rep_index),
-                });
-            }
+        let count = self.class_counts.entry(key.clone()).or_insert(0);
+        if *count >= samples_per_class {
+            return Some(Step::Pruned(1));
         }
-        Decision::Prune
+        *count += 1;
+        let rep = classifier.representative_workload(&rep_ops, rep_index);
+        Some(Step::Audit(workload, AuditPlan { key, rep }))
     }
 }
 
-/// Deterministic coin flip per candidate: the trailing digits of the
-/// workload name are its global enumeration index, mixed (SplitMix64-style)
-/// with the sweep seed.
-fn selected(seed: u64, name: &str) -> bool {
-    let index = name
-        .rsplit('-')
-        .next()
-        .and_then(|digits| digits.parse::<u64>().ok())
-        .unwrap_or(0);
-    let mut z = seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+/// Deterministic coin flip per candidate: its 1-based enumeration number
+/// (the digits its workload name ends in), mixed (SplitMix64-style) with the
+/// sweep seed.
+fn selected(seed: u64, number: u64) -> bool {
+    let mut z = seed ^ number.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     (z ^ (z >> 31)) & 1 == 0
@@ -370,7 +431,7 @@ impl<'a> JobSpace for FsSpace<'a> {
     }
 
     fn total_candidates(&self) -> u64 {
-        WorkloadGenerator::estimate_candidates(self.bounds)
+        self.table.total()
     }
 
     fn tester(&self) -> CrashMonkey<'a> {
@@ -388,17 +449,8 @@ impl<'a> JobSpace for FsSpace<'a> {
         // shard's audited counter depends on which crash states hit the
         // witness cache and which members were sampled before.
         monkey.reset_triage();
-        let mut class_counts = HashMap::new();
-        // Seeded from the (canon-version-scoped) fingerprint: the sampled
-        // members are the same on every thread and worker process of a
-        // sweep, but differ across unrelated sweeps.
-        let seed = fnv1a64(self.checkpoint.fingerprint().as_bytes());
-        let shard = self
-            .bounds
-            .shard(shard as usize, self.checkpoint.num_shards());
         shard_loop(
-            WorkloadGenerator::for_shard(self.bounds.clone(), &shard),
-            |workload| self.decide(workload, seed, &mut class_counts),
+            self.steps(shard),
             |workload| monkey.test_workload(workload),
             |workload| &workload.name,
             live,
@@ -445,8 +497,7 @@ impl<'a> JobSpace for AppSpace<'a> {
             .bounds
             .shard(shard as usize, self.checkpoint.num_shards());
         shard_loop(
-            TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard),
-            |_| Decision::Test,
+            TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard).map(Step::Test),
             |workload| harness.test_workload(workload),
             |workload| &workload.name,
             live,
@@ -542,21 +593,13 @@ mod tests {
             ..CrashMonkeyConfig::small()
         };
         let bounds = seq2_bounds();
-        let classifier = Classifier::new(&bounds);
         let audit = PruneMode::Audit {
             samples_per_class: 2,
         };
         for prune in [PruneMode::Off, PruneMode::Representative, audit] {
             let scope = in_process_scope(None, config.crash_points, prune);
-            let space = FsSpace {
-                spec: &spec,
-                config,
-                bounds: &bounds,
-                checkpoint: SweepCheckpoint::scoped(&bounds, SHARDS, &scope),
-                prune,
-                classifier: Some(&classifier),
-                interner: Arc::default(),
-            };
+            let checkpoint = SweepCheckpoint::scoped(&bounds, SHARDS, &scope);
+            let space = FsSpace::new(&spec, config, &bounds, checkpoint, prune, None);
             let summary = check_engine(&space);
             assert!(summary.tested > 0 && !summary.reports.is_empty());
             assert_eq!(summary.pruned > 0, !prune.is_off(), "{prune:?}");
@@ -587,19 +630,12 @@ mod tests {
     fn the_gate_runs_before_every_executed_workload_and_never_for_a_pruned_one() {
         let spec = CowFsSpec::new(KernelEra::V4_16);
         let bounds = seq2_bounds();
-        let classifier = Classifier::new(&bounds);
         let prune = PruneMode::Audit {
             samples_per_class: 2,
         };
-        let space = FsSpace {
-            spec: &spec,
-            config: CrashMonkeyConfig::small(),
-            bounds: &bounds,
-            checkpoint: SweepCheckpoint::scoped(&bounds, SHARDS, &prune.scope_component()),
-            prune,
-            classifier: Some(&classifier),
-            interner: Arc::default(),
-        };
+        let checkpoint = SweepCheckpoint::scoped(&bounds, SHARDS, &prune.scope_component());
+        let config = CrashMonkeyConfig::small();
+        let space = FsSpace::new(&spec, config, &bounds, checkpoint, prune, None);
         let mut tester = space.tester();
         let live = LiveCounters::default();
         let (mut gated, mut pruned, mut audited) = (0, 0, 0);
@@ -628,6 +664,78 @@ mod tests {
         let (partial, complete) = space.run_shard(&mut tester, 0, &live, || false);
         assert!(!complete);
         assert_eq!(partial.tested + partial.skipped + partial.audited, 0);
+    }
+
+    /// Block pruning against the per-candidate decision loop it replaced
+    /// (every candidate built, classified by its ops, the audit coin read
+    /// off its name): the same workloads are tested and audited in the same
+    /// order — same sampled members, same class keys, same representatives
+    /// — with the same number of candidates pruned before each of them, on
+    /// shards of a three-operation space whose boundaries cut core blocks.
+    #[test]
+    fn block_steps_equal_the_per_candidate_decisions() {
+        type Executed = (u64, String, Option<(String, Option<String>)>);
+        let spec = CowFsSpec::new(KernelEra::V4_16);
+        let mut bounds = seq2_bounds();
+        bounds.seq_len = 3;
+        let classifier = Classifier::new(&bounds);
+        let shards = 61;
+        let audit = |samples_per_class| PruneMode::Audit { samples_per_class };
+        for prune in [PruneMode::Representative, audit(1), audit(u32::MAX)] {
+            let checkpoint = SweepCheckpoint::scoped(&bounds, shards, &prune.scope_component());
+            let seed = fnv1a64(checkpoint.fingerprint().as_bytes());
+            let config = CrashMonkeyConfig::small();
+            let space = FsSpace::new(&spec, config, &bounds, checkpoint, prune, None);
+            let mut audits = 0;
+            for shard in [0, 17, 60] {
+                let (mut executed, mut pruned) = (Vec::<Executed>::new(), 0);
+                for step in space.steps(shard) {
+                    match step {
+                        Step::Pruned(run) => pruned += run,
+                        Step::Test(workload) => executed.push((pruned, workload.name, None)),
+                        Step::Audit(workload, plan) => {
+                            pruned += 1;
+                            let rep = plan.rep.map(|rep| rep.name);
+                            executed.push((pruned, workload.name, Some((plan.key, rep))));
+                        }
+                    }
+                }
+
+                let (mut expected, mut expected_pruned) = (Vec::<Executed>::new(), 0);
+                let mut class_counts: HashMap<String, u32> = HashMap::new();
+                let range = bounds.shard(shard as usize, shards);
+                for workload in WorkloadGenerator::for_shard(bounds.clone(), &range) {
+                    let Some(Class::Member {
+                        key,
+                        rep_ops,
+                        rep_index,
+                    }) = classifier.classify(&workload.ops)
+                    else {
+                        expected.push((expected_pruned, workload.name, None));
+                        continue;
+                    };
+                    expected_pruned += 1;
+                    let PruneMode::Audit { samples_per_class } = prune else {
+                        continue;
+                    };
+                    let number = workload.name.rsplit('-').next().unwrap().parse().unwrap();
+                    let count = class_counts.entry(key.clone()).or_insert(0);
+                    if *count < samples_per_class && selected(seed, number) {
+                        *count += 1;
+                        let rep = classifier.representative_workload(&rep_ops, rep_index);
+                        let plan = Some((key, rep.map(|rep| rep.name)));
+                        expected.push((expected_pruned, workload.name, plan));
+                    }
+                }
+                assert_eq!(executed, expected, "{prune:?}, shard {shard}");
+                assert_eq!(pruned, expected_pruned, "{prune:?}, shard {shard}");
+                audits += executed
+                    .iter()
+                    .filter(|(_, _, plan)| plan.is_some())
+                    .count();
+            }
+            assert_eq!(audits > 0, prune != PruneMode::Representative, "{prune:?}");
+        }
     }
 
     /// The emitted scope strings are frozen: existing checkpoints must

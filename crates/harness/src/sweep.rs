@@ -739,7 +739,7 @@ pub struct Sweep<'a> {
     prune: PruneMode,
     /// Test-only classifier override (see
     /// [`Sweep::with_classifier_for_tests`]).
-    classifier_override: Option<Classifier>,
+    classifier_override: Option<Arc<Classifier>>,
     progress: Option<ProgressHook<'a>>,
 }
 
@@ -776,7 +776,7 @@ impl<'a> Sweep<'a> {
     /// over-coarse equivalence. Ignored when pruning is off.
     #[doc(hidden)]
     pub fn with_classifier_for_tests(mut self, classifier: Classifier) -> Self {
-        self.classifier_override = Some(classifier);
+        self.classifier_override = Some(Arc::new(classifier));
         self
     }
 
@@ -817,19 +817,14 @@ impl<'a> Sweep<'a> {
     /// Panics when the checkpoint is not the [`Sweep::empty_checkpoint`] of
     /// this sweep and bounds (or a resumed copy of it).
     pub fn run_resumable(&self, bounds: &Bounds, checkpoint: &mut SweepCheckpoint) -> RunSummary {
-        // Build the classifier once per sweep (it is read-only and shared
-        // by reference across the worker threads).
-        let built = (self.classifier_override.is_none() && !self.prune.is_off())
-            .then(|| Classifier::new(bounds));
-        let space = FsSpace {
-            spec: self.spec,
-            config: self.config.crashmonkey,
+        let space = FsSpace::new(
+            self.spec,
+            self.config.crashmonkey,
             bounds,
-            checkpoint: self.empty_checkpoint(bounds),
-            prune: self.prune,
-            classifier: self.classifier_override.as_ref().or(built.as_ref()),
-            interner: Arc::default(),
-        };
+            self.empty_checkpoint(bounds),
+            self.prune,
+            self.classifier_override.clone(),
+        );
         engine::run_resumable(&space, &self.config, self.progress, checkpoint)
     }
 }

@@ -20,7 +20,11 @@
 //! * The **audit** tests exercise [`PruneMode::Audit`]: with the sound
 //!   classifier, sampled members never diverge from their representatives;
 //!   with a deliberately over-coarse classifier (the test-only hook), the
-//!   audit detects the false merge and reports the offending class.
+//!   audit detects the false merge and reports the offending class. The
+//!   audit sample itself is frozen: the counts and the diverging
+//!   (representative, member) pairs are pinned to what the per-candidate
+//!   classification loop produced before pruning was decided per core
+//!   block.
 
 use b3_ace::{Bounds, Classifier, WorkloadGenerator};
 use b3_fs_cow::CowFsSpec;
@@ -251,6 +255,82 @@ fn audit_mode_detects_over_coarse_canonicalization() {
         "{}",
         failure.detail
     );
+
+    // The sampled members — and so the divergences found — are exactly the
+    // ones the per-candidate classification loop found.
+    assert_eq!(
+        (summary.tested, summary.skipped, summary.pruned),
+        (134, 100, 772)
+    );
+    assert_eq!(summary.audited, 398);
+    let pairs: Vec<(&str, &str)> = summary
+        .audit_failures
+        .iter()
+        .map(|f| (f.representative.as_str(), f.member.as_str()))
+        .collect();
+    let pinned = [
+        ("unsound-seq2-0000615", "unsound-seq2-0000621"),
+        ("unsound-seq2-0000617", "unsound-seq2-0000623"),
+        ("unsound-seq2-0000618", "unsound-seq2-0000624"),
+        ("unsound-seq2-0000759", "unsound-seq2-0000765"),
+        ("unsound-seq2-0000760", "unsound-seq2-0000766"),
+        ("unsound-seq2-0000761", "unsound-seq2-0000767"),
+        ("unsound-seq2-0000765", "unsound-seq2-0000771"),
+        ("<unmaterializable>", "unsound-seq2-0000934"),
+        ("<unmaterializable>", "unsound-seq2-0001026"),
+        ("unsound-seq2-0001084", "unsound-seq2-0001090"),
+        ("unsound-seq2-0001086", "unsound-seq2-0001092"),
+        ("unsound-seq2-0001090", "unsound-seq2-0001102"),
+        ("unsound-seq2-0001090", "unsound-seq2-0001108"),
+        ("unsound-seq2-0001092", "unsound-seq2-0001110"),
+    ];
+    assert_eq!(pairs, pinned);
+}
+
+/// The seq-3-metadata operation set over two interchangeable root files: a
+/// debug-build-sized slice of the paper space with three-operation cores.
+fn seq3_metadata_slice() -> Bounds {
+    Bounds {
+        name_prefix: "seq-3m-slice".into(),
+        files: FileSet::new(Vec::new(), vec!["foo".into(), "bar".into()]),
+        ..Bounds::paper_seq3_metadata()
+    }
+}
+
+/// Which members an audit samples is part of the checkpoint scope's
+/// contract (the sample is seeded from the fingerprint), so deciding
+/// pruning per core block — the coin flipped on the generator's index
+/// before anything is built — must sample exactly the members the
+/// per-candidate loop sampled. Pinned to that loop's counts.
+#[test]
+fn audit_sample_is_unchanged_by_block_pruning() {
+    // (samples per class, audited) per space; the other counts do not
+    // depend on the sample.
+    let spaces = [
+        (
+            symmetric_seq2_bounds(),
+            (116, 66, 580),
+            [(1, 210), (2, 265), (u32::MAX, 268)],
+        ),
+        (
+            seq3_metadata_slice(),
+            (1154, 2578, 2268),
+            [(1, 1078), (2, 1134), (u32::MAX, 1159)],
+        ),
+    ];
+    for (bounds, counts, samples) in spaces {
+        for (samples_per_class, audited) in samples {
+            let summary = sweep(&bounds, PruneMode::Audit { samples_per_class });
+            assert_eq!(
+                (summary.tested, summary.skipped, summary.pruned),
+                counts,
+                "{} at {samples_per_class} samples per class",
+                bounds.name_prefix
+            );
+            assert_eq!(summary.audited, audited, "{}", bounds.name_prefix);
+            assert_eq!(summary.audit_failures, Vec::new());
+        }
+    }
 }
 
 /// The pruned counter threads through checkpoint resume: interrupting a
