@@ -383,8 +383,9 @@ fn parse_snapshot(bytes: &[u8]) -> (BTreeMap<String, Vec<u8>>, u64) {
 
 /// The reference WAL+KV engine. All methods take the file system as a
 /// parameter — the engine holds only logical state, so one instance can be
-/// recovered on a crash-state mount and dropped without ceremony.
-#[derive(Debug)]
+/// recovered on a crash-state mount and dropped without ceremony, and a
+/// clone of it continues on a fork of the file system it was opened on.
+#[derive(Debug, Clone)]
 pub struct WalKv {
     profile: EngineProfile,
     state: BTreeMap<String, Vec<u8>>,

@@ -10,21 +10,34 @@
 //! [`crash_state`]. Only the two ends differ — the workload is transactions
 //! against [`WalKv`] instead of syscalls, and the checker is [`TxnOracle`]
 //! instead of the file-state AutoChecker.
+//!
+//! It also shares CrashMonkey's [`Trunk`]: the transaction generator varies
+//! the last transaction fastest, so a workload resumes from a fork of the
+//! [`AppRun`] its predecessor left after their common transactions, and a
+//! crash state inside that common prefix — same base image, same IO-log
+//! prefix, hence the same bytes — is recovered by the first workload that
+//! reaches it and answered from the run for every sibling (docs/APP.md,
+//! "Prefix sharing"). The verdict is not shared: what a recovered state
+//! *should* hold depends on the transactions that follow, so every
+//! workload classifies every crash point with its own [`TxnOracle`].
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use b3_block::{
     crash_state, BlockDevice, CowSnapshotDevice, DiskImage, IoLog, LogHandle, RecordingDevice,
 };
-use b3_crashmonkey::{BugReport, Consequence, CrashMonkeyConfig, WorkloadOutcome};
+use b3_crashmonkey::{
+    BugReport, Consequence, CrashMonkeyConfig, Finished, ProfileSharing, Trunk, TrunkRun,
+    WorkloadOutcome,
+};
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::workload::FallocMode;
 use b3_vfs::{FsError, FsResult, Metadata};
 
 use crate::bounds::TxnOpKind;
 use crate::engine::{EngineProfile, WalKv};
-use crate::generator::{key_name, value_for, TxnWorkload};
-use crate::oracle::{CrashPointMeta, TxnOracle};
+use crate::generator::{key_name, value_for, Txn, TxnWorkload};
+use crate::oracle::{CrashPointMeta, KvState, TxnOracle};
 
 /// A forwarding [`FileSystem`] wrapper that inserts a block-log checkpoint
 /// marker after every successful persistence operation — the app-layer
@@ -51,6 +64,18 @@ impl CheckpointFs {
 
     fn mark(&mut self) {
         self.pending.push(self.log.checkpoint());
+    }
+
+    /// Forks the file system together with its recording: the fork's IO and
+    /// checkpoint markers go to its own copy of the log so far.
+    fn fork_recording(&self) -> CheckpointFs {
+        let device = self.log.fork_device();
+        let log = device.log_handle();
+        CheckpointFs {
+            inner: self.inner.fork(Box::new(device)),
+            log,
+            pending: self.pending.clone(),
+        }
     }
 }
 
@@ -158,13 +183,7 @@ impl FileSystem for CheckpointFs {
         // cannot be had from a `dyn BlockDevice`: this wrapper forks the
         // recording it already holds — which has the blocks `_device` is
         // required to have — instead of adopting `_device`.
-        let device = self.log.fork_device();
-        let log = device.log_handle();
-        Box::new(CheckpointFs {
-            inner: self.inner.fork(Box::new(device)),
-            log,
-            pending: self.pending.clone(),
-        })
+        Box::new(self.fork_recording())
     }
 
     fn guarantees(&self) -> GuaranteeProfile {
@@ -185,11 +204,171 @@ pub fn formatted_app_image(spec: &dyn FsSpec, config: &CrashMonkeyConfig) -> FsR
     })
 }
 
-/// The profile phase's output: the recorded IO log and per-persistence-
-/// point crash metadata.
-struct AppProfile {
-    log: IoLog,
-    crash_points: Vec<CrashPointMeta>,
+/// What mounting one crash state and opening the engine on it twice made of
+/// it — everything the oracle is asked about, and a pure function of the
+/// crash state's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recovery {
+    /// The file system refused to mount; the detail of its error.
+    Unmountable(String),
+    /// The engine came up.
+    Recovered {
+        /// The KV state after the first open.
+        recovered: KvState,
+        /// The KV state after opening the same file system a second time
+        /// (the first recovery's compaction is then on "disk"): the
+        /// replay-idempotence probe.
+        reopened: KvState,
+    },
+}
+
+/// One persistence point of a run.
+#[derive(Clone)]
+struct CrashPoint {
+    meta: CrashPointMeta,
+    /// Filled by the first workload that recovers this crash state, and
+    /// shared by every fork of the run taken after the persistence point:
+    /// they hold the same base image and the same IO log up to its marker.
+    recovery: Arc<OnceLock<Recovery>>,
+}
+
+/// One run of the engine on a recording mount, stopped between two
+/// transactions: the file system forked together with its recording, the
+/// engine's in-memory state, and every persistence point so far. The
+/// harness's [`Trunk`] keeps forks of it along the previous workload's
+/// transactions.
+pub struct AppRun {
+    fs: CheckpointFs,
+    engine: WalKv,
+    crash_points: Vec<CrashPoint>,
+    /// Transactions whose commit returned.
+    committed: u32,
+    /// Transactions stepped, a failing one included.
+    depth: usize,
+    /// Set by the commit that failed; it ended the run.
+    error: Option<FsError>,
+}
+
+impl AppRun {
+    /// Runs the next transaction of a workload: stages its operations, then
+    /// commits (recording the persistence points the commit inserted) or
+    /// aborts. A commit that fails ends the run: the error is kept in the
+    /// run, where [`AppRun::error`] and every fork find it.
+    pub fn step(&mut self, txn: &Txn) {
+        debug_assert!(!self.failed(), "a failed run takes no further steps");
+        let position = self.depth;
+        self.depth += 1;
+        for (op_index, op) in txn.ops.iter().enumerate() {
+            let key = key_name(op.key);
+            match op.kind {
+                TxnOpKind::Put => self.engine.put(&key, &value_for(position, op_index)),
+                TxnOpKind::Append => self.engine.append(&key, &value_for(position, op_index)),
+                TxnOpKind::Delete => self.engine.delete(&key),
+            }
+        }
+        if !txn.commit {
+            self.engine.abort();
+            return;
+        }
+        if let Err(error) = self.engine.commit(&mut self.fs) {
+            self.error = Some(error);
+            return;
+        }
+        self.note_checkpoints(Some(position as u32));
+        self.committed += 1;
+    }
+
+    /// Turns the checkpoints inserted since the last call into crash points.
+    fn note_checkpoints(&mut self, in_flight: Option<u32>) {
+        for checkpoint in self.fs.take_checkpoints() {
+            self.crash_points.push(CrashPoint {
+                meta: CrashPointMeta {
+                    checkpoint,
+                    committed_before: self.committed,
+                    in_flight,
+                },
+                recovery: Arc::default(),
+            });
+        }
+    }
+
+    /// The IO recorded so far.
+    pub fn log(&self) -> IoLog {
+        self.fs.log.snapshot()
+    }
+
+    /// Every persistence point so far, in order.
+    pub fn crash_points(&self) -> impl Iterator<Item = &CrashPointMeta> {
+        self.crash_points.iter().map(|point| &point.meta)
+    }
+
+    /// The recovery held for each crash point, `None` where no run sharing
+    /// the crash point has recovered it yet.
+    pub fn held_recoveries(&self) -> impl Iterator<Item = Option<&Recovery>> {
+        self.crash_points.iter().map(|point| point.recovery.get())
+    }
+
+    /// The engine's committed KV state.
+    pub fn dump(&self) -> KvState {
+        self.engine.dump()
+    }
+
+    /// The error of the commit that ended the run, if one did.
+    pub fn error(&self) -> Option<&FsError> {
+        self.error.as_ref()
+    }
+}
+
+impl TrunkRun for AppRun {
+    type Step = Txn;
+
+    fn depth(&self) -> usize {
+        self.depth
+    }
+
+    fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// File system and recording are forked and the engine cloned; the
+    /// crash points keep pointing at the same recovery cells.
+    fn fork(&self) -> AppRun {
+        AppRun {
+            fs: self.fs.fork_recording(),
+            engine: self.engine.clone(),
+            crash_points: self.crash_points.clone(),
+            committed: self.committed,
+            depth: self.depth,
+            error: self.error.clone(),
+        }
+    }
+
+    fn keep_as_frame(&mut self) -> bool {
+        true
+    }
+}
+
+/// How much work prefix sharing saved an [`AppHarness`], cumulative over its
+/// lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppSharing {
+    /// Transactions applied and resumed, forks and mounts.
+    pub txns: ProfileSharing,
+    /// Crash states built, mounted and recovered (audit re-recoveries
+    /// included).
+    pub states_recovered: u64,
+    /// Crash states answered by a recovery an earlier workload left in the
+    /// trunk. `states_recovered + states_reused` is what per-workload
+    /// recovery would have recovered, plus the audits.
+    pub states_reused: u64,
+}
+
+/// What the harness carries from one workload to the next.
+#[derive(Default)]
+struct Shared {
+    trunk: Trunk<AppRun>,
+    states_recovered: u64,
+    states_reused: u64,
 }
 
 /// Application-level crash tester for one file system and engine profile.
@@ -198,6 +377,7 @@ pub struct AppHarness<'a> {
     config: CrashMonkeyConfig,
     engine: EngineProfile,
     formatted: OnceLock<DiskImage>,
+    shared: Mutex<Shared>,
 }
 
 impl<'a> AppHarness<'a> {
@@ -208,6 +388,7 @@ impl<'a> AppHarness<'a> {
             config,
             engine,
             formatted: OnceLock::new(),
+            shared: Mutex::default(),
         }
     }
 
@@ -234,148 +415,241 @@ impl<'a> AppHarness<'a> {
         Ok(self.formatted.get_or_init(|| image).clone())
     }
 
-    /// Tests one transaction workload: profiles it, then crash-tests every
-    /// selected persistence point.
-    pub fn test_workload(&self, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
-        let base = self.formatted_image()?;
-        let profile = self.profile_workload(&base, workload)?;
-        let oracle = TxnOracle::new(workload);
+    fn shared(&self) -> std::sync::MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
+    /// How much work prefix sharing has saved this harness so far.
+    pub fn sharing(&self) -> AppSharing {
+        let shared = self.shared();
+        AppSharing {
+            txns: shared.trunk.sharing(),
+            states_recovered: shared.states_recovered,
+            states_reused: shared.states_reused,
+        }
+    }
+
+    /// Drops the runs and recoveries kept from earlier workloads (the
+    /// [`sharing`](Self::sharing) counters stay). Bug reports never depend
+    /// on what the trunk held, but how many crash states a workload
+    /// recovers, reuses and audits does: sweep shards call this at shard
+    /// boundaries so those counts never depend on which other shards ran
+    /// through the same harness.
+    pub fn reset_trunk(&self) {
+        self.shared().trunk.reset();
+    }
+
+    /// Tests one transaction workload: runs the transactions it does not
+    /// share with the previous workload, then crash-tests every selected
+    /// persistence point. Debug builds assert the outcome against a run
+    /// through an empty trunk — nothing resumed, nothing reused.
+    pub fn test_workload(&self, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
+        let outcome = self.test_through(&mut self.shared(), workload)?;
+        #[cfg(debug_assertions)]
+        {
+            let scratch = self.test_through(&mut Shared::default(), workload)?;
+            assert!(
+                outcome.bugs == scratch.bugs
+                    && outcome.workload_name == scratch.workload_name
+                    && outcome.skeleton == scratch.skeleton
+                    && outcome.fs_name == scratch.fs_name
+                    && outcome.checkpoints_tested + outcome.checkpoints_reused
+                        == scratch.checkpoints_tested,
+                "prefix-shared outcome of {} diverged from a from-scratch one:\n\
+                 shared: {outcome:?}\nscratch: {scratch:?}",
+                workload.name
+            );
+        }
+        Ok(outcome)
+    }
+
+    /// [`test_workload`](Self::test_workload) against the given carried-over
+    /// state. With an empty one this is the from-scratch reference: mount,
+    /// open, every transaction, every selected crash state recovered.
+    fn test_through(
+        &self,
+        shared: &mut Shared,
+        workload: &TxnWorkload,
+    ) -> FsResult<WorkloadOutcome> {
+        let txns: Vec<&Txn> = workload.txns.iter().collect();
+        let finished = shared.trunk.run(
+            &txns,
+            || self.mount_run(),
+            |run, txn| {
+                run.step(txn);
+                Ok(())
+            },
+        )?;
+        let run = match finished {
+            Finished::Complete(run) => run,
+            Finished::Failed(run) => {
+                return Err(run.error.clone().expect("only a failed run is held back"));
+            }
+        };
+        let outcome = self.crash_test(&run, workload)?;
+        shared.states_recovered += u64::from(outcome.checkpoints_tested);
+        shared.states_reused += u64::from(outcome.checkpoints_reused);
+        Ok(outcome)
+    }
+
+    /// Mounts a snapshot of the formatted image on a recording device and
+    /// opens the engine: the run every workload starts from, before its
+    /// first transaction.
+    pub fn mount_run(&self) -> FsResult<AppRun> {
+        let snapshot = CowSnapshotDevice::new(self.formatted_image()?);
+        let recording = RecordingDevice::new(snapshot);
+        let log = recording.log_handle();
+        let mut fs = CheckpointFs::new(self.spec.mount(Box::new(recording))?, log);
+        let engine = WalKv::open(&mut fs, self.engine)?;
+        let mut run = AppRun {
+            fs,
+            engine,
+            crash_points: Vec::new(),
+            committed: 0,
+            depth: 0,
+            error: None,
+        };
+        // A fresh store replays nothing, so opening normally inserts no
+        // persistence points; record any that do appear (pre-transaction,
+        // nothing in flight).
+        run.note_checkpoints(None);
+        Ok(run)
+    }
+
+    /// Crash-tests the selected persistence points of `run`, which must have
+    /// run exactly `workload`'s transactions. A crash state a run sharing
+    /// the persistence point already recovered is answered from the run
+    /// (`checkpoints_reused`); the others are built, mounted and recovered
+    /// now (`checkpoints_tested`) and held for the runs that follow. Under
+    /// [`AllTriaged`](b3_crashmonkey::CrashPointPolicy::AllTriaged) with an
+    /// audit budget the first `audit` answered states are recovered again
+    /// anyway and compared with what the run held.
+    pub fn crash_test(&self, run: &AppRun, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
+        debug_assert_eq!(run.depth, workload.txns.len());
+        let oracle = TxnOracle::new(workload);
         // §5.3 strategy, same as the fs-level pipeline: in exhaustive
         // generation only the final persistence point is new; the other
         // policies cover all of them.
-        let selected: Vec<&CrashPointMeta> = if self.config.crash_points.covers_all() {
-            profile.crash_points.iter().collect()
+        let selected = if self.config.crash_points.covers_all() {
+            &run.crash_points[..]
         } else {
-            profile.crash_points.last().into_iter().collect()
+            &run.crash_points[run.crash_points.len().saturating_sub(1)..]
         };
+        let audit = self.config.crash_points.triage_audit().unwrap_or(0);
 
         let mut outcome = WorkloadOutcome::from_parts(
             workload.name.clone(),
             workload.skeleton_string(),
             self.spec.name(),
         );
-        for meta in selected {
-            outcome.checkpoints_tested += 1;
-            if let Some(report) =
-                self.check_crash_point(&base, &profile.log, &oracle, meta, workload)?
-            {
+        let base = self.formatted_image()?;
+        // Copied out of the run when the first crash state has to be built.
+        let mut log: Option<IoLog> = None;
+        let mut recover =
+            |checkpoint: u32| self.recover(&base, log.get_or_insert_with(|| run.log()), checkpoint);
+        for point in selected {
+            let checkpoint = point.meta.checkpoint;
+            let recovery = match point.recovery.get() {
+                Some(held) if outcome.triage_audited < audit => {
+                    outcome.triage_audited += 1;
+                    outcome.checkpoints_tested += 1;
+                    let again = recover(checkpoint)?;
+                    if again != *held {
+                        outcome.triage_divergences.push(format!(
+                            "crash point {checkpoint}: the trunk held {held:?}, \
+                             recovering the crash state again gave {again:?}"
+                        ));
+                    }
+                    held
+                }
+                Some(held) => {
+                    outcome.checkpoints_reused += 1;
+                    held
+                }
+                None => {
+                    outcome.checkpoints_tested += 1;
+                    let fresh = recover(checkpoint)?;
+                    point.recovery.get_or_init(|| fresh)
+                }
+            };
+            if let Some(report) = report(&outcome, &oracle, &point.meta, recovery) {
                 outcome.bugs.push(report);
             }
         }
         Ok(outcome)
     }
 
-    /// Runs the workload's transactions against the engine on a recording
-    /// mount, collecting the IO log and crash-point metadata.
-    fn profile_workload(&self, base: &DiskImage, workload: &TxnWorkload) -> FsResult<AppProfile> {
-        let snapshot = CowSnapshotDevice::new(base.clone());
-        let recording = RecordingDevice::new(snapshot);
-        let log = recording.log_handle();
-        let inner = self.spec.mount(Box::new(recording))?;
-        let mut fs = CheckpointFs::new(inner, log);
-        let mut engine = WalKv::open(&mut fs, self.engine)?;
-
-        let mut crash_points = Vec::new();
-        let mut committed: u32 = 0;
-        // A fresh store replays nothing, so opening normally inserts no
-        // persistence points; record any that do appear (pre-transaction,
-        // nothing in flight).
-        for checkpoint in fs.take_checkpoints() {
-            crash_points.push(CrashPointMeta {
-                checkpoint,
-                committed_before: 0,
-                in_flight: None,
-            });
-        }
-        for (position, txn) in workload.txns.iter().enumerate() {
-            for (op_index, op) in txn.ops.iter().enumerate() {
-                let key = key_name(op.key);
-                match op.kind {
-                    TxnOpKind::Put => engine.put(&key, &value_for(position, op_index)),
-                    TxnOpKind::Append => engine.append(&key, &value_for(position, op_index)),
-                    TxnOpKind::Delete => engine.delete(&key),
-                }
-            }
-            if txn.commit {
-                engine.commit(&mut fs)?;
-                for checkpoint in fs.take_checkpoints() {
-                    crash_points.push(CrashPointMeta {
-                        checkpoint,
-                        committed_before: committed,
-                        in_flight: Some(position as u32),
-                    });
-                }
-                committed += 1;
-            } else {
-                engine.abort();
-            }
-        }
-        let log = fs.log.snapshot();
-        Ok(AppProfile { log, crash_points })
-    }
-
-    /// Builds one crash state, recovers the engine on it twice, and asks
-    /// the oracle. Returns a report when an invariant was violated.
-    fn check_crash_point(
-        &self,
-        base: &DiskImage,
-        log: &IoLog,
-        oracle: &TxnOracle,
-        meta: &CrashPointMeta,
-        workload: &TxnWorkload,
-    ) -> FsResult<Option<BugReport>> {
-        let device = crash_state(base, log, meta.checkpoint)?;
+    /// Builds one crash state, mounts it, and recovers the engine on it
+    /// twice.
+    fn recover(&self, base: &DiskImage, log: &IoLog, checkpoint: u32) -> FsResult<Recovery> {
+        let device = crash_state(base, log, checkpoint)?;
         let mut fs = match self.spec.mount(Box::new(device)) {
             Ok(fs) => fs,
-            Err(FsError::Unmountable(detail)) => {
-                return Ok(Some(BugReport {
-                    workload_name: workload.name.clone(),
-                    skeleton: workload.skeleton_string(),
-                    fs_name: self.spec.name().to_string(),
-                    crash_point: meta.checkpoint,
-                    consequence: Consequence::Unmountable,
-                    all_consequences: vec![Consequence::Unmountable],
-                    expected: "mountable file system".to_string(),
-                    actual: format!("recovery failed: {detail}"),
-                    diffs: Vec::new(),
-                    write_check_failures: Vec::new(),
-                }));
-            }
+            Err(FsError::Unmountable(detail)) => return Ok(Recovery::Unmountable(detail)),
             Err(other) => return Err(other),
         };
         let recovered = WalKv::open(fs.as_mut(), self.engine)?.dump();
-        // Idempotence probe: recover the same crash state a second time
-        // (the first recovery's compaction is now on "disk").
         let reopened = WalKv::open(fs.as_mut(), self.engine)?.dump();
-        let verdict = oracle.classify(meta, &recovered, &reopened);
-        if verdict.is_clean() {
-            return Ok(None);
-        }
-        let mut consequences: Vec<Consequence> =
-            verdict.violations.iter().map(|v| v.consequence).collect();
-        consequences.sort_unstable();
-        consequences.dedup();
-        let details: Vec<String> = verdict
-            .violations
-            .iter()
-            .map(|v| v.detail.clone())
-            .collect();
-        Ok(Some(BugReport {
-            workload_name: workload.name.clone(),
-            skeleton: workload.skeleton_string(),
-            fs_name: self.spec.name().to_string(),
-            crash_point: meta.checkpoint,
-            consequence: *consequences
-                .last()
-                .unwrap_or(&Consequence::TxnAtomicityBroken),
-            all_consequences: consequences,
-            expected: verdict.expected,
-            actual: format!("{} [{}]", verdict.actual, details.join("; ")),
-            diffs: Vec::new(),
-            write_check_failures: Vec::new(),
-        }))
+        Ok(Recovery::Recovered {
+            recovered,
+            reopened,
+        })
     }
+}
+
+/// Asks the oracle about one recovered crash state. Returns a report,
+/// carrying the names `outcome` was made with, when an invariant was
+/// violated.
+fn report(
+    outcome: &WorkloadOutcome,
+    oracle: &TxnOracle,
+    meta: &CrashPointMeta,
+    recovery: &Recovery,
+) -> Option<BugReport> {
+    let (all_consequences, expected, actual) = match recovery {
+        Recovery::Unmountable(detail) => (
+            vec![Consequence::Unmountable],
+            "mountable file system".to_string(),
+            format!("recovery failed: {detail}"),
+        ),
+        Recovery::Recovered {
+            recovered,
+            reopened,
+        } => {
+            let verdict = oracle.classify(meta, recovered, reopened);
+            if verdict.is_clean() {
+                return None;
+            }
+            let mut consequences: Vec<Consequence> =
+                verdict.violations.iter().map(|v| v.consequence).collect();
+            consequences.sort_unstable();
+            consequences.dedup();
+            let details: Vec<&str> = verdict
+                .violations
+                .iter()
+                .map(|v| v.detail.as_str())
+                .collect();
+            (
+                consequences,
+                verdict.expected,
+                format!("{} [{}]", verdict.actual, details.join("; ")),
+            )
+        }
+    };
+    Some(BugReport {
+        workload_name: outcome.workload_name.clone(),
+        skeleton: outcome.skeleton.clone(),
+        fs_name: outcome.fs_name.clone(),
+        crash_point: meta.checkpoint,
+        consequence: *all_consequences
+            .last()
+            .expect("a report has at least one consequence"),
+        all_consequences,
+        expected,
+        actual,
+        diffs: Vec::new(),
+        write_check_failures: Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -413,6 +687,96 @@ mod tests {
         assert!(fork.exists("kept"));
         assert!(fs.log.snapshot() == before, "the fork wrote to its own log");
         assert_eq!(fs.take_checkpoints(), vec![1]);
+    }
+
+    /// Three two-transaction workloads that share a committed first
+    /// transaction and commit their second.
+    fn siblings() -> Vec<TxnWorkload> {
+        // 84 single-transaction workloads precede the two-transaction
+        // block, whose first 84 members share transaction one; every other
+        // choice of a transaction aborts it.
+        TxnWorkloadGenerator::with_range(TxnBounds::smoke(), 84, 84 + 6)
+            .step_by(2)
+            .collect()
+    }
+
+    #[test]
+    fn siblings_run_their_shared_transaction_once_and_recover_its_crash_states_once() {
+        let (spec, config) = setup();
+        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let siblings = siblings();
+        for sibling in &siblings {
+            assert_eq!(sibling.txns[0], siblings[0].txns[0]);
+            assert!(sibling.txns.iter().all(|txn| txn.commit));
+        }
+        let first = harness.test_workload(&siblings[0]).unwrap();
+        assert_eq!(first.checkpoints_reused, 0);
+        let shared_points = harness
+            .test_workload(&TxnWorkload {
+                txns: siblings[0].txns[..1].to_vec(),
+                ..siblings[0].clone()
+            })
+            .unwrap()
+            .checkpoints_reused;
+        assert!(shared_points > 0, "transaction one commits");
+        for sibling in &siblings[1..] {
+            let outcome = harness.test_workload(sibling).unwrap();
+            assert_eq!(
+                outcome.checkpoints_reused, shared_points,
+                "{}",
+                sibling.name
+            );
+            assert!(outcome.checkpoints_tested > 0, "transaction two is new");
+            assert_eq!(outcome.triage_audited, 0, "`All` audits nothing");
+        }
+        let sharing = harness.sharing();
+        assert_eq!(sharing.txns.mounts, 1);
+        // Both transactions of the first sibling, then one per workload
+        // (the one-transaction prefix ran nothing).
+        assert_eq!(sharing.txns.ops_applied, 2 + 2);
+        assert_eq!(sharing.txns.ops_resumed, 1 + 2);
+        assert_eq!(sharing.states_reused, u64::from(shared_points) * 3);
+
+        // A dropped trunk recovers everything again; the counters go on.
+        harness.reset_trunk();
+        let again = harness.test_workload(&siblings[1]).unwrap();
+        assert_eq!(again.checkpoints_reused, 0);
+        assert_eq!(harness.sharing().txns.mounts, 2);
+        assert_eq!(harness.sharing().txns.ops_applied, 4 + 2);
+    }
+
+    #[test]
+    fn the_triage_audit_recovers_answered_states_again_and_reports_a_mismatch() {
+        let (spec, _) = setup();
+        let config = CrashMonkeyConfig {
+            crash_points: b3_crashmonkey::CrashPointPolicy::AllTriaged { audit: 1 },
+            ..CrashMonkeyConfig::small()
+        };
+        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let siblings = siblings();
+        let first = harness.test_workload(&siblings[0]).unwrap();
+        assert_eq!((first.checkpoints_reused, first.triage_audited), (0, 0));
+        let second = harness.test_workload(&siblings[1]).unwrap();
+        assert_eq!(second.triage_audited, 1);
+        assert!(second.triage_divergences.is_empty());
+        assert_eq!(
+            second.checkpoints_tested + second.checkpoints_reused,
+            first.checkpoints_tested,
+            "an audited state counts as tested, not reused"
+        );
+        assert!(second.checkpoints_reused > 0, "the budget is one state");
+
+        // A held recovery that is not what the crash state recovers to.
+        let mut run = harness.mount_run().unwrap();
+        for txn in &siblings[0].txns {
+            run.step(txn);
+        }
+        let planted = Recovery::Unmountable("planted".into());
+        run.crash_points[0].recovery.set(planted).unwrap();
+        let outcome = harness.crash_test(&run, &siblings[0]).unwrap();
+        assert_eq!(outcome.triage_audited, 1);
+        assert_eq!(outcome.triage_divergences.len(), 1, "{outcome:?}");
+        assert!(outcome.triage_divergences[0].contains("planted"));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   and replay is idempotent.
 //! - [`AppHarness`]: the CrashMonkey analogue. Profiles a transaction
 //!   workload through a recording block device, constructs every crash
-//!   state, recovers the engine, and asks the oracle.
+//!   state, recovers the engine, and asks the oracle. Transactions and
+//!   recoveries a workload shares with its predecessor are not repeated
+//!   ([`AppRun`], on CrashMonkey's trunk).
 //! - [`corpus`]: the three seeded engine bugs as replayable corpus
 //!   entries, mirroring the fs-level known-bug corpus.
 //!
@@ -43,5 +45,5 @@ pub mod oracle;
 pub use bounds::{TxnBounds, TxnOpKind, TxnShard};
 pub use engine::{EngineProfile, WalKv, COMMIT_MAGIC, SNAPSHOT_MAGIC};
 pub use generator::{TxnWorkload, TxnWorkloadGenerator};
-pub use harness::AppHarness;
+pub use harness::{AppHarness, AppRun, AppSharing, Recovery};
 pub use oracle::{CrashPointMeta, TxnOracle};

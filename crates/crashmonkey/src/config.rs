@@ -27,7 +27,10 @@ pub enum CrashPointPolicy {
         /// When non-zero, deterministically re-test up to this many reused
         /// states per workload dynamically and compare against the cached
         /// verdict (the analysis-layer analogue of `PruneMode::Audit`).
-        /// Divergences are reported in the workload outcome.
+        /// Divergences are reported in the workload outcome. On a `b3_app`
+        /// job, where the reuse is of recoveries held along the trunk, the
+        /// first `audit` answered crash states of each workload are built
+        /// and recovered again and compared with the held recovery.
         audit: u32,
     },
 }

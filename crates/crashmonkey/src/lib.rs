@@ -32,7 +32,7 @@ pub mod profiler;
 pub mod recovery;
 pub mod report;
 mod triage;
-mod trunk;
+pub mod trunk;
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +48,7 @@ pub use config::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
 pub use recovery::{session_for, RecoverySession};
 pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
-pub use trunk::ProfileSharing;
+pub use trunk::{Finished, ProfileSharing, Trunk, TrunkRun};
 
 /// The CrashMonkey test harness for one target file system.
 pub struct CrashMonkey<'a> {
@@ -71,7 +71,7 @@ pub struct CrashMonkey<'a> {
     triage: std::sync::Mutex<triage::TriageCache>,
     /// The forked profile states along the previous workload's operation
     /// path, which the next workload resumes from (see the `trunk` module).
-    trunk: std::sync::Mutex<trunk::Trunk>,
+    trunk: std::sync::Mutex<Trunk<profiler::ProfileState>>,
 }
 
 impl<'a> CrashMonkey<'a> {
@@ -89,7 +89,7 @@ impl<'a> CrashMonkey<'a> {
             interner: None,
             recovery_session: std::sync::Mutex::new(None),
             triage: std::sync::Mutex::new(triage::TriageCache::default()),
-            trunk: std::sync::Mutex::new(trunk::Trunk::default()),
+            trunk: std::sync::Mutex::new(Trunk::default()),
         }
     }
 
@@ -158,11 +158,12 @@ impl<'a> CrashMonkey<'a> {
             Some(interner) => Profiler::with_interner(self.spec, &self.config, interner.clone()),
             None => Profiler::new(self.spec, &self.config),
         };
-        let profile = self
+        let mut trunk = self
             .trunk
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .profile(&profiler, &base_image, workload)?;
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let profile = profiler.profile_through(&mut trunk, &base_image, workload)?;
+        drop(trunk);
         #[cfg(debug_assertions)]
         {
             let scratch = profiler.profile_on(base_image, workload)?;

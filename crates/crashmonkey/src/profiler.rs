@@ -21,8 +21,8 @@
 //!
 //! Profiling is a resumable state machine: a `ProfileState` is one run
 //! stopped between two operations, `Profiler::step` advances it by one,
-//! and a state can be forked. The harness's trunk (the `trunk` module) uses
-//! that to run the operation prefix consecutive workloads share only once.
+//! and a state can be forked. The harness's [`Trunk`] uses that to run the
+//! operation prefix consecutive workloads share only once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use b3_vfs::snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot};
 use b3_vfs::workload::{Op, Workload, WriteSpec};
 
 use crate::config::CrashMonkeyConfig;
-use crate::trunk::Trunk;
+use crate::trunk::{Finished, Trunk, TrunkRun};
 
 /// What a persistence operation guaranteed about one path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -393,12 +393,34 @@ impl<'a> Profiler<'a> {
         base_image: DiskImage,
         workload: &Workload,
     ) -> FsResult<ProfileResult> {
-        Trunk::default().profile(self, &base_image, workload)
+        self.profile_through(&mut Trunk::default(), &base_image, workload)
+    }
+
+    /// Profiles `workload` on a snapshot of `base_image`, running only the
+    /// operations past the deepest frame of `trunk` whose prefix it shares.
+    /// Every call on one trunk must come from a profiler with the same
+    /// settings and pass the same base image.
+    pub(crate) fn profile_through(
+        &self,
+        trunk: &mut Trunk<ProfileState>,
+        base_image: &DiskImage,
+        workload: &Workload,
+    ) -> FsResult<ProfileResult> {
+        let ops: Vec<&Op> = workload.all_ops().collect();
+        let finished = trunk.run(
+            &ops,
+            || self.mount(base_image),
+            |state, op| self.step(state, op),
+        )?;
+        Ok(match finished {
+            Finished::Complete(state) => state.into_result(base_image),
+            Finished::Failed(state) => state.result(base_image),
+        })
     }
 
     /// Mounts a snapshot of `base_image` on a recording wrapper: the state
     /// every workload starts from, before its first operation.
-    pub(crate) fn mount(&self, base_image: &DiskImage) -> FsResult<ProfileState> {
+    fn mount(&self, base_image: &DiskImage) -> FsResult<ProfileState> {
         let recording = RecordingDevice::new(CowSnapshotDevice::new(base_image.clone()));
         let log = recording.log_handle();
         Ok(ProfileState {
@@ -419,7 +441,7 @@ impl<'a> Profiler<'a> {
     /// recording IO and, at a persistence point, inserts the checkpoint and
     /// captures oracle and expectations. An operation that fails to execute
     /// ends the run: the error is kept in the state, not returned.
-    pub(crate) fn step(&self, state: &mut ProfileState, op: &Op) -> FsResult<()> {
+    fn step(&self, state: &mut ProfileState, op: &Op) -> FsResult<()> {
         debug_assert!(!state.failed(), "a failed run takes no further steps");
         let op_index = state.depth();
         let fs = state.fs.as_mut();
@@ -502,7 +524,7 @@ impl<'a> Profiler<'a> {
 
 /// One profiling run stopped between two operations: the mounted file
 /// system, the handle on its recorder, and everything captured so far.
-/// [`Profiler::step`] advances it; [`ProfileState::fork`] copies it, so the
+/// `Profiler::step` advances it; [`TrunkRun::fork`] copies it, so the
 /// operations it has run need not be run again for the next workload that
 /// starts with them.
 pub(crate) struct ProfileState {
@@ -521,21 +543,21 @@ pub(crate) struct ProfileState {
     exec_error: Option<FsError>,
 }
 
-impl ProfileState {
-    /// Number of operations run so far, the failing one included.
-    pub(crate) fn depth(&self) -> usize {
+impl TrunkRun for ProfileState {
+    type Step = Op;
+
+    fn depth(&self) -> usize {
         self.executor.ops_applied() as usize
     }
 
-    /// True once an operation failed to execute.
-    pub(crate) fn failed(&self) -> bool {
+    fn failed(&self) -> bool {
         self.exec_error.is_some()
     }
 
-    /// An independent copy of the run: file system, recording device and
-    /// log are forked, the captured state is cloned (oracle entries and
-    /// block payloads stay shared behind their `Arc`s).
-    pub(crate) fn fork(&self) -> ProfileState {
+    /// File system, recording device and log are forked, the captured state
+    /// is cloned (oracle entries and block payloads stay shared behind
+    /// their `Arc`s).
+    fn fork(&self) -> ProfileState {
         let device = self.log.fork_device();
         let log = device.log_handle();
         ProfileState {
@@ -555,13 +577,16 @@ impl ProfileState {
     /// Refreshes the incremental oracle now, so that forks of this state
     /// start with nothing dirty instead of each re-capturing the same
     /// paths at its first checkpoint. What the oracle holds at a checkpoint
-    /// does not depend on when it was refreshed.
-    pub(crate) fn settle_oracle(&mut self) -> FsResult<()> {
-        self.oracle.settle(self.fs.as_ref())
+    /// does not depend on when it was refreshed. A state whose oracle
+    /// cannot be settled is not kept.
+    fn keep_as_frame(&mut self) -> bool {
+        self.oracle.settle(self.fs.as_ref()).is_ok()
     }
+}
 
+impl ProfileState {
     /// The profile of the operations run so far.
-    pub(crate) fn result(&self, base_image: &DiskImage) -> ProfileResult {
+    fn result(&self, base_image: &DiskImage) -> ProfileResult {
         ProfileResult {
             base_image: base_image.clone(),
             log: self.log.snapshot(),
@@ -571,7 +596,7 @@ impl ProfileState {
     }
 
     /// [`ProfileState::result`] of a run that is over, without the copies.
-    pub(crate) fn into_result(self, base_image: &DiskImage) -> ProfileResult {
+    fn into_result(self, base_image: &DiskImage) -> ProfileResult {
         ProfileResult {
             base_image: base_image.clone(),
             log: self.log.take_log(),

@@ -362,22 +362,27 @@ pub struct WorkloadOutcome {
     pub fs_name: String,
     /// Bug reports (empty when the workload passed).
     pub bugs: Vec<BugReport>,
-    /// Number of crash points *dynamically* tested (constructed, recovered,
-    /// checked).
+    /// Number of crash points *dynamically* tested by this call
+    /// (constructed, recovered, checked).
     pub checkpoints_tested: u32,
-    /// Crash points covered by reusing a triage witness verdict instead of
-    /// dynamic testing. Always zero unless the policy is
-    /// `CrashPointPolicy::AllTriaged`; total coverage is
+    /// Crash points covered without constructing and recovering their crash
+    /// state. For a file-system workload that is a triage witness verdict
+    /// reused, so it is zero unless the policy is
+    /// `CrashPointPolicy::AllTriaged`; for a `b3_app` workload it is a
+    /// recovery a sibling workload left in the trunk, under every policy
+    /// (the verdict is still the workload's own). Total coverage is
     /// `checkpoints_tested + checkpoints_reused`.
     pub checkpoints_reused: u32,
     /// Reused crash states that the triage audit additionally re-tested
     /// dynamically (these count toward `checkpoints_tested`, not
     /// `checkpoints_reused`).
     pub triage_audited: u32,
-    /// Triage audit divergences: reused verdicts whose dynamic re-test did
-    /// not match the cached witness. Non-empty output means the triage key
-    /// failed to capture a checker input (or a digest collision occurred)
-    /// and must be treated as a bug.
+    /// Triage audit divergences: reused verdicts (for `b3_app`, reused
+    /// recoveries) whose dynamic re-test did not match what was held.
+    /// Non-empty output means the triage key failed to capture a checker
+    /// input (or a digest collision occurred) — for `b3_app`, that a held
+    /// recovery was answered to a crash state it does not belong to — and
+    /// must be treated as a bug.
     pub triage_divergences: Vec<String>,
     /// Set when the workload could not be executed (invalid op sequence).
     pub skipped: Option<String>,

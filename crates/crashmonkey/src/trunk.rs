@@ -1,51 +1,75 @@
-//! Prefix-sharing profiling: run each shared operation prefix once.
+//! Prefix sharing: run each shared step prefix once.
 //!
-//! ACE's odometer varies the last choice fastest, so consecutive workloads
-//! of a shard mostly differ in their final operations only. Re-mounting and
-//! re-running every workload from its first operation repeats the prefix
-//! the previous workload just ran. The [`Trunk`] keeps, along the previous
-//! workload's operation path, a stack of *frames* — forked
-//! [`ProfileState`]s, each the run as it stood after some prefix — and
-//! starts the next workload from a fork of the deepest frame whose prefix
-//! it shares.
+//! Both generators vary the last choice fastest — ACE's odometer its final
+//! operations, the transaction generator its final transaction — so
+//! consecutive workloads of a shard mostly differ at the end only.
+//! Re-mounting and re-running every workload from its first step repeats the
+//! prefix the previous workload just ran. The [`Trunk`] keeps, along the
+//! previous workload's step path, a stack of *frames* — forked runs, each
+//! the run as it stood after some prefix — and starts the next workload
+//! from a fork of the deepest frame whose prefix it shares.
+//!
+//! What a run is, and what one step of it does, is the caller's: the trunk
+//! is generic over a [`TrunkRun`] and owns only the prefix match, the frame
+//! policy and the [`ProfileSharing`] counters. It is instantiated twice,
+//! monomorphized each time: for the profiler's `ProfileState` stepped one
+//! [`Op`](b3_vfs::workload::Op) at a time, and for `b3_app`'s engine run
+//! stepped one transaction at a time.
 //!
 //! A frame is only ever forked, never stepped, so it stays the state after
-//! exactly the operations `path[..depth]`; and a forked run is by the
+//! exactly the steps `path[..depth]`; and a forked run is by the
 //! [`fork` contract](b3_vfs::fs::FileSystem::fork) indistinguishable from
-//! one that ran those operations itself. A profile is therefore a pure
+//! one that ran those steps itself. What a run returns is therefore a pure
 //! function of the workload whatever the trunk held before — the order
 //! workloads arrive in, shard boundaries, and earlier failures change what
 //! is re-run, never what is returned. Debug builds assert that (see
 //! [`CrashMonkey`](crate::CrashMonkey)), and
 //! `profile_sharing_differential.rs` pins it across orders and file systems.
 
-use b3_block::DiskImage;
-use b3_vfs::error::FsResult;
-use b3_vfs::workload::{Op, Workload};
+/// One run of a workload stopped between two steps, as the [`Trunk`] needs
+/// to see it.
+pub trait TrunkRun: Sized {
+    /// One unit of the workload's path: two workloads share a prefix as far
+    /// as their steps compare equal.
+    type Step: PartialEq + Clone;
 
-use crate::profiler::{ProfileResult, ProfileState, Profiler};
+    /// Number of steps run so far, a failing one included.
+    fn depth(&self) -> usize;
 
-/// How much profiling work prefix sharing saved, cumulative over a
-/// harness's lifetime.
+    /// True once a step failed; a failed run takes no further steps.
+    fn failed(&self) -> bool;
+
+    /// An independent copy of the run: nothing done to either side may
+    /// change what the other holds, and any step sequence applied to the
+    /// copy must behave exactly as it would have on `self`.
+    fn fork(&self) -> Self;
+
+    /// Readies the run to be forked many times (work every fork would
+    /// otherwise repeat is done here, once). False when it cannot be: the
+    /// state is then simply not kept as a frame.
+    fn keep_as_frame(&mut self) -> bool;
+}
+
+/// How much work prefix sharing saved, cumulative over a harness's
+/// lifetime. A step is an operation for a file-system workload and a
+/// transaction for an application workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileSharing {
-    /// Operations executed (the failing operation of a skipped workload
-    /// included).
+    /// Steps executed (the failing step of a skipped workload included).
     pub ops_applied: u64,
-    /// Operations *not* executed because a frame already held their
-    /// result. `ops_applied + ops_resumed` is what per-workload
-    /// re-execution would have executed.
+    /// Steps *not* executed because a frame already held their result.
+    /// `ops_applied + ops_resumed` is what per-workload re-execution would
+    /// have executed.
     pub ops_resumed: u64,
-    /// Profile states forked: one per resumed workload plus one per frame
-    /// taken.
+    /// Runs forked: one per resumed workload plus one per frame taken.
     pub forks: u64,
     /// File-system mounts: one per trunk, for its root frame.
     pub mounts: u64,
 }
 
 impl ProfileSharing {
-    /// The share of operations that were resumed rather than executed
-    /// (0 when nothing ran yet).
+    /// The share of steps that were resumed rather than executed (0 when
+    /// nothing ran yet).
     pub fn resumed_share(&self) -> f64 {
         let total = self.ops_applied + self.ops_resumed;
         if total == 0 {
@@ -56,85 +80,113 @@ impl ProfileSharing {
     }
 }
 
-/// The stack of forked profile states along the previous workload's
-/// operation path.
-#[derive(Default)]
-pub(crate) struct Trunk {
-    /// Setup + core operations of the most recent workload.
-    path: Vec<Op>,
+/// A workload's run as [`Trunk::run`] hands it back.
+pub enum Finished<'t, R> {
+    /// Every step ran; the run is the caller's.
+    Complete(R),
+    /// A step failed — now, or when an earlier workload ran it. The trunk
+    /// keeps the run to answer the next workload that shares the failing
+    /// step.
+    Failed(&'t R),
+}
+
+/// The stack of forked runs along the previous workload's step path.
+pub struct Trunk<R: TrunkRun> {
+    /// The steps of the most recent workload.
+    path: Vec<R::Step>,
     /// Strictly increasing in depth; `frames[i]` is the run after exactly
     /// `path[..frames[i].depth()]`. The first is the mounted root (depth 0).
-    frames: Vec<ProfileState>,
+    frames: Vec<R>,
     sharing: ProfileSharing,
 }
 
-impl Trunk {
-    pub(crate) fn sharing(&self) -> ProfileSharing {
+impl<R: TrunkRun> Default for Trunk<R> {
+    fn default() -> Self {
+        Trunk {
+            path: Vec::new(),
+            frames: Vec::new(),
+            sharing: ProfileSharing::default(),
+        }
+    }
+}
+
+impl<R: TrunkRun> Trunk<R> {
+    /// The counters so far; [`Trunk::reset`] does not clear them.
+    pub fn sharing(&self) -> ProfileSharing {
         self.sharing
     }
 
-    /// Profiles `workload` on a snapshot of `base_image`, resuming from the
-    /// deepest frame whose prefix it shares. Every call must pass the same
-    /// profiler settings and base image.
+    /// Drops every frame: the next workload mounts again and runs from its
+    /// first step.
+    pub fn reset(&mut self) {
+        self.path.clear();
+        self.frames.clear();
+    }
+
+    /// Runs the workload whose path is `steps`, resuming from the deepest
+    /// frame whose prefix it shares. `mount` makes the root run every
+    /// workload starts from (called when the trunk holds none); `step`
+    /// advances a run by one step, recording a step that fails to execute
+    /// in the run rather than returning it. Every call must pass a `mount`
+    /// and a `step` that behave the same.
     ///
     /// Frame policy, which needs no knowledge of the next workload: keep a
     /// frame where this workload's path leaves the previous one's (the
     /// odometer digit that just moved will move again) and one before the
-    /// final operation (the next workload most likely differs only there).
+    /// final step (the next workload most likely differs only there).
     /// A run that fails is kept whole, so workloads sharing the failing
-    /// operation are answered with the recorded error.
-    pub(crate) fn profile(
+    /// step are answered with the recorded error.
+    pub fn run<E>(
         &mut self,
-        profiler: &Profiler<'_>,
-        base_image: &DiskImage,
-        workload: &Workload,
-    ) -> FsResult<ProfileResult> {
-        let ops: Vec<&Op> = workload.all_ops().collect();
+        steps: &[&R::Step],
+        mount: impl FnOnce() -> Result<R, E>,
+        mut step: impl FnMut(&mut R, &R::Step) -> Result<(), E>,
+    ) -> Result<Finished<'_, R>, E> {
         let shared = self
             .path
             .iter()
-            .zip(&ops)
-            .take_while(|(ran, op)| ran == *op)
+            .zip(steps)
+            .take_while(|(ran, step)| ran == *step)
             .count();
-        // Frames past the shared prefix ran operations this workload lacks.
+        // Frames past the shared prefix ran steps this workload lacks.
         while self.frames.last().is_some_and(|f| f.depth() > shared) {
             self.frames.pop();
         }
         self.path.truncate(shared);
         self.path
-            .extend(ops[shared..].iter().map(|op| (*op).clone()));
+            .extend(steps[shared..].iter().map(|step| (*step).clone()));
 
         if self.frames.is_empty() {
             self.sharing.mounts += 1;
-            self.frames.push(profiler.mount(base_image)?);
+            self.frames.push(mount()?);
         }
         let resume = self.frames.last().expect("the root frame is never popped");
         self.sharing.ops_resumed += resume.depth() as u64;
-        if resume.failed() {
-            return Ok(resume.result(base_image));
-        }
-        let mut state = resume.fork();
-        self.sharing.forks += 1;
+        if !resume.failed() {
+            let mut state = resume.fork();
+            self.sharing.forks += 1;
 
-        while state.depth() < ops.len() && !state.failed() {
-            let depth = state.depth();
-            let wanted = depth == shared || depth + 1 == ops.len();
-            let held = self.frames.last().is_some_and(|f| f.depth() == depth);
-            // A frame whose oracle cannot be settled is simply not kept.
-            if wanted && !held && state.settle_oracle().is_ok() {
-                self.frames.push(state.fork());
-                self.sharing.forks += 1;
+            while state.depth() < steps.len() && !state.failed() {
+                let depth = state.depth();
+                let wanted = depth == shared || depth + 1 == steps.len();
+                let held = self.frames.last().is_some_and(|f| f.depth() == depth);
+                if wanted && !held && state.keep_as_frame() {
+                    self.frames.push(state.fork());
+                    self.sharing.forks += 1;
+                }
+                step(&mut state, steps[depth])?;
+                self.sharing.ops_applied += 1;
             }
-            profiler.step(&mut state, ops[depth])?;
-            self.sharing.ops_applied += 1;
-        }
 
-        if state.failed() {
-            let result = state.result(base_image);
+            if !state.failed() {
+                return Ok(Finished::Complete(state));
+            }
             self.frames.push(state);
-            Ok(result)
-        } else {
-            Ok(state.into_result(base_image))
         }
+        let failed = self
+            .frames
+            .last()
+            .expect("a failed run is the deepest frame");
+        Ok(Finished::Failed(failed))
     }
 }

@@ -5,9 +5,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use b3_ace::{Bounds, Classifier, SpaceTable, WorkloadGenerator};
-use b3_crashmonkey::CrashMonkey;
+use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnWorkloadGenerator};
+use b3_crashmonkey::{CrashMonkey, ProfileSharing};
 use b3_harness::distrib::{load_checkpoint, run_with_transport, segment_stats};
-use b3_harness::{Progress, RunConfig, SweepJob};
+use b3_harness::{Progress, RunConfig, SweepJob, SweepSpace};
 
 use crate::args::Args;
 use crate::job::JobSpec;
@@ -129,8 +130,9 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
             );
         }
     }
-    if let Some(bounds) = job.fs_bounds() {
-        print_sampled_sharing(&job, bounds);
+    match &job.space {
+        SweepSpace::Fs(bounds) => print_sampled_sharing(&job, bounds),
+        SweepSpace::App { bounds, engine } => print_sampled_app_sharing(&job, bounds, *engine),
     }
     print_groups(out.as_deref(), &groups)?;
     match (swept.is_complete(), &checkpoint) {
@@ -146,6 +148,45 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
 
 /// Workloads generated and profiled locally for the summary's sharing lines.
 const SHARING_SAMPLE: usize = 2000;
+
+/// The sampled "prefix sharing" line both spaces print: what the trunk
+/// counted over `sampled` workloads that were `done` here, in `steps`.
+fn sharing_line(sampled: usize, done: &str, steps: &str, sharing: ProfileSharing) -> String {
+    format!(
+        "prefix sharing (first {sampled} workloads of shard 0, {done} here): \
+         {} {steps} applied, {} resumed from a shared prefix ({:.0} %), {} forks, {} mount(s)",
+        sharing.ops_applied,
+        sharing.ops_resumed,
+        sharing.resumed_share() * 100.0,
+        sharing.forks,
+        sharing.mounts,
+    )
+}
+
+/// The application-space sample: the head of shard 0 crash-tested through
+/// one local harness, in generator order like a worker — crash-tested, not
+/// only run, because the recoveries a workload is answered from the trunk
+/// are the larger half of what sharing saves there.
+fn print_sampled_app_sharing(job: &SweepJob, bounds: &TxnBounds, engine: EngineProfile) {
+    let spec = job.fs.spec(job.era);
+    let harness = AppHarness::new(spec.as_ref(), job.crashmonkey, engine);
+    let shard = bounds.shard(0, job.num_shards);
+    let mut tested = 0;
+    for workload in TxnWorkloadGenerator::for_shard(bounds.clone(), &shard).take(SHARING_SAMPLE) {
+        // A workload that cannot be tested is the sweep's to report.
+        let _ = harness.test_workload(&workload);
+        tested += 1;
+    }
+    let sharing = harness.sharing();
+    let states = sharing.states_recovered + sharing.states_reused;
+    println!(
+        "{}; {} crash states recovered, {} answered from the trunk ({:.0} %)",
+        sharing_line(tested, "crash-tested", "transactions", sharing.txns),
+        sharing.states_recovered,
+        sharing.states_reused,
+        sharing.states_reused as f64 * 100.0 / states.max(1) as f64,
+    );
+}
 
 /// Measures prefix sharing — the profiler's and the generator's — on the
 /// head of shard 0. The harnesses that ran the sweep report outcomes only
@@ -168,15 +209,9 @@ fn print_sampled_sharing(job: &SweepJob, bounds: &Bounds) {
         let _ = monkey.profile_only(&workload);
         profiled += 1;
     }
-    let sharing = monkey.profile_sharing();
     println!(
-        "prefix sharing (first {profiled} workloads of shard 0, profiled here): \
-         {} ops applied, {} resumed from a shared prefix ({:.0} %), {} forks, {} mount(s)",
-        sharing.ops_applied,
-        sharing.ops_resumed,
-        sharing.resumed_share() * 100.0,
-        sharing.forks,
-        sharing.mounts,
+        "{}",
+        sharing_line(profiled, "profiled", "ops", monkey.profile_sharing())
     );
     let generation = generator.stats();
     println!(

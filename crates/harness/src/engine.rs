@@ -493,6 +493,10 @@ impl<'a> JobSpace for AppSpace<'a> {
         live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool) {
+        // What a workload's crash states cost — recovered here, answered
+        // from the trunk, audited — depends on what the trunk holds, and
+        // the audited count reaches the shard result.
+        harness.reset_trunk();
         let shard = self
             .bounds
             .shard(shard as usize, self.checkpoint.num_shards());
@@ -609,21 +613,41 @@ mod tests {
         let spec = CowFsSpec::new(KernelEra::Patched);
         let engine = EngineProfile {
             torn_commit: true,
+            double_replay: true,
             ..EngineProfile::fixed()
         };
-        let config = CrashMonkeyConfig::exhaustive_crash_points();
-        let scope = in_process_scope(Some(engine), config.crash_points, PruneMode::Off);
-        let bounds = TxnBounds::tiny();
-        let space = AppSpace {
-            spec: &spec,
-            config,
-            engine,
-            bounds: &bounds,
-            checkpoint: SweepCheckpoint::scoped_app(&bounds, SHARDS, &scope),
+        // Two transactions, so workloads share a prefix; with an audit
+        // budget `audited` depends on which crash states the tester's trunk
+        // answers, so a tester that kept its trunk across shards would
+        // diverge here.
+        let two_txns = TxnBounds {
+            max_txns: 2,
+            max_ops_per_txn: 1,
+            ..TxnBounds::tiny()
         };
-        let summary = check_engine(&space);
-        assert_eq!(summary.tested, 20);
-        assert!(!summary.reports.is_empty());
+        let triaged = CrashPointPolicy::AllTriaged { audit: 1 };
+        for (bounds, crash_points, tested) in [
+            (TxnBounds::tiny(), CrashPointPolicy::All, 20),
+            (two_txns, triaged, 4 + 16),
+        ] {
+            let config = CrashMonkeyConfig {
+                crash_points,
+                ..CrashMonkeyConfig::small()
+            };
+            let scope = in_process_scope(Some(engine), config.crash_points, PruneMode::Off);
+            let space = AppSpace {
+                spec: &spec,
+                config,
+                engine,
+                bounds: &bounds,
+                checkpoint: SweepCheckpoint::scoped_app(&bounds, SHARDS, &scope),
+            };
+            let summary = check_engine(&space);
+            assert_eq!(summary.tested, tested);
+            assert!(!summary.reports.is_empty());
+            assert_eq!(summary.audited > 0, crash_points == triaged);
+            assert!(summary.audit_failures.is_empty());
+        }
     }
 
     #[test]
