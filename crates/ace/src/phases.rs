@@ -280,8 +280,8 @@ pub fn required_dirs(path: &str) -> Vec<String> {
     let mut dirs = Vec::new();
     let mut current = parent(path).unwrap_or_default();
     while !current.is_empty() {
-        dirs.push(current.clone());
-        current = parent(&current).unwrap_or_default();
+        dirs.push(current.to_string());
+        current = parent(current).unwrap_or_default();
     }
     dirs.reverse();
     dirs

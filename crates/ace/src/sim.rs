@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use b3_vfs::path::{components, is_ancestor, join, normalize, parent};
+use b3_vfs::path::{is_ancestor, join, normalize, parent, prefixes};
 use b3_vfs::workload::{FileSet, Op};
 
 /// The kind of a simulated namespace entry.
@@ -56,7 +56,7 @@ impl SimState {
         if path.is_empty() {
             return Some(SimKind::Dir);
         }
-        self.entries.get(&path).copied()
+        self.entries.get(path.as_ref()).copied()
     }
 
     fn exists(&self, path: &str) -> bool {
@@ -64,37 +64,34 @@ impl SimState {
     }
 
     fn insert(&mut self, path: &str, kind: SimKind) {
-        self.entries.insert(normalize(path), kind);
+        self.entries.insert(normalize(path).into_owned(), kind);
     }
 
     fn remove(&mut self, path: &str) {
-        self.entries.remove(&normalize(path));
+        self.entries.remove(normalize(path).as_ref());
     }
 
     fn has_children(&self, dir: &str) -> bool {
         let dir = normalize(dir);
         self.entries
             .keys()
-            .any(|p| p != &dir && is_ancestor(&dir, p))
+            .any(|p| *p != dir && is_ancestor(&dir, p))
     }
 
     /// Adds setup `mkdir`s for every missing ancestor directory of `path`.
     fn ensure_parents(&mut self, path: &str) -> Result<(), String> {
-        let parent_path = parent(path).unwrap_or_default();
-        let mut prefix = String::new();
-        for comp in components(&parent_path) {
-            let current = join(&prefix, &comp);
-            match self.kind(&current) {
+        let dir = normalize(parent(path).unwrap_or_default());
+        for current in prefixes(&dir) {
+            match self.kind(current) {
                 Some(SimKind::Dir) => {}
                 Some(_) => return Err(format!("{current} is not a directory")),
                 None => {
                     self.setup.push(Op::Mkdir {
-                        path: current.clone(),
+                        path: current.to_string(),
                     });
-                    self.insert(&current, SimKind::Dir);
+                    self.insert(current, SimKind::Dir);
                 }
             }
-            prefix = current;
         }
         Ok(())
     }
@@ -108,14 +105,14 @@ impl SimState {
         }
         self.ensure_parents(path)?;
         let normalized = normalize(path);
-        let kind = if files.dirs().contains(&normalized) {
+        let kind = if files.dirs().iter().any(|d| *d == normalized) {
             self.setup.push(Op::Mkdir {
-                path: normalized.clone(),
+                path: normalized.to_string(),
             });
             SimKind::Dir
         } else {
             self.setup.push(Op::Creat {
-                path: normalized.clone(),
+                path: normalized.to_string(),
             });
             SimKind::File
         };
@@ -233,12 +230,7 @@ impl SimState {
                 for (old_path, kind) in moved {
                     self.entries.remove(&old_path);
                     let suffix = old_path[from_norm.len()..].trim_start_matches('/');
-                    let new_path = if suffix.is_empty() {
-                        to_norm.clone()
-                    } else {
-                        join(&to_norm, suffix)
-                    };
-                    self.entries.insert(new_path, kind);
+                    self.entries.insert(join(&to_norm, suffix), kind);
                 }
                 Ok(())
             }
@@ -249,14 +241,14 @@ impl SimState {
             Op::SetXattr { path, name, .. } => {
                 self.ensure_file(path, files)?;
                 self.xattrs
-                    .entry(normalize(path))
+                    .entry(normalize(path).into_owned())
                     .or_default()
                     .push(name.clone());
                 Ok(())
             }
             Op::RemoveXattr { path, name } => {
                 self.ensure_file(path, files)?;
-                let key = normalize(path);
+                let key = normalize(path).into_owned();
                 let present = self
                     .xattrs
                     .get(&key)

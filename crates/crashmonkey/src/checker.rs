@@ -359,10 +359,10 @@ impl<'a> AutoChecker<'a> {
 
         // Persisted directories (and the parents of persisted files) must be
         // removable once emptied.
-        let mut dirs: Vec<String> = Vec::new();
+        let mut dirs: Vec<&str> = Vec::new();
         for (path, expectation) in &info.persisted {
             if expectation.entry.file_type == FileType::Directory && !path.is_empty() {
-                dirs.push(path.clone());
+                dirs.push(path);
             }
             if let Ok(parent_path) = parent(path) {
                 if !parent_path.is_empty() && !dirs.contains(&parent_path) {
@@ -374,10 +374,10 @@ impl<'a> AutoChecker<'a> {
         dirs.sort_by_key(|d| std::cmp::Reverse(b3_vfs::path::depth(d)));
         dirs.dedup();
         for dir in dirs {
-            if !fs.exists(&dir) {
+            if !fs.exists(dir) {
                 continue;
             }
-            if let Err(error) = remove_recursively(fs, &dir) {
+            if let Err(error) = remove_recursively(fs, dir) {
                 verdict.write_failures.push(format!(
                     "directory '{dir}' cannot be removed after recovery: {error}"
                 ));
@@ -397,8 +397,8 @@ fn rename_candidates(workload: &Workload, info: &CheckpointInfo) -> Vec<(String,
         Op::Rename { from, to } => {
             let to = normalize(to);
             info.persisted
-                .contains_key(&to)
-                .then(|| (normalize(from), to))
+                .contains_key(to.as_ref())
+                .then(|| (normalize(from).into_owned(), to.into_owned()))
         }
         _ => None,
     });

@@ -134,15 +134,15 @@ impl OracleTracker {
     }
 
     fn mark_entry(&mut self, path: &str) {
-        self.dirty_entries.insert(normalize(path));
+        self.dirty_entries.insert(normalize(path).into_owned());
     }
 
     fn mark_with_parent(&mut self, path: &str) {
         let path = normalize(path);
         if let Ok(parent_path) = parent(&path) {
-            self.dirty_entries.insert(parent_path);
+            self.dirty_entries.insert(parent_path.to_string());
         }
-        self.dirty_entries.insert(path);
+        self.dirty_entries.insert(path.into_owned());
     }
 
     /// Marks exactly what `op` may have changed as dirty: the entry itself
@@ -173,8 +173,8 @@ impl OracleTracker {
             Op::Rename { from, to } => {
                 self.mark_with_parent(from);
                 self.mark_with_parent(to);
-                self.dirty_subtrees.insert(normalize(from));
-                self.dirty_subtrees.insert(normalize(to));
+                self.dirty_subtrees.insert(normalize(from).into_owned());
+                self.dirty_subtrees.insert(normalize(to).into_owned());
             }
             Op::Fsync { .. } | Op::Fdatasync { .. } | Op::Msync { .. } | Op::Sync => {}
         }
@@ -461,7 +461,7 @@ impl<'a> Profiler<'a> {
             if let Ok(meta) = fs.metadata(&to) {
                 state
                     .renames_seen
-                    .push((from.clone(), to.clone(), meta.ino));
+                    .push((from.to_string(), to.to_string(), meta.ino));
             }
             let moved: Vec<String> = state
                 .persisted
@@ -469,8 +469,10 @@ impl<'a> Profiler<'a> {
                 .filter(|p| p.as_str() == from || is_ancestor(&from, p))
                 .cloned()
                 .collect();
-            if moved.iter().any(|p| p == &from) {
-                state.persisted_renames.push((from.clone(), to.clone()));
+            if moved.iter().any(|p| *p == from) {
+                state
+                    .persisted_renames
+                    .push((from.to_string(), to.to_string()));
             }
             for path in moved {
                 state.persisted.remove(&path);
@@ -652,7 +654,7 @@ fn update_expectations(
                 return;
             };
             persisted.insert(
-                path.clone(),
+                path.to_string(),
                 Expectation {
                     entry: Arc::clone(&entry),
                     existence_only: false,
@@ -681,7 +683,7 @@ fn update_expectations(
                 // survive (this is what the paper's new bugs 5 and 7 break).
                 if let Ok(meta) = fs.metadata(&path) {
                     for (other_path, other_entry) in oracle.iter_shared() {
-                        if other_path == &path || other_entry.file_type != FileType::Regular {
+                        if *other_path == path || other_entry.file_type != FileType::Regular {
                             continue;
                         }
                         if fs.metadata(other_path).is_ok_and(|m| m.ino == meta.ino) {
@@ -706,7 +708,7 @@ fn update_expectations(
             // with the directly-written range; otherwise the file's
             // existence is still not guaranteed and nothing is added.
             let path = normalize(path);
-            if let Some(expectation) = persisted.get_mut(&path) {
+            if let Some(expectation) = persisted.get_mut(path.as_ref()) {
                 if let (Some(entry), WriteSpec::Range { offset, len }) = (oracle.get(&path), spec) {
                     apply_direct_write_expectation(expectation, entry, *offset, *len);
                 }

@@ -27,16 +27,11 @@ pub struct CowFs {
     dev: Box<dyn BlockDevice>,
     sb: SuperBlock,
     bugs: CowBugs,
-    /// Shared with the recovery session's caches: a freshly recovered view
-    /// aliases the cached tree until the first mutation copies it
-    /// ([`working_mut`](Self::working_mut)), so recover-and-snapshot — the
-    /// hot path of a crash-state sweep — never deep-copies the tree.
-    working: Arc<MemTree>,
-    /// The last committed tree, or `None` when it is identical to `working`
-    /// — the state right after every commit, and the terminal state of
-    /// freshly recovered file systems, where materializing it would clone
-    /// the whole tree only for it to be dropped unread.
-    committed: Option<Arc<MemTree>>,
+    working: MemTree,
+    /// The last committed tree. It shares every inode with `working` that
+    /// no operation since the commit touched (as a recovered view's trees
+    /// do with the recovery session's caches), so holding it copies nothing.
+    committed: MemTree,
     log: LogTree,
     recorder_state: RecorderState,
 }
@@ -83,8 +78,8 @@ impl CowFs {
             dev,
             sb,
             bugs,
-            working: Arc::new(working),
-            committed: None,
+            committed: working.clone(),
+            working,
             log: LogTree::new(),
             recorder_state: RecorderState::default(),
         };
@@ -120,17 +115,6 @@ impl CowFs {
         self.sb.generation
     }
 
-    /// The working tree, for mutation. Materializes `committed` first: once
-    /// `working` diverges, "identical to `working`" stops being true. The
-    /// `make_mut` is what copies a tree shared with a recovery session's
-    /// caches before the first write lands on it.
-    fn working_mut(&mut self) -> &mut MemTree {
-        if self.committed.is_none() {
-            self.committed = Some(self.working.clone());
-        }
-        Arc::make_mut(&mut self.working)
-    }
-
     fn commit(&mut self) -> FsResult<()> {
         let bytes = self.working.encode();
         let blob = write_blob(self.dev.as_mut(), &mut self.sb, &bytes, IoFlags::META)?;
@@ -139,8 +123,7 @@ impl CowFs {
         self.sb.generation += 1;
         self.sb.dirty = true;
         self.sb.write_to(self.dev.as_mut())?;
-        // Post-commit, the committed tree IS the working tree.
-        self.committed = None;
+        self.committed = self.working.clone();
         self.log.clear();
         self.recorder_state.clear();
         Ok(())
@@ -148,10 +131,9 @@ impl CowFs {
 
     fn persist(&mut self, path: &str, kind: SyncKind) -> FsResult<()> {
         let items = {
-            let committed = self.committed.as_deref().unwrap_or(&self.working);
             let mut recorder = Recorder {
                 working: &self.working,
-                committed,
+                committed: &self.committed,
                 bugs: &self.bugs,
                 existing_log: &self.log,
                 state: &mut self.recorder_state,
@@ -197,60 +179,60 @@ impl FileSystem for CowFs {
     }
 
     fn create(&mut self, path: &str) -> FsResult<()> {
-        self.working_mut().create_file(path).map(|_| ())
+        self.working.create_file(path).map(|_| ())
     }
 
     fn mkdir(&mut self, path: &str) -> FsResult<()> {
-        self.working_mut().mkdir(path).map(|_| ())
+        self.working.mkdir(path).map(|_| ())
     }
 
     fn mkfifo(&mut self, path: &str) -> FsResult<()> {
-        self.working_mut().mkfifo(path).map(|_| ())
+        self.working.mkfifo(path).map(|_| ())
     }
 
     fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<()> {
-        self.working_mut().symlink(target, linkpath).map(|_| ())
+        self.working.symlink(target, linkpath).map(|_| ())
     }
 
     fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.working_mut().link(existing, new).map(|_| ())
+        self.working.link(existing, new).map(|_| ())
     }
 
     fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.working_mut().unlink(path)
+        self.working.unlink(path)
     }
 
     fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.working_mut().rmdir(path)
+        self.working.rmdir(path)
     }
 
     fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.working_mut().rename(from, to)
+        self.working.rename(from, to)
     }
 
     fn write(&mut self, path: &str, offset: u64, data: &[u8], mode: WriteMode) -> FsResult<()> {
         if mode == WriteMode::Mmap {
             self.mark_mmap_dirty(path);
         }
-        self.working_mut().write(path, offset, data)
+        self.working.write(path, offset, data)
     }
 
     fn truncate(&mut self, path: &str, size: u64) -> FsResult<()> {
-        self.working_mut().truncate(path, size)
+        self.working.truncate(path, size)
     }
 
     fn fallocate(&mut self, path: &str, mode: FallocMode, offset: u64, len: u64) -> FsResult<()> {
-        self.working_mut().fallocate(path, mode, offset, len)?;
+        self.working.fallocate(path, mode, offset, len)?;
         self.track_punch(path, mode, offset, len);
         Ok(())
     }
 
     fn setxattr(&mut self, path: &str, name: &str, value: &[u8]) -> FsResult<()> {
-        self.working_mut().setxattr(path, name, value)
+        self.working.setxattr(path, name, value)
     }
 
     fn removexattr(&mut self, path: &str, name: &str) -> FsResult<()> {
-        self.working_mut().removexattr(path, name)
+        self.working.removexattr(path, name)
     }
 
     fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
@@ -297,13 +279,11 @@ impl FileSystem for CowFs {
     }
 
     fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
-        // The trees are shared, not copied: both sides only ever mutate
-        // theirs through `working_mut`'s copy-on-write.
         Box::new(CowFs {
             dev,
             sb: self.sb,
             bugs: self.bugs,
-            working: Arc::clone(&self.working),
+            working: self.working.clone(),
             committed: self.committed.clone(),
             log: self.log.clone(),
             recorder_state: self.recorder_state.clone(),
@@ -354,9 +334,9 @@ struct ReplayedLogCache {
     /// flip a removal already folded in here — the recover path refuses the
     /// cached fold when that hazard is live (see `recover`).
     prefix_has_remove: bool,
-    /// The recovered working tree after replaying those items, shared with
-    /// the recovered `CowFs` views handed out for byte-identical logs.
-    working: Arc<MemTree>,
+    /// The recovered working tree after replaying those items; recovered
+    /// `CowFs` views of byte-identical logs are clones of it.
+    working: MemTree,
 }
 
 fn has_dentry_remove(items: &[LogItem]) -> bool {
@@ -375,14 +355,14 @@ struct CowRecoverySession {
     cache: CommittedTreeCache,
     /// The most recent fold — the chain tip. Crash states later in the same
     /// workload extend it with their new log suffix.
-    replayed_last: Option<std::sync::Arc<ReplayedLogCache>>,
+    replayed_last: Option<Arc<ReplayedLogCache>>,
     /// The *shortest* fold seen per committed-tree stamp. Bounded workload
     /// generation varies the tail of the op sequence fastest, so the first
     /// log states of a long run of neighbouring workloads are byte-identical
     /// — each one hits the anchor its predecessor planted instead of
     /// replaying from scratch. Entries are shared with `replayed_last` via
-    /// `Arc`, so keeping both costs no extra tree copies.
-    anchors: Vec<std::sync::Arc<ReplayedLogCache>>,
+    /// `Arc`: a fold owns its log bytes, which two holders need not copy.
+    anchors: Vec<Arc<ReplayedLogCache>>,
     /// The base image whose committed tree is pinned in `cache`, kept alive
     /// so its layer pointer stays a valid identity witness.
     primed: Option<b3_block::DiskImage>,
@@ -446,11 +426,8 @@ impl RecoverDelta for CowRecoverySession {
             }
         }
         let tree_stamp = self.cache.last_stamp();
-        let committed = self
-            .cache
-            .resolved_shared()
-            .expect("a tree was just resolved");
-        let working: Arc<MemTree> = if sb.log.is_present() {
+        let committed = self.cache.resolved().expect("a tree was just resolved");
+        let working = if sb.log.is_present() {
             let log_bytes = read_blob(dev.as_ref(), sb.log)?;
             // Fold only the new log suffix onto a cached working tree when
             // this state's log extends an already-replayed one over the
@@ -486,10 +463,10 @@ impl RecoverDelta for CowRecoverySession {
                     )?;
                     if suffix.items.is_empty() {
                         // Byte-identical log: the cached fold IS this
-                        // state's recovery — no tree copy at all.
+                        // state's recovery.
                         cached
                     } else {
-                        let mut working = MemTree::clone(&cached.working);
+                        let mut working = cached.working.clone();
                         replay_from(&mut working, committed, &suffix, 0, &self.bugs)?;
                         Arc::new(ReplayedLogCache {
                             tree_stamp,
@@ -497,7 +474,7 @@ impl RecoverDelta for CowRecoverySession {
                             prefix_has_remove: cached.prefix_has_remove
                                 || has_dentry_remove(&suffix.items),
                             log_bytes,
-                            working: Arc::new(working),
+                            working,
                         })
                     }
                 }
@@ -520,13 +497,9 @@ impl RecoverDelta for CowRecoverySession {
                                 .iter()
                                 .any(|item| matches!(item, LogItem::DentryAdd { .. }));
                         let (mut working, start, prefix_has_remove) = if removal_may_flip {
-                            (MemTree::clone(committed), 0, false)
+                            (committed.clone(), 0, false)
                         } else {
-                            (
-                                MemTree::clone(&cached.working),
-                                start,
-                                cached.prefix_has_remove,
-                            )
+                            (cached.working.clone(), start, cached.prefix_has_remove)
                         };
                         replay_from(&mut working, committed, &log, start, &self.bugs)?;
                         Arc::new(ReplayedLogCache {
@@ -535,20 +508,20 @@ impl RecoverDelta for CowRecoverySession {
                             prefix_has_remove: prefix_has_remove
                                 || has_dentry_remove(&log.items[start..]),
                             log_bytes,
-                            working: Arc::new(working),
+                            working,
                         })
                     }
                 }
                 None => {
                     let log = LogTree::decode(&log_bytes)?;
-                    let mut working = MemTree::clone(committed);
+                    let mut working = committed.clone();
                     replay_from(&mut working, committed, &log, 0, &self.bugs)?;
                     Arc::new(ReplayedLogCache {
                         tree_stamp,
                         item_count: log.items.len(),
                         prefix_has_remove: has_dentry_remove(&log.items),
                         log_bytes,
-                        working: Arc::new(working),
+                        working,
                     })
                 }
             };
@@ -581,7 +554,7 @@ impl RecoverDelta for CowRecoverySession {
             dev,
             sb,
             bugs: self.bugs,
-            committed: None,
+            committed: working.clone(),
             working,
             log: LogTree::new(),
             recorder_state: RecorderState::default(),

@@ -457,9 +457,11 @@ impl Recorder<'_> {
                         items.push(LogItem::DentryAdd {
                             dir_ino: self
                                 .working
-                                .resolve(&b3_vfs::path::parent(name).unwrap_or_default())
+                                .resolve(b3_vfs::path::parent(name).unwrap_or_default())
                                 .unwrap_or(b3_vfs::ROOT_INO),
-                            name: b3_vfs::path::file_name(name).unwrap_or_default(),
+                            name: b3_vfs::path::file_name(name)
+                                .unwrap_or_default()
+                                .to_string(),
                             child_ino: occupant,
                         });
                     }
@@ -555,9 +557,9 @@ impl Recorder<'_> {
         let Ok((parent_path, name)) = split_parent(path) else {
             return;
         };
-        self.log_ancestors(items, &parent_path);
+        self.log_ancestors(items, parent_path);
 
-        let Ok(parent_ino) = self.working.resolve(&parent_path) else {
+        let Ok(parent_ino) = self.working.resolve(parent_path) else {
             return;
         };
 
@@ -576,11 +578,11 @@ impl Recorder<'_> {
                             let Ok((pparent, pname)) = split_parent(&new_name) else {
                                 continue;
                             };
-                            self.log_ancestors(items, &pparent);
-                            if let Ok(pparent_ino) = self.working.resolve(&pparent) {
+                            self.log_ancestors(items, pparent);
+                            if let Ok(pparent_ino) = self.working.resolve(pparent) {
                                 items.push(LogItem::DentryAdd {
                                     dir_ino: pparent_ino,
-                                    name: pname,
+                                    name: pname.to_string(),
                                     child_ino: prev_ino,
                                 });
                             }
@@ -592,7 +594,7 @@ impl Recorder<'_> {
 
         items.push(LogItem::DentryAdd {
             dir_ino: parent_ino,
-            name,
+            name: name.to_string(),
             child_ino: ino,
         });
     }
@@ -600,20 +602,20 @@ impl Recorder<'_> {
     /// Logs inode + dentry items for every ancestor directory of `dir_path`
     /// that does not exist in the committed tree.
     fn log_ancestors(&mut self, items: &mut Vec<LogItem>, dir_path: &str) {
-        let mut prefix = String::new();
-        for comp in b3_vfs::path::components(dir_path) {
-            let current = b3_vfs::path::join(&prefix, &comp);
-            if self.committed.resolve(&current).is_err() {
-                if let Ok(dir_ino) = self.working.resolve(&current) {
+        let dir_path = b3_vfs::path::normalize(dir_path);
+        for current in b3_vfs::path::prefixes(&dir_path) {
+            let (prefix, comp) = split_parent(current).expect("a prefix is not the root");
+            if self.committed.resolve(current).is_err() {
+                if let Ok(dir_ino) = self.working.resolve(current) {
                     if let Some(dir_inode) = self.working.inode(dir_ino) {
                         let mut logged = dir_inode.clone();
                         logged.entries.clear();
                         items.push(LogItem::Inode { inode: logged });
                     }
-                    if let Ok(parent_ino) = self.working.resolve(&prefix) {
+                    if let Ok(parent_ino) = self.working.resolve(prefix) {
                         items.push(LogItem::DentryAdd {
                             dir_ino: parent_ino,
-                            name: comp.clone(),
+                            name: comp.to_string(),
                             child_ino: dir_ino,
                         });
                     }
@@ -636,7 +638,6 @@ impl Recorder<'_> {
                     }
                 }
             }
-            prefix = current;
         }
     }
 
@@ -829,14 +830,14 @@ impl Recorder<'_> {
 
     fn resolve_committed_parent(&self, path: &str) -> FsResult<(InodeId, String)> {
         let (parent, name) = split_parent(path)?;
-        let dir_ino = self.committed.resolve(&parent)?;
-        Ok((dir_ino, name))
+        let dir_ino = self.committed.resolve(parent)?;
+        Ok((dir_ino, name.to_string()))
     }
 
     fn resolve_working_parent(&self, path: &str) -> FsResult<(InodeId, String)> {
         let (parent, name) = split_parent(path)?;
-        let dir_ino = self.working.resolve(&parent)?;
-        Ok((dir_ino, name))
+        let dir_ino = self.working.resolve(parent)?;
+        Ok((dir_ino, name.to_string()))
     }
 }
 

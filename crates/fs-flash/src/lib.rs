@@ -250,7 +250,7 @@ impl FlashFs {
             .iter()
             .map(|p| {
                 split_parent(p)
-                    .and_then(|(parent, _)| self.working.resolve(&parent))
+                    .and_then(|(parent, _)| self.working.resolve(parent))
                     .unwrap_or(b3_vfs::ROOT_INO)
             })
             .collect();
@@ -270,7 +270,7 @@ impl FlashFs {
                                 .iter()
                                 .map(|p| {
                                     split_parent(p)
-                                        .and_then(|(parent, _)| self.working.resolve(&parent))
+                                        .and_then(|(parent, _)| self.working.resolve(parent))
                                         .unwrap_or(b3_vfs::ROOT_INO)
                                 })
                                 .collect();
@@ -328,26 +328,26 @@ fn roll_forward(
                 if tree.inode(*parent_ino).is_some_and(Inode::is_dir) {
                     *parent_ino
                 } else {
-                    ensure_dirs(&mut tree, &parent_path)?
+                    ensure_dirs(&mut tree, parent_path)?
                 }
             } else {
                 // Correct path: recover the directory under the path the
                 // fsync observed, creating (or effectively renaming) the
                 // ancestor chain as needed.
-                ensure_dirs_for_ino(&mut tree, &parent_path, *parent_ino)?
+                ensure_dirs_for_ino(&mut tree, parent_path, *parent_ino)?
             };
             let dir = tree
                 .inode_mut(dir_ino)
                 .ok_or_else(|| FsError::Unmountable("roll-forward lost a directory".into()))?;
-            match dir.entries.get(&name) {
+            match dir.entries.get(name) {
                 Some(existing) if *existing == record.inode.ino => {}
                 Some(_) => {
                     // Re-pointing an existing name does not change the
                     // directory's size bookkeeping.
-                    dir.entries.insert(name.clone(), record.inode.ino);
+                    dir.entries.insert(name.to_string(), record.inode.ino);
                 }
                 None => {
-                    dir.entries.insert(name.clone(), record.inode.ino);
+                    dir.entries.insert(name.to_string(), record.inode.ino);
                     dir.dir_size += b3_vfs::tree::DIRENT_SIZE;
                 }
             }
@@ -358,15 +358,13 @@ fn roll_forward(
 
 /// Ensures every directory along `path` exists, creating missing ones.
 fn ensure_dirs(tree: &mut MemTree, path: &str) -> FsResult<InodeId> {
-    let mut prefix = String::new();
+    let path = b3_vfs::path::normalize(path);
     let mut current = b3_vfs::ROOT_INO;
-    for comp in b3_vfs::path::components(path) {
-        let next_path = b3_vfs::path::join(&prefix, &comp);
-        current = match tree.resolve(&next_path) {
+    for dir in b3_vfs::path::prefixes(&path) {
+        current = match tree.resolve(dir) {
             Ok(ino) => ino,
-            Err(_) => tree.mkdir(&next_path)?,
+            Err(_) => tree.mkdir(dir)?,
         };
-        prefix = next_path;
     }
     Ok(current)
 }
@@ -378,7 +376,7 @@ fn ensure_dirs_for_ino(tree: &mut MemTree, path: &str, ino: InodeId) -> FsResult
     if tree.inode(ino).is_some_and(Inode::is_dir) {
         let existing_paths = tree.paths_of_ino(ino);
         if let Some(old_path) = existing_paths.first() {
-            if old_path != &b3_vfs::path::normalize(path) && !old_path.is_empty() {
+            if *old_path != b3_vfs::path::normalize(path) && !old_path.is_empty() {
                 // The directory was renamed before the fsync: recover the
                 // rename so the fsynced file appears under the new name.
                 let _ = tree.rename(old_path, path);

@@ -88,3 +88,47 @@ fn usage_errors_exit_2_from_every_subcommand() {
     let ran = b3(&["fleet", "status", "--control", "127.0.0.1:1"]);
     assert_eq!(ran.status.code(), Some(1));
 }
+
+/// Offsets and sizes are workload text. One no file system can hold fails
+/// the operation — the workload "did not execute", exit 1 — instead of
+/// aborting the process on an allocation failure or an overflow.
+#[test]
+fn analyze_refuses_absurd_sizes_with_exit_1() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let cases = [
+        (
+            "truncate foo 4611686018427387904",
+            "no space left on device",
+        ),
+        ("write foo 18446744073709551610 10", "overflows"),
+        ("falloc foo keep_size 18446744073709551615 1", "overflows"),
+        ("msync foo 18446744073709551610 10", "overflows"),
+    ];
+    for fs in ["btrfs", "ext4"] {
+        for (op, expected) in cases {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_b3"))
+                .args(["analyze", "--fs", fs])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("b3 runs");
+            let text = format!("creat foo\n{op}\nfsync foo\n");
+            child
+                .stdin
+                .take()
+                .expect("piped stdin")
+                .write_all(text.as_bytes())
+                .expect("workload written");
+            let ran = child.wait_with_output().expect("b3 exits");
+            let stderr = String::from_utf8_lossy(&ran.stderr);
+            assert_eq!(ran.status.code(), Some(1), "{fs}: {op:?}: {stderr}");
+            assert!(
+                stderr.contains("did not execute to completion") && stderr.contains(expected),
+                "{fs}: {op:?}: {stderr}"
+            );
+        }
+    }
+}

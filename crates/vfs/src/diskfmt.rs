@@ -148,16 +148,24 @@ pub fn write_blob(
     bytes: &[u8],
     flags: IoFlags,
 ) -> FsResult<BlobRef> {
-    let start = sb.alloc_cursor;
     let num_blocks = (bytes.len() as u64).div_ceil(BLOCK_SIZE as u64).max(1);
-    if start + num_blocks >= dev.num_blocks() {
-        // Wrap the bump allocator back to the start of the data area. With
-        // the paper's 100 MB image and three-operation workloads this never
-        // overwrites a live blob; it simply keeps long-running property
-        // tests from exhausting the device.
+    let fits = |start: u64| {
+        start
+            .checked_add(num_blocks)
+            .is_some_and(|end| end < dev.num_blocks())
+    };
+    if !fits(sb.alloc_cursor) {
+        // Wrap the bump allocator back to the start of the data area — once.
+        // With the paper's 100 MB image and three-operation workloads this
+        // never overwrites a live blob; it simply keeps long-running
+        // property tests from exhausting the device. A blob that does not
+        // fit an empty data area does not fit at all.
+        if !fits(FIRST_DATA_BLOCK) {
+            return Err(FsError::NoSpace);
+        }
         sb.alloc_cursor = FIRST_DATA_BLOCK;
-        return write_blob(dev, sb, bytes, flags);
     }
+    let start = sb.alloc_cursor;
     if bytes.is_empty() {
         dev.write_block(start, &[], flags)?;
     } else {
@@ -242,6 +250,23 @@ mod tests {
         let mut sb = SuperBlock::new(MAGIC);
         sb.alloc_cursor = 15;
         let data = vec![1u8; 2 * BLOCK_SIZE];
+        let blob = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap();
+        assert_eq!(blob.start, FIRST_DATA_BLOCK);
+    }
+
+    #[test]
+    fn blob_larger_than_the_device_is_no_space() {
+        let mut dev = RamDisk::new(16);
+        let mut sb = SuperBlock::new(MAGIC);
+        sb.alloc_cursor = 12;
+        // 8 + 8 >= 16: the largest blob a 16-block device holds is 7 blocks.
+        let data = vec![1u8; 8 * BLOCK_SIZE];
+        let err = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap_err();
+        assert!(matches!(err, FsError::NoSpace));
+        assert_eq!(sb.alloc_cursor, 12, "a refused blob moves no cursor");
+        let data = vec![1u8; 9 * BLOCK_SIZE];
+        assert!(write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).is_err());
+        let data = vec![1u8; 7 * BLOCK_SIZE];
         let blob = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap();
         assert_eq!(blob.start, FIRST_DATA_BLOCK);
     }

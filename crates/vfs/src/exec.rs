@@ -8,6 +8,7 @@
 
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
+use crate::tree::range_end;
 use crate::workload::{Op, Workload, WritePattern, WriteSpec};
 
 /// Size of one "block" of workload data (matches the 4 KiB writes that
@@ -92,6 +93,8 @@ impl Executor {
             Op::Rename { from, to } => fs.rename(from, to),
             Op::Write { path, mode, spec } => {
                 let (offset, len) = resolve_write(fs, path, *spec)?;
+                // The range is workload text: refuse it before filling it.
+                range_end(offset, len)?;
                 let data = fill_data(seed, offset, len);
                 fs.write(path, offset, &data, *mode)
             }
@@ -100,7 +103,9 @@ impl Executor {
                 // requires the file to exist.
                 fs.metadata(path).map(|_| ())
             }
-            Op::Msync { path, offset, len } => fs.msync(path, *offset, *len),
+            Op::Msync { path, offset, len } => {
+                range_end(*offset, *len).and_then(|_| fs.msync(path, *offset, *len))
+            }
             Op::Truncate { path, size } => fs.truncate(path, *size),
             Op::Falloc {
                 path,

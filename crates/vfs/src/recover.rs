@@ -141,7 +141,7 @@ pub struct CommittedTreeCache {
     /// survives [`start_run`](Self::start_run), so the first crash state of
     /// every workload replayed onto that base can hit the cache too (its
     /// delta is relative to the base).
-    pinned: Option<(CacheKey, std::sync::Arc<MemTree>, u64)>,
+    pinned: Option<(CacheKey, MemTree, u64)>,
     /// True while every lookup since the last [`start_run`](Self::start_run)
     /// hit. A miss means the current state's blob bytes were not proven
     /// equal to the previous state's — the validity chain from the pinned
@@ -161,10 +161,9 @@ struct CacheEntry {
     /// The raw blob bytes `tree` was decoded from, kept for
     /// [`verify`](CommittedTreeCache::verify).
     bytes: Vec<u8>,
-    /// Shared so sessions can hand out recovered views without deep-copying
-    /// the tree (recovered views are read-only until mutated through a
-    /// copy-on-write guard).
-    tree: std::sync::Arc<MemTree>,
+    /// Sessions hand out clones: a [`MemTree`] clone shares every inode, so
+    /// a recovered view costs no copy of what the tree holds.
+    tree: MemTree,
     stamp: u64,
 }
 
@@ -228,19 +227,6 @@ impl CommittedTreeCache {
         None
     }
 
-    /// Like the resolution methods but yielding the shared handle of the
-    /// most recently resolved tree, for sessions that hand out recovered
-    /// views without deep-copying ([`resolved`](Self::resolved) semantics).
-    pub fn resolved_shared(&self) -> Option<&std::sync::Arc<MemTree>> {
-        if let Some(entry) = self.entry.as_ref().filter(|e| e.stamp == self.last_stamp) {
-            return Some(&entry.tree);
-        }
-        self.pinned
-            .as_ref()
-            .filter(|(_, _, stamp)| *stamp == self.last_stamp)
-            .map(|(_, tree, _)| tree)
-    }
-
     /// After a [`lookup`](Self::lookup) miss: revalidates the floating
     /// entry against the current state's freshly read blob bytes. Equal
     /// bytes prove the cached tree is exactly the decode of this state's
@@ -265,7 +251,7 @@ impl CommittedTreeCache {
         self.entry = Some(CacheEntry {
             key: CacheKey::of(sb),
             bytes,
-            tree: std::sync::Arc::new(tree),
+            tree,
             stamp,
         });
         self.anchored = true;
@@ -278,7 +264,13 @@ impl CommittedTreeCache {
     /// re-running the resolution, sidestepping the borrow the resolution
     /// methods hold on `self`.
     pub fn resolved(&self) -> Option<&MemTree> {
-        self.resolved_shared().map(std::convert::AsRef::as_ref)
+        if let Some(entry) = self.entry.as_ref().filter(|e| e.stamp == self.last_stamp) {
+            return Some(&entry.tree);
+        }
+        self.pinned
+            .as_ref()
+            .filter(|(_, _, stamp)| *stamp == self.last_stamp)
+            .map(|(_, tree, _)| tree)
     }
 
     /// Content stamp of the most recently resolved tree: equal stamps from
@@ -293,7 +285,7 @@ impl CommittedTreeCache {
     /// whose delta chain proves the blob unchanged since the base.
     pub fn pin(&mut self, sb: &SuperBlock, tree: MemTree) {
         let stamp = self.mint_stamp();
-        self.pinned = Some((CacheKey::of(sb), std::sync::Arc::new(tree), stamp));
+        self.pinned = Some((CacheKey::of(sb), tree, stamp));
     }
 
     /// Starts a new run over the pinned base image: un-anchors the floating

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
 use crate::metadata::FileType;
-use crate::path::join;
+use crate::path::{is_ancestor, join, normalize};
 
 /// The captured state of a single file, directory, symlink, or fifo.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -112,13 +112,16 @@ impl LogicalSnapshot {
     /// system's current state, or removes it when the path no longer exists.
     /// Directories are refreshed shallowly (metadata and child names only).
     pub fn refresh_entry(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
-        let path = crate::path::normalize(path);
+        let path = normalize(path);
         match Self::capture_entry(fs, &path)? {
-            Some(entry) => {
-                self.entries.insert(path, Arc::new(entry));
-            }
+            Some(entry) => match self.entries.get_mut(path.as_ref()) {
+                Some(slot) => *slot = Arc::new(entry),
+                None => {
+                    self.entries.insert(path.into_owned(), Arc::new(entry));
+                }
+            },
             None => {
-                self.entries.remove(&path);
+                self.entries.remove(path.as_ref());
             }
         }
         Ok(())
@@ -128,9 +131,9 @@ impl LogicalSnapshot {
     /// `path`, then re-walks the subtree if it still exists. Used when a
     /// rename moves a subtree so stale descendant paths do not linger.
     pub fn refresh_subtree(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
-        let path = crate::path::normalize(path);
+        let path = normalize(path);
         self.entries
-            .retain(|p, _| p != &path && !crate::path::is_ancestor(&path, p));
+            .retain(|p, _| *p != path && !is_ancestor(&path, p));
         match fs.metadata(&path) {
             Ok(_) => self.walk(fs, &path),
             Err(FsError::NotFound(_)) => Ok(()),
@@ -141,7 +144,7 @@ impl LogicalSnapshot {
     /// Inserts or replaces an entry verbatim (test and tooling use).
     pub fn insert(&mut self, path: impl Into<String>, entry: EntrySnapshot) {
         self.entries
-            .insert(crate::path::normalize(&path.into()), Arc::new(entry));
+            .insert(normalize(&path.into()).into_owned(), Arc::new(entry));
     }
 
     fn walk(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
@@ -196,17 +199,16 @@ impl LogicalSnapshot {
         self.entries.is_empty()
     }
 
-    /// Looks up one entry by normalized path.
+    /// Looks up one entry by path; a canonical path is looked up as it is,
+    /// without a copy.
     pub fn get(&self, path: &str) -> Option<&EntrySnapshot> {
-        self.entries
-            .get(&crate::path::normalize(path))
-            .map(Arc::as_ref)
+        self.entries.get(normalize(path).as_ref()).map(Arc::as_ref)
     }
 
     /// Looks up one entry as a shared handle (zero-copy: the profiler's
     /// persisted-set expectations alias oracle entries this way).
     pub fn get_shared(&self, path: &str) -> Option<Arc<EntrySnapshot>> {
-        self.entries.get(&crate::path::normalize(path)).cloned()
+        self.entries.get(normalize(path).as_ref()).cloned()
     }
 
     /// Returns true if a path exists in the snapshot.
@@ -234,7 +236,7 @@ impl LogicalSnapshot {
     /// Replaces the entry at `path` (if any) with the interner's canonical
     /// `Arc` for its content, deduplicating storage across snapshots.
     pub fn intern_entry(&mut self, path: &str, interner: &EntryInterner) {
-        if let Some(entry) = self.entries.get_mut(&crate::path::normalize(path)) {
+        if let Some(entry) = self.entries.get_mut(normalize(path).as_ref()) {
             *entry = interner.intern(entry.clone());
         }
     }
@@ -250,14 +252,15 @@ impl LogicalSnapshot {
     /// Compares a single path between `self` (the oracle) and `other` (the
     /// recovered crash state), returning every observed difference.
     pub fn diff_path(&self, other: &LogicalSnapshot, path: &str) -> Vec<SnapshotDiff> {
-        let path = crate::path::normalize(path);
+        let path = normalize(path);
+        let path = path.as_ref();
         let mut diffs = Vec::new();
-        match (self.entries.get(&path), other.entries.get(&path)) {
+        match (self.entries.get(path), other.entries.get(path)) {
             (None, None) => {}
-            (Some(_), None) => diffs.push(SnapshotDiff::Missing { path }),
-            (None, Some(_)) => diffs.push(SnapshotDiff::Unexpected { path }),
+            (Some(_), None) => diffs.push(SnapshotDiff::Missing { path: path.into() }),
+            (None, Some(_)) => diffs.push(SnapshotDiff::Unexpected { path: path.into() }),
             (Some(expected), Some(actual)) => {
-                diff_entry(&path, expected, actual, &mut diffs);
+                diff_entry(path, expected, actual, &mut diffs);
             }
         }
         diffs

@@ -13,13 +13,20 @@
 //! (volatile, page-cache-like) state, and serialize all or part of it to the
 //! block device at persistence points using [`MemTree::encode`] /
 //! [`MemTree::decode`].
+//!
+//! Inodes are shared between clones of a tree: a clone copies the inode map
+//! and bumps one reference count per inode, whatever the files hold, and a
+//! mutation copies only the inode it touches (`Arc::make_mut`). That is the
+//! one place the file systems' forks, commits and recovered views share
+//! state — none of them wraps a whole tree in an `Arc`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::{FsError, FsResult};
 use crate::metadata::{FileType, Metadata};
-use crate::path::{components, is_root, join, normalize, split_parent, validate};
+use crate::path::{components, is_ancestor, is_root, join, normalize, split_parent, validate};
 use crate::workload::FallocMode;
 
 /// Inode number.
@@ -36,8 +43,26 @@ pub const DIRENT_SIZE: u64 = 32;
 /// Block granularity used for allocation accounting.
 const ALLOC_UNIT: u64 = 4096;
 
+/// Largest file a tree holds: the paper's 100 MB device. Offsets and lengths
+/// come from workload text, so every size computed from them is checked
+/// against this before anything is allocated.
+pub const MAX_FILE_SIZE: u64 = 100 << 20;
+
 fn round_up_alloc(bytes: u64) -> u64 {
     bytes.div_ceil(ALLOC_UNIT) * ALLOC_UNIT
+}
+
+/// The end of the byte range `offset..offset + len`, or the error the
+/// operation naming it fails with: `InvalidArgument` when the sum overflows,
+/// `NoSpace` when it lies beyond [`MAX_FILE_SIZE`].
+pub fn range_end(offset: u64, len: u64) -> FsResult<u64> {
+    let end = offset
+        .checked_add(len)
+        .ok_or_else(|| FsError::InvalidArgument(format!("byte range {offset}+{len} overflows")))?;
+    if end > MAX_FILE_SIZE {
+        return Err(FsError::NoSpace);
+    }
+    Ok(end)
 }
 
 /// One inode: file, directory, symlink, or fifo.
@@ -118,7 +143,7 @@ impl Inode {
 /// A full in-memory namespace: the working state of a simulated file system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemTree {
-    inodes: BTreeMap<InodeId, Inode>,
+    inodes: BTreeMap<InodeId, Arc<Inode>>,
     next_ino: InodeId,
 }
 
@@ -132,7 +157,10 @@ impl MemTree {
     /// Creates a tree containing only an empty root directory.
     pub fn new() -> Self {
         let mut inodes = BTreeMap::new();
-        inodes.insert(ROOT_INO, Inode::new(ROOT_INO, FileType::Directory));
+        inodes.insert(
+            ROOT_INO,
+            Arc::new(Inode::new(ROOT_INO, FileType::Directory)),
+        );
         MemTree {
             inodes,
             next_ino: ROOT_INO + 1,
@@ -143,17 +171,23 @@ impl MemTree {
 
     /// Immutable access to an inode.
     pub fn inode(&self, ino: InodeId) -> Option<&Inode> {
-        self.inodes.get(&ino)
+        self.inodes.get(&ino).map(Arc::as_ref)
     }
 
-    /// Mutable access to an inode.
+    /// Mutable access to an inode; un-shares it from any clone of the tree
+    /// first.
     pub fn inode_mut(&mut self, ino: InodeId) -> Option<&mut Inode> {
-        self.inodes.get_mut(&ino)
+        self.inodes.get_mut(&ino).map(Arc::make_mut)
+    }
+
+    /// [`inode_mut`](Self::inode_mut) of an inode the caller just resolved.
+    fn live_mut(&mut self, ino: InodeId) -> &mut Inode {
+        self.inode_mut(ino).expect("resolved inode exists")
     }
 
     /// Iterates over all inodes in inode-number order.
     pub fn inodes(&self) -> impl Iterator<Item = &Inode> {
-        self.inodes.values()
+        self.inodes.values().map(Arc::as_ref)
     }
 
     /// Number of inodes (including the root).
@@ -176,12 +210,12 @@ impl MemTree {
     /// Inserts or replaces an inode verbatim (recovery/log-replay use only).
     pub fn insert_inode_raw(&mut self, inode: Inode) {
         self.next_ino = self.next_ino.max(inode.ino + 1);
-        self.inodes.insert(inode.ino, inode);
+        self.inodes.insert(inode.ino, Arc::new(inode));
     }
 
     /// Removes an inode verbatim (recovery/log-replay use only).
     pub fn remove_inode_raw(&mut self, ino: InodeId) -> Option<Inode> {
-        self.inodes.remove(&ino)
+        self.inodes.remove(&ino).map(Arc::unwrap_or_clone)
     }
 
     fn alloc_ino(&mut self) -> FsResult<InodeId> {
@@ -199,7 +233,7 @@ impl MemTree {
 
     // --- path resolution ----------------------------------------------------------
 
-    /// Resolves a path to an inode number.
+    /// Resolves a path to an inode number. Allocates nothing on success.
     pub fn resolve(&self, path: &str) -> FsResult<InodeId> {
         validate(path)?;
         let mut current = ROOT_INO;
@@ -212,7 +246,7 @@ impl MemTree {
             }
             current = *inode
                 .entries
-                .get(&comp)
+                .get(comp)
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?;
         }
         if !self.inodes.contains_key(&current) {
@@ -224,14 +258,14 @@ impl MemTree {
         Ok(current)
     }
 
-    /// Resolves the parent directory of a path, returning `(parent_ino, name)`.
-    pub fn resolve_parent(&self, path: &str) -> FsResult<(InodeId, String)> {
+    /// Resolves the parent directory of a path, returning `(parent_ino, name)`
+    /// with the name borrowed from `path`.
+    pub fn resolve_parent<'p>(&self, path: &'p str) -> FsResult<(InodeId, &'p str)> {
         validate(path)?;
         let (parent, name) = split_parent(path)?;
-        let parent_ino = self.resolve(&parent)?;
-        let parent_inode = &self.inodes[&parent_ino];
-        if !parent_inode.is_dir() {
-            return Err(FsError::NotADirectory(parent));
+        let parent_ino = self.resolve(parent)?;
+        if !self.inodes[&parent_ino].is_dir() {
+            return Err(FsError::NotADirectory(parent.to_string()));
         }
         Ok((parent_ino, name))
     }
@@ -262,7 +296,7 @@ impl MemTree {
             if *child == target {
                 out.push(path.clone());
             }
-            if self.inodes.get(child).is_some_and(Inode::is_dir) {
+            if self.inode(*child).is_some_and(Inode::is_dir) {
                 self.collect_paths(*child, &path, target, out);
             }
         }
@@ -271,13 +305,13 @@ impl MemTree {
     // --- namespace operations ---------------------------------------------------
 
     fn add_entry(&mut self, parent: InodeId, name: &str, child: InodeId) {
-        let dir = self.inodes.get_mut(&parent).expect("parent exists");
+        let dir = self.live_mut(parent);
         dir.entries.insert(name.to_string(), child);
         dir.dir_size += DIRENT_SIZE;
     }
 
     fn remove_entry(&mut self, parent: InodeId, name: &str) -> Option<InodeId> {
-        let dir = self.inodes.get_mut(&parent)?;
+        let dir = self.inode_mut(parent)?;
         let removed = dir.entries.remove(name);
         if removed.is_some() {
             dir.dir_size = dir.dir_size.saturating_sub(DIRENT_SIZE);
@@ -287,14 +321,14 @@ impl MemTree {
 
     fn create_node(&mut self, path: &str, kind: FileType) -> FsResult<InodeId> {
         let (parent, name) = self.resolve_parent(path)?;
-        if self.inodes[&parent].entries.contains_key(&name) {
+        if self.inodes[&parent].entries.contains_key(name) {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
         let ino = self.alloc_ino()?;
-        self.inodes.insert(ino, Inode::new(ino, kind));
-        self.add_entry(parent, &name, ino);
+        self.inodes.insert(ino, Arc::new(Inode::new(ino, kind)));
+        self.add_entry(parent, name, ino);
         if kind == FileType::Directory {
-            self.inodes.get_mut(&parent).expect("parent exists").nlink += 1;
+            self.live_mut(parent).nlink += 1;
         }
         Ok(ino)
     }
@@ -317,10 +351,7 @@ impl MemTree {
     /// Creates a symbolic link.
     pub fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<InodeId> {
         let ino = self.create_node(linkpath, FileType::Symlink)?;
-        self.inodes
-            .get_mut(&ino)
-            .expect("just created")
-            .symlink_target = normalize(target);
+        self.live_mut(ino).symlink_target = normalize(target).into_owned();
         Ok(ino)
     }
 
@@ -331,11 +362,11 @@ impl MemTree {
             return Err(FsError::IsADirectory(existing.to_string()));
         }
         let (parent, name) = self.resolve_parent(new)?;
-        if self.inodes[&parent].entries.contains_key(&name) {
+        if self.inodes[&parent].entries.contains_key(name) {
             return Err(FsError::AlreadyExists(new.to_string()));
         }
-        self.add_entry(parent, &name, src_ino);
-        self.inodes.get_mut(&src_ino).expect("source exists").nlink += 1;
+        self.add_entry(parent, name, src_ino);
+        self.live_mut(src_ino).nlink += 1;
         Ok(src_ino)
     }
 
@@ -347,13 +378,19 @@ impl MemTree {
             return Err(FsError::IsADirectory(path.to_string()));
         }
         let (parent, name) = self.resolve_parent(path)?;
-        self.remove_entry(parent, &name);
-        let inode = self.inodes.get_mut(&ino).expect("target exists");
-        inode.nlink = inode.nlink.saturating_sub(1);
-        if inode.nlink == 0 {
-            self.inodes.remove(&ino);
-        }
+        self.remove_entry(parent, name);
+        self.drop_link(ino);
         Ok(())
+    }
+
+    /// Drops one hard link of `ino`, freeing the inode with its last.
+    fn drop_link(&mut self, ino: InodeId) {
+        // Read before un-sharing: freeing a shared inode must not copy it.
+        if self.inodes[&ino].nlink <= 1 {
+            self.inodes.remove(&ino);
+        } else {
+            self.live_mut(ino).nlink -= 1;
+        }
     }
 
     /// Removes an empty directory.
@@ -380,8 +417,8 @@ impl MemTree {
             )));
         }
         let (parent, name) = self.resolve_parent(path)?;
-        self.remove_entry(parent, &name);
-        self.inodes.get_mut(&parent).expect("parent exists").nlink -= 1;
+        self.remove_entry(parent, name);
+        self.live_mut(parent).nlink -= 1;
         self.inodes.remove(&ino);
         Ok(())
     }
@@ -397,14 +434,14 @@ impl MemTree {
         if normalize(from) == normalize(to) {
             return Ok(());
         }
-        if src_is_dir && crate::path::is_ancestor(from, to) {
+        if src_is_dir && is_ancestor(from, to) {
             return Err(FsError::InvalidArgument(format!(
                 "cannot move {from} into its own subtree {to}"
             )));
         }
 
         // Handle an existing destination.
-        if let Some(&dst_ino) = self.inodes[&dst_parent].entries.get(&dst_name) {
+        if let Some(&dst_ino) = self.inodes[&dst_parent].entries.get(dst_name) {
             if dst_ino == src_ino {
                 return Ok(());
             }
@@ -416,37 +453,33 @@ impl MemTree {
                     if !self.inodes[&dst_ino].entries.is_empty() {
                         return Err(FsError::DirectoryNotEmpty(to.to_string()));
                     }
-                    self.remove_entry(dst_parent, &dst_name);
-                    self.inodes.get_mut(&dst_parent).expect("dst parent").nlink -= 1;
+                    self.remove_entry(dst_parent, dst_name);
+                    self.live_mut(dst_parent).nlink -= 1;
                     self.inodes.remove(&dst_ino);
                 }
                 (false, false) => {
-                    self.remove_entry(dst_parent, &dst_name);
-                    let dst = self.inodes.get_mut(&dst_ino).expect("dst exists");
-                    dst.nlink = dst.nlink.saturating_sub(1);
-                    if dst.nlink == 0 {
-                        self.inodes.remove(&dst_ino);
-                    }
+                    self.remove_entry(dst_parent, dst_name);
+                    self.drop_link(dst_ino);
                 }
             }
         }
 
-        self.remove_entry(src_parent, &src_name);
-        self.add_entry(dst_parent, &dst_name, src_ino);
+        self.remove_entry(src_parent, src_name);
+        self.add_entry(dst_parent, dst_name, src_ino);
         if src_is_dir && src_parent != dst_parent {
-            self.inodes.get_mut(&src_parent).expect("src parent").nlink -= 1;
-            self.inodes.get_mut(&dst_parent).expect("dst parent").nlink += 1;
+            self.live_mut(src_parent).nlink -= 1;
+            self.live_mut(dst_parent).nlink += 1;
         }
         Ok(())
     }
 
     // --- data operations -----------------------------------------------------------
 
-    fn file_mut(&mut self, path: &str) -> FsResult<&mut Inode> {
+    /// Resolves `path` to a regular file.
+    fn resolve_file(&self, path: &str) -> FsResult<InodeId> {
         let ino = self.resolve(path)?;
-        let inode = self.inodes.get_mut(&ino).expect("resolved inode exists");
-        match inode.kind {
-            FileType::Regular => Ok(inode),
+        match self.inodes[&ino].kind {
+            FileType::Regular => Ok(ino),
             FileType::Directory => Err(FsError::IsADirectory(path.to_string())),
             _ => Err(FsError::InvalidArgument(format!(
                 "{path} is not a regular file"
@@ -456,19 +489,24 @@ impl MemTree {
 
     /// Writes `data` at `offset`, zero-filling any gap and extending the file.
     pub fn write(&mut self, path: &str, offset: u64, data: &[u8]) -> FsResult<()> {
-        let inode = self.file_mut(path)?;
-        let end = offset as usize + data.len();
+        let ino = self.resolve_file(path)?;
+        let end = range_end(offset, data.len() as u64)?;
+        let inode = self.live_mut(ino);
+        // `end <= MAX_FILE_SIZE`, so these fit a `usize`.
+        let (start, end) = (offset as usize, end as usize);
         if inode.data.len() < end {
             inode.data.resize(end, 0);
         }
-        inode.data[offset as usize..end].copy_from_slice(data);
+        inode.data[start..end].copy_from_slice(data);
         inode.allocated = inode.allocated.max(round_up_alloc(end as u64));
         Ok(())
     }
 
     /// Truncates or zero-extends the file to `size`.
     pub fn truncate(&mut self, path: &str, size: u64) -> FsResult<()> {
-        let inode = self.file_mut(path)?;
+        let ino = self.resolve_file(path)?;
+        let size = range_end(0, size)?;
+        let inode = self.live_mut(ino);
         inode.data.resize(size as usize, 0);
         inode.allocated = round_up_alloc(size);
         Ok(())
@@ -487,8 +525,9 @@ impl MemTree {
                 "fallocate with zero length".into(),
             ));
         }
-        let inode = self.file_mut(path)?;
-        let end = offset + len;
+        let ino = self.resolve_file(path)?;
+        let end = range_end(offset, len)?;
+        let inode = self.live_mut(ino);
         match mode {
             FallocMode::Allocate | FallocMode::ZeroRange => {
                 // Extends both allocation and logical size.
@@ -539,9 +578,7 @@ impl MemTree {
     /// Sets an extended attribute.
     pub fn setxattr(&mut self, path: &str, name: &str, value: &[u8]) -> FsResult<()> {
         let ino = self.resolve(path)?;
-        self.inodes
-            .get_mut(&ino)
-            .expect("resolved")
+        self.live_mut(ino)
             .xattrs
             .insert(name.to_string(), value.to_vec());
         Ok(())
@@ -550,10 +587,10 @@ impl MemTree {
     /// Removes an extended attribute.
     pub fn removexattr(&mut self, path: &str, name: &str) -> FsResult<()> {
         let ino = self.resolve(path)?;
-        let inode = self.inodes.get_mut(&ino).expect("resolved");
-        if inode.xattrs.remove(name).is_none() {
+        if !self.inodes[&ino].xattrs.contains_key(name) {
             return Err(FsError::NoXattr(name.to_string()));
         }
+        self.live_mut(ino).xattrs.remove(name);
         Ok(())
     }
 
@@ -579,7 +616,7 @@ impl MemTree {
                 if offset >= size {
                     return Ok(Vec::new());
                 }
-                let end = (offset + len).min(size);
+                let end = offset.saturating_add(len).min(size);
                 Ok(inode.data[offset as usize..end as usize].to_vec())
             }
             FileType::Directory => Err(FsError::IsADirectory(path.to_string())),
@@ -627,7 +664,7 @@ impl MemTree {
         enc.put_u32(Self::VERSION);
         enc.put_u64(self.next_ino);
         enc.put_u64(self.inodes.len() as u64);
-        for inode in self.inodes.values() {
+        for inode in self.inodes() {
             encode_inode(&mut enc, inode);
         }
         enc.finish()
@@ -647,7 +684,7 @@ impl MemTree {
         let mut inodes = BTreeMap::new();
         for _ in 0..count {
             let inode = decode_inode(&mut dec)?;
-            inodes.insert(inode.ino, inode);
+            inodes.insert(inode.ino, Arc::new(inode));
         }
         if !inodes.contains_key(&ROOT_INO) {
             return Err(FsError::Corrupted("serialized tree has no root".into()));
@@ -988,6 +1025,75 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(MemTree::decode(&[0u8; 16]).is_err());
         assert!(MemTree::decode(b"short").is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_every_inode_and_a_write_unshares_only_its_own() {
+        let mut tree = tree_with_layout();
+        tree.write("A/foo", 0, &vec![9u8; 1 << 20]).unwrap();
+        let snapshot = tree.clone();
+        for (ino, inode) in &tree.inodes {
+            assert!(
+                Arc::ptr_eq(inode, &snapshot.inodes[ino]),
+                "clone copied inode {ino}"
+            );
+        }
+
+        tree.write("foo", 0, b"x").unwrap();
+        let written = tree.resolve("foo").unwrap();
+        for (ino, inode) in &tree.inodes {
+            assert_eq!(
+                Arc::ptr_eq(inode, &snapshot.inodes[ino]),
+                *ino != written,
+                "inode {ino} after a write to inode {written}"
+            );
+        }
+        assert_eq!(snapshot.read("foo", 0, 1).unwrap(), b"");
+        assert_eq!(snapshot.metadata("A/foo").unwrap().size, 1 << 20);
+
+        // Operations that fail, or that free an inode, un-share nothing.
+        let snapshot = tree.clone();
+        assert!(tree.write("A", 0, b"x").is_err());
+        assert!(tree.removexattr("A/foo", "user.absent").is_err());
+        assert!(tree.truncate("A/foo", MAX_FILE_SIZE + 1).is_err());
+        tree.unlink("A/foo").unwrap();
+        let parent = tree.resolve("A").unwrap();
+        for (ino, inode) in &tree.inodes {
+            assert_eq!(Arc::ptr_eq(inode, &snapshot.inodes[ino]), *ino != parent);
+        }
+        assert_eq!(snapshot.metadata("A/foo").unwrap().size, 1 << 20);
+    }
+
+    #[test]
+    fn sizes_from_workload_text_are_checked_before_anything_is_allocated() {
+        let mut tree = tree_with_layout();
+        tree.write("foo", 0, b"data").unwrap();
+        let before = tree.clone();
+        assert!(matches!(
+            tree.truncate("foo", 1 << 62),
+            Err(FsError::NoSpace)
+        ));
+        assert!(matches!(
+            tree.write("foo", u64::MAX - 5, &[1u8; 10]),
+            Err(FsError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            tree.write("foo", MAX_FILE_SIZE, b"x"),
+            Err(FsError::NoSpace)
+        ));
+        for mode in FallocMode::ALL {
+            assert!(matches!(
+                tree.fallocate("foo", mode, u64::MAX, 1),
+                Err(FsError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                tree.fallocate("foo", mode, MAX_FILE_SIZE, 4096),
+                Err(FsError::NoSpace)
+            ));
+        }
+        assert_eq!(tree, before, "a refused size changes nothing");
+        assert_eq!(tree.read("foo", 2, u64::MAX).unwrap(), b"ta");
+        assert_eq!(range_end(MAX_FILE_SIZE - 1, 1).unwrap(), MAX_FILE_SIZE);
     }
 
     #[test]

@@ -107,6 +107,55 @@ proptest! {
             }
         }
     }
+
+    /// A clone shares its inodes with the tree it was taken from. Whatever
+    /// either side does afterwards, the other still encodes to the bytes it
+    /// encoded to at the clone and still equals a deep copy decoded from
+    /// them.
+    #[test]
+    fn a_clone_is_unmoved_by_operations_on_the_original(
+        before in prop::collection::vec(op_strategy(), 0..16),
+        after in prop::collection::vec(op_strategy(), 1..16),
+    ) {
+        let mut tree = MemTree::new();
+        for op in &before {
+            let _ = apply(&mut tree, op);
+        }
+        let snapshot = tree.clone();
+        let bytes = snapshot.encode();
+        let deep = MemTree::decode(&bytes).expect("decodes");
+        for op in &after {
+            let _ = apply(&mut tree, op);
+            prop_assert_eq!(&snapshot, &deep);
+        }
+        prop_assert_eq!(snapshot.encode(), bytes);
+    }
+
+    #[test]
+    fn the_original_is_unmoved_by_operations_on_a_clone(
+        before in prop::collection::vec(op_strategy(), 0..16),
+        after in prop::collection::vec(op_strategy(), 1..16),
+    ) {
+        let mut tree = MemTree::new();
+        for op in &before {
+            let _ = apply(&mut tree, op);
+        }
+        let bytes = tree.encode();
+        let deep = MemTree::decode(&bytes).expect("decodes");
+        let mut snapshot = tree.clone();
+        let mut reference = deep.clone();
+        for op in &after {
+            // The clone behaves exactly as a deep copy would ...
+            prop_assert_eq!(
+                apply(&mut snapshot, op).is_ok(),
+                apply(&mut reference, op).is_ok()
+            );
+            prop_assert_eq!(&snapshot, &reference);
+            // ... and the tree it came from does not see it.
+            prop_assert_eq!(&tree, &deep);
+        }
+        prop_assert_eq!(tree.encode(), bytes);
+    }
 }
 
 fn apply(tree: &mut MemTree, op: &Op) -> Result<(), b3_vfs::FsError> {
