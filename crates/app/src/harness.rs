@@ -21,13 +21,13 @@
 //! *should* hold depends on the transactions that follow, so every
 //! workload classifies every crash point with its own [`TxnOracle`].
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use b3_block::{
     crash_state, BlockDevice, CowSnapshotDevice, DiskImage, IoLog, LogHandle, RecordingDevice,
 };
 use b3_crashmonkey::{
-    BugReport, Consequence, CrashMonkeyConfig, Finished, ProfileSharing, Trunk, TrunkRun,
+    BugReport, Consequence, CrashMonkeyConfig, Finished, Held, ProfileSharing, Trunk, TrunkRun,
     WorkloadOutcome,
 };
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
@@ -229,7 +229,7 @@ struct CrashPoint {
     /// Filled by the first workload that recovers this crash state, and
     /// shared by every fork of the run taken after the persistence point:
     /// they hold the same base image and the same IO log up to its marker.
-    recovery: Arc<OnceLock<Recovery>>,
+    recovery: Held<Recovery>,
 }
 
 /// One run of the engine on a recording mount, stopped between two
@@ -287,7 +287,7 @@ impl AppRun {
                     committed_before: self.committed,
                     in_flight,
                 },
-                recovery: Arc::default(),
+                recovery: Held::default(),
             });
         }
     }
@@ -569,7 +569,7 @@ impl<'a> AppHarness<'a> {
                 None => {
                     outcome.checkpoints_tested += 1;
                     let fresh = recover(checkpoint)?;
-                    point.recovery.get_or_init(|| fresh)
+                    point.recovery.fill(fresh)
                 }
             };
             if let Some(report) = report(&outcome, &oracle, &point.meta, recovery) {
@@ -772,7 +772,7 @@ mod tests {
             run.step(txn);
         }
         let planted = Recovery::Unmountable("planted".into());
-        run.crash_points[0].recovery.set(planted).unwrap();
+        run.crash_points[0].recovery.fill(planted);
         let outcome = harness.crash_test(&run, &siblings[0]).unwrap();
         assert_eq!(outcome.triage_audited, 1);
         assert_eq!(outcome.triage_divergences.len(), 1, "{outcome:?}");

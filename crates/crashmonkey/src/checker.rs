@@ -47,10 +47,25 @@ pub struct CheckVerdict {
     pub write_consequences: Vec<Consequence>,
     /// Set when the crash state could not even be mounted.
     pub unmountable: Option<String>,
-    /// Summary of the expected state (for the bug report).
+    /// Summary of the expected state, for the bug report: empty on a
+    /// verdict that passed, which never becomes one.
     pub expected: String,
-    /// Summary of the observed state (for the bug report).
+    /// Summary of the observed state, for the bug report: empty on a
+    /// verdict that passed.
     pub actual: String,
+}
+
+/// The verdict on one checkpoint's crash state as the checkpoint's
+/// [`Held`](crate::trunk::Held) cell keeps it for later workloads whose run
+/// reached the checkpoint through the same operations. Crash state and
+/// [`CheckpointInfo`] are functions of those operations; the rename
+/// candidates are the one checker input that is not — [`rename_candidates`]
+/// scans every rename of the workload, those after the crash point
+/// included — so they ride along, and the verdict answers only a workload
+/// whose candidates are the same.
+pub(crate) struct HeldVerdict {
+    pub(crate) rename_candidates: Vec<(String, String)>,
+    pub(crate) verdict: CheckVerdict,
 }
 
 impl CheckVerdict {
@@ -147,6 +162,20 @@ impl<'a> AutoChecker<'a> {
         state: CowSnapshotDevice,
         recovered: b3_vfs::error::FsResult<Box<dyn b3_vfs::fs::FileSystem>>,
     ) -> CheckVerdict {
+        let rename_pairs = rename_candidates(workload, info);
+        self.check_with_candidates(&rename_pairs, info, state, recovered)
+    }
+
+    /// [`check_recovered`](Self::check_recovered) for a caller that already
+    /// has the workload's [`rename_candidates`] at `info`: with them the
+    /// verdict no longer depends on the workload.
+    pub(crate) fn check_with_candidates(
+        &self,
+        rename_pairs: &[(String, String)],
+        info: &CheckpointInfo,
+        state: CowSnapshotDevice,
+        recovered: b3_vfs::error::FsResult<Box<dyn b3_vfs::fs::FileSystem>>,
+    ) -> CheckVerdict {
         let mut verdict = CheckVerdict::default();
 
         // The file system ran its recovery when the crash state was
@@ -171,7 +200,6 @@ impl<'a> AutoChecker<'a> {
         // the rename pairs, so capture exactly those from the recovered
         // state instead of walking the whole file system and reading every
         // file's data per crash state.
-        let rename_pairs = rename_candidates(workload, info);
         let relevant: std::collections::BTreeSet<&str> = info
             .persisted
             .keys()
@@ -195,7 +223,7 @@ impl<'a> AutoChecker<'a> {
 
         self.read_checks(info, &crash_snapshot, &mut verdict);
         self.rename_atomicity_check(
-            &rename_pairs,
+            rename_pairs,
             info,
             &crash_snapshot,
             fs.as_ref(),
@@ -204,18 +232,13 @@ impl<'a> AutoChecker<'a> {
         self.durable_rename_check(info, &crash_snapshot, fs.as_ref(), &mut verdict);
         self.write_checks(info, fs.as_mut(), &mut verdict);
 
-        if verdict.expected.is_empty() {
+        // The two summaries are read from a bug report only, and a verdict
+        // that passed never becomes one.
+        if verdict.failed() {
             verdict.expected = summarize_expectations(info);
-        }
-        if verdict.actual.is_empty() {
-            verdict.actual = if verdict.failed() {
-                let mut parts: Vec<String> =
-                    verdict.diffs.iter().map(ToString::to_string).collect();
-                parts.extend(verdict.write_failures.clone());
-                parts.join("; ")
-            } else {
-                "recovered state matches all persisted files".to_string()
-            };
+            let mut parts: Vec<String> = verdict.diffs.iter().map(ToString::to_string).collect();
+            parts.extend(verdict.write_failures.iter().cloned());
+            verdict.actual = parts.join("; ");
         }
         verdict
     }
@@ -392,7 +415,10 @@ impl<'a> AutoChecker<'a> {
 /// The rename pairs the atomicity check must consider: renames whose
 /// destination was explicitly persisted, plus renames whose source had been
 /// persisted before the rename executed (tracked by the profiler).
-fn rename_candidates(workload: &Workload, info: &CheckpointInfo) -> Vec<(String, String)> {
+pub(crate) fn rename_candidates(
+    workload: &Workload,
+    info: &CheckpointInfo,
+) -> Vec<(String, String)> {
     let explicit = workload.all_ops().filter_map(|op| match op {
         Op::Rename { from, to } => {
             let to = normalize(to);
@@ -696,6 +722,7 @@ mod tests {
             persisted_renames: Vec::new(),
             durable_renames: Vec::new(),
             oracle: std::sync::Arc::new(LogicalSnapshot::default()),
+            verdict: Default::default(),
         };
         let summary = summarize_expectations(&info);
         assert!(summary.contains("A/foo (100 bytes)"));

@@ -14,7 +14,14 @@ pub enum CrashPointPolicy {
     #[default]
     LastOnly,
     /// Every persistence point (used when reproducing individual corpus
-    /// workloads outside the exhaustive-generation setting).
+    /// workloads outside the exhaustive-generation setting, and the
+    /// reference the other policies' shortcuts are pinned against). An
+    /// earlier persistence point that lies inside the operation prefix the
+    /// harness resumed from its trunk is the very crash state the workload
+    /// that ran the prefix tested: its verdict is inherited — with the
+    /// rename candidates it was found under, which must be this workload's
+    /// too — instead of being found again. Debug builds test the state
+    /// anyway and assert the two verdicts equal.
     All,
     /// Every persistence point *covered*, but only triage-new states
     /// *dynamically tested*: crash states whose content digest and checker

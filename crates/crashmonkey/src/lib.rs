@@ -22,6 +22,12 @@
 //!    write checks (the recovered file system must still be usable: files
 //!    can be created, persisted directories can be emptied and removed).
 //!
+//! A crash state inside the shared prefix is the shared run's own, so under
+//! [`CrashPointPolicy::All`] — the one policy that would construct it again
+//! for every workload — steps 2 and 3 are done for it once, by the first
+//! workload to reach it, and the verdict is kept at the checkpoint for the
+//! others ([`Held`]).
+//!
 //! Any violation produces a [`BugReport`] with the workload, crash point,
 //! expected and actual state, and a classified [`Consequence`] — the same
 //! fields the paper's bug reports carry.
@@ -34,6 +40,7 @@ pub mod report;
 mod triage;
 pub mod trunk;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,7 +55,22 @@ pub use config::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
 pub use recovery::{session_for, RecoverySession};
 pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
-pub use trunk::{Finished, ProfileSharing, Trunk, TrunkRun};
+pub use trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
+
+/// How much work the trunk saved a [`CrashMonkey`], cumulative over its
+/// lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FsSharing {
+    /// Operations applied and resumed, forks and mounts.
+    pub ops: ProfileSharing,
+    /// Crash states built, recovered and checked.
+    pub states_tested: u64,
+    /// Crash states answered by the verdict a sibling workload left at the
+    /// checkpoint. Under [`CrashPointPolicy::All`] — the one policy the
+    /// trunk answers crash states under — `states_tested +
+    /// states_inherited` is what per-workload testing would have tested.
+    pub states_inherited: u64,
+}
 
 /// The CrashMonkey test harness for one target file system.
 pub struct CrashMonkey<'a> {
@@ -72,6 +94,9 @@ pub struct CrashMonkey<'a> {
     /// The forked profile states along the previous workload's operation
     /// path, which the next workload resumes from (see the `trunk` module).
     trunk: std::sync::Mutex<Trunk<profiler::ProfileState>>,
+    /// The crash-state counts of [`FsSharing`].
+    states_tested: AtomicU64,
+    states_inherited: AtomicU64,
 }
 
 impl<'a> CrashMonkey<'a> {
@@ -90,6 +115,8 @@ impl<'a> CrashMonkey<'a> {
             recovery_session: std::sync::Mutex::new(None),
             triage: std::sync::Mutex::new(triage::TriageCache::default()),
             trunk: std::sync::Mutex::new(Trunk::default()),
+            states_tested: AtomicU64::new(0),
+            states_inherited: AtomicU64::new(0),
         }
     }
 
@@ -146,6 +173,16 @@ impl<'a> CrashMonkey<'a> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .sharing()
+    }
+
+    /// [`profile_sharing`](Self::profile_sharing) together with how many
+    /// crash states were tested and how many were answered from the trunk.
+    pub fn sharing(&self) -> FsSharing {
+        FsSharing {
+            ops: self.profile_sharing(),
+            states_tested: self.states_tested.load(Ordering::Relaxed),
+            states_inherited: self.states_inherited.load(Ordering::Relaxed),
+        }
     }
 
     /// Profiles a workload on a snapshot of the cached mkfs image, running
@@ -224,6 +261,7 @@ impl<'a> CrashMonkey<'a> {
         );
         let mut construct_time = std::time::Duration::ZERO;
         let mut check_time = std::time::Duration::ZERO;
+        let mut inherited = 0;
 
         // When triaging, the content digest of every crash state comes from
         // one pass over the recorded log. Digest and key computation are
@@ -239,6 +277,23 @@ impl<'a> CrashMonkey<'a> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         construct_time += construct_start.elapsed();
+
+        // Under `All`, a checkpoint inside the operation prefix the trunk
+        // resumed is the run, the recorded IO and the `CheckpointInfo` of the
+        // sibling that tested it: its verdict is inherited, not found again.
+        // (`AllTriaged` answers from its witnesses instead, so that what a
+        // shard audits does not depend on what the trunk held.)
+        let inherit = self.config.crash_points == CrashPointPolicy::All;
+        let checker = AutoChecker::new(self.spec, &self.config);
+        // A crash state answered by a verdict found earlier, on this
+        // workload or another: the report is attached to this workload.
+        let answer = |outcome: &mut WorkloadOutcome, verdict: &CheckVerdict, crash_point| {
+            outcome.checkpoints_reused += 1;
+            let report = verdict
+                .clone()
+                .into_report(workload, self.spec.name(), crash_point);
+            outcome.bugs.extend(report);
+        };
 
         for info in checkpoints {
             // Triage: reuse the witness verdict when this crash state's
@@ -261,26 +316,44 @@ impl<'a> CrashMonkey<'a> {
                     if outcome.triage_audited < triage_audit.unwrap_or(0) {
                         audit_witness = Some(witness.clone());
                     } else {
-                        outcome.checkpoints_reused += 1;
-                        let report =
-                            witness
-                                .clone()
-                                .into_report(workload, self.spec.name(), info.id);
-                        if let Some(report) = report {
-                            outcome.bugs.push(report);
-                        }
+                        answer(&mut outcome, witness, info.id);
                         construct_time += construct_start.elapsed();
                         continue;
                     }
                 }
             }
 
+            let candidates = checker::rename_candidates(workload, info);
+            let held = info
+                .verdict
+                .get()
+                .filter(|held| inherit && held.rename_candidates == candidates);
+            if let Some(held) = held {
+                // Debug builds test the state anyway, mounted from scratch.
+                #[cfg(debug_assertions)]
+                {
+                    let state = self.crash_state_for(&profile, info.id)?;
+                    let fresh = checker.check(workload, &profile, info, state);
+                    assert!(
+                        fresh == held.verdict,
+                        "the verdict {} inherited at crash point {} diverged from a fresh one:\n\
+                         held: {:?}\nfresh: {fresh:?}",
+                        workload.name,
+                        info.id,
+                        held.verdict
+                    );
+                }
+                answer(&mut outcome, &held.verdict, info.id);
+                inherited += 1;
+                construct_time += construct_start.elapsed();
+                continue;
+            }
+
             let (state, recovered) = session.recover_at(info.id)?;
             construct_time += construct_start.elapsed();
 
             let check_start = Instant::now();
-            let checker = AutoChecker::new(self.spec, &self.config);
-            let verdict = checker.check_recovered(workload, &profile, info, state, recovered);
+            let verdict = checker.check_with_candidates(&candidates, info, state, recovered);
             check_time += check_start.elapsed();
 
             match (audit_witness, key) {
@@ -293,12 +366,22 @@ impl<'a> CrashMonkey<'a> {
                 (None, Some(key)) => triage.record(key, &verdict),
                 (None, None) => {}
             }
+            if inherit {
+                info.verdict.fill(checker::HeldVerdict {
+                    rename_candidates: candidates,
+                    verdict: verdict.clone(),
+                });
+            }
 
             outcome.checkpoints_tested += 1;
             if let Some(report) = verdict.into_report(workload, self.spec.name(), info.id) {
                 outcome.bugs.push(report);
             }
         }
+        self.states_tested
+            .fetch_add(u64::from(outcome.checkpoints_tested), Ordering::Relaxed);
+        self.states_inherited
+            .fetch_add(inherited, Ordering::Relaxed);
         // `replayed_bytes` is cumulative over the stream's lifetime, so it
         // is read once after the loop: each recorded write contributes its
         // size exactly once however many checkpoints were visited.
@@ -781,6 +864,146 @@ mod tests {
             assert!(outcome.skipped.is_none());
             assert_eq!(outcome.checkpoints_tested, 1);
         }
+    }
+
+    /// `setup`, `op`, `fsync path`, then one of `lasts`: workloads that
+    /// part at their final operation only, after one persistence point.
+    fn siblings_after_fsync(setup: &[Op], op: Op, path: &str, lasts: Vec<Op>) -> Vec<Workload> {
+        lasts
+            .into_iter()
+            .enumerate()
+            .map(|(index, last)| {
+                let fsync = Op::Fsync { path: path.into() };
+                w(
+                    &format!("sibling-{index}"),
+                    setup.to_vec(),
+                    vec![op.clone(), fsync, last],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn siblings_test_the_crash_state_of_their_shared_prefix_once() {
+        // On 3.13 the shared `falloc -k; fsync` loses the blocks, so what
+        // the later siblings inherit there is a failing verdict.
+        let siblings = siblings_after_fsync(
+            &[Op::Creat { path: "foo".into() }],
+            Op::Falloc {
+                path: "foo".into(),
+                mode: b3_vfs::workload::FallocMode::KeepSize,
+                offset: 0,
+                len: 8192,
+            },
+            "foo",
+            vec![
+                Op::Sync,
+                Op::Fdatasync { path: "foo".into() },
+                Op::Creat { path: "bar".into() },
+            ],
+        );
+        for (spec, buggy) in [
+            (CowFsSpec::patched(), false),
+            (CowFsSpec::new(KernelEra::V3_13), true),
+        ] {
+            let config = CrashMonkeyConfig::exhaustive_crash_points();
+            let shared = CrashMonkey::with_config(&spec, config);
+            for (index, workload) in siblings.iter().enumerate() {
+                let outcome = shared.test_workload(workload).unwrap();
+                let fresh = CrashMonkey::with_config(&spec, config)
+                    .test_workload(workload)
+                    .unwrap();
+                assert_eq!(outcome.checkpoints_reused, u32::from(index > 0));
+                assert_eq!(fresh.checkpoints_reused, 0);
+                assert_eq!(
+                    outcome.checkpoints_tested + outcome.checkpoints_reused,
+                    fresh.checkpoints_tested
+                );
+                assert_eq!(outcome.bugs, fresh.bugs, "{}", workload.name);
+                assert_eq!(
+                    outcome.bugs.iter().any(|bug| bug.crash_point == 1),
+                    buggy,
+                    "{:?}",
+                    outcome.bugs
+                );
+                for bug in &outcome.bugs {
+                    assert_eq!(bug.workload_name, workload.name);
+                }
+            }
+            let sharing = shared.sharing();
+            assert_eq!(sharing.states_inherited, 2);
+            // Two crash states each, one for the sibling that ends without
+            // a persistence point, less the two inherited.
+            assert_eq!(sharing.states_tested, 2 + 2 + 1 - 2);
+
+            // The other policies neither leave verdicts nor take them.
+            for config in [
+                CrashMonkeyConfig::small(),
+                CrashMonkeyConfig::triaged_crash_points(),
+            ] {
+                let monkey = CrashMonkey::with_config(&spec, config);
+                for workload in &siblings[..2] {
+                    monkey.test_workload(workload).unwrap();
+                }
+                assert_eq!(monkey.sharing().states_inherited, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_later_rename_onto_a_persisted_path_is_not_answered_from_the_trunk() {
+        // `bar` is persisted at the shared checkpoint, so the second
+        // sibling's rename onto it is a rename-atomicity candidate there: a
+        // checker input the first sibling's verdict was found without.
+        let siblings = siblings_after_fsync(
+            &[Op::Creat { path: "foo".into() }],
+            Op::Creat { path: "bar".into() },
+            "bar",
+            vec![
+                Op::Sync,
+                Op::Rename {
+                    from: "foo".into(),
+                    to: "bar".into(),
+                },
+                Op::Fsync { path: "foo".into() },
+            ],
+        );
+        let spec = CowFsSpec::patched();
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::exhaustive_crash_points());
+        let outcomes: Vec<WorkloadOutcome> = siblings
+            .iter()
+            .map(|workload| monkey.test_workload(workload).unwrap())
+            .collect();
+        let counts: Vec<(u32, u32)> = outcomes
+            .iter()
+            .map(|outcome| (outcome.checkpoints_tested, outcome.checkpoints_reused))
+            .collect();
+        // The rename is no persistence point: its workload has the shared
+        // crash state only, and tests it. The cell keeps the first verdict,
+        // which answers the third sibling.
+        assert_eq!(counts, [(2, 0), (1, 0), (1, 1)]);
+        assert!(outcomes.iter().all(|outcome| outcome.bugs.is_empty()));
+    }
+
+    #[test]
+    fn checkpoints_that_differ_only_in_their_verdict_cell_compare_equal() {
+        let spec = CowFsSpec::patched();
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::exhaustive_crash_points());
+        let workload = multi_checkpoint_workload();
+        monkey.test_workload(&workload).unwrap();
+        // Resumed before the final op: the earlier checkpoints are the
+        // tested run's own.
+        let held = monkey.profile_only(&workload).unwrap();
+        let scratch = Profiler::new(&spec, monkey.config())
+            .profile(&workload)
+            .unwrap();
+        assert!(held.checkpoints[0].verdict.get().is_some());
+        assert!(scratch.checkpoints[0].verdict.get().is_none());
+        assert!(held.checkpoints[0] == scratch.checkpoints[0]);
+        assert_eq!(
+            format!("{:?}", held.checkpoints[0]),
+            format!("{:?}", scratch.checkpoints[0])
+        );
     }
 
     #[test]

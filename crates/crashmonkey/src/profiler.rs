@@ -36,8 +36,9 @@ use b3_vfs::path::{is_ancestor, normalize, parent};
 use b3_vfs::snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot};
 use b3_vfs::workload::{Op, Workload, WriteSpec};
 
+use crate::checker::HeldVerdict;
 use crate::config::CrashMonkeyConfig;
-use crate::trunk::{Finished, Trunk, TrunkRun};
+use crate::trunk::{Finished, Held, Trunk, TrunkRun};
 
 /// What a persistence operation guaranteed about one path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +79,12 @@ pub struct CheckpointInfo {
     /// Full logical state at this instant (the clean-unmount oracle), shared
     /// rather than copied per checkpoint.
     pub oracle: Arc<LogicalSnapshot>,
+    /// The verdict on this checkpoint's crash state, once a workload whose
+    /// run reached the checkpoint through the same operations has had it
+    /// checked (see [`CrashPointPolicy::All`](crate::CrashPointPolicy::All)).
+    /// Shared by every fork of the run, and no part of what the checkpoint
+    /// captured: two infos that differ only here compare equal.
+    pub(crate) verdict: Held<HeldVerdict>,
 }
 
 /// The result of profiling one workload.
@@ -519,6 +526,7 @@ impl<'a> Profiler<'a> {
             persisted_renames: state.persisted_renames.clone(),
             durable_renames: state.durable_renames.clone(),
             oracle,
+            verdict: Held::default(),
         });
         Ok(())
     }
@@ -558,7 +566,8 @@ impl TrunkRun for ProfileState {
 
     /// File system, recording device and log are forked, the captured state
     /// is cloned (oracle entries and block payloads stay shared behind
-    /// their `Arc`s).
+    /// their `Arc`s, and each checkpoint keeps pointing at the same verdict
+    /// cell).
     fn fork(&self) -> ProfileState {
         let device = self.log.fork_device();
         let log = device.log_handle();

@@ -366,12 +366,13 @@ pub struct WorkloadOutcome {
     /// (constructed, recovered, checked).
     pub checkpoints_tested: u32,
     /// Crash points covered without constructing and recovering their crash
-    /// state. For a file-system workload that is a triage witness verdict
-    /// reused, so it is zero unless the policy is
-    /// `CrashPointPolicy::AllTriaged`; for a `b3_app` workload it is a
-    /// recovery a sibling workload left in the trunk, under every policy
-    /// (the verdict is still the workload's own). Total coverage is
-    /// `checkpoints_tested + checkpoints_reused`.
+    /// state. For a file-system workload that is a verdict reused: a triage
+    /// witness's under `CrashPointPolicy::AllTriaged`, the one a sibling
+    /// workload left at the checkpoint, inside the operation prefix the two
+    /// share, under `CrashPointPolicy::All`; zero under `LastOnly`. For a
+    /// `b3_app` workload it is a recovery a sibling workload left in the
+    /// trunk, under every policy (the verdict is still the workload's own).
+    /// Total coverage is `checkpoints_tested + checkpoints_reused`.
     pub checkpoints_reused: u32,
     /// Reused crash states that the triage audit additionally re-tested
     /// dynamically (these count toward `checkpoints_tested`, not

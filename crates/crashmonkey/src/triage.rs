@@ -349,6 +349,7 @@ mod tests {
             persisted_renames: Vec::new(),
             durable_renames: Vec::new(),
             oracle: Arc::new(oracle),
+            verdict: Default::default(),
         }
     }
 

@@ -11,7 +11,8 @@
 //!
 //! What a run is, and what one step of it does, is the caller's: the trunk
 //! is generic over a [`TrunkRun`] and owns only the prefix match, the frame
-//! policy and the [`ProfileSharing`] counters. It is instantiated twice,
+//! policy, the [`ProfileSharing`] counters and the [`Held`] cell a run hangs
+//! on each persistence point. It is instantiated twice,
 //! monomorphized each time: for the profiler's `ProfileState` stepped one
 //! [`Op`](b3_vfs::workload::Op) at a time, and for `b3_app`'s engine run
 //! stepped one transaction at a time.
@@ -25,6 +26,8 @@
 //! is re-run, never what is returned. Debug builds assert that (see
 //! [`CrashMonkey`](crate::CrashMonkey)), and
 //! `profile_sharing_differential.rs` pins it across orders and file systems.
+
+use std::sync::{Arc, OnceLock};
 
 /// One run of a workload stopped between two steps, as the [`Trunk`] needs
 /// to see it.
@@ -48,6 +51,58 @@ pub trait TrunkRun: Sized {
     /// otherwise repeat is done here, once). False when it cannot be: the
     /// state is then simply not kept as a frame.
     fn keep_as_frame(&mut self) -> bool;
+}
+
+/// What the first workload to examine one persistence point of a run found
+/// there, held for every later workload that shares the run up to that
+/// point: a fill-once cell that [`TrunkRun::fork`] copies by reference, so
+/// the forks of a run — the trunk's frames and the workloads resumed from
+/// them — all see the one value. Both instantiations of the trunk hang one
+/// on each persistence point: the profiler the crash state's check verdict,
+/// `b3_app` its recovery.
+///
+/// The cell says how much of the work has been done already, never what the
+/// run *is*: it always compares equal and prints the same, so the
+/// structures holding one keep deriving `PartialEq` and `Debug` over what
+/// they captured only.
+pub struct Held<T>(Arc<OnceLock<T>>);
+
+impl<T> Held<T> {
+    /// The held value, `None` until some fork of the run filled the cell.
+    pub fn get(&self) -> Option<&T> {
+        self.0.get()
+    }
+
+    /// Fills an empty cell with `value`; a filled one keeps what it holds.
+    /// Returns the held value either way.
+    pub fn fill(&self, value: T) -> &T {
+        self.0.get_or_init(|| value)
+    }
+}
+
+impl<T> Default for Held<T> {
+    fn default() -> Self {
+        Held(Arc::default())
+    }
+}
+
+impl<T> Clone for Held<T> {
+    /// The same cell: filling either side fills both.
+    fn clone(&self) -> Self {
+        Held(Arc::clone(&self.0))
+    }
+}
+
+impl<T> PartialEq for Held<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> std::fmt::Debug for Held<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Held")
+    }
 }
 
 /// How much work prefix sharing saved, cumulative over a harness's

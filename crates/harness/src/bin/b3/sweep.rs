@@ -163,6 +163,15 @@ fn sharing_line(sampled: usize, done: &str, steps: &str, sharing: ProfileSharing
     )
 }
 
+/// What a crash-tested sample appends to its line: the crash states `done`
+/// here and those the trunk `answered` instead.
+fn states_part(verb: &str, done: u64, answered: u64) -> String {
+    format!(
+        "{done} crash states {verb}, {answered} answered from the trunk ({:.0} %)",
+        answered as f64 * 100.0 / (done + answered).max(1) as f64,
+    )
+}
+
 /// The application-space sample: the head of shard 0 crash-tested through
 /// one local harness, in generator order like a worker — crash-tested, not
 /// only run, because the recoveries a workload is answered from the trunk
@@ -178,22 +187,21 @@ fn print_sampled_app_sharing(job: &SweepJob, bounds: &TxnBounds, engine: EngineP
         tested += 1;
     }
     let sharing = harness.sharing();
-    let states = sharing.states_recovered + sharing.states_reused;
     println!(
-        "{}; {} crash states recovered, {} answered from the trunk ({:.0} %)",
+        "{}; {}",
         sharing_line(tested, "crash-tested", "transactions", sharing.txns),
-        sharing.states_recovered,
-        sharing.states_reused,
-        sharing.states_reused as f64 * 100.0 / states.max(1) as f64,
+        states_part("recovered", sharing.states_recovered, sharing.states_reused),
     );
 }
 
-/// Measures prefix sharing — the profiler's and the generator's — on the
+/// Measures prefix sharing — the harness's and the generator's — on the
 /// head of shard 0. The harnesses that ran the sweep report outcomes only
 /// (and may live in other processes), so the summary samples the figures
 /// here: the workloads are generated through one local generator (with the
-/// job's classifier when it prunes) and profiled (not crash tested) through
-/// one local harness, in generator order like a worker.
+/// job's classifier when it prunes) and run through one local harness, in
+/// generator order like a worker — crash-tested when the policy covers
+/// every persistence point, where the trunk answers crash states too, and
+/// only profiled otherwise.
 fn print_sampled_sharing(job: &SweepJob, bounds: &Bounds) {
     let spec = job.fs.spec(job.era);
     let monkey = CrashMonkey::with_config(spec.as_ref(), job.crashmonkey);
@@ -203,16 +211,27 @@ fn print_sampled_sharing(job: &SweepJob, bounds: &Bounds) {
     if !job.prune.is_off() {
         generator = generator.classified_by(Arc::new(Classifier::on_table(table)));
     }
-    let mut profiled = 0;
+    let crash_test = job.crashmonkey.crash_points.covers_all();
+    let mut sampled = 0;
     for workload in generator.by_ref().take(SHARING_SAMPLE) {
-        // A workload that cannot be profiled is the sweep's to report.
-        let _ = monkey.profile_only(&workload);
-        profiled += 1;
+        // A workload that cannot be run is the sweep's to report.
+        if crash_test {
+            let _ = monkey.test_workload(&workload);
+        } else {
+            let _ = monkey.profile_only(&workload);
+        }
+        sampled += 1;
     }
-    println!(
-        "{}",
-        sharing_line(profiled, "profiled", "ops", monkey.profile_sharing())
-    );
+    let sharing = monkey.sharing();
+    if crash_test {
+        println!(
+            "{}; {}",
+            sharing_line(sampled, "crash-tested", "ops", sharing.ops),
+            states_part("tested", sharing.states_tested, sharing.states_inherited),
+        );
+    } else {
+        println!("{}", sharing_line(sampled, "profiled", "ops", sharing.ops));
+    }
     let generation = generator.stats();
     println!(
         "generation (same workloads, generated here): {} candidates examined, {} ops \

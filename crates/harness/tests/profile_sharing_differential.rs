@@ -16,17 +16,25 @@
 //!   sequence lengths, so frames and failed runs carry over between
 //!   unrelated workloads.
 //!
+//! Under `CrashPointPolicy::All` the harness also inherits, along the
+//! resumed prefix, the verdict a sibling workload left at a checkpoint. The
+//! same three orders pin **equal reports and equal coverage per workload**
+//! against a fresh harness per workload on every file system and era, and an
+//! `#[ignore]`d release run pins the benchmark's seq-2 space on buggy CowFs,
+//! where the inherited verdicts include thousands of failing ones.
+//!
 //! (This suite runs in a debug build, where the harness additionally
-//! asserts every single prefix-shared profile against a from-scratch one;
-//! the explicit comparisons below keep the claim pinned in release builds
-//! and for the group tables.)
+//! asserts every single prefix-shared profile against a from-scratch one
+//! and re-tests every crash state it answered from the trunk; the explicit
+//! comparisons below keep the claims pinned in release builds and for the
+//! group tables.)
 
 use std::rc::Rc;
 
 use b3_ace::{Bounds, WorkloadGenerator};
 use b3_crashmonkey::profiler::formatted_base_image;
 use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, Profiler};
-use b3_harness::{FsKind, GroupTable};
+use b3_harness::{FsKind, GroupTable, RunConfig, Sweep};
 use b3_vfs::codec::Encoder;
 use b3_vfs::workload::{FileSet, Op, Workload};
 use b3_vfs::KernelEra;
@@ -216,5 +224,113 @@ fn a_seq2_shard_in_generator_order_resumes_most_of_its_ops() {
         "prefix sharing resumed only {:.0} % of {} ops: {sharing:?}",
         sharing.resumed_share() * 100.0,
         sharing.ops_applied + sharing.ops_resumed
+    );
+}
+
+/// What a sibling left at a checkpoint answers for the next workload under
+/// `All`: per workload the same reports and the same crash states covered
+/// as a harness that has seen nothing — in any order, buggy eras (whose
+/// inherited verdicts fail) included.
+#[test]
+fn inherited_verdicts_equal_fresh_ones_in_any_order_on_every_era() {
+    let config = config(CrashPointPolicy::All);
+    let generated = workloads();
+    for kind in FsKind::ALL {
+        for era in [KernelEra::V3_13, KernelEra::V4_16, KernelEra::Patched] {
+            let spec = kind.spec(era);
+            let mut table = GroupTable::new();
+            let reference: std::collections::HashMap<&str, _> = generated
+                .iter()
+                .map(|workload| {
+                    let outcome = CrashMonkey::with_config(spec.as_ref(), config)
+                        .test_workload(workload)
+                        .unwrap();
+                    assert_eq!(outcome.checkpoints_reused, 0);
+                    for bug in &outcome.bugs {
+                        table.observe(bug.clone());
+                    }
+                    (workload.name.as_str(), outcome)
+                })
+                .collect();
+
+            for (order, workloads) in orders() {
+                let monkey = CrashMonkey::with_config(spec.as_ref(), config);
+                let mut shared = GroupTable::new();
+                for workload in &workloads {
+                    let outcome = monkey.test_workload(workload).unwrap();
+                    let fresh = &reference[workload.name.as_str()];
+                    let context = format!("{kind:?}@{era:?}, {order}, {}", workload.name);
+                    assert_eq!(outcome.bugs, fresh.bugs, "{context}");
+                    assert_eq!(outcome.skipped, fresh.skipped, "{context}");
+                    assert_eq!(
+                        outcome.checkpoints_tested + outcome.checkpoints_reused,
+                        fresh.checkpoints_tested,
+                        "{context}"
+                    );
+                    for bug in outcome.bugs {
+                        shared.observe(bug);
+                    }
+                }
+                assert!(
+                    encoded(&shared) == encoded(&table),
+                    "{kind:?}@{era:?}, {order}: group table diverged"
+                );
+                let sharing = monkey.sharing();
+                assert!(
+                    sharing.states_inherited > 0,
+                    "{kind:?}@{era:?}, {order}: nothing inherited: {sharing:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The benchmark's seq-2 space (`b3-bench`'s `seq2_cow_triaged` /
+/// `seq2_journal_all` bounds and shard count) on buggy CowFs: `All`, which
+/// inherits verdicts along the trunk, against `AllTriaged`, which never
+/// consults them. The pinned `seq2_journal_all` run cannot catch a wrongly
+/// inherited *failing* verdict — every verdict there passes — and the debug
+/// re-test does not run in release; here about 43 000 of 138 000 crash states
+/// are answered from the trunk, some 2 700 of the 14 388 reports with them.
+/// Run with
+/// `cargo test --release -p b3-harness --test profile_sharing_differential -- --ignored`.
+#[test]
+#[ignore = "the benchmark's seq-2 space, twice; run explicitly in release builds"]
+fn bench_seq2_all_and_triaged_sweeps_group_identically_on_buggy_cowfs() {
+    let bounds = Bounds {
+        files: FileSet::new(
+            vec!["A".into(), "B".into()],
+            vec!["foo".into(), "A/foo".into(), "B/foo".into()],
+        ),
+        ..Bounds::paper_seq2()
+    };
+    let spec = FsKind::Cow.spec(KernelEra::V4_16);
+    let grouped = |crash_points| {
+        let sweep = Sweep::new(
+            spec.as_ref(),
+            RunConfig {
+                threads: 2,
+                crashmonkey: CrashMonkeyConfig {
+                    crash_points,
+                    ..CrashMonkeyConfig::default()
+                },
+                ..RunConfig::default()
+            },
+        )
+        .shards(64);
+        let mut checkpoint = sweep.empty_checkpoint(&bounds);
+        let summary = sweep.run_resumable(&bounds, &mut checkpoint);
+        assert!(checkpoint.is_complete());
+        (summary, checkpoint.grouped())
+    };
+    let (all, all_groups) = grouped(CrashPointPolicy::All);
+    let (triaged, triaged_groups) = grouped(CrashPointPolicy::AllTriaged { audit: 0 });
+    assert_eq!((all.tested, all.skipped), (72_017, 13_597));
+    assert_eq!(all_groups.total_reports(), 14_388);
+    assert_eq!(all_groups.len(), 63);
+    assert_eq!((all.tested, all.skipped), (triaged.tested, triaged.skipped));
+    assert!(
+        encoded(&all_groups) == encoded(&triaged_groups),
+        "`All` and `AllTriaged` grouped the seq-2 space differently"
     );
 }
