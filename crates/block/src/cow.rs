@@ -9,32 +9,44 @@
 //! A [`DiskImage`] is a *stack* of immutable block layers: freezing a
 //! snapshot produces a new image that records only the overlay and points at
 //! its base, so adjacent crash states share every block of their common
-//! replayed prefix instead of re-merging the whole map. Reads walk the chain
+//! prefix instead of re-merging the whole map. Reads walk the chain
 //! newest-layer first; the chain is flattened once it grows past
 //! [`MAX_CHAIN_DEPTH`] so lookups stay O(1) amortized.
+//!
+//! The snapshot device is also what the [recording
+//! wrapper](crate::RecordingDevice) writes to, so a crash state is not
+//! rebuilt from the recorded IO: at every checkpoint the recorder
+//! [commits](CowSnapshotDevice::commit) its overlay into a layer, and that
+//! image *is* the crash state. A written block lives in one buffer that the
+//! overlay, the image layers it moves into and the log record share by
+//! reference count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::device::{check_read, check_write, pad_block, BlockDevice, BlockIndex, BLOCK_SIZE};
+use crate::device::{
+    check_read, check_write, gather_blocks, or_zeroes, pad_block, BlockDevice, BlockIndex,
+    BLOCK_SIZE,
+};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
 use crate::stats::DeviceStats;
 
 /// Chain length at which [`DiskImage::layered`] collapses the stack into a
-/// single layer. Crash-state construction produces one layer per checkpoint,
-/// and workloads have a handful of checkpoints, so flattening is rare; the
-/// bound exists to keep pathological chains from degrading reads.
+/// single layer. A recording produces one layer per checkpoint that wrote
+/// something, and workloads have a handful of checkpoints, so flattening is
+/// rare; the bound exists to keep pathological chains from degrading reads.
 pub const MAX_CHAIN_DEPTH: u32 = 32;
 
 /// An immutable, reference-counted disk image: one block layer plus an
 /// optional parent image the layer shadows.
 ///
 /// Produced by [`RamDisk::snapshot`](crate::RamDisk::snapshot) (a single
-/// layer) or [`CowSnapshotDevice::freeze`] (a layer over the frozen base),
-/// and shared by any number of snapshots. Cloning is O(1).
+/// layer) or [`CowSnapshotDevice::freeze`] / [`CowSnapshotDevice::commit`]
+/// (a layer over the frozen base), and shared by any number of snapshots.
+/// Cloning is O(1).
 #[derive(Debug, Clone)]
 pub struct DiskImage {
     layer: Arc<HashMap<BlockIndex, Bytes>>,
@@ -60,10 +72,10 @@ impl DiskImage {
     }
 
     /// True when both images are clones of one original (and therefore hold
-    /// identical contents). Layers are immutable and every construction
-    /// allocates a fresh layer `Arc`, so pointer identity of the top layer
-    /// is a sound, O(1) content-identity witness — two independently built
-    /// images never share it, however equal their bytes.
+    /// identical contents). Layers are immutable and a layer `Arc` is only
+    /// ever stacked on the one parent it was built over, so pointer identity
+    /// of the top layer is a sound, O(1) content-identity witness — two
+    /// independently built images never share it, however equal their bytes.
     pub fn ptr_eq(&self, other: &DiskImage) -> bool {
         Arc::ptr_eq(&self.layer, &other.layer)
     }
@@ -127,9 +139,7 @@ impl DiskImage {
     /// Reads one block from the image.
     pub fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks)?;
-        Ok(self
-            .get(index)
-            .map_or_else(|| vec![0u8; BLOCK_SIZE], |b| b.to_vec()))
+        Ok(or_zeroes(self.get(index)).to_vec())
     }
 
     pub(crate) fn get(&self, index: BlockIndex) -> Option<&Bytes> {
@@ -163,7 +173,7 @@ impl PartialEq for DiskImage {
         }
         written
             .into_iter()
-            .all(|index| self.read_block(index) == other.read_block(index))
+            .all(|index| or_zeroes(self.get(index)) == or_zeroes(other.get(index)))
     }
 }
 
@@ -220,14 +230,37 @@ impl CowSnapshotDevice {
 
     /// Freezes base + overlay and makes the frozen image this device's new
     /// base, leaving the overlay empty. Subsequent writes accumulate a fresh
-    /// layer on top — the primitive incremental crash-state construction is
-    /// built on: each checkpoint's image shares the replayed prefix of every
-    /// earlier checkpoint.
+    /// layer on top — the primitive crash states are built on: the recorder
+    /// commits at every checkpoint, so each checkpoint's image shares the
+    /// blocks of every earlier one. O(1): the overlay map moves into the
+    /// layer, and an empty overlay adds no layer at all.
     pub fn commit(&mut self) -> DiskImage {
-        let overlay = std::mem::take(&mut self.overlay);
-        let image = DiskImage::layered(&self.base, overlay);
-        self.base = image.clone();
-        image
+        if !self.overlay.is_empty() {
+            let overlay = std::mem::take(&mut self.overlay);
+            self.base = DiskImage::layered(&self.base, overlay);
+        }
+        self.base.clone()
+    }
+
+    /// The stored buffer of a block, if the overlay or the base holds one.
+    fn stored(&self, index: BlockIndex) -> Option<&Bytes> {
+        self.overlay.get(&index).or_else(|| self.base.get(index))
+    }
+
+    /// [`BlockDevice::write_block`], handing back the padded block the
+    /// overlay now holds so a recorder can log a view of the same buffer.
+    pub(crate) fn store_block(
+        &mut self,
+        index: BlockIndex,
+        data: &[u8],
+        flags: IoFlags,
+    ) -> BlockResult<Bytes> {
+        check_write(index, self.num_blocks(), data)?;
+        self.stats
+            .record_write(data.len(), flags.contains(IoFlags::FUA));
+        let block = pad_block(data);
+        self.overlay.insert(index, block.clone());
+        Ok(block)
     }
 }
 
@@ -238,21 +271,15 @@ impl BlockDevice for CowSnapshotDevice {
 
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks())?;
-        if let Some(block) = self.overlay.get(&index) {
-            return Ok(block.to_vec());
-        }
-        if let Some(block) = self.base.get(index) {
-            return Ok(block.to_vec());
-        }
-        Ok(vec![0u8; BLOCK_SIZE])
+        Ok(or_zeroes(self.stored(index)).to_vec())
+    }
+
+    fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>> {
+        gather_blocks(index, count, self.num_blocks(), |i| self.stored(i))
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
-        check_write(index, self.num_blocks(), data)?;
-        self.stats
-            .record_write(data.len(), flags.contains(IoFlags::FUA));
-        self.overlay.insert(index, Bytes::from(pad_block(data)));
-        Ok(())
+        self.store_block(index, data, flags).map(drop)
     }
 
     fn flush(&mut self) -> BlockResult<()> {

@@ -1,5 +1,7 @@
 //! The object-safe [`BlockDevice`] trait.
 
+use bytes::{Bytes, BytesMut};
+
 use crate::error::{BlockError, BlockResult};
 use crate::flags::IoFlags;
 use crate::stats::DeviceStats;
@@ -85,11 +87,38 @@ pub(crate) fn check_read(index: BlockIndex, num_blocks: u64) -> BlockResult<()> 
     Ok(())
 }
 
-/// Pads or copies `data` into a fresh [`BLOCK_SIZE`] buffer.
-pub(crate) fn pad_block(data: &[u8]) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
+/// Copies `data` into a fresh zero-padded [`BLOCK_SIZE`] block: the one
+/// buffer a written block lives in, shared from then on by reference count.
+pub(crate) fn pad_block(data: &[u8]) -> Bytes {
+    let mut block = BytesMut::zeroed(BLOCK_SIZE);
     block[..data.len()].copy_from_slice(data);
-    block
+    block.freeze()
+}
+
+/// What a block reads as: the stored buffer, or zeroes when it was never
+/// written.
+pub(crate) fn or_zeroes(stored: Option<&Bytes>) -> &[u8] {
+    const ZEROES: &[u8] = &[0u8; BLOCK_SIZE];
+    stored.map_or(ZEROES, |block| &block[..])
+}
+
+/// [`BlockDevice::read_blocks`] over blocks stored as shared buffers: each
+/// block is copied once, from where `stored` holds it straight into the
+/// result.
+pub(crate) fn gather_blocks<'a>(
+    index: BlockIndex,
+    count: u64,
+    num_blocks: u64,
+    stored: impl Fn(BlockIndex) -> Option<&'a Bytes>,
+) -> BlockResult<Vec<u8>> {
+    // `count` may come from a corrupted on-disk length: the device's size
+    // bounds the allocation, and the first block past it ends the read.
+    let mut out = Vec::with_capacity(count.min(num_blocks) as usize * BLOCK_SIZE);
+    for i in index..index.saturating_add(count) {
+        check_read(i, num_blocks)?;
+        out.extend_from_slice(or_zeroes(stored(i)));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

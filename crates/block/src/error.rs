@@ -24,6 +24,13 @@ pub enum BlockError {
     ReadOnly,
     /// The device was disconnected mid-operation (used for fault injection).
     Disconnected,
+    /// A crash state was requested for a checkpoint the log does not hold.
+    UnknownCheckpoint {
+        /// The requested checkpoint id.
+        checkpoint: u32,
+        /// The number of checkpoints the log holds (ids run from 1).
+        recorded: u32,
+    },
 }
 
 impl fmt::Display for BlockError {
@@ -38,6 +45,13 @@ impl fmt::Display for BlockError {
             }
             BlockError::ReadOnly => write!(f, "device is read-only"),
             BlockError::Disconnected => write!(f, "device is disconnected"),
+            BlockError::UnknownCheckpoint {
+                checkpoint,
+                recorded,
+            } => write!(
+                f,
+                "no checkpoint {checkpoint} in a log of {recorded} checkpoints"
+            ),
         }
     }
 }

@@ -13,12 +13,16 @@
 //! * [`RecordingDevice`] — a wrapper device that forwards IO to a snapshot
 //!   device while appending every write, flush, and checkpoint to an
 //!   [`IoLog`] it shares with a [`LogHandle`], through which the recording
-//!   can be forked.
+//!   can be forked. At every checkpoint it freezes the snapshot device's
+//!   contents into the log ([`IoLog::image_at`]).
 //! * [`CowSnapshotDevice`] — a copy-on-write overlay over an immutable
 //!   [`DiskImage`]; resetting a snapshot simply drops the overlay.
-//! * [`replay`] — utilities that replay a recorded [`IoLog`] up to a chosen
-//!   checkpoint onto a fresh snapshot, producing the *crash state* the paper
-//!   describes.
+//! * [`replay`] — the *crash states* the paper describes: since the
+//!   recorder is itself a snapshot device, [`crash_state`] and
+//!   [`CrashStateStream`] hand out snapshots of the images it froze, and
+//!   [`replay_until_checkpoint`] — the paper's construction, replaying a
+//!   recorded [`IoLog`] up to a chosen checkpoint onto a fresh snapshot —
+//!   is the reference they are asserted against.
 //!
 //! All file systems in this workspace speak to storage exclusively through
 //! the object-safe [`BlockDevice`] trait, which keeps CrashMonkey strictly

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::cow::DiskImage;
-use crate::device::{check_read, check_write, pad_block, BlockDevice, BlockIndex, BLOCK_SIZE};
+use crate::device::{
+    check_read, check_write, or_zeroes, pad_block, BlockDevice, BlockIndex, BLOCK_SIZE,
+};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
 use crate::stats::DeviceStats;
@@ -63,17 +65,14 @@ impl BlockDevice for RamDisk {
 
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks)?;
-        Ok(self
-            .blocks
-            .get(&index)
-            .map_or_else(|| vec![0u8; BLOCK_SIZE], |b| b.to_vec()))
+        Ok(or_zeroes(self.blocks.get(&index)).to_vec())
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
         check_write(index, self.num_blocks, data)?;
         self.stats
             .record_write(data.len(), flags.contains(IoFlags::FUA));
-        self.blocks.insert(index, Bytes::from(pad_block(data)));
+        self.blocks.insert(index, pad_block(data));
         Ok(())
     }
 

@@ -7,19 +7,33 @@
 //! per completed persistence operation, so that the low-level IO stream can
 //! later be cut at exactly the persistence points.
 //!
-//! The wrapper sits on a [`CowSnapshotDevice`] and keeps both — the
-//! snapshot's overlay and the log — behind the state it shares with its
-//! [`LogHandle`], so the holder of the handle can *fork* the recording
-//! ([`LogHandle::fork_device`]): an independent device with the same
-//! contents and the same log so far, whose blocks and payloads are
-//! reference-counted [`Bytes`] shared with the original, never copied.
+//! In the paper the wrapper and the copy-on-write snapshot device are two
+//! kernel objects, and a crash state is rebuilt by replaying the recorded
+//! IO onto a fresh snapshot. Here the wrapper sits *on* a
+//! [`CowSnapshotDevice`], so what a replay up to a checkpoint would rebuild
+//! is, byte for byte, what the recorder holds when the marker is inserted:
+//! [`LogHandle::checkpoint`] commits the overlay into a [`DiskImage`] layer
+//! (O(1)) and the log keeps that image per checkpoint
+//! ([`IoLog::image_at`]). The record stream stays the single source of
+//! *order* — what any reordering of the IO would be replayed from — and
+//! [`replay_until_checkpoint`](crate::replay_until_checkpoint) stays the
+//! reference every frozen image is asserted against in debug builds.
+//!
+//! A recorded write is padded once into one buffer: the overlay holds the
+//! block and the log record holds a view of its payload bytes
+//! ([`Bytes::slice`]). The wrapper keeps both — the snapshot and the log —
+//! behind the state it shares with its [`LogHandle`], so the holder of the
+//! handle can *fork* the recording ([`LogHandle::fork_device`]): an
+//! independent device with the same contents, the same log and the same
+//! images so far, all reference-counted and shared with the original, never
+//! copied.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::cow::CowSnapshotDevice;
+use crate::cow::{CowSnapshotDevice, DiskImage};
 use crate::device::{BlockDevice, BlockIndex, BLOCK_SIZE};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
@@ -83,21 +97,42 @@ impl IoRecord {
     }
 }
 
-/// The complete recorded IO stream of one workload execution.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// What the log keeps per checkpoint marker, besides the marker record.
+#[derive(Debug, Clone)]
+struct Marker {
+    /// Index of the marker in [`IoLog::records`].
+    position: usize,
+    /// Number of write records before the marker — kept on append so
+    /// [`IoLog::writes_until_checkpoint`] is a lookup instead of a rescan.
+    writes: usize,
+    /// The recorder's contents when the marker was inserted.
+    image: DiskImage,
+}
+
+/// The complete recorded IO stream of one workload execution, with the
+/// device image the recorder held at each checkpoint.
+///
+/// Equality is equality of the record stream: every other field, the images
+/// included, is a function of the records (and of the image the recording
+/// started on), so two logs with the same records hold the same states.
+#[derive(Debug, Default, Clone)]
 pub struct IoLog {
     records: Vec<IoRecord>,
-    next_seq: u64,
-    checkpoints: u32,
-    /// Running number of write records appended so far.
-    writes: usize,
     /// Running total of write payload bytes appended so far.
     recorded_bytes: u64,
-    /// `checkpoint_writes[id - 1]` is the number of write records that
-    /// precede checkpoint marker `id` — maintained on append so
-    /// [`IoLog::writes_until_checkpoint`] is a lookup instead of a rescan.
-    checkpoint_writes: Vec<usize>,
+    /// Running number of write records appended so far.
+    writes: usize,
+    /// `markers[id - 1]` belongs to checkpoint `id`.
+    markers: Vec<Marker>,
 }
+
+impl PartialEq for IoLog {
+    fn eq(&self, other: &IoLog) -> bool {
+        self.records == other.records
+    }
+}
+
+impl Eq for IoLog {}
 
 impl IoLog {
     /// Creates an empty log.
@@ -122,7 +157,26 @@ impl IoLog {
 
     /// Number of checkpoint markers recorded so far.
     pub fn num_checkpoints(&self) -> u32 {
-        self.checkpoints
+        self.markers.len() as u32
+    }
+
+    fn marker(&self, checkpoint: CheckpointId) -> Option<&Marker> {
+        self.markers.get(checkpoint.checked_sub(1)? as usize)
+    }
+
+    /// The device contents when checkpoint `checkpoint` was inserted: the
+    /// image the recording started on plus every write recorded before the
+    /// marker — the crash state of that persistence point, frozen by the
+    /// recorder instead of replayed. `None` for an id the log does not hold.
+    /// Consecutive images share their common blocks, and each block with
+    /// the record that wrote it.
+    pub fn image_at(&self, checkpoint: CheckpointId) -> Option<&DiskImage> {
+        self.marker(checkpoint).map(|marker| &marker.image)
+    }
+
+    /// Index in [`IoLog::records`] of the marker of `checkpoint`.
+    pub(crate) fn marker_position(&self, checkpoint: CheckpointId) -> Option<usize> {
+        self.marker(checkpoint).map(|marker| marker.position)
     }
 
     /// Total bytes of write payload recorded. The paper reports ~480 KB of
@@ -140,13 +194,8 @@ impl IoLog {
     /// O(1) index lookup; [`IoLog::writes_until_checkpoint_scanning`] is the
     /// reference implementation it must agree with.
     pub fn writes_until_checkpoint(&self, checkpoint: CheckpointId) -> usize {
-        match checkpoint
-            .checked_sub(1)
-            .and_then(|i| self.checkpoint_writes.get(i as usize))
-        {
-            Some(count) => *count,
-            None => self.writes,
-        }
+        self.marker(checkpoint)
+            .map_or(self.writes, |marker| marker.writes)
     }
 
     /// The pre-index implementation of [`IoLog::writes_until_checkpoint`]:
@@ -164,32 +213,39 @@ impl IoLog {
         count
     }
 
-    fn push_write(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Sequence numbers are dense: a record's is its index.
+    fn next_seq(&self) -> u64 {
+        self.records.len() as u64
+    }
+
+    fn push_write(&mut self, index: BlockIndex, data: Bytes, flags: IoFlags) {
         self.writes += 1;
         self.recorded_bytes += data.len() as u64;
         self.records.push(IoRecord::Write {
-            seq,
+            seq: self.next_seq(),
             index,
-            data: Bytes::copy_from_slice(data),
+            data,
             flags,
         });
     }
 
     fn push_flush(&mut self) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.records.push(IoRecord::Flush { seq });
+        self.records.push(IoRecord::Flush {
+            seq: self.next_seq(),
+        });
     }
 
-    fn push_checkpoint(&mut self) -> CheckpointId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.checkpoints += 1;
-        let id = self.checkpoints;
-        self.checkpoint_writes.push(self.writes);
-        self.records.push(IoRecord::Checkpoint { seq, id });
+    fn push_checkpoint(&mut self, image: DiskImage) -> CheckpointId {
+        self.markers.push(Marker {
+            position: self.records.len(),
+            writes: self.writes,
+            image,
+        });
+        let id = self.num_checkpoints();
+        self.records.push(IoRecord::Checkpoint {
+            seq: self.next_seq(),
+            id,
+        });
         id
     }
 }
@@ -214,8 +270,13 @@ pub struct LogHandle {
 
 impl LogHandle {
     /// Inserts a checkpoint marker into the IO stream and returns its id.
+    /// The device's contents at this instant are frozen into the log
+    /// ([`IoLog::image_at`]): the overlay becomes an image layer, no block
+    /// is copied.
     pub fn checkpoint(&self) -> CheckpointId {
-        self.shared.lock().log.push_checkpoint()
+        let mut shared = self.shared.lock();
+        let image = shared.inner.commit();
+        shared.log.push_checkpoint(image)
     }
 
     /// Returns a snapshot (clone) of the log at this instant.
@@ -224,7 +285,9 @@ impl LogHandle {
     }
 
     /// Moves the log out, leaving an empty one behind — for when recording
-    /// is over and the stream is wanted without a copy.
+    /// is over and the stream is wanted without a copy. (The device keeps
+    /// its contents: a log recorded from here on starts from them, not from
+    /// the image this recording started on.)
     pub fn take_log(&self) -> IoLog {
         std::mem::take(&mut self.shared.lock().log)
     }
@@ -233,7 +296,7 @@ impl LogHandle {
     /// one holds now, sharing nothing mutable with it. Later IO on either
     /// side is invisible to the other; sequence numbers and checkpoint ids
     /// continue from the fork point on both. O(overlay + log) reference
-    /// count bumps — no block or payload is copied.
+    /// count bumps — no block, payload or checkpoint image is copied.
     pub fn fork_device(&self) -> RecordingDevice {
         RecordingDevice {
             shared: Arc::new(Mutex::new(self.shared.lock().clone())),
@@ -278,6 +341,8 @@ pub struct RecordingDevice {
 
 impl RecordingDevice {
     /// Wraps `inner`, recording every write and flush into a fresh log.
+    /// What `inner` holds now is the image the recording starts on: the
+    /// base the log's records replay onto.
     pub fn new(inner: CowSnapshotDevice) -> Self {
         RecordingDevice {
             shared: Arc::new(Mutex::new(Recording {
@@ -314,10 +379,16 @@ impl BlockDevice for RecordingDevice {
         self.shared.lock().inner.read_block(index)
     }
 
+    fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>> {
+        self.shared.lock().inner.read_blocks(index, count)
+    }
+
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
         let mut shared = self.shared.lock();
-        shared.inner.write_block(index, data, flags)?;
-        shared.log.push_write(index, data, flags);
+        let block = shared.inner.store_block(index, data, flags)?;
+        shared
+            .log
+            .push_write(index, block.slice(..data.len()), flags);
         Ok(())
     }
 

@@ -1,13 +1,27 @@
-//! Replaying recorded IO to construct crash states.
+//! Crash states of a recorded run, and the replay they are checked against.
 //!
 //! "To create a crash state, CrashMonkey starts from the initial state of the
 //! file system (before the workload was run), and uses a utility similar to
 //! dd to replay all recorded IO requests from the start of the workload until
 //! the next checkpoint in the IO stream." (§5.1)
+//!
+//! The paper replays because its wrapper device and its snapshot device are
+//! two kernel objects. Here the recorder *is* a snapshot device, so the
+//! state a replay up to a checkpoint rebuilds is the one the recorder held
+//! when the marker went in, and the log kept it ([`IoLog::image_at`]).
+//! [`crash_state`] and [`CrashStateStream`] hand out snapshots of those
+//! frozen images — "dropping the modified data blocks" (§5.1) is all a
+//! crash state costs — and work out what changed between two of them from
+//! the record stream's block indexes, never touching a payload.
+//!
+//! Replay itself stays: [`replay_until_checkpoint`] and [`replay_log`] are
+//! the reference every frozen image must equal (asserted on every crash
+//! state in debug builds), and the tool any *reordering* of the recorded
+//! IO — a crash state no recorder ever held — would be built with.
 
 use crate::cow::{CowSnapshotDevice, DiskImage};
 use crate::device::{BlockDevice, BlockIndex, BLOCK_SIZE};
-use crate::error::BlockResult;
+use crate::error::{BlockError, BlockResult};
 use crate::record::{CheckpointId, IoLog, IoRecord};
 
 /// The set of distinct blocks written between two adjacent crash states of
@@ -79,12 +93,11 @@ impl<'a> IntoIterator for &'a StateDelta {
 /// between the previously returned state and this one.
 ///
 /// On the first step of a stream `delta` is relative to the *base image*
-/// the stream replays onto — the base acts as crash state zero, which is
+/// the run was recorded on — the base acts as crash state zero, which is
 /// what lets a recovery session primed on the (shared) base treat even the
 /// first crash state incrementally. `delta` is `None` for out-of-order
-/// requests that fell back to a from-scratch replay, and for every step
-/// after one (the step cursor no longer corresponds to the returned
-/// states).
+/// requests, and for every step after one (the step cursor no longer
+/// corresponds to the returned states).
 #[derive(Debug)]
 pub struct CrashStateStep {
     /// The crash state at the requested checkpoint.
@@ -102,112 +115,112 @@ pub fn replay_log(log: &IoLog, target: &mut dyn BlockDevice) -> BlockResult<usiz
 /// Replays `log` onto `target`, stopping immediately after the checkpoint
 /// marker with id `checkpoint` (i.e. the resulting state contains exactly the
 /// writes that had reached the device when that persistence operation
-/// completed). Returns the number of write records applied.
+/// completed). Returns the number of write records applied. An id the log
+/// does not hold replays everything.
+///
+/// This is the paper's construction and the reference for
+/// [`IoLog::image_at`]: replayed onto a fresh snapshot of the image the run
+/// was recorded on, it rebuilds the frozen image block for block.
 pub fn replay_until_checkpoint(
     log: &IoLog,
     checkpoint: CheckpointId,
     target: &mut dyn BlockDevice,
 ) -> BlockResult<usize> {
-    let mut applied = 0;
-    for record in log.records() {
-        match record {
-            IoRecord::Write {
-                index, data, flags, ..
-            } => {
-                target.write_block(*index, data, *flags)?;
-                applied += 1;
-            }
-            IoRecord::Flush { .. } => target.flush()?,
-            IoRecord::Checkpoint { id, .. } => {
-                if *id == checkpoint {
-                    return Ok(applied);
-                }
-            }
-        }
-    }
-    Ok(applied)
+    let end = log
+        .marker_position(checkpoint)
+        .unwrap_or(log.records().len());
+    replay_records(&log.records()[..end], target)
 }
 
-/// Constructs the crash state for `checkpoint`: a fresh copy-on-write
-/// snapshot of `base` with the recorded IO replayed up to that checkpoint.
+/// The crash state for `checkpoint`: a fresh copy-on-write snapshot of the
+/// image the recorder froze when that marker was inserted. O(1) — nothing
+/// is replayed and no block is copied. `base` must be the image the run was
+/// recorded on; debug builds replay the log onto it and assert the frozen
+/// image equals the result.
 ///
 /// The returned device "represents the state of the storage just after the
 /// persistence-related call completed on the storage device" and is
 /// considered uncleanly unmounted; mounting a file system on it will trigger
 /// that file system's recovery code.
 ///
-/// Each call replays the log from the start; when constructing crash states
-/// for several checkpoints of one recorded run, prefer
-/// [`CrashStateStream`], which replays every record exactly once.
+/// # Errors
+///
+/// [`BlockError::UnknownCheckpoint`] when the log holds no such marker.
 pub fn crash_state(
     base: &DiskImage,
     log: &IoLog,
     checkpoint: CheckpointId,
 ) -> BlockResult<CowSnapshotDevice> {
-    let mut snapshot = CowSnapshotDevice::new(base.clone());
-    replay_until_checkpoint(log, checkpoint, &mut snapshot)?;
-    Ok(snapshot)
+    let image = log
+        .image_at(checkpoint)
+        .ok_or(BlockError::UnknownCheckpoint {
+            checkpoint,
+            recorded: log.num_checkpoints(),
+        })?;
+    debug_assert!(
+        *image == replayed_image(base, log, checkpoint),
+        "the image frozen at checkpoint {checkpoint} differs from a replay of the log \
+         onto the base image"
+    );
+    Ok(CowSnapshotDevice::new(image.clone()))
 }
 
-/// Incremental crash-state construction over one recorded run.
+/// The paper's crash state: the records before marker `checkpoint`
+/// replayed onto a fresh snapshot of `base`.
+fn replayed_image(base: &DiskImage, log: &IoLog, checkpoint: CheckpointId) -> DiskImage {
+    let mut target = CowSnapshotDevice::new(base.clone());
+    replay_until_checkpoint(log, checkpoint, &mut target)
+        .expect("a recorded write fits the device it was recorded on");
+    target.freeze()
+}
+
+/// The crash states of one recorded run, visited checkpoint by checkpoint.
 ///
-/// [`crash_state`] replays the whole prefix of the log for every checkpoint,
-/// so constructing the states of checkpoints 1..n replays O(n²) records and
-/// each state carries its own copy of the replayed blocks. The stream
-/// instead replays every record exactly once: after reaching a checkpoint it
-/// freezes the accumulated writes into a new [`DiskImage`] layer
-/// ([`CowSnapshotDevice::commit`]) and hands out a fresh snapshot of it, so
-/// adjacent crash states *share* the replayed prefix structurally.
+/// Each state is [`crash_state`]'s — a snapshot of the image the log froze
+/// at that checkpoint — so consecutive states share every block of their
+/// common prefix. What the stream adds is the bookkeeping between them: the
+/// [`StateDelta`] of each step and the running
+/// [`replayed_bytes`](Self::replayed_bytes) footprint, both read off the
+/// block indexes of the records between two markers.
 ///
-/// Checkpoints must be requested in increasing order (the order
-/// [`IoLog`] assigns them); requesting an already-passed checkpoint falls
-/// back to a from-scratch [`crash_state`] replay.
+/// Checkpoints may be requested in any order at the same cost, but only a
+/// stream visited in increasing order (the order [`IoLog`] assigns them)
+/// reports deltas.
 pub struct CrashStateStream<'a> {
     base: &'a DiskImage,
     log: &'a IoLog,
-    device: CowSnapshotDevice,
-    /// Index of the next unapplied record in `log`.
+    /// Index of the first record in `log` past the furthest marker reached.
     position: usize,
-    /// Highest checkpoint id already passed.
+    /// Highest checkpoint id reached.
     reached: CheckpointId,
-    /// Distinct blocks written since the start of the log (the copy-on-write
-    /// memory the crash state occupies on top of the base image — §6.5's
-    /// accounting, which used to be the snapshot device's own overlay before
-    /// crash states became layered).
-    written: std::collections::HashSet<BlockIndex>,
-    /// Blocks written since the previous in-order [`CrashStateStream::step_to`]
-    /// call — or since the base image, before the first one (not
-    /// deduplicated; `StateDelta::from_blocks` dedups on handoff).
-    step_blocks: Vec<BlockIndex>,
-    /// Set once an out-of-order request falls back to a from-scratch
-    /// replay: the step cursor no longer corresponds to the states handed
-    /// out, so no later step may claim a delta.
+    /// Set by the first out-of-order request: the step cursor no longer
+    /// corresponds to the states handed out, so no later step may claim a
+    /// delta.
     diverged: bool,
 }
 
 impl<'a> CrashStateStream<'a> {
-    /// Creates a stream positioned at the start of the log.
+    /// Creates a stream positioned at the start of the log. `base` must be
+    /// the image the run was recorded on (see [`crash_state`]).
     pub fn new(base: &'a DiskImage, log: &'a IoLog) -> Self {
         CrashStateStream {
             base,
             log,
-            device: CowSnapshotDevice::new(base.clone()),
             position: 0,
             reached: 0,
-            written: std::collections::HashSet::new(),
-            step_blocks: Vec::new(),
             diverged: false,
         }
     }
 
-    /// Bytes of copy-on-write state the current position's crash state holds
-    /// on top of the base image (distinct replayed blocks × block size).
+    /// Bytes of copy-on-write state the furthest crash state reached holds
+    /// on top of the base image (distinct written blocks × block size) —
+    /// §6.5's accounting, and what a replay up to that checkpoint would
+    /// have copied.
     pub fn replayed_bytes(&self) -> u64 {
-        self.written.len() as u64 * crate::device::BLOCK_SIZE as u64
+        StateDelta::from_blocks(written_blocks(&self.log.records()[..self.position])).bytes()
     }
 
-    /// Returns the crash state at `checkpoint`, replaying only the records
-    /// between the previously requested checkpoint and this one.
+    /// Returns the crash state at `checkpoint`.
     pub fn state_at(&mut self, checkpoint: CheckpointId) -> BlockResult<CowSnapshotDevice> {
         Ok(self.step_to(checkpoint)?.state)
     }
@@ -215,56 +228,36 @@ impl<'a> CrashStateStream<'a> {
     /// Like [`state_at`](Self::state_at), but also reports the
     /// [`StateDelta`] — the distinct blocks written between the previously
     /// returned state and this one (the base image, on the first step). The
-    /// delta is `None` on out-of-order requests, which fall back to a
-    /// from-scratch replay, and on every step after one.
+    /// delta is `None` on out-of-order requests and on every step after
+    /// one.
     pub fn step_to(&mut self, checkpoint: CheckpointId) -> BlockResult<CrashStateStep> {
-        if checkpoint <= self.reached && self.reached != 0 {
-            // Out-of-order request: the incremental prefix is already past
-            // this point, so construct the state the slow way. The stream's
-            // step cursor no longer corresponds to the returned state, so
-            // subsequent in-order steps must not claim a delta either.
+        let state = crash_state(self.base, self.log, checkpoint)?;
+        if checkpoint <= self.reached {
             self.diverged = true;
-            self.step_blocks.clear();
-            return Ok(CrashStateStep {
-                state: crash_state(self.base, self.log, checkpoint)?,
-                delta: None,
-            });
+            return Ok(CrashStateStep { state, delta: None });
         }
-        let records = self.log.records();
-        while self.position < records.len() {
-            let record = &records[self.position];
-            self.position += 1;
-            match record {
-                IoRecord::Write {
-                    index, data, flags, ..
-                } => {
-                    self.device.write_block(*index, data, *flags)?;
-                    self.written.insert(*index);
-                    self.step_blocks.push(*index);
-                }
-                IoRecord::Flush { .. } => self.device.flush()?,
-                IoRecord::Checkpoint { id, .. } => {
-                    self.reached = *id;
-                    if *id == checkpoint {
-                        break;
-                    }
-                }
-            }
-        }
-        let delta = if self.diverged {
-            self.step_blocks.clear();
-            None
-        } else {
-            Some(StateDelta::from_blocks(std::mem::take(
-                &mut self.step_blocks,
-            )))
-        };
-        let image = self.device.commit();
-        Ok(CrashStateStep {
-            state: CowSnapshotDevice::new(image),
-            delta,
-        })
+        let marker = self
+            .log
+            .marker_position(checkpoint)
+            .expect("crash_state found the marker");
+        let delta = (!self.diverged).then(|| {
+            StateDelta::from_blocks(written_blocks(&self.log.records()[self.position..marker]))
+        });
+        self.position = marker + 1;
+        self.reached = checkpoint;
+        Ok(CrashStateStep { state, delta })
     }
+}
+
+/// The destination block of every write among `records`, in order.
+fn written_blocks(records: &[IoRecord]) -> Vec<BlockIndex> {
+    records
+        .iter()
+        .filter_map(|record| match record {
+            IoRecord::Write { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect()
 }
 
 fn replay_records(records: &[IoRecord], target: &mut dyn BlockDevice) -> BlockResult<usize> {
@@ -362,20 +355,50 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_from_scratch_replay_at_every_checkpoint() {
+    fn frozen_states_match_from_scratch_replay_at_every_checkpoint() {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
         for checkpoint in 1..=log.num_checkpoints() {
-            let incremental = stream.state_at(checkpoint).unwrap();
-            let scratch = crash_state(&image, &log, checkpoint).unwrap();
+            let frozen = stream.state_at(checkpoint).unwrap();
+            let mut replayed = CowSnapshotDevice::new(image.clone());
+            replay_until_checkpoint(&log, checkpoint, &mut replayed).unwrap();
             for block in 0..image.num_blocks() {
                 assert_eq!(
-                    incremental.read_block(block).unwrap(),
-                    scratch.read_block(block).unwrap(),
+                    frozen.read_block(block).unwrap(),
+                    replayed.read_block(block).unwrap(),
                     "checkpoint {checkpoint}, block {block}"
                 );
             }
+            assert!(*frozen.base() == replayed.freeze());
+            // A crash state is a snapshot of the log's image, nothing more.
+            assert_eq!(frozen.overlay_blocks(), 0);
+            assert!(frozen.base().ptr_eq(log.image_at(checkpoint).unwrap()));
         }
+    }
+
+    #[test]
+    fn a_checkpoint_the_log_does_not_hold_has_no_crash_state() {
+        let (image, log) = recorded_run();
+        for unknown in [0, 4, 99] {
+            let expected = BlockError::UnknownCheckpoint {
+                checkpoint: unknown,
+                recorded: 3,
+            };
+            assert_eq!(crash_state(&image, &log, unknown).unwrap_err(), expected);
+            let mut stream = CrashStateStream::new(&image, &log);
+            assert_eq!(stream.step_to(unknown).unwrap_err(), expected);
+            // The failed request left the stream where it was.
+            assert!(stream.step_to(1).unwrap().delta.is_some());
+        }
+        assert!(log.image_at(0).is_none() && log.image_at(4).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "differs from a replay of the log")]
+    fn debug_builds_catch_a_base_the_run_was_not_recorded_on() {
+        let (_, log) = recorded_run();
+        let _ = crash_state(&DiskImage::empty(32), &log, 1);
     }
 
     #[test]
@@ -455,12 +478,12 @@ mod tests {
     }
 
     #[test]
-    fn step_after_out_of_order_fallback_reports_no_delta() {
+    fn step_after_out_of_order_request_reports_no_delta() {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
         let _ = stream.step_to(2).unwrap();
-        let fallback = stream.step_to(1).unwrap();
-        assert!(fallback.delta.is_none(), "fallback step has no delta");
+        let earlier = stream.step_to(1).unwrap();
+        assert!(earlier.delta.is_none(), "out-of-order step has no delta");
         // The stream's cursor no longer matches the state the caller holds,
         // so the next in-order step must not claim one either.
         let next = stream.step_to(3).unwrap();
@@ -469,12 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_out_of_order_request_falls_back_to_full_replay() {
+    fn stream_out_of_order_request_returns_the_earlier_state() {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
         let _ = stream.state_at(3).unwrap();
+        let footprint = stream.replayed_bytes();
+        assert_eq!(footprint, 4 * BLOCK_SIZE as u64);
         let s1 = stream.state_at(1).unwrap();
         assert_eq!(&s1.read_block(1).unwrap()[..5], b"first");
         assert!(s1.read_block(2).unwrap().iter().all(|&b| b == 0));
+        // The footprint stays that of the furthest state reached.
+        assert_eq!(stream.replayed_bytes(), footprint);
     }
 }

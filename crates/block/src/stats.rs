@@ -7,14 +7,10 @@
 /// Cumulative counters maintained by every block device implementation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
-    /// Number of block reads served.
-    pub reads: u64,
     /// Number of block writes accepted.
     pub writes: u64,
     /// Bytes of payload written (pre-padding).
     pub bytes_written: u64,
-    /// Bytes of payload read.
-    pub bytes_read: u64,
     /// Number of explicit cache flushes.
     pub flushes: u64,
     /// Number of writes carrying the FUA flag.
@@ -25,12 +21,6 @@ impl DeviceStats {
     /// Creates a zeroed statistics block.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records a read of `bytes` bytes.
-    pub fn record_read(&mut self, bytes: usize) {
-        self.reads += 1;
-        self.bytes_read += bytes as u64;
     }
 
     /// Records a write of `bytes` bytes with the given FUA disposition.
@@ -49,10 +39,8 @@ impl DeviceStats {
 
     /// Merges another statistics block into this one.
     pub fn merge(&mut self, other: &DeviceStats) {
-        self.reads += other.reads;
         self.writes += other.writes;
         self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
         self.flushes += other.flushes;
         self.fua_writes += other.fua_writes;
     }
@@ -65,11 +53,9 @@ mod tests {
     #[test]
     fn record_and_merge() {
         let mut a = DeviceStats::new();
-        a.record_read(4096);
         a.record_write(100, true);
         a.record_write(200, false);
         a.record_flush();
-        assert_eq!(a.reads, 1);
         assert_eq!(a.writes, 2);
         assert_eq!(a.bytes_written, 300);
         assert_eq!(a.fua_writes, 1);
@@ -80,6 +66,7 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.writes, 3);
         assert_eq!(b.bytes_written, 350);
-        assert_eq!(b.bytes_read, 4096);
+        assert_eq!(b.fua_writes, 1);
+        assert_eq!(b.flushes, 1);
     }
 }

@@ -12,10 +12,14 @@
 //!    explicitly persisted so far. The operation prefix a workload shares
 //!    with the one before it is not run again: the harness forks the file
 //!    system where the two part (the `trunk` module).
-//! 2. **Constructs crash states**: for a chosen checkpoint, replays the
-//!    recorded IO from the initial image up to that checkpoint onto a fresh
-//!    copy-on-write snapshot. The result is exactly the storage state at the
-//!    moment the persistence call completed — an uncleanly-unmounted image.
+//! 2. **Constructs crash states**: for a chosen checkpoint, takes a fresh
+//!    copy-on-write snapshot of the image the recording device froze when
+//!    the marker was inserted. The paper rebuilds that image by replaying
+//!    the recorded IO from the initial image up to the checkpoint; here the
+//!    recorder is itself a snapshot device, so it already holds it (debug
+//!    builds replay anyway and assert the two equal). The result is exactly
+//!    the storage state at the moment the persistence call completed — an
+//!    uncleanly-unmounted image.
 //! 3. **Checks consistency**: mounts the crash state (letting the file
 //!    system run its recovery), then runs the AutoChecker's read checks
 //!    (persisted files must exist with the persisted data and metadata) and
@@ -241,8 +245,8 @@ impl<'a> CrashMonkey<'a> {
         }
 
         // Phases 2 and 3: construct crash states, recover them, and check
-        // them. The recovery session replays each recorded IO exactly once
-        // across all checkpoints and — when the file system supports it —
+        // them. The recovery session snapshots the image the recorder froze
+        // at each checkpoint and — when the file system supports it —
         // patches its recovered view forward with the block delta between
         // adjacent crash states instead of remounting from scratch.
         let checkpoints = self.config.crash_points.select(&profile.checkpoints);
@@ -383,7 +387,7 @@ impl<'a> CrashMonkey<'a> {
         self.states_inherited
             .fetch_add(inherited, Ordering::Relaxed);
         // `replayed_bytes` is cumulative over the stream's lifetime, so it
-        // is read once after the loop: each recorded write contributes its
+        // is read once after the loop: each written block contributes its
         // size exactly once however many checkpoints were visited.
         outcome.resource.crash_state_overlay_bytes = session.replayed_bytes();
 
@@ -643,7 +647,7 @@ mod tests {
         // Regression test: `replayed_bytes` is cumulative over the stream,
         // and the per-checkpoint `+=` it used to feed made the reported
         // overlay bytes grow quadratically under `CrashPointPolicy::All`.
-        // The recorded IO replays exactly once regardless of how many crash
+        // A written block counts exactly once regardless of how many crash
         // points are visited, so the final figure must match `LastOnly`.
         let spec = CowFsSpec::patched();
         let workload = multi_checkpoint_workload();

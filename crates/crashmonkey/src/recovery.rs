@@ -3,9 +3,9 @@
 //! A [`RecoverySession`] ties together the two halves of the incremental
 //! pipeline:
 //!
-//! * the [`CrashStateStream`], which replays the recorded IO once across all
-//!   selected checkpoints and reports the *block delta* between adjacent
-//!   crash states, and
+//! * the [`CrashStateStream`], which hands out the image the recorder froze
+//!   at each selected checkpoint and reports the *block delta* between
+//!   adjacent crash states, and
 //! * the file system's [`RecoverDelta`] session, which consumes those deltas
 //!   to patch its recovered view forward instead of re-reading and
 //!   re-decoding the whole image at every crash point.
@@ -48,14 +48,14 @@ pub struct RecoverySession<'a> {
     session: &'a mut (dyn RecoverDelta + Send),
     /// Cross-check every patched-forward view against a from-scratch mount.
     debug_check: bool,
-    /// Cumulative time spent in the recovery step proper (excluding IO
-    /// replay and the debug cross-check).
+    /// Cumulative time spent in the recovery step proper (excluding
+    /// crash-state construction and the debug cross-check).
     recovery_time: std::time::Duration,
 }
 
 impl<'a> RecoverySession<'a> {
-    /// Creates a per-workload engine recovering crash states of `log`
-    /// replayed over `base`, priming `session` against `base` so state
+    /// Creates a per-workload engine recovering crash states of `log`,
+    /// recorded over `base`, priming `session` against `base` so state
     /// cached from previous workloads is either re-validated (same base)
     /// or dropped.
     pub fn new(
@@ -100,16 +100,16 @@ impl<'a> RecoverySession<'a> {
         Ok((step.state, recovered))
     }
 
-    /// Total bytes of recorded IO replayed while constructing crash states
-    /// (each recorded write replays exactly once, however many checkpoints
-    /// are visited).
+    /// Bytes of copy-on-write state the crash states visited hold on top
+    /// of the base image (each written block counts once, however many
+    /// checkpoints are visited).
     pub fn replayed_bytes(&self) -> u64 {
         self.stream.replayed_bytes()
     }
 
     /// Cumulative time spent in the recovery step proper across every
-    /// [`RecoverySession::recover_at`] call — IO replay and the debug
-    /// cross-check excluded.
+    /// [`RecoverySession::recover_at`] call — crash-state construction and
+    /// the debug cross-check excluded.
     pub fn recovery_time(&self) -> std::time::Duration {
         self.recovery_time
     }

@@ -19,9 +19,16 @@
 //!   remount-from-scratch sweep — proving the engine's equivalence holds
 //!   across the process fan-out and that the wire format needed no new
 //!   fields for it.
+//! * An `#[ignore]`d **release** run pins what every crash state above is
+//!   made of: over the benchmark's whole seq-2 space, the image the recorder
+//!   froze at each checkpoint equals the recorded IO replayed onto the
+//!   formatted image. Debug builds assert that inside `b3_block::crash_state`
+//!   for every state they build; release builds do not, and a wrong state
+//!   that still passes the checker would not move any pinned count.
 
-use b3_ace::Bounds;
-use b3_crashmonkey::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
+use b3_ace::{Bounds, WorkloadGenerator};
+use b3_block::{replay_until_checkpoint, CowSnapshotDevice};
+use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
 use b3_harness::distrib::{
     run_with_transport, ChildTransport, DistribConfig, SweepJob, WorkerCommand,
 };
@@ -150,5 +157,64 @@ fn distributed_patch_forward_matches_in_process_remount() {
     assert_eq!(groups.len(), remount.reports.len());
     for (group, exemplar) in groups.iter().zip(&remount.reports) {
         assert_eq!(&group.example, exemplar);
+    }
+}
+
+/// The benchmark's seq-2 space (`b3-bench`'s `seq2_journal_all` /
+/// `seq2_cow_triaged` bounds and shard count), profiled the way a sweep
+/// profiles it — shard by shard in generator order through one harness, so
+/// most recordings are forks of the trunk's — on the two file systems the
+/// benchmark runs it on. For every workload and every checkpoint, the image
+/// the log froze must equal a replay of the log up to the marker onto a
+/// fresh snapshot of the formatted image. Run with
+/// `cargo test --release -p b3-harness --test recovery_differential -- --ignored`.
+#[test]
+#[ignore = "the benchmark's seq-2 space on two file systems; run explicitly in release builds"]
+fn bench_seq2_frozen_crash_states_equal_replayed_ones() {
+    const SHARDS: usize = 64;
+    let bounds = Bounds {
+        files: FileSet::new(
+            vec!["A".into(), "B".into()],
+            vec!["foo".into(), "A/foo".into(), "B/foo".into()],
+        ),
+        ..Bounds::paper_seq2()
+    };
+    for (kind, era, recorded_states) in [
+        (FsKind::Journal, KernelEra::Patched, 155_532),
+        (FsKind::Cow, KernelEra::V4_16, 143_123),
+    ] {
+        let spec = kind.spec(era);
+        let (mut profiled, mut states) = (0u64, 0u64);
+        for shard in bounds.shards(SHARDS) {
+            // One harness per shard, as in a sweep: the trunk starts empty.
+            let monkey = CrashMonkey::with_config(spec.as_ref(), CrashMonkeyConfig::default());
+            for workload in WorkloadGenerator::for_shard(bounds.clone(), &shard) {
+                // A candidate the sweep skips (an operation failed) still
+                // recorded everything up to there, and still counts.
+                let profile = monkey.profile_only(&workload).expect("profiling runs");
+                profiled += 1;
+                for checkpoint in 1..=profile.log.num_checkpoints() {
+                    let mut replayed = CowSnapshotDevice::new(profile.base_image.clone());
+                    replay_until_checkpoint(&profile.log, checkpoint, &mut replayed)
+                        .expect("recorded IO replays");
+                    let frozen = profile
+                        .log
+                        .image_at(checkpoint)
+                        .expect("a recorded checkpoint has an image");
+                    assert!(
+                        *frozen == replayed.freeze(),
+                        "{kind:?}@{era:?}, {}: the image frozen at checkpoint {checkpoint} \
+                         differs from the replayed one",
+                        workload.name
+                    );
+                    states += 1;
+                }
+            }
+        }
+        assert_eq!(
+            (profiled, states),
+            (85_614, recorded_states),
+            "{kind:?}@{era:?}: workloads profiled, crash states compared"
+        );
     }
 }
