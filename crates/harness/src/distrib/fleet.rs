@@ -14,9 +14,9 @@
 //!
 //! **Everything survives a daemon restart.** The queue itself is journaled
 //! to `queue.b3fq` in the fleet directory (format in `docs/FORMATS.md`):
-//! one fsync'd append per job added and per state transition, with the
-//! same torn-trailing-record discipline as the `B3SG` checkpoint log — a
-//! kill mid-append loses at most that one record, never the queue. Each
+//! one fsync'd append per job added and per state transition to the same
+//! record log (`distrib/recordlog.rs`) as the `B3SG` checkpoint — a kill
+//! mid-append loses at most that one record, never the queue. Each
 //! job's sweep progress lives in its own segment-log checkpoint
 //! (`job-<id>.ck`) next to the journal, so a job interrupted mid-sweep
 //! resumes from its completed shards. On reload, jobs recorded `Running`
@@ -46,7 +46,8 @@ use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 
 use super::protocol::{read_frame, transport_err, wire, write_frame, MAX_FRAME_BYTES};
-use super::segment::{load_checkpoint, segment_record, write_atomic, AppendLog};
+use super::recordlog::{self, AppendLog, Format};
+use super::segment::load_checkpoint;
 use super::{run_with_transport_hooked, DistribConfig, DistribHooks, SweepJob, Transport};
 use crate::dedup::GroupTable;
 use crate::postprocess::BugGroup;
@@ -60,6 +61,13 @@ pub const REC_STATE: u8 = 2;
 
 /// File name of the queue journal inside the fleet directory.
 pub const QUEUE_FILE: &str = "queue.b3fq";
+
+/// The `B3FQ` record-log format.
+const QUEUE_LOG: Format = Format {
+    magic: QUEUE_MAGIC,
+    tags: &[REC_JOB, REC_STATE],
+    noun: "fleet queue",
+};
 
 /// Where one job stands in the fleet queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,12 +395,22 @@ struct JobRecord {
     error: String,
 }
 
+impl JobRecord {
+    fn queued(job: SweepJob) -> JobRecord {
+        JobRecord {
+            job,
+            state: JobState::Queued,
+            error: String::new(),
+        }
+    }
+}
+
 /// The queue under the coordinator's mutex: job table plus the journal's
 /// append handle.
 struct FleetState {
     jobs: BTreeMap<u64, JobRecord>,
     next_id: u64,
-    /// The same [`AppendLog`] the `B3SG` delta appends go through: every
+    /// The record log's append handle, as for the `B3SG` deltas: every
     /// record fsync'd, and rolled back if the append fails part-way, so
     /// the journal survives the same kills and full disks the checkpoints
     /// do.
@@ -416,91 +434,57 @@ impl FleetState {
     }
 }
 
-fn job_record(id: u64, job: &SweepJob) -> Vec<u8> {
+pub(super) fn job_record(id: u64, job: &SweepJob) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u64(id);
     job.encode(&mut enc);
-    segment_record(REC_JOB, &enc.finish())
+    recordlog::frame(REC_JOB, &enc.finish())
 }
 
-fn state_record(id: u64, state: JobState, error: &str) -> Vec<u8> {
+pub(super) fn state_record(id: u64, state: JobState, error: &str) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u64(id);
     enc.put_u8(state.code());
     enc.put_str(error);
-    segment_record(REC_STATE, &enc.finish())
+    recordlog::frame(REC_STATE, &enc.finish())
 }
 
-/// Replays a queue journal: jobs in id order, each at its latest recorded
-/// state. A truncated trailing record (the signature a killed daemon
-/// leaves) is ignored; corruption anywhere else is an error.
-fn replay_queue(bytes: &[u8], path: &Path) -> FsResult<BTreeMap<u64, JobRecord>> {
-    let corrupt =
-        |what: String| FsError::Corrupted(format!("fleet queue {}: {what}", path.display()));
-    if bytes.len() < 4 || bytes[0..4] != QUEUE_MAGIC {
-        return Err(corrupt("missing B3FQ magic".into()));
-    }
+/// Loads a queue journal: jobs in id order, each at its latest recorded
+/// state — a job record introduces an id, a state record moves it on — or
+/// no jobs when there is no journal. A torn trailing record (at most one
+/// enqueue the client never saw acknowledged, or one transition the reload
+/// re-derives) is ignored; corruption anywhere else is an error.
+fn load_queue(path: &Path) -> FsResult<BTreeMap<u64, JobRecord>> {
     let mut jobs: BTreeMap<u64, JobRecord> = BTreeMap::new();
-    let mut pos = QUEUE_MAGIC.len();
-    while bytes.len() - pos >= 5 {
-        let tag = bytes[pos];
-        let len = u32::from_le_bytes([
-            bytes[pos + 1],
-            bytes[pos + 2],
-            bytes[pos + 3],
-            bytes[pos + 4],
-        ]) as usize;
-        let end = pos + 5 + len;
-        if end > bytes.len() {
-            // Torn tail: the daemon died mid-append. The lost record is at
-            // most one enqueue (the client sees the write fail and retries)
-            // or one state transition (the reload rules below re-derive a
-            // safe state); everything before it is intact.
-            break;
-        }
-        let mut dec = Decoder::new(&bytes[pos + 5..end]);
-        match tag {
-            REC_JOB => {
-                let id = dec.get_u64()?;
-                let job = SweepJob::decode(&mut dec)?;
-                if jobs
-                    .insert(
-                        id,
-                        JobRecord {
-                            job,
-                            state: JobState::Queued,
-                            error: String::new(),
-                        },
-                    )
-                    .is_some()
-                {
-                    return Err(corrupt(format!("duplicate record for job {id}")));
-                }
+    let Some(bytes) = recordlog::read(path)? else {
+        return Ok(jobs);
+    };
+    recordlog::scan(&QUEUE_LOG, path, &bytes, |tag, dec| {
+        let id = dec.get_u64()?;
+        if tag == REC_JOB {
+            let record = JobRecord::queued(SweepJob::decode(dec)?);
+            if jobs.insert(id, record).is_some() {
+                return Err(FsError::Corrupted(format!("duplicate record for job {id}")));
             }
-            REC_STATE => {
-                let id = dec.get_u64()?;
-                let code = dec.get_u8()?;
-                let state = JobState::from_code(code)
-                    .ok_or_else(|| corrupt(format!("unknown job state code {code}")))?;
-                let error = dec.get_str()?;
-                let record = jobs
-                    .get_mut(&id)
-                    .ok_or_else(|| corrupt(format!("state record for unknown job {id}")))?;
-                record.state = state;
-                record.error = error;
-            }
-            other => return Err(corrupt(format!("unknown record tag {other:#x}"))),
+            return Ok(());
         }
-        pos = end;
-    }
+        let code = dec.get_u8()?;
+        let state = JobState::from_code(code)
+            .ok_or_else(|| FsError::Corrupted(format!("unknown job state code {code}")))?;
+        let record = jobs
+            .get_mut(&id)
+            .ok_or_else(|| FsError::Corrupted(format!("state record for unknown job {id}")))?;
+        record.state = state;
+        record.error = dec.get_str()?;
+        Ok(())
+    })?;
     Ok(jobs)
 }
 
 /// The compacted journal image: one job record plus (when it has left
 /// `Queued`) one state record per job, id-ordered.
 fn compacted_queue_bytes(jobs: &BTreeMap<u64, JobRecord>) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&QUEUE_MAGIC);
+    let mut bytes = QUEUE_MAGIC.to_vec();
     for (&id, record) in jobs {
         bytes.extend_from_slice(&job_record(id, &record.job));
         if record.state != JobState::Queued || !record.error.is_empty() {
@@ -515,18 +499,7 @@ fn compacted_queue_bytes(jobs: &BTreeMap<u64, JobRecord>) -> Vec<u8> {
 /// reported exactly as recorded (a job the daemon died with mid-flight
 /// shows `Running`; [`FleetCoordinator::open`] is what re-queues it).
 pub fn inspect_queue(dir: &Path) -> FsResult<Vec<JobStatus>> {
-    let path = dir.join(QUEUE_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(FsError::Device(format!(
-                "read fleet queue {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let jobs = replay_queue(&bytes, &path)?;
+    let jobs = load_queue(&dir.join(QUEUE_FILE))?;
     Ok(jobs
         .iter()
         .map(|(&id, record)| FleetState::status_row(id, record))
@@ -561,16 +534,7 @@ impl FleetCoordinator {
             FsError::Device(format!("create fleet dir {}: {e}", config.dir.display()))
         })?;
         let path = config.dir.join(QUEUE_FILE);
-        let mut jobs = match std::fs::read(&path) {
-            Ok(bytes) => replay_queue(&bytes, &path)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-            Err(e) => {
-                return Err(FsError::Device(format!(
-                    "read fleet queue {}: {e}",
-                    path.display()
-                )))
-            }
-        };
+        let mut jobs = load_queue(&path)?;
         // A job recorded `Running` was mid-flight when the daemon died; its
         // checkpoint holds every shard that was merged, so re-queueing it
         // resumes rather than restarts the sweep.
@@ -579,9 +543,7 @@ impl FleetCoordinator {
                 record.state = JobState::Queued;
             }
         }
-        let compacted = compacted_queue_bytes(&jobs);
-        write_atomic(&path, &compacted)?;
-        let journal = AppendLog::open(&path, compacted.len() as u64)?;
+        let journal = recordlog::rewrite(&path, &compacted_queue_bytes(&jobs))?;
         let next_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
         Ok(FleetCoordinator {
             config,
@@ -618,14 +580,7 @@ impl FleetCoordinator {
         let id = state.next_id;
         state.journal.append(&job_record(id, &job))?;
         state.next_id += 1;
-        state.jobs.insert(
-            id,
-            JobRecord {
-                job,
-                state: JobState::Queued,
-                error: String::new(),
-            },
-        );
+        state.jobs.insert(id, JobRecord::queued(job));
         drop(state);
         self.wake.notify_all();
         Ok(id)
@@ -1242,40 +1197,84 @@ mod tests {
         // Reopening compacts the torn tail away; the journal replays clean.
         let fleet = FleetCoordinator::open(FleetConfig::new(&dir)).expect("fleet reopens");
         assert_eq!(fleet.status()[0].state, JobState::Cancelled);
-        let bytes = std::fs::read(&path).expect("journal reads");
-        let jobs = replay_queue(&bytes, &path).expect("compacted journal replays");
+        let jobs = load_queue(&path).expect("compacted journal replays");
         assert_eq!(jobs.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Mid-journal corruption (not a torn tail) must refuse to load rather
-    /// than silently dropping jobs, and unknown/duplicate records are
-    /// errors too.
+    /// The `B3FQ` half of the corruption table (the framing half, shared
+    /// with `B3SG`, is in `recordlog`): mid-journal records that make no
+    /// sense refuse to load rather than silently dropping jobs, naming the
+    /// case and the file.
     #[test]
     fn corrupt_journal_bodies_are_rejected() {
-        let path = PathBuf::from("queue.b3fq");
-        // State record for a job that was never enqueued.
-        let mut bytes = QUEUE_MAGIC.to_vec();
-        bytes.extend_from_slice(&state_record(9, JobState::Done, ""));
-        let error = replay_queue(&bytes, &path).unwrap_err();
-        assert!(error.to_string().contains("unknown job"), "{error}");
+        let dir = fleet_dir("corrupt");
+        std::fs::create_dir_all(&dir).expect("fleet dir");
+        for (records, needle) in [
+            (
+                vec![state_record(9, JobState::Done, "")],
+                "state record for unknown job 9",
+            ),
+            (
+                vec![job_record(1, &tiny_job()), job_record(1, &tiny_job())],
+                "duplicate record for job 1",
+            ),
+        ] {
+            let bytes = [&QUEUE_MAGIC[..], &records.concat()].concat();
+            std::fs::write(dir.join(QUEUE_FILE), bytes).expect("journal writes");
+            let error = inspect_queue(&dir).expect_err(needle).to_string();
+            assert!(error.contains(needle), "{error}");
+            assert!(error.contains(QUEUE_FILE), "{error}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Duplicate job record.
-        let mut bytes = QUEUE_MAGIC.to_vec();
-        bytes.extend_from_slice(&job_record(1, &tiny_job()));
-        bytes.extend_from_slice(&job_record(1, &tiny_job()));
-        let error = replay_queue(&bytes, &path).unwrap_err();
-        assert!(error.to_string().contains("duplicate"), "{error}");
+    /// A one-job, one-state journal, captured byte for byte from the code
+    /// before the record log was factored out of this module: job 1 (the
+    /// tiny space, 4 shards) enqueued, then cancelled.
+    const GOLDEN_JOURNAL: &str = "
+        4233465101e50000000100000000000000050000000000000062747266730400
+        000000000000342e313600040000000000000074696e79010000000000000003
+        000000000000000500000000000000637265617404000000000000006c696e6b
+        060000000000000072656e616d65010000000000000001000000000000004102
+        000000000000000300000000000000666f6f0500000000000000412f666f6f01
+        000000000000000600000000000000617070656e640100000000000000090000
+        00000000006b6565705f73697a65010001010400000000000000001000000000
+        0000000000000001000000000000021100000001000000000000000400000000
+        00000000";
 
-        // Unknown record tag.
-        let mut bytes = QUEUE_MAGIC.to_vec();
-        bytes.extend_from_slice(&segment_record(7, b"junk"));
-        let error = replay_queue(&bytes, &path).unwrap_err();
-        assert!(error.to_string().contains("unknown record tag"), "{error}");
+    fn enqueue_and_cancel(dir: &Path) -> PathBuf {
+        let fleet = FleetCoordinator::open(FleetConfig::new(dir)).expect("fleet opens");
+        let id = fleet.enqueue(tiny_job()).expect("job enqueues");
+        fleet.cancel(id).expect("queued job cancels");
+        dir.join(QUEUE_FILE)
+    }
 
-        // Wrong magic.
-        let error = replay_queue(b"NOPE", &path).unwrap_err();
-        assert!(error.to_string().contains("magic"), "{error}");
+    #[test]
+    fn queue_journal_bytes_match_the_golden() {
+        let dir = fleet_dir("golden");
+        let bytes = std::fs::read(enqueue_and_cancel(&dir)).expect("journal reads");
+        let hex: String = bytes.iter().map(|byte| format!("{byte:02x}")).collect();
+        let golden: String = GOLDEN_JOURNAL.split_whitespace().collect();
+        assert_eq!(hex, golden, "the B3FQ bytes moved");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record whose declared length swallows the next one is refused:
+    /// read leniently, the job record below would swallow the cancel and
+    /// the scheduler would run a job its client cancelled.
+    #[test]
+    fn a_job_record_swallowing_its_cancel_is_corrupt() {
+        let dir = fleet_dir("swallow");
+        let path = enqueue_and_cancel(&dir);
+        let mut bytes = std::fs::read(&path).expect("journal reads");
+        assert_eq!(bytes[5..9], 229u32.to_le_bytes(), "the job record's length");
+        bytes[5..9].copy_from_slice(&251u32.to_le_bytes());
+        std::fs::write(&path, bytes).expect("journal writes");
+        let error = inspect_queue(&dir).expect_err("offline inspection refuses");
+        assert!(error.to_string().contains("left over"), "{error}");
+        assert!(FleetCoordinator::open(FleetConfig::new(&dir)).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A job whose sweep completes but whose audit diverged must not be

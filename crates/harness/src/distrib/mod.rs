@@ -75,6 +75,7 @@ use crate::sweep::{Progress, PruneMode, SweepCheckpoint, WorkerThroughput};
 pub mod auth;
 pub mod fleet;
 pub mod protocol;
+mod recordlog;
 pub mod segment;
 mod transport;
 mod worker;

@@ -1,28 +1,25 @@
 //! The checkpoint file: an append-only segment log.
 //!
-//! This module is the *implementation* of the on-disk format; the
-//! authoritative human-readable specification — record grammar, compaction
-//! triggers, torn-tail rules, magic history, and a worked hexdump — is
+//! This module is the *implementation* of what the `B3SG` records mean;
+//! the authoritative human-readable specification — record grammar,
+//! compaction triggers, magic history, and a worked hexdump — is
 //! `docs/FORMATS.md` at the repository root, cross-checked against this
-//! code by the `docs` integration test.
+//! code by the `docs` integration test. The framing, torn tails, durable
+//! appends and atomic rewrites are the record log's (`recordlog.rs`).
 //!
-//! Layout: 4 magic bytes ([`SEGMENT_MAGIC`], `"B3SG"`), then records of
-//! `tag(u8) | len(u32 LE) | payload`. A [`REC_SNAPSHOT`] record holds a full
-//! serialized [`SweepCheckpoint`]; a [`REC_DELTA`] record holds one
-//! `shard(u32 LE) | ShardResult` pair belonging to the most recent preceding
-//! snapshot. Snapshots are only ever written by an atomic tmp+rename (so
-//! they are all-or-nothing); deltas are appended with an fdatasync each, so
-//! a crash can leave at most one torn record at the tail, which the loader
-//! detects by its length field and ignores — the shard it carried is simply
-//! re-run.
+//! A [`REC_SNAPSHOT`] record holds a full serialized [`SweepCheckpoint`]
+//! and resets the replayed state; a [`REC_DELTA`] record holds one
+//! `shard(u32 LE) | ShardResult` pair, merged into the most recent
+//! preceding snapshot. Snapshots are only ever written by an atomic
+//! rewrite; deltas are appended, so a torn delta at the tail loses only its
+//! shard, which is simply re-run.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use b3_vfs::codec::Decoder;
 use b3_vfs::error::{FsError, FsResult};
 
+use super::recordlog::{self, AppendLog, Format};
 use crate::sweep::{ShardResult, SweepCheckpoint};
 
 /// `"B3SG"`: magic prefix of segment-format checkpoint files, stored as
@@ -36,75 +33,47 @@ pub const REC_DELTA: u8 = 2;
 /// before a compaction is considered, so tiny sweeps don't thrash rewrites.
 pub const MIN_COMPACT_BYTES: u64 = 64 << 10;
 
-/// Frames one record of the segment log.
-pub(super) fn segment_record(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut record = Vec::with_capacity(payload.len() + 5);
-    record.push(tag);
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(payload);
-    record
+/// The `B3SG` record-log format.
+const SEGMENT_LOG: Format = Format {
+    magic: SEGMENT_MAGIC,
+    tags: &[REC_SNAPSHOT, REC_DELTA],
+    noun: "segment checkpoint",
+};
+
+/// A compacted segment file: the magic and one snapshot record.
+fn snapshot_image(payload: &[u8]) -> Vec<u8> {
+    [&SEGMENT_MAGIC[..], &recordlog::frame(REC_SNAPSHOT, payload)].concat()
 }
 
-/// The bytes of a fresh (compacted) segment file holding one snapshot.
-pub(super) fn snapshot_file_bytes(checkpoint: &SweepCheckpoint) -> Vec<u8> {
-    let payload = checkpoint.to_bytes();
-    let mut bytes = Vec::with_capacity(payload.len() + 9);
-    bytes.extend_from_slice(&SEGMENT_MAGIC);
-    bytes.extend_from_slice(&segment_record(REC_SNAPSHOT, &payload));
-    bytes
-}
-
-/// Replays a segment file: the latest snapshot, with every subsequent delta
-/// merged in. A truncated trailing record (the signature a killed writer
-/// leaves) is ignored; corruption anywhere else is an error.
-fn replay_segment_file(bytes: &[u8], path: &Path) -> FsResult<SweepCheckpoint> {
-    let corrupt =
-        |what: String| FsError::Corrupted(format!("segment checkpoint {}: {what}", path.display()));
-    let mut pos = SEGMENT_MAGIC.len();
+/// Replays a segment file: a snapshot resets the checkpoint, a delta
+/// merges one shard into it.
+fn replay(path: &Path, bytes: &[u8]) -> FsResult<SweepCheckpoint> {
     let mut current: Option<SweepCheckpoint> = None;
-    while bytes.len() - pos >= 5 {
-        let tag = bytes[pos];
-        let len = u32::from_le_bytes([
-            bytes[pos + 1],
-            bytes[pos + 2],
-            bytes[pos + 3],
-            bytes[pos + 4],
-        ]) as usize;
-        let end = pos + 5 + len;
-        if end > bytes.len() {
-            // Torn tail: the writer died mid-append. The record's shard is
-            // lost (and will be re-run); everything before it is intact.
-            break;
+    recordlog::scan(&SEGMENT_LOG, path, bytes, |tag, dec| {
+        if tag == REC_SNAPSHOT {
+            current = Some(SweepCheckpoint::decode(dec)?);
+            return Ok(());
         }
-        let payload = &bytes[pos + 5..end];
-        match tag {
-            REC_SNAPSHOT => current = Some(SweepCheckpoint::from_bytes(payload)?),
-            REC_DELTA => {
-                let checkpoint = current
-                    .as_mut()
-                    .ok_or_else(|| corrupt("delta record before any snapshot".into()))?;
-                let mut dec = Decoder::new(payload);
-                let shard = dec.get_u32()?;
-                if shard as usize >= checkpoint.num_shards() {
-                    return Err(corrupt(format!(
-                        "delta for shard {shard} of a {}-shard sweep",
-                        checkpoint.num_shards()
-                    )));
-                }
-                let result = ShardResult::decode(&mut dec)?;
-                checkpoint.record(shard, result);
-            }
-            other => return Err(corrupt(format!("unknown record tag {other:#x}"))),
+        let checkpoint = current
+            .as_mut()
+            .ok_or_else(|| FsError::Corrupted("delta record before any snapshot".into()))?;
+        let shard = dec.get_u32()?;
+        if shard as usize >= checkpoint.num_shards() {
+            return Err(FsError::Corrupted(format!(
+                "delta for shard {shard} of a {}-shard sweep",
+                checkpoint.num_shards()
+            )));
         }
-        pos = end;
-    }
-    current.ok_or_else(|| corrupt("no snapshot record".into()))
+        checkpoint.record(shard, ShardResult::decode(dec)?);
+        Ok(())
+    })?;
+    current.ok_or_else(|| SEGMENT_LOG.corrupt(path, "no snapshot record"))
 }
 
 /// Per-record statistics of a segment checkpoint file — used by tests and
 /// resume diagnostics to see how the file was produced (one snapshot per
 /// compaction, one delta per merged shard since).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Snapshot (compaction) records.
     pub snapshots: usize,
@@ -115,47 +84,21 @@ pub struct SegmentStats {
     pub truncated_tail_bytes: usize,
 }
 
-/// Scans the record framing of a segment checkpoint file (payloads are not
-/// decoded). Errors on files that are not in the segment format.
+/// Counts the records of a segment checkpoint file from their framing
+/// (payloads are not decoded). Errors on a missing file and on files that
+/// are not in the segment format.
 pub fn segment_stats(path: &Path) -> FsResult<SegmentStats> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| FsError::Device(format!("read checkpoint {}: {e}", path.display())))?;
-    if bytes.len() < 4 || bytes[0..4] != SEGMENT_MAGIC {
-        return Err(FsError::InvalidArgument(format!(
-            "{} is not a segment-format checkpoint",
-            path.display()
-        )));
-    }
-    let mut stats = SegmentStats {
-        snapshots: 0,
-        deltas: 0,
-        truncated_tail_bytes: 0,
-    };
-    let mut pos = SEGMENT_MAGIC.len();
-    while bytes.len() - pos >= 5 {
-        let len = u32::from_le_bytes([
-            bytes[pos + 1],
-            bytes[pos + 2],
-            bytes[pos + 3],
-            bytes[pos + 4],
-        ]) as usize;
-        let end = pos + 5 + len;
-        if end > bytes.len() {
-            break;
-        }
-        match bytes[pos] {
+    let bytes = recordlog::read(path)?
+        .ok_or_else(|| FsError::NotFound(format!("checkpoint {}", path.display())))?;
+    let mut stats = SegmentStats::default();
+    stats.truncated_tail_bytes = recordlog::scan(&SEGMENT_LOG, path, &bytes, |tag, dec| {
+        match tag {
             REC_SNAPSHOT => stats.snapshots += 1,
-            REC_DELTA => stats.deltas += 1,
-            other => {
-                return Err(FsError::Corrupted(format!(
-                    "segment checkpoint {}: unknown record tag {other:#x}",
-                    path.display()
-                )))
-            }
+            _ => stats.deltas += 1,
         }
-        pos = end;
-    }
-    stats.truncated_tail_bytes = bytes.len() - pos;
+        dec.get_rest();
+        Ok(())
+    })?;
     Ok(stats)
 }
 
@@ -164,153 +107,16 @@ pub fn segment_stats(path: &Path) -> FsResult<SegmentStats> {
 /// torn trailing record. Returns `Ok(None)` when the file does not exist;
 /// a file that does not start with the segment magic is `Corrupted`.
 pub fn load_checkpoint(path: &Path) -> FsResult<Option<SweepCheckpoint>> {
-    match std::fs::read(path) {
-        Ok(bytes) if bytes.starts_with(&SEGMENT_MAGIC) => {
-            replay_segment_file(&bytes, path).map(Some)
-        }
-        Ok(_) => Err(FsError::Corrupted(format!(
-            "{} is not a segment checkpoint",
-            path.display()
-        ))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(FsError::Device(format!(
-            "read checkpoint {}: {e}",
-            path.display()
-        ))),
-    }
-}
-
-/// Atomically writes `bytes` to `path`: a uniquely-named sibling temp file
-/// (per process *and* per call, so concurrent writers never clobber each
-/// other's temp), fsynced before the rename, with the parent directory
-/// fsynced after — rename-without-fsync is precisely the bug class this
-/// project tests for. A failed attempt removes its temp file.
-pub(super) fn write_atomic(path: &Path, bytes: &[u8]) -> FsResult<()> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    fn inner(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = PathBuf::from(tmp);
-        let write_and_rename = |tmp: &Path| -> std::io::Result<()> {
-            let mut file = std::fs::File::create(tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(tmp, path)
-        };
-        if let Err(error) = write_and_rename(&tmp) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(error);
-        }
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::File::open(parent)?.sync_all()?;
-        }
-        Ok(())
-    }
-    inner(path, bytes)
-        .map_err(|e| FsError::Device(format!("persist checkpoint {}: {e}", path.display())))
+    recordlog::read(path)?
+        .map(|bytes| replay(path, &bytes))
+        .transpose()
 }
 
 /// Persists a checkpoint as a one-snapshot segment file, atomically (a
 /// temp-file write followed by a rename, so a kill mid-write never corrupts
 /// the file).
 pub fn save_checkpoint(path: &Path, checkpoint: &SweepCheckpoint) -> FsResult<()> {
-    write_atomic(path, &snapshot_file_bytes(checkpoint))
-}
-
-/// The file operations [`AppendLog`] needs — `std::fs::File` in production,
-/// a writer that fails on cue in the tests.
-pub(super) trait LogFile: std::io::Write {
-    fn sync_data(&mut self) -> std::io::Result<()>;
-    fn set_len(&mut self, len: u64) -> std::io::Result<()>;
-}
-
-impl LogFile for std::fs::File {
-    fn sync_data(&mut self) -> std::io::Result<()> {
-        std::fs::File::sync_data(self)
-    }
-
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        std::fs::File::set_len(self, len)
-    }
-}
-
-/// Durable appends to a record log (the `B3SG` checkpoint deltas and the
-/// `B3FQ` fleet queue journal): one `write_all` + `fdatasync` per record,
-/// keeping the invariant both replays rely on — torn bytes only ever sit at
-/// the *tail* of the file.
-///
-/// A failed append (ENOSPC, EIO…) may have written part of the record. A
-/// complete record appended *after* such bytes would be swallowed by the
-/// torn record's declared length on replay, so the failed append is rolled
-/// back by truncating the file to its last-good length; if even that fails
-/// the log is *wedged* and refuses further appends. Only an atomic rewrite
-/// of the file (a compaction), after which the owner opens a fresh
-/// `AppendLog`, gets rid of a wedge.
-pub(super) struct AppendLog<F: LogFile = std::fs::File> {
-    file: F,
-    path: PathBuf,
-    /// Length of the file up to the end of its last complete record.
-    good_len: u64,
-    wedged: bool,
-}
-
-impl AppendLog {
-    /// Opens `path` — just (re)written in full, `good_len` bytes long — for
-    /// appends.
-    pub(super) fn open(path: &Path, good_len: u64) -> FsResult<AppendLog> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| FsError::Device(format!("open {}: {e}", path.display())))?;
-        Ok(AppendLog::over(file, path, good_len))
-    }
-}
-
-impl<F: LogFile> AppendLog<F> {
-    fn over(file: F, path: &Path, good_len: u64) -> AppendLog<F> {
-        AppendLog {
-            file,
-            path: path.to_path_buf(),
-            good_len,
-            wedged: false,
-        }
-    }
-
-    /// Bytes of complete records (and the header) in the file.
-    pub(super) fn len(&self) -> u64 {
-        self.good_len
-    }
-
-    /// Durably appends one framed record, or leaves the file as it was.
-    pub(super) fn append(&mut self, record: &[u8]) -> FsResult<()> {
-        let failed = |why: &dyn std::fmt::Display| {
-            FsError::Device(format!("append to {}: {why}", self.path.display()))
-        };
-        if self.wedged {
-            return Err(failed(
-                &"a previous failed append left a torn record that could not be truncated",
-            ));
-        }
-        let appended = self
-            .file
-            .write_all(record)
-            .and_then(|()| self.file.sync_data());
-        if let Err(error) = appended {
-            // Roll the file back to its last-good length; on success the
-            // torn bytes are gone and later appends are safe again.
-            let error = failed(&error);
-            self.wedged = self.file.set_len(self.good_len).is_err();
-            return Err(error);
-        }
-        self.good_len += record.len() as u64;
-        Ok(())
-    }
+    recordlog::write_atomic(path, &snapshot_image(&checkpoint.to_bytes()))
 }
 
 /// Incremental checkpoint persistence over the segment log.
@@ -344,13 +150,12 @@ impl Persister {
     /// there — the caller has already loaded and validated it) and opens
     /// the file for delta appends.
     pub(super) fn open(path: &Path, checkpoint: &SweepCheckpoint) -> FsResult<Persister> {
-        let bytes = snapshot_file_bytes(checkpoint);
-        write_atomic(path, &bytes)?;
+        let log = recordlog::rewrite(path, &snapshot_image(&checkpoint.to_bytes()))?;
         Ok(Persister {
             path: path.to_path_buf(),
             state: Mutex::new(PersisterState {
-                log: AppendLog::open(path, bytes.len() as u64)?,
-                snapshot_bytes: bytes.len() as u64,
+                snapshot_bytes: log.len(),
+                log,
                 last_version: 0,
             }),
         })
@@ -366,7 +171,7 @@ impl Persister {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.log.append(&segment_record(REC_DELTA, payload))?;
+        state.log.append(&recordlog::frame(REC_DELTA, payload))?;
         state.last_version = state.last_version.max(version);
         let delta_bytes = state.log.len() - state.snapshot_bytes;
         Ok(delta_bytes > state.snapshot_bytes.max(MIN_COMPACT_BYTES))
@@ -384,12 +189,8 @@ impl Persister {
         if version < state.last_version {
             return Ok(());
         }
-        let mut bytes = Vec::with_capacity(snapshot_payload.len() + 9);
-        bytes.extend_from_slice(&SEGMENT_MAGIC);
-        bytes.extend_from_slice(&segment_record(REC_SNAPSHOT, snapshot_payload));
-        write_atomic(&self.path, &bytes)?;
-        state.log = AppendLog::open(&self.path, bytes.len() as u64)?;
-        state.snapshot_bytes = bytes.len() as u64;
+        state.log = recordlog::rewrite(&self.path, &snapshot_image(snapshot_payload))?;
+        state.snapshot_bytes = state.log.len();
         state.last_version = version;
         Ok(())
     }
@@ -398,112 +199,64 @@ impl Persister {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use b3_ace::Bounds;
+    use b3_vfs::codec::Encoder;
 
-    /// A log file that writes through to the real file until its byte
-    /// budget runs out (then fails mid-record, like ENOSPC), and whose
-    /// truncation can be made to fail too.
-    struct FailingFile {
-        file: std::fs::File,
-        budget: usize,
-        truncate_fails: bool,
+    /// The payload of a delta record for `shard`.
+    fn delta(shard: u32) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u32(shard);
+        ShardResult {
+            tested: 1,
+            ..ShardResult::default()
+        }
+        .encode(&mut enc);
+        enc.finish()
     }
 
-    impl Write for FailingFile {
-        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-            if self.budget == 0 {
-                return Err(std::io::Error::other("injected: no space left on device"));
-            }
-            let written = self.file.write(&bytes[..bytes.len().min(self.budget)])?;
-            self.budget -= written;
-            Ok(written)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.file.flush()
-        }
-    }
-
-    impl LogFile for FailingFile {
-        fn sync_data(&mut self) -> std::io::Result<()> {
-            self.file.sync_data()
-        }
-
-        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-            if self.truncate_fails {
-                return Err(std::io::Error::other("injected: truncate failed"));
-            }
-            self.file.set_len(len)
-        }
-    }
-
-    /// The append half both journaled logs share, driven through a writer
-    /// that fails after N bytes: a failed append leaves the file replaying
-    /// to exactly the records before it, the next append lands and replays,
-    /// and when the rollback itself fails the log refuses appends until the
-    /// file is rewritten.
+    /// The `B3SG` half of the corruption table (the framing half, shared
+    /// with `B3FQ`, is in `recordlog`): what the records say must make
+    /// sense, and the refusal names the case and the file.
     #[test]
-    fn failed_appends_roll_back_and_a_failed_rollback_wedges_the_log() {
-        let path = std::env::temp_dir().join(format!("b3-appendlog-{}.b3sg", std::process::id()));
-        let checkpoint = SweepCheckpoint::scoped(&b3_ace::Bounds::tiny(), 4, "test");
-        let header = snapshot_file_bytes(&checkpoint);
-        write_atomic(&path, &header).expect("snapshot writes");
-        let record = segment_record(REC_DELTA, &[7u8; 40]);
-        let replayed = || {
-            let stats = segment_stats(&path).expect("log replays");
-            (stats.deltas, stats.truncated_tail_bytes)
-        };
-        let failing = |budget: usize, truncate_fails: bool| FailingFile {
-            file: std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .expect("log opens"),
-            budget,
-            truncate_fails,
-        };
+    fn corrupt_segment_logs_are_rejected() {
+        let path = Path::new("job.ck");
+        let checkpoint = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "test");
+        let snapshot = recordlog::frame(REC_SNAPSHOT, &checkpoint.to_bytes());
+        let delta_record = |shard| recordlog::frame(REC_DELTA, &delta(shard));
+        for (records, needle) in [
+            (vec![delta_record(1)], "delta record before any snapshot"),
+            (
+                vec![snapshot, delta_record(4)],
+                "delta for shard 4 of a 4-shard sweep",
+            ),
+            (vec![], "no snapshot record"),
+        ] {
+            let bytes = [&SEGMENT_MAGIC[..], &records.concat()].concat();
+            let error = replay(path, &bytes).expect_err(needle).to_string();
+            assert!(error.contains(needle), "{error}");
+            assert!(error.contains("segment checkpoint job.ck"), "{error}");
+        }
+    }
 
-        // One record fits, the second is cut off 10 bytes in.
-        let mut log = AppendLog::over(
-            failing(record.len() + 10, false),
-            &path,
-            header.len() as u64,
-        );
-        log.append(&record).expect("first append fits the budget");
-        let error = log
-            .append(&record)
-            .expect_err("second append runs out of space");
-        assert!(error.to_string().contains("injected"), "{error}");
-        assert_eq!(replayed(), (1, 0), "the torn bytes were truncated away");
-        assert_eq!(log.len(), (header.len() + record.len()) as u64);
-
-        // The log is usable again: a later append lands right after the
-        // last good record and replays.
-        log.file.budget = usize::MAX;
-        log.append(&record)
-            .expect("append after a rolled-back failure");
-        assert_eq!(replayed(), (2, 0));
-
-        // A failure whose rollback fails too leaves torn bytes at the tail
-        // (still replayable) and wedges the log, so no complete record can
-        // ever land behind them…
-        let mut log = AppendLog::over(failing(10, true), &path, log.len());
-        log.append(&record).expect_err("append runs out of space");
-        assert_eq!(replayed(), (2, 10));
-        log.file.budget = usize::MAX;
-        let error = log
-            .append(&record)
-            .expect_err("a wedged log refuses appends");
-        assert!(
-            error.to_string().contains("could not be truncated"),
-            "{error}"
-        );
-        assert_eq!(replayed(), (2, 10), "the refused append wrote nothing");
-
-        // …until the owner rewrites the file and opens a fresh log over it.
-        write_atomic(&path, &header).expect("compaction rewrites the file");
-        let mut log = AppendLog::open(&path, header.len() as u64).expect("fresh log opens");
-        log.append(&record).expect("append after the rewrite");
-        assert_eq!(replayed(), (1, 0));
+    /// A snapshot whose declared length swallows the deltas after it is
+    /// refused, not loaded without them: a record must decode to its last
+    /// byte.
+    #[test]
+    fn a_snapshot_swallowing_the_deltas_is_corrupt() {
+        let path = std::env::temp_dir().join(format!("b3-swallow-{}.ck", std::process::id()));
+        let checkpoint = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "test");
+        let persister = Persister::open(&path, &checkpoint).expect("persister opens");
+        for shard in [1, 2] {
+            persister
+                .append_delta(u64::from(shard), &delta(shard))
+                .expect("delta appends");
+        }
+        let mut bytes = std::fs::read(&path).expect("checkpoint reads");
+        let swallowing = bytes.len() as u32 - 9;
+        bytes[5..9].copy_from_slice(&swallowing.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("checkpoint writes");
+        let error = load_checkpoint(&path).expect_err("the swallowed deltas must not vanish");
+        assert!(error.to_string().contains("left over"), "{error}");
         let _ = std::fs::remove_file(&path);
     }
 }

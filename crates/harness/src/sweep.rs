@@ -689,7 +689,11 @@ impl SweepCheckpoint {
 
     /// Deserializes a checkpoint produced by [`SweepCheckpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> FsResult<SweepCheckpoint> {
-        let mut dec = Decoder::new(bytes);
+        SweepCheckpoint::decode(&mut Decoder::new(bytes))
+    }
+
+    /// Reads one checkpoint off `dec` (a snapshot record's payload).
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> FsResult<SweepCheckpoint> {
         if dec.get_u32()? != CHECKPOINT_MAGIC {
             return Err(FsError::Corrupted("bad sweep checkpoint magic".into()));
         }
@@ -709,7 +713,7 @@ impl SweepCheckpoint {
         let mut results = BTreeMap::new();
         for _ in 0..count {
             let shard = dec.get_u32()?;
-            results.insert(shard, ShardResult::decode(&mut dec)?);
+            results.insert(shard, ShardResult::decode(dec)?);
         }
         Ok(SweepCheckpoint {
             fingerprint,

@@ -118,6 +118,13 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
+    /// Reads every remaining byte.
+    pub fn get_rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
+    }
+
     /// Reads a length-prefixed byte vector.
     pub fn get_bytes(&mut self) -> FsResult<Vec<u8>> {
         let len = self.get_u64()? as usize;
