@@ -26,12 +26,12 @@ use crate::record::{CheckpointId, IoLog, IoRecord};
 
 /// The set of distinct blocks written between two adjacent crash states of
 /// one recorded run — the structural difference [`CrashStateStream`] applies
-/// when stepping from one checkpoint to the next.
+/// when stepping from one checkpoint to the next. Blocks are sorted and
+/// deduplicated.
 ///
-/// A file system that knows which blocks changed can patch its recovered
-/// view forward instead of remounting from scratch; this type makes that
-/// delta a first-class value instead of an internal detail of the stream.
-/// Blocks are sorted and deduplicated.
+/// No recovery session reads it: every crash state is recovered on its
+/// own. It survives because the `b3-bench` layer probe still hands each
+/// step's delta to `RecoverDelta::recover`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StateDelta {
     blocks: Vec<BlockIndex>,
@@ -69,14 +69,6 @@ impl StateDelta {
     pub fn contains(&self, block: BlockIndex) -> bool {
         self.blocks.binary_search(&block).is_ok()
     }
-
-    /// True when the delta touches any block in `start..start + len`.
-    pub fn overlaps_range(&self, start: BlockIndex, len: u64) -> bool {
-        let from = self.blocks.partition_point(|&b| b < start);
-        self.blocks
-            .get(from)
-            .is_some_and(|&b| b < start.saturating_add(len))
-    }
 }
 
 impl<'a> IntoIterator for &'a StateDelta {
@@ -93,11 +85,9 @@ impl<'a> IntoIterator for &'a StateDelta {
 /// between the previously returned state and this one.
 ///
 /// On the first step of a stream `delta` is relative to the *base image*
-/// the run was recorded on — the base acts as crash state zero, which is
-/// what lets a recovery session primed on the (shared) base treat even the
-/// first crash state incrementally. `delta` is `None` for out-of-order
-/// requests, and for every step after one (the step cursor no longer
-/// corresponds to the returned states).
+/// the run was recorded on (the base acts as crash state zero). `delta` is
+/// `None` for out-of-order requests, and for every step after one (the step
+/// cursor no longer corresponds to the returned states).
 #[derive(Debug)]
 pub struct CrashStateStep {
     /// The crash state at the requested checkpoint.
@@ -469,9 +459,6 @@ mod tests {
         assert_eq!(delta.num_blocks(), 2);
         assert_eq!(delta.bytes(), 2 * crate::device::BLOCK_SIZE as u64);
         assert!(delta.contains(0) && delta.contains(2) && !delta.contains(1));
-        assert!(delta.overlaps_range(1, 2));
-        assert!(!delta.overlaps_range(3, 4));
-        assert!(!delta.overlaps_range(1, 0));
         assert_eq!((&delta).into_iter().collect::<Vec<_>>(), vec![0, 2]);
         let third = stream.step_to(3).unwrap();
         assert_eq!(third.delta.unwrap().blocks(), &[3]);

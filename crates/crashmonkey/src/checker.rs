@@ -151,9 +151,9 @@ impl<'a> AutoChecker<'a> {
     }
 
     /// Checks one crash state whose recovery has already been attempted
-    /// (e.g. by a [`RecoverySession`](crate::RecoverySession) patching the
-    /// view forward). `state` is the raw crash-state device, used only for
-    /// fsck when `recovered` is an error.
+    /// (e.g. by a [`RecoverySession`](crate::RecoverySession)). `state` is
+    /// the raw crash-state device, used only for fsck when `recovered` is an
+    /// error.
     pub fn check_recovered(
         &self,
         workload: &Workload,

@@ -79,27 +79,6 @@ impl CrashPointPolicy {
     }
 }
 
-/// How crash states are recovered before checking.
-///
-/// Both modes produce byte-identical verdicts and reports — the differential
-/// test suite pins that, and debug builds assert it per crash state. The
-/// knob exists for benchmarking the remount baseline and for bisecting a
-/// suspected recovery-engine fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryMode {
-    /// Mount every crash state from scratch via [`FsSpec::mount`]
-    /// (the paper's strategy, and the pre-incremental-recovery behaviour).
-    ///
-    /// [`FsSpec::mount`]: b3_vfs::fs::FsSpec::mount
-    Remount,
-    /// Mount the first selected crash state, then patch the recovered view
-    /// forward using the block deltas between adjacent states (via each
-    /// file system's [`RecoverDelta`](b3_vfs::recover::RecoverDelta)
-    /// session).
-    #[default]
-    PatchForward,
-}
-
 /// Configuration of a CrashMonkey run.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashMonkeyConfig {
@@ -119,10 +98,6 @@ pub struct CrashMonkeyConfig {
     /// when this flag is set the reported *modeled* latency adds them so the
     /// benchmark output can be compared against the paper's numbers.
     pub model_kernel_delays: bool,
-    /// How crash states are recovered before checking. Outcome-neutral by
-    /// construction (see [`RecoveryMode`]), so this is deliberately *not*
-    /// part of any sweep scope, fingerprint, or wire format.
-    pub recovery: RecoveryMode,
 }
 
 impl Default for CrashMonkeyConfig {
@@ -132,7 +107,6 @@ impl Default for CrashMonkeyConfig {
             crash_points: CrashPointPolicy::LastOnly,
             direct_write_is_persistence_point: true,
             model_kernel_delays: false,
-            recovery: RecoveryMode::PatchForward,
         }
     }
 }

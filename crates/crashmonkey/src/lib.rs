@@ -55,9 +55,9 @@ use b3_vfs::snapshot::EntryInterner;
 use b3_vfs::workload::Workload;
 
 pub use checker::{AutoChecker, CheckVerdict};
-pub use config::{CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
+pub use config::{CrashMonkeyConfig, CrashPointPolicy};
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
-pub use recovery::{session_for, RecoverySession};
+pub use recovery::RecoverySession;
 pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
 pub use trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
 
@@ -86,11 +86,6 @@ pub struct CrashMonkey<'a> {
     /// Optional cross-workload oracle/expectation interner (see
     /// [`EntryInterner`]); shared between harnesses to pool their oracles.
     interner: Option<Arc<EntryInterner>>,
-    /// The persistent [`RecoverDelta`](b3_vfs::recover::RecoverDelta)
-    /// session, created on first use and re-primed at every workload
-    /// boundary so its caches (most profitably the pinned decode of the
-    /// shared post-mkfs base image) carry across workloads.
-    recovery_session: std::sync::Mutex<Option<Box<dyn b3_vfs::recover::RecoverDelta + Send>>>,
     /// Cross-workload verdict cache for [`CrashPointPolicy::AllTriaged`]
     /// (see the `triage` module). Sound per harness because the spec, era,
     /// device geometry, and post-mkfs base image are all fixed here.
@@ -116,7 +111,6 @@ impl<'a> CrashMonkey<'a> {
             config,
             formatted: std::sync::OnceLock::new(),
             interner: None,
-            recovery_session: std::sync::Mutex::new(None),
             triage: std::sync::Mutex::new(triage::TriageCache::default()),
             trunk: std::sync::Mutex::new(Trunk::default()),
             states_tested: AtomicU64::new(0),
@@ -246,23 +240,11 @@ impl<'a> CrashMonkey<'a> {
 
         // Phases 2 and 3: construct crash states, recover them, and check
         // them. The recovery session snapshots the image the recorder froze
-        // at each checkpoint and — when the file system supports it —
-        // patches its recovered view forward with the block delta between
-        // adjacent crash states instead of remounting from scratch.
+        // at each checkpoint and recovers it: a mount without the write-back
+        // a mount may end with.
         let checkpoints = self.config.crash_points.select(&profile.checkpoints);
         let triage_audit = self.config.crash_points.triage_audit();
-        let mut persistent = self
-            .recovery_session
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let persistent =
-            persistent.get_or_insert_with(|| session_for(self.spec, self.config.recovery));
-        let mut session = RecoverySession::new(
-            self.spec,
-            &profile.base_image,
-            &profile.log,
-            persistent.as_mut(),
-        );
+        let mut session = RecoverySession::new(self.spec, &profile.base_image, &profile.log);
         let mut construct_time = std::time::Duration::ZERO;
         let mut check_time = std::time::Duration::ZERO;
         let mut inherited = 0;
@@ -665,65 +647,6 @@ mod tests {
             all.resource.crash_state_overlay_bytes, last.resource.crash_state_overlay_bytes,
             "overlay bytes must not scale with the number of crash points"
         );
-    }
-
-    #[test]
-    fn patch_forward_recovery_matches_remount_outcomes() {
-        // The two recovery modes must be outcome-identical (the debug
-        // equivalence assertion inside RecoverySession additionally
-        // cross-checks every individual crash state in this build).
-        let specs: Vec<Box<dyn FsSpec>> = vec![
-            Box::new(CowFsSpec::new(KernelEra::V3_13)),
-            Box::new(CowFsSpec::patched()),
-            Box::new(VeriFsSpec::new(KernelEra::V4_16)),
-        ];
-        let workloads = vec![
-            multi_checkpoint_workload(),
-            w(
-                "known-16-style",
-                vec![Op::Creat { path: "foo".into() }],
-                vec![
-                    Op::Sync,
-                    Op::Write {
-                        path: "foo".into(),
-                        mode: WriteMode::Buffered,
-                        spec: WriteSpec::range(0, 16 * 1024),
-                    },
-                    Op::Link {
-                        existing: "foo".into(),
-                        new: "bar".into(),
-                    },
-                    Op::Fsync { path: "foo".into() },
-                ],
-            ),
-        ];
-        for spec in &specs {
-            for workload in &workloads {
-                let patch = CrashMonkey::with_config(
-                    spec.as_ref(),
-                    CrashMonkeyConfig::exhaustive_crash_points(),
-                )
-                .test_workload(workload)
-                .unwrap();
-                let remount = CrashMonkey::with_config(
-                    spec.as_ref(),
-                    CrashMonkeyConfig {
-                        recovery: RecoveryMode::Remount,
-                        ..CrashMonkeyConfig::exhaustive_crash_points()
-                    },
-                )
-                .test_workload(workload)
-                .unwrap();
-                assert_eq!(patch.checkpoints_tested, remount.checkpoints_tested);
-                assert_eq!(
-                    patch.bugs,
-                    remount.bugs,
-                    "recovery modes diverged on {} / {}",
-                    spec.name(),
-                    workload.name
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,85 +1,48 @@
-//! Incremental crash-state recovery for one workload.
+//! Crash-state recovery for one workload.
 //!
-//! A [`RecoverySession`] ties together the two halves of the incremental
-//! pipeline:
+//! A [`RecoverySession`] walks the [`CrashStateStream`] of one recorded run
+//! (the image the recorder froze at each selected checkpoint) and recovers
+//! each state through the file system's [`RecoverDelta`] session: the view
+//! `mount` would give, without the write-back a mount may end with.
 //!
-//! * the [`CrashStateStream`], which hands out the image the recorder froze
-//!   at each selected checkpoint and reports the *block delta* between
-//!   adjacent crash states, and
-//! * the file system's [`RecoverDelta`] session, which consumes those deltas
-//!   to patch its recovered view forward instead of re-reading and
-//!   re-decoding the whole image at every crash point.
-//!
-//! In debug builds every patched-forward recovered view is cross-checked
-//! against a from-scratch [`FsSpec::mount`] of the same crash state: on
-//! success the logical snapshots must be identical, on failure the error
-//! strings must match. The test suite therefore doubles as an equivalence
-//! proof for the recovery engine.
+//! In debug builds every recovered view is cross-checked against a
+//! from-scratch [`FsSpec::mount`] of the same crash state: on success the
+//! logical snapshots must be identical, on failure the error strings must
+//! match. The test suite therefore doubles as an equivalence proof for each
+//! file system's recover.
 
 use b3_block::{CowSnapshotDevice, CrashStateStream, DiskImage, IoLog};
 use b3_vfs::error::FsResult;
 use b3_vfs::fs::{FileSystem, FsSpec};
-use b3_vfs::recover::{RecoverDelta, RemountSession};
+use b3_vfs::recover::RecoverDelta;
 use b3_vfs::snapshot::LogicalSnapshot;
 
-use crate::config::RecoveryMode;
-
-/// Creates a fresh recovery session for `mode`: the file system's native
-/// incremental session, or the always-remount baseline. Sessions outlive
-/// individual workloads — [`RecoverySession::new`] re-primes them at every
-/// workload boundary, so one session carries its caches (most profitably
-/// the pinned base-image decode) across an entire sweep.
-pub fn session_for(spec: &dyn FsSpec, mode: RecoveryMode) -> Box<dyn RecoverDelta + Send> {
-    match mode {
-        RecoveryMode::Remount => Box::new(RemountSession),
-        RecoveryMode::PatchForward => spec.recovery_session(),
-    }
-}
-
-/// Per-workload recovery engine: streams crash states in checkpoint order
-/// and recovers each one, incrementally when the file system supports it.
-///
-/// The underlying [`RecoverDelta`] session is borrowed, not owned: it
-/// persists across workloads (see [`session_for`]) and is re-primed against
-/// the workload's base image here.
+/// Per-workload recovery: streams crash states in checkpoint order and
+/// recovers each one.
 pub struct RecoverySession<'a> {
     spec: &'a dyn FsSpec,
     stream: CrashStateStream<'a>,
-    session: &'a mut (dyn RecoverDelta + Send),
-    /// Cross-check every patched-forward view against a from-scratch mount.
-    debug_check: bool,
+    session: Box<dyn RecoverDelta + Send>,
     /// Cumulative time spent in the recovery step proper (excluding
     /// crash-state construction and the debug cross-check).
     recovery_time: std::time::Duration,
 }
 
 impl<'a> RecoverySession<'a> {
-    /// Creates a per-workload engine recovering crash states of `log`,
-    /// recorded over `base`, priming `session` against `base` so state
-    /// cached from previous workloads is either re-validated (same base)
-    /// or dropped.
-    pub fn new(
-        spec: &'a dyn FsSpec,
-        base: &'a DiskImage,
-        log: &'a IoLog,
-        session: &'a mut (dyn RecoverDelta + Send),
-    ) -> Self {
-        session.prime(spec, base);
-        let debug_check = cfg!(debug_assertions) && session.is_incremental();
+    /// Creates a per-workload session recovering crash states of `log`,
+    /// recorded over `base`.
+    pub fn new(spec: &'a dyn FsSpec, base: &'a DiskImage, log: &'a IoLog) -> Self {
         RecoverySession {
             spec,
             stream: CrashStateStream::new(base, log),
-            session,
-            debug_check,
+            session: spec.recovery_session(),
             recovery_time: std::time::Duration::ZERO,
         }
     }
 
     /// Constructs the crash state for `checkpoint` and recovers it. Returns
     /// the raw crash-state device (for fsck on recovery failure) alongside
-    /// the recovery result. Checkpoints must be visited in increasing order
-    /// for the incremental path to engage; out-of-order visits silently fall
-    /// back to a from-scratch recovery.
+    /// the recovery result.
     pub fn recover_at(
         &mut self,
         checkpoint: u32,
@@ -92,9 +55,9 @@ impl<'a> RecoverySession<'a> {
         // cost — keep it outside the recovery timer.
         let device = Box::new(step.state.clone());
         let recover_start = std::time::Instant::now();
-        let recovered = self.session.recover(self.spec, device, step.delta.as_ref());
+        let recovered = self.session.recover(self.spec, device, None);
         self.recovery_time += recover_start.elapsed();
-        if self.debug_check {
+        if cfg!(debug_assertions) {
             Self::assert_equivalent(self.spec, &step.state, &recovered, checkpoint);
         }
         Ok((step.state, recovered))
@@ -114,8 +77,8 @@ impl<'a> RecoverySession<'a> {
         self.recovery_time
     }
 
-    /// Debug-build invariant: the incrementally recovered view must be
-    /// bit-identical (logically) to a from-scratch mount of the same state.
+    /// Debug-build invariant: the recovered view must be logically identical
+    /// to a from-scratch mount of the same state.
     fn assert_equivalent(
         spec: &dyn FsSpec,
         state: &CowSnapshotDevice,
@@ -124,33 +87,32 @@ impl<'a> RecoverySession<'a> {
     ) {
         let fresh = spec.mount(Box::new(state.clone()));
         match (recovered, fresh) {
-            (Ok(patched), Ok(mounted)) => {
-                let patched_snapshot = LogicalSnapshot::capture(patched.as_ref());
+            (Ok(recovered), Ok(mounted)) => {
+                let recovered_snapshot = LogicalSnapshot::capture(recovered.as_ref());
                 let fresh_snapshot = LogicalSnapshot::capture(mounted.as_ref());
                 assert!(
-                    snapshots_equal(&patched_snapshot, &fresh_snapshot),
-                    "incremental recovery diverged from remount at checkpoint \
+                    snapshots_equal(&recovered_snapshot, &fresh_snapshot),
+                    "recovery diverged from remount at checkpoint {checkpoint} on {}",
+                    spec.name()
+                );
+            }
+            (Err(recovered), Err(fresh)) => {
+                assert_eq!(
+                    recovered.to_string(),
+                    fresh.to_string(),
+                    "recovery failed differently from remount at checkpoint \
                      {checkpoint} on {}",
                     spec.name()
                 );
             }
-            (Err(patched), Err(fresh)) => {
-                assert_eq!(
-                    patched.to_string(),
-                    fresh.to_string(),
-                    "incremental recovery failed differently from remount at \
-                     checkpoint {checkpoint} on {}",
-                    spec.name()
-                );
-            }
             (Ok(_), Err(fresh)) => panic!(
-                "incremental recovery succeeded where remount failed ({fresh}) \
-                 at checkpoint {checkpoint} on {}",
+                "recovery succeeded where remount failed ({fresh}) at checkpoint \
+                 {checkpoint} on {}",
                 spec.name()
             ),
-            (Err(patched), Ok(_)) => panic!(
-                "incremental recovery failed ({patched}) where remount \
-                 succeeded at checkpoint {checkpoint} on {}",
+            (Err(recovered), Ok(_)) => panic!(
+                "recovery failed ({recovered}) where remount succeeded at \
+                 checkpoint {checkpoint} on {}",
                 spec.name()
             ),
         }

@@ -299,9 +299,8 @@ pub struct PhaseTiming {
     /// checkpoint; includes [`PhaseTiming::recovery`]).
     pub crash_state_construction: Duration,
     /// Recovering each constructed crash state — the part of construction
-    /// spent in the file system's mount/recovery path rather than in IO
-    /// replay, and the phase the [`RecoveryMode`](crate::RecoveryMode)s
-    /// differ in.
+    /// spent in the file system's recover (a mount without its write-back)
+    /// rather than in building the state.
     pub recovery: Duration,
     /// Consistency checking.
     pub checking: Duration,

@@ -1,22 +1,19 @@
 //! The CowFs `FileSystem` implementation and its `FsSpec` factory.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use b3_block::{BlockDevice, IoFlags, StateDelta};
 use b3_vfs::diskfmt::{read_blob, write_blob, SuperBlock};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::metadata::Metadata;
-use b3_vfs::recover::{CommittedTreeCache, RecoverDelta};
+use b3_vfs::recover::RecoverDelta;
 use b3_vfs::tree::{InodeId, MemTree};
 use b3_vfs::workload::FallocMode;
 use b3_vfs::KernelEra;
 
 use crate::bugs::CowBugs;
-use crate::log::{
-    replay, replay_from, LogItem, LogTree, Recorder, RecorderState, SyncKind, LOG_HEADER_LEN,
-};
+use crate::log::{replay, LogTree, Recorder, RecorderState, SyncKind};
 
 /// CowFs on-disk magic number.
 pub const COWFS_MAGIC: u32 = 0x434f_5746; // "COWF"
@@ -29,8 +26,7 @@ pub struct CowFs {
     bugs: CowBugs,
     working: MemTree,
     /// The last committed tree. It shares every inode with `working` that
-    /// no operation since the commit touched (as a recovered view's trees
-    /// do with the recovery session's caches), so holding it copies nothing.
+    /// no operation since the commit touched, so holding it copies nothing.
     committed: MemTree,
     log: LogTree,
     recorder_state: RecorderState,
@@ -57,6 +53,19 @@ impl CowFs {
     /// Mounts an existing image with an explicit bug set, running log replay
     /// if the image was not cleanly unmounted.
     pub fn mount_with_bugs(dev: Box<dyn BlockDevice>, bugs: CowBugs) -> FsResult<CowFs> {
+        let mut fs = Self::replayed(dev, bugs)?;
+        if fs.sb.log.is_present() || fs.sb.dirty {
+            // Recovery completes by committing the replayed state, exactly
+            // like btrfs committing the transaction created during log
+            // replay. A clean image needs no such write-back.
+            fs.commit()?;
+        }
+        Ok(fs)
+    }
+
+    /// The view a mount of `dev` gives, before the mount commits it: the
+    /// committed tree with the log replayed onto it. Writes nothing.
+    fn replayed(dev: Box<dyn BlockDevice>, bugs: CowBugs) -> FsResult<CowFs> {
         let sb = SuperBlock::read_from(dev.as_ref(), COWFS_MAGIC)?;
         let tree_bytes = read_blob(dev.as_ref(), sb.tree)?;
         if tree_bytes.is_empty() {
@@ -64,17 +73,13 @@ impl CowFs {
         }
         let committed = MemTree::decode(&tree_bytes)
             .map_err(|e| FsError::Unmountable(format!("corrupt committed tree: {e}")))?;
-
-        let needs_recovery = sb.log.is_present() || sb.dirty;
         let working = if sb.log.is_present() {
-            let log_bytes = read_blob(dev.as_ref(), sb.log)?;
-            let log = LogTree::decode(&log_bytes)?;
+            let log = LogTree::decode(&read_blob(dev.as_ref(), sb.log)?)?;
             replay(&committed, &log, &bugs)?
         } else {
             committed
         };
-
-        let mut fs = CowFs {
+        Ok(CowFs {
             dev,
             sb,
             bugs,
@@ -82,17 +87,7 @@ impl CowFs {
             working,
             log: LogTree::new(),
             recorder_state: RecorderState::default(),
-        };
-        if needs_recovery {
-            // Recovery completes by committing the replayed state, exactly
-            // like btrfs committing the transaction created during log
-            // replay. A clean image needs no such write-back — mounting it
-            // is read-only, so its committed tree blob stays byte-identical
-            // to the formatted image's (which is what lets delta-based
-            // recovery treat the shared base image as crash state zero).
-            fs.commit()?;
-        }
-        Ok(fs)
+        })
     }
 
     /// Mounts an existing image with the bug set of the given kernel era.
@@ -295,277 +290,6 @@ impl FileSystem for CowFs {
     }
 }
 
-/// Incremental recovery session for CowFs (see
-/// [`b3_vfs::recover::RecoverDelta`]).
-///
-/// A CowFs mount is: decode the committed tree blob, replay the log tree
-/// onto it, then commit the replayed state. The decode dominates, and the
-/// committed tree rarely changes between adjacent crash states (it only
-/// moves on a full commit), so the session memoizes it in a
-/// [`CommittedTreeCache`] and re-decodes only when the state delta touches
-/// the blob. Log replay still runs per state — the log is what actually
-/// differs between crash states.
-///
-/// The session skips the physical commit write-back a real mount performs:
-/// the write-back only re-serializes the already-recovered state, so the
-/// *logical* view (what the AutoChecker compares) is identical, which debug
-/// builds of CrashMonkey assert against a from-scratch mount.
-/// The working tree a previous `recover` call produced, so the next crash
-/// state only replays the log items recorded *since* it (adjacent crash
-/// states of one workload share a committed tree and a log prefix).
-struct ReplayedLogCache {
-    /// Content stamp ([`CommittedTreeCache::last_stamp`]) of the committed
-    /// tree this replay started from. The fold is only extendable when the
-    /// current state resolves to the *same* stamp — i.e. a byte-identical
-    /// committed tree — since replay is a fold over that base.
-    tree_stamp: u64,
-    /// The raw encoded log already folded into `working`. The next state's
-    /// log extends it iff its items region starts with this one's, byte for
-    /// byte (the encoding is append-only and deterministic — see
-    /// [`LOG_HEADER_LEN`](crate::log::LOG_HEADER_LEN)), so a cheap byte
-    /// compare replaces re-decoding and comparing the shared item prefix.
-    log_bytes: Vec<u8>,
-    /// Number of items in `log_bytes`.
-    item_count: usize,
-    /// True when any folded item was a dentry removal. The
-    /// `replay_keeps_old_dentry_after_rename` quirk consults the *whole*
-    /// log (including items after the one being replayed) when deciding
-    /// whether a removal sticks, so a later log extension can retroactively
-    /// flip a removal already folded in here — the recover path refuses the
-    /// cached fold when that hazard is live (see `recover`).
-    prefix_has_remove: bool,
-    /// The recovered working tree after replaying those items; recovered
-    /// `CowFs` views of byte-identical logs are clones of it.
-    working: MemTree,
-}
-
-fn has_dentry_remove(items: &[LogItem]) -> bool {
-    items
-        .iter()
-        .any(|item| matches!(item, LogItem::DentryRemove { .. }))
-}
-
-/// Upper bound on retained [anchor](CowRecoverySession::anchors) folds; a
-/// workload rarely commits more than a couple of distinct trees, so a
-/// handful covers every stamp the neighbouring workloads will resolve to.
-const MAX_ANCHORS: usize = 4;
-
-struct CowRecoverySession {
-    bugs: CowBugs,
-    cache: CommittedTreeCache,
-    /// The most recent fold — the chain tip. Crash states later in the same
-    /// workload extend it with their new log suffix.
-    replayed_last: Option<Arc<ReplayedLogCache>>,
-    /// The *shortest* fold seen per committed-tree stamp. Bounded workload
-    /// generation varies the tail of the op sequence fastest, so the first
-    /// log states of a long run of neighbouring workloads are byte-identical
-    /// — each one hits the anchor its predecessor planted instead of
-    /// replaying from scratch. Entries are shared with `replayed_last` via
-    /// `Arc`: a fold owns its log bytes, which two holders need not copy.
-    anchors: Vec<Arc<ReplayedLogCache>>,
-    /// The base image whose committed tree is pinned in `cache`, kept alive
-    /// so its layer pointer stays a valid identity witness.
-    primed: Option<b3_block::DiskImage>,
-}
-
-impl RecoverDelta for CowRecoverySession {
-    fn prime(&mut self, _spec: &dyn FsSpec, base: &b3_block::DiskImage) {
-        // Delta chains from the previous run prove nothing about this one.
-        // The replayed-log cache survives the boundary, though: its
-        // validity is purely content-based (committed-tree stamp plus log
-        // byte prefix), and adjacent workloads of a sweep share op
-        // prefixes, so their early crash states often have byte-identical
-        // logs over the same committed tree.
-        self.cache.start_run();
-        if self.primed.as_ref().is_some_and(|p| p.ptr_eq(base)) {
-            return;
-        }
-        // New base: decode its committed tree once and pin it, so the first
-        // crash state of every run replayed onto this base (whose delta is
-        // relative to the base) can hit the cache too. All errors are
-        // swallowed — priming is an optimization, and `recover` reports
-        // mount failures of a broken base exactly as `mount` would.
-        self.primed = None;
-        let dev = b3_block::CowSnapshotDevice::new(base.clone());
-        let Ok(sb) = SuperBlock::read_from(&dev, COWFS_MAGIC) else {
-            return;
-        };
-        let Ok(tree_bytes) = read_blob(&dev, sb.tree) else {
-            return;
-        };
-        if tree_bytes.is_empty() {
-            return;
-        }
-        let Ok(tree) = MemTree::decode(&tree_bytes) else {
-            return;
-        };
-        self.cache.pin(&sb, tree);
-        self.primed = Some(base.clone());
-    }
-
-    fn recover(
-        &mut self,
-        _spec: &dyn FsSpec,
-        dev: Box<dyn BlockDevice>,
-        delta: Option<&StateDelta>,
-    ) -> FsResult<Box<dyn FileSystem>> {
-        let sb = SuperBlock::read_from(dev.as_ref(), COWFS_MAGIC)?;
-        // Resolve the committed tree: delta-proven cache hit, byte-verified
-        // revival of the cached entry, or a fresh decode (stored for next
-        // time). All three leave the tree borrowable from the cache.
-        if self.cache.lookup(&sb, delta).is_none() {
-            // Identical decode (and error) path to `mount_with_bugs`.
-            let tree_bytes = read_blob(dev.as_ref(), sb.tree)?;
-            if tree_bytes.is_empty() {
-                return Err(FsError::Unmountable("missing committed tree".into()));
-            }
-            if self.cache.verify(&sb, &tree_bytes).is_none() {
-                let tree = MemTree::decode(&tree_bytes)
-                    .map_err(|e| FsError::Unmountable(format!("corrupt committed tree: {e}")))?;
-                self.cache.store(&sb, tree_bytes, tree);
-            }
-        }
-        let tree_stamp = self.cache.last_stamp();
-        let committed = self.cache.resolved().expect("a tree was just resolved");
-        let working = if sb.log.is_present() {
-            let log_bytes = read_blob(dev.as_ref(), sb.log)?;
-            // Fold only the new log suffix onto a cached working tree when
-            // this state's log extends an already-replayed one over the
-            // same committed tree: the stamp pins the base, and the byte
-            // compare below proves the item prefix is shared (replay is a
-            // pure fold; see `replay_from`). Prefer the longest folded
-            // prefix: the chain tip extends within a workload, the anchors
-            // serve the first log states of neighbouring workloads.
-            let extends = |cached: &ReplayedLogCache| {
-                cached.tree_stamp == tree_stamp
-                    && log_bytes.len() >= cached.log_bytes.len()
-                    && log_bytes[LOG_HEADER_LEN..cached.log_bytes.len()]
-                        == cached.log_bytes[LOG_HEADER_LEN..]
-            };
-            let cached = self
-                .replayed_last
-                .iter()
-                .chain(self.anchors.iter())
-                .filter(|cached| extends(cached))
-                .max_by_key(|cached| cached.log_bytes.len())
-                .cloned();
-            // Two buggy replay paths read the *whole* log; with either
-            // active a cache hit must still decode the full log (so suffix
-            // items see every item) instead of decoding just the suffix.
-            let needs_full_log = self.bugs.replay_keeps_old_dentry_after_rename
-                || self.bugs.replay_resets_inode_allocator;
-            let entry: Arc<ReplayedLogCache> = match cached {
-                Some(cached) if !needs_full_log => {
-                    let suffix = LogTree::decode_suffix(
-                        &log_bytes,
-                        cached.log_bytes.len(),
-                        cached.item_count,
-                    )?;
-                    if suffix.items.is_empty() {
-                        // Byte-identical log: the cached fold IS this
-                        // state's recovery.
-                        cached
-                    } else {
-                        let mut working = cached.working.clone();
-                        replay_from(&mut working, committed, &suffix, 0, &self.bugs)?;
-                        Arc::new(ReplayedLogCache {
-                            tree_stamp,
-                            item_count: cached.item_count + suffix.items.len(),
-                            prefix_has_remove: cached.prefix_has_remove
-                                || has_dentry_remove(&suffix.items),
-                            log_bytes,
-                            working,
-                        })
-                    }
-                }
-                Some(cached) => {
-                    let log = LogTree::decode(&log_bytes)?;
-                    if log.items.len() == cached.item_count {
-                        // Byte-prefix plus equal item count: identical log.
-                        cached
-                    } else {
-                        let start = cached.item_count;
-                        // The rename quirk makes a removal's outcome depend
-                        // on *later* log items (`has_add_for_child` scans
-                        // the whole log), so a suffix add can retroactively
-                        // flip a removal already folded into the cached
-                        // tree. Refuse the cached fold when both sides of
-                        // that hazard are present.
-                        let removal_may_flip = self.bugs.replay_keeps_old_dentry_after_rename
-                            && cached.prefix_has_remove
-                            && log.items[start..]
-                                .iter()
-                                .any(|item| matches!(item, LogItem::DentryAdd { .. }));
-                        let (mut working, start, prefix_has_remove) = if removal_may_flip {
-                            (committed.clone(), 0, false)
-                        } else {
-                            (cached.working.clone(), start, cached.prefix_has_remove)
-                        };
-                        replay_from(&mut working, committed, &log, start, &self.bugs)?;
-                        Arc::new(ReplayedLogCache {
-                            tree_stamp,
-                            item_count: log.items.len(),
-                            prefix_has_remove: prefix_has_remove
-                                || has_dentry_remove(&log.items[start..]),
-                            log_bytes,
-                            working,
-                        })
-                    }
-                }
-                None => {
-                    let log = LogTree::decode(&log_bytes)?;
-                    let mut working = committed.clone();
-                    replay_from(&mut working, committed, &log, 0, &self.bugs)?;
-                    Arc::new(ReplayedLogCache {
-                        tree_stamp,
-                        item_count: log.items.len(),
-                        prefix_has_remove: has_dentry_remove(&log.items),
-                        log_bytes,
-                        working,
-                    })
-                }
-            };
-            let working = entry.working.clone();
-            self.replayed_last = Some(entry.clone());
-            match self
-                .anchors
-                .iter_mut()
-                .find(|anchor| anchor.tree_stamp == entry.tree_stamp)
-            {
-                // Keep the shortest fold per stamp: that is the one the
-                // neighbouring workloads' first log states will extend.
-                Some(anchor) => {
-                    if entry.item_count <= anchor.item_count {
-                        *anchor = entry;
-                    }
-                }
-                None => {
-                    if self.anchors.len() >= MAX_ANCHORS {
-                        self.anchors.remove(0);
-                    }
-                    self.anchors.push(entry);
-                }
-            }
-            working
-        } else {
-            committed.clone()
-        };
-        Ok(Box::new(CowFs {
-            dev,
-            sb,
-            bugs: self.bugs,
-            committed: working.clone(),
-            working,
-            log: LogTree::new(),
-            recorder_state: RecorderState::default(),
-        }))
-    }
-
-    fn is_incremental(&self) -> bool {
-        true
-    }
-}
-
 /// Factory for CowFs instances, parameterized by kernel era (or an explicit
 /// bug set for targeted testing).
 #[derive(Debug, Clone, Copy)]
@@ -614,13 +338,7 @@ impl FsSpec for CowFsSpec {
     }
 
     fn recovery_session(&self) -> Box<dyn RecoverDelta + Send> {
-        Box::new(CowRecoverySession {
-            bugs: self.bugs,
-            cache: CommittedTreeCache::new(),
-            replayed_last: None,
-            anchors: Vec::new(),
-            primed: None,
-        })
+        Box::new(*self)
     }
 
     fn fsck(&self, device: &mut dyn BlockDevice) -> FsResult<String> {
@@ -661,10 +379,23 @@ impl FsSpec for CowFsSpec {
     }
 }
 
+/// The CowFs recovery session: a mount without its commit. The commit only
+/// re-serializes the replayed state, so the logical view is the mount's.
+impl RecoverDelta for CowFsSpec {
+    fn recover(
+        &mut self,
+        _spec: &dyn FsSpec,
+        device: Box<dyn BlockDevice>,
+        _delta: Option<&StateDelta>,
+    ) -> FsResult<Box<dyn FileSystem>> {
+        Ok(Box::new(CowFs::replayed(device, self.bugs)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::RamDisk;
+    use b3_block::{CowSnapshotDevice, DiskImage, RamDisk, RecordingDevice};
     use b3_vfs::exec::{apply_workload, Executor};
     use b3_vfs::snapshot::LogicalSnapshot;
     use b3_vfs::workload::{Op, Workload};
@@ -673,33 +404,54 @@ mod tests {
         CowFs::mkfs(Box::new(RamDisk::new(4096)), era).unwrap()
     }
 
+    fn crashed_device() -> Box<dyn BlockDevice> {
+        let mut fs = fresh_fs(KernelEra::Patched);
+        fs.mkdir("A").unwrap();
+        fs.create("A/foo").unwrap();
+        fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
+            .unwrap();
+        fs.fsync("A/foo").unwrap();
+        fs.create("A/volatile").unwrap();
+        fs.dev // crash: no clean unmount, log replay pending
+    }
+
+    /// What the device holds after `open` recovers or mounts `crashed`.
+    fn image_after(
+        crashed: &DiskImage,
+        open: impl FnOnce(Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>>,
+    ) -> DiskImage {
+        let device = RecordingDevice::new(CowSnapshotDevice::new(crashed.clone()));
+        let handle = device.log_handle();
+        let _fs = open(Box::new(device)).unwrap();
+        let id = handle.checkpoint();
+        handle.snapshot().image_at(id).unwrap().clone()
+    }
+
     #[test]
     fn recovery_session_matches_remount_and_caches_the_committed_tree() {
-        fn crashed_device() -> Box<dyn BlockDevice> {
-            let mut fs = fresh_fs(KernelEra::Patched);
-            fs.mkdir("A").unwrap();
-            fs.create("A/foo").unwrap();
-            fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
-                .unwrap();
-            fs.fsync("A/foo").unwrap();
-            fs.create("A/volatile").unwrap();
-            fs.dev // crash: no clean unmount, log replay pending
-        }
         let spec = CowFsSpec::patched();
         let baseline = spec.mount(crashed_device()).unwrap();
         let expected = LogicalSnapshot::capture(baseline.as_ref()).unwrap();
 
         let mut session = spec.recovery_session();
-        assert!(session.is_incremental());
-        let first = session.recover(&spec, crashed_device(), None).unwrap();
-        assert_eq!(LogicalSnapshot::capture(first.as_ref()).unwrap(), expected);
-        // An empty delta proves no block changed, so the cached committed
-        // tree is reused — the logical view must still match.
-        let empty = StateDelta::from_blocks(Vec::new());
-        let second = session
-            .recover(&spec, crashed_device(), Some(&empty))
-            .unwrap();
-        assert_eq!(LogicalSnapshot::capture(second.as_ref()).unwrap(), expected);
+        for _ in 0..2 {
+            let recovered = session.recover(&spec, crashed_device(), None).unwrap();
+            assert_eq!(
+                LogicalSnapshot::capture(recovered.as_ref()).unwrap(),
+                expected
+            );
+        }
+    }
+
+    #[test]
+    fn recover_writes_nothing_to_the_crash_state_and_mount_commits() {
+        let crashed = crashed_device().freeze_image().unwrap();
+        let spec = CowFsSpec::patched();
+        let mut session = spec.recovery_session();
+        let recovered = image_after(&crashed, |dev| session.recover(&spec, dev, None));
+        assert!(recovered == crashed, "recover wrote to the crash state");
+        let mounted = image_after(&crashed, |dev| spec.mount(dev));
+        assert!(mounted != crashed, "mount commits the replayed log");
     }
 
     #[test]

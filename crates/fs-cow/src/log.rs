@@ -47,13 +47,6 @@ pub struct LogTree {
 
 const LOG_MAGIC: u32 = 0x4c4f_4754; // "LOGT"
 
-/// Byte length of the encoded log header ([`LOG_MAGIC`] plus the item
-/// count); the items region starts here. The encoding is append-only in
-/// the items and fully deterministic, so the items region of a shorter log
-/// is a byte prefix of every longer log that extends it — which is what
-/// lets the recovery session compare raw bytes instead of decoded items.
-pub const LOG_HEADER_LEN: usize = 4 + 8;
-
 impl LogTree {
     /// Creates an empty log.
     pub fn new() -> Self {
@@ -125,65 +118,36 @@ impl LogTree {
     /// Deserializes a log previously produced by [`LogTree::encode`].
     pub fn decode(bytes: &[u8]) -> FsResult<LogTree> {
         let mut dec = Decoder::new(bytes);
-        let count = Self::decode_header(&mut dec)?;
-        Ok(LogTree {
-            items: decode_items(&mut dec, count)?,
-        })
-    }
-
-    /// Decodes only the items a previously decoded log did not have.
-    /// `offset` is the byte length of that log's encoding and
-    /// `prefix_items` its item count; the caller must have verified that
-    /// this log's items region starts with the shorter log's (byte-for-byte
-    /// — see `LOG_HEADER_LEN`), which makes decoding from `offset` land
-    /// exactly on the first new item. Returns the suffix as its own log.
-    pub fn decode_suffix(bytes: &[u8], offset: usize, prefix_items: usize) -> FsResult<LogTree> {
-        let count = Self::decode_header(&mut Decoder::new(bytes))?;
-        let suffix_count = count.checked_sub(prefix_items).ok_or_else(|| {
-            FsError::Unmountable("log item count shrank below its replayed prefix".into())
-        })?;
-        let rest = bytes
-            .get(offset..)
-            .ok_or_else(|| FsError::Unmountable("log shorter than its replayed prefix".into()))?;
-        Ok(LogTree {
-            items: decode_items(&mut Decoder::new(rest), suffix_count)?,
-        })
-    }
-
-    fn decode_header(dec: &mut Decoder) -> FsResult<usize> {
         if dec.get_u32()? != LOG_MAGIC {
             return Err(FsError::Unmountable("bad log magic".into()));
         }
-        Ok(dec.get_u64()? as usize)
+        let count = dec.get_u64()? as usize;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            let tag = dec.get_u8()?;
+            let item = match tag {
+                0 => LogItem::Inode {
+                    inode: decode_inode(&mut dec)?,
+                },
+                1 => LogItem::DentryAdd {
+                    dir_ino: dec.get_u64()?,
+                    name: dec.get_str()?,
+                    child_ino: dec.get_u64()?,
+                },
+                2 => LogItem::DentryRemove {
+                    dir_ino: dec.get_u64()?,
+                    name: dec.get_str()?,
+                },
+                other => {
+                    return Err(FsError::Unmountable(format!(
+                        "unknown log item tag {other}"
+                    )));
+                }
+            };
+            items.push(item);
+        }
+        Ok(LogTree { items })
     }
-}
-
-fn decode_items(dec: &mut Decoder, count: usize) -> FsResult<Vec<LogItem>> {
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = dec.get_u8()?;
-        let item = match tag {
-            0 => LogItem::Inode {
-                inode: decode_inode(dec)?,
-            },
-            1 => LogItem::DentryAdd {
-                dir_ino: dec.get_u64()?,
-                name: dec.get_str()?,
-                child_ino: dec.get_u64()?,
-            },
-            2 => LogItem::DentryRemove {
-                dir_ino: dec.get_u64()?,
-                name: dec.get_str()?,
-            },
-            other => {
-                return Err(FsError::Unmountable(format!(
-                    "unknown log item tag {other}"
-                )));
-            }
-        };
-        items.push(item);
-    }
-    Ok(items)
 }
 
 /// The kind of persistence call being recorded.
@@ -871,30 +835,7 @@ fn dedup_items(items: Vec<LogItem>) -> Vec<LogItem> {
 /// tree. Returns [`FsError::Unmountable`] when replay cannot proceed.
 pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<MemTree> {
     let mut tree = committed.clone();
-    replay_from(&mut tree, committed, log, 0, bugs)?;
-    Ok(tree)
-}
-
-/// Continues a replay of `log` onto `tree`, which must already reflect the
-/// replay of `log.items[..start]` over `committed`. Replay is a sequential
-/// fold whose per-item transition reads only the current tree, the full
-/// log, and the *original* committed tree — so folding a suffix onto a
-/// cached prefix result is exactly equivalent to replaying the whole log
-/// from scratch (the incremental recovery sessions rely on this; the
-/// trailing allocator-reset quirk re-evaluates its whole-log condition
-/// here, and that condition is monotone in the log, so applying it after
-/// the prefix and again after the suffix agrees with applying it once at
-/// the end).
-pub fn replay_from(
-    tree: &mut MemTree,
-    committed: &MemTree,
-    log: &LogTree,
-    start: usize,
-    bugs: &CowBugs,
-) -> FsResult<()> {
-    let committed_next_ino = committed.next_ino();
-
-    for item in &log.items[start..] {
+    for item in &log.items {
         match item {
             LogItem::Inode { inode } => {
                 let mut replayed = inode.clone();
@@ -993,11 +934,11 @@ pub fn replay_from(
                 if inode.kind == FileType::Directory && committed.inode(inode.ino).is_none())
         });
         if replayed_new_dir {
-            tree.set_next_ino(committed_next_ino);
+            tree.set_next_ino(committed.next_ino());
         }
     }
 
-    Ok(())
+    Ok(tree)
 }
 
 #[cfg(test)]

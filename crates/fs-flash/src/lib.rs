@@ -20,7 +20,7 @@ use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::metadata::Metadata;
 use b3_vfs::path::split_parent;
-use b3_vfs::recover::{CommittedTreeCache, RecoverDelta};
+use b3_vfs::recover::RecoverDelta;
 use b3_vfs::tree::{decode_inode, encode_inode, Inode, InodeId, MemTree};
 use b3_vfs::workload::FallocMode;
 use b3_vfs::KernelEra;
@@ -172,6 +172,14 @@ impl FlashFs {
     /// Mounts an existing image with an explicit bug set, running
     /// roll-forward recovery if a node log is present.
     pub fn mount_with_bugs(dev: Box<dyn BlockDevice>, bugs: FlashBugs) -> FsResult<FlashFs> {
+        let mut fs = Self::rolled_forward(dev, bugs)?;
+        fs.write_checkpoint()?;
+        Ok(fs)
+    }
+
+    /// The view a mount of `dev` gives, before the mount checkpoints it: the
+    /// checkpoint with the node log rolled forward onto it. Writes nothing.
+    fn rolled_forward(dev: Box<dyn BlockDevice>, bugs: FlashBugs) -> FsResult<FlashFs> {
         let sb = SuperBlock::read_from(dev.as_ref(), FLASHFS_MAGIC)?;
         let checkpoint = MemTree::decode(&read_blob(dev.as_ref(), sb.tree)?)
             .map_err(|e| FsError::Unmountable(format!("corrupt checkpoint: {e}")))?;
@@ -179,19 +187,17 @@ impl FlashFs {
             let records = decode_records(&read_blob(dev.as_ref(), sb.log)?)?;
             roll_forward(&checkpoint, &records, &bugs)?
         } else {
-            checkpoint.clone()
+            checkpoint
         };
-        let mut fs = FlashFs {
+        Ok(FlashFs {
             dev,
             sb,
             bugs,
+            checkpoint: working.clone(),
             working,
-            checkpoint,
             records: Vec::new(),
             zero_range_keep: HashMap::new(),
-        };
-        fs.write_checkpoint()?;
-        Ok(fs)
+        })
     }
 
     /// The active bug configuration.
@@ -510,101 +516,6 @@ impl FileSystem for FlashFs {
     }
 }
 
-/// Incremental recovery session for FlashFs (see
-/// [`b3_vfs::recover::RecoverDelta`]).
-///
-/// A FlashFs mount decodes the checkpoint tree, rolls the node log forward
-/// over it, and writes a fresh checkpoint. The checkpoint decode dominates
-/// and the checkpoint blob only moves when the file system checkpoints, so
-/// the session memoizes it in a [`CommittedTreeCache`]; roll-forward still
-/// runs per state (the node log is what differs between adjacent states),
-/// and the mount-time checkpoint write-back is skipped — it only
-/// re-serializes the recovered state, leaving the logical view identical.
-struct FlashRecoverySession {
-    bugs: FlashBugs,
-    cache: CommittedTreeCache,
-    /// Base image whose checkpoint tree is pinned in the cache.
-    primed: Option<b3_block::DiskImage>,
-}
-
-impl RecoverDelta for FlashRecoverySession {
-    fn prime(&mut self, _spec: &dyn FsSpec, base: &b3_block::DiskImage) {
-        // State from the previous run proves nothing about this one.
-        self.cache.start_run();
-        if self.primed.as_ref().is_some_and(|p| p.ptr_eq(base)) {
-            return;
-        }
-        // New base: decode its checkpoint tree once and pin it, so the first
-        // crash state of every run replayed onto this base (whose delta is
-        // relative to the base) can hit the cache too. All errors are
-        // swallowed — priming is an optimization, and `recover` reports
-        // mount failures of a broken base exactly as `mount` would.
-        self.primed = None;
-        let dev = b3_block::CowSnapshotDevice::new(base.clone());
-        let Ok(sb) = SuperBlock::read_from(&dev, FLASHFS_MAGIC) else {
-            return;
-        };
-        let Ok(tree_bytes) = read_blob(&dev, sb.tree) else {
-            return;
-        };
-        if tree_bytes.is_empty() {
-            return;
-        }
-        let Ok(tree) = MemTree::decode(&tree_bytes) else {
-            return;
-        };
-        self.cache.pin(&sb, tree);
-        self.primed = Some(base.clone());
-    }
-
-    fn recover(
-        &mut self,
-        _spec: &dyn FsSpec,
-        dev: Box<dyn BlockDevice>,
-        delta: Option<&StateDelta>,
-    ) -> FsResult<Box<dyn FileSystem>> {
-        let sb = SuperBlock::read_from(dev.as_ref(), FLASHFS_MAGIC)?;
-        let checkpoint = match self.cache.lookup(&sb, delta) {
-            Some(tree) => tree.clone(),
-            None => {
-                // Identical decode (and error) path to `mount_with_bugs` —
-                // unless a byte compare proves the cached decode still
-                // matches this state's blob.
-                let tree_bytes = read_blob(dev.as_ref(), sb.tree)?;
-                match self.cache.verify(&sb, &tree_bytes) {
-                    Some(tree) => tree.clone(),
-                    None => {
-                        let tree = MemTree::decode(&tree_bytes).map_err(|e| {
-                            FsError::Unmountable(format!("corrupt checkpoint: {e}"))
-                        })?;
-                        self.cache.store(&sb, tree_bytes, tree.clone());
-                        tree
-                    }
-                }
-            }
-        };
-        let working = if sb.log.is_present() {
-            let records = decode_records(&read_blob(dev.as_ref(), sb.log)?)?;
-            roll_forward(&checkpoint, &records, &self.bugs)?
-        } else {
-            checkpoint.clone()
-        };
-        Ok(Box::new(FlashFs {
-            dev,
-            sb,
-            bugs: self.bugs,
-            checkpoint: working.clone(),
-            working,
-            records: Vec::new(),
-            zero_range_keep: HashMap::new(),
-        }))
-    }
-
-    fn is_incremental(&self) -> bool {
-        true
-    }
-}
-
 /// Factory for FlashFs instances.
 #[derive(Debug, Clone, Copy)]
 pub struct FlashFsSpec {
@@ -647,18 +558,27 @@ impl FsSpec for FlashFsSpec {
     }
 
     fn recovery_session(&self) -> Box<dyn RecoverDelta + Send> {
-        Box::new(FlashRecoverySession {
-            bugs: self.bugs,
-            cache: CommittedTreeCache::new(),
-            primed: None,
-        })
+        Box::new(*self)
+    }
+}
+
+/// The FlashFs recovery session: a mount without its checkpoint write-back,
+/// which only re-serializes the rolled-forward state.
+impl RecoverDelta for FlashFsSpec {
+    fn recover(
+        &mut self,
+        _spec: &dyn FsSpec,
+        device: Box<dyn BlockDevice>,
+        _delta: Option<&StateDelta>,
+    ) -> FsResult<Box<dyn FileSystem>> {
+        Ok(Box::new(FlashFs::rolled_forward(device, self.bugs)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::RamDisk;
+    use b3_block::{CowSnapshotDevice, DiskImage, RamDisk, RecordingDevice};
 
     fn fresh(bugs: FlashBugs) -> FlashFs {
         let mut dev: Box<dyn BlockDevice> = Box::new(RamDisk::new(4096));
@@ -670,32 +590,55 @@ mod tests {
         FlashFs::mount_with_bugs(fs.dev, bugs).unwrap()
     }
 
+    fn crashed_device() -> Box<dyn BlockDevice> {
+        let mut fs = fresh(FlashBugs::none());
+        fs.mkdir("A").unwrap();
+        fs.create("A/foo").unwrap();
+        fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
+            .unwrap();
+        fs.fsync("A/foo").unwrap();
+        fs.create("A/volatile").unwrap();
+        fs.dev // crash: no clean unmount, roll-forward pending
+    }
+
+    /// What the device holds after `open` recovers or mounts `crashed`.
+    fn image_after(
+        crashed: &DiskImage,
+        open: impl FnOnce(Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>>,
+    ) -> DiskImage {
+        let device = RecordingDevice::new(CowSnapshotDevice::new(crashed.clone()));
+        let handle = device.log_handle();
+        let _fs = open(Box::new(device)).unwrap();
+        let id = handle.checkpoint();
+        handle.snapshot().image_at(id).unwrap().clone()
+    }
+
     #[test]
     fn recovery_session_matches_remount_and_caches_the_checkpoint() {
         use b3_vfs::snapshot::LogicalSnapshot;
-        fn crashed_device() -> Box<dyn BlockDevice> {
-            let mut fs = fresh(FlashBugs::none());
-            fs.mkdir("A").unwrap();
-            fs.create("A/foo").unwrap();
-            fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
-                .unwrap();
-            fs.fsync("A/foo").unwrap();
-            fs.create("A/volatile").unwrap();
-            fs.dev // crash: no clean unmount, roll-forward pending
-        }
         let spec = FlashFsSpec::patched();
         let baseline = spec.mount(crashed_device()).unwrap();
         let expected = LogicalSnapshot::capture(baseline.as_ref()).unwrap();
 
         let mut session = spec.recovery_session();
-        assert!(session.is_incremental());
-        let first = session.recover(&spec, crashed_device(), None).unwrap();
-        assert_eq!(LogicalSnapshot::capture(first.as_ref()).unwrap(), expected);
-        let empty = StateDelta::from_blocks(Vec::new());
-        let second = session
-            .recover(&spec, crashed_device(), Some(&empty))
-            .unwrap();
-        assert_eq!(LogicalSnapshot::capture(second.as_ref()).unwrap(), expected);
+        for _ in 0..2 {
+            let recovered = session.recover(&spec, crashed_device(), None).unwrap();
+            assert_eq!(
+                LogicalSnapshot::capture(recovered.as_ref()).unwrap(),
+                expected
+            );
+        }
+    }
+
+    #[test]
+    fn recover_writes_nothing_to_the_crash_state_and_mount_checkpoints() {
+        let crashed = crashed_device().freeze_image().unwrap();
+        let spec = FlashFsSpec::patched();
+        let mut session = spec.recovery_session();
+        let recovered = image_after(&crashed, |dev| session.recover(&spec, dev, None));
+        assert!(recovered == crashed, "recover wrote to the crash state");
+        let mounted = image_after(&crashed, |dev| spec.mount(dev));
+        assert!(mounted != crashed, "mount writes a fresh checkpoint");
     }
 
     #[test]

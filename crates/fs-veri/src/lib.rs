@@ -10,12 +10,11 @@
 //! short-circuiting `fdatasync` when it (wrongly) believes no metadata
 //! changed.
 
-use b3_block::{BlockDevice, IoFlags, StateDelta};
+use b3_block::{BlockDevice, IoFlags};
 use b3_vfs::diskfmt::{read_blob, write_blob, SuperBlock};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::metadata::Metadata;
-use b3_vfs::recover::{CommittedTreeCache, RecoverDelta};
 use b3_vfs::tree::MemTree;
 use b3_vfs::workload::FallocMode;
 use b3_vfs::KernelEra;
@@ -243,89 +242,6 @@ impl FileSystem for VeriFs {
     }
 }
 
-/// Incremental recovery session for VeriFs (see
-/// [`b3_vfs::recover::RecoverDelta`]).
-///
-/// A VeriFs mount is a single decode of the committed tree (FSCQ's
-/// recovery is proven to restore the last committed disk). The session
-/// memoizes that decode in a [`CommittedTreeCache`] and skips it when the
-/// state delta proves the blob is untouched.
-struct VeriRecoverySession {
-    bugs: VeriBugs,
-    cache: CommittedTreeCache,
-    /// Base image whose committed tree is pinned in the cache.
-    primed: Option<b3_block::DiskImage>,
-}
-
-impl RecoverDelta for VeriRecoverySession {
-    fn prime(&mut self, _spec: &dyn FsSpec, base: &b3_block::DiskImage) {
-        // State from the previous run proves nothing about this one.
-        self.cache.start_run();
-        if self.primed.as_ref().is_some_and(|p| p.ptr_eq(base)) {
-            return;
-        }
-        // New base: decode its committed tree once and pin it, so the first
-        // crash state of every run replayed onto this base (whose delta is
-        // relative to the base) can hit the cache too. All errors are
-        // swallowed — priming is an optimization, and `recover` reports
-        // mount failures of a broken base exactly as `mount` would.
-        self.primed = None;
-        let dev = b3_block::CowSnapshotDevice::new(base.clone());
-        let Ok(sb) = SuperBlock::read_from(&dev, VERIFS_MAGIC) else {
-            return;
-        };
-        let Ok(tree_bytes) = read_blob(&dev, sb.tree) else {
-            return;
-        };
-        if tree_bytes.is_empty() {
-            return;
-        }
-        let Ok(tree) = MemTree::decode(&tree_bytes) else {
-            return;
-        };
-        self.cache.pin(&sb, tree);
-        self.primed = Some(base.clone());
-    }
-
-    fn recover(
-        &mut self,
-        _spec: &dyn FsSpec,
-        dev: Box<dyn BlockDevice>,
-        delta: Option<&StateDelta>,
-    ) -> FsResult<Box<dyn FileSystem>> {
-        let sb = SuperBlock::read_from(dev.as_ref(), VERIFS_MAGIC)?;
-        let committed = match self.cache.lookup(&sb, delta) {
-            Some(tree) => tree.clone(),
-            None => {
-                // Identical decode (and error) path to `mount_with_bugs` —
-                // unless a byte compare proves the cached decode still
-                // matches this state's blob.
-                let tree_bytes = read_blob(dev.as_ref(), sb.tree)?;
-                match self.cache.verify(&sb, &tree_bytes) {
-                    Some(tree) => tree.clone(),
-                    None => {
-                        let tree = MemTree::decode(&tree_bytes)
-                            .map_err(|e| FsError::Unmountable(format!("corrupt image: {e}")))?;
-                        self.cache.store(&sb, tree_bytes, tree.clone());
-                        tree
-                    }
-                }
-            }
-        };
-        Ok(Box::new(VeriFs {
-            dev,
-            sb,
-            bugs: self.bugs,
-            working: committed.clone(),
-            committed,
-        }))
-    }
-
-    fn is_incremental(&self) -> bool {
-        true
-    }
-}
-
 /// Factory for VeriFs instances.
 #[derive(Debug, Clone, Copy)]
 pub struct VeriFsSpec {
@@ -366,14 +282,6 @@ impl FsSpec for VeriFsSpec {
     fn mount(&self, device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
         Ok(Box::new(VeriFs::mount_with_bugs(device, self.bugs)?))
     }
-
-    fn recovery_session(&self) -> Box<dyn RecoverDelta + Send> {
-        Box::new(VeriRecoverySession {
-            bugs: self.bugs,
-            cache: CommittedTreeCache::new(),
-            primed: None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -407,14 +315,13 @@ mod tests {
         let expected = LogicalSnapshot::capture(baseline.as_ref()).unwrap();
 
         let mut session = spec.recovery_session();
-        assert!(session.is_incremental());
-        let first = session.recover(&spec, crashed_device(), None).unwrap();
-        assert_eq!(LogicalSnapshot::capture(first.as_ref()).unwrap(), expected);
-        let empty = StateDelta::from_blocks(Vec::new());
-        let second = session
-            .recover(&spec, crashed_device(), Some(&empty))
-            .unwrap();
-        assert_eq!(LogicalSnapshot::capture(second.as_ref()).unwrap(), expected);
+        for _ in 0..2 {
+            let recovered = session.recover(&spec, crashed_device(), None).unwrap();
+            assert_eq!(
+                LogicalSnapshot::capture(recovered.as_ref()).unwrap(),
+                expected
+            );
+        }
     }
 
     #[test]

@@ -409,10 +409,6 @@ impl SweepJob {
             crash_points,
             direct_write_is_persistence_point: dec.get_bool()?,
             model_kernel_delays: dec.get_bool()?,
-            // Recovery mode is outcome-neutral by construction (see
-            // [`b3_crashmonkey::RecoveryMode`]) so it is not part of the
-            // wire format; every worker uses its own default.
-            recovery: Default::default(),
         };
         let prune = PruneMode::decode(dec)?;
         Ok(SweepJob {

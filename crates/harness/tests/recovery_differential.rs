@@ -1,24 +1,18 @@
-//! Differential tests of the incremental crash-state recovery engine.
+//! Differential tests of crash-state recovery.
 //!
-//! The equivalence claim under test: recovering crash states by patching
-//! the previous recovered view forward with the block delta between
-//! adjacent states ([`RecoveryMode::PatchForward`]) produces **the same
-//! verdicts, the same bug reports, and the same group exemplars** as
-//! mounting every crash state from scratch ([`RecoveryMode::Remount`]) —
-//! under [`CrashPointPolicy::All`], where a workload contributes several
-//! crash states and the incremental path actually engages.
+//! The equivalence claim under test: a file system's recovery session (a
+//! mount without the write-back a mount may end with) gives **the same
+//! logical view, or the same error**, as mounting the crash state from
+//! scratch — under [`CrashPointPolicy::All`], where a workload contributes
+//! several crash states.
 //!
-//! * The **in-process** test runs the same bounded seq-2 slice through the
-//!   sharded sweep engine once per recovery mode on **all four** simulated
-//!   file systems and asserts byte-identical exemplar reports and equal
-//!   counts. (Because this suite runs in a debug build, every individual
-//!   patched-forward crash state is additionally asserted bit-identical to
-//!   a from-scratch mount inside `RecoverySession` itself.)
-//! * The **distributed** test drives the default (patch-forward) recovery
-//!   through 4 real worker processes and compares against an in-process
-//!   remount-from-scratch sweep — proving the engine's equivalence holds
-//!   across the process fan-out and that the wire format needed no new
-//!   fields for it.
+//! * The **in-process** test recovers and mounts every crash state of a
+//!   bounded seq-2 slice on **all four** simulated file systems and compares
+//!   the two views. It runs in any build; debug builds additionally assert
+//!   the same inside `RecoverySession` for every state a sweep tests.
+//! * The **distributed** test drives a sweep through 4 real worker
+//!   processes and compares it against the same sweep in process — the
+//!   verdicts, bug reports and group exemplars must be byte-identical.
 //! * An `#[ignore]`d **release** run pins what every crash state above is
 //!   made of: over the benchmark's whole seq-2 space, the image the recorder
 //!   froze at each checkpoint equals the recorded IO replayed onto the
@@ -27,13 +21,16 @@
 //!   that still passes the checker would not move any pinned count.
 
 use b3_ace::{Bounds, WorkloadGenerator};
-use b3_block::{replay_until_checkpoint, CowSnapshotDevice};
-use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, RecoveryMode};
+use b3_block::{crash_state, replay_until_checkpoint, CowSnapshotDevice};
+use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy};
 use b3_harness::distrib::{
     run_with_transport, ChildTransport, DistribConfig, SweepJob, WorkerCommand,
 };
 use b3_harness::{FsKind, RunConfig, RunSummary, Sweep};
 use b3_vfs::codec::Encoder;
+use b3_vfs::error::FsResult;
+use b3_vfs::fs::FileSystem;
+use b3_vfs::snapshot::LogicalSnapshot;
 use b3_vfs::workload::FileSet;
 use b3_vfs::KernelEra;
 
@@ -50,23 +47,11 @@ fn small_seq2_bounds() -> Bounds {
     bounds
 }
 
-fn all_points_config(recovery: RecoveryMode) -> RunConfig {
-    RunConfig {
-        threads: 2,
-        crashmonkey: CrashMonkeyConfig {
-            crash_points: CrashPointPolicy::All,
-            recovery,
-            ..CrashMonkeyConfig::small()
-        },
-        ..RunConfig::default()
+fn all_points_config() -> CrashMonkeyConfig {
+    CrashMonkeyConfig {
+        crash_points: CrashPointPolicy::All,
+        ..CrashMonkeyConfig::small()
     }
-}
-
-fn sweep(kind: FsKind, recovery: RecoveryMode) -> RunSummary {
-    let spec = kind.spec(KernelEra::V4_16);
-    Sweep::new(spec.as_ref(), all_points_config(recovery))
-        .shards(NUM_SHARDS)
-        .run(&small_seq2_bounds())
 }
 
 /// Serializes every exemplar report of a summary, so equality can be
@@ -79,60 +64,62 @@ fn report_bytes(summary: &RunSummary) -> Vec<u8> {
     enc.finish()
 }
 
+/// The logical view a recovery or a mount gives, or its error.
+fn view(opened: FsResult<Box<dyn FileSystem>>) -> Result<LogicalSnapshot, String> {
+    let fs = opened.map_err(|e| e.to_string())?;
+    LogicalSnapshot::capture(fs.as_ref()).map_err(|e| e.to_string())
+}
+
 #[test]
 fn patch_forward_matches_remount_on_all_four_file_systems() {
-    let mut bugs_somewhere = false;
     for kind in FsKind::ALL {
-        let remount = sweep(kind, RecoveryMode::Remount);
-        let patched = sweep(kind, RecoveryMode::PatchForward);
-        assert!(remount.tested > 0, "{kind:?}: sweep must test workloads");
-        bugs_somewhere |= !remount.reports.is_empty();
-        assert_eq!(
-            patched.tested, remount.tested,
-            "{kind:?}: tested counts differ"
-        );
-        assert_eq!(
-            patched.skipped, remount.skipped,
-            "{kind:?}: skipped counts differ"
-        );
-        assert_eq!(
-            patched.raw_reports, remount.raw_reports,
-            "{kind:?}: raw report counts differ"
-        );
-        assert_eq!(
-            report_bytes(&patched),
-            report_bytes(&remount),
-            "{kind:?}: exemplar reports must be byte-identical"
+        let spec = kind.spec(KernelEra::V4_16);
+        let monkey = CrashMonkey::with_config(spec.as_ref(), all_points_config());
+        let mut session = spec.recovery_session();
+        let (mut workloads, mut states) = (0u64, 0u64);
+        for workload in WorkloadGenerator::new(small_seq2_bounds()) {
+            let profile = monkey.profile_only(&workload).expect("profiling runs");
+            workloads += 1;
+            for info in CrashPointPolicy::All.select(&profile.checkpoints) {
+                let state = crash_state(&profile.base_image, &profile.log, info.id)
+                    .expect("a recorded checkpoint has a crash state");
+                let recovered = view(session.recover(spec.as_ref(), Box::new(state.clone()), None));
+                let mounted = view(spec.mount(Box::new(state)));
+                assert_eq!(
+                    recovered, mounted,
+                    "{kind:?}, {}: recovering crash point {} diverged from mounting it",
+                    workload.name, info.id
+                );
+                states += 1;
+            }
+        }
+        assert!(
+            states > workloads,
+            "{kind:?}: {states} crash states over {workloads} workloads — \
+             `All` must visit several per workload"
         );
     }
-    assert!(
-        bugs_somewhere,
-        "at least one 4.16-era file system must produce bug reports, \
-         or the differential proves nothing"
-    );
 }
 
 #[test]
 fn distributed_patch_forward_matches_in_process_remount() {
     let bounds = small_seq2_bounds();
-    // The in-process reference mounts every crash state from scratch.
     let spec = FsKind::Cow.spec(KernelEra::V4_16);
-    let remount = Sweep::new(spec.as_ref(), all_points_config(RecoveryMode::Remount))
+    let config = RunConfig {
+        threads: 2,
+        crashmonkey: all_points_config(),
+        ..RunConfig::default()
+    };
+    let reference = Sweep::new(spec.as_ref(), config)
         .shards(NUM_SHARDS)
         .run(&bounds);
     assert!(
-        !remount.reports.is_empty(),
+        !reference.reports.is_empty(),
         "reference sweep must find bugs on the 4.16-era CowFs"
     );
 
-    // The workers use the default recovery mode (patch-forward); the mode
-    // is deliberately absent from the wire format because it cannot change
-    // outcomes.
     let mut job = SweepJob::new(bounds, NUM_SHARDS);
-    job.crashmonkey = CrashMonkeyConfig {
-        crash_points: CrashPointPolicy::All,
-        ..CrashMonkeyConfig::small()
-    };
+    job.crashmonkey = all_points_config();
     let config = DistribConfig {
         workers: 4,
         ..DistribConfig::default()
@@ -143,19 +130,18 @@ fn distributed_patch_forward_matches_in_process_remount() {
     assert!(outcome.is_complete());
     assert_eq!(outcome.failed_workers, 0);
 
-    assert_eq!(outcome.summary.tested, remount.tested);
-    assert_eq!(outcome.summary.skipped, remount.skipped);
-    assert_eq!(outcome.summary.raw_reports, remount.raw_reports);
+    assert_eq!(outcome.summary.tested, reference.tested);
+    assert_eq!(outcome.summary.skipped, reference.skipped);
+    assert_eq!(outcome.summary.raw_reports, reference.raw_reports);
     assert_eq!(
         report_bytes(&outcome.summary),
-        report_bytes(&remount),
-        "distributed patch-forward exemplars must be byte-identical to \
-         the in-process remount reference"
+        report_bytes(&reference),
+        "distributed exemplars must be byte-identical to the in-process reference"
     );
     // Group exemplars reassembled from the worker frames match too.
     let groups = outcome.checkpoint.bug_groups();
-    assert_eq!(groups.len(), remount.reports.len());
-    for (group, exemplar) in groups.iter().zip(&remount.reports) {
+    assert_eq!(groups.len(), reference.reports.len());
+    for (group, exemplar) in groups.iter().zip(&reference.reports) {
         assert_eq!(&group.example, exemplar);
     }
 }

@@ -261,13 +261,10 @@ pub trait FsSpec: Send + Sync {
         )))
     }
 
-    /// Starts a [recovery session](crate::recover::RecoverDelta) for
-    /// mounting sequences of adjacent crash states. The default session
-    /// ignores deltas and remounts from scratch via [`FsSpec::mount`], so
-    /// this seam is always correct; file systems override it to patch their
-    /// recovered view forward incrementally. One session may serve many
-    /// workloads: callers re-[`prime`](crate::recover::RecoverDelta::prime)
-    /// it at each workload boundary.
+    /// Starts a [recovery session](crate::recover::RecoverDelta) for crash
+    /// states. The default session mounts via [`FsSpec::mount`]; file
+    /// systems whose mount ends with a write-back override it to skip that
+    /// write-back.
     fn recovery_session(&self) -> Box<dyn crate::recover::RecoverDelta + Send> {
         Box::new(crate::recover::RemountSession)
     }

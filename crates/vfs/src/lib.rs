@@ -35,7 +35,7 @@ pub use error::{FsError, FsResult};
 pub use exec::{apply_op, apply_workload, ExecPolicy, Executor};
 pub use fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 pub use metadata::{FileType, Metadata};
-pub use recover::{CommittedTreeCache, RecoverDelta, RemountSession};
+pub use recover::{RecoverDelta, RemountSession};
 pub use snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot, SnapshotDiff};
 pub use tree::{Inode, InodeId, MemTree, ROOT_INO};
 pub use workload::{

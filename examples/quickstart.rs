@@ -152,7 +152,7 @@ fn seq2_sweep(stop_after: Option<usize>, crash_points: CrashPointPolicy) {
         ..RunConfig::default()
     };
     if crash_points == CrashPointPolicy::All {
-        println!("crash points: all persistence points (incremental recovery engaged)");
+        println!("crash points: all persistence points");
     }
     match stop_after {
         Some(budget) => println!(

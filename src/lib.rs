@@ -47,8 +47,7 @@ pub mod prelude {
     };
     pub use b3_block::{BlockDevice, RamDisk};
     pub use b3_crashmonkey::{
-        BugReport, Consequence, CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, RecoveryMode,
-        WorkloadOutcome,
+        BugReport, Consequence, CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome,
     };
     pub use b3_fs_cow::{CowBugs, CowFs, CowFsSpec};
     pub use b3_fs_flash::{FlashBugs, FlashFs, FlashFsSpec};
