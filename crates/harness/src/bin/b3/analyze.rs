@@ -31,7 +31,7 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
     let mut fs_flag: Option<FsKind> = None;
     let mut era_flag: Option<KernelEra> = None;
     let mut name: Option<String> = None;
-    while let Some(flag) = args.next_flag() {
+    while let Some(flag) = args.next_flag()? {
         match flag.as_str() {
             "--file" => file = Some(args.value()?),
             "--corpus" => corpus_id = Some(args.value()?),

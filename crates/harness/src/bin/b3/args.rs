@@ -1,5 +1,5 @@
-//! The one flag reader: `--flag V` and `--flag=V`, "needs a value",
-//! parse errors and unknown flags, all as usage errors (exit 2).
+//! The one flag reader: `--flag V` and `--flag=V`, "needs a value", "takes
+//! no value", parse errors and unknown flags, all as usage errors (exit 2).
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -28,20 +28,20 @@ impl Args {
     }
 
     /// Advances to the next flag and returns its name; a `--flag=V`
-    /// spelling keeps `V` as the flag's inline value.
-    pub fn next_flag(&mut self) -> Option<String> {
-        let arg = self.rest.next()?;
+    /// spelling keeps `V` as the flag's inline value. A value the previous
+    /// flag left unread was given to a flag that takes none.
+    pub fn next_flag(&mut self) -> Result<Option<String>, Exit> {
+        if self.inline.is_some() {
+            return Err(Exit::usage(format!("{} takes no value", self.flag)));
+        }
+        let Some(arg) = self.rest.next() else {
+            return Ok(None);
+        };
         (self.flag, self.inline) = match arg.split_once('=') {
             Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
             None => (arg, None),
         };
-        Some(self.flag.clone())
-    }
-
-    /// True when the current flag was spelled `--flag=V` (and `V` is
-    /// still unread) — for flags whose value is optional.
-    pub fn has_inline(&self) -> bool {
-        self.inline.is_some()
+        Ok(Some(self.flag.clone()))
     }
 
     /// The current flag's value: inline, or the next argument.

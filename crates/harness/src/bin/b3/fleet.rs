@@ -67,7 +67,7 @@ impl Common {
     /// Parses a command line made only of `accepted` flags.
     fn parse(accepted: &[&str], mut args: Args) -> Result<Common, Exit> {
         let mut common = Common::default();
-        while let Some(flag) = args.next_flag() {
+        while let Some(flag) = args.next_flag()? {
             if !common.take(&flag, accepted, &mut args)? {
                 return Err(args.unknown());
             }
@@ -86,7 +86,7 @@ fn connect(control: Option<String>) -> Result<FleetClient, Exit> {
 
 fn serve(mut args: Args) -> Result<(), Exit> {
     let (mut common, mut pool) = (Common::default(), PoolSpec::new());
-    while let Some(flag) = args.next_flag() {
+    while let Some(flag) = args.next_flag()? {
         let accepted = ["--dir", "--control", "--exit-when-idle"];
         if !(common.take(&flag, &accepted, &mut args)? || pool.take(&flag, &mut args)?) {
             return Err(args.unknown());
@@ -133,7 +133,7 @@ fn serve(mut args: Args) -> Result<(), Exit> {
 
 fn enqueue(mut args: Args) -> Result<(), Exit> {
     let (mut common, mut spec) = (Common::default(), JobSpec::new());
-    while let Some(flag) = args.next_flag() {
+    while let Some(flag) = args.next_flag()? {
         if !(spec.take(&flag, &mut args)? || common.take(&flag, &["--control"], &mut args)?) {
             return Err(args.unknown());
         }

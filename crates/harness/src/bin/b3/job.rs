@@ -141,7 +141,7 @@ mod tests {
     fn parse(argv: &str) -> Result<SweepJob, Exit> {
         let mut args = Args::new(argv.split_whitespace().map(str::to_string).collect());
         let mut spec = JobSpec::new();
-        while let Some(flag) = args.next_flag() {
+        while let Some(flag) = args.next_flag()? {
             if !spec.take(&flag, &mut args)? {
                 return Err(args.unknown());
             }

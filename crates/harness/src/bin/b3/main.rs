@@ -26,9 +26,7 @@ mod sweep;
 
 use std::path::Path;
 
-use b3_harness::distrib::{
-    worker_connect, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS,
-};
+use b3_harness::distrib::{worker_connect, worker_main, WorkerOptions};
 use b3_harness::{bug_group_table, GroupTable};
 use b3_vfs::codec::Encoder;
 use b3_vfs::error::FsError;
@@ -37,7 +35,7 @@ use args::Args;
 
 const USAGE: &str = "\
 usage: b3 sweep   [JOB] [POOL] [--in-process] [--checkpoint FILE] [--stop-after N] [--out FILE]
-       b3 worker  [--connect HOST:PORT] [--calibrate[=N]] [--secret S] [--die-after-workloads N]
+       b3 worker  [--connect HOST:PORT] [--secret S] [--die-after-workloads N]
        b3 fleet serve   --dir DIR [--control ADDR] [--exit-when-idle] [POOL]
        b3 fleet enqueue --control ADDR [JOB]
        b3 fleet status  (--control ADDR | --dir DIR) [--assert-all-done]
@@ -48,7 +46,7 @@ usage: b3 sweep   [JOB] [POOL] [--in-process] [--checkpoint FILE] [--stop-after 
 JOB:  --preset P --fs NAME --era ERA --shards N --prune off|rep|audit --audit-k K
       --crash-points last|all|triaged --triage-audit N --engine PROFILE
 POOL: --workers N --transport stdio|tcp --listen ADDR --ssh HOST --remote-worker CMD
-      --secret S --challenge-loopback --respawn N --calibrate --batch-target-ms T
+      --secret S --challenge-loopback --respawn N
 exit: 0 ok, 1 runtime failure, 2 usage, 3 audit divergence (README.md, \"Command line\")";
 
 /// The exit-code table: a command ends `Ok` (0) or with one of these.
@@ -120,11 +118,9 @@ fn worker(mut args: Args) -> Result<i32, Exit> {
         ..WorkerOptions::default()
     };
     let mut connect = None;
-    while let Some(flag) = args.next_flag() {
+    while let Some(flag) = args.next_flag()? {
         match flag.as_str() {
             "--connect" => connect = Some(args.value()?),
-            "--calibrate" if args.has_inline() => options.calibration_workloads = args.parsed()?,
-            "--calibrate" => options.calibration_workloads = DEFAULT_CALIBRATION_WORKLOADS,
             "--secret" => options.secret = Some(args.value()?),
             "--die-after-workloads" => options.die_after_workloads = Some(args.parsed()?),
             _ => return Err(args.unknown()),

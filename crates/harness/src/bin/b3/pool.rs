@@ -1,6 +1,7 @@
 //! The one worker-pool description: how many workers, and over which
 //! transport they attach — turned into a `DistribConfig` and a `Transport`.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use b3_harness::distrib::{
@@ -27,8 +28,6 @@ pub struct PoolSpec {
     remote_worker: String,
     challenge_loopback: bool,
     respawn: usize,
-    calibrate: bool,
-    batch_target_ms: Option<u64>,
 }
 
 impl PoolSpec {
@@ -42,15 +41,13 @@ impl PoolSpec {
             remote_worker: "b3".into(),
             challenge_loopback: false,
             respawn: 0,
-            calibrate: false,
-            batch_target_ms: None,
         }
     }
 
     /// Consumes the current flag if it is a pool flag.
     pub fn take(&mut self, flag: &str, args: &mut Args) -> Result<bool, Exit> {
         match flag {
-            "--workers" => self.workers = args.parsed()?,
+            "--workers" => self.workers = args.parsed::<NonZeroUsize>()?.get(),
             "--transport" => {
                 self.tcp = match args.value()?.as_str() {
                     "stdio" => false,
@@ -69,8 +66,6 @@ impl PoolSpec {
             "--secret" => self.secret = Some(args.value()?),
             "--challenge-loopback" => self.challenge_loopback = true,
             "--respawn" => self.respawn = args.parsed()?,
-            "--calibrate" => self.calibrate = true,
-            "--batch-target-ms" => self.batch_target_ms = Some(args.parsed()?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -83,15 +78,10 @@ impl PoolSpec {
         let config = DistribConfig {
             workers: self.workers,
             respawn_budget: self.respawn,
-            batch_target: self.batch_target_ms.map(Duration::from_millis),
             ..DistribConfig::default()
         };
-        let mut worker_args = vec!["worker".to_string()];
-        if self.calibrate {
-            worker_args.push("--calibrate".into());
-        }
         if !self.ssh.is_empty() {
-            let remote = std::iter::once(self.remote_worker.clone()).chain(worker_args);
+            let remote = [self.remote_worker.clone(), "worker".into()];
             return Ok((
                 config,
                 Box::new(SshTransport::new(self.ssh.clone(), remote)),
@@ -100,10 +90,7 @@ impl PoolSpec {
         // Local workers are this executable, re-run as `b3 worker …`.
         let program = std::env::current_exe()
             .map_err(|e| Exit::runtime(format!("cannot find my own executable: {e}")))?;
-        let mut command = WorkerCommand {
-            program,
-            args: worker_args,
-        };
+        let mut command = WorkerCommand::new(program).arg("worker");
         if !self.tcp && self.listen.is_none() {
             return Ok((config, Box::new(ChildTransport::new(command))));
         }

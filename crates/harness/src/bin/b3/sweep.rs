@@ -21,7 +21,7 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
     let mut checkpoint: Option<PathBuf> = None;
     let mut stop_after: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
-    while let Some(flag) = args.next_flag() {
+    while let Some(flag) = args.next_flag()? {
         if spec.take(&flag, &mut args)? || pool.take(&flag, &mut args)? {
             continue;
         }
@@ -66,7 +66,7 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
     );
 
     let (summary, swept) = if in_process {
-        let threads = pool.workers.max(1);
+        let threads = pool.workers;
         println!("in-process on {threads} threads");
         let config = RunConfig {
             threads,

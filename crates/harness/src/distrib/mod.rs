@@ -15,16 +15,14 @@
 //! ```text
 //!  coordinator                               worker (any transport)
 //!  ───────────                               ──────────────────────
-//!  connect ────────────────────────────────▶ start (+ calibration burst)
+//!  connect ────────────────────────────────▶ start
 //!  [auth links: Challenge { nonce } ──────▶  compute HMAC answer]
-//!                    ◀ Hello { version, calibrated rate, auth }
-//!  (version + challenge answer checked;
-//!   batches sized by the observed-throughput
-//!   EWMA, seeded by the calibrated rate)
+//!                               ◀ Hello { version, auth }
+//!  (version + challenge answer checked)
 //!  Job { job, fingerprint } ───────────────▶ recompute fingerprint; on
 //!                                            mismatch: Reject + exit
 //!                                          ◀ Claim
-//!  Assign { shard indices } ───────────────▶ run each shard via the
+//!  Assign { assign_batch shards } ─────────▶ run each shard via the
 //!                                            sweep engine's shard runner
 //!                          ◀ ShardDone { shard, result }   (per shard)
 //!                                          ◀ Claim
@@ -89,9 +87,7 @@ pub use segment::{load_checkpoint, save_checkpoint, segment_stats, SegmentStats}
 pub use transport::{
     ChildTransport, SshTransport, TcpTransport, Transport, WorkerCommand, WorkerLink,
 };
-pub use worker::{
-    worker_connect, worker_main, WorkerOptions, DEFAULT_CALIBRATION_WORKLOADS, WORKER_CRASH_EXIT,
-};
+pub use worker::{worker_connect, worker_main, WorkerOptions, WORKER_CRASH_EXIT};
 
 use crate::dedup::GroupKey;
 use crate::postprocess::BugGroup;
@@ -428,31 +424,10 @@ pub struct DistribConfig {
     /// Number of worker slots to serve. Each slot asks the transport for
     /// one link (plus one per respawn).
     pub workers: usize,
-    /// Shards handed out per assignment when capability-based sizing is
-    /// off (or the worker reported no calibrated rate). One is the safest
-    /// (losing a worker loses at most one in-flight shard); larger batches
-    /// amortize protocol round-trips when shards are tiny.
+    /// Shards handed out per `Claim`. One is the safest (losing a worker
+    /// loses at most one in-flight shard); a larger batch saves a round
+    /// trip per shard. Workers pull, so a faster host already claims more.
     pub assign_batch: usize,
-    /// When set, each worker's batches are sized so one batch is roughly
-    /// this much work at the worker's *effective* rate — an EWMA of the
-    /// throughput actually observed across its `ShardDone` frames, seeded
-    /// by the rate its [`Hello`] reported — so a fast host gets more shards
-    /// per round-trip instead of being drip-fed, and a host that slows
-    /// down (or warms up) after calibration converges to batches matching
-    /// what it really delivers. Clamped to [`assign_batch`,
-    /// [`max_batch`]]. Workers with no calibration *and* no observed
-    /// throughput yet fall back to [`assign_batch`].
-    ///
-    /// [`assign_batch`]: DistribConfig::assign_batch
-    /// [`max_batch`]: DistribConfig::max_batch
-    pub batch_target: Option<Duration>,
-    /// Upper bound on capability-sized batches (bounds the work lost when
-    /// a fast worker dies mid-batch). Must be at least
-    /// [`assign_batch`](DistribConfig::assign_batch); a config with
-    /// `assign_batch > max_batch` is rejected by
-    /// [`DistribConfig::validate`] (which every coordinator entry point
-    /// calls) rather than silently exceeding this bound.
-    pub max_batch: usize,
     /// How many replacement links a dead worker slot may establish: the
     /// dead link's in-flight shards are re-queued and the transport is
     /// asked for a fresh link (a new child, a new inbound TCP connection,
@@ -483,8 +458,6 @@ impl Default for DistribConfig {
         DistribConfig {
             workers: 4,
             assign_batch: 1,
-            batch_target: None,
-            max_batch: 64,
             respawn_budget: 0,
             stop_after_shards: None,
             stop_after_workloads: None,
@@ -495,24 +468,13 @@ impl Default for DistribConfig {
 }
 
 impl DistribConfig {
-    /// Rejects configurations the scheduler cannot honor. Today that is
-    /// one rule: `assign_batch` (the batch floor) must not exceed
-    /// `max_batch` (the documented upper bound on work lost to a dying
-    /// worker) — the old behavior silently raised the cap to the floor,
-    /// which let a config that *looked* bounded hand out oversized
-    /// batches. Called by every coordinator entry point.
+    /// Rejects configurations the scheduler cannot honor: no worker slot,
+    /// or an empty batch. Called by every coordinator entry point.
     pub fn validate(&self) -> FsResult<()> {
-        if self.max_batch == 0 {
+        if self.workers == 0 || self.assign_batch == 0 {
             return Err(FsError::InvalidArgument(
-                "max_batch must be at least 1 (it caps every assignment batch)".into(),
+                "workers and assign_batch must each be at least 1".into(),
             ));
-        }
-        if self.assign_batch > self.max_batch {
-            return Err(FsError::InvalidArgument(format!(
-                "assign_batch ({}) exceeds max_batch ({}): the batch floor cannot be \
-                 above the documented per-assignment cap",
-                self.assign_batch, self.max_batch
-            )));
         }
         Ok(())
     }
@@ -603,29 +565,12 @@ struct CoordState {
     seen_groups: std::collections::BTreeSet<GroupKey>,
 }
 
-/// Weight of the newest throughput sample in the observed-rate EWMA: high
-/// enough that a host that slows down re-sizes its batches within a few
-/// shards, low enough that one outlier shard does not whipsaw the batch
-/// size.
-const OBSERVED_RATE_ALPHA: f64 = 0.3;
-
 struct WorkerTelemetry {
     /// Transport endpoint of the slot's current link (`child:<pid>`,
     /// `host:port`, `ssh:<host>#<pid>`); empty until the first handshake.
-    /// Kept across link death (progress output still names the machine
-    /// the dead slot last ran on) — only the rates are cleared.
+    /// Kept across link death: progress output still names the machine
+    /// the dead slot last ran on.
     endpoint: String,
-    /// Calibrated throughput from the current link's `Hello`, if it
-    /// calibrated. Only the sizing *seed*: observed throughput supersedes
-    /// it as `ShardDone` frames arrive.
-    reported_rate: Option<f64>,
-    /// EWMA of the throughput actually observed across this link's
-    /// `ShardDone` frames (workloads processed / time since the previous
-    /// frame on this link).
-    observed_rate: Option<f64>,
-    /// When this link's last `ShardDone` (or its `Hello`) landed — the
-    /// denominator baseline for the next observed-rate sample.
-    last_activity: Option<Instant>,
     tested: u64,
     shards: u64,
     respawns: u64,
@@ -637,9 +582,6 @@ impl WorkerTelemetry {
     fn idle() -> WorkerTelemetry {
         WorkerTelemetry {
             endpoint: String::new(),
-            reported_rate: None,
-            observed_rate: None,
-            last_activity: None,
             tested: 0,
             shards: 0,
             respawns: 0,
@@ -647,51 +589,17 @@ impl WorkerTelemetry {
         }
     }
 
-    /// The rate batch sizing uses: observed throughput once any exists
-    /// (it reflects *this job's* per-workload cost), else the calibration
-    /// the worker reported.
-    fn effective_rate(&self) -> Option<f64> {
-        self.observed_rate.or(self.reported_rate)
-    }
-
     /// A fresh link completed its handshake on this slot.
-    fn handshake(&mut self, endpoint: &str, hello: &Hello, now: Instant) {
+    fn handshake(&mut self, endpoint: &str) {
         self.endpoint = endpoint.to_string();
-        self.reported_rate = (hello.calibrated_rate > 0.0).then_some(hello.calibrated_rate);
-        self.observed_rate = None;
-        self.last_activity = Some(now);
         self.alive = true;
     }
 
-    /// Folds one `ShardDone` into the observed-rate EWMA: `processed`
-    /// workloads landed `now`, so the sample is workloads per second since
-    /// the link's previous activity.
-    fn observe(&mut self, processed: u64, now: Instant) {
-        if let Some(last) = self.last_activity {
-            let dt = now.duration_since(last).as_secs_f64();
-            if dt > 0.0 && processed > 0 {
-                let sample = processed as f64 / dt;
-                self.observed_rate = Some(match self.observed_rate {
-                    Some(previous) => {
-                        OBSERVED_RATE_ALPHA * sample + (1.0 - OBSERVED_RATE_ALPHA) * previous
-                    }
-                    None => sample,
-                });
-            }
-        }
-        self.last_activity = Some(now);
-    }
-
-    /// The slot's link is gone (died, broke protocol, or wound down).
-    /// Clears liveness *and* both rates immediately — a replacement link
-    /// must never inherit the dead link's throughput for its first
-    /// batches, and progress output must never attribute a live rate to a
-    /// dead endpoint. The endpoint string stays for attribution.
+    /// The slot's link is gone (died, broke protocol, or wound down):
+    /// progress output must never attribute live throughput to a dead
+    /// endpoint. The endpoint string stays for attribution.
     fn mark_dead(&mut self) {
         self.alive = false;
-        self.reported_rate = None;
-        self.observed_rate = None;
-        self.last_activity = None;
     }
 }
 
@@ -741,32 +649,10 @@ impl CoordState {
                     shards: w.shards,
                     throughput: (w.alive && !elapsed.is_zero())
                         .then(|| w.tested as f64 / elapsed.as_secs_f64()),
-                    // `mark_dead` cleared both rates with the link, so a
-                    // dead slot can never report a stale sizing rate here.
-                    rate: w.effective_rate(),
                 })
                 .collect(),
         }
     }
-}
-
-/// Sizes one assignment batch for a worker: `assign_batch` when capability
-/// sizing is off or the worker has no effective rate yet; otherwise enough
-/// shards that the batch is roughly `batch_target` of work at the given
-/// rate (the observed EWMA once one exists, else the `Hello` calibration),
-/// clamped to `[assign_batch, max_batch]`. [`DistribConfig::validate`]
-/// guarantees the clamp range is well-formed, so `max_batch` is a hard
-/// cap — never silently raised to the floor.
-fn sized_batch(config: &DistribConfig, rate: Option<f64>, avg_shard_workloads: f64) -> usize {
-    let base = config.assign_batch.max(1).min(config.max_batch);
-    let (Some(target), Some(rate)) = (config.batch_target, rate) else {
-        return base;
-    };
-    if rate <= 0.0 || avg_shard_workloads <= 0.0 {
-        return base;
-    }
-    let sized = (rate * target.as_secs_f64() / avg_shard_workloads) as usize;
-    sized.clamp(base, config.max_batch)
 }
 
 /// Observation and control hooks for [`run_with_transport_hooked`] — what
@@ -790,12 +676,12 @@ pub struct DistribHooks<'a> {
 }
 
 /// Runs (or resumes) a distributed sweep over any [`Transport`]: serves
-/// `config.workers` worker slots, feeds each link shards (batch-sized by
-/// its calibrated throughput when [`DistribConfig::batch_target`] is set),
-/// merges every returned grouped per-shard result into the checkpoint, and
-/// durably appends each merge to the checkpoint file as one delta record
-/// (compacting the file when the deltas outgrow the last snapshot — never
-/// a full rewrite per shard).
+/// `config.workers` worker slots, feeds each link
+/// [`DistribConfig::assign_batch`] shards per claim, merges every returned
+/// grouped per-shard result into the checkpoint, and durably appends each
+/// merge to the checkpoint file as one delta record (compacting the file
+/// when the deltas outgrow the last snapshot — never a full rewrite per
+/// shard).
 ///
 /// When `config.checkpoint_path` names an existing file, the sweep resumes
 /// from it; a checkpoint recorded for a different sweep — other bounds,
@@ -889,7 +775,7 @@ pub fn run_with_transport_hooked(
             processed_this_run: 0,
             assigned_candidates: 0,
             stopping: false,
-            workers: (0..config.workers.max(1))
+            workers: (0..config.workers)
                 .map(|_| WorkerTelemetry::idle())
                 .collect(),
             failed_workers: 0,
@@ -905,17 +791,10 @@ pub fn run_with_transport_hooked(
         fingerprint: job.empty_checkpoint().fingerprint().to_string(),
     }
     .to_frame();
-    let workers_to_spawn = config.workers.max(1);
     let shard_sizes = job.shard_sizes();
-    let avg_shard_workloads = if job.num_shards > 0 {
-        total_workloads as f64 / job.num_shards as f64
-    } else {
-        0.0
-    };
     let slot_context = SlotContext {
         job_frame: &job_frame,
         shard_sizes: &shard_sizes,
-        avg_shard_workloads,
         coord: &coord,
         persister: persister.as_ref(),
         config,
@@ -942,7 +821,7 @@ pub fn run_with_transport_hooked(
             );
         }
 
-        let handles: Vec<_> = (0..workers_to_spawn)
+        let handles: Vec<_> = (0..config.workers)
             .map(|index| {
                 let slot_context = &slot_context;
                 scope.spawn(move || serve_slot(index, slot_context))
@@ -1009,7 +888,6 @@ pub fn run_with_transport_hooked(
 struct SlotContext<'a> {
     job_frame: &'a [u8],
     shard_sizes: &'a [u64],
-    avg_shard_workloads: f64,
     coord: &'a Coord,
     persister: Option<&'a Persister>,
     config: &'a DistribConfig,
@@ -1153,9 +1031,8 @@ fn serve_slot(index: usize, ctx: &SlotContext<'_>) -> FsResult<()> {
             }
         }
         // Mark the slot dead *immediately* — before any replacement link's
-        // Hello — clearing its rates with it: progress output must never
-        // attribute live throughput (or a stale sizing rate) to the dead
-        // endpoint, and a replacement must re-earn its batch size.
+        // Hello: progress output must never attribute live throughput to
+        // the dead endpoint.
         state.workers[index].mark_dead();
         // Wake any worker waiting for in-flight shards: either the queue
         // just grew, or this was the last in-flight holder.
@@ -1300,7 +1177,7 @@ fn serve_session<'a>(
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.workers[index].handshake(link.endpoint(), &hello, Instant::now());
+        state.workers[index].handshake(link.endpoint());
     }
 
     loop {
@@ -1345,12 +1222,7 @@ fn serve_session<'a>(
                             break Vec::new();
                         }
                         if !state.queue.is_empty() {
-                            let want = sized_batch(
-                                config,
-                                state.workers[index].effective_rate(),
-                                ctx.avg_shard_workloads,
-                            );
-                            let take = want.min(state.queue.len());
+                            let take = config.assign_batch.min(state.queue.len());
                             let batch: Vec<u32> = state.queue.drain(..take).collect();
                             for &shard in &batch {
                                 state.assigned_candidates += ctx.shard_sizes[shard as usize];
@@ -1431,10 +1303,6 @@ fn serve_session<'a>(
                     let telemetry = &mut state.workers[index];
                     telemetry.shards += 1;
                     telemetry.tested += result.tested;
-                    // Fold this frame into the observed-throughput EWMA:
-                    // batch sizing follows what the worker actually
-                    // delivers, not its one-shot Hello calibration.
-                    telemetry.observe(processed, Instant::now());
                     // Bug groups this shard introduces to the whole sweep:
                     // collected under the lock (the seen-set must be
                     // consistent), streamed to the hook outside it.
@@ -1493,168 +1361,44 @@ fn serve_session<'a>(
 mod tests {
     use super::*;
 
-    fn config_with(batch_target: Option<Duration>) -> DistribConfig {
-        DistribConfig {
-            assign_batch: 1,
-            batch_target,
-            max_batch: 16,
-            ..DistribConfig::default()
-        }
-    }
-
-    #[test]
-    fn uncalibrated_workers_get_the_base_batch() {
-        let config = config_with(Some(Duration::from_secs(2)));
-        assert_eq!(sized_batch(&config, None, 100.0), 1);
-        // Capability sizing off entirely: rate is ignored.
-        let config = config_with(None);
-        assert_eq!(sized_batch(&config, Some(10_000.0), 100.0), 1);
-    }
-
-    #[test]
-    fn fast_workers_get_bigger_batches_than_slow_ones() {
-        let config = config_with(Some(Duration::from_secs(2)));
-        // 100 workloads per shard: a 1000/s worker covers ~20 shards in the
-        // 2s target (clamped to max_batch), a 100/s worker 2, a 10/s worker
-        // stays at the floor.
-        assert_eq!(sized_batch(&config, Some(1000.0), 100.0), 16);
-        assert_eq!(sized_batch(&config, Some(100.0), 100.0), 2);
-        assert_eq!(sized_batch(&config, Some(10.0), 100.0), 1);
-    }
-
-    #[test]
-    fn degenerate_inputs_fall_back_to_the_floor() {
-        let config = config_with(Some(Duration::from_secs(2)));
-        assert_eq!(sized_batch(&config, Some(0.0), 100.0), 1);
-        assert_eq!(sized_batch(&config, Some(100.0), 0.0), 1);
-    }
-
-    /// The documented `max_batch` bound is hard: a config whose floor
-    /// exceeds it is rejected up front by `validate()` (the old behavior
-    /// silently raised the cap to the floor), and capability sizing can
-    /// never exceed the cap.
-    #[test]
-    fn assign_batch_above_max_batch_is_rejected_not_silently_exceeded() {
-        let config = DistribConfig {
-            assign_batch: 32,
-            max_batch: 8,
-            ..DistribConfig::default()
-        };
-        let error = config.validate().unwrap_err();
-        assert!(error.to_string().contains("exceeds max_batch"), "{error}");
-        // Every coordinator entry point validates, so the bad config never
-        // reaches a transport.
-        let job = SweepJob::new(Bounds::tiny(), 2);
-        let transport = ChildTransport::new(WorkerCommand::new("unused"));
-        let error = run_with_transport(&job, &config, &transport, None).unwrap_err();
-        assert!(error.to_string().contains("exceeds max_batch"), "{error}");
-
-        let degenerate = DistribConfig {
-            max_batch: 0,
-            ..DistribConfig::default()
-        };
-        assert!(degenerate.validate().is_err());
-
-        // A valid config's sizing stays within the cap even for an
-        // arbitrarily fast worker.
-        let config = DistribConfig {
-            assign_batch: 4,
-            batch_target: Some(Duration::from_secs(2)),
-            max_batch: 16,
-            ..DistribConfig::default()
-        };
-        config.validate().unwrap();
-        assert_eq!(sized_batch(&config, Some(1.0e12), 100.0), 16);
-    }
-
-    /// Satellite: batch sizing must track *observed* throughput, not the
-    /// one-shot `Hello` calibration. A worker that reported fast but runs
-    /// slow shrinks to small batches; one that reported slow (or not at
-    /// all) but runs fast grows.
-    #[test]
-    fn observed_rate_overrides_stale_hello_calibration() {
-        let config = config_with(Some(Duration::from_secs(2)));
-        let started = Instant::now();
-        let mut telemetry = WorkerTelemetry::idle();
-        telemetry.handshake(
-            "mock:1",
-            &Hello {
-                version: PROTOCOL_VERSION,
-                calibrated_rate: 10_000.0,
-                auth: String::new(),
-            },
-            started,
-        );
-        // Freshly handshaken: only the reported rate exists, so the batch
-        // is cap-sized for the claimed 10k/s.
-        assert_eq!(telemetry.effective_rate(), Some(10_000.0));
-        assert_eq!(sized_batch(&config, telemetry.effective_rate(), 100.0), 16);
-        // The host then *delivers* 100 workloads per second: each
-        // ShardDone lands 100 workloads one second after the previous.
-        for i in 1..=5u64 {
-            telemetry.observe(100, started + Duration::from_secs(i));
-        }
-        let observed = telemetry.effective_rate().expect("observed rate exists");
-        assert!(
-            (observed - 100.0).abs() < 1.0,
-            "EWMA of identical 100/s samples must sit at 100/s, got {observed}"
-        );
-        // Batches now match reality (2 shards of ~100 workloads in the 2s
-        // target), not the stale calibration's 16.
-        assert_eq!(sized_batch(&config, telemetry.effective_rate(), 100.0), 2);
-
-        // The divergence works the other way too: an uncalibrated worker
-        // that turns out to be fast earns big batches.
-        let mut warmup = WorkerTelemetry::idle();
-        warmup.handshake(
-            "mock:2",
-            &Hello {
-                version: PROTOCOL_VERSION,
-                calibrated_rate: 0.0,
-                auth: String::new(),
-            },
-            started,
-        );
-        assert_eq!(sized_batch(&config, warmup.effective_rate(), 100.0), 1);
-        warmup.observe(2_000, started + Duration::from_secs(1));
-        assert_eq!(sized_batch(&config, warmup.effective_rate(), 100.0), 16);
-    }
-
-    /// Satellite: the moment a link dies its slot must stop advertising a
-    /// rate — a replacement link must re-earn its batch size instead of
-    /// inheriting the dead link's, and progress output must never show a
-    /// live rate on a dead endpoint.
+    /// The moment a link dies its slot stops counting as alive — progress
+    /// output must never show a live rate on a dead endpoint — but keeps
+    /// the endpoint, so the row still names the machine.
     #[test]
     fn dead_slots_drop_their_rates_immediately() {
-        let started = Instant::now();
         let mut telemetry = WorkerTelemetry::idle();
-        telemetry.handshake(
-            "127.0.0.1:9999",
-            &Hello {
-                version: PROTOCOL_VERSION,
-                calibrated_rate: 500.0,
-                auth: String::new(),
-            },
-            started,
-        );
-        telemetry.observe(100, started + Duration::from_secs(1));
-        assert!(telemetry.effective_rate().is_some());
+        telemetry.handshake("127.0.0.1:9999");
+        assert!(telemetry.alive);
 
         telemetry.mark_dead();
         assert!(!telemetry.alive);
         assert_eq!(
-            telemetry.effective_rate(),
-            None,
-            "a dead slot must not keep a sizing rate"
-        );
-        assert_eq!(
             telemetry.endpoint, "127.0.0.1:9999",
             "the endpoint stays for attribution"
         );
-        // The batch size consequently falls back to the floor until the
-        // replacement's handshake + observations rebuild a rate.
-        let config = config_with(Some(Duration::from_secs(2)));
-        assert_eq!(sized_batch(&config, telemetry.effective_rate(), 100.0), 1);
+    }
+
+    /// A coordinator with no slot, or with empty batches, cannot run a
+    /// shard: refused up front, not silently corrected — and every entry
+    /// point validates, so such a config never reaches a transport.
+    #[test]
+    fn zero_workers_or_an_empty_batch_is_rejected() {
+        let job = SweepJob::new(Bounds::tiny(), 2);
+        let transport = ChildTransport::new(WorkerCommand::new("unused"));
+        for config in [
+            DistribConfig {
+                workers: 0,
+                ..DistribConfig::default()
+            },
+            DistribConfig {
+                assign_batch: 0,
+                ..DistribConfig::default()
+            },
+        ] {
+            let error = run_with_transport(&job, &config, &transport, None).unwrap_err();
+            assert!(error.to_string().contains("at least 1"), "{error}");
+        }
+        DistribConfig::default().validate().unwrap();
     }
 
     /// The error table in `docs/PROTOCOL.md`: desynced streams are fatal
@@ -1710,7 +1454,6 @@ mod tests {
         let ctx = SlotContext {
             job_frame: &job_frame,
             shard_sizes: &shard_sizes,
-            avg_shard_workloads: 5.0,
             coord: &coord,
             persister,
             config,
@@ -1780,7 +1523,6 @@ mod tests {
         fn new(checkpoint_path: PathBuf, die_after_results: Option<usize>) -> ScriptedWorker {
             let hello = FromWorker::Hello(Hello {
                 version: PROTOCOL_VERSION,
-                calibrated_rate: 0.0,
                 auth: String::new(),
             });
             ScriptedWorker {

@@ -14,8 +14,8 @@
 //! 1. on a link that requires authentication (a non-loopback TCP worker,
 //!    see [`super::auth`]) the coordinator first sends
 //!    [`ToWorker::Challenge`] with a fresh nonce,
-//! 2. the worker sends [`Hello`] (protocol version + calibrated throughput
-//!    + the HMAC answer to the challenge, empty when unchallenged),
+//! 2. the worker sends [`Hello`] (protocol version + the HMAC answer to
+//!    the challenge, empty when unchallenged),
 //! 3. the coordinator validates the version (and the challenge answer) and
 //!    replies with `Job` (the [`SweepJob`] plus the checkpoint fingerprint
 //!    it expects) — on unauthenticated links the `Job` is sent eagerly,
@@ -55,8 +55,9 @@ use crate::sweep::ShardResult;
 /// v6 added the job-space kind byte ([`wire::SPACE_FS`]/[`wire::SPACE_APP`])
 /// to `SweepJob`, so a job can carry either the ACE file-system bounds or
 /// the application transaction bounds plus the WAL/KV engine profile
-/// (`b3_app`, see docs/APP.md).
-pub const PROTOCOL_VERSION: u32 = 6;
+/// (`b3_app`, see docs/APP.md); v7 dropped the calibrated rate from
+/// `Hello` (shard batches are a fixed size).
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Frame tag bytes. Coordinator-to-worker tags occupy the low range,
 /// worker-to-coordinator tags have the high bit set — so a desynced stream
@@ -73,7 +74,7 @@ pub mod wire {
     pub const SHUTDOWN: u8 = 0x03;
     /// Coordinator → worker: shared-secret challenge nonce (auth links only).
     pub const CHALLENGE: u8 = 0x04;
-    /// Worker → coordinator: version + capability handshake (first frame).
+    /// Worker → coordinator: version handshake (first frame).
     pub const HELLO: u8 = 0x80;
     /// Worker → coordinator: idle, requesting shards.
     pub const CLAIM: u8 = 0x81;
@@ -151,20 +152,14 @@ pub fn read_frame(reader: &mut impl Read) -> FsResult<Vec<u8>> {
     Ok(payload)
 }
 
-/// The worker's opening handshake frame: which protocol it speaks and how
-/// fast it measured itself to be.
+/// The worker's opening handshake frame: which protocol it speaks, and its
+/// answer to the coordinator's challenge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
     /// The worker binary's [`PROTOCOL_VERSION`]. The coordinator refuses
     /// any other value — and never respawns after a refusal, since the
     /// same binary would fail the same way.
     pub version: u32,
-    /// Workloads per second measured by a short calibration burst on the
-    /// worker's host, or `0.0` when calibration was disabled. The
-    /// coordinator seeds the worker's shard-batch sizing from this until
-    /// observed throughput takes over (capability negotiation); it is a
-    /// relative capability signal, not a promise of sweep throughput.
-    pub calibrated_rate: f64,
     /// Answer to a [`ToWorker::Challenge`]: lowercase hex of
     /// `HMAC-SHA-256(secret, nonce)` (see [`super::auth`]). Empty on links
     /// that were not challenged (spawned stdio/ssh workers, loopback TCP).
@@ -188,9 +183,8 @@ pub enum ToWorker {
         /// `job.empty_checkpoint().fingerprint()` as the coordinator sees it.
         fingerprint: String,
     },
-    /// Shard indices to run, in order. Sized by the worker's effective
-    /// throughput (observed EWMA, seeded by the calibrated `Hello` rate)
-    /// when capability-based batching is on.
+    /// Shard indices to run, in order: `DistribConfig::assign_batch` of
+    /// them, or what is left of the queue.
     Assign(Vec<u32>),
     /// No more work; the worker exits cleanly.
     Shutdown,
@@ -299,7 +293,6 @@ impl FromWorker {
             FromWorker::Hello(hello) => {
                 enc.put_u8(wire::HELLO);
                 enc.put_u32(hello.version);
-                enc.put_u64(hello.calibrated_rate.to_bits());
                 enc.put_str(&hello.auth);
             }
             FromWorker::Claim => enc.put_u8(wire::CLAIM),
@@ -321,14 +314,15 @@ impl FromWorker {
         let mut dec = Decoder::new(frame);
         match dec.get_u8()? {
             wire::HELLO => {
+                // Another version may lay the rest out differently: stop at
+                // the version, so `validate_hello` refuses the worker as a
+                // mismatched binary instead of the decoder as a desync.
                 let version = dec.get_u32()?;
-                let calibrated_rate = f64::from_bits(dec.get_u64()?);
-                let auth = dec.get_str()?;
-                Ok(FromWorker::Hello(Hello {
-                    version,
-                    calibrated_rate,
-                    auth,
-                }))
+                let auth = match version {
+                    PROTOCOL_VERSION => dec.get_str()?,
+                    _ => String::new(),
+                };
+                Ok(FromWorker::Hello(Hello { version, auth }))
             }
             wire::CLAIM => Ok(FromWorker::Claim),
             wire::SHARD_DONE => Ok(FromWorker::ShardDone {
@@ -367,7 +361,6 @@ mod tests {
     fn hello_round_trips_including_rate_and_auth() {
         let hello = Hello {
             version: PROTOCOL_VERSION,
-            calibrated_rate: 1234.5678,
             auth: "0123abcd".into(),
         };
         let frame = FromWorker::Hello(hello.clone()).to_frame();
@@ -393,17 +386,32 @@ mod tests {
     fn version_mismatch_is_rejected_and_current_version_accepted() {
         assert!(validate_hello(&Hello {
             version: PROTOCOL_VERSION,
-            calibrated_rate: 0.0,
             auth: String::new(),
         })
         .is_ok());
         let stale = Hello {
             version: PROTOCOL_VERSION + 1,
-            calibrated_rate: 0.0,
             auth: String::new(),
         };
         let error = validate_hello(&stale).unwrap_err();
         assert!(error.to_string().contains("protocol version"));
+    }
+
+    /// A v6 worker's `Hello` carries a rate where v7 has `auth`'s length:
+    /// read as v7 it would fail as a desync. It must be refused for its
+    /// version instead, which the coordinator never respawns.
+    #[test]
+    fn a_v6_hello_is_refused_by_its_version() {
+        let mut enc = Encoder::new();
+        enc.put_u8(wire::HELLO);
+        enc.put_u32(6);
+        enc.put_u64(1234.5678_f64.to_bits());
+        enc.put_str("");
+        let FromWorker::Hello(hello) = FromWorker::from_frame(&enc.finish()).unwrap() else {
+            panic!("expected Hello");
+        };
+        let error = validate_hello(&hello).unwrap_err();
+        assert!(error.to_string().contains("protocol version 6"), "{error}");
     }
 
     #[test]

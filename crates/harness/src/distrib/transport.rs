@@ -535,7 +535,7 @@ pub struct SshTransport {
 
 impl SshTransport {
     /// A transport running `remote_command` (program + args, e.g.
-    /// `["b3", "worker", "--calibrate"]`) on each of `hosts` via `ssh`.
+    /// `["b3", "worker"]`) on each of `hosts` via `ssh`.
     ///
     /// # Panics
     /// Panics if `hosts` or `remote_command` is empty.

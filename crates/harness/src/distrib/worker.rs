@@ -4,33 +4,24 @@
 //! process's stdin/stdout (for stdio-child and ssh-pipe transports, where
 //! the spawner owns the pipe), and [`worker_connect`] dials a coordinator's
 //! TCP listener and speaks the same frames over the socket. Both run the
-//! identical loop: calibrate (optionally), read the coordinator's opening
-//! frame (a `Challenge` on authenticated links, otherwise the eagerly-sent
-//! `Job`), send `Hello` (carrying the HMAC challenge answer when one was
-//! issued), verify the job fingerprint, then claim and run shards until
-//! `Shutdown`.
+//! identical loop: read the coordinator's opening frame (a `Challenge` on
+//! authenticated links, otherwise the eagerly-sent `Job`), send `Hello`
+//! (carrying the HMAC challenge answer when one was issued), verify the job
+//! fingerprint, then claim and run shards until `Shutdown`.
 
 use std::io::{Read, Write};
-use std::time::Instant;
 
-use b3_ace::Bounds;
-use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
 use b3_vfs::error::{FsError, FsResult};
-use b3_vfs::KernelEra;
 
 use super::protocol::PROTOCOL_VERSION;
 use super::protocol::{read_frame, transport_err, write_frame, FromWorker, Hello, ToWorker};
 use super::with_job_space;
-use crate::corpus::FsKind;
 use crate::engine::JobSpace;
 use crate::runner::LiveCounters;
 
 /// Exit code a worker uses when its injected crash hook fires (the chaos
 /// tests' stand-in for a worker VM dying mid-shard).
 pub const WORKER_CRASH_EXIT: i32 = 41;
-
-/// Default size of the calibration burst `--calibrate` runs (workloads).
-pub const DEFAULT_CALIBRATION_WORKLOADS: u64 = 64;
 
 /// Options for [`worker_main`] / [`worker_connect`].
 #[derive(Debug, Clone, Default)]
@@ -39,44 +30,11 @@ pub struct WorkerOptions {
     /// running workload `N` (counted across all assigned shards), i.e. die
     /// mid-shard. `None` disables the hook.
     pub die_after_workloads: Option<u64>,
-    /// Workloads to run in the calibration burst before the `Hello` frame.
-    /// `0` (the default) skips calibration and reports an unknown rate; the
-    /// coordinator then falls back to fixed-size shard batches for this
-    /// worker until observed throughput accumulates.
-    pub calibration_workloads: u64,
     /// Shared secret for answering a coordinator's `Challenge` (required
     /// when dialing a non-loopback listener; see
     /// [`super::auth`]). `None` on spawned stdio/ssh workers and loopback
     /// dials, which are never challenged.
     pub secret: Option<String>,
-}
-
-/// Measures this host's crash-testing throughput with a short burst over a
-/// fixed tiny space (CowFs at the evaluation era, CrashMonkey's small
-/// device), cycling the space as needed. The result is a *relative*
-/// capability signal for batch sizing — the real job's per-workload cost
-/// differs — so precision beyond "fast host vs slow host" is not the goal.
-fn calibration_rate(workloads: u64) -> f64 {
-    let bounds = Bounds::tiny();
-    let spec = FsKind::Cow.spec(KernelEra::EVALUATION);
-    let monkey = CrashMonkey::with_config(spec.as_ref(), CrashMonkeyConfig::small());
-    let started = Instant::now();
-    let mut remaining = workloads;
-    while remaining > 0 {
-        for workload in b3_ace::WorkloadGenerator::new(bounds.clone()) {
-            let _ = monkey.test_workload(&workload);
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    if elapsed > 0.0 {
-        workloads as f64 / elapsed
-    } else {
-        0.0
-    }
 }
 
 /// The worker side of the protocol, speaking frames over this process's
@@ -128,12 +86,6 @@ fn worker_loop(
     writer: &mut impl Write,
     options: &WorkerOptions,
 ) -> FsResult<()> {
-    let calibrated_rate = if options.calibration_workloads > 0 {
-        calibration_rate(options.calibration_workloads)
-    } else {
-        0.0
-    };
-
     // The coordinator always writes its opening frame eagerly — a
     // `Challenge` on authenticated links, otherwise the `Job` itself — so
     // reading before sending `Hello` cannot deadlock, and lets the worker
@@ -158,7 +110,6 @@ fn worker_loop(
         writer,
         &FromWorker::Hello(Hello {
             version: PROTOCOL_VERSION,
-            calibrated_rate,
             auth,
         })
         .to_frame(),

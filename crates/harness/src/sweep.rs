@@ -55,12 +55,6 @@ pub struct WorkerThroughput {
     /// Workloads tested per second of wall-clock time, or `None` once the
     /// worker has exited (cleanly or not).
     pub throughput: Option<f64>,
-    /// The rate the coordinator currently sizes this worker's batches by:
-    /// the observed-throughput EWMA once ShardDone frames have arrived,
-    /// else the `Hello` calibration, else `None`. Cleared the moment the
-    /// link dies, so a dead slot never keeps a stale rate — `None` whenever
-    /// `throughput` is `None`.
-    pub rate: Option<f64>,
 }
 
 /// A point-in-time view of a running sweep, handed to progress callbacks.

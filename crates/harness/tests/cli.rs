@@ -64,11 +64,18 @@ fn in_process_and_tcp_fanout_write_the_same_bytes_for_both_spaces() {
 
 #[test]
 fn usage_errors_exit_2_from_every_subcommand() {
-    let bad: [&[&str]; 12] = [
+    let bad: [&[&str]; 18] = [
         &[],
         &["frobnicate"],
         &["sweep", "--era", "3.13", "--nope"],
         &["sweep", "--workers"],
+        &["sweep", "--workers", "0"],
+        &["fleet", "serve", "--dir", "x", "--workers", "0"],
+        // A value given to a flag that takes none, mid-line and last.
+        &["sweep", "--in-process=false", "--preset", "tiny-seq2"],
+        &["sweep", "--preset", "tiny-seq2", "--challenge-loopback=no"],
+        &["fleet", "serve", "--dir", "x", "--exit-when-idle=no"],
+        &["fleet", "status", "--dir", "x", "--assert-all-done=no"],
         &["sweep", "--transport", "carrier-pigeon"],
         &["sweep", "--in-process", "--checkpoint", "x.ck"],
         &["worker", "--bogus"],

@@ -409,10 +409,10 @@ fn concurrent_saves_keep_the_checkpoint_loadable() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Four workers over the TCP transport (loopback listener + launcher, with
-/// calibration and capability-sized batches on) produce results
-/// byte-identical to the single-process sweep, and the final telemetry
-/// labels every worker by its socket endpoint.
+/// Four workers over the TCP transport (loopback listener + launcher, three
+/// shards per assignment) produce results byte-identical to the
+/// single-process sweep, and the final telemetry labels every worker by its
+/// socket endpoint.
 #[test]
 fn four_tcp_workers_match_single_process_with_endpoint_labels() {
     let bounds = small_seq2_bounds();
@@ -420,12 +420,12 @@ fn four_tcp_workers_match_single_process_with_endpoint_labels() {
     let job = SweepJob::new(bounds, NUM_SHARDS);
     let config = DistribConfig {
         workers: 4,
-        batch_target: Some(Duration::from_millis(200)),
+        assign_batch: 3,
         ..DistribConfig::default()
     };
     let transport = TcpTransport::bind("127.0.0.1:0")
         .expect("loopback listener binds")
-        .with_launcher(worker_command().arg("--calibrate=8"));
+        .with_launcher(worker_command());
 
     let final_progress = std::sync::Mutex::new(None);
     let callback = |p: &b3_harness::Progress| {
@@ -462,12 +462,10 @@ fn four_tcp_workers_match_single_process_with_endpoint_labels() {
 /// sweep to completion when respawn is enabled: every death re-queues the
 /// in-flight shards and accepts a replacement connection, and the final
 /// counts are byte-identical to the uninterrupted single-process sweep —
-/// nothing lost, nothing double-counted. The workers calibrate, so every
-/// link carries a batch-sizing rate — and because each one dies shortly
-/// after, every progress snapshot doubles as a regression check that a
-/// dead slot's telemetry row is cleared the moment the link is lost,
-/// rather than keeping the dead worker's calibrated rate until the
-/// replacement's Hello.
+/// nothing lost, nothing double-counted. Each link is assigned three shards
+/// at a time and dies inside the second: the merged first shard must stay,
+/// and the other two must go back on the queue — or the sweep could never
+/// converge.
 #[test]
 fn tcp_workers_killed_mid_shard_are_respawned_until_convergence() {
     let bounds = small_seq2_bounds();
@@ -475,35 +473,18 @@ fn tcp_workers_killed_mid_shard_are_respawned_until_convergence() {
     let job = SweepJob::new(bounds, NUM_SHARDS);
     let config = DistribConfig {
         workers: 4,
+        assign_batch: 3,
         // Every generation dies after 15 workloads (mid-second-shard), so
         // convergence *requires* respawn to keep re-establishing links.
         respawn_budget: 50,
-        // Snapshot often, to catch slots in the dead-awaiting-respawn gap.
-        progress_interval: Duration::from_millis(20),
         ..DistribConfig::default()
     };
     let transport = TcpTransport::bind("127.0.0.1:0")
         .expect("loopback listener binds")
-        .with_launcher(
-            worker_command()
-                .arg("--calibrate=8")
-                .arg("--die-after-workloads")
-                .arg("15"),
-        );
+        .with_launcher(worker_command().arg("--die-after-workloads").arg("15"));
 
-    // Every snapshot must uphold the telemetry invariant: a slot whose
-    // link is gone (`throughput: None`) must not advertise a sizing rate.
-    let stale_rates = std::sync::Mutex::new(Vec::new());
-    let callback = |p: &b3_harness::Progress| {
-        let mut stale = stale_rates.lock().unwrap();
-        for w in &p.per_worker {
-            if w.throughput.is_none() && w.rate.is_some() {
-                stale.push((w.worker, w.endpoint.clone(), w.rate));
-            }
-        }
-    };
-    let outcome = run_with_transport(&job, &config, &transport, Some(&callback))
-        .expect("respawned sweep converges");
+    let outcome =
+        run_with_transport(&job, &config, &transport, None).expect("respawned sweep converges");
     assert!(outcome.is_complete());
     assert!(
         outcome.respawns > 0,
@@ -514,11 +495,6 @@ fn tcp_workers_killed_mid_shard_are_respawned_until_convergence() {
         "every slot must finish cleanly once the queue drains"
     );
     assert_summaries_equivalent(&outcome.summary, &single);
-    assert_eq!(
-        stale_rates.into_inner().unwrap(),
-        Vec::new(),
-        "dead slots kept a stale batch-sizing rate"
-    );
 }
 
 /// The ssh-pipe transport re-execs the worker over an `ssh` program whose
@@ -709,13 +685,13 @@ fn full_seq2_tcp_sweep_matches_single_process() {
     let job = SweepJob::new(bounds, shards);
     let config = DistribConfig {
         workers: 4,
-        batch_target: Some(Duration::from_millis(500)),
+        assign_batch: 4,
         respawn_budget: 2,
         ..DistribConfig::default()
     };
     let transport = TcpTransport::bind("127.0.0.1:0")
         .expect("loopback listener binds")
-        .with_launcher(worker_command().arg("--calibrate"));
+        .with_launcher(worker_command());
     let outcome =
         run_with_transport(&job, &config, &transport, None).expect("tcp seq-2 sweep runs");
     assert!(outcome.is_complete());

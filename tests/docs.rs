@@ -174,17 +174,23 @@ fn markdown_files(dir: &std::path::Path, found: &mut Vec<PathBuf>) {
 }
 
 /// The sweep stack has one command line, `b3` (README.md, "Command line").
-/// A document that still names one of the five entry points it replaced
-/// sends readers to a command that no longer exists. History is exempt:
-/// the change log, the roadmap's done-items and the issue being worked.
+/// A document that still names one of the five entry points it replaced,
+/// or a batch-sizing flag or field that was deleted, sends readers to an
+/// entry point or flag that no longer exists. History is exempt: the change
+/// log, the roadmap's done-items and the issue being worked.
 #[test]
 fn no_document_names_a_replaced_entry_point() {
-    const REPLACED: [&str; 5] = [
+    const REPLACED: [&str; 10] = [
         "b3-sweep-fleet",
         "b3-sweep-worker",
         "b3-analyze",
         "sweep_coordinator",
         "app_sweep",
+        "--calibrate",
+        "--batch-target-ms",
+        "batch_target",
+        "max_batch",
+        "calibrated_rate",
     ];
     const HISTORY: [&str; 3] = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"];
     let root = repo_root();
@@ -213,7 +219,7 @@ fn no_document_names_a_replaced_entry_point() {
     }
     assert!(
         stale.is_empty(),
-        "replaced entry points still documented:\n{stale:#?}"
+        "replaced entry points or flags still documented:\n{stale:#?}"
     );
 }
 
