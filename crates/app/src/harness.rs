@@ -3,13 +3,15 @@
 //! block layer enumerates, recovers the engine on each, and asks the
 //! transaction oracle.
 //!
-//! The pipeline is deliberately identical to `b3_crashmonkey::CrashMonkey`:
-//! format once, mount a copy-on-write snapshot on a [`RecordingDevice`],
-//! run the workload while persistence points insert checkpoint markers,
-//! then replay the IO log up to each checkpoint with
-//! [`crash_state`]. Only the two ends differ — the workload is transactions
-//! against [`WalKv`] instead of syscalls, and the checker is [`TxnOracle`]
-//! instead of the file-state AutoChecker.
+//! The pipeline is `b3_crashmonkey`'s own crash-point loop
+//! ([`b3_crashmonkey::target`]), with [`AppHarness`] as its second
+//! [`Target`]: format once, mount a copy-on-write snapshot on a
+//! [`RecordingDevice`], run the workload while persistence points insert
+//! checkpoint markers, then take each crash state as the image the recorder
+//! froze at its checkpoint and recover it without the mount's write-back.
+//! Only the two ends differ — the workload is transactions against
+//! [`WalKv`] instead of syscalls, and the judge is [`TxnOracle`] instead of
+//! the file-state AutoChecker.
 //!
 //! It also shares CrashMonkey's [`Trunk`]: the transaction generator varies
 //! the last transaction fastest, so a workload resumes from a fork of the
@@ -17,18 +19,17 @@
 //! crash state inside that common prefix — same base image, same IO-log
 //! prefix, hence the same bytes — is recovered by the first workload that
 //! reaches it and answered from the run for every sibling (docs/APP.md,
-//! "Prefix sharing"). The verdict is not shared: what a recovered state
-//! *should* hold depends on the transactions that follow, so every
-//! workload classifies every crash point with its own [`TxnOracle`].
+//! "Prefix sharing"). Under `AllTriaged` the same [`Recovery`] is reused by
+//! content digest instead, across workloads that share no prefix. The
+//! verdict is never shared: what a recovered state *should* hold depends on
+//! the transactions that follow, so every workload classifies every crash
+//! point with its own [`TxnOracle`].
 
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-use b3_block::{
-    crash_state, BlockDevice, CowSnapshotDevice, DiskImage, IoLog, LogHandle, RecordingDevice,
-};
+use b3_block::{BlockDevice, CowSnapshotDevice, DiskImage, IoLog, LogHandle, RecordingDevice};
+use b3_crashmonkey::profiler::formatted_image_with;
+use b3_crashmonkey::target::{self, Carried, Sharing, Target};
 use b3_crashmonkey::{
-    BugReport, Consequence, CrashMonkeyConfig, Finished, Held, ProfileSharing, Trunk, TrunkRun,
-    WorkloadOutcome,
+    CheckVerdict, CrashMonkeyConfig, Finished, Held, Trunk, TrunkRun, WorkloadOutcome,
 };
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::workload::FallocMode;
@@ -195,13 +196,7 @@ impl FileSystem for CheckpointFs {
 /// freezes the device into the immutable base image every workload mounts
 /// snapshots of.
 pub fn formatted_app_image(spec: &dyn FsSpec, config: &CrashMonkeyConfig) -> FsResult<DiskImage> {
-    let device = CowSnapshotDevice::new(DiskImage::empty(config.device_blocks));
-    let mut fs = spec.mkfs(Box::new(device))?;
-    WalKv::format(fs.as_mut())?;
-    let device = fs.unmount()?;
-    device.freeze_image().ok_or_else(|| {
-        FsError::Corrupted("mkfs device does not support freezing into an image".into())
-    })
+    formatted_image_with(spec, config, WalKv::format)
 }
 
 /// What mounting one crash state and opening the engine on it twice made of
@@ -224,7 +219,7 @@ pub enum Recovery {
 
 /// One persistence point of a run.
 #[derive(Clone)]
-struct CrashPoint {
+pub struct CrashPoint {
     meta: CrashPointMeta,
     /// Filled by the first workload that recovers this crash state, and
     /// shared by every fork of the run taken after the persistence point:
@@ -348,158 +343,41 @@ impl TrunkRun for AppRun {
     }
 }
 
-/// How much work prefix sharing saved an [`AppHarness`], cumulative over its
-/// lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AppSharing {
-    /// Transactions applied and resumed, forks and mounts.
-    pub txns: ProfileSharing,
-    /// Crash states built, mounted and recovered (audit re-recoveries
-    /// included).
-    pub states_recovered: u64,
-    /// Crash states answered by a recovery an earlier workload left in the
-    /// trunk. `states_recovered + states_reused` is what per-workload
-    /// recovery would have recovered, plus the audits.
-    pub states_reused: u64,
-}
-
-/// What the harness carries from one workload to the next.
-#[derive(Default)]
-struct Shared {
-    trunk: Trunk<AppRun>,
-    states_recovered: u64,
-    states_reused: u64,
-}
-
 /// Application-level crash tester for one file system and engine profile.
 pub struct AppHarness<'a> {
-    spec: &'a dyn FsSpec,
-    config: CrashMonkeyConfig,
+    carried: Carried<'a, AppRun, Recovery>,
     engine: EngineProfile,
-    formatted: OnceLock<DiskImage>,
-    shared: Mutex<Shared>,
 }
 
 impl<'a> AppHarness<'a> {
     /// Creates a harness; the base image is formatted lazily on first use.
     pub fn new(spec: &'a dyn FsSpec, config: CrashMonkeyConfig, engine: EngineProfile) -> Self {
         AppHarness {
-            spec,
-            config,
+            carried: Carried::new(spec, config, formatted_app_image),
             engine,
-            formatted: OnceLock::new(),
-            shared: Mutex::default(),
         }
-    }
-
-    /// The engine profile under test.
-    pub fn engine(&self) -> EngineProfile {
-        self.engine
-    }
-
-    /// The file-system spec under test.
-    pub fn spec(&self) -> &dyn FsSpec {
-        self.spec
-    }
-
-    /// The CrashMonkey configuration in use.
-    pub fn config(&self) -> &CrashMonkeyConfig {
-        &self.config
-    }
-
-    fn formatted_image(&self) -> FsResult<DiskImage> {
-        if let Some(image) = self.formatted.get() {
-            return Ok(image.clone());
-        }
-        let image = formatted_app_image(self.spec, &self.config)?;
-        Ok(self.formatted.get_or_init(|| image).clone())
-    }
-
-    fn shared(&self) -> std::sync::MutexGuard<'_, Shared> {
-        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// How much work prefix sharing has saved this harness so far.
-    pub fn sharing(&self) -> AppSharing {
-        let shared = self.shared();
-        AppSharing {
-            txns: shared.trunk.sharing(),
-            states_recovered: shared.states_recovered,
-            states_reused: shared.states_reused,
-        }
-    }
-
-    /// Drops the runs and recoveries kept from earlier workloads (the
-    /// [`sharing`](Self::sharing) counters stay). Bug reports never depend
-    /// on what the trunk held, but how many crash states a workload
-    /// recovers, reuses and audits does: sweep shards call this at shard
-    /// boundaries so those counts never depend on which other shards ran
-    /// through the same harness.
-    pub fn reset_trunk(&self) {
-        self.shared().trunk.reset();
+    pub fn sharing(&self) -> Sharing {
+        self.carried.sharing()
     }
 
     /// Tests one transaction workload: runs the transactions it does not
     /// share with the previous workload, then crash-tests every selected
-    /// persistence point. Debug builds assert the outcome against a run
-    /// through an empty trunk — nothing resumed, nothing reused.
+    /// persistence point ([`b3_crashmonkey::target::test`]).
     pub fn test_workload(&self, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
-        let outcome = self.test_through(&mut self.shared(), workload)?;
-        #[cfg(debug_assertions)]
-        {
-            let scratch = self.test_through(&mut Shared::default(), workload)?;
-            assert!(
-                outcome.bugs == scratch.bugs
-                    && outcome.workload_name == scratch.workload_name
-                    && outcome.skeleton == scratch.skeleton
-                    && outcome.fs_name == scratch.fs_name
-                    && outcome.checkpoints_tested + outcome.checkpoints_reused
-                        == scratch.checkpoints_tested,
-                "prefix-shared outcome of {} diverged from a from-scratch one:\n\
-                 shared: {outcome:?}\nscratch: {scratch:?}",
-                workload.name
-            );
-        }
-        Ok(outcome)
-    }
-
-    /// [`test_workload`](Self::test_workload) against the given carried-over
-    /// state. With an empty one this is the from-scratch reference: mount,
-    /// open, every transaction, every selected crash state recovered.
-    fn test_through(
-        &self,
-        shared: &mut Shared,
-        workload: &TxnWorkload,
-    ) -> FsResult<WorkloadOutcome> {
-        let txns: Vec<&Txn> = workload.txns.iter().collect();
-        let finished = shared.trunk.run(
-            &txns,
-            || self.mount_run(),
-            |run, txn| {
-                run.step(txn);
-                Ok(())
-            },
-        )?;
-        let run = match finished {
-            Finished::Complete(run) => run,
-            Finished::Failed(run) => {
-                return Err(run.error.clone().expect("only a failed run is held back"));
-            }
-        };
-        let outcome = self.crash_test(&run, workload)?;
-        shared.states_recovered += u64::from(outcome.checkpoints_tested);
-        shared.states_reused += u64::from(outcome.checkpoints_reused);
-        Ok(outcome)
+        target::test(self, workload)
     }
 
     /// Mounts a snapshot of the formatted image on a recording device and
     /// opens the engine: the run every workload starts from, before its
     /// first transaction.
     pub fn mount_run(&self) -> FsResult<AppRun> {
-        let snapshot = CowSnapshotDevice::new(self.formatted_image()?);
+        let snapshot = CowSnapshotDevice::new(self.carried.formatted_image()?);
         let recording = RecordingDevice::new(snapshot);
         let log = recording.log_handle();
-        let mut fs = CheckpointFs::new(self.spec.mount(Box::new(recording))?, log);
+        let mut fs = CheckpointFs::new(self.carried.spec().mount(Box::new(recording))?, log);
         let engine = WalKv::open(&mut fs, self.engine)?;
         let mut run = AppRun {
             fs,
@@ -517,73 +395,74 @@ impl<'a> AppHarness<'a> {
     }
 
     /// Crash-tests the selected persistence points of `run`, which must have
-    /// run exactly `workload`'s transactions. A crash state a run sharing
-    /// the persistence point already recovered is answered from the run
-    /// (`checkpoints_reused`); the others are built, mounted and recovered
-    /// now (`checkpoints_tested`) and held for the runs that follow. Under
-    /// [`AllTriaged`](b3_crashmonkey::CrashPointPolicy::AllTriaged) with an
-    /// audit budget the first `audit` answered states are recovered again
-    /// anyway and compared with what the run held.
+    /// run exactly `workload`'s transactions, through the crash-point loop
+    /// ([`b3_crashmonkey::target::crash_test`]): a crash state answered from
+    /// the run's cells or a triage witness counts as `checkpoints_reused`,
+    /// the others are built, recovered and held (`checkpoints_tested`).
     pub fn crash_test(&self, run: &AppRun, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
         debug_assert_eq!(run.depth, workload.txns.len());
-        let oracle = TxnOracle::new(workload);
-        // §5.3 strategy, same as the fs-level pipeline: in exhaustive
-        // generation only the final persistence point is new; the other
-        // policies cover all of them.
-        let selected = if self.config.crash_points.covers_all() {
-            &run.crash_points[..]
-        } else {
-            &run.crash_points[run.crash_points.len().saturating_sub(1)..]
-        };
-        let audit = self.config.crash_points.triage_audit().unwrap_or(0);
+        target::crash_test(self, run, workload)
+    }
+}
 
-        let mut outcome = WorkloadOutcome::from_parts(
-            workload.name.clone(),
-            workload.skeleton_string(),
-            self.spec.name(),
-        );
-        let base = self.formatted_image()?;
-        // Copied out of the run when the first crash state has to be built.
-        let mut log: Option<IoLog> = None;
-        let mut recover =
-            |checkpoint: u32| self.recover(&base, log.get_or_insert_with(|| run.log()), checkpoint);
-        for point in selected {
-            let checkpoint = point.meta.checkpoint;
-            let recovery = match point.recovery.get() {
-                Some(held) if outcome.triage_audited < audit => {
-                    outcome.triage_audited += 1;
-                    outcome.checkpoints_tested += 1;
-                    let again = recover(checkpoint)?;
-                    if again != *held {
-                        outcome.triage_divergences.push(format!(
-                            "crash point {checkpoint}: the trunk held {held:?}, \
-                             recovering the crash state again gave {again:?}"
-                        ));
-                    }
-                    held
-                }
-                Some(held) => {
-                    outcome.checkpoints_reused += 1;
-                    held
-                }
-                None => {
-                    outcome.checkpoints_tested += 1;
-                    let fresh = recover(checkpoint)?;
-                    point.recovery.fill(fresh)
-                }
-            };
-            if let Some(report) = report(&outcome, &oracle, &point.meta, recovery) {
-                outcome.bugs.push(report);
-            }
-        }
-        Ok(outcome)
+impl<'a> Target for AppHarness<'a> {
+    type Workload = TxnWorkload;
+    type Run = AppRun;
+    type Point = CrashPoint;
+    type Held = Recovery;
+    type Judge<'j>
+        = TxnOracle
+    where
+        Self: 'j;
+
+    fn carried(&self) -> &Carried<'_, AppRun, Recovery> {
+        &self.carried
     }
 
-    /// Builds one crash state, mounts it, and recovers the engine on it
-    /// twice.
-    fn recover(&self, base: &DiskImage, log: &IoLog, checkpoint: u32) -> FsResult<Recovery> {
-        let device = crash_state(base, log, checkpoint)?;
-        let mut fs = match self.spec.mount(Box::new(device)) {
+    fn run<'t>(
+        &self,
+        trunk: &'t mut Trunk<AppRun>,
+        workload: &TxnWorkload,
+    ) -> FsResult<Finished<'t, AppRun>> {
+        let txns: Vec<&Txn> = workload.txns.iter().collect();
+        trunk.run(
+            &txns,
+            || self.mount_run(),
+            |run, txn| {
+                run.step(txn);
+                Ok(())
+            },
+        )
+    }
+
+    fn skip(run: &AppRun) -> FsResult<String> {
+        Err(run.error.clone().expect("only a failed run is held back"))
+    }
+
+    fn points(run: &AppRun) -> (&LogHandle, &[CrashPoint]) {
+        (&run.fs.log, &run.crash_points)
+    }
+
+    fn point(point: &CrashPoint) -> (u32, &Held<Recovery>) {
+        (point.meta.checkpoint, &point.recovery)
+    }
+
+    fn judge(&self, workload: &TxnWorkload) -> (WorkloadOutcome, TxnOracle) {
+        let (name, skeleton) = (workload.name.clone(), workload.skeleton_string());
+        let fs_name = self.carried.spec().name();
+        let outcome = WorkloadOutcome::from_parts(name, skeleton, fs_name);
+        (outcome, TxnOracle::new(workload))
+    }
+
+    /// Opens the engine on the recovered file system twice.
+    fn hold(
+        &self,
+        _: &TxnOracle,
+        _: &CrashPoint,
+        _: CowSnapshotDevice,
+        recovered: FsResult<Box<dyn FileSystem>>,
+    ) -> FsResult<Recovery> {
+        let mut fs = match recovered {
             Ok(fs) => fs,
             Err(FsError::Unmountable(detail)) => return Ok(Recovery::Unmountable(detail)),
             Err(other) => return Err(other),
@@ -595,68 +474,47 @@ impl<'a> AppHarness<'a> {
             reopened,
         })
     }
-}
 
-/// Asks the oracle about one recovered crash state. Returns a report,
-/// carrying the names `outcome` was made with, when an invariant was
-/// violated.
-fn report(
-    outcome: &WorkloadOutcome,
-    oracle: &TxnOracle,
-    meta: &CrashPointMeta,
-    recovery: &Recovery,
-) -> Option<BugReport> {
-    let (all_consequences, expected, actual) = match recovery {
-        Recovery::Unmountable(detail) => (
-            vec![Consequence::Unmountable],
-            "mountable file system".to_string(),
-            format!("recovery failed: {detail}"),
-        ),
-        Recovery::Recovered {
-            recovered,
-            reopened,
-        } => {
-            let verdict = oracle.classify(meta, recovered, reopened);
-            if verdict.is_clean() {
-                return None;
+    /// Asks the oracle about one recovered crash state.
+    fn verdict(&self, oracle: &TxnOracle, point: &CrashPoint, recovery: &Recovery) -> CheckVerdict {
+        let (recovered, reopened) = match recovery {
+            Recovery::Unmountable(detail) => {
+                return CheckVerdict {
+                    unmountable: Some(detail.clone()),
+                    expected: "mountable file system".into(),
+                    actual: format!("recovery failed: {detail}"),
+                    ..CheckVerdict::default()
+                }
             }
-            let mut consequences: Vec<Consequence> =
-                verdict.violations.iter().map(|v| v.consequence).collect();
-            consequences.sort_unstable();
-            consequences.dedup();
-            let details: Vec<&str> = verdict
-                .violations
-                .iter()
-                .map(|v| v.detail.as_str())
-                .collect();
-            (
-                consequences,
-                verdict.expected,
-                format!("{} [{}]", verdict.actual, details.join("; ")),
-            )
+            Recovery::Recovered {
+                recovered,
+                reopened,
+            } => (recovered, reopened),
+        };
+        let verdict = oracle.classify(&point.meta, recovered, reopened);
+        if verdict.is_clean() {
+            return CheckVerdict::default();
         }
-    };
-    Some(BugReport {
-        workload_name: outcome.workload_name.clone(),
-        skeleton: outcome.skeleton.clone(),
-        fs_name: outcome.fs_name.clone(),
-        crash_point: meta.checkpoint,
-        consequence: *all_consequences
-            .last()
-            .expect("a report has at least one consequence"),
-        all_consequences,
-        expected,
-        actual,
-        diffs: Vec::new(),
-        write_check_failures: Vec::new(),
-    })
+        let details: Vec<&str> = verdict
+            .violations
+            .iter()
+            .map(|v| v.detail.as_str())
+            .collect();
+        CheckVerdict {
+            read_consequences: verdict.violations.iter().map(|v| v.consequence).collect(),
+            actual: format!("{} [{}]", verdict.actual, details.join("; ")),
+            expected: verdict.expected,
+            ..CheckVerdict::default()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::TxnBounds;
-    use crate::generator::TxnWorkloadGenerator;
+    use crate::generator::{TxnOp, TxnWorkloadGenerator};
+    use b3_crashmonkey::Consequence;
     use b3_fs_cow::CowFsSpec;
     use b3_vfs::KernelEra;
 
@@ -730,19 +588,12 @@ mod tests {
             assert_eq!(outcome.triage_audited, 0, "`All` audits nothing");
         }
         let sharing = harness.sharing();
-        assert_eq!(sharing.txns.mounts, 1);
+        assert_eq!(sharing.steps.mounts, 1);
         // Both transactions of the first sibling, then one per workload
         // (the one-transaction prefix ran nothing).
-        assert_eq!(sharing.txns.ops_applied, 2 + 2);
-        assert_eq!(sharing.txns.ops_resumed, 1 + 2);
-        assert_eq!(sharing.states_reused, u64::from(shared_points) * 3);
-
-        // A dropped trunk recovers everything again; the counters go on.
-        harness.reset_trunk();
-        let again = harness.test_workload(&siblings[1]).unwrap();
-        assert_eq!(again.checkpoints_reused, 0);
-        assert_eq!(harness.sharing().txns.mounts, 2);
-        assert_eq!(harness.sharing().txns.ops_applied, 4 + 2);
+        assert_eq!(sharing.steps.ops_applied, 2 + 2);
+        assert_eq!(sharing.steps.ops_resumed, 1 + 2);
+        assert_eq!(sharing.states_inherited, u64::from(shared_points) * 3);
     }
 
     #[test]
@@ -766,17 +617,62 @@ mod tests {
         );
         assert!(second.checkpoints_reused > 0, "the budget is one state");
 
-        // A held recovery that is not what the crash state recovers to.
+        // A witness that is not what the crash state recovers to.
         let mut run = harness.mount_run().unwrap();
         for txn in &siblings[0].txns {
             run.step(txn);
         }
+        let (checkpoint, digest) = b3_analyze::state_digests(&run.log())[0];
+        assert_eq!(checkpoint, run.crash_points[0].meta.checkpoint);
         let planted = Recovery::Unmountable("planted".into());
-        run.crash_points[0].recovery.fill(planted);
+        harness.carried.record_witness(digest, planted);
         let outcome = harness.crash_test(&run, &siblings[0]).unwrap();
         assert_eq!(outcome.triage_audited, 1);
         assert_eq!(outcome.triage_divergences.len(), 1, "{outcome:?}");
         assert!(outcome.triage_divergences[0].contains("planted"));
+    }
+
+    #[test]
+    fn a_crash_state_reached_through_no_shared_prefix_is_answered_from_a_witness() {
+        let (spec, _) = setup();
+        let config = CrashMonkeyConfig {
+            crash_points: b3_crashmonkey::CrashPointPolicy::AllTriaged { audit: 0 },
+            ..CrashMonkeyConfig::small()
+        };
+        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        // An aborted first transaction writes nothing, so both workloads
+        // reach the same crash states through different first transactions.
+        let workload = |name: &str, kind| {
+            let op = |kind, key| TxnOp { kind, key };
+            let txns = vec![
+                Txn {
+                    ops: vec![op(kind, 0)],
+                    commit: false,
+                },
+                Txn {
+                    ops: vec![op(TxnOpKind::Put, 1)],
+                    commit: true,
+                },
+            ];
+            TxnWorkload {
+                name: name.into(),
+                index: 0,
+                txns,
+            }
+        };
+        let first = harness
+            .test_workload(&workload("first", TxnOpKind::Put))
+            .unwrap();
+        assert_eq!(first.checkpoints_reused, 0);
+        assert!(first.checkpoints_tested > 0);
+        let second = harness
+            .test_workload(&workload("second", TxnOpKind::Delete))
+            .unwrap();
+        assert_eq!(second.checkpoints_tested, 0);
+        assert_eq!(second.checkpoints_reused, first.checkpoints_tested);
+        let sharing = harness.sharing();
+        assert_eq!(sharing.steps.ops_resumed, 0, "no transaction is shared");
+        assert_eq!(sharing.states_inherited, 0, "nothing came from the trunk");
     }
 
     #[test]

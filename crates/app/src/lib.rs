@@ -45,5 +45,5 @@ pub mod oracle;
 pub use bounds::{TxnBounds, TxnOpKind, TxnShard};
 pub use engine::{EngineProfile, WalKv, COMMIT_MAGIC, SNAPSHOT_MAGIC};
 pub use generator::{TxnWorkload, TxnWorkloadGenerator};
-pub use harness::{AppHarness, AppRun, AppSharing, Recovery};
+pub use harness::{AppHarness, AppRun, Recovery};
 pub use oracle::{CrashPointMeta, TxnOracle};

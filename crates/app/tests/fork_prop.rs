@@ -246,15 +246,15 @@ fn a_failed_commit_stays_with_the_run_and_answers_its_siblings() {
         .test_workload(&sibling("first", put.clone()))
         .unwrap_err();
     assert_eq!(Some(&first), fork.error());
-    assert_eq!(harness.sharing().txns.ops_applied, 2);
+    assert_eq!(harness.sharing().steps.ops_applied, 2);
     let lasts = [txn(TxnOpKind::Append, true), txn(TxnOpKind::Delete, false)];
     for (index, last) in lasts.into_iter().enumerate() {
         let error = harness
             .test_workload(&sibling("sibling", last))
             .unwrap_err();
         assert_eq!(error, first);
-        assert_eq!(harness.sharing().txns.ops_applied, 2, "nothing ran again");
-        assert_eq!(harness.sharing().txns.ops_resumed, 2 * (index as u64 + 1));
+        assert_eq!(harness.sharing().steps.ops_applied, 2, "nothing ran again");
+        assert_eq!(harness.sharing().steps.ops_resumed, 2 * (index as u64 + 1));
     }
     // A workload that leaves the failed prefix runs again.
     let leaves = TxnWorkload {

@@ -18,19 +18,23 @@
 //! * a **seeded shuffle**, which mixes workload lengths and jumps between
 //!   unrelated prefixes.
 //!
-//! The reference is a harness whose trunk is dropped before every workload.
-//! (Tier-1 runs this suite in a debug build, where the harness additionally
-//! asserts every outcome against a run through an empty trunk; the explicit
-//! comparisons below keep the claim pinned in release builds and for the
-//! group tables.) A debug build takes a slice of [`TxnBounds::smoke`]; the
-//! whole space and the benchmark's three-transaction space are `#[ignore]`d
-//! for `cargo test --release -p b3-app --test sharing_differential --
-//! --ignored` (CI runs it).
+//! Under `AllTriaged` the harness answers crash states from content-digest
+//! witnesses instead of the trunk, across workloads that share no prefix;
+//! the same claim holds for it, with and without an audit budget.
+//!
+//! The reference is a new harness for every workload — an empty trunk and
+//! witness map — under `LastOnly` for `LastOnly` and under `All` for `All`
+//! and both `AllTriaged` rows, which must cover and report exactly what
+//! `All` does. (Tier-1 runs this suite in a debug build, where the harness
+//! additionally asserts every outcome against a run through an empty trunk
+//! and witness map; the explicit comparisons below keep the claim pinned in
+//! release builds and for the group tables.) A debug build takes a slice of
+//! [`TxnBounds::smoke`]; the whole space and the benchmark's
+//! three-transaction space are `#[ignore]`d for `cargo test --release -p
+//! b3-app --test sharing_differential -- --ignored` (CI runs it).
 
-use b3_app::{
-    AppHarness, AppSharing, EngineProfile, TxnBounds, TxnOpKind, TxnWorkload, TxnWorkloadGenerator,
-};
-use b3_crashmonkey::{BugReport, CrashMonkeyConfig, CrashPointPolicy};
+use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnOpKind, TxnWorkload, TxnWorkloadGenerator};
+use b3_crashmonkey::{BugReport, CrashMonkeyConfig, CrashPointPolicy, Sharing, WorkloadOutcome};
 use b3_harness::{FsKind, GroupTable};
 use b3_vfs::codec::Encoder;
 use b3_vfs::KernelEra;
@@ -76,24 +80,14 @@ fn config(crash_points: CrashPointPolicy) -> CrashMonkeyConfig {
 /// What a differential compares of one workload's outcome.
 type Compared = (String, String, String, u32, Vec<BugReport>);
 
-/// One pass over `workloads` through `harness`, dropping its trunk before
-/// every workload when `from_scratch`: each outcome by workload name, and
-/// the pass's encoded group table.
-fn pass(
-    harness: &AppHarness<'_>,
-    workloads: &[TxnWorkload],
-    from_scratch: bool,
-) -> (Vec<Compared>, Vec<u8>) {
+/// What a pass compared: each outcome by workload name, and the encoded
+/// group table of all of them.
+fn compared(outcomes: impl Iterator<Item = WorkloadOutcome>) -> (Vec<Compared>, Vec<u8>) {
     let mut table = GroupTable::new();
-    let mut outcomes = Vec::new();
-    for workload in workloads {
-        if from_scratch {
-            harness.reset_trunk();
-        }
-        let outcome = harness.test_workload(workload).unwrap();
+    let mut compared = Vec::new();
+    for outcome in outcomes {
         assert!(outcome.triage_divergences.is_empty() && outcome.skipped.is_none());
-        assert!(!from_scratch || outcome.checkpoints_reused == 0);
-        outcomes.push((
+        compared.push((
             outcome.workload_name,
             outcome.skeleton,
             outcome.fs_name,
@@ -104,10 +98,10 @@ fn pass(
             table.observe(bug);
         }
     }
-    outcomes.sort_by(|a, b| a.0.cmp(&b.0));
+    compared.sort_by(|a, b| a.0.cmp(&b.0));
     let mut enc = Encoder::new();
     table.encode(&mut enc);
-    (outcomes, enc.finish())
+    (compared, enc.finish())
 }
 
 /// The differential proper, over `generated` (in generator order) on one
@@ -115,26 +109,51 @@ fn pass(
 fn check_outcomes_equal_from_scratch(host: FsKind, generated: &[TxnWorkload]) {
     let spec = host.spec(KernelEra::Patched);
     for engine in engines() {
-        for policy in [CrashPointPolicy::LastOnly, CrashPointPolicy::All] {
-            let what = format!("{host:?}, {}, {policy:?}", engine.describe());
-            let fresh = || AppHarness::new(spec.as_ref(), config(policy), engine);
-            let reference = fresh();
-            let (expected, expected_table) = pass(&reference, generated, true);
-            assert_eq!(reference.sharing().states_reused, 0, "{what}");
+        // `AllTriaged` must equal `All` from scratch: same crash states
+        // covered, same reports.
+        for (reference, policies) in [
+            (
+                CrashPointPolicy::LastOnly,
+                &[CrashPointPolicy::LastOnly][..],
+            ),
+            (
+                CrashPointPolicy::All,
+                &[
+                    CrashPointPolicy::All,
+                    CrashPointPolicy::AllTriaged { audit: 0 },
+                    CrashPointPolicy::AllTriaged { audit: 2 },
+                ],
+            ),
+        ] {
+            // A new harness for every workload: an empty trunk and witness
+            // map.
+            let fresh = |policy| AppHarness::new(spec.as_ref(), config(policy), engine);
+            let (expected, expected_table) = compared(generated.iter().map(|workload| {
+                let outcome = fresh(reference).test_workload(workload).unwrap();
+                assert_eq!(outcome.checkpoints_reused, 0);
+                outcome
+            }));
             // A fixed engine on a patched host is clean; the differential
             // must also compare actual bugs.
             let reported = expected.iter().any(|outcome| !outcome.4.is_empty());
-            assert_eq!(reported, !engine.is_fixed(), "{what}");
+            assert_eq!(reported, !engine.is_fixed(), "{host:?}, {reference:?}");
 
-            for (order, workloads) in orders(generated) {
-                let harness = fresh();
-                let (outcomes, table) = pass(&harness, &workloads, false);
-                assert!(outcomes == expected, "{what}, {order}: outcomes diverged");
-                assert!(table == expected_table, "{what}, {order}: groups diverged");
-                let sharing = harness.sharing();
-                assert_eq!(sharing.txns.mounts, 1, "{what}, {order}");
-                assert!(sharing.txns.ops_resumed > 0, "{what}, {order}");
-                assert!(sharing.states_reused > 0, "{what}, {order}");
+            for &policy in policies {
+                let what = format!("{host:?}, {}, {policy:?}", engine.describe());
+                for (order, workloads) in orders(generated) {
+                    let harness = fresh(policy);
+                    let outcomes = workloads.iter().map(|w| harness.test_workload(w).unwrap());
+                    let (outcomes, table) = compared(outcomes);
+                    assert!(outcomes == expected, "{what}, {order}: outcomes diverged");
+                    assert!(table == expected_table, "{what}, {order}: groups diverged");
+                    let sharing = harness.sharing();
+                    assert_eq!(sharing.steps.mounts, 1, "{what}, {order}");
+                    assert!(sharing.steps.ops_resumed > 0, "{what}, {order}");
+                    // `AllTriaged` answers from witnesses, never from the
+                    // trunk.
+                    let inherits = policy.triage_audit().is_none();
+                    assert_eq!(sharing.states_inherited > 0, inherits, "{what}, {order}");
+                }
             }
         }
     }
@@ -186,7 +205,7 @@ fn shared_outcomes_equal_from_scratch_outcomes_on_the_whole_smoke_space() {
 
 /// One pass in generator order under `All` with every engine bug on, and
 /// what the harness counted.
-fn generator_order_sharing(bounds: TxnBounds) -> (u64, AppSharing) {
+fn generator_order_sharing(bounds: TxnBounds) -> (u64, Sharing) {
     let spec = FsKind::Cow.spec(KernelEra::Patched);
     let harness = AppHarness::new(spec.as_ref(), config(CrashPointPolicy::All), engines()[1]);
     let mut tested = 0;
@@ -197,17 +216,17 @@ fn generator_order_sharing(bounds: TxnBounds) -> (u64, AppSharing) {
     (tested, harness.sharing())
 }
 
-fn assert_most_is_shared(sharing: &AppSharing) {
+fn assert_most_is_shared(sharing: &Sharing) {
     assert!(
-        sharing.txns.resumed_share() >= 0.6,
+        sharing.steps.resumed_share() >= 0.6,
         "prefix sharing resumed only {:.0} % of the transactions: {sharing:?}",
-        sharing.txns.resumed_share() * 100.0
+        sharing.steps.resumed_share() * 100.0
     );
-    let states = sharing.states_recovered + sharing.states_reused;
+    let states = sharing.states_tested + sharing.states_inherited;
     assert!(
-        sharing.states_reused as f64 >= 0.6 * states as f64,
+        sharing.states_inherited as f64 >= 0.6 * states as f64,
         "only {} of {states} crash states were answered from the trunk: {sharing:?}",
-        sharing.states_reused
+        sharing.states_inherited
     );
 }
 
@@ -248,10 +267,10 @@ fn the_benchmark_space_shares_what_the_docs_say() {
     let (tested, sharing) = generator_order_sharing(bounds);
     assert_eq!(tested, 65_640);
     assert_most_is_shared(&sharing);
-    let txns = sharing.txns;
+    let txns = sharing.steps;
     assert_eq!((txns.ops_applied, txns.ops_resumed), (67_360, 127_880));
     assert_eq!(
-        (sharing.states_recovered, sharing.states_reused),
+        (sharing.states_tested, sharing.states_inherited),
         (60_624, 115_092)
     );
 }

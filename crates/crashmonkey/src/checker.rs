@@ -27,7 +27,7 @@ use b3_vfs::workload::{Op, Workload};
 
 use crate::config::CrashMonkeyConfig;
 use crate::profiler::{CheckpointInfo, ProfileResult};
-use crate::report::{BugReport, Consequence};
+use crate::report::{BugReport, Consequence, WorkloadOutcome};
 
 /// The outcome of checking one crash state.
 ///
@@ -59,19 +59,28 @@ pub struct CheckVerdict {
 /// [`Held`](crate::trunk::Held) cell keeps it for later workloads whose run
 /// reached the checkpoint through the same operations. Crash state and
 /// [`CheckpointInfo`] are functions of those operations; the rename
-/// candidates are the one checker input that is not — [`rename_candidates`]
+/// candidates are the one checker input that is not — `rename_candidates`
 /// scans every rename of the workload, those after the crash point
 /// included — so they ride along, and the verdict answers only a workload
-/// whose candidates are the same.
-pub(crate) struct HeldVerdict {
-    pub(crate) rename_candidates: Vec<(String, String)>,
+/// whose candidates are the same. A triage witness holds one too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HeldVerdict {
+    rename_candidates: Vec<(String, String)>,
     pub(crate) verdict: CheckVerdict,
+}
+
+impl HeldVerdict {
+    /// Whether this verdict, found at `info` for another workload, answers
+    /// `workload` there too.
+    pub(crate) fn answers(&self, workload: &Workload, info: &CheckpointInfo) -> bool {
+        self.rename_candidates == rename_candidates(workload, info)
+    }
 }
 
 impl CheckVerdict {
     /// True if any check failed.
     pub fn failed(&self) -> bool {
-        self.unmountable.is_some() || !self.diffs.is_empty() || !self.write_failures.is_empty()
+        self.consequence().is_some()
     }
 
     /// The most severe consequence observed, if any.
@@ -86,18 +95,11 @@ impl CheckVerdict {
             .max()
     }
 
-    /// Converts a failed verdict into a bug report (None when all checks
-    /// passed).
-    pub fn into_report(
-        self,
-        workload: &Workload,
-        fs_name: &str,
-        crash_point: u32,
-    ) -> Option<BugReport> {
-        if !self.failed() {
-            return None;
-        }
-        let consequence = self.consequence().unwrap_or(Consequence::DataCorruption);
+    /// Converts a failed verdict on `crash_point` into a bug report on the
+    /// workload (and file system) `outcome` is for; `None` when all checks
+    /// passed.
+    pub fn into_report(self, outcome: &WorkloadOutcome, crash_point: u32) -> Option<BugReport> {
+        let consequence = self.consequence()?;
         let mut all_consequences: Vec<Consequence> = self
             .read_consequences
             .iter()
@@ -110,9 +112,9 @@ impl CheckVerdict {
         all_consequences.sort();
         all_consequences.dedup();
         Some(BugReport {
-            workload_name: workload.name.clone(),
-            skeleton: workload.skeleton_string(),
-            fs_name: fs_name.to_string(),
+            workload_name: outcome.workload_name.clone(),
+            skeleton: outcome.skeleton.clone(),
+            fs_name: outcome.fs_name.clone(),
             crash_point,
             consequence,
             all_consequences,
@@ -150,10 +152,9 @@ impl<'a> AutoChecker<'a> {
         self.check_recovered(workload, profile, info, state, mounted)
     }
 
-    /// Checks one crash state whose recovery has already been attempted
-    /// (e.g. by a [`RecoverySession`](crate::RecoverySession)). `state` is
-    /// the raw crash-state device, used only for fsck when `recovered` is an
-    /// error.
+    /// Checks one crash state whose recovery has already been attempted.
+    /// `state` is the raw crash-state device, used only for fsck when
+    /// `recovered` is an error.
     pub fn check_recovered(
         &self,
         workload: &Workload,
@@ -166,10 +167,28 @@ impl<'a> AutoChecker<'a> {
         self.check_with_candidates(&rename_pairs, info, state, recovered)
     }
 
+    /// [`check_recovered`](Self::check_recovered), kept with the rename
+    /// candidates it was found under, as a checkpoint's cell or a triage
+    /// witness holds it.
+    pub(crate) fn hold(
+        &self,
+        workload: &Workload,
+        info: &CheckpointInfo,
+        state: CowSnapshotDevice,
+        recovered: b3_vfs::error::FsResult<Box<dyn b3_vfs::fs::FileSystem>>,
+    ) -> HeldVerdict {
+        let rename_candidates = rename_candidates(workload, info);
+        let verdict = self.check_with_candidates(&rename_candidates, info, state, recovered);
+        HeldVerdict {
+            rename_candidates,
+            verdict,
+        }
+    }
+
     /// [`check_recovered`](Self::check_recovered) for a caller that already
     /// has the workload's [`rename_candidates`] at `info`: with them the
     /// verdict no longer depends on the workload.
-    pub(crate) fn check_with_candidates(
+    fn check_with_candidates(
         &self,
         rename_pairs: &[(String, String)],
         info: &CheckpointInfo,
@@ -415,10 +434,7 @@ impl<'a> AutoChecker<'a> {
 /// The rename pairs the atomicity check must consider: renames whose
 /// destination was explicitly persisted, plus renames whose source had been
 /// persisted before the rename executed (tracked by the profiler).
-pub(crate) fn rename_candidates(
-    workload: &Workload,
-    info: &CheckpointInfo,
-) -> Vec<(String, String)> {
+fn rename_candidates(workload: &Workload, info: &CheckpointInfo) -> Vec<(String, String)> {
     let explicit = workload.all_ops().filter_map(|op| match op {
         Op::Rename { from, to } => {
             let to = normalize(to);

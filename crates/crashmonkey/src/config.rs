@@ -2,8 +2,6 @@
 
 use b3_block::BLOCK_SIZE;
 
-use crate::profiler::CheckpointInfo;
-
 /// Which checkpoints of a workload to crash at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrashPointPolicy {
@@ -15,29 +13,30 @@ pub enum CrashPointPolicy {
     LastOnly,
     /// Every persistence point (used when reproducing individual corpus
     /// workloads outside the exhaustive-generation setting, and the
-    /// reference the other policies' shortcuts are pinned against). An
-    /// earlier persistence point that lies inside the operation prefix the
-    /// harness resumed from its trunk is the very crash state the workload
-    /// that ran the prefix tested: its verdict is inherited — with the
-    /// rename candidates it was found under, which must be this workload's
-    /// too — instead of being found again. Debug builds test the state
-    /// anyway and assert the two verdicts equal.
+    /// reference the other policies' shortcuts are pinned against). Under
+    /// this policy and [`LastOnly`](CrashPointPolicy::LastOnly) alike, a
+    /// persistence point that lies inside the step prefix the harness
+    /// resumed from its trunk is the very crash state the workload that ran
+    /// the prefix tested: what that workload found there is inherited —
+    /// for a file-system workload only with the rename candidates it was
+    /// found under, which must be this workload's too — instead of being
+    /// found again. Debug builds test the state anyway and assert the two
+    /// equal.
     All,
     /// Every persistence point *covered*, but only triage-new states
-    /// *dynamically tested*: crash states whose content digest and checker
-    /// projection match an already-tested state (see `b3_analyze` and
-    /// docs/ANALYSIS.md) reuse the recorded verdict of their witness
-    /// instead of being re-constructed, re-mounted, and re-checked. Bug
-    /// groups are byte-identical to [`CrashPointPolicy::All`] by
-    /// construction; the differential suite pins it.
+    /// *dynamically tested*: crash states whose triage key matches an
+    /// already-tested state's — the content digest (see `b3_analyze` and
+    /// docs/ANALYSIS.md), plus the checker projection for a file-system
+    /// workload — reuse what their witness came to instead of being
+    /// re-constructed, re-mounted, and re-checked. Nothing is inherited
+    /// from the trunk. Bug groups are byte-identical to
+    /// [`CrashPointPolicy::All`] by construction; the differential suites
+    /// pin it.
     AllTriaged {
         /// When non-zero, deterministically re-test up to this many reused
-        /// states per workload dynamically and compare against the cached
-        /// verdict (the analysis-layer analogue of `PruneMode::Audit`).
-        /// Divergences are reported in the workload outcome. On a `b3_app`
-        /// job, where the reuse is of recoveries held along the trunk, the
-        /// first `audit` answered crash states of each workload are built
-        /// and recovered again and compared with the held recovery.
+        /// states per workload dynamically and compare against the witness
+        /// (the analysis-layer analogue of `PruneMode::Audit`). Divergences
+        /// are reported in the workload outcome.
         audit: u32,
     },
 }
@@ -54,13 +53,11 @@ impl CrashPointPolicy {
         }
     }
 
-    /// Selects the checkpoints to test from a profile.
-    pub fn select<'a>(&self, checkpoints: &'a [CheckpointInfo]) -> Vec<&'a CheckpointInfo> {
+    /// Selects the persistence points to crash at from a run's, in order.
+    pub fn select<'a, P>(&self, points: &'a [P]) -> &'a [P] {
         match self {
-            CrashPointPolicy::LastOnly => checkpoints.last().into_iter().collect(),
-            CrashPointPolicy::All | CrashPointPolicy::AllTriaged { .. } => {
-                checkpoints.iter().collect()
-            }
+            CrashPointPolicy::LastOnly => &points[points.len().saturating_sub(1)..],
+            CrashPointPolicy::All | CrashPointPolicy::AllTriaged { .. } => points,
         }
     }
 

@@ -20,17 +20,18 @@
 //!    builds replay anyway and assert the two equal). The result is exactly
 //!    the storage state at the moment the persistence call completed — an
 //!    uncleanly-unmounted image.
-//! 3. **Checks consistency**: mounts the crash state (letting the file
-//!    system run its recovery), then runs the AutoChecker's read checks
-//!    (persisted files must exist with the persisted data and metadata) and
-//!    write checks (the recovered file system must still be usable: files
-//!    can be created, persisted directories can be emptied and removed).
+//! 3. **Checks consistency**: recovers the crash state (the file system's
+//!    mount, without its write-back), then runs the AutoChecker's read
+//!    checks (persisted files must exist with the persisted data and
+//!    metadata) and write checks (the recovered file system must still be
+//!    usable: files can be created, persisted directories can be emptied
+//!    and removed).
 //!
-//! A crash state inside the shared prefix is the shared run's own, so under
-//! [`CrashPointPolicy::All`] — the one policy that would construct it again
-//! for every workload — steps 2 and 3 are done for it once, by the first
-//! workload to reach it, and the verdict is kept at the checkpoint for the
-//! others ([`Held`]).
+//! Steps 2 and 3 are the crash-point loop of the [`target`] module, which
+//! `b3_app` runs too. A crash state inside the shared prefix is the shared
+//! run's own, so its verdict is kept at the checkpoint ([`Held`]) for the
+//! workloads that share it; under [`CrashPointPolicy::AllTriaged`] crash
+//! states are answered from triage witnesses instead.
 //!
 //! Any violation produces a [`BugReport`] with the workload, crash point,
 //! expected and actual state, and a classified [`Consequence`] — the same
@@ -39,63 +40,36 @@
 pub mod checker;
 pub mod config;
 pub mod profiler;
-pub mod recovery;
+mod recovery;
 pub mod report;
+pub mod target;
 mod triage;
 pub mod trunk;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use b3_block::{crash_state, DiskImage};
+use b3_block::{crash_state, CowSnapshotDevice, LogHandle};
 use b3_vfs::error::FsResult;
-use b3_vfs::fs::FsSpec;
+use b3_vfs::fs::{FileSystem, FsSpec};
 use b3_vfs::snapshot::EntryInterner;
 use b3_vfs::workload::Workload;
 
+use checker::HeldVerdict;
 pub use checker::{AutoChecker, CheckVerdict};
 pub use config::{CrashMonkeyConfig, CrashPointPolicy};
+use profiler::ProfileState;
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
-pub use recovery::RecoverySession;
 pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
+pub use target::{Carried, Sharing, Target};
+use triage::TriageCache;
 pub use trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
-
-/// How much work the trunk saved a [`CrashMonkey`], cumulative over its
-/// lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsSharing {
-    /// Operations applied and resumed, forks and mounts.
-    pub ops: ProfileSharing,
-    /// Crash states built, recovered and checked.
-    pub states_tested: u64,
-    /// Crash states answered by the verdict a sibling workload left at the
-    /// checkpoint. Under [`CrashPointPolicy::All`] — the one policy the
-    /// trunk answers crash states under — `states_tested +
-    /// states_inherited` is what per-workload testing would have tested.
-    pub states_inherited: u64,
-}
 
 /// The CrashMonkey test harness for one target file system.
 pub struct CrashMonkey<'a> {
-    spec: &'a dyn FsSpec,
-    config: CrashMonkeyConfig,
-    /// The frozen post-mkfs image every profiled workload mounts a snapshot
-    /// of; formatted once per harness instead of once per workload.
-    formatted: std::sync::OnceLock<DiskImage>,
+    carried: Carried<'a, ProfileState, HeldVerdict>,
     /// Optional cross-workload oracle/expectation interner (see
     /// [`EntryInterner`]); shared between harnesses to pool their oracles.
     interner: Option<Arc<EntryInterner>>,
-    /// Cross-workload verdict cache for [`CrashPointPolicy::AllTriaged`]
-    /// (see the `triage` module). Sound per harness because the spec, era,
-    /// device geometry, and post-mkfs base image are all fixed here.
-    triage: std::sync::Mutex<triage::TriageCache>,
-    /// The forked profile states along the previous workload's operation
-    /// path, which the next workload resumes from (see the `trunk` module).
-    trunk: std::sync::Mutex<Trunk<profiler::ProfileState>>,
-    /// The crash-state counts of [`FsSharing`].
-    states_tested: AtomicU64,
-    states_inherited: AtomicU64,
 }
 
 impl<'a> CrashMonkey<'a> {
@@ -107,14 +81,8 @@ impl<'a> CrashMonkey<'a> {
     /// Creates a harness with an explicit configuration.
     pub fn with_config(spec: &'a dyn FsSpec, config: CrashMonkeyConfig) -> Self {
         CrashMonkey {
-            spec,
-            config,
-            formatted: std::sync::OnceLock::new(),
+            carried: Carried::new(spec, config, profiler::formatted_base_image),
             interner: None,
-            triage: std::sync::Mutex::new(triage::TriageCache::default()),
-            trunk: std::sync::Mutex::new(Trunk::default()),
-            states_tested: AtomicU64::new(0),
-            states_inherited: AtomicU64::new(0),
         }
     }
 
@@ -131,56 +99,31 @@ impl<'a> CrashMonkey<'a> {
         }
     }
 
-    /// The frozen post-mkfs image (formatting on first use).
-    fn formatted_image(&self) -> FsResult<DiskImage> {
-        if let Some(image) = self.formatted.get() {
-            return Ok(image.clone());
-        }
-        let image = profiler::formatted_base_image(self.spec, &self.config)?;
-        Ok(self.formatted.get_or_init(|| image).clone())
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &CrashMonkeyConfig {
-        &self.config
+        self.carried.config()
     }
 
-    /// Drops every cached triage verdict. Sweep shards call this at shard
-    /// boundaries so a shard's outcome never depends on which other shards
-    /// ran through the same harness. A no-op unless the policy is
-    /// [`CrashPointPolicy::AllTriaged`].
-    pub fn reset_triage(&self) {
-        self.triage
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .reset();
-    }
-
-    /// Number of distinct triage witnesses currently cached.
-    pub fn triage_witnesses(&self) -> usize {
-        self.triage
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// How much profiling work prefix sharing has saved this harness so
-    /// far: operations executed against operations resumed from a frame.
-    pub fn profile_sharing(&self) -> ProfileSharing {
-        self.trunk
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .sharing()
-    }
-
-    /// [`profile_sharing`](Self::profile_sharing) together with how many
-    /// crash states were tested and how many were answered from the trunk.
-    pub fn sharing(&self) -> FsSharing {
-        FsSharing {
-            ops: self.profile_sharing(),
-            states_tested: self.states_tested.load(Ordering::Relaxed),
-            states_inherited: self.states_inherited.load(Ordering::Relaxed),
+    fn profiler(&self) -> Profiler<'_> {
+        let (spec, config) = (self.carried.spec(), self.carried.config());
+        match &self.interner {
+            Some(interner) => Profiler::with_interner(spec, config, interner.clone()),
+            None => Profiler::new(spec, config),
         }
+    }
+
+    /// Drops every triage witness ([`Carried::reset_triage`], which the
+    /// sweep's shard loop calls at every shard boundary). A no-op unless
+    /// the policy is [`CrashPointPolicy::AllTriaged`].
+    pub fn reset_triage(&self) {
+        self.carried.reset_triage();
+    }
+
+    /// How much work prefix sharing has saved this harness so far:
+    /// operations executed against operations resumed from a frame, crash
+    /// states tested against crash states answered from the trunk.
+    pub fn sharing(&self) -> Sharing {
+        self.carried.sharing()
     }
 
     /// Profiles a workload on a snapshot of the cached mkfs image, running
@@ -188,17 +131,10 @@ impl<'a> CrashMonkey<'a> {
     /// result is what [`Profiler::profile_on`] returns for the same
     /// workload, which debug builds assert.
     pub fn profile_only(&self, workload: &Workload) -> FsResult<ProfileResult> {
-        let base_image = self.formatted_image()?;
-        let profiler = match &self.interner {
-            Some(interner) => Profiler::with_interner(self.spec, &self.config, interner.clone()),
-            None => Profiler::new(self.spec, &self.config),
-        };
-        let mut trunk = self
-            .trunk
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let profile = profiler.profile_through(&mut trunk, &base_image, workload)?;
-        drop(trunk);
+        let base_image = self.carried.formatted_image()?;
+        let profiler = self.profiler();
+        let profile =
+            profiler.profile_through(&mut self.carried.shared().0, &base_image, workload)?;
         #[cfg(debug_assertions)]
         {
             let scratch = profiler.profile_on(base_image, workload)?;
@@ -215,173 +151,7 @@ impl<'a> CrashMonkey<'a> {
     /// Tests one workload end to end: profile, construct crash states, check
     /// consistency. Returns the outcome including any bug reports.
     pub fn test_workload(&self, workload: &Workload) -> FsResult<WorkloadOutcome> {
-        let total_start = Instant::now();
-
-        // Phase 1: profile.
-        let profile_start = Instant::now();
-        let profile = self.profile_only(workload)?;
-        let profile_time = profile_start.elapsed();
-
-        let mut outcome = WorkloadOutcome::new(workload, self.spec.name());
-        outcome.resource = ResourceStats {
-            recorded_io_bytes: profile.log.recorded_bytes(),
-            crash_state_overlay_bytes: 0,
-            workload_storage_bytes: report::rendered_len(workload),
-        };
-
-        if let Some(error) = &profile.exec_error {
-            outcome.skipped = Some(format!("workload failed to execute: {error}"));
-            outcome.timing = PhaseTiming {
-                profile: profile_time,
-                ..PhaseTiming::default()
-            };
-            return Ok(outcome);
-        }
-
-        // Phases 2 and 3: construct crash states, recover them, and check
-        // them. The recovery session snapshots the image the recorder froze
-        // at each checkpoint and recovers it: a mount without the write-back
-        // a mount may end with.
-        let checkpoints = self.config.crash_points.select(&profile.checkpoints);
-        let triage_audit = self.config.crash_points.triage_audit();
-        let mut session = RecoverySession::new(self.spec, &profile.base_image, &profile.log);
-        let mut construct_time = std::time::Duration::ZERO;
-        let mut check_time = std::time::Duration::ZERO;
-        let mut inherited = 0;
-
-        // When triaging, the content digest of every crash state comes from
-        // one pass over the recorded log. Digest and key computation are
-        // accounted as construction cost: they replace (part of) it.
-        let construct_start = Instant::now();
-        let state_digests: Vec<(u32, u128)> = match triage_audit {
-            Some(_) => b3_analyze::state_digests(&profile.log),
-            None => Vec::new(),
-        };
-        let key_seed = triage_audit.map(|_| triage::KeySeed::of(workload));
-        let mut triage = self
-            .triage
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        construct_time += construct_start.elapsed();
-
-        // Under `All`, a checkpoint inside the operation prefix the trunk
-        // resumed is the run, the recorded IO and the `CheckpointInfo` of the
-        // sibling that tested it: its verdict is inherited, not found again.
-        // (`AllTriaged` answers from its witnesses instead, so that what a
-        // shard audits does not depend on what the trunk held.)
-        let inherit = self.config.crash_points == CrashPointPolicy::All;
-        let checker = AutoChecker::new(self.spec, &self.config);
-        // A crash state answered by a verdict found earlier, on this
-        // workload or another: the report is attached to this workload.
-        let answer = |outcome: &mut WorkloadOutcome, verdict: &CheckVerdict, crash_point| {
-            outcome.checkpoints_reused += 1;
-            let report = verdict
-                .clone()
-                .into_report(workload, self.spec.name(), crash_point);
-            outcome.bugs.extend(report);
-        };
-
-        for info in checkpoints {
-            // Triage: reuse the witness verdict when this crash state's
-            // checker inputs are bit-identical to an already-tested one.
-            let construct_start = Instant::now();
-            let key = key_seed.as_ref().map(|seed| {
-                // Checkpoints are few per workload, so a linear scan beats
-                // a map lookup (and needs no per-workload allocation).
-                let digest = state_digests
-                    .iter()
-                    .find(|(id, _)| *id == info.id)
-                    .map_or(0, |(_, digest)| *digest);
-                triage.key(digest, seed, info)
-            });
-            let mut audit_witness = None;
-            if let Some(key) = key {
-                if let Some(witness) = triage.lookup(key) {
-                    // The audit re-tests the first `audit` reused states of
-                    // each workload dynamically and compares.
-                    if outcome.triage_audited < triage_audit.unwrap_or(0) {
-                        audit_witness = Some(witness.clone());
-                    } else {
-                        answer(&mut outcome, witness, info.id);
-                        construct_time += construct_start.elapsed();
-                        continue;
-                    }
-                }
-            }
-
-            let candidates = checker::rename_candidates(workload, info);
-            let held = info
-                .verdict
-                .get()
-                .filter(|held| inherit && held.rename_candidates == candidates);
-            if let Some(held) = held {
-                // Debug builds test the state anyway, mounted from scratch.
-                #[cfg(debug_assertions)]
-                {
-                    let state = self.crash_state_for(&profile, info.id)?;
-                    let fresh = checker.check(workload, &profile, info, state);
-                    assert!(
-                        fresh == held.verdict,
-                        "the verdict {} inherited at crash point {} diverged from a fresh one:\n\
-                         held: {:?}\nfresh: {fresh:?}",
-                        workload.name,
-                        info.id,
-                        held.verdict
-                    );
-                }
-                answer(&mut outcome, &held.verdict, info.id);
-                inherited += 1;
-                construct_time += construct_start.elapsed();
-                continue;
-            }
-
-            let (state, recovered) = session.recover_at(info.id)?;
-            construct_time += construct_start.elapsed();
-
-            let check_start = Instant::now();
-            let verdict = checker.check_with_candidates(&candidates, info, state, recovered);
-            check_time += check_start.elapsed();
-
-            match (audit_witness, key) {
-                (Some(cached), _) => {
-                    outcome.triage_audited += 1;
-                    if let Some(divergence) = triage::audit_divergence(info.id, &cached, &verdict) {
-                        outcome.triage_divergences.push(divergence);
-                    }
-                }
-                (None, Some(key)) => triage.record(key, &verdict),
-                (None, None) => {}
-            }
-            if inherit {
-                info.verdict.fill(checker::HeldVerdict {
-                    rename_candidates: candidates,
-                    verdict: verdict.clone(),
-                });
-            }
-
-            outcome.checkpoints_tested += 1;
-            if let Some(report) = verdict.into_report(workload, self.spec.name(), info.id) {
-                outcome.bugs.push(report);
-            }
-        }
-        self.states_tested
-            .fetch_add(u64::from(outcome.checkpoints_tested), Ordering::Relaxed);
-        self.states_inherited
-            .fetch_add(inherited, Ordering::Relaxed);
-        // `replayed_bytes` is cumulative over the stream's lifetime, so it
-        // is read once after the loop: each written block contributes its
-        // size exactly once however many checkpoints were visited.
-        outcome.resource.crash_state_overlay_bytes = session.replayed_bytes();
-
-        outcome.timing = PhaseTiming {
-            profile: profile_time,
-            crash_state_construction: construct_time,
-            recovery: session.recovery_time(),
-            checking: check_time,
-            total: total_start.elapsed(),
-            modeled_kernel_delay_seconds: self.config.modeled_kernel_delay_seconds(),
-        };
-        Ok(outcome)
+        target::test(self, workload)
     }
 
     /// Convenience: build the crash state for one checkpoint of a profile.
@@ -389,13 +159,88 @@ impl<'a> CrashMonkey<'a> {
         &self,
         profile: &ProfileResult,
         checkpoint: u32,
-    ) -> FsResult<b3_block::CowSnapshotDevice> {
+    ) -> FsResult<CowSnapshotDevice> {
         crash_state(&profile.base_image, &profile.log, checkpoint).map_err(Into::into)
     }
+}
 
-    /// The initial (pre-mkfs) disk image used for all tests.
-    pub fn base_image(&self) -> DiskImage {
-        DiskImage::empty(self.config.device_blocks)
+/// What judging one syscall workload's crash states needs.
+pub struct FsJudge<'a> {
+    workload: &'a Workload,
+    /// The workload's part of every triage key.
+    seed: triage::KeySeed<'a>,
+}
+
+impl<'a> Target for CrashMonkey<'a> {
+    type Workload = Workload;
+    type Run = ProfileState;
+    type Point = CheckpointInfo;
+    type Held = HeldVerdict;
+    type Judge<'j>
+        = FsJudge<'j>
+    where
+        Self: 'j;
+
+    fn carried(&self) -> &Carried<'_, ProfileState, HeldVerdict> {
+        &self.carried
+    }
+
+    fn run<'t>(
+        &self,
+        trunk: &'t mut Trunk<ProfileState>,
+        workload: &Workload,
+    ) -> FsResult<Finished<'t, ProfileState>> {
+        let base_image = self.carried.formatted_image()?;
+        self.profiler().run_through(trunk, &base_image, workload)
+    }
+
+    fn skip(run: &ProfileState) -> FsResult<String> {
+        let error = run.exec_error.as_ref().expect("the run failed");
+        Ok(format!("workload failed to execute: {error}"))
+    }
+
+    fn points(run: &ProfileState) -> (&LogHandle, &[CheckpointInfo]) {
+        (&run.log, &run.checkpoints)
+    }
+
+    fn point(point: &CheckpointInfo) -> (u32, &Held<HeldVerdict>) {
+        (point.id, &point.verdict)
+    }
+
+    fn judge<'j>(&'j self, workload: &'j Workload) -> (WorkloadOutcome, FsJudge<'j>) {
+        let mut outcome = WorkloadOutcome::new(workload, self.carried.spec().name());
+        outcome.resource.workload_storage_bytes = report::rendered_len(workload);
+        let seed = triage::KeySeed::of(workload);
+        (outcome, FsJudge { workload, seed })
+    }
+
+    fn key(
+        &self,
+        triage: &mut TriageCache<HeldVerdict>,
+        judge: &FsJudge<'_>,
+        point: &CheckpointInfo,
+        digest: u128,
+    ) -> u128 {
+        triage.key(digest, &judge.seed, point)
+    }
+
+    fn answers(&self, judge: &FsJudge<'_>, point: &CheckpointInfo, held: &HeldVerdict) -> bool {
+        held.answers(judge.workload, point)
+    }
+
+    fn hold(
+        &self,
+        judge: &FsJudge<'_>,
+        point: &CheckpointInfo,
+        state: CowSnapshotDevice,
+        recovered: FsResult<Box<dyn FileSystem>>,
+    ) -> FsResult<HeldVerdict> {
+        let checker = AutoChecker::new(self.carried.spec(), self.carried.config());
+        Ok(checker.hold(judge.workload, point, state, recovered))
+    }
+
+    fn verdict(&self, _: &FsJudge<'_>, _: &CheckpointInfo, held: &HeldVerdict) -> CheckVerdict {
+        held.verdict.clone()
     }
 }
 
@@ -730,7 +575,7 @@ mod tests {
         assert_eq!(formats(), 2, "Profiler::profile formats for itself");
         assert!(first == scratch);
         // The second call resumed before the final op of the first.
-        let sharing = monkey.profile_sharing();
+        let sharing = monkey.sharing().steps;
         let ops = workload.total_ops() as u64;
         assert_eq!(sharing.mounts, 1);
         assert_eq!(sharing.ops_applied, ops + 1);
@@ -778,8 +623,8 @@ mod tests {
                     scratch.resource.recorded_io_bytes
                 );
                 // Only the first sibling ran anything: both its ops.
-                assert_eq!(shared.profile_sharing().ops_applied, 2);
-                assert_eq!(shared.profile_sharing().ops_resumed, 2 * index as u64);
+                assert_eq!(shared.sharing().steps.ops_applied, 2);
+                assert_eq!(shared.sharing().steps.ops_resumed, 2 * index as u64);
             }
             // A workload that leaves the failed prefix runs again.
             let healthy = w(
@@ -1021,7 +866,7 @@ mod tests {
         };
         assert_eq!(first.checkpoints_reused, 0);
         assert!(first.checkpoints_tested > 1);
-        assert!(monkey.triage_witnesses() > 0);
+        assert!(monkey.carried().witnesses() > 0);
 
         let second = {
             let mut workload = multi_checkpoint_workload();
@@ -1036,7 +881,7 @@ mod tests {
         }
 
         monkey.reset_triage();
-        assert_eq!(monkey.triage_witnesses(), 0);
+        assert_eq!(monkey.carried().witnesses(), 0);
         let third = {
             let mut workload = multi_checkpoint_workload();
             workload.name = "third".into();

@@ -341,8 +341,19 @@ impl OracleTracker {
 /// pure function of the spec and device size, so one format serves millions
 /// of workloads.
 pub fn formatted_base_image(spec: &dyn FsSpec, config: &CrashMonkeyConfig) -> FsResult<DiskImage> {
+    formatted_image_with(spec, config, |_| Ok(()))
+}
+
+/// [`formatted_base_image`] with `set_up` run on the fresh file system
+/// before it is unmounted (an application target creates its store there).
+pub fn formatted_image_with(
+    spec: &dyn FsSpec,
+    config: &CrashMonkeyConfig,
+    set_up: impl FnOnce(&mut dyn FileSystem) -> FsResult<()>,
+) -> FsResult<DiskImage> {
     let device = CowSnapshotDevice::new(DiskImage::empty(config.device_blocks));
-    let fs = spec.mkfs(Box::new(device))?;
+    let mut fs = spec.mkfs(Box::new(device))?;
+    set_up(fs.as_mut())?;
     let device = fs.unmount()?;
     device.freeze_image().ok_or_else(|| {
         FsError::Corrupted("mkfs device does not support freezing into an image".into())
@@ -413,16 +424,26 @@ impl<'a> Profiler<'a> {
         base_image: &DiskImage,
         workload: &Workload,
     ) -> FsResult<ProfileResult> {
-        let ops: Vec<&Op> = workload.all_ops().collect();
-        let finished = trunk.run(
-            &ops,
-            || self.mount(base_image),
-            |state, op| self.step(state, op),
-        )?;
-        Ok(match finished {
+        Ok(match self.run_through(trunk, base_image, workload)? {
             Finished::Complete(state) => state.into_result(base_image),
             Finished::Failed(state) => state.result(base_image),
         })
+    }
+
+    /// [`profile_through`](Self::profile_through), handing back the run
+    /// itself.
+    pub(crate) fn run_through<'t>(
+        &self,
+        trunk: &'t mut Trunk<ProfileState>,
+        base_image: &DiskImage,
+        workload: &Workload,
+    ) -> FsResult<Finished<'t, ProfileState>> {
+        let ops: Vec<&Op> = workload.all_ops().collect();
+        trunk.run(
+            &ops,
+            || self.mount(base_image),
+            |state, op| self.step(state, op),
+        )
     }
 
     /// Mounts a snapshot of `base_image` on a recording wrapper: the state
@@ -537,9 +558,9 @@ impl<'a> Profiler<'a> {
 /// `Profiler::step` advances it; [`TrunkRun::fork`] copies it, so the
 /// operations it has run need not be run again for the next workload that
 /// starts with them.
-pub(crate) struct ProfileState {
+pub struct ProfileState {
     fs: Box<dyn FileSystem>,
-    log: LogHandle,
+    pub(crate) log: LogHandle,
     /// Its counter seeds write data, so it is part of the state.
     executor: Executor,
     oracle: OracleTracker,
@@ -548,9 +569,9 @@ pub(crate) struct ProfileState {
     /// All renames executed so far: (old path, new path, moved inode).
     renames_seen: Vec<(String, String, u64)>,
     durable_renames: Vec<(String, String)>,
-    checkpoints: Vec<CheckpointInfo>,
+    pub(crate) checkpoints: Vec<CheckpointInfo>,
     /// Set by the operation that could not be executed; it ended the run.
-    exec_error: Option<FsError>,
+    pub(crate) exec_error: Option<FsError>,
 }
 
 impl TrunkRun for ProfileState {

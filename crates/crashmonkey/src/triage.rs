@@ -33,16 +33,16 @@ use b3_analyze::Digest128;
 use b3_vfs::snapshot::EntrySnapshot;
 use b3_vfs::workload::{Op, Workload};
 
-use crate::checker::CheckVerdict;
 use crate::profiler::CheckpointInfo;
 
-/// A cache of check verdicts keyed by triage key, scoped to one harness
-/// (fixed file-system spec, era, and device geometry — all of which are
-/// constant for a [`CrashMonkey`](crate::CrashMonkey) instance, so they
-/// need not be part of the key).
-#[derive(Debug, Default)]
-pub(crate) struct TriageCache {
-    verdicts: HashMap<u128, CheckVerdict>,
+/// Triage witnesses keyed by triage key, scoped to one harness (fixed
+/// file-system spec, era, device geometry and formatted image — all of
+/// which are constant for a harness, so they need not be part of the key).
+/// Generic over what a witness holds: a check verdict for a file-system
+/// workload, a recovery for an application one.
+#[derive(Debug)]
+pub struct TriageCache<H> {
+    witnesses: HashMap<u128, H>,
     /// Per-entry digest memo, keyed by `Arc` pointer identity. Oracle
     /// entries are interned (`EntryInterner`), so the same snapshot is
     /// revisited at checkpoint after checkpoint; hashing its data payload
@@ -104,31 +104,40 @@ const VERDICT_CAP: usize = 262_144;
 /// content functions.
 const ENTRY_MEMO_CAP: usize = 32_768;
 
-impl TriageCache {
-    /// Drops every cached verdict (and the entry-digest memo). Shard
-    /// boundaries call this so a shard's outcome never depends on which
-    /// other shards ran in the same process.
+impl<H> Default for TriageCache<H> {
+    fn default() -> Self {
+        TriageCache {
+            witnesses: HashMap::new(),
+            entry_digests: HashMap::new(),
+        }
+    }
+}
+
+impl<H> TriageCache<H> {
+    /// Drops every witness (and the entry-digest memo). Shard boundaries
+    /// call this so a shard's outcome never depends on which other shards
+    /// ran in the same process.
     pub(crate) fn reset(&mut self) {
-        self.verdicts.clear();
+        self.witnesses.clear();
         self.entry_digests.clear();
     }
 
-    /// The witness verdict for `key`, if one was recorded.
-    pub(crate) fn lookup(&self, key: u128) -> Option<&CheckVerdict> {
-        self.verdicts.get(&key)
+    /// The witness for `key`, if one was recorded.
+    pub(crate) fn lookup(&self, key: u128) -> Option<&H> {
+        self.witnesses.get(&key)
     }
 
-    /// Records the verdict of a dynamically tested crash state.
-    pub(crate) fn record(&mut self, key: u128, verdict: &CheckVerdict) {
-        if self.verdicts.len() >= VERDICT_CAP {
-            self.verdicts.clear();
+    /// Records what a dynamically tested crash state came to.
+    pub(crate) fn record(&mut self, key: u128, held: H) {
+        if self.witnesses.len() >= VERDICT_CAP {
+            self.witnesses.clear();
         }
-        self.verdicts.insert(key, verdict.clone());
+        self.witnesses.insert(key, held);
     }
 
     /// Number of distinct witnesses recorded.
     pub(crate) fn len(&self) -> usize {
-        self.verdicts.len()
+        self.witnesses.len()
     }
 
     /// The content digest of one entry snapshot, memoized by `Arc` identity.
@@ -282,26 +291,19 @@ fn digest_entry(d: &mut Digest128, entry: &EntrySnapshot) {
     }
 }
 
-/// Describes how a fresh (audited) verdict diverged from its cached witness.
-/// `None` when they agree.
-pub(crate) fn audit_divergence(
+/// Describes how what an audited crash state came to diverged from its
+/// witness. `None` when they agree.
+pub(crate) fn audit_divergence<H: PartialEq + std::fmt::Debug>(
     checkpoint: u32,
-    cached: &CheckVerdict,
-    fresh: &CheckVerdict,
+    witness: &H,
+    fresh: &H,
 ) -> Option<String> {
-    if cached == fresh {
-        return None;
-    }
-    Some(format!(
-        "crash point {checkpoint}: cached verdict (failed={}, {} diffs, {} write failures) \
-         != fresh verdict (failed={}, {} diffs, {} write failures)",
-        cached.failed(),
-        cached.diffs.len(),
-        cached.write_failures.len(),
-        fresh.failed(),
-        fresh.diffs.len(),
-        fresh.write_failures.len(),
-    ))
+    (witness != fresh).then(|| {
+        format!(
+            "crash point {checkpoint}: the witness held {witness:?}, testing the crash state \
+             again gave {fresh:?}"
+        )
+    })
 }
 
 #[cfg(test)]
@@ -313,6 +315,7 @@ mod tests {
     use b3_vfs::metadata::FileType;
     use b3_vfs::snapshot::LogicalSnapshot;
 
+    use crate::checker::CheckVerdict;
     use crate::profiler::Expectation;
 
     fn entry(file_type: FileType, size: u64, data: Option<&[u8]>) -> Arc<EntrySnapshot> {
@@ -355,7 +358,7 @@ mod tests {
 
     #[test]
     fn key_ignores_workload_identity_but_not_renames() {
-        let mut cache = TriageCache::default();
+        let mut cache = TriageCache::<()>::default();
         let info = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
         let a = Workload::new("name-a", vec![Op::Creat { path: "foo".into() }]);
         let b = Workload::new("name-b", vec![Op::Mkdir { path: "X".into() }]);
@@ -377,14 +380,14 @@ mod tests {
         // The entry-digest memo must not change what a key hashes to: a
         // fresh cache (empty memo) computes the same key.
         assert_eq!(
-            TriageCache::default().key(7, &seed_a, &info),
+            TriageCache::<()>::default().key(7, &seed_a, &info),
             cache.key(7, &seed_a, &info)
         );
     }
 
     #[test]
     fn key_depends_on_state_digest_and_projection() {
-        let mut cache = TriageCache::default();
+        let mut cache = TriageCache::<()>::default();
         let info = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
         let w = Workload::new("w", vec![Op::Creat { path: "foo".into() }]);
         let seed = KeySeed::of(&w);
@@ -405,7 +408,7 @@ mod tests {
             expected: "x".into(),
             ..CheckVerdict::default()
         };
-        cache.record(42, &verdict);
+        cache.record(42, verdict);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(42).map(|v| v.expected.as_str()), Some("x"));
         assert!(cache.lookup(7).is_none());
@@ -424,6 +427,6 @@ mod tests {
         };
         let text = audit_divergence(3, &clean, &failed).unwrap();
         assert!(text.contains("crash point 3"), "{text}");
-        assert!(text.contains("1 write failures"), "{text}");
+        assert!(text.contains("cannot create"), "{text}");
     }
 }

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use b3_ace::{Bounds, Classifier, SpaceTable, WorkloadGenerator};
 use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnWorkloadGenerator};
-use b3_crashmonkey::{CrashMonkey, ProfileSharing};
+use b3_crashmonkey::{CrashMonkey, ProfileSharing, Sharing};
 use b3_harness::distrib::{load_checkpoint, run_with_transport, segment_stats};
 use b3_harness::{Progress, RunConfig, SweepJob, SweepSpace};
 
@@ -163,11 +163,12 @@ fn sharing_line(sampled: usize, done: &str, steps: &str, sharing: ProfileSharing
     )
 }
 
-/// What a crash-tested sample appends to its line: the crash states `done`
-/// here and those the trunk `answered` instead.
-fn states_part(verb: &str, done: u64, answered: u64) -> String {
+/// What a crash-tested sample appends to its line: the crash states tested
+/// here and those the trunk answered instead.
+fn states_part(sharing: Sharing) -> String {
+    let (done, answered) = (sharing.states_tested, sharing.states_inherited);
     format!(
-        "{done} crash states {verb}, {answered} answered from the trunk ({:.0} %)",
+        "{done} crash states tested, {answered} answered from the trunk ({:.0} %)",
         answered as f64 * 100.0 / (done + answered).max(1) as f64,
     )
 }
@@ -189,8 +190,8 @@ fn print_sampled_app_sharing(job: &SweepJob, bounds: &TxnBounds, engine: EngineP
     let sharing = harness.sharing();
     println!(
         "{}; {}",
-        sharing_line(tested, "crash-tested", "transactions", sharing.txns),
-        states_part("recovered", sharing.states_recovered, sharing.states_reused),
+        sharing_line(tested, "crash-tested", "transactions", sharing.steps),
+        states_part(sharing),
     );
 }
 
@@ -226,11 +227,14 @@ fn print_sampled_sharing(job: &SweepJob, bounds: &Bounds) {
     if crash_test {
         println!(
             "{}; {}",
-            sharing_line(sampled, "crash-tested", "ops", sharing.ops),
-            states_part("tested", sharing.states_tested, sharing.states_inherited),
+            sharing_line(sampled, "crash-tested", "ops", sharing.steps),
+            states_part(sharing),
         );
     } else {
-        println!("{}", sharing_line(sampled, "profiled", "ops", sharing.ops));
+        println!(
+            "{}",
+            sharing_line(sampled, "profiled", "ops", sharing.steps)
+        );
     }
     let generation = generator.stats();
     println!(

@@ -18,6 +18,7 @@ use std::time::Instant;
 use b3_ace::canon::{Class, Classifier};
 use b3_ace::{Bounds, SpaceTable, WorkloadGenerator};
 use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnWorkloadGenerator};
+use b3_crashmonkey::target::{self, Target};
 use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome};
 use b3_vfs::error::FsResult;
 use b3_vfs::fs::FsSpec;
@@ -81,13 +82,17 @@ pub(crate) trait JobSpace: Sync {
 /// back with `false`. Pruned candidates pass no gate, so they consume
 /// neither workload budget nor a worker's chaos tick — a budgeted
 /// representative sweep covers proportionally more of the space.
-fn shard_loop<W>(
-    steps: impl Iterator<Item = Step<W>>,
-    test: impl Fn(&W) -> FsResult<WorkloadOutcome>,
-    name: impl Fn(&W) -> &str,
+fn shard_loop<T: Target>(
+    tester: &T,
+    steps: impl Iterator<Item = Step<T::Workload>>,
+    name: impl Fn(&T::Workload) -> &str,
     live: &LiveCounters,
     mut gate: impl FnMut() -> bool,
 ) -> (ShardResult, bool) {
+    // Triage witnesses are per shard: a shard's audited counter depends on
+    // which crash states find one, so none may come from another shard.
+    tester.carried().reset_triage();
+    let test = |workload: &T::Workload| target::test(tester, workload);
     let mut result = ShardResult::default();
     for step in steps {
         let (workload, audit) = match step {
@@ -111,7 +116,7 @@ fn shard_loop<W>(
         // Crash-test the pruned member and its representative and record a
         // divergence; both timings count (audit work is real work).
         result.audited += 1;
-        let mut signature = |workload: &W| {
+        let mut signature = |workload: &T::Workload| {
             let outcome = test(workload);
             if let Ok(outcome) = &outcome {
                 result.workload_time_nanos += outcome.timing.total.as_nanos() as u64;
@@ -445,17 +450,7 @@ impl<'a> JobSpace for FsSpace<'a> {
         live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool) {
-        // Triage witnesses and audit sampling state are per shard: a
-        // shard's audited counter depends on which crash states hit the
-        // witness cache and which members were sampled before.
-        monkey.reset_triage();
-        shard_loop(
-            self.steps(shard),
-            |workload| monkey.test_workload(workload),
-            |workload| &workload.name,
-            live,
-            gate,
-        )
+        shard_loop(monkey, self.steps(shard), |w| &w.name, live, gate)
     }
 }
 
@@ -493,20 +488,11 @@ impl<'a> JobSpace for AppSpace<'a> {
         live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool) {
-        // What a workload's crash states cost — recovered here, answered
-        // from the trunk, audited — depends on what the trunk holds, and
-        // the audited count reaches the shard result.
-        harness.reset_trunk();
         let shard = self
             .bounds
             .shard(shard as usize, self.checkpoint.num_shards());
-        shard_loop(
-            TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard).map(Step::Test),
-            |workload| harness.test_workload(workload),
-            |workload| &workload.name,
-            live,
-            gate,
-        )
+        let steps = TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard).map(Step::Test);
+        shard_loop(harness, steps, |w| &w.name, live, gate)
     }
 }
 

@@ -1200,6 +1200,30 @@ mod tests {
     }
 
     #[test]
+    fn app_sweeps_time_their_workloads() {
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let bounds = TxnBounds::tiny();
+        let summary = AppSweep::new(&spec, app_config(), EngineProfile::fixed())
+            .shards(4)
+            .run(&bounds);
+        assert!(summary.tested > 0);
+        assert!(summary.total_workload_time > Duration::ZERO);
+        assert!(summary.avg_workload_latency() > Duration::ZERO);
+
+        let harness =
+            b3_app::AppHarness::new(&spec, app_config().crashmonkey, EngineProfile::fixed());
+        for workload in b3_app::TxnWorkloadGenerator::new(bounds) {
+            let outcome = harness.test_workload(&workload).unwrap();
+            let timing = outcome.timing;
+            assert!(
+                timing.total >= timing.profile + timing.recovery,
+                "{timing:?}"
+            );
+            assert!(outcome.resource.recorded_io_bytes > 0, "{}", workload.name);
+        }
+    }
+
+    #[test]
     fn engine_profile_scopes_the_checkpoint() {
         let spec = CowFsSpec::new(KernelEra::Patched);
         let fixed = AppSweep::new(&spec, app_config(), EngineProfile::fixed());

@@ -137,7 +137,7 @@ fn shared_profiles_equal_from_scratch_profiles_in_any_order() {
                 );
                 failed += usize::from(shared.exec_error.is_some());
             }
-            let sharing = monkey.profile_sharing();
+            let sharing = monkey.sharing().steps;
             assert_eq!(sharing.mounts, 1, "{kind:?}, {order}");
             assert!(sharing.ops_resumed > 0, "{kind:?}, {order}: nothing shared");
         }
@@ -217,7 +217,7 @@ fn a_seq2_shard_in_generator_order_resumes_most_of_its_ops() {
         monkey.profile_only(&workload).unwrap();
         profiled += 1;
     }
-    let sharing = monkey.profile_sharing();
+    let sharing = monkey.sharing().steps;
     assert!(profiled > 100, "shard too small to judge: {profiled}");
     assert!(
         sharing.resumed_share() >= 0.6,

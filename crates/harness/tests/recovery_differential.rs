@@ -9,7 +9,7 @@
 //! * The **in-process** test recovers and mounts every crash state of a
 //!   bounded seq-2 slice on **all four** simulated file systems and compares
 //!   the two views. It runs in any build; debug builds additionally assert
-//!   the same inside `RecoverySession` for every state a sweep tests.
+//!   the same inside the crash-point loop for every state a sweep tests.
 //! * The **distributed** test drives a sweep through 4 real worker
 //!   processes and compares it against the same sweep in process — the
 //!   verdicts, bug reports and group exemplars must be byte-identical.
