@@ -1,8 +1,10 @@
 //! Per-device IO statistics.
 //!
 //! Section 6.5 of the paper reports CrashMonkey's resource consumption
-//! (memory of the copy-on-write device, storage per workload, CPU). The
-//! statistics collected here feed the `fig_resources` benchmark.
+//! (memory of the copy-on-write device, storage per workload, CPU). These
+//! counters are the per-device view of that accounting; the §6.5 table the
+//! `quickstart` example prints averages the accounting of each workload's
+//! outcome.
 
 /// Cumulative counters maintained by every block device implementation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

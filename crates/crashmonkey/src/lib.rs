@@ -48,7 +48,7 @@ pub mod trunk;
 
 use std::sync::Arc;
 
-use b3_block::{crash_state, CowSnapshotDevice, LogHandle};
+use b3_block::{CowSnapshotDevice, LogHandle};
 use b3_vfs::error::FsResult;
 use b3_vfs::fs::{FileSystem, FsSpec};
 use b3_vfs::snapshot::EntryInterner;
@@ -152,15 +152,6 @@ impl<'a> CrashMonkey<'a> {
     /// consistency. Returns the outcome including any bug reports.
     pub fn test_workload(&self, workload: &Workload) -> FsResult<WorkloadOutcome> {
         target::test(self, workload)
-    }
-
-    /// Convenience: build the crash state for one checkpoint of a profile.
-    pub fn crash_state_for(
-        &self,
-        profile: &ProfileResult,
-        checkpoint: u32,
-    ) -> FsResult<CowSnapshotDevice> {
-        crash_state(&profile.base_image, &profile.log, checkpoint).map_err(Into::into)
     }
 }
 

@@ -68,7 +68,7 @@ use b3_vfs::KernelEra;
 use crate::corpus::FsKind;
 use crate::engine::{self, in_process_scope, JobSpace};
 use crate::runner::{spawn_progress_monitor, RunConfig, RunSummary};
-use crate::sweep::{Progress, PruneMode, SweepCheckpoint, WorkerThroughput};
+use crate::sweep::{eta, Progress, PruneMode, SweepCheckpoint, WorkerThroughput};
 
 pub mod auth;
 pub mod fleet;
@@ -624,10 +624,13 @@ impl CoordState {
         let elapsed = started.elapsed();
         let completed = self.checkpoint.completed_shards();
         let total_shards = self.checkpoint.num_shards();
-        let done_this_run = completed.saturating_sub(seeded_shards);
-        let remaining = total_shards.saturating_sub(completed);
-        let eta = (done_this_run > 0 && remaining > 0 && !self.stopping)
-            .then(|| elapsed.mul_f64(remaining as f64 / done_this_run as f64));
+        let eta = eta(
+            elapsed,
+            completed,
+            seeded_shards,
+            total_shards,
+            self.stopping,
+        );
         Progress {
             tested: self.tested,
             skipped: self.skipped,
@@ -635,7 +638,7 @@ impl CoordState {
             bugs: self.buggy,
             completed_shards: completed,
             total_shards,
-            total_workloads: Some(total_workloads),
+            total_workloads,
             elapsed,
             eta,
             per_worker: self

@@ -216,13 +216,15 @@ pub(crate) fn run_resumable<S: JobSpace>(
     let active_workers = AtomicUsize::new(threads);
     let recorded = Mutex::new(checkpoint);
     let abandoned: Mutex<Vec<ShardResult>> = Mutex::new(Vec::new());
+    let bug_limit_hit = || {
+        config
+            .stop_after_bugs
+            .is_some_and(|limit| counters.bugs.load(Ordering::Relaxed) >= limit)
+    };
     // True while neither the bug limit nor the workload budget is spent.
     let gate = || {
-        let bug_limit_hit = config
-            .stop_after_bugs
-            .is_some_and(|limit| counters.bugs.load(Ordering::Relaxed) >= limit);
         let take_budget = |left: usize| left.checked_sub(1);
-        !bug_limit_hit
+        !bug_limit_hit()
             && budget
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take_budget)
                 .is_ok()
@@ -230,10 +232,11 @@ pub(crate) fn run_resumable<S: JobSpace>(
 
     std::thread::scope(|scope| {
         if let Some((callback, interval)) = progress {
-            let total = Some(space.total_candidates());
-            let counters = &counters;
+            let total = space.total_candidates();
+            let (counters, budget) = (&counters, &budget);
             spawn_progress_monitor(scope, callback, interval, &done, move || {
-                counters.snapshot(start, total, empty.num_shards(), seeded_shards)
+                let stopping = bug_limit_hit() || budget.load(Ordering::Relaxed) == 0;
+                counters.snapshot(start, total, empty.num_shards(), seeded_shards, stopping)
             });
         }
         for _ in 0..threads {

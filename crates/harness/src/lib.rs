@@ -6,17 +6,16 @@
 //!   Appendix 9.1 and the 11 new bugs of Table 5 / Appendix 9.2, each as an
 //!   executable workload plus metadata (file system, kernel era, expected
 //!   consequence), and the machinery to replay them under CrashMonkey.
-//! * [`runner`] — a multi-threaded runner that drives CrashMonkey over a
-//!   stream of ACE-generated workloads (the in-process analogue of the
-//!   paper's 65-node / 780-VM Chameleon cluster), pulling chunks from the
-//!   stream and reporting progress periodically.
-//! * [`sweep`] — sharded, resumable sweeps: workers steal whole generator
-//!   shards ([`b3_ace::Bounds::shard`]), completed shards are recorded in a
-//!   serializable [`sweep::SweepCheckpoint`], and a killed sweep resumes
-//!   where it left off. [`Sweep`] (file-system spaces) and [`AppSweep`]
+//! * [`sweep`] — sharded, resumable sweeps, the in-process analogue of the
+//!   paper's 65-node / 780-VM Chameleon cluster: worker threads steal whole
+//!   generator shards ([`b3_ace::Bounds::shard`]), completed shards are
+//!   recorded in a serializable [`sweep::SweepCheckpoint`], a killed sweep
+//!   resumes where it left off, and a [`RunConfig`] budget, bug limit and
+//!   progress callback bound and observe the run, whose counts come back as
+//!   a [`RunSummary`]. [`Sweep`] (file-system spaces) and [`AppSweep`]
 //!   (`b3_app` transaction spaces) are thin facades over one crate-private
-//!   `engine`: a single shard loop and a single in-process scheduler,
-//!   generic over the job space, which the distributed worker runs too.
+//!   `engine`: the one shard loop and the one in-process scheduler, generic
+//!   over the job space, which the distributed worker runs too.
 //! * [`distrib`] — multi-process *and* multi-host fan-out over the same
 //!   shard machinery: a coordinator process owns the shard queue and
 //!   checkpoint file, workers claim shards over a framed protocol carried
@@ -38,8 +37,8 @@
 //! * [`baseline`] — the comparison points discussed in §2 and §7: an
 //!   xfstests-style handcrafted regression suite and a random (fuzz-style)
 //!   workload generator.
-//! * [`report`] — plain-text table formatting used by the benches and
-//!   examples that regenerate the paper's tables.
+//! * [`report`] — plain-text table formatting used by the examples that
+//!   regenerate the paper's tables.
 
 pub mod baseline;
 pub mod corpus;
@@ -48,7 +47,7 @@ pub mod distrib;
 mod engine;
 pub mod postprocess;
 pub mod report;
-pub mod runner;
+mod runner;
 pub mod study;
 pub mod sweep;
 
@@ -62,7 +61,7 @@ pub use distrib::{
 };
 pub use postprocess::{group_reports, BugGroup, KnownBugDatabase};
 pub use report::{bug_group_table, Table};
-pub use runner::{run_stream, run_stream_observed, RunConfig, RunSummary};
+pub use runner::{RunConfig, RunSummary};
 pub use sweep::{
     AppSweep, AuditFailure, Progress, PruneMode, Sweep, SweepCheckpoint, WorkerThroughput,
 };

@@ -1,26 +1,15 @@
-//! A multi-threaded workload runner.
-//!
-//! The paper tests 3.37 million workloads by fanning them out to 780 virtual
-//! machines on a 65-node Chameleon Cloud cluster; each VM runs one
-//! CrashMonkey instance over its share of the workloads (§6.1). In this
-//! reproduction the fan-out is in-process: a pool of worker threads pulls
-//! *chunks* of workloads from a shared stream (one lock acquisition per
-//! chunk, not per workload), each worker owning its own CrashMonkey
-//! instance, and the per-workload outcomes are folded into one summary.
-//!
-//! For sharded, resumable sweeps over ACE-generated spaces — where workers
-//! steal whole generator shards instead of chunks of a single iterator —
-//! see [`crate::sweep`].
+//! What an in-process run is configured with and what it reports: the
+//! [`RunConfig`] a sweep runs under, the [`RunSummary`] it folds its shard
+//! results into, and the live counters and progress monitor the shard
+//! engine (the crate's `engine` module) and the distributed coordinator
+//! share.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use b3_crashmonkey::{BugReport, CrashMonkey, CrashMonkeyConfig, WorkloadOutcome};
-use b3_vfs::fs::FsSpec;
-use b3_vfs::workload::Workload;
+use b3_crashmonkey::{BugReport, CrashMonkeyConfig};
 
-use crate::sweep::{Absorbed, Progress};
+use crate::sweep::{eta, Absorbed, Progress};
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -28,15 +17,11 @@ pub struct RunConfig {
     /// Number of worker threads (the paper's analogue is VMs per node).
     pub threads: usize,
     /// Stop after this many workloads have produced bug reports (None = run
-    /// the whole stream).
+    /// the whole space).
     pub stop_after_bugs: Option<usize>,
-    /// Workload budget: stop after pulling this many workloads from the
-    /// stream (None = run the whole stream). The `--stop-after` knob of the
-    /// examples.
+    /// Workload budget: stop after crash-testing this many workloads (None
+    /// = run the whole space). The `--stop-after` knob of the examples.
     pub stop_after_workloads: Option<usize>,
-    /// How many workloads a worker pulls from the shared stream per lock
-    /// acquisition.
-    pub chunk_size: usize,
     /// CrashMonkey configuration used by every worker.
     pub crashmonkey: CrashMonkeyConfig,
 }
@@ -47,7 +32,6 @@ impl Default for RunConfig {
             threads: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
             stop_after_bugs: None,
             stop_after_workloads: None,
-            chunk_size: 64,
             crashmonkey: CrashMonkeyConfig::small(),
         }
     }
@@ -63,7 +47,7 @@ pub struct RunSummary {
     /// Candidates pruned without testing because a sweep's
     /// [`PruneMode`](crate::sweep::PruneMode) classified them as
     /// equivalent to an already-tested class representative. Always zero
-    /// for [`run_stream`] and for sweeps with pruning off. Kept separate
+    /// for sweeps with pruning off. Kept separate
     /// from `skipped` so `tested + skipped + pruned` reconstructs the full
     /// candidate coverage and throughput stays honest.
     pub pruned: usize,
@@ -75,13 +59,12 @@ pub struct RunSummary {
     /// canonicalization was too coarse for this space and the
     /// representative results cannot be trusted.
     pub audit_failures: Vec<crate::sweep::AuditFailure>,
-    /// Total raw bug reports produced, before any deduplication. For
-    /// [`run_stream`] summaries this equals `reports.len()`; for sweep
-    /// summaries (which deduplicate at the source and keep only group
-    /// exemplars in `reports`) it counts every underlying report.
+    /// Total raw bug reports produced, before any deduplication: sweeps
+    /// deduplicate at the source and keep only group exemplars in
+    /// `reports`, so this counts every underlying report.
     pub raw_reports: usize,
-    /// The bug reports kept: every raw report for [`run_stream`], one
-    /// exemplar per (skeleton, consequence) group for sweeps.
+    /// The bug reports kept: one exemplar per (skeleton, consequence)
+    /// group.
     pub reports: Vec<BugReport>,
     /// Total wall-clock time of the run.
     pub elapsed: Duration,
@@ -134,34 +117,34 @@ impl LiveCounters {
         }
     }
 
+    /// The counters as a [`Progress`]; `stopping` once the run's budget or
+    /// bug limit is spent.
     pub fn snapshot(
         &self,
         started: Instant,
-        total_workloads: Option<u64>,
+        total_workloads: u64,
         total_shards: usize,
         seeded_shards: usize,
+        stopping: bool,
     ) -> Progress {
-        let tested = self.tested.load(Ordering::Relaxed);
-        let skipped = self.skipped.load(Ordering::Relaxed);
         let elapsed = started.elapsed();
         let completed_shards = self.completed_shards.load(Ordering::Relaxed);
-        // ETA from shard completion this run: shards are near-equal slices
-        // of the candidate space, and unlike tested-workload counts the
-        // shard total is exact, so the estimate converges to zero.
-        let done_this_run = completed_shards.saturating_sub(seeded_shards);
-        let remaining = total_shards.saturating_sub(completed_shards);
-        let eta = (total_shards > 0 && done_this_run > 0 && remaining > 0)
-            .then(|| elapsed.mul_f64(remaining as f64 / done_this_run as f64));
         Progress {
-            tested,
-            skipped,
+            tested: self.tested.load(Ordering::Relaxed),
+            skipped: self.skipped.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
             bugs: self.bugs.load(Ordering::Relaxed),
             completed_shards,
             total_shards,
             total_workloads,
             elapsed,
-            eta,
+            eta: eta(
+                elapsed,
+                completed_shards,
+                seeded_shards,
+                total_shards,
+                stopping,
+            ),
             per_worker: Vec::new(),
         }
     }
@@ -212,152 +195,27 @@ pub(crate) fn spawn_progress_monitor<'scope, 'env>(
     });
 }
 
-/// Runs CrashMonkey over every workload in `workloads` using
-/// `config.threads` worker threads pulling chunks from the shared stream.
-pub fn run_stream<I>(spec: &(dyn FsSpec + Sync), workloads: I, config: &RunConfig) -> RunSummary
-where
-    I: IntoIterator<Item = Workload>,
-    I::IntoIter: Send,
-{
-    run_stream_observed(spec, workloads, config, None, Duration::from_secs(1))
-}
-
-/// [`run_stream`] with a periodic progress callback (fired roughly every
-/// `interval`, plus once with the final counters).
-pub fn run_stream_observed<I>(
-    spec: &(dyn FsSpec + Sync),
-    workloads: I,
-    config: &RunConfig,
-    progress: Option<&(dyn Fn(&Progress) + Sync)>,
-    interval: Duration,
-) -> RunSummary
-where
-    I: IntoIterator<Item = Workload>,
-    I::IntoIter: Send,
-{
-    struct Queue<I> {
-        iterator: I,
-        pulled: usize,
-    }
-
-    let start = Instant::now();
-    let queue = Mutex::new(Queue {
-        iterator: workloads.into_iter(),
-        pulled: 0,
-    });
-    let summary = Mutex::new(RunSummary::default());
-    let counters = LiveCounters::default();
-    // Shared oracle interner: content-equal oracle/expectation entries
-    // produced by different workloads collapse to one allocation.
-    let interner = std::sync::Arc::new(b3_vfs::snapshot::EntryInterner::new());
-    let done = AtomicBool::new(false);
-    let threads = config.threads.max(1);
-    let active_workers = AtomicUsize::new(threads);
-    let chunk_size = config.chunk_size.max(1);
-    let budget = config.stop_after_workloads.unwrap_or(usize::MAX);
-
-    std::thread::scope(|scope| {
-        if let Some(callback) = progress {
-            spawn_progress_monitor(scope, callback, interval, &done, || {
-                counters.snapshot(start, None, 0, 0)
-            });
-        }
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _guard = WorkerGuard::new(&active_workers, &done);
-                let monkey = CrashMonkey::with_interner(spec, config.crashmonkey, interner.clone());
-                let mut chunk: Vec<Workload> = Vec::with_capacity(chunk_size);
-                'work: loop {
-                    if let Some(limit) = config.stop_after_bugs {
-                        if counters.bugs.load(Ordering::Relaxed) >= limit {
-                            break 'work;
-                        }
-                    }
-                    chunk.clear();
-                    {
-                        let mut queue = queue.lock().expect("queue poisoned");
-                        while queue.pulled < budget && chunk.len() < chunk_size {
-                            match queue.iterator.next() {
-                                Some(workload) => {
-                                    queue.pulled += 1;
-                                    chunk.push(workload);
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                    if chunk.is_empty() {
-                        break 'work;
-                    }
-                    for workload in chunk.drain(..) {
-                        // Re-check the bug limit per workload, not just per
-                        // chunk, so the overshoot past `stop_after_bugs` is
-                        // bounded by the number of workers, not chunk size.
-                        if let Some(limit) = config.stop_after_bugs {
-                            if counters.bugs.load(Ordering::Relaxed) >= limit {
-                                break 'work;
-                            }
-                        }
-                        match monkey.test_workload(&workload) {
-                            Ok(outcome) => {
-                                if outcome.found_bug() {
-                                    counters.bugs.fetch_add(1, Ordering::Relaxed);
-                                }
-                                record(&summary, &counters, outcome);
-                            }
-                            Err(error) => {
-                                counters.skipped.fetch_add(1, Ordering::Relaxed);
-                                let mut summary = summary.lock().expect("summary poisoned");
-                                summary.skipped += 1;
-                                drop(error);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let mut summary = summary.into_inner().expect("summary poisoned");
-    summary.elapsed = start.elapsed();
-    summary
-}
-
-fn record(summary: &Mutex<RunSummary>, counters: &LiveCounters, outcome: WorkloadOutcome) {
-    if outcome.skipped.is_some() {
-        counters.skipped.fetch_add(1, Ordering::Relaxed);
-    } else {
-        counters.tested.fetch_add(1, Ordering::Relaxed);
-    }
-    let mut summary = summary.lock().expect("summary poisoned");
-    if outcome.skipped.is_some() {
-        summary.skipped += 1;
-        return;
-    }
-    summary.tested += 1;
-    summary.total_workload_time += outcome.timing.total;
-    summary.raw_reports += outcome.bugs.len();
-    summary.reports.extend(outcome.bugs);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Sweep;
     use b3_ace::{Bounds, WorkloadGenerator};
     use b3_fs_cow::CowFsSpec;
     use b3_vfs::KernelEra;
 
+    fn tiny_total() -> usize {
+        WorkloadGenerator::new(Bounds::tiny()).count()
+    }
+
     #[test]
     fn parallel_run_over_tiny_bounds_is_clean_on_patched_fs() {
         let spec = CowFsSpec::patched();
-        let workloads: Vec<Workload> = WorkloadGenerator::new(Bounds::tiny()).collect();
-        let total = workloads.len();
         let config = RunConfig {
             threads: 4,
             ..RunConfig::default()
         };
-        let summary = run_stream(&spec, workloads, &config);
-        assert_eq!(summary.tested + summary.skipped, total);
+        let summary = Sweep::new(&spec, config).run(&Bounds::tiny());
+        assert_eq!(summary.tested + summary.skipped, tiny_total());
         assert!(
             summary.reports.is_empty(),
             "patched CowFs must not produce reports: {:?}",
@@ -369,20 +227,15 @@ mod tests {
 
     #[test]
     fn buggy_fs_produces_reports_from_generated_workloads() {
-        // seq-1 creat workloads on the 4.16 kernel find the "fsync file does
-        // not persist all its names" family via link workloads; use a link
-        // oriented tiny bound to keep the test fast.
+        // The 3.13-era CowFs has many injected bugs; at least one of the
+        // tiny link/rename workloads must trip one.
         let spec = CowFsSpec::new(KernelEra::V3_13);
-        let bounds = Bounds::tiny();
-        let workloads: Vec<Workload> = WorkloadGenerator::new(bounds).collect();
         let config = RunConfig {
             threads: 2,
             ..RunConfig::default()
         };
-        let summary = run_stream(&spec, workloads, &config);
+        let summary = Sweep::new(&spec, config).run(&Bounds::tiny());
         assert!(summary.tested > 0);
-        // The 3.13-era CowFs has many injected bugs; at least one of the
-        // tiny link/rename workloads must trip one.
         assert!(
             !summary.reports.is_empty(),
             "expected at least one report on the 3.13-era file system"
@@ -392,53 +245,43 @@ mod tests {
     #[test]
     fn stop_after_bugs_short_circuits() {
         let spec = CowFsSpec::new(KernelEra::V3_13);
-        let workloads: Vec<Workload> = WorkloadGenerator::new(Bounds::tiny()).collect();
         let config = RunConfig {
             threads: 1,
-            chunk_size: 1,
             stop_after_bugs: Some(1),
             ..RunConfig::default()
         };
-        let summary = run_stream(&spec, workloads.clone(), &config);
-        assert!(summary.tested <= workloads.len());
+        let summary = Sweep::new(&spec, config).shards(8).run(&Bounds::tiny());
+        assert!(summary.tested < tiny_total(), "the first bug stops the run");
         assert!(!summary.reports.is_empty());
     }
 
     #[test]
     fn stop_after_workloads_budget_is_respected() {
         let spec = CowFsSpec::patched();
-        let workloads: Vec<Workload> = WorkloadGenerator::new(Bounds::tiny()).collect();
-        assert!(workloads.len() > 5);
+        assert!(tiny_total() > 5);
         let config = RunConfig {
             threads: 2,
             stop_after_workloads: Some(5),
             ..RunConfig::default()
         };
-        let summary = run_stream(&spec, workloads, &config);
+        let summary = Sweep::new(&spec, config).run(&Bounds::tiny());
         assert_eq!(summary.tested + summary.skipped, 5);
     }
 
     #[test]
     fn progress_callback_fires_with_final_counters() {
-        use std::sync::atomic::AtomicUsize;
         let spec = CowFsSpec::patched();
-        let workloads: Vec<Workload> = WorkloadGenerator::new(Bounds::tiny()).collect();
-        let total = workloads.len();
         let calls = AtomicUsize::new(0);
         let last_processed = AtomicUsize::new(0);
         let callback = |p: &Progress| {
             calls.fetch_add(1, Ordering::Relaxed);
             last_processed.store(p.tested + p.skipped, Ordering::Relaxed);
         };
-        let summary = run_stream_observed(
-            &spec,
-            workloads,
-            &RunConfig::default(),
-            Some(&callback),
-            Duration::from_millis(1),
-        );
+        let summary = Sweep::new(&spec, RunConfig::default())
+            .on_progress(&callback, Duration::from_millis(1))
+            .run(&Bounds::tiny());
         assert!(calls.load(Ordering::Relaxed) >= 1, "final callback fires");
-        assert_eq!(last_processed.load(Ordering::Relaxed), total);
-        assert_eq!(summary.tested + summary.skipped, total);
+        assert_eq!(last_processed.load(Ordering::Relaxed), tiny_total());
+        assert_eq!(summary.tested + summary.skipped, tiny_total());
     }
 }

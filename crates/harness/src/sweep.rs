@@ -5,10 +5,9 @@
 //! thread scheduler behind both facades live once, in the crate's `engine`
 //! module.
 //!
-//! Where [`crate::runner::run_stream`] fans a single workload iterator out
-//! to worker threads, a sweep splits the bounded space itself into
-//! deterministic generator shards ([`Bounds::shard`]) and lets workers
-//! *steal whole shards*: claiming a shard is one atomic increment, and
+//! A sweep splits the bounded space into deterministic generator shards
+//! ([`Bounds::shard`]) and lets worker threads *steal whole shards*:
+//! claiming a shard is one atomic increment, and
 //! inside a shard a worker drives its own generator with no shared state
 //! at all — the in-process analogue of the paper copying workload subsets
 //! to 780 VMs (§6.1).
@@ -72,10 +71,10 @@ pub struct Progress {
     pub bugs: usize,
     /// Shards fully completed (including ones restored from a checkpoint).
     pub completed_shards: usize,
-    /// Total shards in the sweep (0 when running over a plain stream).
+    /// Total shards in the sweep.
     pub total_shards: usize,
-    /// Upper bound on the total workloads of the space, when known.
-    pub total_workloads: Option<u64>,
+    /// Upper bound on the total workloads of the space.
+    pub total_workloads: u64,
     /// Wall-clock time since the sweep (or this resume) started.
     pub elapsed: Duration,
     /// Estimated time to completion, extrapolated from throughput so far.
@@ -92,16 +91,10 @@ impl Progress {
         if self.pruned > 0 {
             line.push_str(&format!(" / pruned {}", self.pruned));
         }
-        line.push_str(&format!(" / bugs {}", self.bugs));
-        if self.total_shards > 0 {
-            line.push_str(&format!(
-                " | shards {}/{}",
-                self.completed_shards, self.total_shards
-            ));
-        }
-        if let Some(total) = self.total_workloads {
-            line.push_str(&format!(" | ~{total} candidates"));
-        }
+        line.push_str(&format!(
+            " / bugs {} | shards {}/{} | ~{} candidates",
+            self.bugs, self.completed_shards, self.total_shards, self.total_workloads
+        ));
         line.push_str(&format!(" | {:.1?} elapsed", self.elapsed));
         if let Some(eta) = self.eta {
             line.push_str(&format!(" | ~{eta:.0?} left"));
@@ -126,6 +119,25 @@ impl Progress {
         }
         line
     }
+}
+
+/// Time left in a sweep, extrapolated from the shards this run completed
+/// (shards are near-equal slices of the candidate space, and unlike
+/// workload counts the shard total is exact, so the estimate converges to
+/// zero). `None` before the first shard completes, once none are left, and
+/// once the sweep is `stopping` on its budget or bug limit: the shards
+/// left will not run.
+pub(crate) fn eta(
+    elapsed: Duration,
+    completed_shards: usize,
+    seeded_shards: usize,
+    total_shards: usize,
+    stopping: bool,
+) -> Option<Duration> {
+    let done_this_run = completed_shards.saturating_sub(seeded_shards);
+    let remaining = total_shards.saturating_sub(completed_shards);
+    (done_this_run > 0 && remaining > 0 && !stopping)
+        .then(|| elapsed.mul_f64(remaining as f64 / done_this_run as f64))
 }
 
 /// How a sweep treats candidates that are crash-behaviorally equivalent to
@@ -922,22 +934,30 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_matches_run_stream_counts() {
+    fn sharded_sweep_matches_a_sequential_fold() {
+        use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
         let bounds = Bounds::tiny();
         let spec = CowFsSpec::new(KernelEra::V4_16);
-        let streamed = crate::runner::run_stream(
-            &spec,
-            WorkloadGenerator::new(bounds.clone()),
-            &tiny_config(),
-        );
+        // The slow path: one CrashMonkey, no threads, every report kept.
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+        let (mut tested, mut skipped, mut reports) = (0, 0, Vec::new());
+        for workload in WorkloadGenerator::new(bounds.clone()) {
+            match monkey.test_workload(&workload) {
+                Ok(outcome) if outcome.skipped.is_none() => {
+                    tested += 1;
+                    reports.extend(outcome.bugs);
+                }
+                _ => skipped += 1,
+            }
+        }
         let swept = Sweep::new(&spec, tiny_config()).shards(5).run(&bounds);
-        assert_eq!(swept.tested, streamed.tested);
-        assert_eq!(swept.skipped, streamed.skipped);
+        assert_eq!(swept.tested, tested);
+        assert_eq!(swept.skipped, skipped);
         // The sweep's summary is deduplicated at the source: its raw-report
-        // count matches the streamed run's full report list, and its
-        // exemplars are exactly the post-hoc grouping of that list.
-        assert_eq!(swept.raw_reports, streamed.reports.len());
-        let post_hoc = crate::postprocess::group_reports(&streamed.reports);
+        // count matches the fold's full report list, and its exemplars are
+        // exactly the post-hoc grouping of that list.
+        assert_eq!(swept.raw_reports, reports.len());
+        let post_hoc = crate::postprocess::group_reports(&reports);
         assert_eq!(swept.reports.len(), post_hoc.len());
         for (exemplar, group) in swept.reports.iter().zip(&post_hoc) {
             assert_eq!(exemplar, &group.example);
@@ -987,7 +1007,14 @@ mod tests {
         let mut rounds = 0;
         while !checkpoint.is_complete() {
             let sweep = Sweep::new(&spec, budgeted).shards(6);
-            let _ = sweep.run_resumable(&bounds, &mut checkpoint);
+            let round = sweep.run_resumable(&bounds, &mut checkpoint);
+            if rounds == 0 {
+                assert_eq!(
+                    round.tested + round.skipped,
+                    per_shard as usize + 1,
+                    "a fresh budgeted round runs exactly its budget"
+                );
+            }
             checkpoint = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
             rounds += 1;
             assert!(rounds < 100, "sweep must converge");
@@ -1119,8 +1146,10 @@ mod tests {
         let bounds = Bounds::tiny();
         let spec = CowFsSpec::patched();
         let final_shards = AtomicUsize::new(0);
+        let final_processed = AtomicUsize::new(0);
         let callback = |p: &Progress| {
             final_shards.store(p.completed_shards, Ordering::Relaxed);
+            final_processed.store(p.tested + p.skipped, Ordering::Relaxed);
             let _ = p.describe();
         };
         let summary = Sweep::new(&spec, tiny_config())
@@ -1129,6 +1158,47 @@ mod tests {
             .run(&bounds);
         assert!(summary.tested > 0);
         assert_eq!(final_shards.load(Ordering::Relaxed), 3);
+        assert_eq!(
+            final_processed.load(Ordering::Relaxed),
+            summary.tested + summary.skipped,
+            "the final callback carries the summary's counters"
+        );
+    }
+
+    #[test]
+    fn budgeted_sweep_ends_without_an_eta() {
+        let bounds = Bounds::tiny();
+        let spec = CowFsSpec::patched();
+        let per_shard = WorkloadGenerator::estimate_candidates(&bounds).div_ceil(6);
+        let budgeted = RunConfig {
+            stop_after_workloads: Some(per_shard as usize + 1),
+            threads: 1,
+            ..RunConfig::default()
+        };
+        let last = std::sync::Mutex::new(None);
+        let callback = |p: &Progress| *last.lock().unwrap() = Some(p.clone());
+        let _ = Sweep::new(&spec, budgeted)
+            .shards(6)
+            .on_progress(&callback, Duration::from_millis(1))
+            .run(&bounds);
+        let last = last
+            .into_inner()
+            .unwrap()
+            .expect("the final callback fires");
+        // Shards completed and shards left: only the stop hides the ETA.
+        assert!(last.completed_shards > 0 && last.completed_shards < 6);
+        assert_eq!(last.eta, None, "{}", last.describe());
+    }
+
+    #[test]
+    fn eta_extrapolates_from_shards_completed_this_run() {
+        let ten = Duration::from_secs(10);
+        // 2 of 3 shards done this run in 10 s, 5 left: 25 s. The 3 shards
+        // restored from a checkpoint took no time and do not count.
+        assert_eq!(eta(ten, 5, 3, 10, false), Some(Duration::from_secs(25)));
+        assert_eq!(eta(ten, 3, 3, 10, false), None, "no shard done yet");
+        assert_eq!(eta(ten, 10, 3, 10, false), None, "nothing left");
+        assert_eq!(eta(ten, 5, 3, 10, true), None, "stopping");
     }
 
     fn app_config() -> RunConfig {

@@ -45,7 +45,7 @@ fn progress_with_counts(tested: usize, skipped: usize, pruned: usize) -> Progres
         bugs: 0,
         completed_shards: 0,
         total_shards: 0,
-        total_workloads: None,
+        total_workloads: 0,
         elapsed: Duration::ZERO,
         eta: None,
         per_worker: Vec::new(),

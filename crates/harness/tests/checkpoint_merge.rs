@@ -13,13 +13,14 @@
 //! **dedup equivalence**: merging grouped shard results over *any* shard
 //! partition, in *any* order, produces the same (group → count, exemplar)
 //! table as post-hoc `group_reports` over the raw, ungrouped report stream
-//! of a plain `run_stream` sweep.
+//! of a sequential, single-threaded CrashMonkey pass over the generator.
 
 use std::sync::OnceLock;
 
 use b3_ace::{Bounds, WorkloadGenerator};
+use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
 use b3_fs_cow::CowFsSpec;
-use b3_harness::{group_reports, run_stream, BugGroup, RunConfig, Sweep, SweepCheckpoint};
+use b3_harness::{group_reports, BugGroup, RunConfig, Sweep, SweepCheckpoint};
 use b3_vfs::KernelEra;
 use proptest::prelude::*;
 
@@ -45,20 +46,19 @@ fn full_checkpoint() -> &'static SweepCheckpoint {
 }
 
 /// The post-hoc grouping of the *raw* report stream over the same bounds:
-/// an ungrouped `run_stream` sweep (which keeps every report), grouped
-/// after the fact — the §5.3 reference the grouped checkpoint must match.
+/// one CrashMonkey folded over the generator with no threads (the slow
+/// path, which keeps every report), grouped after the fact — the §5.3
+/// reference the grouped checkpoint must match.
 fn post_hoc_groups() -> &'static Vec<BugGroup> {
     static GROUPS: OnceLock<Vec<BugGroup>> = OnceLock::new();
     GROUPS.get_or_init(|| {
-        let bounds = Bounds::tiny();
         let spec = CowFsSpec::new(KernelEra::V4_16);
-        let config = RunConfig {
-            threads: 2,
-            ..RunConfig::default()
-        };
-        let summary = run_stream(&spec, WorkloadGenerator::new(bounds), &config);
-        assert_eq!(summary.raw_reports, summary.reports.len());
-        group_reports(&summary.reports)
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+        let raw: Vec<_> = WorkloadGenerator::new(Bounds::tiny())
+            .filter_map(|workload| monkey.test_workload(&workload).ok())
+            .flat_map(|outcome| outcome.bugs)
+            .collect();
+        group_reports(&raw)
     })
 }
 

@@ -5,7 +5,8 @@
 //!   tested/skipped counts, byte-identical exemplar reports — and, since
 //!   shard results are deduplicated at the source, that its grouped result
 //!   (group → raw-report count + exemplar) equals post-hoc `group_reports`
-//!   over the raw report stream of an ungrouped `run_stream` sweep.
+//!   over the raw report stream of a sequential, single-threaded
+//!   CrashMonkey pass over the generator.
 //! * The **chaos** test extends PR 2's kill/serialize/resume loop across
 //!   process boundaries: every worker of the first run is killed mid-shard
 //!   (via the worker binary's `--die-after-workloads` crash hook), then the
@@ -31,13 +32,14 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use b3_ace::{Bounds, WorkloadGenerator};
+use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
 use b3_fs_cow::CowFsSpec;
 use b3_harness::distrib::protocol::{FromWorker, Hello, ToWorker, PROTOCOL_VERSION};
 use b3_harness::distrib::{
     load_checkpoint, run_with_transport, save_checkpoint, segment_stats, ChildTransport,
     DistribConfig, SshTransport, SweepJob, TcpTransport, Transport, WorkerCommand,
 };
-use b3_harness::{group_reports, run_stream, BugGroup, RunConfig, RunSummary, Sweep};
+use b3_harness::{group_reports, BugGroup, RunConfig, RunSummary, Sweep};
 use b3_vfs::codec::Encoder;
 use b3_vfs::KernelEra;
 
@@ -73,15 +75,16 @@ fn single_process_summary(bounds: &Bounds) -> RunSummary {
 
 /// Post-hoc grouping of the *raw* (ungrouped) report stream over the same
 /// bounds — the §5.3 reference the source-deduplicated sweeps must match.
+/// The raw stream comes from the slow path: one CrashMonkey folded over the
+/// generator, no threads.
 fn post_hoc_reference(bounds: &Bounds) -> (usize, Vec<BugGroup>) {
     let spec = CowFsSpec::new(KernelEra::V4_16);
-    let config = RunConfig {
-        threads: 2,
-        ..RunConfig::default()
-    };
-    let raw = run_stream(&spec, WorkloadGenerator::new(bounds.clone()), &config);
-    let groups = group_reports(&raw.reports);
-    (raw.reports.len(), groups)
+    let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+    let raw: Vec<_> = WorkloadGenerator::new(bounds.clone())
+        .filter_map(|workload| monkey.test_workload(&workload).ok())
+        .flat_map(|outcome| outcome.bugs)
+        .collect();
+    (raw.len(), group_reports(&raw))
 }
 
 /// Serializes every report of a summary, so equality can be asserted on

@@ -53,9 +53,7 @@ pub mod prelude {
     pub use b3_fs_flash::{FlashBugs, FlashFs, FlashFsSpec};
     pub use b3_fs_journal::{JournalBugs, JournalFs, JournalFsSpec};
     pub use b3_fs_veri::{VeriBugs, VeriFs, VeriFsSpec};
-    pub use b3_harness::{
-        corpus, group_reports, run_stream, study, KnownBugDatabase, RunConfig, Table,
-    };
+    pub use b3_harness::{corpus, group_reports, study, KnownBugDatabase, RunConfig, Sweep, Table};
     pub use b3_vfs::workload::parse_workload;
     pub use b3_vfs::{FileSystem, FsSpec, KernelEra, Op, Workload};
 }

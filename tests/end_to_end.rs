@@ -12,10 +12,9 @@ use b3_vfs::workload::OpKind;
 #[test]
 fn seq1_exhaustive_run_is_clean_on_patched_cowfs() {
     let bounds = Bounds::paper_seq1();
-    let workloads: Vec<Workload> = WorkloadGenerator::new(bounds).collect();
-    assert!(workloads.len() >= 200);
     let spec = CowFsSpec::patched();
-    let summary = run_stream(&spec, workloads, &RunConfig::default());
+    let summary = Sweep::new(&spec, RunConfig::default()).run(&bounds);
+    assert!(summary.tested + summary.skipped >= 200);
     assert!(
         summary.reports.is_empty(),
         "false positives on patched CowFs: {:?}",
@@ -33,9 +32,8 @@ fn seq1_exhaustive_run_is_clean_on_patched_cowfs() {
 #[test]
 fn seq1_on_evaluation_kernel_finds_single_op_new_bugs() {
     let bounds = Bounds::paper_seq1();
-    let workloads: Vec<Workload> = WorkloadGenerator::new(bounds).collect();
     let spec = CowFsSpec::new(KernelEra::V4_16);
-    let summary = run_stream(&spec, workloads, &RunConfig::default());
+    let summary = Sweep::new(&spec, RunConfig::default()).run(&bounds);
     assert!(
         !summary.reports.is_empty(),
         "seq-1 must reveal bugs on 4.16"
@@ -55,14 +53,13 @@ fn seq1_on_evaluation_kernel_finds_single_op_new_bugs() {
 #[test]
 fn seq2_link_subspace_finds_and_groups_bugs() {
     let bounds = Bounds::paper_seq2().with_ops(vec![OpKind::Link, OpKind::WriteBuffered]);
-    let workloads: Vec<Workload> = WorkloadGenerator::new(bounds).collect();
-    assert!(!workloads.is_empty());
     let spec = CowFsSpec::new(KernelEra::V3_13);
-    let summary = run_stream(&spec, workloads, &RunConfig::default());
+    let summary = Sweep::new(&spec, RunConfig::default()).run(&bounds);
+    assert!(summary.tested > 0);
     assert!(!summary.reports.is_empty());
     let groups = group_reports(&summary.reports);
     assert!(
-        groups.len() < summary.reports.len(),
+        groups.len() < summary.raw_reports,
         "grouping must collapse duplicate manifestations"
     );
 
