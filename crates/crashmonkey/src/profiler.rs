@@ -61,10 +61,9 @@ pub struct CheckpointInfo {
     pub id: u32,
     /// Index (within setup + ops) of the persistence operation.
     pub op_index: usize,
-    /// The operation that created this checkpoint (for reporting).
-    pub op_description: String,
-    /// Expectations for every explicitly persisted path.
-    pub persisted: BTreeMap<String, Expectation>,
+    /// Expectations for every explicitly persisted path, shared with the
+    /// run and with every other checkpoint until an operation changes them.
+    pub persisted: Arc<BTreeMap<String, Expectation>>,
     /// Renames (old path, new path) whose source had been explicitly
     /// persisted before the rename executed. The persisted object may
     /// legally survive a crash under either name, but never under both —
@@ -105,7 +104,9 @@ pub struct ProfileResult {
 /// checkpoint.
 #[derive(Clone)]
 struct OracleTracker {
-    snapshot: LogicalSnapshot,
+    /// Shared with the checkpoints that captured it and with forks of the
+    /// run; a refresh copies it first if it is shared.
+    snapshot: Arc<LogicalSnapshot>,
     /// Inode number of every captured path at its last refresh; lets a write
     /// through one hard link invalidate the aliases that share the inode.
     /// Only maintained once a `link` has executed — without hard links no
@@ -130,7 +131,7 @@ struct OracleTracker {
 impl OracleTracker {
     fn new(interner: Option<Arc<EntryInterner>>) -> Self {
         OracleTracker {
-            snapshot: LogicalSnapshot::default(),
+            snapshot: Arc::default(),
             inos: BTreeMap::new(),
             dirty_entries: BTreeSet::new(),
             dirty_subtrees: BTreeSet::new(),
@@ -191,21 +192,22 @@ impl OracleTracker {
     /// oracle.
     fn checkpoint(&mut self, fs: &dyn FileSystem) -> FsResult<Arc<LogicalSnapshot>> {
         self.settle(fs)?;
-        Ok(Arc::new(self.snapshot.clone()))
+        Ok(Arc::clone(&self.snapshot))
     }
 
     /// Brings the snapshot up to date with `fs`, leaving nothing dirty. On
     /// an error the dirty marks stay, so a later call redoes the work.
     fn settle(&mut self, fs: &dyn FileSystem) -> FsResult<()> {
         if !self.initialized {
-            self.snapshot = LogicalSnapshot::capture(fs)?;
+            let mut snapshot = LogicalSnapshot::capture(fs)?;
+            if let Some(interner) = &self.interner {
+                snapshot.intern_all(interner);
+            }
+            self.snapshot = Arc::new(snapshot);
             if self.saw_link {
                 self.rebuild_inos(fs);
             }
             self.initialized = true;
-            if let Some(interner) = &self.interner {
-                self.snapshot.intern_all(interner);
-            }
         } else if !self.dirty_entries.is_empty() || !self.dirty_subtrees.is_empty() {
             self.refresh(fs)?;
             self.intern_refreshed();
@@ -217,7 +219,7 @@ impl OracleTracker {
         {
             let full = LogicalSnapshot::capture(fs)?;
             debug_assert!(
-                self.snapshot == full,
+                *self.snapshot == full,
                 "incremental oracle diverged from full capture:\n{:?}",
                 full.diff_all(&self.snapshot)
             );
@@ -267,36 +269,30 @@ impl OracleTracker {
 
         // Subtrees first (they remove stale descendants wholesale), then
         // individual entries.
-        if !self.dirty_subtrees.is_empty() {
-            let subtrees: Vec<String> = self.dirty_subtrees.iter().cloned().collect();
-            for root in &subtrees {
-                self.snapshot.refresh_subtree(fs, root)?;
-                if self.saw_link {
-                    self.inos.retain(|p, _| p != root && !is_ancestor(root, p));
-                    let captured: Vec<String> = self
-                        .snapshot
-                        .iter()
-                        .map(|(p, _)| p.clone())
-                        .filter(|p| p == root || is_ancestor(root, p))
-                        .collect();
-                    for path in captured {
-                        if let Ok(meta) = fs.metadata(&path) {
-                            self.inos.insert(path, meta.ino);
-                        }
+        let snapshot = Arc::make_mut(&mut self.snapshot);
+        for root in &self.dirty_subtrees {
+            snapshot.refresh_subtree(fs, root)?;
+            if self.saw_link {
+                self.inos.retain(|p, _| p != root && !is_ancestor(root, p));
+                let captured = snapshot
+                    .iter()
+                    .filter(|(p, _)| *p == root || is_ancestor(root, p));
+                for (path, _) in captured {
+                    if let Ok(meta) = fs.metadata(path) {
+                        self.inos.insert(path.clone(), meta.ino);
                     }
                 }
             }
         }
-        let entries: Vec<String> = self.dirty_entries.iter().cloned().collect();
-        for path in entries {
-            self.snapshot.refresh_entry(fs, &path)?;
+        for path in &self.dirty_entries {
+            snapshot.refresh_entry(fs, path)?;
             if self.saw_link {
-                match fs.metadata(&path) {
+                match fs.metadata(path) {
                     Ok(meta) => {
-                        self.inos.insert(path, meta.ino);
+                        self.inos.insert(path.clone(), meta.ino);
                     }
                     Err(_) => {
-                        self.inos.remove(&path);
+                        self.inos.remove(path);
                     }
                 }
             }
@@ -314,12 +310,13 @@ impl OracleTracker {
         };
         // `refresh` adds hard-link aliases to `dirty_entries` as it runs, so
         // after it returns the set covers every individually refreshed path.
+        // The snapshot is the tracker's own by now: `refresh` copied it.
+        let snapshot = Arc::make_mut(&mut self.snapshot);
         for path in &self.dirty_entries {
-            self.snapshot.intern_entry(path, interner);
+            snapshot.intern_entry(path, interner);
         }
         if !self.dirty_subtrees.is_empty() {
-            let subtree_paths: Vec<String> = self
-                .snapshot
+            let subtree_paths: Vec<String> = snapshot
                 .iter()
                 .map(|(p, _)| p.clone())
                 .filter(|p| {
@@ -329,7 +326,7 @@ impl OracleTracker {
                 })
                 .collect();
             for path in subtree_paths {
-                self.snapshot.intern_entry(&path, interner);
+                snapshot.intern_entry(&path, interner);
             }
         }
     }
@@ -456,7 +453,7 @@ impl<'a> Profiler<'a> {
             log,
             executor: Executor::new(),
             oracle: OracleTracker::new(self.interner.clone()),
-            persisted: BTreeMap::new(),
+            persisted: Arc::default(),
             persisted_renames: Vec::new(),
             renames_seen: Vec::new(),
             durable_renames: Vec::new(),
@@ -491,19 +488,14 @@ impl<'a> Profiler<'a> {
                     .renames_seen
                     .push((from.to_string(), to.to_string(), meta.ino));
             }
-            let moved: Vec<String> = state
-                .persisted
-                .keys()
-                .filter(|p| p.as_str() == from || is_ancestor(&from, p))
-                .cloned()
-                .collect();
-            if moved.iter().any(|p| *p == from) {
+            if state.persisted.contains_key(from.as_ref()) {
                 state
                     .persisted_renames
                     .push((from.to_string(), to.to_string()));
             }
-            for path in moved {
-                state.persisted.remove(&path);
+            let moved = |path: &String| *path == from || is_ancestor(&from, path);
+            if state.persisted.keys().any(moved) {
+                Arc::make_mut(&mut state.persisted).retain(|path, _| !moved(path));
             }
         }
 
@@ -542,8 +534,7 @@ impl<'a> Profiler<'a> {
         state.checkpoints.push(CheckpointInfo {
             id,
             op_index,
-            op_description: op.to_string(),
-            persisted: state.persisted.clone(),
+            persisted: Arc::clone(&state.persisted),
             persisted_renames: state.persisted_renames.clone(),
             durable_renames: state.durable_renames.clone(),
             oracle,
@@ -564,7 +555,7 @@ pub struct ProfileState {
     /// Its counter seeds write data, so it is part of the state.
     executor: Executor,
     oracle: OracleTracker,
-    persisted: BTreeMap<String, Expectation>,
+    persisted: Arc<BTreeMap<String, Expectation>>,
     persisted_renames: Vec<(String, String)>,
     /// All renames executed so far: (old path, new path, moved inode).
     renames_seen: Vec<(String, String, u64)>,
@@ -586,9 +577,9 @@ impl TrunkRun for ProfileState {
     }
 
     /// File system, recording device and log are forked, the captured state
-    /// is cloned (oracle entries and block payloads stay shared behind
-    /// their `Arc`s, and each checkpoint keeps pointing at the same verdict
-    /// cell).
+    /// is cloned (the oracle snapshot, the persisted set and block payloads
+    /// stay shared behind their `Arc`s, and each checkpoint keeps pointing
+    /// at the same verdict cell).
     fn fork(&self) -> ProfileState {
         let device = self.log.fork_device();
         let log = device.log_handle();
@@ -655,34 +646,34 @@ fn is_direct_write(op: &Op) -> bool {
 }
 
 /// Updates the persisted-set expectations after the persistence operation
-/// `op` completed, using the oracle captured at that instant.
+/// `op` completed, using the oracle captured at that instant. The set is
+/// copied first, if it is shared, only when `op` can change it.
 fn update_expectations(
-    persisted: &mut BTreeMap<String, Expectation>,
+    persisted: &mut Arc<BTreeMap<String, Expectation>>,
     oracle: &LogicalSnapshot,
     op: &Op,
     fs: &dyn FileSystem,
 ) {
     match op {
         Op::Sync => {
-            // A global sync persists everything that exists right now.
-            for (path, entry) in oracle.iter_shared() {
-                persisted.insert(
-                    path.clone(),
-                    Expectation {
-                        entry: Arc::clone(entry),
-                        existence_only: false,
-                    },
-                );
-            }
-            // Paths persisted earlier but no longer present were legitimately
+            // A global sync persists everything that exists right now. Paths
+            // persisted earlier but no longer present were legitimately
             // removed and are no longer guaranteed.
-            persisted.retain(|path, _| oracle.contains(path));
+            let everything = oracle.iter_shared().map(|(path, entry)| {
+                let expectation = Expectation {
+                    entry: Arc::clone(entry),
+                    existence_only: false,
+                };
+                (path.clone(), expectation)
+            });
+            *persisted = Arc::new(everything.collect());
         }
         Op::Fsync { path } | Op::Fdatasync { path } | Op::Msync { path, .. } => {
             let path = normalize(path);
             let Some(entry) = oracle.get_shared(&path) else {
                 return;
             };
+            let persisted = Arc::make_mut(persisted);
             persisted.insert(
                 path.to_string(),
                 Expectation {
@@ -738,10 +729,15 @@ fn update_expectations(
             // with the directly-written range; otherwise the file's
             // existence is still not guaranteed and nothing is added.
             let path = normalize(path);
-            if let Some(expectation) = persisted.get_mut(path.as_ref()) {
-                if let (Some(entry), WriteSpec::Range { offset, len }) = (oracle.get(&path), spec) {
-                    apply_direct_write_expectation(expectation, entry, *offset, *len);
-                }
+            if let (true, Some(entry), WriteSpec::Range { offset, len }) = (
+                persisted.contains_key(path.as_ref()),
+                oracle.get(&path),
+                spec,
+            ) {
+                let expectation = Arc::make_mut(persisted)
+                    .get_mut(path.as_ref())
+                    .expect("the path is persisted");
+                apply_direct_write_expectation(expectation, entry, *offset, *len);
             }
         }
         _ => {}
@@ -813,8 +809,9 @@ mod tests {
         assert!(result.exec_error.is_none());
         assert_eq!(result.checkpoints.len(), 2);
         assert_eq!(result.log.num_checkpoints(), 2);
-        assert_eq!(result.checkpoints[0].op_description, "fsync A/foo");
-        assert_eq!(result.checkpoints[1].op_description, "sync");
+        // mkdir A, creat A/foo, fsync A/foo, creat A/bar, sync.
+        assert_eq!(result.checkpoints[0].op_index, 2);
+        assert_eq!(result.checkpoints[1].op_index, 4);
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl<H> TriageCache<H> {
         // Persisted expectations: path, strength, and the exact entry state
         // the persistence operation guaranteed.
         d.write_u64(info.persisted.len() as u64);
-        for (path, expectation) in &info.persisted {
+        for (path, expectation) in info.persisted.iter() {
             d.write_str(path);
             d.write(&[u8::from(expectation.existence_only)]);
             let entry = self.entry_digest(&expectation.entry);
@@ -347,8 +347,7 @@ mod tests {
         CheckpointInfo {
             id: 1,
             op_index: 0,
-            op_description: "fsync foo".into(),
-            persisted: map,
+            persisted: Arc::new(map),
             persisted_renames: Vec::new(),
             durable_renames: Vec::new(),
             oracle: Arc::new(oracle),

@@ -178,16 +178,20 @@ pub fn resolve_pattern(pattern: WritePattern, file_size: u64) -> (u64, u64) {
 
 /// Deterministic fill data for a write: a function of the op sequence number
 /// and the absolute file offset, so every byte is distinguishable from both
-/// zeroes and the data written by any other operation.
+/// zeroes and the data written by any other operation. Every byte of one
+/// 512-byte sector has the same value, so the data is filled a run at a time.
 pub fn fill_data(seed: u64, offset: u64, len: u64) -> Vec<u8> {
     let mut data = Vec::with_capacity(len as usize);
-    for i in 0..len {
-        let pos = offset + i;
+    let end = offset + len;
+    let mut pos = offset;
+    while pos < end {
+        let run = (512 - pos % 512).min(end - pos);
         let byte = (seed as u8)
             .wrapping_mul(31)
             .wrapping_add((pos / 512) as u8)
             .wrapping_add(0x41);
-        data.push(byte);
+        data.resize(data.len() + run as usize, byte);
+        pos += run;
     }
     data
 }
@@ -262,6 +266,33 @@ mod tests {
             a.iter().all(|&byte| byte != 0),
             "fill data must be non-zero"
         );
+    }
+
+    /// The run-at-a-time fill equals the byte-at-a-time formula, at offsets
+    /// and lengths that start and end inside a sector.
+    #[test]
+    fn fill_data_equals_the_bytewise_formula() {
+        let bytewise = |seed: u64, offset: u64, len: u64| -> Vec<u8> {
+            (offset..offset + len)
+                .map(|pos| {
+                    (seed as u8)
+                        .wrapping_mul(31)
+                        .wrapping_add((pos / 512) as u8)
+                        .wrapping_add(0x41)
+                })
+                .collect()
+        };
+        for seed in [0, 3, 9, 300] {
+            for offset in [0, 1, 511, 512, 513, 4095, 130_000, 131_071] {
+                for len in [0, 1, 2, 511, 512, 513, 1023, 4096, 5000] {
+                    assert_eq!(
+                        fill_data(seed, offset, len),
+                        bytewise(seed, offset, len),
+                        "seed {seed}, offset {offset}, len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

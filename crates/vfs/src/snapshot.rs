@@ -5,16 +5,17 @@
 //! (§5.1). In this reproduction an oracle is a [`LogicalSnapshot`]: the
 //! complete logical state (names, types, sizes, link counts, block counts,
 //! data, xattrs) of the file system at a persistence point. The AutoChecker
-//! compares an oracle against the recovered crash state using
-//! [`LogicalSnapshot::diff_path`] and reports any [`SnapshotDiff`]s for
-//! explicitly-persisted files.
+//! compares oracle entries with the entries it reads from the recovered
+//! crash state in place ([`EntrySnapshot::from_metadata`], then
+//! [`EntrySnapshot::read_payload`] where a comparison needs it) and reports
+//! any [`SnapshotDiff`]s for explicitly-persisted files.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
-use crate::metadata::FileType;
+use crate::metadata::{FileType, Metadata};
 use crate::path::{is_ancestor, join, normalize};
 
 /// The captured state of a single file, directory, symlink, or fifo.
@@ -38,6 +39,39 @@ pub struct EntrySnapshot {
     pub xattrs: BTreeMap<String, Vec<u8>>,
 }
 
+impl EntrySnapshot {
+    /// The entry `meta` describes, without its payload: no data, symlink
+    /// target or child names until [`read_payload`](Self::read_payload).
+    pub fn from_metadata(meta: Metadata) -> EntrySnapshot {
+        EntrySnapshot {
+            file_type: meta.file_type,
+            size: meta.size,
+            nlink: meta.nlink,
+            blocks: meta.blocks,
+            data: None,
+            symlink_target: None,
+            children: None,
+            xattrs: meta.xattrs,
+        }
+    }
+
+    /// Reads the payload of the entry's type from `path` of `fs`: a regular
+    /// file's data, a symlink's target, or a directory's sorted child names.
+    pub fn read_payload(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
+        match self.file_type {
+            FileType::Regular => self.data = Some(fs.read(path, 0, self.size)?),
+            FileType::Symlink => self.symlink_target = Some(fs.readlink(path)?),
+            FileType::Directory => {
+                let mut names = fs.readdir(path)?;
+                names.sort();
+                self.children = Some(names);
+            }
+            FileType::Fifo => {}
+        }
+        Ok(())
+    }
+}
+
 /// A full logical capture of a file system.
 ///
 /// Entries are reference-counted so snapshots can be cloned per checkpoint
@@ -58,13 +92,12 @@ impl LogicalSnapshot {
     }
 
     /// Captures only the given paths (plus the root directory), without
-    /// recursing into directories or reading any other file's data.
+    /// recursing into directories or reading any other file's data. Paths
+    /// that do not exist are simply absent from the result; any error other
+    /// than `NotFound` (an unreadable file system) is propagated.
     ///
-    /// This is the crash-state capture the AutoChecker uses: it only ever
-    /// compares explicitly persisted paths, so reading every file in the
-    /// recovered image per crash state is wasted work. Paths that do not
-    /// exist are simply absent from the result; any error other than
-    /// `NotFound` (an unreadable recovered file system) is propagated.
+    /// The AutoChecker reads a recovered crash state in place; this capture
+    /// is the reference its debug builds and differential test compare with.
     pub fn capture_paths<'p>(
         fs: &dyn FileSystem,
         paths: impl IntoIterator<Item = &'p str>,
@@ -85,26 +118,8 @@ impl LogicalSnapshot {
             Err(FsError::NotFound(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
-        let mut entry = EntrySnapshot {
-            file_type: meta.file_type,
-            size: meta.size,
-            nlink: meta.nlink,
-            blocks: meta.blocks,
-            data: None,
-            symlink_target: None,
-            children: None,
-            xattrs: meta.xattrs.clone(),
-        };
-        match meta.file_type {
-            FileType::Regular => entry.data = Some(fs.read(path, 0, meta.size)?),
-            FileType::Symlink => entry.symlink_target = Some(fs.readlink(path)?),
-            FileType::Directory => {
-                let mut names = fs.readdir(path)?;
-                names.sort();
-                entry.children = Some(names);
-            }
-            FileType::Fifo => {}
-        }
+        let mut entry = EntrySnapshot::from_metadata(meta);
+        entry.read_payload(fs, path)?;
         Ok(Some(entry))
     }
 
@@ -148,43 +163,19 @@ impl LogicalSnapshot {
     }
 
     fn walk(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
-        let meta = fs.metadata(path)?;
-        let mut entry = EntrySnapshot {
-            file_type: meta.file_type,
-            size: meta.size,
-            nlink: meta.nlink,
-            blocks: meta.blocks,
-            data: None,
-            symlink_target: None,
-            children: None,
-            xattrs: meta.xattrs.clone(),
-        };
-        match meta.file_type {
-            FileType::Regular => {
-                entry.data = Some(fs.read(path, 0, meta.size)?);
-            }
-            FileType::Symlink => {
-                entry.symlink_target = Some(fs.readlink(path)?);
-            }
-            FileType::Directory => {
-                let mut names = fs.readdir(path)?;
-                names.sort();
-                entry.children = Some(names.clone());
-                self.entries.insert(path.to_string(), Arc::new(entry));
-                for name in names {
-                    match self.walk(fs, &join(path, &name)) {
-                        Ok(()) => {}
-                        // Dangling directory entries (left behind by buggy
-                        // log replay) are treated as absent files.
-                        Err(FsError::NotFound(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                return Ok(());
-            }
-            FileType::Fifo => {}
-        }
+        let mut entry = EntrySnapshot::from_metadata(fs.metadata(path)?);
+        entry.read_payload(fs, path)?;
+        let children = entry.children.clone();
         self.entries.insert(path.to_string(), Arc::new(entry));
+        for name in children.into_iter().flatten() {
+            match self.walk(fs, &join(path, &name)) {
+                Ok(()) => {}
+                // Dangling directory entries (left behind by buggy log
+                // replay) are treated as absent files.
+                Err(FsError::NotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
         Ok(())
     }
 
