@@ -15,7 +15,10 @@
 //! Phase 4 rides the odometer. The generator keeps one [`SimState`] per op
 //! position along `c1 p1 c2 p2 …` (core op, its persistence choice, next
 //! core op, …) and, when the odometer moves, re-simulates only from the
-//! first position whose digit changed. A prefix phase 4 rejects takes every
+//! first position whose digit changed. The states and the table's ops are
+//! over the [`SpaceTable`]'s interned paths, so re-simulating a slot copies
+//! a state into a warm buffer and allocates nothing; setup ops become
+//! [`Op`]s only for a built candidate. A prefix phase 4 rejects takes every
 //! candidate that shares it along: the subtree is discarded by cursor
 //! arithmetic, without assembling any of its members. Nothing is built —
 //! no op vector, no name, no [`Workload`] — until a caller asks for the
@@ -198,7 +201,7 @@ impl WorkloadGenerator {
             parked: false,
             end: end.min(table.total()),
             sim: SimStack {
-                states: vec![SimState::new(); 2 * seq_len + 1],
+                states: vec![SimState::new(table.paths()); 2 * seq_len + 1],
                 digits: Vec::with_capacity(2 * seq_len),
             },
             verdict: None,
@@ -279,7 +282,7 @@ impl WorkloadGenerator {
     /// Panics when the generator is not parked on a candidate.
     pub fn workload(&self) -> Workload {
         assert!(self.parked, "no parked candidate: call next_leaf first");
-        let setup = self.sim.states[self.sim.digits.len()].setup().to_vec();
+        let setup = self.sim.states[self.sim.digits.len()].setup_ops(self.table.paths());
         let name = self.table.workload_name(self.cursor);
         let workload = Workload::with_setup(name, setup, self.assemble());
         debug_assert_eq!(
@@ -398,16 +401,16 @@ impl WorkloadGenerator {
             let position = slot / 2;
             let kind = table.kind(kinds[position]);
             let op = if slot % 2 == 0 {
-                Some(&kind.candidates[core[position]])
+                Some(kind.sim_candidates[core[position]])
             } else {
                 let is_last = position + 1 == kinds.len();
-                kind.persistence[core[position]][usize::from(is_last)][persist[position]].as_ref()
+                kind.sim_persistence[core[position]][usize::from(is_last)][persist[position]]
             };
             let (below, above) = sim.states.split_at_mut(slot + 1);
             above[0].clone_from(&below[slot]);
             if let Some(op) = op {
                 self.stats.sim_applies += 1;
-                if above[0].apply(op, &table.bounds().files).is_err() {
+                if above[0].apply(op, table.paths()).is_err() {
                     return Err(slot);
                 }
             }

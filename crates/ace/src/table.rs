@@ -8,7 +8,8 @@
 //! digits, then the phase-3 persistence digits — so a global candidate index
 //! decomposes as `prefix(skeleton) + core_index * per_core + persist_index`.
 //! The table holds the per-kind digit alphabets (phase-2 candidates and the
-//! phase-3 options each of them admits) and the per-skeleton prefix sums.
+//! phase-3 options each of them admits), the per-skeleton prefix sums, and
+//! the phase-4 path table every option is resolved against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,6 +19,7 @@ use b3_vfs::workload::{Op, OpKind};
 use crate::bounds::Bounds;
 use crate::generator::WorkloadShard;
 use crate::phases::{persistence_options, phase2_candidates};
+use crate::sim::{Paths, SimOp};
 
 /// The digit alphabet of one operation kind.
 pub(crate) struct KindTable {
@@ -31,6 +33,10 @@ pub(crate) struct KindTable {
     /// Phase-3 option count `[not last, last]` — the same for every
     /// candidate of the kind.
     pub(crate) persist_radix: [u64; 2],
+    /// `candidates` resolved against the table's [`Paths`].
+    pub(crate) sim_candidates: Vec<SimOp>,
+    /// `persistence` resolved against the table's [`Paths`].
+    pub(crate) sim_persistence: Vec<[Vec<Option<SimOp>>; 2]>,
 }
 
 /// The shared per-[`Bounds`] enumeration tables.
@@ -44,12 +50,14 @@ pub struct SpaceTable {
     /// `prefix[s]` is the global index of skeleton `s`'s first candidate;
     /// the final entry is the size of the whole space.
     prefix: Vec<u64>,
+    /// Every path phase 4 can meet in the space.
+    paths: Paths,
 }
 
 impl SpaceTable {
     /// Builds the tables for `bounds`.
     pub fn new(bounds: &Bounds) -> Arc<SpaceTable> {
-        let kinds: Vec<KindTable> = bounds
+        let mut kinds: Vec<KindTable> = bounds
             .ops
             .iter()
             .map(|kind| {
@@ -76,9 +84,32 @@ impl SpaceTable {
                     index,
                     persistence,
                     persist_radix,
+                    sim_candidates: Vec::new(),
+                    sim_persistence: Vec::new(),
                 }
             })
             .collect();
+        // A candidate holds at most one rename per core op.
+        let options = kinds.iter().flat_map(|kind| {
+            let persistence = kind.persistence.iter().flatten().flatten().flatten();
+            kind.candidates.iter().chain(persistence)
+        });
+        let paths = Paths::new(&bounds.files, options, bounds.seq_len);
+        for kind in &mut kinds {
+            kind.sim_candidates = kind.candidates.iter().map(|op| paths.resolve(op)).collect();
+            kind.sim_persistence = kind
+                .persistence
+                .iter()
+                .map(|options| {
+                    options.each_ref().map(|options| {
+                        options
+                            .iter()
+                            .map(|option| option.as_ref().map(|op| paths.resolve(op)))
+                            .collect()
+                    })
+                })
+                .collect();
+        }
 
         let seq_len = bounds.seq_len;
         let mut skeleton_kinds = Vec::new();
@@ -106,6 +137,7 @@ impl SpaceTable {
             kinds,
             skeleton_kinds,
             prefix,
+            paths,
         })
     }
 
@@ -150,6 +182,11 @@ impl SpaceTable {
 
     pub(crate) fn kind(&self, kind: usize) -> &KindTable {
         &self.kinds[kind]
+    }
+
+    /// The path table the kinds' `sim_*` ops are resolved against.
+    pub(crate) fn paths(&self) -> &Paths {
+        &self.paths
     }
 
     /// Index into `bounds.ops` of an operation kind.

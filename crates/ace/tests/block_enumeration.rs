@@ -10,18 +10,26 @@
 //! the generation counters, the representative set and the pruned count must
 //! be identical, wherever shard boundaries and `skip_to` land.
 //!
+//! Phase 4 itself is checked against the string-keyed simulator it
+//! replaced (`reference_sim`): every candidate of a space gets the same
+//! setup ops, or the same rejection text, from both.
+//!
 //! The paper-sized spaces are `#[ignore]`d for release-mode CI:
 //! `cargo test --release -p b3-ace --test block_enumeration -- --ignored`.
+
+mod reference_sim;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use b3_ace::phases::phase2_candidates;
+use b3_ace::sim::{SimOutcome, SimState};
 use b3_ace::{
     phase1_skeletons, phase2_parameters, phase3_persistence, phase4_dependencies, Bounds,
     Classifier, GenerationStats, SpaceTable, WorkloadGenerator,
 };
-use b3_vfs::workload::{FileSet, OpKind, Workload};
+use b3_vfs::workload::{FileSet, Op, OpKind, Workload};
 
 /// What the eager pipeline says about a space, candidate by candidate.
 struct Eager {
@@ -131,29 +139,81 @@ fn small_spaces_match_the_eager_pipeline() {
 }
 
 /// `b3-bench`'s seq-2 space: all 14 operations over `foo A/foo B/foo`.
-#[test]
-#[ignore = "85 614 candidates through the eager pipeline; run in release"]
-fn bench_seq2_space_matches_the_eager_pipeline() {
-    check_space(&Bounds {
+fn bench_seq2() -> Bounds {
+    Bounds {
         files: FileSet::new(
             vec!["A".into(), "B".into()],
             vec!["foo".into(), "A/foo".into(), "B/foo".into()],
         ),
         ..Bounds::paper_seq2()
-    });
+    }
 }
 
 /// `b3-bench`'s seq-3-metadata space: three directories with one file each.
-#[test]
-#[ignore = "178 605 candidates through the eager pipeline; run in release"]
-fn bench_seq3_metadata_space_matches_the_eager_pipeline() {
-    check_space(&Bounds {
+fn bench_seq3_metadata() -> Bounds {
+    Bounds {
         files: FileSet::new(
             vec!["A".into(), "B".into(), "C".into()],
             vec!["A/foo".into(), "B/foo".into(), "C/foo".into()],
         ),
         ..Bounds::paper_seq3_metadata()
-    });
+    }
+}
+
+#[test]
+#[ignore = "85 614 candidates through the eager pipeline; run in release"]
+fn bench_seq2_space_matches_the_eager_pipeline() {
+    check_space(&bench_seq2());
+}
+
+#[test]
+#[ignore = "178 605 candidates through the eager pipeline; run in release"]
+fn bench_seq3_metadata_space_matches_the_eager_pipeline() {
+    check_space(&bench_seq3_metadata());
+}
+
+/// Both simulators' verdict on one op list: the setup ops, or the
+/// rejection text.
+fn plans(ops: &[Op], files: &FileSet) -> [Result<Vec<Op>, String>; 2] {
+    let ours = match SimState::plan(ops, files) {
+        SimOutcome::Valid { setup } => Ok(setup),
+        SimOutcome::Invalid(reason) => Err(reason),
+    };
+    let reference = match reference_sim::SimState::plan(ops, files) {
+        reference_sim::SimOutcome::Valid { setup } => Ok(setup),
+        reference_sim::SimOutcome::Invalid(reason) => Err(reason),
+    };
+    [ours, reference]
+}
+
+/// Every phase-3 candidate of a space through both phase-4 simulators;
+/// returns how many both rejected.
+fn check_reference(bounds: &Bounds) -> u64 {
+    let mut rejected = 0;
+    for skeleton in phase1_skeletons(bounds) {
+        for core in phase2_parameters(&skeleton, bounds) {
+            for ops in phase3_persistence(&core, bounds) {
+                let [ours, reference] = plans(&ops, &bounds.files);
+                assert_eq!(ours, reference, "{ops:?}");
+                rejected += u64::from(ours.is_err());
+            }
+        }
+    }
+    rejected
+}
+
+#[test]
+fn small_spaces_match_the_reference_simulator() {
+    check_reference(&Bounds::tiny());
+    check_reference(&Bounds::paper_seq1());
+    assert!(check_reference(&symmetric_seq2()) > 0);
+}
+
+#[test]
+#[ignore = "265 965 candidates through both simulators; run in release"]
+fn bench_spaces_match_the_reference_simulator() {
+    assert!(check_reference(&bench_seq2()) > 0);
+    assert!(check_reference(&bench_seq3_metadata()) > 0);
 }
 
 /// One generator repositioned to every index of the space, in an order that
@@ -224,6 +284,81 @@ fn bounds_strategy() -> impl Strategy<Value = Bounds> {
         bounds.seq_len = seq_len;
         bounds
     })
+}
+
+/// Every phase-2 candidate of every operation over the nested file set,
+/// plus `mkdir`, `rmdir` and `fsync` of every path and the root, renames of
+/// and onto the root, and a second xattr name.
+fn op_pool() -> Vec<Op> {
+    let bounds = Bounds::paper_seq1().with_nested_files();
+    let mut pool: Vec<Op> = OpKind::ALL
+        .iter()
+        .flat_map(|kind| phase2_candidates(*kind, &bounds))
+        .collect();
+    let files = bounds.files.all_paths();
+    for path in files.iter().chain([&String::new()]) {
+        pool.push(Op::Fsync { path: path.clone() });
+        pool.push(Op::Mkdir { path: path.clone() });
+        pool.push(Op::Rmdir { path: path.clone() });
+    }
+    pool.push(Op::RemoveXattr {
+        path: "A/foo".into(),
+        name: "user.u2".into(),
+    });
+    for (from, to) in [("", "B"), ("B", "")] {
+        pool.push(Op::Rename {
+            from: from.into(),
+            to: to.into(),
+        });
+    }
+    pool.push(Op::Sync);
+    pool
+}
+
+/// Directory renames over the nested file set with a few ops on the paths
+/// they move: op lists drawn from it move an entry through several
+/// renames, which is what the path table's closure must cover.
+fn rename_pool() -> Vec<Op> {
+    let mut pool = Vec::new();
+    for (from, to) in [
+        ("A", "B"),
+        ("B", "A"),
+        ("B", "A/C"),
+        ("A/C", "B"),
+        ("A", "A/C"),
+    ] {
+        pool.push(Op::Rename {
+            from: from.into(),
+            to: to.into(),
+        });
+    }
+    for path in ["A/C/foo", "B/foo", "B/C/foo", "A/C/C/foo"] {
+        pool.push(Op::Creat { path: path.into() });
+        pool.push(Op::Fsync { path: path.into() });
+    }
+    pool.push(Op::Rmdir { path: "A/C".into() });
+    pool.push(Op::Link {
+        existing: "A/C/foo".into(),
+        new: "B/foo".into(),
+    });
+    pool
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Op lists no phase-3 space holds — up to eight ops from either pool —
+    /// get the same phase-4 verdict from both simulators.
+    #[test]
+    fn random_op_lists_match_the_reference_simulator(
+        ops in prop_oneof![
+            proptest::collection::vec(proptest::sample::select(op_pool()), 1..9),
+            proptest::collection::vec(proptest::sample::select(rename_pool()), 1..9),
+        ]
+    ) {
+        let [ours, reference] = plans(&ops, &FileSet::nested());
+        prop_assert_eq!(ours, reference, "{:?}", ops);
+    }
 }
 
 proptest! {
