@@ -8,7 +8,7 @@
 
 use b3_crashmonkey::{Consequence, CrashMonkeyConfig, WorkloadOutcome};
 use b3_vfs::fs::FsSpec;
-use b3_vfs::FsResult;
+use b3_vfs::{FsResult, MutantSet};
 
 use crate::bounds::TxnBounds;
 use crate::engine::EngineProfile;
@@ -22,8 +22,11 @@ pub struct AppCorpusEntry {
     pub id: &'static str,
     /// Short description of the bug.
     pub title: &'static str,
-    /// The engine profile with exactly this bug enabled.
-    pub engine: EngineProfile,
+    /// The WalKv mutant that causes it (an [`EngineProfile`] table id); the
+    /// entry replays on the engine with only this mutant enabled.
+    pub mutant: &'static str,
+    /// Other WalKv mutants that each cause it on their own (usually none).
+    pub also: &'static [&'static str],
     /// Index (0-based) of a `TxnBounds::tiny` workload that exposes it.
     pub workload_index: u64,
     /// Consequences the transaction oracle classifies it as.
@@ -49,14 +52,23 @@ impl AppCorpusEntry {
         TxnBounds::tiny()
     }
 
-    /// Replays the entry's workload on the buggy engine hosted by `spec`
-    /// and checks the observed consequences against the expected set.
+    /// Replays the entry's workload on the engine with only its mutant
+    /// enabled, hosted by `spec`, and checks the observed consequences
+    /// against the expected set.
     pub fn replay(&self, spec: &dyn FsSpec) -> FsResult<AppCorpusCheck> {
-        let harness = AppHarness::new(
-            spec,
-            CrashMonkeyConfig::exhaustive_crash_points(),
-            self.engine,
-        );
+        let engine = EngineProfile::only(self.mutant).expect("the mutant is a WalKv mutant");
+        self.replay_on(spec, engine)
+    }
+
+    /// Replays the same workload on the fixed engine; it must be clean.
+    pub fn replay_fixed(&self, spec: &dyn FsSpec) -> FsResult<WorkloadOutcome> {
+        Ok(self.replay_on(spec, EngineProfile::none())?.outcome)
+    }
+
+    /// Replays the entry's workload on `engine` hosted by `spec`.
+    pub fn replay_on(&self, spec: &dyn FsSpec, engine: EngineProfile) -> FsResult<AppCorpusCheck> {
+        let config = CrashMonkeyConfig::exhaustive_crash_points();
+        let harness = AppHarness::new(spec, config, engine);
         let workload = TxnWorkloadGenerator::decode(&self.bounds(), self.workload_index);
         let outcome = harness.test_workload(&workload)?;
         let observed = outcome.worst_consequence();
@@ -73,17 +85,6 @@ impl AppCorpusEntry {
             observed,
         })
     }
-
-    /// Replays the same workload on the fixed engine; it must be clean.
-    pub fn replay_fixed(&self, spec: &dyn FsSpec) -> FsResult<WorkloadOutcome> {
-        let harness = AppHarness::new(
-            spec,
-            CrashMonkeyConfig::exhaustive_crash_points(),
-            EngineProfile::fixed(),
-        );
-        let workload = TxnWorkloadGenerator::decode(&self.bounds(), self.workload_index);
-        harness.test_workload(&workload)
-    }
 }
 
 /// The three seeded engine bugs.
@@ -92,10 +93,8 @@ pub fn seeded_bugs() -> Vec<AppCorpusEntry> {
         AppCorpusEntry {
             id: "app-01",
             title: "commit record written before data fsync",
-            engine: EngineProfile {
-                commit_without_data_fsync: true,
-                ..EngineProfile::fixed()
-            },
+            mutant: "no-data-fsync",
+            also: &[],
             // Workload 0: a single committed put — the record points at
             // value bytes that never became durable.
             workload_index: 0,
@@ -107,10 +106,8 @@ pub fn seeded_bugs() -> Vec<AppCorpusEntry> {
         AppCorpusEntry {
             id: "app-02",
             title: "torn commit record applied partially",
-            engine: EngineProfile {
-                torn_commit: true,
-                ..EngineProfile::fixed()
-            },
+            mutant: "torn-commit",
+            also: &["no-data-fsync"],
             // Workload 4: two puts in one transaction — the mid-record
             // persistence point leaves only the first op on disk, and the
             // lenient recovery applies it.
@@ -123,10 +120,8 @@ pub fn seeded_bugs() -> Vec<AppCorpusEntry> {
         AppCorpusEntry {
             id: "app-03",
             title: "WAL replayed twice after compaction",
-            engine: EngineProfile {
-                double_replay: true,
-                ..EngineProfile::fixed()
-            },
+            mutant: "double-replay",
+            also: &[],
             // Workload 1: a single committed append — the non-idempotent
             // op that doubles when the WAL replays again.
             workload_index: 1,
@@ -154,13 +149,14 @@ mod tests {
         assert_eq!(ids.len(), 3);
         for entry in &entries {
             assert!(entry.workload_index < entry.bounds().candidates());
-            assert!(!entry.engine.is_fixed());
+            assert!(EngineProfile::only(entry.mutant).is_some(), "{}", entry.id);
         }
     }
 
     #[test]
     fn every_entry_detects_on_flashfs_and_fixed_engine_is_clean() {
         let spec = FlashFsSpec::new(KernelEra::Patched);
+        let mut claimed = Vec::new();
         for entry in seeded_bugs() {
             let check = entry.replay(&spec).unwrap();
             assert!(
@@ -175,7 +171,29 @@ mod tests {
                 entry.id,
                 fixed.bugs
             );
+            // Attribution: each `also` mutant alone detects it too, and the
+            // engine's other mutants do not.
+            let mut named = 0;
+            for &mutant in std::iter::once(&entry.mutant).chain(entry.also) {
+                let engine = EngineProfile::only(mutant).unwrap();
+                named |= engine.bits();
+                let check = entry.replay_on(&spec, engine).unwrap();
+                assert!(check.detected_expected, "{}: {mutant} alone", entry.id);
+                claimed.push(mutant);
+            }
+            let rest = EngineProfile::from_bits(EngineProfile::all().bits() & !named).unwrap();
+            let check = entry.replay_on(&spec, rest).unwrap();
+            assert!(
+                !check.detected_expected,
+                "{} is detected without {} and {:?}: {:?}",
+                entry.id, entry.mutant, entry.also, check.outcome.bugs
+            );
         }
+        claimed.sort_unstable();
+        claimed.dedup();
+        let mut mutants: Vec<_> = EngineProfile::all().enabled().collect();
+        mutants.sort_unstable();
+        assert_eq!(claimed, mutants, "every WalKv mutant is claimed");
     }
 
     /// JournalFs's ext4-style ordered journaling flushes dirty data as part

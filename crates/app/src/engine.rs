@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use b3_vfs::fs::{FileSystem, WriteMode};
-use b3_vfs::{FsError, FsResult};
+use b3_vfs::{mutant, FsResult, Mutant, MutantSet};
 
 /// File holding the commit records (the write-ahead log proper).
 pub const COMMIT_LOG: &str = "commit.log";
@@ -52,7 +52,7 @@ const MAX_KEY_LEN: u32 = 4096;
 const MAX_VALUE_LEN: u64 = 1 << 20;
 const MAX_OPS: u32 = 4096;
 
-/// Which seeded bugs the engine is built with. `EngineProfile::fixed()` is
+/// Which seeded bugs the engine is built with. `EngineProfile::none()` is
 /// the correct engine; each flag independently re-introduces one classic
 /// application-level crash-consistency bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,73 +72,15 @@ pub struct EngineProfile {
     pub double_replay: bool,
 }
 
-impl EngineProfile {
-    /// The correct engine: no seeded bugs.
-    pub fn fixed() -> Self {
-        EngineProfile::default()
-    }
-
-    /// True when no seeded bug is enabled.
-    pub fn is_fixed(&self) -> bool {
-        *self == EngineProfile::default()
-    }
-
-    /// Stable human-readable name: `fixed` or a comma-joined flag list.
-    pub fn describe(&self) -> String {
-        if self.is_fixed() {
-            return "fixed".to_string();
-        }
-        let mut flags = Vec::new();
-        if self.commit_without_data_fsync {
-            flags.push("no-data-fsync");
-        }
-        if self.torn_commit {
-            flags.push("torn-commit");
-        }
-        if self.double_replay {
-            flags.push("double-replay");
-        }
-        flags.join(",")
-    }
-
-    /// Compact wire form (one bit per flag).
-    pub fn bits(&self) -> u8 {
-        u8::from(self.commit_without_data_fsync)
-            | u8::from(self.torn_commit) << 1
-            | u8::from(self.double_replay) << 2
-    }
-
-    /// Inverse of [`EngineProfile::bits`].
-    pub fn from_bits(bits: u8) -> FsResult<Self> {
-        if bits > 0b111 {
-            return Err(FsError::Corrupted(format!(
-                "unknown engine profile bits {bits:#04x}"
-            )));
-        }
-        Ok(EngineProfile {
-            commit_without_data_fsync: bits & 0b001 != 0,
-            torn_commit: bits & 0b010 != 0,
-            double_replay: bits & 0b100 != 0,
-        })
-    }
-
-    /// Parses the [`EngineProfile::describe`] form: `fixed` or a comma list
-    /// of `no-data-fsync`, `torn-commit`, `double-replay`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        if text == "fixed" {
-            return Ok(EngineProfile::fixed());
-        }
-        let mut profile = EngineProfile::fixed();
-        for flag in text.split(',') {
-            match flag.trim() {
-                "no-data-fsync" => profile.commit_without_data_fsync = true,
-                "torn-commit" => profile.torn_commit = true,
-                "double-replay" => profile.double_replay = true,
-                other => return Err(format!("unknown engine flag {other:?}")),
-            }
-        }
-        Ok(profile)
-    }
+/// The seeded bugs are not era-gated: every era but `Patched` has all
+/// three. The ids are the spellings `--engine`, `describe()` and checkpoint
+/// scopes use.
+impl MutantSet for EngineProfile {
+    const MUTANTS: &'static [Mutant<Self>] = &[
+        mutant!("no-data-fsync" => commit_without_data_fsync, V3_12..),
+        mutant!("torn-commit" => torn_commit, V3_12..),
+        mutant!("double-replay" => double_replay, V3_12..),
+    ];
 }
 
 /// One op inside an encoded commit record. Values live in `data.log`; the
@@ -625,16 +567,28 @@ mod tests {
 
     #[test]
     fn profile_bits_round_trip() {
-        for bits in 0..=0b111u8 {
+        // Frozen into checkpoint scopes (`…/app:<describe>`): bit i is row i.
+        let spellings = [
+            "fixed",
+            "no-data-fsync",
+            "torn-commit",
+            "no-data-fsync,torn-commit",
+            "double-replay",
+            "no-data-fsync,double-replay",
+            "torn-commit,double-replay",
+            "no-data-fsync,torn-commit,double-replay",
+        ];
+        for (bits, spelling) in (0..=0b111u64).zip(spellings) {
             let profile = EngineProfile::from_bits(bits).unwrap();
             assert_eq!(profile.bits(), bits);
+            assert_eq!(profile.describe(), spelling, "describe of {bits:#05b}");
             assert_eq!(
                 EngineProfile::parse(&profile.describe()),
                 Ok(profile),
                 "describe/parse round trip for {bits:#05b}"
             );
         }
-        assert!(EngineProfile::from_bits(0b1000).is_err());
+        assert!(EngineProfile::from_bits(0b1000).is_none());
         assert!(EngineProfile::parse("frobnicate").is_err());
     }
 

@@ -516,7 +516,7 @@ mod tests {
     use crate::generator::{TxnOp, TxnWorkloadGenerator};
     use b3_crashmonkey::Consequence;
     use b3_fs_cow::CowFsSpec;
-    use b3_vfs::KernelEra;
+    use b3_vfs::{KernelEra, MutantSet};
 
     fn setup() -> (CowFsSpec, CrashMonkeyConfig) {
         (
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn siblings_run_their_shared_transaction_once_and_recover_its_crash_states_once() {
         let (spec, config) = setup();
-        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let harness = AppHarness::new(&spec, config, EngineProfile::none());
         let siblings = siblings();
         for sibling in &siblings {
             assert_eq!(sibling.txns[0], siblings[0].txns[0]);
@@ -603,7 +603,7 @@ mod tests {
             crash_points: b3_crashmonkey::CrashPointPolicy::AllTriaged { audit: 1 },
             ..CrashMonkeyConfig::small()
         };
-        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let harness = AppHarness::new(&spec, config, EngineProfile::none());
         let siblings = siblings();
         let first = harness.test_workload(&siblings[0]).unwrap();
         assert_eq!((first.checkpoints_reused, first.triage_audited), (0, 0));
@@ -639,7 +639,7 @@ mod tests {
             crash_points: b3_crashmonkey::CrashPointPolicy::AllTriaged { audit: 0 },
             ..CrashMonkeyConfig::small()
         };
-        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let harness = AppHarness::new(&spec, config, EngineProfile::none());
         // An aborted first transaction writes nothing, so both workloads
         // reach the same crash states through different first transactions.
         let workload = |name: &str, kind| {
@@ -678,7 +678,7 @@ mod tests {
     #[test]
     fn fixed_engine_is_clean_on_every_tiny_workload() {
         let (spec, config) = setup();
-        let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+        let harness = AppHarness::new(&spec, config, EngineProfile::none());
         for workload in TxnWorkloadGenerator::new(TxnBounds::tiny()) {
             let outcome = harness.test_workload(&workload).unwrap();
             assert!(
@@ -697,21 +697,21 @@ mod tests {
             (
                 EngineProfile {
                     commit_without_data_fsync: true,
-                    ..EngineProfile::fixed()
+                    ..EngineProfile::none()
                 },
                 Consequence::TxnAtomicityBroken,
             ),
             (
                 EngineProfile {
                     torn_commit: true,
-                    ..EngineProfile::fixed()
+                    ..EngineProfile::none()
                 },
                 Consequence::TxnAtomicityBroken,
             ),
             (
                 EngineProfile {
                     double_replay: true,
-                    ..EngineProfile::fixed()
+                    ..EngineProfile::none()
                 },
                 Consequence::TxnReplayNotIdempotent,
             ),

@@ -18,7 +18,7 @@ use b3_fs_cow::CowFsSpec;
 use b3_fs_flash::FlashFsSpec;
 use b3_fs_journal::JournalFsSpec;
 use b3_vfs::fs::{FileSystem, FsSpec};
-use b3_vfs::{FsError, FsResult, KernelEra};
+use b3_vfs::{FsError, FsResult, KernelEra, MutantSet};
 
 /// One or two operations over two keys; one transaction in four aborts.
 fn txn_strategy() -> impl Strategy<Value = Txn> {
@@ -150,7 +150,7 @@ fn check_both_engines(
         torn_commit: true,
         double_replay: true,
     };
-    for engine in [EngineProfile::fixed(), all_bugs] {
+    for engine in [EngineProfile::none(), all_bugs] {
         check_fork(spec, engine, prefix, on_fork, on_parent)?;
     }
     Ok(())
@@ -213,7 +213,7 @@ impl FsSpec for BrokenHeap {
 fn a_failed_commit_stays_with_the_run_and_answers_its_siblings() {
     let spec = BrokenHeap(CowFsSpec::new(KernelEra::Patched));
     let config = CrashMonkeyConfig::exhaustive_crash_points();
-    let harness = AppHarness::new(&spec, config, EngineProfile::fixed());
+    let harness = AppHarness::new(&spec, config, EngineProfile::none());
     let txn = |kind, commit| Txn {
         ops: vec![TxnOp { kind, key: 0 }],
         commit,

@@ -20,7 +20,7 @@ use b3_app::oracle::CrashPointMeta;
 use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnOracle, TxnWorkloadGenerator};
 use b3_crashmonkey::{Consequence, CrashMonkeyConfig};
 use b3_fs_cow::CowFsSpec;
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 fn op_strategy() -> impl Strategy<Value = TxnOp> {
     use b3_app::TxnOpKind;
@@ -55,7 +55,7 @@ proptest! {
         let harness = AppHarness::new(
             &spec,
             CrashMonkeyConfig::exhaustive_crash_points(),
-            EngineProfile::fixed(),
+            EngineProfile::none(),
         );
         let outcome = harness
             .test_workload(&workload)
@@ -162,21 +162,21 @@ fn every_seeded_bug_flag_fires_deterministically() {
         (
             EngineProfile {
                 commit_without_data_fsync: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnAtomicityBroken,
         ),
         (
             EngineProfile {
                 torn_commit: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnAtomicityBroken,
         ),
         (
             EngineProfile {
                 double_replay: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnReplayNotIdempotent,
         ),

@@ -37,7 +37,7 @@ use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnOpKind, TxnWorkload, TxnWo
 use b3_crashmonkey::{BugReport, CrashMonkeyConfig, CrashPointPolicy, Sharing, WorkloadOutcome};
 use b3_harness::{FsKind, GroupTable};
 use b3_vfs::codec::Encoder;
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 fn engines() -> [EngineProfile; 2] {
     let all_bugs = EngineProfile {
@@ -45,7 +45,7 @@ fn engines() -> [EngineProfile; 2] {
         torn_commit: true,
         double_replay: true,
     };
-    [EngineProfile::fixed(), all_bugs]
+    [EngineProfile::none(), all_bugs]
 }
 
 /// Fisher–Yates with a fixed-seed xorshift: the same permutation every run.
@@ -136,7 +136,11 @@ fn check_outcomes_equal_from_scratch(host: FsKind, generated: &[TxnWorkload]) {
             // A fixed engine on a patched host is clean; the differential
             // must also compare actual bugs.
             let reported = expected.iter().any(|outcome| !outcome.4.is_empty());
-            assert_eq!(reported, !engine.is_fixed(), "{host:?}, {reference:?}");
+            assert_eq!(
+                reported,
+                engine != EngineProfile::none(),
+                "{host:?}, {reference:?}"
+            );
 
             for &policy in policies {
                 let what = format!("{host:?}, {}, {policy:?}", engine.describe());

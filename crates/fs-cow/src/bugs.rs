@@ -8,7 +8,7 @@
 //! system has no injected bugs at all and `KernelEra::V4_16` (the paper's
 //! evaluation kernel) has exactly the still-unfixed "new" bugs of Table 5.
 
-use b3_vfs::KernelEra;
+use b3_vfs::{mutant, Mutant, MutantSet};
 
 /// Which CowFs crash-consistency bugs are active.
 ///
@@ -59,9 +59,11 @@ pub struct CowBugs {
     /// logging entirely). (New bugs 5 and 7.)
     pub fsync_skips_other_names: bool,
 
-    /// fsync of a file that was renamed in the current transaction fails to
-    /// log the name change; the file recovers under its old name. (Known
-    /// bugs: workloads 11 and 22; the file-rename half of new bug 4.)
+    /// fsync of a file that was renamed in the current transaction (away
+    /// from its committed name, or from a name an earlier fsync of this
+    /// transaction logged) fails to log the name change; the file recovers
+    /// under its old name. (Known bugs: workloads 7, 11, 20 and 22; the
+    /// file-rename half of new bug 4.)
     pub fsync_renamed_file_skips_new_name: bool,
 
     /// fsync of a renamed file logs, alongside the correct new name, a stale
@@ -75,15 +77,18 @@ pub struct CowBugs {
 
     /// When fsyncing a file created at a name that used to belong to a
     /// different (renamed-away) inode, the renamed inode's new location is
-    /// not logged and the old file disappears entirely. (Known bug:
-    /// workload 1, also reported against F2FS.)
+    /// not logged and the old file disappears entirely. (The mechanism
+    /// reported as known workload 1. The lost file is left orphaned, which
+    /// the AutoChecker cannot see, so no corpus workload exposes it on its
+    /// own: that entry is detected through `name_reuse_breaks_replay`.)
     pub rename_source_not_logged: bool,
 
     /// fsync of a file also logs directory entries for *sibling* names
     /// created in the same directory during this transaction, without
     /// logging the sibling inodes — leaving entries whose link counts are
-    /// wrong after replay and making the directory un-removable. (Known bug:
-    /// workload 13, "stale directory entries after fsync log replay".)
+    /// wrong after replay and making the directory un-removable. (Known bugs:
+    /// workload 13, "stale directory entries after fsync log replay", and
+    /// workload 9.)
     pub fsync_logs_sibling_dentries: bool,
 
     /// fsync of a directory logs entries for newly created child *files*
@@ -96,8 +101,8 @@ pub struct CowBugs {
     pub dir_fsync_skips_new_subdirs: bool,
 
     /// fsync of a directory fails to persist renames of files into or out of
-    /// the directory's subtree performed in this transaction. (Known bugs:
-    /// workloads 7, 8 and 20; the directory half of new bug 4.)
+    /// the directory's subtree performed in this transaction. (Known bug:
+    /// workload 8; the directory half of new bug 4.)
     pub dir_fsync_misses_renames: bool,
 
     /// When a rename replaces a name belonging to an already-logged inode,
@@ -120,13 +125,14 @@ pub struct CowBugs {
 
     /// Log replay does not remove the old name of a renamed entry when the
     /// new name appears in the same log, so the file is visible in both
-    /// directories after recovery. (Known bug: workload 9; new bug 2.)
+    /// directories after recovery. (New bug 2.)
     pub replay_keeps_old_dentry_after_rename: bool,
 
     /// Log replay aborts when a logged dentry targets a name that exists in
     /// the committed tree with a different inode (the unlink+link /
     /// unlink+create name-reuse pattern), leaving the file system
-    /// un-mountable. (Known bugs: Figure 1 / workloads 3 and 5.)
+    /// un-mountable. (Known bugs: Figure 1 / workloads 3 and 5, and what
+    /// the reproduction of workload 1 shows.)
     pub name_reuse_breaks_replay: bool,
 
     /// Log replay restores the committed inode-allocator cursor, so the
@@ -135,150 +141,48 @@ pub struct CowBugs {
     pub replay_resets_inode_allocator: bool,
 }
 
-/// One row of the era table: which flag, when the bug appeared, and when it
-/// was fixed (`None` = still unfixed at the paper's evaluation kernel 4.16).
-struct BugWindow {
-    set: fn(&mut CowBugs, bool),
-    introduced: KernelEra,
-    fixed_in: Option<KernelEra>,
-}
-
-macro_rules! window {
-    ($field:ident, $introduced:expr, $fixed:expr) => {
-        BugWindow {
-            set: |bugs, value| bugs.$field = value,
-            introduced: $introduced,
-            fixed_in: $fixed,
-        }
-    };
-}
-
-/// The era table. Known (previously reported) bugs were all fixed by the
-/// kernel release following their report; the ten bugs CrashMonkey and ACE
-/// found (Table 5) were still present in 4.16 and are only disabled for
-/// [`KernelEra::Patched`].
-fn bug_windows() -> Vec<BugWindow> {
-    use KernelEra::*;
-    vec![
-        // --- previously reported (known) bugs -------------------------------
-        window!(link_fsync_stale_inode, V3_12, Some(V4_1_1)),
-        window!(append_after_link_stale_extent, V3_12, Some(V4_4)),
-        window!(punch_hole_not_logged, V3_12, Some(V4_4)),
-        window!(xattr_removal_not_logged, V3_12, Some(V4_1_1)),
-        window!(symlink_target_not_logged, V3_12, Some(V4_15)),
-        window!(ranged_msync_clears_dirty, V3_12, Some(V3_16)),
-        window!(fsync_renamed_file_skips_new_name, V3_12, Some(V4_15)),
-        window!(rename_source_not_logged, V3_12, Some(V4_15)),
-        window!(fsync_logs_sibling_dentries, V3_12, Some(V4_4)),
-        // This mechanism covers both previously-reported workloads (7, 8,
-        // 20) and the still-unfixed "rename not persisted by fsync" new bug
-        // 4 of Table 5, so its window never closes.
-        window!(dir_fsync_misses_renames, V3_12, None),
-        window!(replay_dup_dentry_double_count, V3_12, Some(V3_16)),
-        window!(replay_skips_dentry_removal_multilink, V3_12, Some(V4_4)),
-        window!(replay_keeps_old_dentry_after_rename, V3_12, Some(V4_15)),
-        window!(name_reuse_breaks_replay, V3_12, Some(V4_16)),
-        window!(replay_resets_inode_allocator, V3_12, Some(V4_16)),
-        // --- new bugs found by CrashMonkey + ACE (Table 5) -------------------
-        window!(rename_over_logged_skips_new_inode, V3_13, None), // new bug 1 (2014)
-        window!(replay_keeps_old_dentry_after_rename, V4_15, None), // new bug 2 (2018) reuses the mechanism
-        window!(dir_fsync_skips_new_subdirs, V3_13, None),          // new bug 3 (2014)
-        window!(fsync_skips_other_names, V3_13, None),              // new bugs 5 & 7 (2014)
-        window!(dir_fsync_skips_new_files, V3_16, None),            // new bug 6 (2014)
-        window!(falloc_keep_size_not_logged, V3_13, None),          // new bug 8 (2014)
-        // --- beyond the paper: durable-rename distinct-inode resurrection ----
-        window!(durable_rename_resurrects_old_inode, V4_16, None),
-    ]
-}
-
-impl CowBugs {
-    /// No bugs at all (equivalent to `for_era(KernelEra::Patched)`).
-    pub fn none() -> Self {
-        CowBugs::default()
-    }
-
-    /// Every bug enabled (useful for adversarial testing of CrashMonkey).
-    pub fn all() -> Self {
-        let mut bugs = CowBugs::default();
-        for window in bug_windows() {
-            (window.set)(&mut bugs, true);
-        }
-        bugs
-    }
-
-    /// The bugs present in the given kernel era.
-    pub fn for_era(era: KernelEra) -> Self {
-        let mut bugs = CowBugs::default();
-        for window in bug_windows() {
-            if era.bug_present(window.introduced, window.fixed_in) {
-                (window.set)(&mut bugs, true);
-            }
-        }
-        bugs
-    }
-
-    /// Number of enabled bug flags.
-    pub fn count_enabled(&self) -> usize {
-        let CowBugs {
-            link_fsync_stale_inode,
-            append_after_link_stale_extent,
-            falloc_keep_size_not_logged,
-            punch_hole_not_logged,
-            xattr_removal_not_logged,
-            symlink_target_not_logged,
-            ranged_msync_clears_dirty,
-            fsync_skips_other_names,
-            fsync_renamed_file_skips_new_name,
-            durable_rename_resurrects_old_inode,
-            rename_source_not_logged,
-            fsync_logs_sibling_dentries,
-            dir_fsync_skips_new_files,
-            dir_fsync_skips_new_subdirs,
-            dir_fsync_misses_renames,
-            rename_over_logged_skips_new_inode,
-            replay_dup_dentry_double_count,
-            replay_skips_dentry_removal_multilink,
-            replay_keeps_old_dentry_after_rename,
-            name_reuse_breaks_replay,
-            replay_resets_inode_allocator,
-        } = *self;
-        [
-            link_fsync_stale_inode,
-            append_after_link_stale_extent,
-            falloc_keep_size_not_logged,
-            punch_hole_not_logged,
-            xattr_removal_not_logged,
-            symlink_target_not_logged,
-            ranged_msync_clears_dirty,
-            fsync_skips_other_names,
-            fsync_renamed_file_skips_new_name,
-            durable_rename_resurrects_old_inode,
-            rename_source_not_logged,
-            fsync_logs_sibling_dentries,
-            dir_fsync_skips_new_files,
-            dir_fsync_skips_new_subdirs,
-            dir_fsync_misses_renames,
-            rename_over_logged_skips_new_inode,
-            replay_dup_dentry_double_count,
-            replay_skips_dentry_removal_multilink,
-            replay_keeps_old_dentry_after_rename,
-            name_reuse_breaks_replay,
-            replay_resets_inode_allocator,
-        ]
-        .iter()
-        .filter(|&&flag| flag)
-        .count()
-    }
+/// The era table, in field order. Known (previously reported) bugs were
+/// all fixed by the kernel release following their report; the ten bugs
+/// CrashMonkey and ACE found (Table 5) were still present in 4.16 and are
+/// only disabled for [`KernelEra::Patched`](b3_vfs::KernelEra::Patched).
+impl MutantSet for CowBugs {
+    const MUTANTS: &'static [Mutant<Self>] = &[
+        mutant!(link_fsync_stale_inode, V3_12..V4_1_1),
+        mutant!(append_after_link_stale_extent, V3_12..V4_4),
+        mutant!(falloc_keep_size_not_logged, V3_13..), // new bug 8 (2014)
+        mutant!(punch_hole_not_logged, V3_12..V4_4),
+        mutant!(xattr_removal_not_logged, V3_12..V4_1_1),
+        mutant!(symlink_target_not_logged, V3_12..V4_15),
+        mutant!(ranged_msync_clears_dirty, V3_12..V3_16),
+        mutant!(fsync_skips_other_names, V3_13..), // new bugs 5 & 7 (2014)
+        mutant!(fsync_renamed_file_skips_new_name, V3_12..V4_15),
+        mutant!(durable_rename_resurrects_old_inode, V4_16..), // beyond the paper
+        mutant!(rename_source_not_logged, V3_12..V4_15),
+        mutant!(fsync_logs_sibling_dentries, V3_12..V4_4),
+        mutant!(dir_fsync_skips_new_files, V3_16..), // new bug 6 (2014)
+        mutant!(dir_fsync_skips_new_subdirs, V3_13..), // new bug 3 (2014)
+        // Covers both previously-reported workloads and the still-unfixed
+        // "rename not persisted by fsync" new bug 4, so it never closes.
+        mutant!(dir_fsync_misses_renames, V3_12..),
+        mutant!(rename_over_logged_skips_new_inode, V3_13..), // new bug 1 (2014)
+        mutant!(replay_dup_dentry_double_count, V3_12..V3_16),
+        mutant!(replay_skips_dentry_removal_multilink, V3_12..V4_4),
+        // New bug 2 (from 4.15) reuses a mechanism present since 3.12: the
+        // two windows meet, so one row covers both.
+        mutant!(replay_keeps_old_dentry_after_rename, V3_12..),
+        mutant!(name_reuse_breaks_replay, V3_12..V4_16),
+        mutant!(replay_resets_inode_allocator, V3_12..V4_16),
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use b3_vfs::KernelEra;
 
     #[test]
     fn patched_era_has_no_bugs() {
         assert_eq!(CowBugs::for_era(KernelEra::Patched), CowBugs::none());
-        assert_eq!(CowBugs::for_era(KernelEra::Patched).count_enabled(), 0);
     }
 
     #[test]
@@ -298,13 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn old_kernels_have_more_bugs_than_new_ones() {
-        let old = CowBugs::for_era(KernelEra::V3_13).count_enabled();
-        let new = CowBugs::for_era(KernelEra::V4_16).count_enabled();
-        assert!(old > new, "expected {old} > {new}");
-    }
-
-    #[test]
     fn known_bug_window_closes() {
         assert!(CowBugs::for_era(KernelEra::V3_13).replay_dup_dentry_double_count);
         assert!(!CowBugs::for_era(KernelEra::V4_4).replay_dup_dentry_double_count);
@@ -312,9 +209,156 @@ mod tests {
         assert!(!CowBugs::for_era(KernelEra::V4_16).name_reuse_breaks_replay);
     }
 
+    /// The enabled ids of every era, as literals: a table edit that moves
+    /// a window shows here.
     #[test]
-    fn all_enables_everything() {
-        assert_eq!(CowBugs::all().count_enabled(), 21);
+    fn era_sets_are_pinned() {
+        use KernelEra::*;
+        let pinned: [(KernelEra, &[&str]); 8] = [
+            (
+                V3_12,
+                &[
+                    "link_fsync_stale_inode",
+                    "append_after_link_stale_extent",
+                    "punch_hole_not_logged",
+                    "xattr_removal_not_logged",
+                    "symlink_target_not_logged",
+                    "ranged_msync_clears_dirty",
+                    "fsync_renamed_file_skips_new_name",
+                    "rename_source_not_logged",
+                    "fsync_logs_sibling_dentries",
+                    "dir_fsync_misses_renames",
+                    "replay_dup_dentry_double_count",
+                    "replay_skips_dentry_removal_multilink",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V3_13,
+                &[
+                    "link_fsync_stale_inode",
+                    "append_after_link_stale_extent",
+                    "falloc_keep_size_not_logged",
+                    "punch_hole_not_logged",
+                    "xattr_removal_not_logged",
+                    "symlink_target_not_logged",
+                    "ranged_msync_clears_dirty",
+                    "fsync_skips_other_names",
+                    "fsync_renamed_file_skips_new_name",
+                    "rename_source_not_logged",
+                    "fsync_logs_sibling_dentries",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_dup_dentry_double_count",
+                    "replay_skips_dentry_removal_multilink",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V3_16,
+                &[
+                    "link_fsync_stale_inode",
+                    "append_after_link_stale_extent",
+                    "falloc_keep_size_not_logged",
+                    "punch_hole_not_logged",
+                    "xattr_removal_not_logged",
+                    "symlink_target_not_logged",
+                    "fsync_skips_other_names",
+                    "fsync_renamed_file_skips_new_name",
+                    "rename_source_not_logged",
+                    "fsync_logs_sibling_dentries",
+                    "dir_fsync_skips_new_files",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_skips_dentry_removal_multilink",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V4_1_1,
+                &[
+                    "append_after_link_stale_extent",
+                    "falloc_keep_size_not_logged",
+                    "punch_hole_not_logged",
+                    "symlink_target_not_logged",
+                    "fsync_skips_other_names",
+                    "fsync_renamed_file_skips_new_name",
+                    "rename_source_not_logged",
+                    "fsync_logs_sibling_dentries",
+                    "dir_fsync_skips_new_files",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_skips_dentry_removal_multilink",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V4_4,
+                &[
+                    "falloc_keep_size_not_logged",
+                    "symlink_target_not_logged",
+                    "fsync_skips_other_names",
+                    "fsync_renamed_file_skips_new_name",
+                    "rename_source_not_logged",
+                    "dir_fsync_skips_new_files",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V4_15,
+                &[
+                    "falloc_keep_size_not_logged",
+                    "fsync_skips_other_names",
+                    "dir_fsync_skips_new_files",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_keeps_old_dentry_after_rename",
+                    "name_reuse_breaks_replay",
+                    "replay_resets_inode_allocator",
+                ],
+            ),
+            (
+                V4_16,
+                &[
+                    "falloc_keep_size_not_logged",
+                    "fsync_skips_other_names",
+                    "durable_rename_resurrects_old_inode",
+                    "dir_fsync_skips_new_files",
+                    "dir_fsync_skips_new_subdirs",
+                    "dir_fsync_misses_renames",
+                    "rename_over_logged_skips_new_inode",
+                    "replay_keeps_old_dentry_after_rename",
+                ],
+            ),
+            (Patched, &[]),
+        ];
+        for (era, ids) in pinned {
+            assert_eq!(
+                CowBugs::for_era(era).enabled().collect::<Vec<_>>(),
+                ids,
+                "{era}"
+            );
+        }
+        assert_eq!(CowBugs::all().enabled().count(), 21);
+        let unique: std::collections::HashSet<_> = CowBugs::MUTANTS.iter().map(|m| m.id).collect();
+        assert_eq!(unique.len(), CowBugs::MUTANTS.len(), "ids are unique");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use b3_vfs::metadata::Metadata;
 use b3_vfs::recover::RecoverDelta;
 use b3_vfs::tree::{InodeId, MemTree};
 use b3_vfs::workload::FallocMode;
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 use crate::bugs::CowBugs;
 use crate::log::{replay, LogTree, Recorder, RecorderState, SyncKind};

@@ -352,11 +352,6 @@ impl Recorder<'_> {
             .collect();
 
         let was_renamed = !new_names.is_empty() && !removed_names.is_empty();
-        if self.bugs.fsync_renamed_file_skips_new_name && was_renamed {
-            // The rename is simply not logged: the file recovers under its
-            // committed (old) name.
-            return;
-        }
 
         // Names this inode was given earlier in the current log (by previous
         // fsync calls in the same transaction) but no longer holds must be
@@ -381,6 +376,15 @@ impl Recorder<'_> {
                     }
                 }
             }
+        }
+
+        // The rename is simply not logged: the file recovers under its old
+        // name, committed or logged earlier in this transaction.
+        if self.bugs.fsync_renamed_file_skips_new_name
+            && !new_names.is_empty()
+            && (!removed_names.is_empty() || !stale_logged_names.is_empty())
+        {
+            return;
         }
 
         let fsync_path_norm = b3_vfs::path::normalize(fsync_path);
@@ -944,6 +948,7 @@ pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<Me
 #[cfg(test)]
 mod tests {
     use super::*;
+    use b3_vfs::MutantSet;
 
     fn recorder_fixture(
         working: &MemTree,

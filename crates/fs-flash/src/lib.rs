@@ -23,7 +23,7 @@ use b3_vfs::path::split_parent;
 use b3_vfs::recover::RecoverDelta;
 use b3_vfs::tree::{decode_inode, encode_inode, Inode, InodeId, MemTree};
 use b3_vfs::workload::FallocMode;
-use b3_vfs::KernelEra;
+use b3_vfs::{mutant, KernelEra, Mutant, MutantSet};
 
 /// FlashFs on-disk magic number.
 pub const FLASHFS_MAGIC: u32 = 0x4632_4653; // "F2FS"
@@ -42,7 +42,9 @@ pub struct FlashBugs {
     pub renamed_dir_recovers_old_name: bool,
     /// Roll-forward recovery of a file created at a name that previously
     /// belonged to a renamed-away file loses the renamed file entirely.
-    /// (Known bug: workload 1 / Table 2 bug #4, "persisted file disappears".)
+    /// (Known bug: workload 1 / Table 2 bug #4, "persisted file disappears".
+    /// The lost file is left orphaned, which the AutoChecker cannot see, so
+    /// no corpus workload exposes it.)
     pub roll_forward_loses_renamed_file: bool,
     /// `fdatasync` after `fallocate(KEEP_SIZE)` beyond EOF does not persist
     /// the extra allocation; the blocks disappear after a crash.
@@ -50,35 +52,17 @@ pub struct FlashBugs {
     pub fdatasync_skips_falloc_beyond_eof: bool,
 }
 
-impl FlashBugs {
-    /// No injected bugs.
-    pub fn none() -> Self {
-        FlashBugs::default()
-    }
-
-    /// Every bug enabled.
-    pub fn all() -> Self {
-        FlashBugs {
-            zero_range_keep_size_wrong_size: true,
-            renamed_dir_recovers_old_name: true,
-            roll_forward_loses_renamed_file: true,
-            fdatasync_skips_falloc_beyond_eof: true,
-        }
-    }
-
-    /// Bugs present in the given kernel era. The known bugs were fixed
-    /// before the paper's evaluation kernel (4.16); the two new bugs were
-    /// present in every era up to and including 4.16 (F2FS was merged in
-    /// 3.8, so all studied eras have it).
-    pub fn for_era(era: KernelEra) -> Self {
-        use KernelEra::*;
-        FlashBugs {
-            zero_range_keep_size_wrong_size: era.bug_present(V4_1_1, None),
-            renamed_dir_recovers_old_name: era.bug_present(V4_4, None),
-            roll_forward_loses_renamed_file: era.bug_present(V3_12, Some(V4_15)),
-            fdatasync_skips_falloc_beyond_eof: era.bug_present(V3_12, Some(V4_15)),
-        }
-    }
+/// The known bugs were fixed before the paper's evaluation kernel (4.16);
+/// the two new bugs are present from the release that introduced them up
+/// to and including 4.16 (F2FS was merged in 3.8, so all studied eras have
+/// it).
+impl MutantSet for FlashBugs {
+    const MUTANTS: &'static [Mutant<Self>] = &[
+        mutant!(zero_range_keep_size_wrong_size, V4_1_1..),
+        mutant!(renamed_dir_recovers_old_name, V4_4..),
+        mutant!(roll_forward_loses_renamed_file, V3_12..V4_15),
+        mutant!(fdatasync_skips_falloc_beyond_eof, V3_12..V4_15),
+    ];
 }
 
 /// One roll-forward record: the fsynced inode plus the directory entries
@@ -780,6 +764,78 @@ mod tests {
         assert!(!eval.roll_forward_loses_renamed_file);
         assert!(!eval.fdatasync_skips_falloc_beyond_eof);
         assert_eq!(FlashBugs::for_era(KernelEra::Patched), FlashBugs::none());
+    }
+
+    /// The enabled ids of every era, as literals: a table edit that moves
+    /// a window shows here.
+    #[test]
+    fn era_sets_are_pinned() {
+        use KernelEra::*;
+        let pinned: [(KernelEra, &[&str]); 8] = [
+            (
+                V3_12,
+                &[
+                    "roll_forward_loses_renamed_file",
+                    "fdatasync_skips_falloc_beyond_eof",
+                ],
+            ),
+            (
+                V3_13,
+                &[
+                    "roll_forward_loses_renamed_file",
+                    "fdatasync_skips_falloc_beyond_eof",
+                ],
+            ),
+            (
+                V3_16,
+                &[
+                    "roll_forward_loses_renamed_file",
+                    "fdatasync_skips_falloc_beyond_eof",
+                ],
+            ),
+            (
+                V4_1_1,
+                &[
+                    "zero_range_keep_size_wrong_size",
+                    "roll_forward_loses_renamed_file",
+                    "fdatasync_skips_falloc_beyond_eof",
+                ],
+            ),
+            (
+                V4_4,
+                &[
+                    "zero_range_keep_size_wrong_size",
+                    "renamed_dir_recovers_old_name",
+                    "roll_forward_loses_renamed_file",
+                    "fdatasync_skips_falloc_beyond_eof",
+                ],
+            ),
+            (
+                V4_15,
+                &[
+                    "zero_range_keep_size_wrong_size",
+                    "renamed_dir_recovers_old_name",
+                ],
+            ),
+            (
+                V4_16,
+                &[
+                    "zero_range_keep_size_wrong_size",
+                    "renamed_dir_recovers_old_name",
+                ],
+            ),
+            (Patched, &[]),
+        ];
+        for (era, ids) in pinned {
+            assert_eq!(
+                FlashBugs::for_era(era).enabled().collect::<Vec<_>>(),
+                ids,
+                "{era}"
+            );
+        }
+        let unique: std::collections::HashSet<_> =
+            FlashBugs::MUTANTS.iter().map(|m| m.id).collect();
+        assert_eq!(unique.len(), FlashBugs::MUTANTS.len(), "ids are unique");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::metadata::Metadata;
 use b3_vfs::tree::MemTree;
 use b3_vfs::workload::FallocMode;
-use b3_vfs::KernelEra;
+use b3_vfs::{mutant, KernelEra, Mutant, MutantSet};
 
 /// JournalFs on-disk magic number.
 pub const JOURNALFS_MAGIC: u32 = 0x4a52_4e4c; // "JRNL"
@@ -45,29 +45,13 @@ pub struct JournalBugs {
     pub direct_write_skips_disksize: bool,
 }
 
-impl JournalBugs {
-    /// No injected bugs.
-    pub fn none() -> Self {
-        JournalBugs::default()
-    }
-
-    /// Every bug enabled.
-    pub fn all() -> Self {
-        JournalBugs {
-            fdatasync_skips_falloc_beyond_eof: true,
-            direct_write_skips_disksize: true,
-        }
-    }
-
-    /// Bugs present in the given kernel era. Both known ext4 bugs were
-    /// reported against 4.15-era kernels and fixed before 4.16.
-    pub fn for_era(era: KernelEra) -> Self {
-        use KernelEra::*;
-        JournalBugs {
-            fdatasync_skips_falloc_beyond_eof: era.bug_present(V3_12, Some(V4_16)),
-            direct_write_skips_disksize: era.bug_present(V3_12, Some(V4_16)),
-        }
-    }
+/// Both known ext4 bugs were reported against 4.15-era kernels and fixed
+/// before 4.16.
+impl MutantSet for JournalBugs {
+    const MUTANTS: &'static [Mutant<Self>] = &[
+        mutant!(fdatasync_skips_falloc_beyond_eof, V3_12..V4_16),
+        mutant!(direct_write_skips_disksize, V3_12..V4_16),
+    ];
 }
 
 /// The ext4-like file system.
@@ -475,6 +459,69 @@ mod tests {
         let old = JournalBugs::for_era(KernelEra::V4_15);
         assert!(old.fdatasync_skips_falloc_beyond_eof);
         assert!(old.direct_write_skips_disksize);
+    }
+
+    /// The enabled ids of every era, as literals: a table edit that moves
+    /// a window shows here.
+    #[test]
+    fn era_sets_are_pinned() {
+        use KernelEra::*;
+        let pinned: [(KernelEra, &[&str]); 8] = [
+            (
+                V3_12,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (
+                V3_13,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (
+                V3_16,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (
+                V4_1_1,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (
+                V4_4,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (
+                V4_15,
+                &[
+                    "fdatasync_skips_falloc_beyond_eof",
+                    "direct_write_skips_disksize",
+                ],
+            ),
+            (V4_16, &[]),
+            (Patched, &[]),
+        ];
+        for (era, ids) in pinned {
+            assert_eq!(
+                JournalBugs::for_era(era).enabled().collect::<Vec<_>>(),
+                ids,
+                "{era}"
+            );
+        }
+        let unique: std::collections::HashSet<_> =
+            JournalBugs::MUTANTS.iter().map(|m| m.id).collect();
+        assert_eq!(unique.len(), JournalBugs::MUTANTS.len(), "ids are unique");
     }
 
     #[test]

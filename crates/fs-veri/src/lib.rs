@@ -17,7 +17,7 @@ use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::metadata::Metadata;
 use b3_vfs::tree::MemTree;
 use b3_vfs::workload::FallocMode;
-use b3_vfs::KernelEra;
+use b3_vfs::{mutant, KernelEra, Mutant, MutantSet};
 
 /// VeriFs on-disk magic number.
 pub const VERIFS_MAGIC: u32 = 0x4653_4351; // "FSCQ"
@@ -31,27 +31,10 @@ pub struct VeriBugs {
     pub fdatasync_skips_appends: bool,
 }
 
-impl VeriBugs {
-    /// No injected bugs.
-    pub fn none() -> Self {
-        VeriBugs::default()
-    }
-
-    /// Every bug enabled.
-    pub fn all() -> Self {
-        VeriBugs {
-            fdatasync_skips_appends: true,
-        }
-    }
-
-    /// Bugs present for a kernel era. The FSCQ bug is in the 2018 artifact
-    /// and unfixed until `Patched`; it does not depend on the Linux kernel
-    /// version, so every non-patched era exhibits it.
-    pub fn for_era(era: KernelEra) -> Self {
-        VeriBugs {
-            fdatasync_skips_appends: era != KernelEra::Patched,
-        }
-    }
+/// The FSCQ bug is in the 2018 artifact and unfixed until `Patched`; it does
+/// not depend on the Linux kernel version, so every non-patched era has it.
+impl MutantSet for VeriBugs {
+    const MUTANTS: &'static [Mutant<Self>] = &[mutant!(fdatasync_skips_appends, V3_12..)];
 }
 
 /// The FSCQ-like file system.
@@ -375,5 +358,31 @@ mod tests {
     fn era_table() {
         assert_eq!(VeriBugs::for_era(KernelEra::Patched), VeriBugs::none());
         assert!(VeriBugs::for_era(KernelEra::V4_16).fdatasync_skips_appends);
+    }
+
+    /// The enabled ids of every era, as literals: a table edit that moves
+    /// a window shows here.
+    #[test]
+    fn era_sets_are_pinned() {
+        use KernelEra::*;
+        let pinned: [(KernelEra, &[&str]); 8] = [
+            (V3_12, &["fdatasync_skips_appends"]),
+            (V3_13, &["fdatasync_skips_appends"]),
+            (V3_16, &["fdatasync_skips_appends"]),
+            (V4_1_1, &["fdatasync_skips_appends"]),
+            (V4_4, &["fdatasync_skips_appends"]),
+            (V4_15, &["fdatasync_skips_appends"]),
+            (V4_16, &["fdatasync_skips_appends"]),
+            (Patched, &[]),
+        ];
+        for (era, ids) in pinned {
+            assert_eq!(
+                VeriBugs::for_era(era).enabled().collect::<Vec<_>>(),
+                ids,
+                "{era}"
+            );
+        }
+        let unique: std::collections::HashSet<_> = VeriBugs::MUTANTS.iter().map(|m| m.id).collect();
+        assert_eq!(unique.len(), VeriBugs::MUTANTS.len(), "ids are unique");
     }
 }

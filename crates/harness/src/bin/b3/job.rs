@@ -5,7 +5,7 @@ use b3_ace::{Bounds, SequencePreset};
 use b3_app::{EngineProfile, TxnBounds};
 use b3_crashmonkey::CrashPointPolicy;
 use b3_harness::{FsKind, PruneMode, SweepJob};
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 use crate::args::Args;
 use crate::Exit;
@@ -36,7 +36,7 @@ impl JobSpec {
             prune: PruneMode::Off,
             audit_k: None,
             crash_points: CrashPointPolicy::LastOnly,
-            engine: EngineProfile::fixed(),
+            engine: EngineProfile::none(),
         }
     }
 
@@ -81,7 +81,9 @@ impl JobSpec {
             return Err(Exit::usage("--shards must be at least 1"));
         }
         let mut job = match (preset_bounds(&self.preset), app_preset_bounds(&self.preset)) {
-            (Some(bounds), _) if self.engine.is_fixed() => SweepJob::new(bounds, shards),
+            (Some(bounds), _) if self.engine == EngineProfile::none() => {
+                SweepJob::new(bounds, shards)
+            }
             (Some(_), _) => return Err(Exit::usage("--engine only applies to app-* presets")),
             (None, Some(bounds)) => SweepJob::new_app(bounds, self.engine, shards),
             (None, None) => {

@@ -63,7 +63,7 @@ use b3_app::{EngineProfile, TxnBounds};
 use b3_crashmonkey::{CrashMonkeyConfig, CrashPointPolicy};
 use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 use crate::corpus::FsKind;
 use crate::engine::{self, in_process_scope, JobSpace};
@@ -351,7 +351,8 @@ impl SweepJob {
             SweepSpace::App { bounds, engine } => {
                 enc.put_u8(protocol::wire::SPACE_APP);
                 bounds.encode(enc);
-                enc.put_u8(engine.bits());
+                // Three engine mutants: their bits fit in the byte.
+                enc.put_u8(engine.bits() as u8);
             }
         }
         enc.put_u64(self.num_shards as u64);
@@ -377,7 +378,10 @@ impl SweepJob {
             protocol::wire::SPACE_FS => SweepSpace::Fs(Bounds::decode(dec)?),
             protocol::wire::SPACE_APP => {
                 let bounds = TxnBounds::decode(dec)?;
-                let engine = EngineProfile::from_bits(dec.get_u8()?)?;
+                let bits = dec.get_u8()?;
+                let engine = EngineProfile::from_bits(u64::from(bits)).ok_or_else(|| {
+                    FsError::Corrupted(format!("unknown engine profile bits {bits:#04x}"))
+                })?;
                 SweepSpace::App { bounds, engine }
             }
             other => {

@@ -24,6 +24,7 @@ use b3_vfs::error::FsResult;
 use b3_vfs::fs::FsSpec;
 use b3_vfs::snapshot::EntryInterner;
 use b3_vfs::workload::Workload;
+use b3_vfs::MutantSet;
 
 use crate::runner::{spawn_progress_monitor, LiveCounters, RunConfig, RunSummary, WorkerGuard};
 use crate::sweep::{fnv1a64, AuditFailure, ProgressHook, PruneMode, ShardResult, SweepCheckpoint};
@@ -603,7 +604,7 @@ mod tests {
         let engine = EngineProfile {
             torn_commit: true,
             double_replay: true,
-            ..EngineProfile::fixed()
+            ..EngineProfile::none()
         };
         // Two transactions, so workloads share a prefix; with an audit
         // budget `audited` depends on which crash states the tester's trunk
@@ -760,7 +761,7 @@ mod tests {
         let rep = PruneMode::Representative;
         let engine = EngineProfile {
             torn_commit: true,
-            ..EngineProfile::fixed()
+            ..EngineProfile::none()
         };
         let app = format!("app:{}", engine.describe());
         assert_eq!(in_process_scope(None, LastOnly, PruneMode::Off), "");
@@ -790,7 +791,7 @@ mod tests {
     #[test]
     fn an_interrupted_shard_is_unrecorded_but_counted_in_the_summary() {
         let spec = CowFsSpec::new(KernelEra::Patched);
-        let engine = EngineProfile::fixed();
+        let engine = EngineProfile::none();
         let bounds = TxnBounds::tiny();
         let config = CrashMonkeyConfig::small();
         let scope = in_process_scope(Some(engine), config.crash_points, PruneMode::Off);

@@ -924,7 +924,7 @@ impl<'a> AppSweep<'a> {
 mod tests {
     use super::*;
     use b3_fs_cow::CowFsSpec;
-    use b3_vfs::KernelEra;
+    use b3_vfs::{KernelEra, MutantSet};
 
     fn tiny_config() -> RunConfig {
         RunConfig {
@@ -1212,7 +1212,7 @@ mod tests {
     #[test]
     fn fixed_engine_tiny_sweep_is_clean_and_complete() {
         let spec = CowFsSpec::new(KernelEra::Patched);
-        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::fixed()).shards(4);
+        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::none()).shards(4);
         let summary = sweep.run(&TxnBounds::tiny());
         assert_eq!(summary.tested, 20);
         assert_eq!(summary.skipped, 0);
@@ -1224,7 +1224,7 @@ mod tests {
         let spec = CowFsSpec::new(KernelEra::Patched);
         let engine = EngineProfile {
             commit_without_data_fsync: true,
-            ..EngineProfile::fixed()
+            ..EngineProfile::none()
         };
         let first = AppSweep::new(&spec, app_config(), engine)
             .shards(4)
@@ -1250,7 +1250,7 @@ mod tests {
     #[test]
     fn resume_skips_recorded_shards_and_completes() {
         let spec = CowFsSpec::new(KernelEra::Patched);
-        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::fixed()).shards(5);
+        let sweep = AppSweep::new(&spec, app_config(), EngineProfile::none()).shards(5);
         let bounds = TxnBounds::tiny();
         let mut checkpoint = sweep.empty_checkpoint(&bounds);
         // Budget-limited first pass: some shards recorded, some not.
@@ -1259,7 +1259,7 @@ mod tests {
                 stop_after_workloads: Some(7),
                 ..app_config()
             },
-            ..AppSweep::new(&spec, app_config(), EngineProfile::fixed())
+            ..AppSweep::new(&spec, app_config(), EngineProfile::none())
         }
         .shards(5);
         budgeted.run_resumable(&bounds, &mut checkpoint);
@@ -1273,7 +1273,7 @@ mod tests {
     fn app_sweeps_time_their_workloads() {
         let spec = CowFsSpec::new(KernelEra::Patched);
         let bounds = TxnBounds::tiny();
-        let summary = AppSweep::new(&spec, app_config(), EngineProfile::fixed())
+        let summary = AppSweep::new(&spec, app_config(), EngineProfile::none())
             .shards(4)
             .run(&bounds);
         assert!(summary.tested > 0);
@@ -1281,7 +1281,7 @@ mod tests {
         assert!(summary.avg_workload_latency() > Duration::ZERO);
 
         let harness =
-            b3_app::AppHarness::new(&spec, app_config().crashmonkey, EngineProfile::fixed());
+            b3_app::AppHarness::new(&spec, app_config().crashmonkey, EngineProfile::none());
         for workload in b3_app::TxnWorkloadGenerator::new(bounds) {
             let outcome = harness.test_workload(&workload).unwrap();
             let timing = outcome.timing;
@@ -1296,13 +1296,13 @@ mod tests {
     #[test]
     fn engine_profile_scopes_the_checkpoint() {
         let spec = CowFsSpec::new(KernelEra::Patched);
-        let fixed = AppSweep::new(&spec, app_config(), EngineProfile::fixed());
+        let fixed = AppSweep::new(&spec, app_config(), EngineProfile::none());
         let buggy = AppSweep::new(
             &spec,
             app_config(),
             EngineProfile {
                 torn_commit: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
         );
         let bounds = TxnBounds::tiny();

@@ -22,7 +22,7 @@ use b3_harness::distrib::{
 };
 use b3_harness::{AppSweep, FsKind, PruneMode, RunConfig, RunSummary, SweepSpace};
 use b3_vfs::codec::Encoder;
-use b3_vfs::KernelEra;
+use b3_vfs::{KernelEra, MutantSet};
 
 const NUM_SHARDS: usize = 8;
 
@@ -149,21 +149,21 @@ fn seeded_bug_matrix_is_detected_distributed_on_two_file_systems() {
         (
             EngineProfile {
                 commit_without_data_fsync: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnAtomicityBroken,
         ),
         (
             EngineProfile {
                 torn_commit: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnAtomicityBroken,
         ),
         (
             EngineProfile {
                 double_replay: true,
-                ..EngineProfile::fixed()
+                ..EngineProfile::none()
             },
             Consequence::TxnReplayNotIdempotent,
         ),
@@ -193,7 +193,7 @@ fn seeded_bug_matrix_is_detected_distributed_on_two_file_systems() {
             );
         }
 
-        let fixed_job = app_job(fs, EngineProfile::fixed());
+        let fixed_job = app_job(fs, EngineProfile::none());
         let single = in_process_summary(&fixed_job);
         assert!(single.reports.is_empty(), "fixed engine must be clean");
         let outcome = run_with_transport(&fixed_job, &config, &stdio_workers(), None)
@@ -209,7 +209,7 @@ fn seeded_bug_matrix_is_detected_distributed_on_two_file_systems() {
 
 #[test]
 fn app_job_with_pruning_is_refused() {
-    let mut job = app_job(FsKind::Cow, EngineProfile::fixed());
+    let mut job = app_job(FsKind::Cow, EngineProfile::none());
     job.prune = PruneMode::Representative;
     let config = DistribConfig {
         workers: 1,
@@ -274,7 +274,7 @@ fn in_process_runner_fills_the_facades_checkpoints() {
         .starts_with("cp:triaged-audit3/canon"));
 
     // An invalid job is an error here too, not a sweep of something else.
-    let mut invalid = app_job(FsKind::Cow, EngineProfile::fixed());
+    let mut invalid = app_job(FsKind::Cow, EngineProfile::none());
     invalid.prune = PruneMode::Representative;
     let error = invalid
         .run_in_process(&config)
@@ -284,7 +284,7 @@ fn in_process_runner_fills_the_facades_checkpoints() {
 
 #[test]
 fn app_and_fs_jobs_never_share_a_fingerprint() {
-    let app = app_job(FsKind::Cow, EngineProfile::fixed());
+    let app = app_job(FsKind::Cow, EngineProfile::none());
     let fs = SweepJob::new(b3_ace::Bounds::tiny(), NUM_SHARDS);
     assert_ne!(
         app.empty_checkpoint().fingerprint(),

@@ -6,6 +6,12 @@
 //! simulated file systems expose the same dimension through [`KernelEra`]:
 //! constructing a file system for an era enables exactly the injected bugs
 //! that were unfixed in that era.
+//!
+//! Each target (the four file systems and the WAL/KV engine) keeps its
+//! injectable bugs as a struct of `pub bool` fields, read by the bug sites,
+//! plus one [`Mutant`] table. [`MutantSet`] derives everything else from
+//! that table: the era sets, single-mutant sets, the enabled ids and the
+//! text and bit spellings.
 
 use std::fmt;
 
@@ -94,6 +100,118 @@ impl KernelEra {
             None => true,
         }
     }
+}
+
+/// One injectable bug of a target: its id, the era window it is present in
+/// (`introduced` up to, not including, `fixed_in`; `None` = never fixed)
+/// and the field of the target's bug set `S` that turns it on.
+pub struct Mutant<S: 'static> {
+    /// Stable id: the flag's field name, or the spelling the target prints.
+    pub id: &'static str,
+    /// First era with the bug.
+    pub introduced: KernelEra,
+    /// First era without it (`None`: unfixed until [`KernelEra::Patched`]).
+    pub fixed_in: Option<KernelEra>,
+    /// The flag the bug sites read.
+    pub flag: fn(&mut S) -> &mut bool,
+}
+
+/// One [`Mutant`] row: `mutant!(field, V3_12..V4_4)`, or `mutant!(field,
+/// V3_13..)` for a bug never fixed. The id is the field name unless given
+/// first: `mutant!("torn-commit" => torn_commit, V3_12..)`.
+#[macro_export]
+macro_rules! mutant {
+    ($field:ident, $($window:tt)*) => {
+        $crate::mutant!(stringify!($field) => $field, $($window)*)
+    };
+    ($id:expr => $field:ident, $introduced:ident..$($fixed:ident)?) => {
+        $crate::era::Mutant {
+            id: $id,
+            introduced: $crate::KernelEra::$introduced,
+            // `Some(fixed)` when the window is closed, else `None`.
+            fixed_in: [$(Some($crate::KernelEra::$fixed),)? None][0],
+            flag: |set| &mut set.$field,
+        }
+    };
+}
+
+/// A target's bug set, derived from its one [`Mutant`] table. Bit `i` of
+/// [`MutantSet::bits`] is row `i`.
+pub trait MutantSet: Copy + Default + 'static {
+    /// The target's mutants, one row per flag.
+    const MUTANTS: &'static [Mutant<Self>];
+
+    /// No mutant enabled (equivalent to `for_era(KernelEra::Patched)`).
+    fn none() -> Self {
+        Self::default()
+    }
+
+    /// Every mutant enabled.
+    fn all() -> Self {
+        select(|_, _| true)
+    }
+
+    /// The mutants present in the given kernel era.
+    fn for_era(era: KernelEra) -> Self {
+        select(|_, m| era.bug_present(m.introduced, m.fixed_in))
+    }
+
+    /// The set with only mutant `id` enabled; `None` if the table has no
+    /// such row.
+    fn only(id: &str) -> Option<Self> {
+        let row = Self::MUTANTS.iter().position(|m| m.id == id)?;
+        Some(select(|i, _| i == row))
+    }
+
+    /// The ids of the enabled mutants, in table order.
+    fn enabled(&self) -> impl Iterator<Item = &'static str> {
+        let bits = self.bits();
+        let rows = Self::MUTANTS.iter().enumerate();
+        rows.filter(move |(i, _)| bits >> i & 1 == 1)
+            .map(|(_, m)| m.id)
+    }
+
+    /// `fixed`, or the enabled ids joined by commas.
+    fn describe(&self) -> String {
+        let ids = self.enabled().collect::<Vec<_>>().join(",");
+        if ids.is_empty() {
+            "fixed".into()
+        } else {
+            ids
+        }
+    }
+
+    /// Inverse of [`MutantSet::describe`]; ids may come in any order.
+    fn parse(text: &str) -> Result<Self, String> {
+        // `fixed` is the empty set.
+        let mut ids = text.split(',').map(str::trim).filter(|_| text != "fixed");
+        let bits = ids.try_fold(0, |bits, id| match Self::only(id) {
+            Some(one) => Ok(bits | one.bits()),
+            None => Err(format!("unknown mutant {id:?}")),
+        })?;
+        Ok(select(|i, _| bits >> i & 1 == 1))
+    }
+
+    /// Compact wire form: bit `i` is row `i`.
+    fn bits(&self) -> u64 {
+        let mut set = *self;
+        let rows = Self::MUTANTS.iter().enumerate();
+        rows.map(|(i, m)| u64::from(*(m.flag)(&mut set)) << i).sum()
+    }
+
+    /// Inverse of [`MutantSet::bits`]; `None` if a bit has no row.
+    fn from_bits(bits: u64) -> Option<Self> {
+        (bits >> Self::MUTANTS.len() == 0).then(|| select(|i, _| bits >> i & 1 == 1))
+    }
+}
+
+/// The set whose enabled rows are those `keep` accepts (by index and row).
+fn select<S: MutantSet>(keep: impl Fn(usize, &Mutant<S>) -> bool) -> S {
+    let mut set = S::default();
+    for (i, m) in S::MUTANTS.iter().enumerate() {
+        *(m.flag)(&mut set) = keep(i, m);
+    }
+    set
 }
 
 impl fmt::Display for KernelEra {

@@ -30,7 +30,7 @@ pub mod snapshot;
 pub mod tree;
 pub mod workload;
 
-pub use era::KernelEra;
+pub use era::{KernelEra, Mutant, MutantSet};
 pub use error::{FsError, FsResult};
 pub use exec::{apply_op, apply_workload, ExecPolicy, Executor};
 pub use fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};

@@ -55,5 +55,5 @@ pub mod prelude {
     pub use b3_fs_veri::{VeriBugs, VeriFs, VeriFsSpec};
     pub use b3_harness::{corpus, group_reports, study, KnownBugDatabase, RunConfig, Sweep, Table};
     pub use b3_vfs::workload::parse_workload;
-    pub use b3_vfs::{FileSystem, FsSpec, KernelEra, Op, Workload};
+    pub use b3_vfs::{FileSystem, FsSpec, KernelEra, MutantSet, Op, Workload};
 }
