@@ -125,7 +125,9 @@ pub fn record_crc(bytes: &[u8]) -> u64 {
 ///
 /// `crc` is FNV-1a 64 over every preceding byte of the record.
 pub fn encode_commit_record(seq: u64, ops: &[RecordOp]) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let op_len = |op: &RecordOp| 1 + 4 + op.key.len() + if op.kind == OP_DELETE { 0 } else { 16 };
+    let len = COMMIT_MAGIC.len() + 8 + 4 + ops.iter().map(op_len).sum::<usize>() + 8;
+    let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&COMMIT_MAGIC);
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
@@ -134,6 +136,7 @@ pub fn encode_commit_record(seq: u64, ops: &[RecordOp]) -> Vec<u8> {
     }
     let crc = record_crc(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(buf.len(), len, "the record's length is computed up front");
     buf
 }
 
@@ -268,7 +271,9 @@ fn parse_record_op(reader: &mut Reader<'_>) -> Option<RecordOp> {
 }
 
 fn encode_snapshot(applied_seq: u64, state: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let entry_len = |(key, value): (&String, &Vec<u8>)| 4 + key.len() + 8 + value.len();
+    let len = SNAPSHOT_MAGIC.len() + 8 + 4 + state.iter().map(entry_len).sum::<usize>() + 8;
+    let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&SNAPSHOT_MAGIC);
     buf.extend_from_slice(&applied_seq.to_le_bytes());
     buf.extend_from_slice(&(state.len() as u32).to_le_bytes());
@@ -280,6 +285,7 @@ fn encode_snapshot(applied_seq: u64, state: &BTreeMap<String, Vec<u8>>) -> Vec<u
     }
     let crc = record_crc(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(buf.len(), len, "the snapshot's length is computed up front");
     buf
 }
 
@@ -529,6 +535,15 @@ impl WalKv {
     /// The current committed KV state (staged ops excluded).
     pub fn dump(&self) -> BTreeMap<String, Vec<u8>> {
         self.state.clone()
+    }
+
+    /// [`dump`](WalKv::dump) of an engine that is done: the state is moved
+    /// out, not copied. Values are trimmed to their length, as a copy's
+    /// are: a recovered state may be held for many workloads, and replayed
+    /// appends leave spare capacity.
+    pub fn into_state(mut self) -> BTreeMap<String, Vec<u8>> {
+        self.state.values_mut().for_each(Vec::shrink_to_fit);
+        self.state
     }
 }
 

@@ -29,7 +29,8 @@ use b3_block::{BlockDevice, CowSnapshotDevice, DiskImage, IoLog, LogHandle, Reco
 use b3_crashmonkey::profiler::formatted_image_with;
 use b3_crashmonkey::target::{self, Carried, Sharing, Target};
 use b3_crashmonkey::{
-    CheckVerdict, CrashMonkeyConfig, Finished, Held, Trunk, TrunkRun, WorkloadOutcome,
+    CheckVerdict, Consequence, ConsequenceSet, CrashMonkeyConfig, Finished, Held, Trunk, TrunkRun,
+    WorkloadOutcome,
 };
 use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
 use b3_vfs::workload::FallocMode;
@@ -38,7 +39,7 @@ use b3_vfs::{FsError, FsResult, Metadata};
 use crate::bounds::TxnOpKind;
 use crate::engine::{EngineProfile, WalKv};
 use crate::generator::{key_name, value_for, Txn, TxnWorkload};
-use crate::oracle::{CrashPointMeta, KvState, TxnOracle};
+use crate::oracle::{render_state, CrashPointMeta, KvState, TxnOracle, Violation};
 
 /// A forwarding [`FileSystem`] wrapper that inserts a block-log checkpoint
 /// marker after every successful persistence operation — the app-layer
@@ -227,6 +228,16 @@ pub struct CrashPoint {
     recovery: Held<Recovery>,
 }
 
+impl CrashPoint {
+    /// A persistence point described by `meta`, with no recovery held yet.
+    pub fn new(meta: CrashPointMeta) -> CrashPoint {
+        CrashPoint {
+            meta,
+            recovery: Held::default(),
+        }
+    }
+}
+
 /// One run of the engine on a recording mount, stopped between two
 /// transactions: the file system forked together with its recording, the
 /// engine's in-memory state, and every persistence point so far. The
@@ -276,14 +287,11 @@ impl AppRun {
     /// Turns the checkpoints inserted since the last call into crash points.
     fn note_checkpoints(&mut self, in_flight: Option<u32>) {
         for checkpoint in self.fs.take_checkpoints() {
-            self.crash_points.push(CrashPoint {
-                meta: CrashPointMeta {
-                    checkpoint,
-                    committed_before: self.committed,
-                    in_flight,
-                },
-                recovery: Held::default(),
-            });
+            self.crash_points.push(CrashPoint::new(CrashPointMeta {
+                checkpoint,
+                committed_before: self.committed,
+                in_flight,
+            }));
         }
     }
 
@@ -365,9 +373,10 @@ impl<'a> AppHarness<'a> {
 
     /// Tests one transaction workload: runs the transactions it does not
     /// share with the previous workload, then crash-tests every selected
-    /// persistence point ([`b3_crashmonkey::target::test`]).
+    /// persistence point ([`b3_crashmonkey::target::test`]). Every bug
+    /// report is rendered.
     pub fn test_workload(&self, workload: &TxnWorkload) -> FsResult<WorkloadOutcome> {
-        target::test(self, workload)
+        target::test(self, workload, None)
     }
 
     /// Mounts a snapshot of the formatted image on a recording device and
@@ -467,15 +476,16 @@ impl<'a> Target for AppHarness<'a> {
             Err(FsError::Unmountable(detail)) => return Ok(Recovery::Unmountable(detail)),
             Err(other) => return Err(other),
         };
-        let recovered = WalKv::open(fs.as_mut(), self.engine)?.dump();
-        let reopened = WalKv::open(fs.as_mut(), self.engine)?.dump();
+        let recovered = WalKv::open(fs.as_mut(), self.engine)?.into_state();
+        let reopened = WalKv::open(fs.as_mut(), self.engine)?.into_state();
         Ok(Recovery::Recovered {
             recovered,
             reopened,
         })
     }
 
-    /// Asks the oracle about one recovered crash state.
+    /// Asks the oracle about one recovered crash state, and renders what
+    /// it found.
     fn verdict(&self, oracle: &TxnOracle, point: &CrashPoint, recovery: &Recovery) -> CheckVerdict {
         let (recovered, reopened) = match recovery {
             Recovery::Unmountable(detail) => {
@@ -491,21 +501,41 @@ impl<'a> Target for AppHarness<'a> {
                 reopened,
             } => (recovered, reopened),
         };
-        let verdict = oracle.classify(&point.meta, recovered, reopened);
-        if verdict.is_clean() {
+        let violations = oracle.classify(&point.meta, recovered, reopened);
+        if violations.is_empty() {
             return CheckVerdict::default();
         }
-        let details: Vec<&str> = verdict
-            .violations
+        let details: Vec<String> = violations
             .iter()
-            .map(|v| v.detail.as_str())
+            .map(|violation| violation.detail(recovered, reopened))
             .collect();
         CheckVerdict {
-            read_consequences: verdict.violations.iter().map(|v| v.consequence).collect(),
-            actual: format!("{} [{}]", verdict.actual, details.join("; ")),
-            expected: verdict.expected,
+            read_consequences: violations.iter().map(Violation::consequence).collect(),
+            actual: format!("{} [{}]", render_state(recovered), details.join("; ")),
+            expected: oracle.render_expected(&point.meta),
             ..CheckVerdict::default()
         }
+    }
+
+    /// Asks the oracle about one recovered crash state, rendering nothing.
+    fn consequences(
+        &self,
+        oracle: &TxnOracle,
+        point: &CrashPoint,
+        recovery: &Recovery,
+    ) -> Option<(Consequence, ConsequenceSet)> {
+        let all: ConsequenceSet = match recovery {
+            Recovery::Unmountable(_) => [Consequence::Unmountable].into_iter().collect(),
+            Recovery::Recovered {
+                recovered,
+                reopened,
+            } => oracle
+                .classify(&point.meta, recovered, reopened)
+                .iter()
+                .map(Violation::consequence)
+                .collect(),
+        };
+        Some((all.max()?, all))
     }
 }
 
@@ -514,7 +544,6 @@ mod tests {
     use super::*;
     use crate::bounds::TxnBounds;
     use crate::generator::{TxnOp, TxnWorkloadGenerator};
-    use b3_crashmonkey::Consequence;
     use b3_fs_cow::CowFsSpec;
     use b3_vfs::{KernelEra, MutantSet};
 

@@ -15,8 +15,14 @@
 //!   not appear;
 //! - **replay idempotence**: recovering the same crash state twice must
 //!   yield the same state.
+//!
+//! Judging and rendering are separate steps: [`TxnOracle::classify`] finds
+//! the violations as data, and only a bug report that is kept pays for
+//! their text ([`Violation::detail`], [`TxnOracle::render_expected`],
+//! [`render_state`]).
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use b3_crashmonkey::Consequence;
 
@@ -39,30 +45,82 @@ pub struct CrashPointMeta {
     pub in_flight: Option<u32>,
 }
 
-/// One oracle violation, with a human-readable explanation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
+/// One oracle violation: its kind and the prefix state, prefix length or
+/// transaction it names. `S_j` is the state after the first `j` committed
+/// transactions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// Recovering the crash state a second time gave a different state.
+    ReplayNotIdempotent,
+    /// The state is `S_state`, but `committed_before` transactions had
+    /// committed before the crash point.
+    DurabilityLoss {
+        /// `j` of the recovered `S_j`.
+        state: usize,
+        /// Transactions committed before the crash point.
+        committed_before: usize,
+    },
+    /// The state is `S_state`, which holds transactions that had not
+    /// committed by the crash point.
+    LaterPrefix {
+        /// `j` of the recovered `S_j`.
+        state: usize,
+    },
+    /// Aborted transaction `position` (0-based) leaked into the state.
+    AbortedVisible {
+        /// Workload position of the aborted transaction.
+        position: u32,
+    },
+    /// The state matches no committed prefix: a transaction was applied
+    /// partially or with garbled values.
+    AtomicityBroken,
+}
+
+impl Violation {
     /// The taxonomy bucket (one of the four `Txn*` consequences).
-    pub consequence: Consequence,
-    /// What went wrong, concretely.
-    pub detail: String,
-}
+    pub fn consequence(&self) -> Consequence {
+        match self {
+            Violation::ReplayNotIdempotent => Consequence::TxnReplayNotIdempotent,
+            Violation::DurabilityLoss { .. } => Consequence::TxnDurabilityLoss,
+            Violation::LaterPrefix { .. } | Violation::AbortedVisible { .. } => {
+                Consequence::TxnResurrection
+            }
+            Violation::AtomicityBroken => Consequence::TxnAtomicityBroken,
+        }
+    }
 
-/// The oracle's verdict for one crash state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OracleVerdict {
-    /// Violations found (empty = the state is a legal crash outcome).
-    pub violations: Vec<Violation>,
-    /// Human-readable description of the legal states.
-    pub expected: String,
-    /// Human-readable description of what was recovered.
-    pub actual: String,
-}
-
-impl OracleVerdict {
-    /// True when no invariant was violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+    /// What went wrong, concretely, for the state `recovered` (and
+    /// `reopened`, the second recovery) it was found in.
+    pub fn detail(&self, recovered: &KvState, reopened: &KvState) -> String {
+        match *self {
+            Violation::ReplayNotIdempotent => format!(
+                "second recovery diverged: first {}, second {}",
+                render_state(recovered),
+                render_state(reopened)
+            ),
+            Violation::DurabilityLoss {
+                state,
+                committed_before,
+            } => format!(
+                "state is S_{state} but {committed_before} transactions had \
+                 committed before the crash point"
+            ),
+            Violation::LaterPrefix { state } => format!(
+                "state is S_{state}: transactions that had not \
+                 committed by the crash point are visible"
+            ),
+            Violation::AbortedVisible { position } => format!(
+                "aborted transaction {} is visible in the \
+                 recovered state",
+                position + 1
+            ),
+            Violation::AtomicityBroken => format!(
+                "recovered state {} matches no committed \
+                 prefix: a transaction was applied partially \
+                 or with garbled values",
+                render_state(recovered)
+            ),
+        }
     }
 }
 
@@ -128,7 +186,8 @@ impl TxnOracle {
         &self.states[self.states.len() - 1]
     }
 
-    /// Classifies the recovery of one crash state. `recovered` is the KV
+    /// Classifies the recovery of one crash state: the violations found,
+    /// none when the state is a legal crash outcome. `recovered` is the KV
     /// state after the first open; `reopened` after opening the same file
     /// system a second time (the replay-idempotence probe).
     pub fn classify(
@@ -136,20 +195,12 @@ impl TxnOracle {
         meta: &CrashPointMeta,
         recovered: &KvState,
         reopened: &KvState,
-    ) -> OracleVerdict {
+    ) -> Vec<Violation> {
         let cb = meta.committed_before as usize;
         let mut violations = Vec::new();
         if reopened != recovered {
-            violations.push(Violation {
-                consequence: Consequence::TxnReplayNotIdempotent,
-                detail: format!(
-                    "second recovery diverged: first {}, second {}",
-                    render_state(recovered),
-                    render_state(reopened)
-                ),
-            });
+            violations.push(Violation::ReplayNotIdempotent);
         }
-        let expected = self.render_expected(meta);
         // Prefix states can repeat (put then delete returns to an earlier
         // state), so legality is membership in the *allowed* set, not the
         // index of the first matching prefix.
@@ -157,62 +208,29 @@ impl TxnOracle {
         let allowed =
             recovered == &self.states[cb] || (in_flight_ok && recovered == &self.states[cb + 1]);
         if !allowed {
-            match self.states.iter().position(|state| state == recovered) {
-                Some(j) if j < cb => {
-                    violations.push(Violation {
-                        consequence: Consequence::TxnDurabilityLoss,
-                        detail: format!(
-                            "state is S_{j} but {cb} transactions had \
-                             committed before the crash point"
-                        ),
-                    });
-                }
-                Some(j) => {
-                    violations.push(Violation {
-                        consequence: Consequence::TxnResurrection,
-                        detail: format!(
-                            "state is S_{j}: transactions that had not \
-                             committed by the crash point are visible"
-                        ),
-                    });
-                }
-                None => {
-                    if let Some((position, _)) = self
+            violations.push(
+                match self.states.iter().position(|state| state == recovered) {
+                    Some(j) if j < cb => Violation::DurabilityLoss {
+                        state: j,
+                        committed_before: cb,
+                    },
+                    Some(j) => Violation::LaterPrefix { state: j },
+                    None => match self
                         .resurrection_states
                         .iter()
                         .find(|(_, state)| state == recovered)
                     {
-                        violations.push(Violation {
-                            consequence: Consequence::TxnResurrection,
-                            detail: format!(
-                                "aborted transaction {} is visible in the \
-                                 recovered state",
-                                position + 1
-                            ),
-                        });
-                    } else {
-                        violations.push(Violation {
-                            consequence: Consequence::TxnAtomicityBroken,
-                            detail: format!(
-                                "recovered state {} matches no committed \
-                                 prefix: a transaction was applied partially \
-                                 or with garbled values",
-                                render_state(recovered)
-                            ),
-                        });
-                    }
-                }
-            }
+                        Some(&(position, _)) => Violation::AbortedVisible { position },
+                        None => Violation::AtomicityBroken,
+                    },
+                },
+            );
         }
-        OracleVerdict {
-            violations,
-            expected,
-            actual: render_state(recovered),
-        }
+        violations
     }
 
     /// Renders the set of states legal at `meta` for bug reports.
-    fn render_expected(&self, meta: &CrashPointMeta) -> String {
+    pub fn render_expected(&self, meta: &CrashPointMeta) -> String {
         let cb = meta.committed_before as usize;
         let mut legal = vec![format!("S_{cb} = {}", render_state(&self.states[cb]))];
         if meta.in_flight.is_some() && cb + 1 < self.states.len() {
@@ -222,6 +240,7 @@ impl TxnOracle {
                 render_state(&self.states[cb + 1])
             ));
         }
+        // `join` sizes the text exactly, and an exemplar keeps it.
         legal.join(" or ")
     }
 }
@@ -256,11 +275,17 @@ pub fn render_state(state: &KvState) -> String {
     if state.is_empty() {
         return "(empty)".to_string();
     }
-    state
-        .iter()
-        .map(|(key, value)| format!("{key}={:?}", String::from_utf8_lossy(value)))
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut text = String::new();
+    for (key, value) in state {
+        let separator = if text.is_empty() { "" } else { " " };
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            text,
+            "{separator}{key}={:?}",
+            String::from_utf8_lossy(value)
+        );
+    }
+    text
 }
 
 #[cfg(test)]
@@ -277,6 +302,28 @@ mod tests {
         }
     }
 
+    /// The exact text exemplars carry: a rendering change would change
+    /// every stored app bug report.
+    #[test]
+    fn render_state_text_is_pinned() {
+        let state = |entries: &[(&str, &[u8])]| -> KvState {
+            entries
+                .iter()
+                .map(|(key, value)| (key.to_string(), value.to_vec()))
+                .collect()
+        };
+        assert_eq!(render_state(&state(&[])), "(empty)");
+        assert_eq!(render_state(&state(&[("k0", b"v1.1")])), r#"k0="v1.1""#);
+        assert_eq!(
+            render_state(&state(&[("k1", &[0, 0, 0, 0])])),
+            r#"k1="\0\0\0\0""#
+        );
+        assert_eq!(
+            render_state(&state(&[("k1", b"v2.1v3.1"), ("k0", b"")])),
+            r#"k0="" k1="v2.1v3.1""#
+        );
+    }
+
     #[test]
     fn prefix_states_are_legal_and_later_states_resurrect() {
         let workload = TxnWorkloadGenerator::decode(&TxnBounds::smoke(), 5000);
@@ -284,16 +331,13 @@ mod tests {
         for j in 0..=oracle.num_committed() {
             let state = oracle.committed_state(j).clone();
             let verdict = oracle.classify(&meta(0, j as u32, None), &state, &state);
-            assert!(verdict.is_clean(), "S_{j} must be legal: {verdict:?}");
+            assert!(verdict.is_empty(), "S_{j} must be legal: {verdict:?}");
         }
         if oracle.num_committed() >= 1 {
             let last = oracle.final_state().clone();
             let verdict = oracle.classify(&meta(0, 0, None), &last, &last);
             if oracle.committed_state(0) != oracle.final_state() {
-                assert_eq!(
-                    verdict.violations[0].consequence,
-                    Consequence::TxnResurrection
-                );
+                assert_eq!(verdict[0].consequence(), Consequence::TxnResurrection);
             }
         }
     }
@@ -308,40 +352,30 @@ mod tests {
 
         // Committed txn lost.
         let verdict = oracle.classify(&meta(0, 1, None), &empty, &empty);
-        assert_eq!(
-            verdict.violations[0].consequence,
-            Consequence::TxnDurabilityLoss
-        );
+        assert_eq!(verdict[0].consequence(), Consequence::TxnDurabilityLoss);
 
         // Garbled value: right key, wrong bytes.
         let mut garbled = KvState::new();
         garbled.insert("k0".to_string(), vec![0, 0, 0, 0]);
         let verdict = oracle.classify(&meta(0, 1, None), &garbled, &garbled);
-        assert_eq!(
-            verdict.violations[0].consequence,
-            Consequence::TxnAtomicityBroken
-        );
+        assert_eq!(verdict[0].consequence(), Consequence::TxnAtomicityBroken);
 
         // Replay not idempotent: second open diverges.
         let verdict = oracle.classify(&meta(0, 1, None), &full, &garbled);
         assert!(verdict
-            .violations
             .iter()
-            .any(|v| v.consequence == Consequence::TxnReplayNotIdempotent));
+            .any(|v| v.consequence() == Consequence::TxnReplayNotIdempotent));
 
         // In-flight commit may be present or absent.
         assert!(oracle
             .classify(&meta(0, 0, Some(0)), &empty, &empty)
-            .is_clean());
+            .is_empty());
         assert!(oracle
             .classify(&meta(0, 0, Some(0)), &full, &full)
-            .is_clean());
+            .is_empty());
         // ...but without an in-flight commit, the full state is phantom.
         let verdict = oracle.classify(&meta(0, 0, None), &full, &full);
-        assert_eq!(
-            verdict.violations[0].consequence,
-            Consequence::TxnResurrection
-        );
+        assert_eq!(verdict[0].consequence(), Consequence::TxnResurrection);
     }
 
     #[test]
@@ -362,9 +396,6 @@ mod tests {
         let mut leaked = KvState::new();
         apply_txn(&mut leaked, &workload, 0);
         let verdict = oracle.classify(&meta(0, 0, None), &leaked, &leaked);
-        assert_eq!(
-            verdict.violations[0].consequence,
-            Consequence::TxnResurrection
-        );
+        assert_eq!(verdict[0].consequence(), Consequence::TxnResurrection);
     }
 }

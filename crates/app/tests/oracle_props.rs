@@ -8,6 +8,9 @@
 //! * **Pure oracle laws**: every committed-prefix state is legal; a
 //!   divergent second recovery is always a replay-idempotence violation; a
 //!   recovered state outside the allowed set is never clean.
+//! * **Judging without text**: for any crash point and any recovery, the
+//!   consequences the harness finds without rendering are those of the
+//!   bug report it renders (same primary, same set).
 //! * **Seeded-bug liveness** (deterministic, not random): each seeded bug
 //!   flag fires on at least one crash state of the bounded tiny space, and
 //!   the first violating (workload, crash point) pair is the same on every
@@ -16,9 +19,10 @@
 use proptest::prelude::*;
 
 use b3_app::generator::{Txn, TxnOp, TxnWorkload};
-use b3_app::oracle::CrashPointMeta;
-use b3_app::{AppHarness, EngineProfile, TxnBounds, TxnOracle, TxnWorkloadGenerator};
-use b3_crashmonkey::{Consequence, CrashMonkeyConfig};
+use b3_app::harness::CrashPoint;
+use b3_app::oracle::{apply_txn, CrashPointMeta, KvState};
+use b3_app::{AppHarness, EngineProfile, Recovery, TxnBounds, TxnOracle, TxnWorkloadGenerator};
+use b3_crashmonkey::{Consequence, CrashMonkeyConfig, Target, WorkloadOutcome};
 use b3_fs_cow::CowFsSpec;
 use b3_vfs::{KernelEra, MutantSet};
 
@@ -80,11 +84,11 @@ proptest! {
                 committed_before: j as u32,
                 in_flight: None,
             };
-            let verdict = oracle.classify(&meta, &state, &state);
+            let violations = oracle.classify(&meta, &state, &state);
             prop_assert!(
-                verdict.is_clean(),
+                violations.is_empty(),
                 "legal prefix state S_{j} flagged: {:?}",
-                verdict.violations
+                violations
             );
             if j < oracle.num_committed() {
                 // Crashing *inside* commit j+1 may land before or after it.
@@ -94,8 +98,8 @@ proptest! {
                     in_flight: Some(0),
                 };
                 let next = oracle.committed_state(j + 1).clone();
-                prop_assert!(oracle.classify(&in_flight, &state, &state).is_clean());
-                prop_assert!(oracle.classify(&in_flight, &next, &next).is_clean());
+                prop_assert!(oracle.classify(&in_flight, &state, &state).is_empty());
+                prop_assert!(oracle.classify(&in_flight, &next, &next).is_empty());
             }
         }
     }
@@ -113,9 +117,9 @@ proptest! {
         let recovered = oracle.final_state().clone();
         let mut reopened = recovered.clone();
         reopened.insert("phantom".into(), b"replayed-twice".to_vec());
-        let verdict = oracle.classify(&meta, &recovered, &reopened);
-        prop_assert!(verdict.violations.iter().any(
-            |v| v.consequence == Consequence::TxnReplayNotIdempotent
+        let violations = oracle.classify(&meta, &recovered, &reopened);
+        prop_assert!(violations.iter().any(
+            |v| v.consequence() == Consequence::TxnReplayNotIdempotent
         ));
     }
 
@@ -134,8 +138,61 @@ proptest! {
         if &garbled == oracle.final_state() {
             return Ok(());
         }
-        let verdict = oracle.classify(&meta, &garbled, &garbled);
-        prop_assert!(!verdict.is_clean(), "garbled state accepted");
+        let violations = oracle.classify(&meta, &garbled, &garbled);
+        prop_assert!(!violations.is_empty(), "garbled state accepted");
+    }
+
+    /// The consequences found without text equal the rendered report's, on
+    /// random crash points and on recoveries drawn from every class the
+    /// oracle tells apart: committed prefixes, leaked aborted transactions,
+    /// garbage, divergent reopens and unmountable states.
+    #[test]
+    fn text_free_consequences_are_the_rendered_reports(
+        workload in workload_strategy(),
+        committed_before in 0usize..8,
+        in_flight in any::<bool>(),
+        picks in (0usize..64, 0usize..64),
+        unmountable in 0u32..10,
+    ) {
+        let oracle = TxnOracle::new(&workload);
+        let meta = CrashPointMeta {
+            checkpoint: 3,
+            committed_before: (committed_before % (oracle.num_committed() + 1)) as u32,
+            in_flight: in_flight.then_some(0),
+        };
+        let mut candidates: Vec<KvState> = (0..=oracle.num_committed())
+            .map(|j| oracle.committed_state(j).clone())
+            .collect();
+        for position in 0..workload.txns.len() {
+            let mut leaked = oracle.final_state().clone();
+            apply_txn(&mut leaked, &workload, position);
+            candidates.push(leaked);
+        }
+        let mut garbled = oracle.final_state().clone();
+        garbled.insert("k0".into(), vec![0; 4]);
+        candidates.push(garbled);
+        let recovery = if unmountable == 0 {
+            Recovery::Unmountable("bad superblock".into())
+        } else {
+            Recovery::Recovered {
+                recovered: candidates[picks.0 % candidates.len()].clone(),
+                reopened: candidates[picks.1 % candidates.len()].clone(),
+            }
+        };
+
+        let spec = CowFsSpec::new(KernelEra::Patched);
+        let config = CrashMonkeyConfig::exhaustive_crash_points();
+        let harness = AppHarness::new(&spec, config, EngineProfile::none());
+        let point = CrashPoint::new(meta);
+        let text_free = harness
+            .consequences(&oracle, &point, &recovery)
+            .map(|(primary, all)| (primary, all.iter().collect::<Vec<_>>()));
+        let outcome = WorkloadOutcome::from_parts(workload.name.clone(), workload.skeleton_string(), "cowfs");
+        let rendered = harness
+            .verdict(&oracle, &point, &recovery)
+            .into_report(&outcome, meta.checkpoint)
+            .map(|report| (report.consequence, report.all_consequences));
+        prop_assert_eq!(text_free, rendered);
     }
 }
 

@@ -27,7 +27,7 @@ use b3_vfs::workload::{Op, Workload};
 
 use crate::config::CrashMonkeyConfig;
 use crate::profiler::{CheckpointInfo, Expectation, ProfileResult};
-use crate::report::{BugReport, Consequence, WorkloadOutcome};
+use crate::report::{BugReport, Consequence, ConsequenceSet, WorkloadOutcome};
 
 /// The outcome of checking one crash state.
 ///
@@ -95,29 +95,34 @@ impl CheckVerdict {
             .max()
     }
 
-    /// Converts a failed verdict on `crash_point` into a bug report on the
-    /// workload (and file system) `outcome` is for; `None` when all checks
-    /// passed.
-    pub fn into_report(self, outcome: &WorkloadOutcome, crash_point: u32) -> Option<BugReport> {
+    /// The primary consequence and every consequence of a failed verdict,
+    /// as its bug report would carry them; `None` when all checks passed.
+    pub fn consequences(&self) -> Option<(Consequence, ConsequenceSet)> {
         let consequence = self.consequence()?;
-        let mut all_consequences: Vec<Consequence> = self
+        let mut all: ConsequenceSet = self
             .read_consequences
             .iter()
             .chain(self.write_consequences.iter())
             .copied()
             .collect();
         if self.unmountable.is_some() {
-            all_consequences.push(Consequence::Unmountable);
+            all.insert(Consequence::Unmountable);
         }
-        all_consequences.sort();
-        all_consequences.dedup();
+        Some((consequence, all))
+    }
+
+    /// Converts a failed verdict on `crash_point` into a bug report on the
+    /// workload (and file system) `outcome` is for; `None` when all checks
+    /// passed.
+    pub fn into_report(self, outcome: &WorkloadOutcome, crash_point: u32) -> Option<BugReport> {
+        let (consequence, all) = self.consequences()?;
         Some(BugReport {
             workload_name: outcome.workload_name.clone(),
             skeleton: outcome.skeleton.clone(),
             fs_name: outcome.fs_name.clone(),
             crash_point,
             consequence,
-            all_consequences,
+            all_consequences: all.iter().collect(),
             expected: self.expected,
             actual: self.actual,
             diffs: self.diffs,

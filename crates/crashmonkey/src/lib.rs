@@ -59,8 +59,11 @@ pub use checker::{AutoChecker, CheckVerdict};
 pub use config::{CrashMonkeyConfig, CrashPointPolicy};
 use profiler::ProfileState;
 pub use profiler::{CheckpointInfo, Expectation, ProfileResult, Profiler};
-pub use report::{BugReport, Consequence, PhaseTiming, ResourceStats, WorkloadOutcome};
-pub use target::{Carried, Sharing, Target};
+pub use report::{
+    BugReport, Consequence, ConsequenceSet, CountedReport, PhaseTiming, ResourceStats,
+    WorkloadOutcome,
+};
+pub use target::{Carried, Exemplars, Sharing, Target};
 use triage::TriageCache;
 pub use trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
 
@@ -149,9 +152,10 @@ impl<'a> CrashMonkey<'a> {
     }
 
     /// Tests one workload end to end: profile, construct crash states, check
-    /// consistency. Returns the outcome including any bug reports.
+    /// consistency. Returns the outcome including every bug report,
+    /// rendered.
     pub fn test_workload(&self, workload: &Workload) -> FsResult<WorkloadOutcome> {
-        target::test(self, workload)
+        target::test(self, workload, None)
     }
 }
 
@@ -232,6 +236,15 @@ impl<'a> Target for CrashMonkey<'a> {
 
     fn verdict(&self, _: &FsJudge<'_>, _: &CheckpointInfo, held: &HeldVerdict) -> CheckVerdict {
         held.verdict.clone()
+    }
+
+    fn consequences(
+        &self,
+        _: &FsJudge<'_>,
+        _: &CheckpointInfo,
+        held: &HeldVerdict,
+    ) -> Option<(Consequence, ConsequenceSet)> {
+        held.verdict.consequences()
     }
 }
 

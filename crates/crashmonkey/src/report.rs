@@ -151,6 +151,59 @@ impl fmt::Display for Consequence {
     }
 }
 
+/// A set of consequences, one bit per [`Consequence::code`]: what a bug
+/// report's `all_consequences` lists, held without allocating. Codes run in
+/// severity order, so iteration is ascending and the last member is the
+/// most severe.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ConsequenceSet(u16);
+
+impl ConsequenceSet {
+    /// Adds `consequence` to the set.
+    pub fn insert(&mut self, consequence: Consequence) {
+        self.0 |= 1 << consequence.code();
+    }
+
+    /// The members, least severe first: the order (sorted, without
+    /// duplicates) of [`BugReport::all_consequences`].
+    pub fn iter(self) -> impl Iterator<Item = Consequence> {
+        (0..16u8)
+            .filter(move |code| self.0 >> code & 1 == 1)
+            .filter_map(Consequence::from_code)
+    }
+
+    /// The most severe member.
+    pub fn max(self) -> Option<Consequence> {
+        self.iter().last()
+    }
+}
+
+impl FromIterator<Consequence> for ConsequenceSet {
+    fn from_iter<I: IntoIterator<Item = Consequence>>(consequences: I) -> Self {
+        let mut set = ConsequenceSet::default();
+        for consequence in consequences {
+            set.insert(consequence);
+        }
+        set
+    }
+}
+
+/// A bug report that was counted rather than rendered: its group already
+/// had an exemplar the caller holds from a workload named no later than
+/// this one, or an earlier report of the same workload
+/// ([`Exemplars`](crate::target::Exemplars)), so its text could never be
+/// kept. Everything grouping and auditing read is here; the
+/// workload, skeleton and file system are the outcome's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountedReport {
+    /// The checkpoint after which the crash was simulated.
+    pub crash_point: u32,
+    /// Primary (most severe) consequence: the group the report counts in.
+    pub consequence: Consequence,
+    /// Every consequence observed at this crash point.
+    pub all_consequences: ConsequenceSet,
+}
+
 /// A single crash-consistency bug report, as produced by the AutoChecker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BugReport {
@@ -359,8 +412,14 @@ pub struct WorkloadOutcome {
     pub skeleton: String,
     /// The file system under test.
     pub fs_name: String,
-    /// Bug reports (empty when the workload passed).
+    /// Bug reports, rendered in full (empty when the workload passed).
     pub bugs: Vec<BugReport>,
+    /// Bug reports that were only counted: those whose group already had an
+    /// exemplar the caller holds from a workload named no later than this
+    /// one, or a report earlier in `bugs`. Empty unless the caller passed its exemplars to
+    /// [`target::test`](crate::target::test), as the sweep's shard loop
+    /// does; a report is in exactly one of `bugs` and `counted`.
+    pub counted: Vec<CountedReport>,
     /// Number of crash points *dynamically* tested by this call
     /// (constructed, recovered, checked).
     pub checkpoints_tested: u32,
@@ -407,6 +466,7 @@ impl WorkloadOutcome {
             skeleton,
             fs_name: fs_name.to_string(),
             bugs: Vec::new(),
+            counted: Vec::new(),
             checkpoints_tested: 0,
             checkpoints_reused: 0,
             triage_audited: 0,
@@ -419,12 +479,23 @@ impl WorkloadOutcome {
 
     /// True if the workload ran and revealed at least one bug.
     pub fn found_bug(&self) -> bool {
-        !self.bugs.is_empty()
+        !self.bugs.is_empty() || !self.counted.is_empty()
+    }
+
+    /// The `(crash point, primary consequence)` of every bug report,
+    /// rendered or counted.
+    pub fn report_keys(&self) -> impl Iterator<Item = (u32, Consequence)> + '_ {
+        let rendered = self
+            .bugs
+            .iter()
+            .map(|bug| (bug.crash_point, bug.consequence));
+        let counted = self.counted.iter().map(|c| (c.crash_point, c.consequence));
+        rendered.chain(counted)
     }
 
     /// The most severe consequence among this outcome's bug reports.
     pub fn worst_consequence(&self) -> Option<Consequence> {
-        self.bugs.iter().map(|b| b.consequence).max()
+        self.report_keys().map(|(_, consequence)| consequence).max()
     }
 }
 
@@ -518,7 +589,23 @@ mod tests {
         for code in 0..=15u8 {
             assert_eq!(Consequence::from_code(code).unwrap().code(), code);
         }
+        // `ConsequenceSet` iterates by code: codes must run in severity order.
+        for code in 1..=15u8 {
+            assert!(Consequence::from_code(code - 1) < Consequence::from_code(code));
+        }
         assert!(Consequence::from_code(99).is_none());
+    }
+
+    #[test]
+    fn a_consequence_set_lists_its_members_sorted_and_once() {
+        use Consequence::*;
+        let set: ConsequenceSet = [TxnDurabilityLoss, DataLoss, XattrInconsistent, DataLoss]
+            .into_iter()
+            .collect();
+        let members: Vec<_> = set.iter().collect();
+        assert_eq!(members, [XattrInconsistent, DataLoss, TxnDurabilityLoss]);
+        assert_eq!(set.max(), Some(TxnDurabilityLoss));
+        assert_eq!(ConsequenceSet::default().max(), None);
     }
 
     #[test]

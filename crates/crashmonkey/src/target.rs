@@ -24,10 +24,25 @@
 //!
 //! Every other crash state is built from the image the recorder froze
 //! ([`crash_state`]) and recovered by one call, a mount without its
-//! write-back. Debug builds pin each shortcut against the long way: a held
-//! answer is tested again on a fresh mount, every outcome is compared with
-//! one found through an empty trunk and witness map, and every recovery
-//! with a mount.
+//! write-back.
+//!
+//! Judging is split from rendering. What a crash state comes to is first
+//! judged without text ([`Target::consequences`]); a bug report's text is
+//! built only when the caller cannot already hold a better exemplar for
+//! its `(skeleton, consequence)` group ([`Exemplars`]). The sweep's shard
+//! loop passes its shard's group table, so a report whose group the shard
+//! already holds from an earlier workload, or the workload itself has
+//! already rendered a report of, is only counted
+//! ([`WorkloadOutcome::counted`]); every other caller passes none and gets
+//! every report rendered.
+//!
+//! Debug builds pin each shortcut against the long way: a held answer is
+//! tested again on a fresh mount, every outcome is compared with one found
+//! through an empty trunk and witness map, every recovery with a mount, and
+//! every report's text-free consequences with its rendered ones (a counted
+//! report is rendered too, and its own group key checked to find an
+//! exemplar named no later than the workload, or one of the workload's
+//! rendered reports).
 
 use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -40,7 +55,7 @@ use b3_vfs::fs::{FileSystem, FsSpec};
 use crate::checker::CheckVerdict;
 use crate::config::CrashMonkeyConfig;
 use crate::recovery;
-use crate::report::WorkloadOutcome;
+use crate::report::{BugReport, Consequence, ConsequenceSet, CountedReport, WorkloadOutcome};
 use crate::triage::{self, TriageCache};
 use crate::trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
 
@@ -121,6 +136,29 @@ pub trait Target {
         point: &Self::Point,
         held: &Self::Held,
     ) -> CheckVerdict;
+
+    /// [`verdict`](Target::verdict)'s
+    /// [`consequences`](CheckVerdict::consequences), found without building
+    /// its text: the primary consequence and all of them, or `None` when
+    /// every check passes.
+    fn consequences(
+        &self,
+        judge: &Self::Judge<'_>,
+        point: &Self::Point,
+        held: &Self::Held,
+    ) -> Option<(Consequence, ConsequenceSet)>;
+}
+
+/// The bug groups a caller already holds an exemplar for. A report whose
+/// group's exemplar comes from a workload named no later than the report's
+/// own would never replace it, so the loop counts such a report instead of
+/// rendering it; so is every report of a group the workload has already
+/// rendered one of, since only a workload's first report of a group can
+/// become its exemplar.
+pub trait Exemplars {
+    /// The workload name of the exemplar held for the group `(skeleton,
+    /// consequence)`, if there is one.
+    fn exemplar(&self, skeleton: &str, consequence: Consequence) -> Option<&str>;
 }
 
 /// How much work the trunk saved a harness, cumulative over its lifetime.
@@ -223,16 +261,27 @@ impl<'a, R: TrunkRun, H> Carried<'a, R, H> {
 }
 
 /// Tests one workload end to end: runs it on the trunk, then crash-tests
-/// its selected persistence points ([`crash_test`]). Debug builds assert the
-/// outcome against one found through an empty trunk and witness map.
-pub fn test<T: Target>(target: &T, workload: &T::Workload) -> FsResult<WorkloadOutcome> {
-    let outcome = test_on(target, &mut target.carried().shared(), workload)?;
+/// its selected persistence points ([`crash_test`]), counting rather than
+/// rendering the reports whose group `exemplars` already holds. Debug
+/// builds assert the outcome against one found through an empty trunk and
+/// witness map, with the same exemplars.
+pub fn test<T: Target>(
+    target: &T,
+    workload: &T::Workload,
+    exemplars: Option<&dyn Exemplars>,
+) -> FsResult<WorkloadOutcome> {
+    let outcome = test_on(target, &mut target.carried().shared(), workload, exemplars)?;
     #[cfg(debug_assertions)]
     {
-        let scratch = test_on(target, &mut Default::default(), workload)?;
+        let scratch = test_on(target, &mut Default::default(), workload, exemplars)?;
         let gist = |o: &WorkloadOutcome| {
             let covered = o.checkpoints_tested + o.checkpoints_reused;
-            (o.bugs.clone(), o.skipped.clone(), covered)
+            (
+                o.bugs.clone(),
+                o.counted.clone(),
+                o.skipped.clone(),
+                covered,
+            )
         };
         assert!(
             gist(&outcome) == gist(&scratch),
@@ -249,12 +298,18 @@ fn test_on<T: Target>(
     target: &T,
     (trunk, triage, sharing): &mut Shared<T::Run, T::Held>,
     workload: &T::Workload,
+    exemplars: Option<&dyn Exemplars>,
 ) -> FsResult<WorkloadOutcome> {
     let start = Instant::now();
     let mut outcome = match target.run(trunk, workload)? {
-        Finished::Complete(run) => {
-            crash_points(target, &run, workload, triage, LogHandle::take_log)?
-        }
+        Finished::Complete(run) => crash_points(
+            target,
+            &run,
+            workload,
+            triage,
+            exemplars,
+            LogHandle::take_log,
+        )?,
         Finished::Failed(run) => {
             let mut outcome = target.judge(workload).0;
             outcome.skipped = Some(T::skip(run)?);
@@ -277,24 +332,32 @@ fn test_on<T: Target>(
 /// Crash-tests the selected persistence points of `run`, which must have
 /// run exactly `workload`'s steps: each is answered by the module's rule,
 /// or built, recovered and judged, what it came to held for the workloads
-/// that follow.
+/// that follow. Every bug report is rendered.
 pub fn crash_test<T: Target>(
     target: &T,
     run: &T::Run,
     workload: &T::Workload,
 ) -> FsResult<WorkloadOutcome> {
     let mut shared = target.carried().shared();
-    crash_points(target, run, workload, &mut shared.1, LogHandle::snapshot)
+    crash_points(
+        target,
+        run,
+        workload,
+        &mut shared.1,
+        None,
+        LogHandle::snapshot,
+    )
 }
 
-/// [`crash_test`] against `triage`, taking the run's log with `load` (a
-/// copy, or the log itself from a run dropped after this) when a crash
-/// state is first built.
+/// [`crash_test`] against `triage` and `exemplars`, taking the run's log
+/// with `load` (a copy, or the log itself from a run dropped after this)
+/// when a crash state is first built.
 fn crash_points<T: Target>(
     target: &T,
     run: &T::Run,
     workload: &T::Workload,
     triage: &mut TriageCache<T::Held>,
+    exemplars: Option<&dyn Exemplars>,
     load: fn(&LogHandle) -> IoLog,
 ) -> FsResult<WorkloadOutcome> {
     let start = Instant::now();
@@ -362,10 +425,36 @@ fn crash_points<T: Target>(
             }
         };
         let held = fresh.as_ref().or(found).expect("answered or tested");
-        let report = target
-            .verdict(&judge, point, held)
-            .into_report(&outcome, checkpoint);
-        outcome.bugs.extend(report);
+        let render = || {
+            target
+                .verdict(&judge, point, held)
+                .into_report(&outcome, checkpoint)
+        };
+        match target.consequences(&judge, point, held) {
+            None => debug_assert!(render().is_none(), "a clean check rendered a report"),
+            Some((consequence, all_consequences)) => {
+                let counted = CountedReport {
+                    crash_point: checkpoint,
+                    consequence,
+                    all_consequences,
+                };
+                let (skeleton, name) = (&outcome.skeleton, &outcome.workload_name);
+                let countable = |exemplars| {
+                    exemplar_held(exemplars, &outcome.bugs, skeleton, consequence, name)
+                };
+                if !exemplars.is_some_and(countable) {
+                    let report = render().expect("a failed check renders a report");
+                    pin_rendering(&report, &counted, None);
+                    outcome.bugs.push(report);
+                } else {
+                    if cfg!(debug_assertions) {
+                        let report = render().expect("a failed check renders a report");
+                        pin_rendering(&report, &counted, exemplars.map(|e| (e, &*outcome.bugs)));
+                    }
+                    outcome.counted.push(counted);
+                }
+            }
+        }
         let Some(fresh) = fresh else { continue };
         match (found, key) {
             (Some(witness), _) => {
@@ -388,4 +477,54 @@ fn crash_points<T: Target>(
     outcome.timing.total = start.elapsed();
     outcome.timing.modeled_kernel_delay_seconds = carried.config.modeled_kernel_delay_seconds();
     Ok(outcome)
+}
+
+/// Whether a report of the group `(skeleton, consequence)` from the workload
+/// `name` can be counted instead of rendered: `exemplars` holds the group's
+/// exemplar from a workload named no later, or the workload has already
+/// rendered a report of the group (`rendered`, which all carry `skeleton`).
+/// Of several same-group reports of one workload only the first can become
+/// the exemplar.
+fn exemplar_held(
+    exemplars: &dyn Exemplars,
+    rendered: &[BugReport],
+    skeleton: &str,
+    consequence: Consequence,
+    name: &str,
+) -> bool {
+    rendered.iter().any(|bug| bug.consequence == consequence)
+        || exemplars
+            .exemplar(skeleton, consequence)
+            .is_some_and(|held| held <= name)
+}
+
+/// Debug builds: `report`, rendered, carries the text-free `counted`
+/// consequences, and when it was only counted, its own group key finds an
+/// exemplar in `exemplars` or the workload's `rendered` reports. Together
+/// these make the group table the sweep builds the one full rendering would.
+fn pin_rendering(
+    report: &BugReport,
+    counted: &CountedReport,
+    counted_against: Option<(&dyn Exemplars, &[BugReport])>,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let all: Vec<Consequence> = counted.all_consequences.iter().collect();
+    assert!(
+        (report.consequence, &report.all_consequences) == (counted.consequence, &all),
+        "the text-free consequences {counted:?} of crash point {} of {} differ \
+         from its rendered report's {:?}",
+        report.crash_point,
+        report.workload_name,
+        (report.consequence, &report.all_consequences),
+    );
+    if let Some((exemplars, rendered)) = counted_against {
+        let (skeleton, name) = (&report.skeleton, &report.workload_name);
+        assert!(
+            exemplar_held(exemplars, rendered, skeleton, report.consequence, name),
+            "a report of {name} was counted, but its group's exemplar is {:?}",
+            exemplars.exemplar(skeleton, report.consequence)
+        );
+    }
 }

@@ -14,7 +14,9 @@ use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::metadata::FileType;
 use b3_vfs::path::{is_ancestor, split_parent};
-use b3_vfs::tree::{decode_inode, encode_inode, Inode, InodeId, MemTree, DIRENT_SIZE};
+use b3_vfs::tree::{
+    decode_inode, encode_inode, encoded_inode_len, Inode, InodeId, MemTree, DIRENT_SIZE,
+};
 
 use crate::bugs::CowBugs;
 
@@ -86,7 +88,13 @@ impl LogTree {
 
     /// Serializes the log.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let item_len = |item: &LogItem| match item {
+            LogItem::Inode { inode } => 1 + encoded_inode_len(inode),
+            LogItem::DentryAdd { name, .. } => 1 + 8 + 8 + name.len() + 8,
+            LogItem::DentryRemove { name, .. } => 1 + 8 + 8 + name.len(),
+        };
+        let len = 4 + 8 + self.items.iter().map(item_len).sum::<usize>();
+        let mut enc = Encoder::with_capacity(len);
         enc.put_u32(LOG_MAGIC);
         enc.put_u64(self.items.len() as u64);
         for item in &self.items {
@@ -112,6 +120,7 @@ impl LogTree {
                 }
             }
         }
+        debug_assert_eq!(enc.len(), len, "the log's length is computed up front");
         enc.finish()
     }
 
@@ -217,8 +226,8 @@ impl Recorder<'_> {
     // --- regular files / symlinks / fifos ------------------------------------------
 
     fn record_file(&mut self, ino: InodeId, fsync_path: &str, kind: SyncKind) -> Vec<LogItem> {
-        let working = self.working.inode(ino).expect("resolved").clone();
-        let committed = self.committed.inode(ino).cloned();
+        let working = self.working.inode(ino).expect("resolved");
+        let committed = self.committed.inode(ino);
 
         // Ranged-msync bug: a second msync after the dirty state was cleared
         // logs nothing at all.
@@ -232,7 +241,7 @@ impl Recorder<'_> {
         let mut logged = working.clone();
         logged.entries.clear();
 
-        self.apply_data_bugs(&mut logged, &working, committed.as_ref(), kind, ino);
+        self.apply_data_bugs(&mut logged, working, committed, kind, ino);
 
         let mut items = vec![LogItem::Inode { inode: logged }];
         self.record_file_names(&mut items, ino, fsync_path);

@@ -21,10 +21,21 @@
 //! Memory and checkpoint size are therefore bounded by the number of bug
 //! *groups* (tens), not raw *reports* (hundreds of thousands on a bug-dense
 //! file system).
+//!
+//! Rendering is bounded the same way. A sweep's shard loop hands its shard's
+//! table to the crash-point loop as its [`Exemplars`]. A report whose group
+//! the table already holds from an earlier-named workload could never
+//! become the exemplar, and neither could a workload's second report of a
+//! group (ties keep the first observed): the loop counts such a report
+//! without building its text, and [`GroupTable::count`] folds it in after
+//! the workload's rendered reports are observed. Only reports that may
+//! still become an exemplar are rendered and [`observe`](GroupTable::observe)d,
+//! and the table ends equal to the one every report rendered would build.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use b3_crashmonkey::{BugReport, Consequence};
+use b3_crashmonkey::{BugReport, Consequence, Exemplars};
 use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 
@@ -51,6 +62,51 @@ pub struct GroupEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupTable {
     entries: BTreeMap<GroupKey, GroupEntry>,
+}
+
+/// A group key, owned or borrowed: lets the table look a group up by
+/// `(&str, Consequence)` without building a [`GroupKey`].
+trait KeyView {
+    fn view(&self) -> (&str, Consequence);
+}
+
+impl KeyView for GroupKey {
+    fn view(&self) -> (&str, Consequence) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyView for (&str, Consequence) {
+    fn view(&self) -> (&str, Consequence) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for GroupKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The order of [`GroupKey`] itself, so borrowed lookups find owned keys.
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.view().cmp(&other.view())
+    }
 }
 
 impl GroupTable {
@@ -87,6 +143,27 @@ impl GroupTable {
                 });
             }
         }
+    }
+
+    /// Folds in one raw report of the group `(skeleton, consequence)` that
+    /// was counted rather than rendered: the group's count grows by one and
+    /// its exemplar stays. That is what [`observe`](GroupTable::observe)
+    /// of the full report would do when the exemplar comes from a workload
+    /// named no later than the report's, the condition under which the
+    /// crash-point loop counts a report ([`Exemplars`]; a report counted
+    /// because its workload rendered one of the group first is folded in
+    /// after that one is observed).
+    ///
+    /// # Panics
+    /// Panics when the table holds no exemplar for the group: a counted
+    /// report is always of a group that has one, so this is a caller bug,
+    /// and counting it anyway would lose the group.
+    pub fn count(&mut self, skeleton: &str, consequence: Consequence) {
+        let key: &dyn KeyView = &(skeleton, consequence);
+        let Some(entry) = self.entries.get_mut(key) else {
+            panic!("a report of ({skeleton}, {consequence:?}) was counted, but its group has no exemplar");
+        };
+        entry.count += 1;
     }
 
     /// Unions another table into this one: counts add, and each group keeps
@@ -193,6 +270,14 @@ impl GroupTable {
     }
 }
 
+impl Exemplars for GroupTable {
+    fn exemplar(&self, skeleton: &str, consequence: Consequence) -> Option<&str> {
+        let key: &dyn KeyView = &(skeleton, consequence);
+        let entry = self.entries.get(key)?;
+        Some(&entry.exemplar.workload_name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +350,56 @@ mod tests {
         let decoded = GroupTable::decode(&mut dec).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!(decoded, table);
+    }
+
+    fn encoded(table: &GroupTable) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        table.encode(&mut enc);
+        enc.finish()
+    }
+
+    #[test]
+    fn counting_after_an_earlier_exemplar_equals_observing_the_report() {
+        let later = report("link-write", Consequence::DataLoss, "w-0000007");
+        let mut observed = GroupTable::new();
+        observed.observe(report("rename", Consequence::DataLoss, "w-0000001"));
+        observed.observe(report("link-write", Consequence::DataLoss, "w-0000003"));
+        let mut counted = observed.clone();
+        assert_eq!(
+            counted.exemplar("link-write", Consequence::DataLoss),
+            Some("w-0000003")
+        );
+        assert_eq!(
+            counted.exemplar("link-write", Consequence::FileMissing),
+            None
+        );
+        assert_eq!(counted.exemplar("link", Consequence::DataLoss), None);
+
+        observed.observe(later.clone());
+        counted.count(&later.skeleton, later.consequence);
+        assert_eq!(encoded(&counted), encoded(&observed));
+        assert_eq!(counted, observed);
+
+        // A workload's second report of a group it opened: the first one,
+        // observed, stays the exemplar either way.
+        let first = report("rename", Consequence::FileMissing, "w-0000008");
+        let second = BugReport {
+            crash_point: 2,
+            ..first.clone()
+        };
+        observed.observe(first.clone());
+        observed.observe(second.clone());
+        counted.observe(first);
+        counted.count(&second.skeleton, second.consequence);
+        assert_eq!(encoded(&counted), encoded(&observed));
+    }
+
+    #[test]
+    #[should_panic(expected = "its group has no exemplar")]
+    fn counting_a_group_without_an_exemplar_panics() {
+        let mut table = GroupTable::new();
+        table.observe(report("link-write", Consequence::DataLoss, "w-0000003"));
+        table.count("link-write", Consequence::FileMissing);
     }
 
     #[test]

@@ -93,7 +93,8 @@ fn shard_loop<T: Target>(
     // Triage witnesses are per shard: a shard's audited counter depends on
     // which crash states find one, so none may come from another shard.
     tester.carried().reset_triage();
-    let test = |workload: &T::Workload| target::test(tester, workload);
+    // Audits compare whole outcomes, so they render every report.
+    let test = |workload: &T::Workload| target::test(tester, workload, None);
     let mut result = ShardResult::default();
     for step in steps {
         let (workload, audit) = match step {
@@ -109,7 +110,9 @@ fn shard_loop<T: Target>(
             return (result, false);
         }
         let Some(plan) = audit else {
-            live.record(result.absorb(test(&workload)));
+            // A report whose group this shard already holds is only counted.
+            let outcome = target::test(tester, &workload, Some(&result.groups));
+            live.record(result.absorb(outcome));
             continue;
         };
         result.pruned += 1;
@@ -161,9 +164,8 @@ fn outcome_signature(outcome: &FsResult<WorkloadOutcome>) -> String {
                 return "skipped".into();
             }
             let mut pairs: Vec<(u32, u8)> = outcome
-                .bugs
-                .iter()
-                .map(|bug| (bug.crash_point, bug.consequence.code()))
+                .report_keys()
+                .map(|(crash_point, consequence)| (crash_point, consequence.code()))
                 .collect();
             pairs.sort_unstable();
             pairs.dedup();

@@ -379,6 +379,11 @@ impl ShardResult {
                     for bug in outcome.bugs {
                         self.groups.observe(bug);
                     }
+                    // After the rendered reports: a report may be counted
+                    // because its own workload rendered one of the group.
+                    for counted in &outcome.counted {
+                        self.groups.count(&outcome.skeleton, counted.consequence);
+                    }
                     Absorbed::Tested { buggy }
                 }
             }

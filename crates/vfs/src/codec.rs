@@ -19,6 +19,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Creates an empty encoder with room for `capacity` bytes, for callers
+    /// that know the encoded length up front.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

@@ -80,9 +80,13 @@ impl SuperBlock {
         }
     }
 
+    /// Length of [`SuperBlock::encode`]'s output: the magic, six `u64`s and
+    /// the dirty flag.
+    pub const ENCODED_LEN: usize = 4 + 6 * 8 + 1;
+
     /// Serializes the superblock into a single block payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(Self::ENCODED_LEN);
         enc.put_u32(self.magic);
         enc.put_u64(self.generation);
         enc.put_u64(self.tree.start);
@@ -91,6 +95,7 @@ impl SuperBlock {
         enc.put_u64(self.log.len);
         enc.put_u64(self.alloc_cursor);
         enc.put_bool(self.dirty);
+        debug_assert_eq!(enc.len(), Self::ENCODED_LEN);
         enc.finish()
     }
 

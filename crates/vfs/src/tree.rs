@@ -693,6 +693,28 @@ impl MemTree {
     }
 }
 
+/// Length of [`encode_inode`]'s output for `inode`.
+pub fn encoded_inode_len(inode: &Inode) -> usize {
+    let xattrs: usize = inode
+        .xattrs
+        .iter()
+        .map(|(name, value)| 16 + name.len() + value.len())
+        .sum();
+    let entries: usize = inode.entries.keys().map(|name| 16 + name.len()).sum();
+    // ino, kind, nlink, allocated, dir_size; data and symlink target with
+    // their lengths; the two counts.
+    8 + 1
+        + 4
+        + 8
+        + 8
+        + (8 + inode.data.len())
+        + (8 + inode.symlink_target.len())
+        + 8
+        + xattrs
+        + 8
+        + entries
+}
+
 /// Serializes one inode (also used by the file systems' log/journal records).
 pub fn encode_inode(enc: &mut Encoder, inode: &Inode) {
     enc.put_u64(inode.ino);
