@@ -32,7 +32,7 @@ use b3_crashmonkey::{
     CheckVerdict, Consequence, ConsequenceSet, CrashMonkeyConfig, Finished, Held, Trunk, TrunkRun,
     WorkloadOutcome,
 };
-use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
+use b3_vfs::fs::{FileSystem, FsSpec, WriteMode};
 use b3_vfs::workload::FallocMode;
 use b3_vfs::{FsError, FsResult, Metadata};
 
@@ -186,10 +186,6 @@ impl FileSystem for CheckpointFs {
         // recording it already holds — which has the blocks `_device` is
         // required to have — instead of adopting `_device`.
         Box::new(self.fork_recording())
-    }
-
-    fn guarantees(&self) -> GuaranteeProfile {
-        self.inner.guarantees()
     }
 }
 

@@ -696,12 +696,12 @@ fn update_expectations(
                         }
                     }
                 }
-            } else if entry.file_type == FileType::Regular
-                && fs.guarantees().fsync_persists_all_names
-            {
+            } else if entry.file_type == FileType::Regular {
                 // fsync of a file persists all of its hard-link names, so
                 // every other path referring to the same inode must also
-                // survive (this is what the paper's new bugs 5 and 7 break).
+                // survive — a guarantee the developers of every file system
+                // the paper tested confirmed (§5.1), and what its new bugs 5
+                // and 7 break.
                 if let Ok(meta) = fs.metadata(&path) {
                     for (other_path, other_entry) in oracle.iter_shared() {
                         if *other_path == path || other_entry.file_type != FileType::Regular {

@@ -20,11 +20,18 @@
 //! *recording* (which items are emitted for an fsync) or log *replay* (how
 //! items are applied during recovery) — mirroring where the real bugs lived.
 //! See [`CowBugs`] for the complete catalogue.
+//!
+//! The tree operations, format, mount, commit, unmount and fork are the
+//! shared tree-backed core's ([`b3_vfs::treefs::TreeFs`]). This crate
+//! supplies [`Cow`], CowFs's [`Persistence`](b3_vfs::treefs::Persistence):
+//! the fsync-log recorder behind `fsync`/`fdatasync`/`msync`, log replay as
+//! recovery, the commit that ends a mount of an uncleanly unmounted image,
+//! and the mmap-dirty and punch-hole tracking its recorder reads.
 
 mod bugs;
 mod fs;
 mod log;
 
 pub use bugs::CowBugs;
-pub use fs::{CowFs, CowFsSpec};
+pub use fs::{Cow, CowFs, CowFsSpec};
 pub use log::{LogItem, LogTree};

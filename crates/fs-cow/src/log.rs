@@ -17,6 +17,7 @@ use b3_vfs::path::{is_ancestor, split_parent};
 use b3_vfs::tree::{
     decode_inode, encode_inode, encoded_inode_len, Inode, InodeId, MemTree, DIRENT_SIZE,
 };
+use b3_vfs::treefs::SyncKind;
 
 use crate::bugs::CowBugs;
 
@@ -159,18 +160,8 @@ impl LogTree {
     }
 }
 
-/// The kind of persistence call being recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncKind {
-    /// `fsync(2)`.
-    Fsync,
-    /// `fdatasync(2)`.
-    Fdatasync,
-    /// `msync(2)` of a byte range.
-    Msync { offset: u64, len: u64 },
-}
-
-/// Mutable per-transaction recorder state owned by [`crate::CowFs`].
+/// Mutable per-transaction recorder state owned by [`crate::CowFs`]'s
+/// persistence.
 #[derive(Debug, Default, Clone)]
 pub struct RecorderState {
     /// Inodes that already have an `Inode` item in the current log.

@@ -10,18 +10,25 @@
 //! bugs found by the paper (Table 5, bugs 9 and 10) plus the two known F2FS
 //! bugs it reproduces live in the record/roll-forward code, exactly where
 //! they lived in the kernel.
+//!
+//! The tree operations, format, mount, commit, unmount and fork are the
+//! shared tree-backed core's ([`TreeFs`]); the core's committed tree is the
+//! checkpoint. This crate supplies [`Flash`], FlashFs's [`Persistence`]:
+//! node-log records on `fsync`/`fdatasync`/`msync` (a checkpoint on a
+//! directory fsync), roll-forward as recovery, the checkpoint that ends
+//! every mount, and the zero-range tracking one of its bugs reads.
 
 use std::collections::HashMap;
 
-use b3_block::{BlockDevice, IoFlags, StateDelta};
+use b3_block::BlockDevice;
 use b3_vfs::codec::{Decoder, Encoder};
-use b3_vfs::diskfmt::{read_blob, write_blob, BlobRef, SuperBlock};
+use b3_vfs::diskfmt::{read_blob, SuperBlock};
 use b3_vfs::error::{FsError, FsResult};
-use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
-use b3_vfs::metadata::Metadata;
+use b3_vfs::fs::{FileSystem, FsSpec};
 use b3_vfs::path::split_parent;
 use b3_vfs::recover::RecoverDelta;
 use b3_vfs::tree::{decode_inode, encode_inode, Inode, InodeId, MemTree};
+use b3_vfs::treefs::{Persistence, SyncKind, TreeCore, TreeFs, ViewSession};
 use b3_vfs::workload::FallocMode;
 use b3_vfs::{mutant, KernelEra, Mutant, MutantSet};
 
@@ -121,99 +128,61 @@ fn decode_records(bytes: &[u8]) -> FsResult<Vec<FsyncRecord>> {
     Ok(records)
 }
 
-/// The F2FS-like file system.
-pub struct FlashFs {
-    dev: Box<dyn BlockDevice>,
-    sb: SuperBlock,
+/// The F2FS-like file system: the tree core with FlashFs's persistence.
+/// The core's committed tree is the last checkpoint.
+pub type FlashFs = TreeFs<Flash>;
+
+/// What FlashFs adds to the tree core: the node log and its bugs.
+#[derive(Debug, Clone)]
+pub struct Flash {
     bugs: FlashBugs,
-    working: MemTree,
-    checkpoint: MemTree,
     records: Vec<FsyncRecord>,
     /// Inodes that received a `ZERO_RANGE|KEEP_SIZE` fallocate since the
     /// last checkpoint, with the end offset of the zeroed range.
     zero_range_keep: HashMap<InodeId, u64>,
 }
 
-impl FlashFs {
-    /// Formats and mounts a fresh FlashFs for the given kernel era.
-    pub fn mkfs(mut dev: Box<dyn BlockDevice>, era: KernelEra) -> FsResult<FlashFs> {
-        Self::format(&mut dev)?;
-        Self::mount_with_bugs(dev, FlashBugs::for_era(era))
-    }
+impl Persistence for Flash {
+    type Bugs = FlashBugs;
+    const NAME: &'static str = "flashfs";
+    const MAGIC: u32 = FLASHFS_MAGIC;
+    const CORRUPT_TREE: &'static str = "corrupt checkpoint";
 
-    fn format(dev: &mut Box<dyn BlockDevice>) -> FsResult<()> {
-        let tree = MemTree::new();
-        let mut sb = SuperBlock::new(FLASHFS_MAGIC);
-        sb.tree = write_blob(dev.as_mut(), &mut sb, &tree.encode(), IoFlags::META)?;
-        sb.write_to(dev.as_mut())
-    }
-
-    /// Mounts an existing image with the bugs of the given era.
-    pub fn mount(dev: Box<dyn BlockDevice>, era: KernelEra) -> FsResult<FlashFs> {
-        Self::mount_with_bugs(dev, FlashBugs::for_era(era))
-    }
-
-    /// Mounts an existing image with an explicit bug set, running
-    /// roll-forward recovery if a node log is present.
-    pub fn mount_with_bugs(dev: Box<dyn BlockDevice>, bugs: FlashBugs) -> FsResult<FlashFs> {
-        let mut fs = Self::rolled_forward(dev, bugs)?;
-        fs.write_checkpoint()?;
-        Ok(fs)
-    }
-
-    /// The view a mount of `dev` gives, before the mount checkpoints it: the
-    /// checkpoint with the node log rolled forward onto it. Writes nothing.
-    fn rolled_forward(dev: Box<dyn BlockDevice>, bugs: FlashBugs) -> FsResult<FlashFs> {
-        let sb = SuperBlock::read_from(dev.as_ref(), FLASHFS_MAGIC)?;
-        let checkpoint = MemTree::decode(&read_blob(dev.as_ref(), sb.tree)?)
-            .map_err(|e| FsError::Unmountable(format!("corrupt checkpoint: {e}")))?;
-        let working = if sb.log.is_present() {
-            let records = decode_records(&read_blob(dev.as_ref(), sb.log)?)?;
-            roll_forward(&checkpoint, &records, &bugs)?
-        } else {
-            checkpoint
-        };
-        Ok(FlashFs {
-            dev,
-            sb,
+    /// Rolls the node log forward onto the checkpoint.
+    fn recover(
+        dev: &dyn BlockDevice,
+        sb: &SuperBlock,
+        tree: &mut MemTree,
+        bugs: FlashBugs,
+    ) -> FsResult<Flash> {
+        if sb.log.is_present() {
+            let records = decode_records(&read_blob(dev, sb.log)?)?;
+            *tree = roll_forward(tree, &records, &bugs)?;
+        }
+        Ok(Flash {
             bugs,
-            checkpoint: working.clone(),
-            working,
             records: Vec::new(),
             zero_range_keep: HashMap::new(),
         })
     }
 
-    /// The active bug configuration.
-    pub fn bugs(&self) -> &FlashBugs {
-        &self.bugs
+    /// A mount always ends by writing a fresh checkpoint.
+    fn writes_back(_sb: &SuperBlock) -> bool {
+        true
     }
 
-    fn write_checkpoint(&mut self) -> FsResult<()> {
-        let bytes = self.working.encode();
-        self.sb.tree = write_blob(self.dev.as_mut(), &mut self.sb, &bytes, IoFlags::META)?;
-        self.sb.log = BlobRef::EMPTY;
-        self.sb.generation += 1;
-        self.sb.dirty = true;
-        self.sb.write_to(self.dev.as_mut())?;
-        self.checkpoint = self.working.clone();
-        self.records.clear();
-        self.zero_range_keep.clear();
-        Ok(())
-    }
-
-    fn append_record(&mut self, path: &str, is_fdatasync: bool) -> FsResult<()> {
-        let ino = self.working.resolve(path)?;
-        let working_inode = self
+    /// Appends a node-log record for `path`; `msync` is an `fdatasync`.
+    fn persist(&mut self, core: &mut TreeCore, path: &str, kind: SyncKind) -> FsResult<()> {
+        let ino = core.working.resolve(path)?;
+        let working_inode = core
             .working
             .inode(ino)
-            .ok_or_else(|| FsError::Corrupted(format!("missing inode for {path}")))?
-            .clone();
+            .ok_or_else(|| FsError::Corrupted(format!("missing inode for {path}")))?;
         if working_inode.is_dir() {
             // F2FS directory fsync forces a checkpoint (it has no directory
             // roll-forward), which is also why the paper found no F2FS bugs
             // involving directory fsync alone.
-            return self.write_checkpoint();
+            return self.commit(core);
         }
 
         let mut logged = working_inode.clone();
@@ -228,46 +197,42 @@ impl FlashFs {
                 }
             }
         }
-        if is_fdatasync && self.bugs.fdatasync_skips_falloc_beyond_eof {
+        if kind != SyncKind::Fsync && self.bugs.fdatasync_skips_falloc_beyond_eof {
             let covered = (logged.data.len() as u64).div_ceil(4096) * 4096;
             if logged.allocated > covered {
                 logged.allocated = covered;
             }
         }
 
-        let paths = self.working.paths_of_ino(ino);
-        let parent_inos = paths
-            .iter()
-            .map(|p| {
-                split_parent(p)
-                    .and_then(|(parent, _)| self.working.resolve(parent))
-                    .unwrap_or(b3_vfs::ROOT_INO)
-            })
-            .collect();
+        let working = &core.working;
+        let parents_of = |paths: &[String]| -> Vec<InodeId> {
+            paths
+                .iter()
+                .map(|p| {
+                    split_parent(p)
+                        .and_then(|(parent, _)| working.resolve(parent))
+                        .unwrap_or(b3_vfs::ROOT_INO)
+                })
+                .collect()
+        };
+        let paths = working.paths_of_ino(ino);
+        let parent_inos = parents_of(&paths);
 
         // Correct roll-forward recovery also persists the new location of a
         // file whose old name this inode is reusing (the rename+recreate
         // pattern of known workload 1); the buggy kernel skipped it.
         if !self.bugs.roll_forward_loses_renamed_file {
             for path in &paths {
-                if let Ok(prev_ino) = self.checkpoint.resolve(path) {
+                if let Ok(prev_ino) = core.committed.resolve(path) {
                     if prev_ino != ino {
-                        if let Some(prev) = self.working.inode(prev_ino) {
+                        if let Some(prev) = working.inode(prev_ino) {
                             let mut prev_logged = prev.clone();
                             prev_logged.entries.clear();
-                            let prev_paths = self.working.paths_of_ino(prev_ino);
-                            let prev_parents = prev_paths
-                                .iter()
-                                .map(|p| {
-                                    split_parent(p)
-                                        .and_then(|(parent, _)| self.working.resolve(parent))
-                                        .unwrap_or(b3_vfs::ROOT_INO)
-                                })
-                                .collect();
+                            let prev_paths = working.paths_of_ino(prev_ino);
                             self.records.push(FsyncRecord {
                                 inode: prev_logged,
+                                parent_inos: parents_of(&prev_paths),
                                 paths: prev_paths,
-                                parent_inos: prev_parents,
                             });
                         }
                     }
@@ -280,16 +245,29 @@ impl FlashFs {
             paths,
             parent_inos,
         });
+        core.write_log(&encode_records(&self.records))
+    }
 
-        let bytes = encode_records(&self.records);
-        self.sb.log = write_blob(
-            self.dev.as_mut(),
-            &mut self.sb,
-            &bytes,
-            IoFlags::META | IoFlags::SYNC,
-        )?;
-        self.sb.dirty = true;
-        self.sb.write_to(self.dev.as_mut())
+    fn after_fallocate(
+        &mut self,
+        core: &TreeCore,
+        path: &str,
+        mode: FallocMode,
+        offset: u64,
+        len: u64,
+    ) {
+        if mode == FallocMode::ZeroRangeKeepSize {
+            if let Ok(ino) = core.working.resolve(path) {
+                let end = offset + len;
+                let entry = self.zero_range_keep.entry(ino).or_insert(0);
+                *entry = (*entry).max(end);
+            }
+        }
+    }
+
+    fn on_commit(&mut self) {
+        self.records.clear();
+        self.zero_range_keep.clear();
     }
 }
 
@@ -379,127 +357,6 @@ fn ensure_dirs_for_ino(tree: &mut MemTree, path: &str, ino: InodeId) -> FsResult
     ensure_dirs(tree, path)
 }
 
-impl FileSystem for FlashFs {
-    fn fs_name(&self) -> &'static str {
-        "flashfs"
-    }
-
-    fn create(&mut self, path: &str) -> FsResult<()> {
-        self.working.create_file(path).map(|_| ())
-    }
-
-    fn mkdir(&mut self, path: &str) -> FsResult<()> {
-        self.working.mkdir(path).map(|_| ())
-    }
-
-    fn mkfifo(&mut self, path: &str) -> FsResult<()> {
-        self.working.mkfifo(path).map(|_| ())
-    }
-
-    fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<()> {
-        self.working.symlink(target, linkpath).map(|_| ())
-    }
-
-    fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.working.link(existing, new).map(|_| ())
-    }
-
-    fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.working.unlink(path)
-    }
-
-    fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.working.rmdir(path)
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.working.rename(from, to)
-    }
-
-    fn write(&mut self, path: &str, offset: u64, data: &[u8], _mode: WriteMode) -> FsResult<()> {
-        self.working.write(path, offset, data)
-    }
-
-    fn truncate(&mut self, path: &str, size: u64) -> FsResult<()> {
-        self.working.truncate(path, size)
-    }
-
-    fn fallocate(&mut self, path: &str, mode: FallocMode, offset: u64, len: u64) -> FsResult<()> {
-        self.working.fallocate(path, mode, offset, len)?;
-        if mode == FallocMode::ZeroRangeKeepSize {
-            if let Ok(ino) = self.working.resolve(path) {
-                let end = offset + len;
-                let entry = self.zero_range_keep.entry(ino).or_insert(0);
-                *entry = (*entry).max(end);
-            }
-        }
-        Ok(())
-    }
-
-    fn setxattr(&mut self, path: &str, name: &str, value: &[u8]) -> FsResult<()> {
-        self.working.setxattr(path, name, value)
-    }
-
-    fn removexattr(&mut self, path: &str, name: &str) -> FsResult<()> {
-        self.working.removexattr(path, name)
-    }
-
-    fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
-        self.working.getxattr(path, name)
-    }
-
-    fn read(&self, path: &str, offset: u64, len: u64) -> FsResult<Vec<u8>> {
-        self.working.read(path, offset, len)
-    }
-
-    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.working.readdir(path)
-    }
-
-    fn metadata(&self, path: &str) -> FsResult<Metadata> {
-        self.working.metadata(path)
-    }
-
-    fn readlink(&self, path: &str) -> FsResult<String> {
-        self.working.readlink(path)
-    }
-
-    fn fsync(&mut self, path: &str) -> FsResult<()> {
-        self.append_record(path, false)
-    }
-
-    fn fdatasync(&mut self, path: &str) -> FsResult<()> {
-        self.append_record(path, true)
-    }
-
-    fn sync(&mut self) -> FsResult<()> {
-        self.write_checkpoint()
-    }
-
-    fn unmount(mut self: Box<Self>) -> FsResult<Box<dyn BlockDevice>> {
-        self.write_checkpoint()?;
-        self.sb.dirty = false;
-        self.sb.write_to(self.dev.as_mut())?;
-        Ok(self.dev)
-    }
-
-    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
-        Box::new(FlashFs {
-            dev,
-            sb: self.sb,
-            bugs: self.bugs,
-            working: self.working.clone(),
-            checkpoint: self.checkpoint.clone(),
-            records: self.records.clone(),
-            zero_range_keep: self.zero_range_keep.clone(),
-        })
-    }
-
-    fn guarantees(&self) -> GuaranteeProfile {
-        GuaranteeProfile::linux_default()
-    }
-}
-
 /// Factory for FlashFs instances.
 #[derive(Debug, Clone, Copy)]
 pub struct FlashFsSpec {
@@ -532,57 +389,48 @@ impl FsSpec for FlashFsSpec {
         "flashfs"
     }
 
-    fn mkfs(&self, mut device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
-        FlashFs::format(&mut device)?;
-        Ok(Box::new(FlashFs::mount_with_bugs(device, self.bugs)?))
+    fn mkfs(&self, device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
+        Ok(Box::new(FlashFs::mkfs(device, self.bugs)?))
     }
 
     fn mount(&self, device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
-        Ok(Box::new(FlashFs::mount_with_bugs(device, self.bugs)?))
+        Ok(Box::new(FlashFs::mount(device, self.bugs)?))
     }
 
+    /// A mount without its checkpoint write-back, which only re-serializes
+    /// the rolled-forward state.
     fn recovery_session(&self) -> Box<dyn RecoverDelta + Send> {
-        Box::new(*self)
-    }
-}
-
-/// The FlashFs recovery session: a mount without its checkpoint write-back,
-/// which only re-serializes the rolled-forward state.
-impl RecoverDelta for FlashFsSpec {
-    fn recover(
-        &mut self,
-        _spec: &dyn FsSpec,
-        device: Box<dyn BlockDevice>,
-        _delta: Option<&StateDelta>,
-    ) -> FsResult<Box<dyn FileSystem>> {
-        Ok(Box::new(FlashFs::rolled_forward(device, self.bugs)?))
+        Box::new(ViewSession::<Flash>(self.bugs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::{CowSnapshotDevice, DiskImage, RamDisk, RecordingDevice};
+    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RecordingDevice};
+    use b3_vfs::fs::WriteMode;
 
-    fn fresh(bugs: FlashBugs) -> FlashFs {
-        let mut dev: Box<dyn BlockDevice> = Box::new(RamDisk::new(4096));
-        FlashFs::format(&mut dev).unwrap();
-        FlashFs::mount_with_bugs(dev, bugs).unwrap()
+    /// A fresh file system on a recorder, whose handle gives the device as
+    /// a crash would leave it.
+    fn fresh(bugs: FlashBugs) -> (FlashFs, LogHandle) {
+        let device = RecordingDevice::new(CowSnapshotDevice::new(DiskImage::empty(4096)));
+        let log = device.log_handle();
+        (FlashFs::mkfs(Box::new(device), bugs).unwrap(), log)
     }
 
-    fn crash_and_remount(fs: FlashFs, bugs: FlashBugs) -> FlashFs {
-        FlashFs::mount_with_bugs(fs.dev, bugs).unwrap()
+    fn crash_and_remount(log: &LogHandle, bugs: FlashBugs) -> FlashFs {
+        FlashFs::mount(Box::new(log.fork_device()), bugs).unwrap()
     }
 
     fn crashed_device() -> Box<dyn BlockDevice> {
-        let mut fs = fresh(FlashBugs::none());
+        let (mut fs, log) = fresh(FlashBugs::none());
         fs.mkdir("A").unwrap();
         fs.create("A/foo").unwrap();
         fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
             .unwrap();
         fs.fsync("A/foo").unwrap();
         fs.create("A/volatile").unwrap();
-        fs.dev // crash: no clean unmount, roll-forward pending
+        Box::new(log.fork_device()) // crash: no clean unmount, roll-forward pending
     }
 
     /// What the device holds after `open` recovers or mounts `crashed`.
@@ -627,19 +475,19 @@ mod tests {
 
     #[test]
     fn checkpoint_persists_and_volatile_state_is_lost() {
-        let mut fs = fresh(FlashBugs::none());
+        let (mut fs, log) = fresh(FlashBugs::none());
         fs.mkdir("A").unwrap();
         fs.create("A/foo").unwrap();
         fs.sync().unwrap();
         fs.create("A/volatile").unwrap();
-        let fs = crash_and_remount(fs, FlashBugs::none());
+        let fs = crash_and_remount(&log, FlashBugs::none());
         assert!(fs.exists("A/foo"));
         assert!(!fs.exists("A/volatile"));
     }
 
     #[test]
     fn roll_forward_recovers_fsynced_file() {
-        let mut fs = fresh(FlashBugs::none());
+        let (mut fs, log) = fresh(FlashBugs::none());
         fs.mkdir("A").unwrap();
         fs.sync().unwrap();
         fs.create("A/foo").unwrap();
@@ -647,7 +495,7 @@ mod tests {
             .unwrap();
         fs.fsync("A/foo").unwrap();
         fs.create("A/other").unwrap();
-        let fs = crash_and_remount(fs, FlashBugs::none());
+        let fs = crash_and_remount(&log, FlashBugs::none());
         assert_eq!(fs.metadata("A/foo").unwrap().size, 6000);
         assert!(!fs.exists("A/other"));
     }
@@ -656,7 +504,7 @@ mod tests {
     fn zero_range_keep_size_bug_recovers_wrong_size() {
         // New bug 9: write 16K; fsync; fzero -k (16-20K); fsync; crash.
         let run = |bugs: FlashBugs| -> u64 {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.create("foo").unwrap();
             fs.write("foo", 0, &[1u8; 16 * 1024], WriteMode::Buffered)
                 .unwrap();
@@ -664,7 +512,7 @@ mod tests {
             fs.fallocate("foo", FallocMode::ZeroRangeKeepSize, 16 * 1024, 4096)
                 .unwrap();
             fs.fsync("foo").unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             fs.metadata("foo").unwrap().size
         };
         assert_eq!(run(FlashBugs::none()), 16 * 1024);
@@ -681,13 +529,13 @@ mod tests {
     fn renamed_dir_bug_recovers_file_under_old_name() {
         // New bug 10: mkdir A; sync; rename A B; touch B/foo; fsync B/foo.
         let run = |bugs: FlashBugs| -> (bool, bool) {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.mkdir("A").unwrap();
             fs.sync().unwrap();
             fs.rename("A", "B").unwrap();
             fs.create("B/foo").unwrap();
             fs.fsync("B/foo").unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             (fs.exists("B/foo"), fs.exists("A/foo"))
         };
         assert_eq!(run(FlashBugs::none()), (true, false));
@@ -705,7 +553,7 @@ mod tests {
         // Known workload 1 (F2FS flavour): write A/foo 16K; sync; rename to
         // A/bar; create new A/foo 4K; fsync A/foo.
         let run = |bugs: FlashBugs| -> (bool, u64) {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.mkdir("A").unwrap();
             fs.create("A/foo").unwrap();
             fs.write("A/foo", 0, &[2u8; 16 * 1024], WriteMode::Buffered)
@@ -716,7 +564,7 @@ mod tests {
             fs.write("A/foo", 0, &[3u8; 4096], WriteMode::Buffered)
                 .unwrap();
             fs.fsync("A/foo").unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             let bar = fs.exists("A/bar");
             let foo_size = fs.metadata("A/foo").unwrap().size;
             (bar, foo_size)
@@ -735,7 +583,7 @@ mod tests {
     fn fdatasync_falloc_bug_loses_blocks() {
         // Known workload 2: write 8K; fsync; falloc -k (8-16K); fdatasync.
         let run = |bugs: FlashBugs| -> u64 {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.create("foo").unwrap();
             fs.write("foo", 0, &[1u8; 8192], WriteMode::Buffered)
                 .unwrap();
@@ -743,7 +591,7 @@ mod tests {
             fs.fallocate("foo", FallocMode::KeepSize, 8192, 8192)
                 .unwrap();
             fs.fdatasync("foo").unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             fs.metadata("foo").unwrap().blocks
         };
         assert_eq!(run(FlashBugs::none()), 32);
@@ -840,11 +688,11 @@ mod tests {
 
     #[test]
     fn directory_fsync_forces_checkpoint() {
-        let mut fs = fresh(FlashBugs::all());
+        let (mut fs, log) = fresh(FlashBugs::all());
         fs.mkdir("A").unwrap();
         fs.create("A/foo").unwrap();
         fs.fsync("A").unwrap();
-        let fs = crash_and_remount(fs, FlashBugs::all());
+        let fs = crash_and_remount(&log, FlashBugs::all());
         assert!(fs.exists("A/foo"));
     }
 }

@@ -18,14 +18,18 @@
 //! Direct writes are synchronous with respect to the device, which is why
 //! CrashMonkey treats them as persistence points (see
 //! `b3-crashmonkey::profiler`).
+//!
+//! The tree operations, format, mount, commit, unmount and fork are the
+//! shared tree-backed core's ([`TreeFs`]). This crate supplies [`Journal`],
+//! JournalFs's [`Persistence`]: the commits behind `fsync`, `fdatasync`
+//! and `msync`, and the commit a direct write makes.
 
-use b3_block::{BlockDevice, IoFlags};
-use b3_vfs::diskfmt::{read_blob, write_blob, BlobRef, SuperBlock};
-use b3_vfs::error::{FsError, FsResult};
-use b3_vfs::fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
-use b3_vfs::metadata::Metadata;
+use b3_block::BlockDevice;
+use b3_vfs::diskfmt::SuperBlock;
+use b3_vfs::error::FsResult;
+use b3_vfs::fs::{FileSystem, FsSpec, WriteMode};
 use b3_vfs::tree::MemTree;
-use b3_vfs::workload::FallocMode;
+use b3_vfs::treefs::{Persistence, SyncKind, TreeCore, TreeFs};
 use b3_vfs::{mutant, KernelEra, Mutant, MutantSet};
 
 /// JournalFs on-disk magic number.
@@ -54,76 +58,41 @@ impl MutantSet for JournalBugs {
     ];
 }
 
-/// The ext4-like file system.
-pub struct JournalFs {
-    dev: Box<dyn BlockDevice>,
-    sb: SuperBlock,
+/// The ext4-like file system: the tree core with JournalFs's persistence.
+pub type JournalFs = TreeFs<Journal>;
+
+/// What JournalFs adds to the tree core. Recovery is just reading the last
+/// committed tree (journal replay happens implicitly because every commit
+/// writes a complete consistent image), and every persistence call commits.
+#[derive(Debug, Clone, Copy)]
+pub struct Journal {
     bugs: JournalBugs,
-    working: MemTree,
-    committed: MemTree,
 }
 
-impl JournalFs {
-    /// Formats and mounts a fresh JournalFs for the given kernel era.
-    pub fn mkfs(mut dev: Box<dyn BlockDevice>, era: KernelEra) -> FsResult<JournalFs> {
-        Self::format(&mut dev)?;
-        Self::mount_with_bugs(dev, JournalBugs::for_era(era))
+impl Persistence for Journal {
+    type Bugs = JournalBugs;
+    const NAME: &'static str = "journalfs";
+    const MAGIC: u32 = JOURNALFS_MAGIC;
+    const CORRUPT_TREE: &'static str = "corrupt file system image";
+
+    fn recover(
+        _dev: &dyn BlockDevice,
+        _sb: &SuperBlock,
+        _tree: &mut MemTree,
+        bugs: JournalBugs,
+    ) -> FsResult<Journal> {
+        Ok(Journal { bugs })
     }
 
-    fn format(dev: &mut Box<dyn BlockDevice>) -> FsResult<()> {
-        let tree = MemTree::new();
-        let mut sb = SuperBlock::new(JOURNALFS_MAGIC);
-        sb.tree = write_blob(dev.as_mut(), &mut sb, &tree.encode(), IoFlags::META)?;
-        sb.write_to(dev.as_mut())
-    }
-
-    /// Mounts an existing image with the bugs of the given era.
-    pub fn mount(dev: Box<dyn BlockDevice>, era: KernelEra) -> FsResult<JournalFs> {
-        Self::mount_with_bugs(dev, JournalBugs::for_era(era))
-    }
-
-    /// Mounts an existing image with an explicit bug set. JournalFs recovery
-    /// is just reading the last committed tree (journal replay happens
-    /// implicitly because every commit writes a complete consistent image).
-    pub fn mount_with_bugs(dev: Box<dyn BlockDevice>, bugs: JournalBugs) -> FsResult<JournalFs> {
-        let sb = SuperBlock::read_from(dev.as_ref(), JOURNALFS_MAGIC)?;
-        let committed = MemTree::decode(&read_blob(dev.as_ref(), sb.tree)?)
-            .map_err(|e| FsError::Unmountable(format!("corrupt file system image: {e}")))?;
-        Ok(JournalFs {
-            dev,
-            sb,
-            bugs,
-            working: committed.clone(),
-            committed,
-        })
-    }
-
-    /// The active bug configuration.
-    pub fn bugs(&self) -> &JournalBugs {
-        &self.bugs
-    }
-
-    /// Commits `tree` as the new on-disk state.
-    fn commit_tree(&mut self, tree: &MemTree) -> FsResult<()> {
-        let bytes = tree.encode();
-        self.sb.tree = write_blob(self.dev.as_mut(), &mut self.sb, &bytes, IoFlags::META)?;
-        self.sb.log = BlobRef::EMPTY;
-        self.sb.generation += 1;
-        self.sb.dirty = true;
-        self.sb.write_to(self.dev.as_mut())?;
-        self.committed = tree.clone();
-        Ok(())
-    }
-
-    fn commit_working(&mut self) -> FsResult<()> {
-        let tree = self.working.clone();
-        self.commit_tree(&tree)
-    }
-
-    /// `fdatasync` commits the working tree, except that the buggy path
-    /// drops allocation beyond EOF for the target file.
-    fn fdatasync_commit(&mut self, path: &str) -> FsResult<()> {
-        let mut tree = self.working.clone();
+    fn persist(&mut self, core: &mut TreeCore, path: &str, kind: SyncKind) -> FsResult<()> {
+        if kind == SyncKind::Fsync {
+            // ext4 fsync commits the running transaction, persisting
+            // everything that happened before it.
+            return self.commit(core);
+        }
+        // `fdatasync` commits the working tree, except that the buggy path
+        // drops allocation beyond EOF for the target file.
+        let mut tree = core.working.clone();
         if self.bugs.fdatasync_skips_falloc_beyond_eof {
             if let Ok(ino) = tree.resolve(path) {
                 if let Some(inode) = tree.inode_mut(ino) {
@@ -134,145 +103,42 @@ impl JournalFs {
                 }
             }
         }
-        self.commit_tree(&tree)
-    }
-}
-
-impl FileSystem for JournalFs {
-    fn fs_name(&self) -> &'static str {
-        "journalfs"
+        core.commit(tree)
     }
 
-    fn create(&mut self, path: &str) -> FsResult<()> {
-        self.working.create_file(path).map(|_| ())
-    }
-
-    fn mkdir(&mut self, path: &str) -> FsResult<()> {
-        self.working.mkdir(path).map(|_| ())
-    }
-
-    fn mkfifo(&mut self, path: &str) -> FsResult<()> {
-        self.working.mkfifo(path).map(|_| ())
-    }
-
-    fn symlink(&mut self, target: &str, linkpath: &str) -> FsResult<()> {
-        self.working.symlink(target, linkpath).map(|_| ())
-    }
-
-    fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.working.link(existing, new).map(|_| ())
-    }
-
-    fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.working.unlink(path)
-    }
-
-    fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.working.rmdir(path)
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.working.rename(from, to)
-    }
-
-    fn write(&mut self, path: &str, offset: u64, data: &[u8], mode: WriteMode) -> FsResult<()> {
-        self.working.write(path, offset, data)?;
-        if mode == WriteMode::Direct {
-            // Direct IO reaches the device immediately: the data (and, on a
-            // correct kernel, the on-disk size) become durable without an
-            // explicit persistence call.
-            let mut durable = self.committed.clone();
-            if !durable.exists(path) {
-                // The file itself was never committed; a direct write cannot
-                // resurrect it, so there is nothing durable to update.
-                return Ok(());
-            }
-            durable.write(path, offset, data)?;
-            if self.bugs.direct_write_skips_disksize {
-                if let (Ok(ino), Ok(committed_meta)) =
-                    (durable.resolve(path), self.committed.metadata(path))
-                {
-                    if let Some(inode) = durable.inode_mut(ino) {
-                        // Data and allocation reach the disk, but the size
-                        // update is lost.
-                        inode.data.truncate(committed_meta.size as usize);
-                    }
+    fn after_write(
+        &mut self,
+        core: &mut TreeCore,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+        mode: WriteMode,
+    ) -> FsResult<()> {
+        if mode != WriteMode::Direct {
+            return Ok(());
+        }
+        // Direct IO reaches the device immediately: the data (and, on a
+        // correct kernel, the on-disk size) become durable without an
+        // explicit persistence call.
+        let mut durable = core.committed.clone();
+        if !durable.exists(path) {
+            // The file itself was never committed; a direct write cannot
+            // resurrect it, so there is nothing durable to update.
+            return Ok(());
+        }
+        durable.write(path, offset, data)?;
+        if self.bugs.direct_write_skips_disksize {
+            if let (Ok(ino), Ok(committed_meta)) =
+                (durable.resolve(path), core.committed.metadata(path))
+            {
+                if let Some(inode) = durable.inode_mut(ino) {
+                    // Data and allocation reach the disk, but the size
+                    // update is lost.
+                    inode.data.truncate(committed_meta.size as usize);
                 }
             }
-            self.commit_tree(&durable)?;
         }
-        Ok(())
-    }
-
-    fn truncate(&mut self, path: &str, size: u64) -> FsResult<()> {
-        self.working.truncate(path, size)
-    }
-
-    fn fallocate(&mut self, path: &str, mode: FallocMode, offset: u64, len: u64) -> FsResult<()> {
-        self.working.fallocate(path, mode, offset, len)
-    }
-
-    fn setxattr(&mut self, path: &str, name: &str, value: &[u8]) -> FsResult<()> {
-        self.working.setxattr(path, name, value)
-    }
-
-    fn removexattr(&mut self, path: &str, name: &str) -> FsResult<()> {
-        self.working.removexattr(path, name)
-    }
-
-    fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
-        self.working.getxattr(path, name)
-    }
-
-    fn read(&self, path: &str, offset: u64, len: u64) -> FsResult<Vec<u8>> {
-        self.working.read(path, offset, len)
-    }
-
-    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.working.readdir(path)
-    }
-
-    fn metadata(&self, path: &str) -> FsResult<Metadata> {
-        self.working.metadata(path)
-    }
-
-    fn readlink(&self, path: &str) -> FsResult<String> {
-        self.working.readlink(path)
-    }
-
-    fn fsync(&mut self, _path: &str) -> FsResult<()> {
-        // ext4 fsync commits the running transaction, persisting everything
-        // that happened before it.
-        self.commit_working()
-    }
-
-    fn fdatasync(&mut self, path: &str) -> FsResult<()> {
-        self.fdatasync_commit(path)
-    }
-
-    fn sync(&mut self) -> FsResult<()> {
-        self.commit_working()
-    }
-
-    fn unmount(mut self: Box<Self>) -> FsResult<Box<dyn BlockDevice>> {
-        self.commit_working()?;
-        self.sb.dirty = false;
-        self.sb.write_to(self.dev.as_mut())?;
-        Ok(self.dev)
-    }
-
-    fn fork(&self, dev: Box<dyn BlockDevice>) -> Box<dyn FileSystem> {
-        Box::new(JournalFs {
-            dev,
-            sb: self.sb,
-            bugs: self.bugs,
-            working: self.working.clone(),
-            committed: self.committed.clone(),
-        })
-    }
-
-    fn guarantees(&self) -> GuaranteeProfile {
-        GuaranteeProfile::linux_default()
+        core.commit(durable)
     }
 }
 
@@ -325,43 +191,45 @@ impl FsSpec for JournalFsSpec {
         self.name
     }
 
-    fn mkfs(&self, mut device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
-        JournalFs::format(&mut device)?;
-        Ok(Box::new(JournalFs::mount_with_bugs(device, self.bugs)?))
+    fn mkfs(&self, device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
+        Ok(Box::new(JournalFs::mkfs(device, self.bugs)?))
     }
 
     fn mount(&self, device: Box<dyn BlockDevice>) -> FsResult<Box<dyn FileSystem>> {
-        Ok(Box::new(JournalFs::mount_with_bugs(device, self.bugs)?))
+        Ok(Box::new(JournalFs::mount(device, self.bugs)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::RamDisk;
+    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RamDisk, RecordingDevice};
+    use b3_vfs::workload::FallocMode;
 
-    fn fresh(bugs: JournalBugs) -> JournalFs {
-        let mut dev: Box<dyn BlockDevice> = Box::new(RamDisk::new(4096));
-        JournalFs::format(&mut dev).unwrap();
-        JournalFs::mount_with_bugs(dev, bugs).unwrap()
+    /// A fresh file system on a recorder, whose handle gives the device as
+    /// a crash would leave it.
+    fn fresh(bugs: JournalBugs) -> (JournalFs, LogHandle) {
+        let device = RecordingDevice::new(CowSnapshotDevice::new(DiskImage::empty(4096)));
+        let log = device.log_handle();
+        (JournalFs::mkfs(Box::new(device), bugs).unwrap(), log)
     }
 
-    fn crash_and_remount(fs: JournalFs, bugs: JournalBugs) -> JournalFs {
-        JournalFs::mount_with_bugs(fs.dev, bugs).unwrap()
+    fn crash_and_remount(log: &LogHandle, bugs: JournalBugs) -> JournalFs {
+        JournalFs::mount(Box::new(log.fork_device()), bugs).unwrap()
     }
 
     #[test]
     fn recovery_session_matches_remount_and_caches_the_committed_tree() {
         use b3_vfs::snapshot::LogicalSnapshot;
         fn crashed_device() -> Box<dyn BlockDevice> {
-            let mut fs = fresh(JournalBugs::none());
+            let (mut fs, log) = fresh(JournalBugs::none());
             fs.mkdir("A").unwrap();
             fs.create("A/foo").unwrap();
             fs.write("A/foo", 0, b"payload", WriteMode::Buffered)
                 .unwrap();
             fs.fsync("A/foo").unwrap();
             fs.create("A/volatile").unwrap();
-            fs.dev // crash: no clean unmount
+            Box::new(log.fork_device()) // crash: no clean unmount
         }
         let spec = JournalFsSpec::patched();
         let baseline = spec.mount(crashed_device()).unwrap();
@@ -379,14 +247,14 @@ mod tests {
 
     #[test]
     fn fsync_commits_everything() {
-        let mut fs = fresh(JournalBugs::none());
+        let (mut fs, log) = fresh(JournalBugs::none());
         fs.mkdir("A").unwrap();
         fs.create("A/foo").unwrap();
         fs.write("A/foo", 0, &[7u8; 3000], WriteMode::Buffered)
             .unwrap();
         fs.fsync("A/foo").unwrap();
         fs.create("A/volatile").unwrap();
-        let fs = crash_and_remount(fs, JournalBugs::none());
+        let fs = crash_and_remount(&log, JournalBugs::none());
         assert_eq!(fs.metadata("A/foo").unwrap().size, 3000);
         assert!(!fs.exists("A/volatile"));
     }
@@ -395,7 +263,7 @@ mod tests {
     fn fdatasync_falloc_bug_loses_blocks() {
         // Known workload 2 on ext4.
         let run = |bugs: JournalBugs| -> u64 {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.create("foo").unwrap();
             fs.write("foo", 0, &[1u8; 8192], WriteMode::Buffered)
                 .unwrap();
@@ -403,7 +271,7 @@ mod tests {
             fs.fallocate("foo", FallocMode::KeepSize, 8192, 8192)
                 .unwrap();
             fs.fdatasync("foo").unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             fs.metadata("foo").unwrap().blocks
         };
         assert_eq!(run(JournalBugs::none()), 32);
@@ -421,13 +289,13 @@ mod tests {
         // Known workload 4: buffered write at 16K (never persisted), then a
         // direct write of the first 4K.
         let run = |bugs: JournalBugs| -> u64 {
-            let mut fs = fresh(bugs);
+            let (mut fs, log) = fresh(bugs);
             fs.create("foo").unwrap();
             fs.sync().unwrap();
             fs.write("foo", 16 * 1024, &[2u8; 4096], WriteMode::Buffered)
                 .unwrap();
             fs.write("foo", 0, &[3u8; 4096], WriteMode::Direct).unwrap();
-            let fs = crash_and_remount(fs, bugs);
+            let fs = crash_and_remount(&log, bugs);
             fs.metadata("foo").unwrap().size
         };
         assert_eq!(run(JournalBugs::none()), 4096);
@@ -442,10 +310,10 @@ mod tests {
 
     #[test]
     fn direct_write_to_uncommitted_file_stays_volatile() {
-        let mut fs = fresh(JournalBugs::none());
+        let (mut fs, log) = fresh(JournalBugs::none());
         fs.create("foo").unwrap();
         fs.write("foo", 0, &[1u8; 100], WriteMode::Direct).unwrap();
-        let fs = crash_and_remount(fs, JournalBugs::none());
+        let fs = crash_and_remount(&log, JournalBugs::none());
         assert!(!fs.exists("foo"));
     }
 

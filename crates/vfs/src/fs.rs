@@ -33,64 +33,6 @@ impl WriteMode {
     }
 }
 
-/// Crash-consistency guarantees a file system intends to provide beyond the
-/// POSIX minimum.
-///
-/// §5.1: "Since each file system has slightly different consistency
-/// guarantees, we reached out to developers of each file system we tested, to
-/// understand the guarantees provided by that file system." The AutoChecker
-/// only reports violations of guarantees the file system claims to provide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GuaranteeProfile {
-    /// `fsync(file)` also persists the directory entry that names the file
-    /// (no separate `fsync(parent)` needed). True for ext4 and btrfs intent.
-    pub fsync_file_persists_dentry: bool,
-    /// `fsync(file)` persists *all* of the file's hard-link names, not just
-    /// the one used to open it.
-    pub fsync_persists_all_names: bool,
-    /// `fsync(dir)` persists the directory's entries (creations, removals,
-    /// renames of children recorded so far).
-    pub fsync_dir_persists_entries: bool,
-    /// `rename(src, dst)` is atomic across a crash: after recovery either the
-    /// old file or the new file is visible, never neither/both.
-    pub atomic_rename: bool,
-    /// `fdatasync(file)` persists whatever metadata is needed to read back
-    /// the data it persisted (notably the file size for appends).
-    pub fdatasync_persists_needed_metadata: bool,
-    /// A successful `sync()` persists everything that existed at that point.
-    pub sync_persists_everything: bool,
-}
-
-impl GuaranteeProfile {
-    /// The guarantees mainstream Linux file systems (ext4, btrfs, F2FS in its
-    /// default `fsync_mode=posix`… in practice) aim to provide, per the
-    /// developer conversations reported in §5.1.
-    pub fn linux_default() -> Self {
-        GuaranteeProfile {
-            fsync_file_persists_dentry: true,
-            fsync_persists_all_names: true,
-            fsync_dir_persists_entries: true,
-            atomic_rename: true,
-            fdatasync_persists_needed_metadata: true,
-            sync_persists_everything: true,
-        }
-    }
-
-    /// The strict POSIX floor: an fsync on a newly created file does not by
-    /// itself guarantee the file's directory entry survives; callers must
-    /// fsync the parent directory too.
-    pub fn strict_posix() -> Self {
-        GuaranteeProfile {
-            fsync_file_persists_dentry: false,
-            fsync_persists_all_names: false,
-            fsync_dir_persists_entries: true,
-            atomic_rename: true,
-            fdatasync_persists_needed_metadata: true,
-            sync_persists_everything: true,
-        }
-    }
-}
-
 /// A POSIX-style file system under test.
 ///
 /// Paths are `/`-separated strings relative to the root (see
@@ -216,11 +158,6 @@ pub trait FileSystem: Send {
 
     // --- misc ---------------------------------------------------------------------
 
-    /// The crash-consistency guarantees this file system aims to provide.
-    fn guarantees(&self) -> GuaranteeProfile {
-        GuaranteeProfile::linux_default()
-    }
-
     /// Convenience: whole-file read.
     fn read_all(&self, path: &str) -> FsResult<Vec<u8>> {
         let meta = self.metadata(path)?;
@@ -279,14 +216,5 @@ mod tests {
         assert_eq!(WriteMode::Buffered.as_str(), "write");
         assert_eq!(WriteMode::Direct.as_str(), "dwrite");
         assert_eq!(WriteMode::Mmap.as_str(), "mwrite");
-    }
-
-    #[test]
-    fn linux_default_guarantees_are_strongest() {
-        let linux = GuaranteeProfile::linux_default();
-        let posix = GuaranteeProfile::strict_posix();
-        assert!(linux.fsync_file_persists_dentry);
-        assert!(!posix.fsync_file_persists_dentry);
-        assert!(linux.atomic_rename && posix.atomic_rename);
     }
 }

@@ -9,9 +9,9 @@
 //! * common [`Metadata`], [`FileType`], and [error](FsError) types,
 //! * the [`KernelEra`] model used to express "bug present since kernel X,
 //!   fixed in Y",
-//! * the per-file-system [`GuaranteeProfile`] describing which
-//!   crash-consistency guarantees a file system promises beyond POSIX
-//!   (the paper confirmed these with each file system's developers, §5.1),
+//! * the [tree-backed core](treefs) the four simulated file systems share:
+//!   one `FileSystem` over a working and a committed [`MemTree`], with
+//!   each file system supplying only its persistence path,
 //! * the *workload language*: the [`Op`]/[`Workload`] IR that ACE generates
 //!   and CrashMonkey executes, together with its text serialization, and
 //! * [`LogicalSnapshot`]s — full logical captures of a file system's state
@@ -28,12 +28,13 @@ pub mod path;
 pub mod recover;
 pub mod snapshot;
 pub mod tree;
+pub mod treefs;
 pub mod workload;
 
 pub use era::{KernelEra, Mutant, MutantSet};
 pub use error::{FsError, FsResult};
 pub use exec::{apply_op, apply_workload, ExecPolicy, Executor};
-pub use fs::{FileSystem, FsSpec, GuaranteeProfile, WriteMode};
+pub use fs::{FileSystem, FsSpec, WriteMode};
 pub use metadata::{FileType, Metadata};
 pub use recover::{RecoverDelta, RemountSession};
 pub use snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot, SnapshotDiff};

@@ -11,7 +11,8 @@
 //! [`RecoverDelta`] is the seam: [`FsSpec::recovery_session`] returns a
 //! stateless session whose [`recover`](RecoverDelta::recover) is the view
 //! `mount` would give. The default, [`RemountSession`], *is* `mount`; CowFs
-//! and FlashFs override it to skip their write-back. Debug builds of
+//! and FlashFs return a [`ViewSession`](crate::treefs::ViewSession), the
+//! tree-backed core's view without its write-back. Debug builds of
 //! CrashMonkey assert every recovered view equal to a from-scratch mount.
 
 use b3_block::{BlockDevice, DiskImage, StateDelta};
