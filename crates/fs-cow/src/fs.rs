@@ -338,7 +338,7 @@ mod tests {
         let dev = Box::new(fs).unmount().unwrap();
         let fs = remount(dev, KernelEra::Patched);
         let after = LogicalSnapshot::capture(&fs).unwrap();
-        assert!(before.diff_all(&after).is_empty());
+        assert_eq!(before, after);
     }
 
     #[test]

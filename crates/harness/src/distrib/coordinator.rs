@@ -1,0 +1,576 @@
+//! The coordinator's decisions, free of I/O: which shards a `Claim` gets,
+//! when a link waits or is shut down, what a `ShardDone` merges, what a lost
+//! link hands back, and when the run stops handing out work.
+//!
+//! [`super::run_with_transport_hooked`] is the shell around it: one thread
+//! per worker slot moves frames, appends the checkpoint records and waits,
+//! and calls one method here per event under one lock. Nothing in this file
+//! holds a lock, a thread, a clock, a socket or a file, so a test can drive
+//! it through any schedule of events on one thread.
+
+use std::collections::{BTreeSet, VecDeque};
+use std::time::Duration;
+
+use b3_vfs::codec::Encoder;
+use b3_vfs::error::{FsError, FsResult};
+
+use super::DistribConfig;
+use crate::dedup::GroupKey;
+use crate::postprocess::BugGroup;
+use crate::sweep::{eta, Progress, ShardResult, SweepCheckpoint, WorkerThroughput};
+
+/// The answer to a worker's `Claim`.
+#[derive(Debug, PartialEq)]
+pub(super) enum Claim {
+    /// Run these shards.
+    Assign(Vec<u32>),
+    /// Nothing is queued, but other links hold shards that come back to
+    /// the queue if their link dies: claim again after the next merge or
+    /// requeue.
+    Wait,
+    /// No work is left for this run: shut the worker down.
+    Shutdown,
+}
+
+/// A merged `ShardDone`: what the shell persists and announces.
+pub(super) struct Merged {
+    /// The merge number (shards merged this run), which versions the
+    /// delta record.
+    pub(super) version: u64,
+    /// The delta record's payload: `shard | ShardResult`.
+    pub(super) delta: Vec<u8>,
+    /// Bug groups the shard brought into the sweep for the first time.
+    pub(super) discovered: Vec<BugGroup>,
+    /// True when the slot holds no other shard, so its next `Claim` is
+    /// already on the wire.
+    pub(super) idle: bool,
+}
+
+/// One worker slot: the shards its current link holds, and its telemetry.
+#[derive(Default)]
+struct Slot {
+    /// Shards assigned over the current link and not merged yet.
+    held: Vec<u32>,
+    /// Transport endpoint of the slot's latest link; empty until the first
+    /// handshake, and kept after the link dies so progress output still
+    /// names the machine.
+    endpoint: String,
+    tested: u64,
+    shards: u64,
+    alive: bool,
+}
+
+/// The coordinator's state: the shard queue, what every slot holds, the
+/// merged checkpoint, the running counts and the budget.
+pub(super) struct Coordinator {
+    queue: VecDeque<u32>,
+    slots: Vec<Slot>,
+    checkpoint: SweepCheckpoint,
+    /// Running totals mirroring the checkpoint, so a progress snapshot
+    /// does not re-aggregate it.
+    tested: usize,
+    skipped: usize,
+    pruned: usize,
+    buggy: usize,
+    merged_this_run: usize,
+    processed_this_run: usize,
+    /// Candidates of every shard assigned this run (held or merged). A
+    /// workload budget gates *assignment* on this, not on merged results —
+    /// otherwise claims granted while the first shards are still in flight
+    /// overshoot the budget by workers × shard size.
+    assigned_candidates: u64,
+    stopping: bool,
+    /// Bug-group keys already merged: the checkpoint's at startup, grown
+    /// per merge, so a group is discovered exactly once.
+    seen_groups: BTreeSet<GroupKey>,
+    shard_sizes: Vec<u64>,
+    total_workloads: u64,
+    seeded_shards: usize,
+    config: DistribConfig,
+}
+
+impl Coordinator {
+    /// A run resuming `checkpoint`: every missing shard is queued, in
+    /// order. `shard_sizes` holds each shard's candidate count.
+    pub(super) fn new(
+        checkpoint: SweepCheckpoint,
+        shard_sizes: Vec<u64>,
+        total_workloads: u64,
+        config: &DistribConfig,
+    ) -> Coordinator {
+        let seeded = checkpoint.summary();
+        Coordinator {
+            queue: checkpoint.missing_shards().into(),
+            slots: (0..config.workers)
+                .map(|_| Slot {
+                    alive: true,
+                    ..Slot::default()
+                })
+                .collect(),
+            tested: seeded.tested,
+            skipped: seeded.skipped,
+            pruned: seeded.pruned,
+            buggy: checkpoint.total_buggy() as usize,
+            merged_this_run: 0,
+            processed_this_run: 0,
+            assigned_candidates: 0,
+            stopping: false,
+            seen_groups: checkpoint
+                .grouped()
+                .entries()
+                .map(|(k, _)| k.clone())
+                .collect(),
+            seeded_shards: checkpoint.completed_shards(),
+            checkpoint,
+            shard_sizes,
+            total_workloads,
+            config: config.clone(),
+        }
+    }
+
+    /// True once a stop limit of the configuration is reached.
+    fn limit_reached(&self) -> bool {
+        let config = &self.config;
+        config
+            .stop_after_shards
+            .is_some_and(|limit| self.merged_this_run >= limit)
+            || config.stop_after_workloads.is_some_and(|limit| {
+                self.processed_this_run >= limit || self.assigned_candidates >= limit as u64
+            })
+    }
+
+    fn in_flight(&self) -> bool {
+        self.slots.iter().any(|slot| !slot.held.is_empty())
+    }
+
+    /// True when a fresh link would have nothing to do: the run is
+    /// stopping, or the queue is empty with nothing in flight that could
+    /// flow back to it.
+    pub(super) fn no_work_left(&self) -> bool {
+        self.stopping || self.limit_reached() || (self.queue.is_empty() && !self.in_flight())
+    }
+
+    /// A `Claim` from `slot`. `stop` is the stop hook's answer: like a
+    /// reached stop limit, it ends all handing out of work for the run,
+    /// while the shards in flight still merge.
+    pub(super) fn claim(&mut self, slot: usize, stop: bool) -> Claim {
+        self.stopping |= stop || self.limit_reached();
+        if self.stopping {
+            return Claim::Shutdown;
+        }
+        if self.queue.is_empty() {
+            // A dying link hands its shards back: wait for them rather
+            // than shut this worker down and strand that work.
+            return if self.in_flight() {
+                Claim::Wait
+            } else {
+                Claim::Shutdown
+            };
+        }
+        let take = self.config.assign_batch.min(self.queue.len());
+        let batch: Vec<u32> = self.queue.drain(..take).collect();
+        for &shard in &batch {
+            self.assigned_candidates += self.shard_sizes[shard as usize];
+        }
+        self.slots[slot].held.extend(&batch);
+        Claim::Assign(batch)
+    }
+
+    /// A `ShardDone` from `slot`: merges the result into the checkpoint. A
+    /// shard the slot does not hold (never assigned to it, or already
+    /// reported) is refused before it touches any count.
+    pub(super) fn shard_done(
+        &mut self,
+        slot: usize,
+        shard: u32,
+        result: ShardResult,
+    ) -> FsResult<Merged> {
+        let held = &mut self.slots[slot].held;
+        let Some(position) = held.iter().position(|&s| s == shard) else {
+            return Err(FsError::Corrupted(format!(
+                "worker reported shard {shard} it does not hold"
+            )));
+        };
+        held.swap_remove(position);
+        let idle = held.is_empty();
+        self.tested += result.tested as usize;
+        self.skipped += result.skipped as usize;
+        self.pruned += result.pruned as usize;
+        self.buggy += result.buggy as usize;
+        self.processed_this_run += (result.tested + result.skipped + result.pruned) as usize;
+        self.merged_this_run += 1;
+        self.slots[slot].shards += 1;
+        self.slots[slot].tested += result.tested;
+        // Groups are rendered only when the shard brings a new one.
+        let mut discovered = Vec::new();
+        if result
+            .groups
+            .entries()
+            .any(|(key, _)| !self.seen_groups.contains(key))
+        {
+            discovered = result
+                .groups
+                .groups()
+                .into_iter()
+                .filter(|g| self.seen_groups.insert((g.skeleton.clone(), g.consequence)))
+                .collect();
+        }
+        let mut enc = Encoder::new();
+        enc.put_u32(shard);
+        result.encode(&mut enc);
+        // Merged as a one-shard checkpoint, so the one aggregation
+        // primitive (`merge`) is the one the protocol exercises.
+        let mut incoming = self.checkpoint.subset([]);
+        incoming.record(shard, result);
+        self.checkpoint.merge(&incoming)?;
+        Ok(Merged {
+            version: self.merged_this_run as u64,
+            delta: enc.finish(),
+            discovered,
+            idle,
+        })
+    }
+
+    /// A link on `slot` completed its handshake.
+    pub(super) fn link_up(&mut self, slot: usize, endpoint: &str) {
+        self.slots[slot].endpoint = endpoint.to_string();
+        self.slots[slot].alive = true;
+    }
+
+    /// `slot`'s link is gone, or never came: the shards it held that are
+    /// not merged go back to the front of the queue with their share of
+    /// the budget, and the slot stops counting as alive, so progress never
+    /// shows a live rate on a dead endpoint.
+    pub(super) fn link_down(&mut self, slot: usize) {
+        for shard in std::mem::take(&mut self.slots[slot].held) {
+            if !self.checkpoint.has_shard(shard) {
+                self.queue.push_front(shard);
+                self.assigned_candidates = self
+                    .assigned_candidates
+                    .saturating_sub(self.shard_sizes[shard as usize]);
+            }
+        }
+        self.slots[slot].alive = false;
+    }
+
+    /// A progress snapshot `elapsed` into the run.
+    pub(super) fn progress(&self, elapsed: Duration) -> Progress {
+        let completed = self.checkpoint.completed_shards();
+        let total_shards = self.checkpoint.num_shards();
+        Progress {
+            tested: self.tested,
+            skipped: self.skipped,
+            pruned: self.pruned,
+            bugs: self.buggy,
+            completed_shards: completed,
+            total_shards,
+            total_workloads: self.total_workloads,
+            elapsed,
+            eta: eta(
+                elapsed,
+                completed,
+                self.seeded_shards,
+                total_shards,
+                self.stopping,
+            ),
+            per_worker: self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(worker, slot)| WorkerThroughput {
+                    worker,
+                    endpoint: slot.endpoint.clone(),
+                    tested: slot.tested,
+                    shards: slot.shards,
+                    throughput: (slot.alive && !elapsed.is_zero())
+                        .then(|| slot.tested as f64 / elapsed.as_secs_f64()),
+                })
+                .collect(),
+        }
+    }
+
+    /// The checkpoint as of the latest merge, for a compaction: its merge
+    /// number and its bytes.
+    pub(super) fn snapshot(&self) -> (u64, Vec<u8>) {
+        (self.merged_this_run as u64, self.checkpoint.to_bytes())
+    }
+
+    /// Ends the run: the merged checkpoint and the workloads this run
+    /// processed. A slot's `error` fails the run only when the sweep is
+    /// unfinished and no stop limit was reached: the shards a failed slot
+    /// completed are merged, and surviving slots usually absorb the rest.
+    pub(super) fn finish(self, error: Option<FsError>) -> FsResult<(SweepCheckpoint, usize)> {
+        match error {
+            Some(error) if !self.checkpoint.is_complete() && !self.limit_reached() => Err(error),
+            _ => Ok((self.checkpoint, self.processed_this_run)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dedup::GroupTable;
+    use crate::distrib::SweepJob;
+    use b3_ace::Bounds;
+    use b3_crashmonkey::{BugReport, Consequence};
+
+    /// Shards of the schedule tests' job.
+    const SHARDS: u32 = 8;
+
+    /// A splitmix64 stream: each seed names one schedule.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn one_in(&mut self, n: usize) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    /// The result a worker reports for `shard`. Neighbouring shards share
+    /// bug groups, so a merge both adds groups and folds counts and
+    /// exemplars into groups other shards brought.
+    fn result_for(shard: u32) -> ShardResult {
+        let mut groups = GroupTable::new();
+        for (skeleton, consequence) in [
+            (shard % 3, Consequence::FileMissing),
+            ((shard + 1) % 5, Consequence::DataCorruption),
+        ] {
+            groups.observe(BugReport {
+                workload_name: format!("w{shard}"),
+                skeleton: format!("skeleton{skeleton}"),
+                fs_name: "simfs".into(),
+                crash_point: shard,
+                consequence,
+                all_consequences: vec![consequence],
+                expected: String::new(),
+                actual: String::new(),
+                diffs: Vec::new(),
+                write_check_failures: Vec::new(),
+            });
+        }
+        ShardResult {
+            tested: 10 + u64::from(shard),
+            skipped: 1,
+            buggy: 2,
+            groups,
+            ..ShardResult::default()
+        }
+    }
+
+    /// One worker slot as the schedule sees it.
+    #[derive(Clone, PartialEq)]
+    enum Link {
+        /// No link: the slot may connect.
+        Down,
+        /// A link that has handshaken; `pending` is what it was assigned
+        /// and has not reported.
+        Up { pending: Vec<u32> },
+        /// The slot was shut down or gave up.
+        Gone,
+    }
+
+    /// What the schedules of one seed did, across every run.
+    #[derive(Default)]
+    struct Tally {
+        merges: [usize; SHARDS as usize],
+        discovered: BTreeSet<GroupKey>,
+    }
+
+    /// Checks the bookkeeping every event must keep: each shard is queued,
+    /// held by one slot, or merged, and the budget counts exactly the
+    /// shards held plus those merged this run.
+    fn check_books(core: &Coordinator, seeded: &SweepCheckpoint, links: &[Link]) {
+        let mut places = vec![0; SHARDS as usize];
+        let held = core.slots.iter().flat_map(|slot| &slot.held);
+        for &shard in core.queue.iter().chain(held) {
+            places[shard as usize] += 1;
+        }
+        let mut budget = 0;
+        for shard in 0..SHARDS {
+            let merged = core.checkpoint.has_shard(shard);
+            places[shard as usize] += usize::from(merged);
+            if (merged && !seeded.has_shard(shard))
+                || core.slots.iter().any(|s| s.held.contains(&shard))
+            {
+                budget += core.shard_sizes[shard as usize];
+            }
+        }
+        assert_eq!(places, vec![1; SHARDS as usize], "every shard in one place");
+        assert_eq!(
+            core.assigned_candidates, budget,
+            "budget = held + merged this run"
+        );
+        for (slot, link) in core.slots.iter().zip(links) {
+            let pending = match link {
+                Link::Up { pending } => pending.clone(),
+                _ => Vec::new(),
+            };
+            let (mut held, mut pending) = (slot.held.clone(), pending);
+            held.sort_unstable();
+            pending.sort_unstable();
+            assert_eq!(held, pending, "the core holds what the link was assigned");
+        }
+    }
+
+    /// One coordinator run under a schedule drawn from `rng`: links come
+    /// up, claim, report and die; `chaos` adds link losses, duplicate and
+    /// foreign `ShardDone`s, a stop and a coordinator crash. Returns the
+    /// checkpoint a restart sees: every shard whose merge returned.
+    fn run_once(
+        rng: &mut Rng,
+        checkpoint: SweepCheckpoint,
+        sizes: &[u64],
+        config: &DistribConfig,
+        chaos: bool,
+        tally: &mut Tally,
+    ) -> SweepCheckpoint {
+        let seeded = checkpoint.clone();
+        let mut core = Coordinator::new(checkpoint, sizes.to_vec(), 0, config);
+        let mut links = vec![Link::Down; config.workers];
+        let mut stop = false;
+        for _ in 0..10_000 {
+            let live: Vec<usize> = (0..links.len())
+                .filter(|&s| links[s] != Link::Gone)
+                .collect();
+            if live.is_empty() || (chaos && rng.one_in(60)) {
+                // Every slot is done, or the coordinator crashed.
+                return core.checkpoint;
+            }
+            let slot = live[rng.below(live.len())];
+            stop |= chaos && rng.one_in(40);
+            let pending = match &mut links[slot] {
+                Link::Up { pending } => pending,
+                _ if core.no_work_left() => {
+                    core.link_down(slot);
+                    links[slot] = Link::Gone;
+                    continue;
+                }
+                _ => {
+                    core.link_up(slot, &format!("sim:{slot}"));
+                    links[slot] = Link::Up {
+                        pending: Vec::new(),
+                    };
+                    continue;
+                }
+            };
+            if chaos && rng.one_in(12) {
+                // The link dies (a respawn may bring the slot back), or
+                // reports a shard it does not hold: a duplicate of a merged
+                // shard, or one that is queued or held elsewhere. That is
+                // fatal, and must change nothing first.
+                let shard = rng.below(SHARDS as usize) as u32;
+                if rng.one_in(2) && !pending.contains(&shard) {
+                    let (queue, budget) = (core.queue.clone(), core.assigned_candidates);
+                    let refused = core.shard_done(slot, shard, result_for(shard));
+                    assert!(refused.is_err(), "shard {shard} is not held by slot {slot}");
+                    assert_eq!(
+                        (core.queue.clone(), core.assigned_candidates),
+                        (queue, budget)
+                    );
+                    links[slot] = Link::Gone;
+                } else {
+                    links[slot] = Link::Down;
+                }
+                core.link_down(slot);
+            } else if pending.is_empty() {
+                match core.claim(slot, stop) {
+                    Claim::Assign(batch) => *pending = batch,
+                    Claim::Wait => assert!(core.in_flight(), "a wait needs shards in flight"),
+                    Claim::Shutdown => {
+                        assert!(core.no_work_left(), "shut down with work left");
+                        core.link_down(slot);
+                        links[slot] = Link::Gone;
+                    }
+                }
+            } else {
+                let shard = pending.swap_remove(rng.below(pending.len()));
+                let merged = core.shard_done(slot, shard, result_for(shard));
+                let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+                assert_eq!(merged.idle, pending.is_empty());
+                tally.merges[shard as usize] += 1;
+                for group in merged.discovered {
+                    let key = (group.skeleton, group.consequence);
+                    assert!(
+                        tally.discovered.insert(key.clone()),
+                        "{key:?} discovered twice"
+                    );
+                }
+            }
+            check_books(&core, &seeded, &links);
+        }
+        panic!("the schedule did not end in 10 000 events");
+    }
+
+    /// Runs seed `seed`: a chaotic run, up to two more after coordinator
+    /// restarts or stops, then a clean run that must complete from the
+    /// checkpoint they left.
+    fn run_schedule(seed: u64, sizes: &[u64], job: &SweepJob) {
+        let mut rng = Rng(seed);
+        let total: u64 = sizes.iter().sum();
+        let config = DistribConfig {
+            workers: 1 + rng.below(4),
+            assign_batch: 1 + rng.below(3),
+            stop_after_shards: rng.one_in(4).then(|| rng.below(SHARDS as usize)),
+            stop_after_workloads: rng.one_in(4).then(|| rng.below(total as usize)),
+            ..DistribConfig::default()
+        };
+        let mut tally = Tally::default();
+        let mut checkpoint = job.empty_checkpoint();
+        for _ in 0..1 + rng.below(3) {
+            checkpoint = run_once(&mut rng, checkpoint, sizes, &config, true, &mut tally);
+        }
+        let clean = DistribConfig {
+            workers: config.workers,
+            assign_batch: config.assign_batch,
+            ..DistribConfig::default()
+        };
+        let checkpoint = run_once(&mut rng, checkpoint, sizes, &clean, false, &mut tally);
+        assert!(checkpoint.is_complete(), "the clean run completes");
+        assert_eq!(tally.merges, [1; SHARDS as usize], "each shard merged once");
+        let mut reference = GroupTable::new();
+        for shard in 0..SHARDS {
+            reference.merge_from(&result_for(shard).groups);
+        }
+        let bytes = |table: &GroupTable| {
+            let mut enc = Encoder::new();
+            table.encode(&mut enc);
+            enc.finish()
+        };
+        assert_eq!(bytes(&checkpoint.grouped()), bytes(&reference));
+        let keys: BTreeSet<GroupKey> = reference.entries().map(|(k, _)| k.clone()).collect();
+        assert_eq!(tally.discovered, keys, "every group discovered once");
+    }
+
+    /// Runs every seed of `seeds`, naming the one that fails.
+    fn check_seeds(seeds: std::ops::Range<u64>) {
+        let job = SweepJob::new(Bounds::tiny(), SHARDS as usize);
+        let sizes = job.shard_sizes();
+        for seed in seeds {
+            let run = std::panic::catch_unwind(|| run_schedule(seed, &sizes, &job));
+            assert!(run.is_ok(), "coordinator schedule seed {seed} failed");
+        }
+    }
+
+    /// Seeded schedules of claims, results, link losses, refused results,
+    /// stops and coordinator restarts, with 1–4 slots.
+    #[test]
+    fn seeded_schedules_merge_every_shard_once() {
+        check_seeds(0..300);
+    }
+
+    /// The same schedules, 100 000 seeds: run in release.
+    #[test]
+    #[ignore]
+    fn seeded_schedules_merge_every_shard_once_100k() {
+        check_seeds(0..100_000);
+    }
+}

@@ -33,7 +33,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,7 +44,7 @@ use b3_crashmonkey::Consequence;
 use b3_vfs::codec::{Decoder, Encoder};
 use b3_vfs::error::{FsError, FsResult};
 
-use super::protocol::{read_frame, transport_err, wire, write_frame, MAX_FRAME_BYTES};
+use super::protocol::{read_frame, transport_err, wire, write_frame};
 use super::recordlog::{self, AppendLog, Format};
 use super::segment::load_checkpoint;
 use super::{run_with_transport_hooked, DistribConfig, DistribHooks, SweepJob, Transport};
@@ -418,8 +417,15 @@ struct FleetState {
 }
 
 impl FleetState {
-    fn append_state(&mut self, id: u64, state: JobState, error: &str) -> FsResult<()> {
-        self.journal.append(&state_record(id, state, error))
+    /// Moves job `id` to `state`: journals the state record, then updates
+    /// the in-memory record to match.
+    fn transition(&mut self, id: u64, state: JobState, error: String) -> FsResult<()> {
+        self.journal.append(&state_record(id, state, &error))?;
+        if let Some(record) = self.jobs.get_mut(&id) {
+            record.state = state;
+            record.error = error;
+        }
+        Ok(())
     }
 
     fn status_row(id: u64, record: &JobRecord) -> JobStatus {
@@ -630,11 +636,7 @@ impl FleetCoordinator {
                 record.state.as_str()
             )));
         }
-        state.append_state(id, JobState::Cancelled, "")?;
-        if let Some(record) = state.jobs.get_mut(&id) {
-            record.state = JobState::Cancelled;
-        }
-        Ok(())
+        state.transition(id, JobState::Cancelled, String::new())
     }
 
     /// Registers a live discovery stream: every bug group first merged by
@@ -694,10 +696,7 @@ impl FleetCoordinator {
                 return Ok(None);
             };
             let job = record.job.clone();
-            state.append_state(id, JobState::Running, "")?;
-            if let Some(record) = state.jobs.get_mut(&id) {
-                record.state = JobState::Running;
-            }
+            state.transition(id, JobState::Running, String::new())?;
             (id, job)
         };
 
@@ -735,13 +734,7 @@ impl FleetCoordinator {
             Err(e) => (JobState::Failed, e.to_string()),
         };
 
-        let mut state = self.locked();
-        state.append_state(id, final_state, &error)?;
-        if let Some(record) = state.jobs.get_mut(&id) {
-            record.state = final_state;
-            record.error = error;
-        }
-        drop(state);
+        self.locked().transition(id, final_state, error)?;
         self.wake.notify_all();
         Ok(Some(id))
     }
@@ -816,9 +809,6 @@ impl FleetCoordinator {
     /// up (or a `Subscribe` upgrades the connection to an event stream).
     fn handle_client(&self, stream: TcpStream) -> FsResult<()> {
         let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .map_err(|e| transport_err("set client read timeout", e))?;
         let mut reader = stream
             .try_clone()
             .map_err(|e| transport_err("clone client stream", e))?;
@@ -885,58 +875,36 @@ impl FleetCoordinator {
     }
 }
 
-/// Reads one client frame from a stream with a read timeout set: polls the
-/// first length byte (so an idle connection notices a daemon stop), then
-/// blocks until the frame completes. `Ok(None)` means the client hung up
-/// cleanly, or the daemon is stopping and the connection was idle.
+/// Reads one client frame. The first byte is awaited in 200 ms polls, so an
+/// idle connection notices a daemon stop; the frame itself is then read by
+/// [`read_frame`] with the timeout cleared. `Ok(None)` means the client hung
+/// up cleanly, or the daemon is stopping and the connection was idle.
 fn read_client_frame(stream: &mut TcpStream, stop: &AtomicBool) -> FsResult<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut have = 0usize;
-    while have < len.len() {
-        match stream.read(&mut len[have..]) {
+    let timeout = |timeout| {
+        stream
+            .set_read_timeout(timeout)
+            .map_err(|e| transport_err("set client read timeout", e))
+    };
+    timeout(Some(Duration::from_millis(200)))?;
+    loop {
+        match stream.peek(&mut [0u8]) {
             Ok(0) => return Ok(None),
-            Ok(n) => have += n,
+            Ok(_) => break,
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // Idle between frames: a stopping daemon may drop the
-                // connection. Mid-length (have > 0) the frame is already on
-                // the wire, so finish reading it first.
-                if have == 0 && stop.load(Ordering::Relaxed) {
+                if stop.load(Ordering::Relaxed) {
                     return Ok(None);
                 }
             }
-            Err(e) => return Err(transport_err("read client frame length", e)),
+            Err(e) => return Err(transport_err("wait for a client frame", e)),
         }
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(FsError::Corrupted(format!(
-            "client frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte protocol limit"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    let mut have = 0usize;
-    while have < payload.len() {
-        match stream.read(&mut payload[have..]) {
-            Ok(0) => {
-                return Err(FsError::Device(
-                    "worker transport: client hung up mid-frame".into(),
-                ))
-            }
-            Ok(n) => have += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(transport_err("read client frame payload", e)),
-        }
-    }
-    Ok(Some(payload))
+    timeout(None)?;
+    read_frame(stream).map(Some)
 }
 
 /// A blocking client of a fleet daemon's control listener — what
@@ -1362,8 +1330,12 @@ mod tests {
             // A noisy history: many redundant state appends.
             let mut state = fleet.locked();
             for _ in 0..20 {
-                state.append_state(id, JobState::Running, "").unwrap();
-                state.append_state(id, JobState::Queued, "").unwrap();
+                state
+                    .transition(id, JobState::Running, String::new())
+                    .unwrap();
+                state
+                    .transition(id, JobState::Queued, String::new())
+                    .unwrap();
             }
         }
         let before = std::fs::metadata(dir.join(QUEUE_FILE)).unwrap().len();
@@ -1376,6 +1348,65 @@ mod tests {
         let rows = fleet.status();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].state, JobState::Queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Serves `fleet`'s control listener on a thread of its own; the
+    /// receiver hears once `serve_clients` has returned.
+    fn serve_in_background(
+        fleet: &std::sync::Arc<FleetCoordinator>,
+    ) -> (std::net::SocketAddr, mpsc::Receiver<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("listener binds");
+        let addr = listener.local_addr().expect("listener has an address");
+        let (returned, rx) = mpsc::channel();
+        let fleet = std::sync::Arc::clone(fleet);
+        std::thread::spawn(move || {
+            fleet
+                .serve_clients(listener)
+                .expect("control listener serves");
+            let _ = returned.send(());
+        });
+        (addr, rx)
+    }
+
+    /// A client that connects and then says nothing must not pin the
+    /// daemon: its connection notices the stop between polls.
+    #[test]
+    fn an_idle_client_does_not_keep_serve_clients_from_returning() {
+        let dir = fleet_dir("idle-client");
+        let fleet = std::sync::Arc::new(FleetCoordinator::open(FleetConfig::new(&dir)).unwrap());
+        let (addr, returned) = serve_in_background(&fleet);
+        let _idle = TcpStream::connect(addr).expect("client connects");
+        std::thread::sleep(Duration::from_millis(300));
+        fleet.request_stop();
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve_clients returns with an idle client still connected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A length prefix over the protocol limit is a desynced stream: the
+    /// daemon closes the connection instead of waiting for the payload.
+    #[test]
+    fn an_oversized_client_frame_closes_the_connection() {
+        use crate::distrib::protocol::MAX_FRAME_BYTES;
+        use std::io::{Read, Write};
+        let dir = fleet_dir("oversized");
+        let fleet = std::sync::Arc::new(FleetCoordinator::open(FleetConfig::new(&dir)).unwrap());
+        let (addr, returned) = serve_in_background(&fleet);
+        let mut client = TcpStream::connect(addr).expect("client connects");
+        let oversized = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+        client.write_all(&oversized).expect("length prefix sends");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match client.read(&mut [0u8; 16]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("the daemon must close the connection, got {other:?}"),
+        }
+        fleet.request_stop();
+        returned.recv_timeout(Duration::from_secs(10)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

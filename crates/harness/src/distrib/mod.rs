@@ -51,11 +51,21 @@
 //! fresh ssh session), so a fleet of perpetually crashing workers still
 //! drives the sweep to completion (`tests/distrib.rs` proves the
 //! differential, chaos, and respawn directions).
+//!
+//! **One file decides, this one moves bytes.** Every decision of a run —
+//! which shards a `Claim` gets, when a link waits or is shut down, what a
+//! `ShardDone` merges and discovers, what a lost link hands back to the
+//! queue, the budget and the stop — is made by the coordinator core in
+//! `coordinator.rs`, which holds no lock, thread, clock, socket or file and
+//! is tested under seeded schedules on one thread. This file is its shell:
+//! one thread per worker slot connects and respawns links, runs the
+//! handshake, moves frames, appends the delta records to the checkpoint
+//! file, waits on a condition variable, fires the hooks, and calls the core
+//! once per event under one lock.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use b3_ace::{Bounds, SpaceTable, WorkloadGenerator};
@@ -68,9 +78,10 @@ use b3_vfs::{KernelEra, MutantSet};
 use crate::corpus::FsKind;
 use crate::engine::{self, in_process_scope, JobSpace};
 use crate::runner::{spawn_progress_monitor, RunConfig, RunSummary};
-use crate::sweep::{eta, Progress, PruneMode, SweepCheckpoint, WorkerThroughput};
+use crate::sweep::{Progress, PruneMode, SweepCheckpoint};
 
 pub mod auth;
+mod coordinator;
 pub mod fleet;
 pub mod protocol;
 mod recordlog;
@@ -89,8 +100,8 @@ pub use transport::{
 };
 pub use worker::{worker_connect, worker_main, WorkerOptions, WORKER_CRASH_EXIT};
 
-use crate::dedup::GroupKey;
 use crate::postprocess::BugGroup;
+use coordinator::{Claim, Coordinator};
 use protocol::{validate_hello, FromWorker, ToWorker};
 use segment::Persister;
 
@@ -527,141 +538,6 @@ impl DistribOutcome {
     }
 }
 
-/// Shared coordinator state plus the condition variable idle worker
-/// threads wait on when the queue is empty but other workers still have
-/// shards in flight (a dying worker may hand its shards back).
-struct Coord {
-    state: Mutex<CoordState>,
-    /// Notified whenever the queue or the in-flight set changes, or when
-    /// the coordinator starts stopping.
-    wake: Condvar,
-}
-
-/// The coordinator's mutable state: the shard queue, the merged
-/// checkpoint, and per-worker telemetry. One mutex guards it all —
-/// traffic is one message per completed shard, so contention is
-/// negligible.
-struct CoordState {
-    queue: VecDeque<u32>,
-    /// Shards assigned to some worker whose results are not merged yet.
-    in_flight: usize,
-    checkpoint: SweepCheckpoint,
-    /// Running totals mirroring the checkpoint (kept incrementally so the
-    /// progress monitor does not re-aggregate every tick).
-    tested: usize,
-    skipped: usize,
-    pruned: usize,
-    buggy: usize,
-    merged_this_run: usize,
-    processed_this_run: usize,
-    /// Candidates covered by every shard assigned this run (in flight or
-    /// done). A workload budget gates *assignment* on this estimate, not on
-    /// merged results — otherwise claims granted while the first shards are
-    /// still in flight overshoot the budget by workers × shard size.
-    assigned_candidates: u64,
-    stopping: bool,
-    workers: Vec<WorkerTelemetry>,
-    failed_workers: usize,
-    respawns: usize,
-    /// Bug-group keys already merged (restored from the checkpoint at
-    /// startup, grown per merge): the discovery hook fires exactly when a
-    /// key first enters this set during the run.
-    seen_groups: std::collections::BTreeSet<GroupKey>,
-}
-
-struct WorkerTelemetry {
-    /// Transport endpoint of the slot's current link (`child:<pid>`,
-    /// `host:port`, `ssh:<host>#<pid>`); empty until the first handshake.
-    /// Kept across link death: progress output still names the machine
-    /// the dead slot last ran on.
-    endpoint: String,
-    tested: u64,
-    shards: u64,
-    respawns: u64,
-    alive: bool,
-}
-
-impl WorkerTelemetry {
-    /// A slot that has not completed a handshake yet.
-    fn idle() -> WorkerTelemetry {
-        WorkerTelemetry {
-            endpoint: String::new(),
-            tested: 0,
-            shards: 0,
-            respawns: 0,
-            alive: true,
-        }
-    }
-
-    /// A fresh link completed its handshake on this slot.
-    fn handshake(&mut self, endpoint: &str) {
-        self.endpoint = endpoint.to_string();
-        self.alive = true;
-    }
-
-    /// The slot's link is gone (died, broke protocol, or wound down):
-    /// progress output must never attribute live throughput to a dead
-    /// endpoint. The endpoint string stays for attribution.
-    fn mark_dead(&mut self) {
-        self.alive = false;
-    }
-}
-
-impl CoordState {
-    fn should_stop(&self, config: &DistribConfig) -> bool {
-        config
-            .stop_after_shards
-            .is_some_and(|limit| self.merged_this_run >= limit)
-            || config.stop_after_workloads.is_some_and(|limit| {
-                self.processed_this_run >= limit || self.assigned_candidates >= limit as u64
-            })
-    }
-
-    /// True when a fresh link would have nothing to do: the run is
-    /// stopping, or the queue is empty with nothing in flight that could
-    /// flow back to it.
-    fn no_work_left(&self, config: &DistribConfig) -> bool {
-        self.stopping || self.should_stop(config) || (self.queue.is_empty() && self.in_flight == 0)
-    }
-
-    fn progress(&self, started: Instant, total_workloads: u64, seeded_shards: usize) -> Progress {
-        let elapsed = started.elapsed();
-        let completed = self.checkpoint.completed_shards();
-        let total_shards = self.checkpoint.num_shards();
-        let eta = eta(
-            elapsed,
-            completed,
-            seeded_shards,
-            total_shards,
-            self.stopping,
-        );
-        Progress {
-            tested: self.tested,
-            skipped: self.skipped,
-            pruned: self.pruned,
-            bugs: self.buggy,
-            completed_shards: completed,
-            total_shards,
-            total_workloads,
-            elapsed,
-            eta,
-            per_worker: self
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(index, w)| WorkerThroughput {
-                    worker: index,
-                    endpoint: w.endpoint.clone(),
-                    tested: w.tested,
-                    shards: w.shards,
-                    throughput: (w.alive && !elapsed.is_zero())
-                        .then(|| w.tested as f64 / elapsed.as_secs_f64()),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Observation and control hooks for [`run_with_transport_hooked`] — what
 /// the fleet daemon plugs into a job run. All hooks are optional; the
 /// no-hook default is exactly [`run_with_transport`].
@@ -729,7 +605,6 @@ pub fn run_with_transport_hooked(
 ) -> FsResult<DistribOutcome> {
     config.validate()?;
     job.validate()?;
-    let progress = hooks.progress;
     let started = Instant::now();
     let checkpoint = match &config.checkpoint_path {
         Some(path) => match load_checkpoint(path)? {
@@ -751,9 +626,7 @@ pub fn run_with_transport_hooked(
         },
         None => job.empty_checkpoint(),
     };
-    let seeded_shards = checkpoint.completed_shards();
-    let seeded = checkpoint.summary();
-    let total_workloads = job.total_candidates();
+    let resumed_shards = checkpoint.completed_shards();
     // Open the persister only after the loaded checkpoint was validated:
     // opening compacts (rewrites) the file, and a mismatched checkpoint
     // must be rejected untouched.
@@ -761,146 +634,88 @@ pub fn run_with_transport_hooked(
         Some(path) => Some(Persister::open(path, &checkpoint)?),
         None => None,
     };
-
-    // Groups already in the (resumed) checkpoint are not re-discovered:
-    // the discovery hook only fires for groups first merged in this run.
-    let seen_groups: std::collections::BTreeSet<GroupKey> = checkpoint
-        .grouped()
-        .entries()
-        .map(|(key, _)| key.clone())
-        .collect();
-    let coord = Coord {
-        state: Mutex::new(CoordState {
-            queue: checkpoint.missing_shards().into(),
-            in_flight: 0,
-            tested: seeded.tested,
-            skipped: seeded.skipped,
-            pruned: seeded.pruned,
-            buggy: checkpoint.total_buggy() as usize,
+    let shell = Shell {
+        core: Mutex::new(Coordinator::new(
             checkpoint,
-            merged_this_run: 0,
-            processed_this_run: 0,
-            assigned_candidates: 0,
-            stopping: false,
-            workers: (0..config.workers)
-                .map(|_| WorkerTelemetry::idle())
-                .collect(),
-            failed_workers: 0,
-            respawns: 0,
-            seen_groups,
-        }),
+            job.shard_sizes(),
+            job.total_candidates(),
+            config,
+        )),
         wake: Condvar::new(),
-    };
-    let done = AtomicBool::new(false);
-
-    let job_frame = ToWorker::Job {
-        job: Box::new(job.clone()),
-        fingerprint: job.empty_checkpoint().fingerprint().to_string(),
-    }
-    .to_frame();
-    let shard_sizes = job.shard_sizes();
-    let slot_context = SlotContext {
-        job_frame: &job_frame,
-        shard_sizes: &shard_sizes,
-        coord: &coord,
-        persister: persister.as_ref(),
+        job_frame: ToWorker::Job {
+            job: Box::new(job.clone()),
+            fingerprint: job.empty_checkpoint().fingerprint().to_string(),
+        }
+        .to_frame(),
+        persister,
         config,
         transport,
-        on_discovery: hooks.on_discovery,
-        should_stop: hooks.should_stop,
+        hooks,
     };
-
-    std::thread::scope(|scope| -> FsResult<()> {
-        if let Some(callback) = progress {
-            let coord = &coord;
-            spawn_progress_monitor(
-                scope,
-                callback,
-                config.progress_interval,
-                &done,
-                move || {
-                    coord
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .progress(started, total_workloads, seeded_shards)
-                },
-            );
+    let done = AtomicBool::new(false);
+    let (failed_workers, respawns, error) = std::thread::scope(|scope| {
+        let shell = &shell;
+        if let Some(callback) = shell.hooks.progress {
+            let snapshot = move || shell.core().progress(started.elapsed());
+            spawn_progress_monitor(scope, callback, config.progress_interval, &done, snapshot);
         }
-
         let handles: Vec<_> = (0..config.workers)
-            .map(|index| {
-                let slot_context = &slot_context;
-                scope.spawn(move || serve_slot(index, slot_context))
-            })
+            .map(|index| scope.spawn(move || shell.serve_slot(index)))
             .collect();
-        let mut first_error = None;
+        let (mut failed_workers, mut respawns, mut first_error) = (0, 0, None);
         for handle in handles {
-            let result = match handle.join() {
-                Ok(result) => result,
-                // A panicking worker thread is a harness bug; surface the
-                // original panic instead of a generic message.
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
+            // A panicking slot thread is a harness bug; surface the
+            // original panic instead of a generic message.
+            let (slot_respawns, result) = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            respawns += slot_respawns;
             if let Err(error) = result {
-                let mut state = coord
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.failed_workers += 1;
+                failed_workers += 1;
                 first_error.get_or_insert(error);
             }
         }
         done.store(true, Ordering::Relaxed);
-        // A worker failure is only fatal when it left work unfinished AND
-        // unpersisted progress — shards it completed are already merged, so
-        // surviving workers usually absorb the loss. Report the error only
-        // if the sweep neither completed nor was asked to stop early.
-        let state = coord
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(error) = first_error {
-            if !state.checkpoint.is_complete() && !state.should_stop(config) {
-                drop(state);
-                return Err(error);
-            }
-        }
-        Ok(())
-    })?;
-
-    let state = coord
-        .state
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (failed_workers, respawns, first_error)
+    });
     // No final rewrite: every merged shard is already on disk as a delta
     // record (the same state a killed coordinator leaves behind); the next
     // run's persister open compacts the log.
-    drop(persister);
-    let mut summary = state.checkpoint.summary();
+    let (checkpoint, processed_this_run) = unpoisoned(shell.core.into_inner()).finish(error)?;
+    let mut summary = checkpoint.summary();
     summary.elapsed = started.elapsed();
     Ok(DistribOutcome {
         summary,
-        checkpoint: state.checkpoint,
-        resumed_shards: seeded_shards,
-        processed_this_run: state.processed_this_run,
+        checkpoint,
+        resumed_shards,
+        processed_this_run,
         elapsed: started.elapsed(),
-        failed_workers: state.failed_workers,
-        respawns: state.respawns,
+        failed_workers,
+        respawns,
     })
 }
 
-/// Everything a worker slot needs, bundled so the spawn loop stays
-/// readable.
-struct SlotContext<'a> {
-    job_frame: &'a [u8],
-    shard_sizes: &'a [u64],
-    coord: &'a Coord,
-    persister: Option<&'a Persister>,
+/// Recovers a lock result whose mutex a panicking thread poisoned: the
+/// core is consistent between calls, and the panic itself surfaces when
+/// its thread is joined.
+fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The I/O shell of one run around its [`Coordinator`]: the slot threads
+/// share it, call the core under its one lock, and do everything the core
+/// does not — connect and respawn, handshake, frames, the checkpoint file,
+/// waiting and the hooks.
+struct Shell<'a> {
+    core: Mutex<Coordinator>,
+    /// Notified whenever a merge, a requeue or a stop may change what a
+    /// waiting slot's claim gets.
+    wake: Condvar,
+    job_frame: Vec<u8>,
+    persister: Option<Persister>,
     config: &'a DistribConfig,
     transport: &'a dyn Transport,
-    on_discovery: Option<&'a (dyn Fn(&BugGroup) + Sync)>,
-    should_stop: Option<&'a (dyn Fn() -> bool + Sync)>,
+    hooks: DistribHooks<'a>,
 }
 
 /// How one link's session ended, as seen by the slot's respawn loop.
@@ -933,433 +748,234 @@ impl LinkEnd {
     }
 }
 
-/// Drives one worker slot to completion: connect through the transport,
-/// serve the link until it finishes or dies, and — within the respawn
-/// budget — replace dead links (after re-queueing their in-flight shards)
-/// until the sweep has no work left for this slot. Returns an error if
-/// the slot gave up with the sweep unfinished.
-fn serve_slot(index: usize, ctx: &SlotContext<'_>) -> FsResult<()> {
-    let coord = ctx.coord;
-    let mut respawns_left = ctx.config.respawn_budget;
-    // Links this slot has actually served; connections after the first
-    // are the respawns the outcome reports.
-    let mut links_served = 0usize;
-    loop {
-        {
-            // A fresh link is pointless when the run is stopping or the
-            // queue is drained with nothing in flight — and for listener
-            // transports it would block in accept for a worker that is
-            // never coming.
-            let mut state = coord
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if state.no_work_left(ctx.config) {
-                state.workers[index].mark_dead();
-                return Ok(());
+impl Shell<'_> {
+    fn core(&self) -> MutexGuard<'_, Coordinator> {
+        unpoisoned(self.core.lock())
+    }
+
+    /// Drives one worker slot to completion: connect through the
+    /// transport, serve the link until it finishes or dies, and — within
+    /// the respawn budget — replace dead links until the sweep has no work
+    /// left for this slot. Returns the replacement links it established,
+    /// and an error if the slot gave up with the sweep unfinished.
+    fn serve_slot(&self, index: usize) -> (usize, FsResult<()>) {
+        let mut respawns_left = self.config.respawn_budget;
+        let mut links = 0usize;
+        // Also polled by slow transports (a TCP listener waiting for a
+        // worker to dial in), so a slot stops waiting the moment the sweep
+        // has no work left for workers that are never coming.
+        let no_work_left = || self.core().no_work_left();
+        let result = loop {
+            if no_work_left() {
+                self.core().link_down(index);
+                break Ok(());
             }
-        }
-        // Slow transports (a TCP listener waiting for a worker to dial
-        // in) poll this so a slot stops waiting the moment the sweep has
-        // no work left — otherwise a finished run would stall until the
-        // accept timeout for workers that are never coming.
-        let cancelled = || {
-            coord
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .no_work_left(ctx.config)
-        };
-        let mut link = match ctx.transport.connect(&cancelled) {
-            Ok(Some(link)) => link,
-            Ok(None) => {
-                // Cancelled: loop back to the no-work check, which will
-                // wind the slot down cleanly.
-                continue;
-            }
-            Err(error) => {
-                // Never-started workers must still drop out of the
-                // telemetry, or progress reports them as alive at 0/s
-                // forever.
-                let mut state = coord
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.workers[index].mark_dead();
-                if respawns_left == 0 {
-                    return Err(error);
+            let end = match self.transport.connect(&no_work_left) {
+                // Cancelled: the no-work check winds the slot down.
+                Ok(None) => continue,
+                Ok(Some(mut link)) => {
+                    links += 1;
+                    let end = self.serve_link(index, link.as_mut());
+                    match end {
+                        LinkEnd::Finished => link.close(),
+                        _ => link.abort(),
+                    }
+                    end
                 }
-                respawns_left -= 1;
-                continue;
+                Err(error) => LinkEnd::Lost(error),
+            };
+            // Before any replacement's handshake: the slot stops counting
+            // as alive, and the slots waiting for its shards wake.
+            self.core().link_down(index);
+            self.wake.notify_all();
+            match end {
+                LinkEnd::Finished => break Ok(()),
+                LinkEnd::Lost(error) if respawns_left == 0 => break Err(error),
+                LinkEnd::Lost(_) => respawns_left -= 1,
+                LinkEnd::Fatal(error) => break Err(error),
             }
         };
-        if links_served > 0 {
-            // Only a link that actually got established counts as a
-            // respawn — a granted retry that never connects (or winds
-            // down because the work ran out) is not a "replacement link".
-            let mut state = coord
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.respawns += 1;
-            state.workers[index].respawns += 1;
-        }
-        links_served += 1;
-        // Shards assigned over this link whose results have not come back.
-        let mut in_flight: Vec<u32> = Vec::new();
-        let (error, fatal) = match serve_link(index, link.as_mut(), ctx, &mut in_flight) {
-            LinkEnd::Finished => {
-                link.close();
-                let mut state = coord
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.workers[index].mark_dead();
-                return Ok(());
-            }
-            LinkEnd::Lost(error) => (error, false),
-            LinkEnd::Fatal(error) => (error, true),
+        // Only an established link counts as a respawn: a granted retry
+        // that never connects is not a replacement link.
+        (links.saturating_sub(1), result)
+    }
+
+    /// Durably appends one merged shard's delta record (one small fsync'd
+    /// append), compacting the file when the deltas have outgrown the last
+    /// snapshot. Always called outside the core's lock, so other links
+    /// never stall behind the file IO.
+    fn persist(&self, delta: Option<(u64, Vec<u8>)>) -> FsResult<()> {
+        let (Some(persister), Some((version, delta))) = (&self.persister, delta) else {
+            return Ok(());
         };
-        // The worker died or broke protocol: reclaim its in-flight shards
-        // so a replacement (or the surviving slots) can run them, then
-        // tear the link down.
-        link.abort();
-        let mut state = coord
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for &shard in &in_flight {
-            state.in_flight -= 1;
-            if !state.checkpoint.has_shard(shard) {
-                state.queue.push_front(shard);
-                state.assigned_candidates = state
-                    .assigned_candidates
-                    .saturating_sub(ctx.shard_sizes[shard as usize]);
+        if persister.append_delta(version, &delta)? {
+            let (version, snapshot) = self.core().snapshot();
+            persister.compact(version, &snapshot)?;
+        }
+        Ok(())
+    }
+
+    /// Serves one established link: the handshake, then claims and results
+    /// until the worker is shut down or the link ends. The delta record of
+    /// a batch's last result is left unpersisted while the worker's next
+    /// `Claim` — which the worker writes right behind that `ShardDone` — is
+    /// read and answered, so the worker runs its next shard while the
+    /// record is fsync'd instead of idling through the fsync (whose latency
+    /// is the disk's, not ours: it was the one part of a fan-out's wall
+    /// time that varied run to run). The record is appended as soon as the
+    /// `Assign` is out, before this link waits for shards or shuts the
+    /// worker down, and however else the session ends. Killing the
+    /// coordinator still loses only results whose append had not returned.
+    fn serve_link(&self, index: usize, link: &mut dyn WorkerLink) -> LinkEnd {
+        // Links whose transport demands authentication open with a
+        // Challenge *instead of* the eager Job: the worker must answer the
+        // challenge in its Hello before it learns anything about the job.
+        // Everyone else gets the Job eagerly, before the coordinator waits
+        // for the handshake: a v2+ worker's Hello simply crosses it on the
+        // wire — but a pre-handshake (v1) binary writes nothing until it
+        // has a Job, and awaiting its Hello first would deadlock both sides
+        // forever. Fed a Job, a v1 worker answers Claim instead of Hello,
+        // which the check below turns into the intended clean rejection.
+        let challenge = link
+            .required_secret()
+            .map(|secret| (secret.to_string(), auth::make_nonce()));
+        let opening = match &challenge {
+            Some((_, nonce)) => ToWorker::Challenge {
+                nonce: nonce.clone(),
             }
-        }
-        // Mark the slot dead *immediately* — before any replacement link's
-        // Hello: progress output must never attribute live throughput to
-        // the dead endpoint.
-        state.workers[index].mark_dead();
-        // Wake any worker waiting for in-flight shards: either the queue
-        // just grew, or this was the last in-flight holder.
-        coord.wake.notify_all();
-        if fatal || respawns_left == 0 {
-            return Err(error);
-        }
-        respawns_left -= 1;
-    }
-}
-
-/// A merged shard result whose delta record is not on disk yet: the
-/// persister, the merge number, and the encoded `shard | ShardResult`.
-type UnpersistedDelta<'a> = (&'a Persister, u64, Vec<u8>);
-
-/// Serves one established link: handshake, then alternate claims and
-/// assignments until the queue drains or a stop condition fires.
-/// `in_flight` tracks shards assigned over this link that have not been
-/// merged yet; on a lost link the caller re-queues them.
-fn serve_link(
-    index: usize,
-    link: &mut dyn WorkerLink,
-    ctx: &SlotContext<'_>,
-    in_flight: &mut Vec<u32>,
-) -> LinkEnd {
-    let mut unpersisted = None;
-    let end = serve_session(index, link, ctx, in_flight, &mut unpersisted);
-    // However the session ended, a result that was merged must reach the
-    // disk. A persist failure is a coordinator-side problem; respawning
-    // the worker cannot fix the disk.
-    match persist_delta(ctx.coord, unpersisted.take()) {
-        Ok(()) => end,
-        Err(error) => LinkEnd::Fatal(error),
-    }
-}
-
-/// Durably appends one merged shard's delta record (one small fsync'd
-/// append), compacting the file when the deltas have outgrown the last
-/// snapshot. Always called outside the coordinator lock, so other links
-/// never stall behind the file IO.
-fn persist_delta(coord: &Coord, delta: Option<UnpersistedDelta<'_>>) -> FsResult<()> {
-    let Some((persister, version, delta)) = delta else {
-        return Ok(());
-    };
-    if persister.append_delta(version, &delta)? {
-        let (version, snapshot) = {
-            let state = coord
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            (state.merged_this_run as u64, state.checkpoint.to_bytes())
+            .to_frame(),
+            None => self.job_frame.clone(),
         };
-        persister.compact(version, &snapshot)?;
-    }
-    Ok(())
-}
-
-/// The session behind [`serve_link`]. The delta record of a batch's last
-/// result is left in `unpersisted` while the worker's next `Claim` — which
-/// the worker writes right behind that `ShardDone` — is read and answered,
-/// so the worker runs its next shard while the record is fsync'd instead
-/// of idling through the fsync (whose latency is the disk's, not ours: it
-/// was the one part of a fan-out's wall time that varied run to run). The
-/// record is appended as soon as the `Assign` is out, and before this link
-/// waits for shards or shuts the worker down; [`serve_link`] persists what
-/// is left when the session ends any other way. Killing the coordinator
-/// still loses only results whose append had not returned.
-fn serve_session<'a>(
-    index: usize,
-    link: &mut dyn WorkerLink,
-    ctx: &SlotContext<'a>,
-    in_flight: &mut Vec<u32>,
-    unpersisted: &mut Option<UnpersistedDelta<'a>>,
-) -> LinkEnd {
-    let coord = ctx.coord;
-    let config = ctx.config;
-
-    // Links whose transport demands authentication open with a Challenge
-    // *instead of* the eager Job: the worker must answer the challenge in
-    // its Hello before it learns anything about the job. Everyone else
-    // gets the Job eagerly, before the coordinator waits for the
-    // handshake: a v2+ worker's Hello simply crosses it on the wire — but
-    // a pre-handshake (v1) binary writes nothing until it has a Job, and
-    // awaiting its Hello first would deadlock both sides forever. Fed a
-    // Job, a v1 worker answers Claim instead of Hello, which the check
-    // below turns into the intended clean rejection.
-    let challenge = link
-        .required_secret()
-        .map(|secret| (secret.to_string(), auth::make_nonce()));
-    let opening = match &challenge {
-        Some((_, nonce)) => ToWorker::Challenge {
-            nonce: nonce.clone(),
-        }
-        .to_frame(),
-        None => ctx.job_frame.to_vec(),
-    };
-    if let Err(error) = link.send(&opening) {
-        return LinkEnd::Lost(error);
-    }
-
-    // Handshake: the worker leads with Hello; anything else (or a dead
-    // pipe) means the binary predates the handshake or crashed on start.
-    // A challenged worker without the secret sends Reject, which the
-    // dispatch below turns into a fatal (never-respawned) refusal.
-    let hello = match link.recv().and_then(|f| FromWorker::from_frame(&f)) {
-        Ok(FromWorker::Hello(hello)) => hello,
-        Ok(FromWorker::Reject { reason }) => {
-            return LinkEnd::Fatal(FsError::InvalidArgument(format!(
-                "worker {} refused the handshake: {reason}",
-                link.endpoint()
-            )))
-        }
-        Ok(_) => {
-            return LinkEnd::Fatal(FsError::Corrupted(
-                "worker did not open with a Hello frame (pre-handshake binary?)".into(),
-            ))
-        }
-        Err(error) => return LinkEnd::from_recv_error(error),
-    };
-    if let Err(error) = validate_hello(&hello) {
-        return LinkEnd::Fatal(error);
-    }
-    if let Some((secret, nonce)) = &challenge {
-        if !auth::verify_auth_tag(secret, nonce, &hello.auth) {
-            // Kill the link without sending the Job: an unauthenticated
-            // peer learns nothing about the sweep. Fatal, not lost — a
-            // respawned copy of the same worker has the same (missing or
-            // wrong) secret.
-            return LinkEnd::Fatal(FsError::InvalidArgument(format!(
-                "worker {} failed the shared-secret challenge (wrong or missing secret)",
-                link.endpoint()
-            )));
-        }
-        // Authenticated: the Job the unauthenticated path sent eagerly
-        // goes out now.
-        if let Err(error) = link.send(ctx.job_frame) {
+        if let Err(error) = link.send(&opening) {
             return LinkEnd::Lost(error);
         }
-    }
-    {
-        let mut state = coord
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.workers[index].handshake(link.endpoint());
-    }
 
-    loop {
-        let message = match link.recv().and_then(|f| FromWorker::from_frame(&f)) {
-            Ok(message) => message,
-            Err(error) => return LinkEnd::from_recv_error(error),
-        };
-        match message {
-            FromWorker::Hello(_) => {
-                return LinkEnd::Fatal(FsError::Corrupted(
-                    "worker sent a second Hello mid-session".into(),
-                ))
-            }
-            FromWorker::Reject { reason } => {
+        // Handshake: the worker leads with Hello; anything else (or a dead
+        // pipe) means the binary predates the handshake or crashed on
+        // start. A challenged worker without the secret sends Reject, which
+        // the dispatch below turns into a fatal (never-respawned) refusal.
+        let hello = match link.recv().and_then(|f| FromWorker::from_frame(&f)) {
+            Ok(FromWorker::Hello(hello)) => hello,
+            Ok(FromWorker::Reject { reason }) => {
                 return LinkEnd::Fatal(FsError::InvalidArgument(format!(
-                    "worker {} refused the job: {reason}",
+                    "worker {} refused the handshake: {reason}",
                     link.endpoint()
                 )))
             }
-            FromWorker::Claim => {
-                // The fleet daemon's graceful-stop hook: polled here (the
-                // claim is the scheduling decision point) so a stop
-                // request stops handing out work while in-flight shards
-                // still land and persist.
-                if ctx.should_stop.is_some_and(|hook| hook()) {
-                    let mut state = coord
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    state.stopping = true;
-                    coord.wake.notify_all();
+            Ok(_) => {
+                return LinkEnd::Fatal(FsError::Corrupted(
+                    "worker did not open with a Hello frame (pre-handshake binary?)".into(),
+                ))
+            }
+            Err(error) => return LinkEnd::from_recv_error(error),
+        };
+        if let Err(error) = validate_hello(&hello) {
+            return LinkEnd::Fatal(error);
+        }
+        if let Some((secret, nonce)) = &challenge {
+            if !auth::verify_auth_tag(secret, nonce, &hello.auth) {
+                // Kill the link without sending the Job: an unauthenticated
+                // peer learns nothing about the sweep. Fatal, not lost — a
+                // respawned copy of the same worker has the same (missing
+                // or wrong) secret.
+                return LinkEnd::Fatal(FsError::InvalidArgument(format!(
+                    "worker {} failed the shared-secret challenge (wrong or missing secret)",
+                    link.endpoint()
+                )));
+            }
+            // Authenticated: the Job the unauthenticated path sent eagerly
+            // goes out now.
+            if let Err(error) = link.send(&self.job_frame) {
+                return LinkEnd::Lost(error);
+            }
+        }
+        self.core().link_up(index, link.endpoint());
+
+        let mut unpersisted = None;
+        let end = 'session: loop {
+            let message = match link.recv().and_then(|f| FromWorker::from_frame(&f)) {
+                Ok(message) => message,
+                Err(error) => break LinkEnd::from_recv_error(error),
+            };
+            match message {
+                FromWorker::Hello(_) => {
+                    break LinkEnd::Fatal(FsError::Corrupted(
+                        "worker sent a second Hello mid-session".into(),
+                    ))
                 }
-                let batch: Vec<u32> = {
-                    let mut state = coord
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    loop {
-                        if state.stopping || state.should_stop(config) {
-                            state.stopping = true;
-                            coord.wake.notify_all();
-                            break Vec::new();
-                        }
-                        if !state.queue.is_empty() {
-                            let take = config.assign_batch.min(state.queue.len());
-                            let batch: Vec<u32> = state.queue.drain(..take).collect();
-                            for &shard in &batch {
-                                state.assigned_candidates += ctx.shard_sizes[shard as usize];
+                FromWorker::Reject { reason } => {
+                    break LinkEnd::Fatal(FsError::InvalidArgument(format!(
+                        "worker {} refused the job: {reason}",
+                        link.endpoint()
+                    )))
+                }
+                FromWorker::Claim => {
+                    // The fleet daemon's graceful-stop hook, polled at
+                    // every claim (the scheduling decision point).
+                    let stop = self.hooks.should_stop.is_some_and(|hook| hook());
+                    let mut core = self.core();
+                    let claim = loop {
+                        match core.claim(index, stop) {
+                            // The wait has no bound, so nothing stays
+                            // unpersisted across it.
+                            Claim::Wait if unpersisted.is_some() => {
+                                drop(core);
+                                if let Err(error) = self.persist(unpersisted.take()) {
+                                    break 'session LinkEnd::Fatal(error);
+                                }
+                                core = self.core();
                             }
-                            state.in_flight += batch.len();
-                            break batch;
+                            Claim::Wait => core = unpoisoned(self.wake.wait(core)),
+                            claim => break claim,
                         }
-                        if state.in_flight == 0 {
-                            // Queue drained and nothing in flight: the
-                            // sweep (or this run's slice of it) is done.
-                            break Vec::new();
-                        }
-                        // Queue empty but other workers still hold
-                        // shards; if one of them dies, its shards come
-                        // back to the queue — wait instead of shutting
-                        // this worker down and stranding that work. The
-                        // wait has no bound, so nothing stays unpersisted
-                        // across it.
-                        if unpersisted.is_some() {
-                            drop(state);
-                            if let Err(error) = persist_delta(coord, unpersisted.take()) {
-                                return LinkEnd::Fatal(error);
-                            }
-                            state = coord
-                                .state
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            continue;
-                        }
-                        state = coord
-                            .wake
-                            .wait(state)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                };
-                if batch.is_empty() {
-                    if let Err(error) = persist_delta(coord, unpersisted.take()) {
-                        return LinkEnd::Fatal(error);
-                    }
-                    return match link.send(&ToWorker::Shutdown.to_frame()) {
-                        Ok(()) => LinkEnd::Finished,
-                        Err(error) => LinkEnd::Lost(error),
                     };
+                    drop(core);
+                    let Claim::Assign(batch) = claim else {
+                        // A stop shuts the waiting slots down too.
+                        self.wake.notify_all();
+                        if let Err(error) = self.persist(unpersisted.take()) {
+                            break LinkEnd::Fatal(error);
+                        }
+                        break match link.send(&ToWorker::Shutdown.to_frame()) {
+                            Ok(()) => LinkEnd::Finished,
+                            Err(error) => LinkEnd::Lost(error),
+                        };
+                    };
+                    if let Err(error) = link.send(&ToWorker::Assign(batch).to_frame()) {
+                        break LinkEnd::Lost(error);
+                    }
+                    // The worker is running again: now the fsync costs it
+                    // nothing.
+                    if let Err(error) = self.persist(unpersisted.take()) {
+                        break LinkEnd::Fatal(error);
+                    }
                 }
-                in_flight.extend(&batch);
-                if let Err(error) = link.send(&ToWorker::Assign(batch).to_frame()) {
-                    return LinkEnd::Lost(error);
-                }
-                // The worker is running again: now the fsync costs it
-                // nothing.
-                if let Err(error) = persist_delta(coord, unpersisted.take()) {
-                    return LinkEnd::Fatal(error);
+                FromWorker::ShardDone { shard, result } => {
+                    let merged = match self.core().shard_done(index, shard, result) {
+                        Ok(merged) => merged,
+                        Err(error) => break LinkEnd::Fatal(error),
+                    };
+                    self.wake.notify_all();
+                    if let Some(hook) = self.hooks.on_discovery {
+                        merged.discovered.iter().for_each(hook);
+                    }
+                    // When this was the last shard the worker held, its
+                    // `Claim` is already on the wire: answer that first.
+                    let delta = Some((merged.version, merged.delta));
+                    if merged.idle {
+                        unpersisted = delta;
+                    } else if let Err(error) = self.persist(delta) {
+                        break LinkEnd::Fatal(error);
+                    }
                 }
             }
-            FromWorker::ShardDone { shard, result } => {
-                // A result for a shard this worker was never assigned
-                // (or already reported) is a protocol violation; bail
-                // before it corrupts the shared counters.
-                let Some(position) = in_flight.iter().position(|&s| s == shard) else {
-                    return LinkEnd::Fatal(FsError::Corrupted(format!(
-                        "worker reported shard {shard} it does not hold"
-                    )));
-                };
-                in_flight.swap_remove(position);
-                let (to_persist, discovered) = {
-                    let mut state = coord
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    state.in_flight -= 1;
-                    state.tested += result.tested as usize;
-                    state.skipped += result.skipped as usize;
-                    state.pruned += result.pruned as usize;
-                    state.buggy += result.buggy as usize;
-                    let processed = result.tested + result.skipped + result.pruned;
-                    state.processed_this_run += processed as usize;
-                    state.merged_this_run += 1;
-                    let telemetry = &mut state.workers[index];
-                    telemetry.shards += 1;
-                    telemetry.tested += result.tested;
-                    // Bug groups this shard introduces to the whole sweep:
-                    // collected under the lock (the seen-set must be
-                    // consistent), streamed to the hook outside it.
-                    let discovered: Vec<BugGroup> = match ctx.on_discovery {
-                        Some(_) => result
-                            .groups
-                            .groups()
-                            .into_iter()
-                            .filter(|group| {
-                                state
-                                    .seen_groups
-                                    .insert((group.skeleton.clone(), group.consequence))
-                            })
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    // Encode the delta record under the lock
-                    // (memory-speed), then merge the single-shard
-                    // result as a checkpoint union, so the one
-                    // aggregation primitive (`merge`) is the one the
-                    // protocol exercises.
-                    let delta = ctx.persister.map(|p| {
-                        let mut enc = Encoder::new();
-                        enc.put_u32(shard);
-                        result.encode(&mut enc);
-                        (p, state.merged_this_run as u64, enc.finish())
-                    });
-                    let mut incoming = state.checkpoint.subset([]);
-                    incoming.record(shard, result);
-                    if let Err(error) = state.checkpoint.merge(&incoming) {
-                        return LinkEnd::Fatal(error);
-                    }
-                    coord.wake.notify_all();
-                    (delta, discovered)
-                };
-                if let Some(hook) = ctx.on_discovery {
-                    for group in &discovered {
-                        hook(group);
-                    }
-                }
-                // The file IO happens outside the coordinator lock so
-                // workers don't stall behind it. When this was the last
-                // shard the worker held, its `Claim` is already on the
-                // wire: answer that first (see the function docs).
-                if in_flight.is_empty() {
-                    *unpersisted = to_persist;
-                } else if let Err(error) = persist_delta(coord, to_persist) {
-                    return LinkEnd::Fatal(error);
-                }
-            }
+        };
+        // However the session ended, a merged result must reach the disk.
+        // A persist failure is the coordinator's: respawning the worker
+        // cannot fix the disk.
+        match self.persist(unpersisted) {
+            Ok(()) => end,
+            Err(error) => LinkEnd::Fatal(error),
         }
     }
 }
@@ -1367,20 +983,28 @@ fn serve_session<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// The moment a link dies its slot stops counting as alive — progress
     /// output must never show a live rate on a dead endpoint — but keeps
     /// the endpoint, so the row still names the machine.
     #[test]
     fn dead_slots_drop_their_rates_immediately() {
-        let mut telemetry = WorkerTelemetry::idle();
-        telemetry.handshake("127.0.0.1:9999");
-        assert!(telemetry.alive);
+        let job = SweepJob::new(Bounds::tiny(), 2);
+        let config = DistribConfig {
+            workers: 1,
+            ..DistribConfig::default()
+        };
+        let mut core = Coordinator::new(job.empty_checkpoint(), vec![5; 2], 10, &config);
+        let second = Duration::from_secs(1);
+        core.link_up(0, "127.0.0.1:9999");
+        assert!(core.progress(second).per_worker[0].throughput.is_some());
 
-        telemetry.mark_dead();
-        assert!(!telemetry.alive);
+        core.link_down(0);
+        let row = &core.progress(second).per_worker[0];
+        assert!(row.throughput.is_none());
         assert_eq!(
-            telemetry.endpoint, "127.0.0.1:9999",
+            row.endpoint, "127.0.0.1:9999",
             "the endpoint stays for attribution"
         );
     }
@@ -1428,47 +1052,26 @@ mod tests {
     fn serve_mock_link(
         job: &SweepJob,
         config: &DistribConfig,
-        persister: Option<&Persister>,
+        persister: Option<Persister>,
         link: &mut dyn WorkerLink,
     ) -> LinkEnd {
-        let coord = Coord {
-            state: Mutex::new(CoordState {
-                queue: (0..job.num_shards as u32).collect(),
-                in_flight: 0,
-                checkpoint: job.empty_checkpoint(),
-                tested: 0,
-                skipped: 0,
-                pruned: 0,
-                buggy: 0,
-                merged_this_run: 0,
-                processed_this_run: 0,
-                assigned_candidates: 0,
-                stopping: false,
-                workers: vec![WorkerTelemetry::idle()],
-                failed_workers: 0,
-                respawns: 0,
-                seen_groups: Default::default(),
-            }),
-            wake: Condvar::new(),
-        };
-        let job_frame = ToWorker::Job {
-            job: Box::new(job.clone()),
-            fingerprint: job.empty_checkpoint().fingerprint().to_string(),
-        }
-        .to_frame();
+        let checkpoint = job.empty_checkpoint();
         let shard_sizes = vec![5u64; job.num_shards];
         let transport = ChildTransport::new(WorkerCommand::new("unused"));
-        let ctx = SlotContext {
-            job_frame: &job_frame,
-            shard_sizes: &shard_sizes,
-            coord: &coord,
+        let shell = Shell {
+            core: Mutex::new(Coordinator::new(checkpoint, shard_sizes, 0, config)),
+            wake: Condvar::new(),
+            job_frame: ToWorker::Job {
+                job: Box::new(job.clone()),
+                fingerprint: job.empty_checkpoint().fingerprint().to_string(),
+            }
+            .to_frame(),
             persister,
             config,
             transport: &transport,
-            on_discovery: None,
-            should_stop: None,
+            hooks: DistribHooks::default(),
         };
-        serve_link(0, link, &ctx, &mut Vec::new())
+        shell.serve_link(0, link)
     }
 
     /// A pre-handshake (protocol v1) worker never sends Hello — its first
@@ -1601,7 +1204,7 @@ mod tests {
         };
         let persister = Persister::open(&path, &job.empty_checkpoint()).unwrap();
         let mut worker = ScriptedWorker::new(path.clone(), die_after_results);
-        let end = serve_mock_link(&job, &config, Some(&persister), &mut worker);
+        let end = serve_mock_link(&job, &config, Some(persister), &mut worker);
         let deltas = segment_stats(&path).unwrap().deltas;
         let _ = std::fs::remove_dir_all(&dir);
         (end, worker, deltas)

@@ -239,37 +239,6 @@ impl LogicalSnapshot {
             *entry = interner.intern(entry.clone());
         }
     }
-
-    /// Compares a single path between `self` (the oracle) and `other` (the
-    /// recovered crash state), returning every observed difference.
-    pub fn diff_path(&self, other: &LogicalSnapshot, path: &str) -> Vec<SnapshotDiff> {
-        let path = normalize(path);
-        let path = path.as_ref();
-        let mut diffs = Vec::new();
-        match (self.entries.get(path), other.entries.get(path)) {
-            (None, None) => {}
-            (Some(_), None) => diffs.push(SnapshotDiff::Missing { path: path.into() }),
-            (None, Some(_)) => diffs.push(SnapshotDiff::Unexpected { path: path.into() }),
-            (Some(expected), Some(actual)) => {
-                diff_entry(path, expected, actual, &mut diffs);
-            }
-        }
-        diffs
-    }
-
-    /// Compares every path present in either snapshot.
-    pub fn diff_all(&self, other: &LogicalSnapshot) -> Vec<SnapshotDiff> {
-        let mut paths: Vec<&String> = self.entries.keys().collect();
-        for path in other.entries.keys() {
-            if !self.entries.contains_key(path) {
-                paths.push(path);
-            }
-        }
-        paths
-            .into_iter()
-            .flat_map(|p| self.diff_path(other, p))
-            .collect()
-    }
 }
 
 /// A bounded, thread-safe content-addressed pool of [`EntrySnapshot`]s.
@@ -381,72 +350,6 @@ fn approx_entry_bytes(entry: &EntrySnapshot) -> usize {
         .map(|(k, v)| k.len() + v.len() + 48)
         .sum::<usize>();
     bytes
-}
-
-fn diff_entry(
-    path: &str,
-    expected: &EntrySnapshot,
-    actual: &EntrySnapshot,
-    diffs: &mut Vec<SnapshotDiff>,
-) {
-    if expected.file_type != actual.file_type {
-        diffs.push(SnapshotDiff::TypeMismatch {
-            path: path.to_string(),
-            expected: expected.file_type,
-            actual: actual.file_type,
-        });
-        return;
-    }
-    if expected.size != actual.size {
-        diffs.push(SnapshotDiff::SizeMismatch {
-            path: path.to_string(),
-            expected: expected.size,
-            actual: actual.size,
-        });
-    }
-    if expected.nlink != actual.nlink {
-        diffs.push(SnapshotDiff::NlinkMismatch {
-            path: path.to_string(),
-            expected: expected.nlink,
-            actual: actual.nlink,
-        });
-    }
-    if expected.blocks != actual.blocks {
-        diffs.push(SnapshotDiff::BlocksMismatch {
-            path: path.to_string(),
-            expected: expected.blocks,
-            actual: actual.blocks,
-        });
-    }
-    if expected.data != actual.data {
-        let first_diff = match (&expected.data, &actual.data) {
-            (Some(e), Some(a)) => e
-                .iter()
-                .zip(a.iter())
-                .position(|(x, y)| x != y)
-                .map(|i| i as u64)
-                .or(Some(e.len().min(a.len()) as u64)),
-            _ => None,
-        };
-        diffs.push(SnapshotDiff::DataMismatch {
-            path: path.to_string(),
-            first_difference: first_diff,
-        });
-    }
-    if expected.symlink_target != actual.symlink_target {
-        diffs.push(SnapshotDiff::SymlinkMismatch {
-            path: path.to_string(),
-            expected: expected.symlink_target.clone(),
-            actual: actual.symlink_target.clone(),
-        });
-    }
-    if expected.xattrs != actual.xattrs {
-        diffs.push(SnapshotDiff::XattrMismatch {
-            path: path.to_string(),
-            expected: expected.xattrs.keys().cloned().collect(),
-            actual: actual.xattrs.keys().cloned().collect(),
-        });
-    }
 }
 
 /// A single difference between an oracle and a recovered crash state.
@@ -779,26 +682,6 @@ impl std::fmt::Display for SnapshotDiff {
     }
 }
 
-/// Helper used by the file-system test suites: asserts two live file systems
-/// have identical logical contents.
-pub fn assert_logically_equal(a: &dyn FileSystem, b: &dyn FileSystem) -> FsResult<()> {
-    let snap_a = LogicalSnapshot::capture(a)?;
-    let snap_b = LogicalSnapshot::capture(b)?;
-    let diffs = snap_a.diff_all(&snap_b);
-    if diffs.is_empty() {
-        Ok(())
-    } else {
-        Err(FsError::Corrupted(format!(
-            "file systems differ: {}",
-            diffs
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,50 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_missing_and_unexpected() {
-        let oracle = snapshot_with(vec![("foo", entry(FileType::Regular, 10))]);
-        let crash = snapshot_with(vec![("bar", entry(FileType::Regular, 10))]);
-        let diffs = oracle.diff_all(&crash);
-        assert_eq!(diffs.len(), 2);
-        assert!(diffs
-            .iter()
-            .any(|d| matches!(d, SnapshotDiff::Missing { path } if path == "foo")));
-        assert!(diffs
-            .iter()
-            .any(|d| matches!(d, SnapshotDiff::Unexpected { path } if path == "bar")));
-    }
-
-    #[test]
-    fn diff_reports_size_and_data() {
-        let oracle = snapshot_with(vec![("foo", entry(FileType::Regular, 4096))]);
-        let mut small = entry(FileType::Regular, 2048);
-        small.data = Some(vec![9u8; 2048]);
-        let crash = snapshot_with(vec![("foo", small)]);
-        let diffs = oracle.diff_path(&crash, "foo");
-        assert!(diffs.iter().any(|d| d.tag() == "size"));
-        assert!(diffs.iter().any(|d| d.tag() == "blocks"));
-        assert!(diffs.iter().any(|d| d.tag() == "data"));
-    }
-
-    #[test]
-    fn type_mismatch_short_circuits() {
-        let oracle = snapshot_with(vec![("foo", entry(FileType::Regular, 4096))]);
-        let crash = snapshot_with(vec![("foo", entry(FileType::Directory, 0))]);
-        let diffs = oracle.diff_path(&crash, "foo");
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].tag(), "type");
-    }
-
-    #[test]
-    fn identical_snapshots_have_no_diffs() {
-        let a = snapshot_with(vec![
-            ("", entry(FileType::Directory, 0)),
-            ("foo", entry(FileType::Regular, 512)),
-        ]);
-        assert!(a.diff_all(&a.clone()).is_empty());
-    }
-
-    #[test]
     fn diff_codec_round_trips_every_variant() {
         let diffs = vec![
             SnapshotDiff::Missing { path: "a".into() },
@@ -984,25 +823,5 @@ mod tests {
             assert_eq!(&SnapshotDiff::decode(&mut dec).unwrap(), diff);
         }
         assert!(dec.is_exhausted());
-    }
-
-    #[test]
-    fn data_mismatch_reports_first_difference() {
-        let mut left = entry(FileType::Regular, 8);
-        left.data = Some(vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut right = left.clone();
-        right.data = Some(vec![1, 2, 3, 9, 5, 6, 7, 8]);
-        let oracle = snapshot_with(vec![("f", left)]);
-        let crash = snapshot_with(vec![("f", right)]);
-        let diffs = oracle.diff_path(&crash, "f");
-        assert_eq!(diffs.len(), 1);
-        match &diffs[0] {
-            SnapshotDiff::DataMismatch {
-                first_difference, ..
-            } => {
-                assert_eq!(*first_difference, Some(3));
-            }
-            other => panic!("expected data mismatch, got {other:?}"),
-        }
     }
 }

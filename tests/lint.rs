@@ -11,6 +11,9 @@
 //!   long-lived daemons and remote workers where a panic tears down every
 //!   in-flight shard; non-test code there must surface failures as
 //!   `FsResult` (or explicitly poison-recover), never `unwrap`/`expect`.
+//! * **A coordinator core without I/O**: `harness/src/distrib/coordinator.rs`
+//!   decides and the shell around it does the I/O, so the core names no
+//!   lock, thread, clock, socket, file or link.
 //! * **Wire-tag documentation**: every frame-tag constant in
 //!   `protocol::wire` must be named in `docs/PROTOCOL.md`, so a new frame
 //!   cannot ship undocumented. (`tests/docs.rs` checks the converse — the
@@ -122,6 +125,41 @@ fn distrib_non_test_code_never_unwraps() {
         hits.is_empty(),
         "unwrap/expect in distrib non-test code:\n{}",
         hits.join("\n")
+    );
+}
+
+/// The coordinator core (`distrib/coordinator.rs`) makes every decision of a
+/// distributed run and does no I/O: the shell in `distrib/mod.rs` moves the
+/// frames, appends the records and waits. So the core's non-test code names
+/// no lock, thread, clock, socket, file, link or persister, and every
+/// schedule of its events runs on one thread. The shell recovers a poisoned
+/// lock in one helper only.
+#[test]
+fn the_coordinator_core_does_no_io() {
+    let distrib = repo_root().join("crates/harness/src/distrib");
+    let io = [
+        "Mutex",
+        "Condvar",
+        "Instant",
+        "std::thread",
+        "std::net",
+        "std::fs",
+        "WorkerLink",
+        "Transport",
+        "Persister",
+    ];
+    let hits = scan(&[distrib.join("coordinator.rs")], &io);
+    assert!(
+        hits.is_empty(),
+        "I/O named in the coordinator core:\n{}",
+        hits.join("\n")
+    );
+    let recoveries = scan(&[distrib.join("mod.rs")], &["PoisonError::into_inner"]);
+    assert_eq!(
+        recoveries.len(),
+        1,
+        "distrib/mod.rs recovers poisoned locks in more than one place:\n{}",
+        recoveries.join("\n")
     );
 }
 
