@@ -44,11 +44,6 @@ pub fn generate_all(bounds: &Bounds) -> Vec<Workload> {
     WorkloadGenerator::new(bounds.clone()).collect()
 }
 
-/// Counts the workloads within `bounds` without keeping them in memory.
-pub fn count_workloads(bounds: &Bounds) -> u64 {
-    WorkloadGenerator::new(bounds.clone()).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -437,11 +437,6 @@ impl WalKv {
         self.staged.clear();
     }
 
-    /// Number of ops staged in the open transaction.
-    pub fn staged_ops(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Commits the staged transaction: appends value payloads to
     /// `data.log`, makes them durable, then appends and makes durable one
     /// commit record. The seeded bugs each subvert one step — see

@@ -46,11 +46,6 @@ impl RamDisk {
         self.blocks.len()
     }
 
-    /// Approximate resident memory used by block payloads, in bytes.
-    pub fn resident_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * BLOCK_SIZE as u64
-    }
-
     /// Freezes the current contents into an immutable [`DiskImage`] that can
     /// back any number of copy-on-write snapshots.
     pub fn snapshot(&self) -> DiskImage {

@@ -34,7 +34,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::cow::{CowSnapshotDevice, DiskImage};
-use crate::device::{BlockDevice, BlockIndex, BLOCK_SIZE};
+use crate::device::{BlockDevice, BlockIndex};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
 use crate::stats::DeviceStats;
@@ -81,19 +81,6 @@ impl IoRecord {
             | IoRecord::Flush { seq }
             | IoRecord::Checkpoint { seq, .. } => *seq,
         }
-    }
-
-    /// Returns the checkpoint id if this record is a checkpoint marker.
-    pub fn checkpoint_id(&self) -> Option<CheckpointId> {
-        match self {
-            IoRecord::Checkpoint { id, .. } => Some(*id),
-            _ => None,
-        }
-    }
-
-    /// Returns true for data/metadata writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, IoRecord::Write { .. })
     }
 }
 
@@ -408,16 +395,11 @@ impl BlockDevice for RecordingDevice {
     }
 }
 
-/// Ensures recorded payloads never exceed one block (mirrors the device
-/// contract; useful in debug assertions elsewhere).
-pub fn max_record_payload() -> usize {
-    BLOCK_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cow::DiskImage;
+    use crate::device::BLOCK_SIZE;
 
     fn recording(blocks: u64) -> (RecordingDevice, LogHandle) {
         let device = RecordingDevice::new(CowSnapshotDevice::new(DiskImage::empty(blocks)));

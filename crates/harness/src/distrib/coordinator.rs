@@ -2,16 +2,17 @@
 //! when a link waits or is shut down, what a `ShardDone` merges, what a lost
 //! link hands back, and when the run stops handing out work.
 //!
-//! [`super::run_with_transport_hooked`] is the shell around it: one thread
-//! per worker slot moves frames, appends the checkpoint records and waits,
-//! and calls one method here per event under one lock. Nothing in this file
-//! holds a lock, a thread, a clock, a socket or a file, so a test can drive
-//! it through any schedule of events on one thread.
+//! Two callers run it, each calling one method here per event under one
+//! lock. [`super::run_with_transport_hooked`] is the distributed shell: one
+//! thread per worker slot moves frames, appends the checkpoint records and
+//! waits. The crate's in-process engine (`engine::run_resumable`) makes each
+//! of its threads a slot that runs the shards it claims itself. Nothing in
+//! this file holds a lock, a thread, a clock, a socket or a file, so a test
+//! can drive it through any schedule of events on one thread.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 
-use b3_vfs::codec::Encoder;
 use b3_vfs::error::{FsError, FsResult};
 
 use super::DistribConfig;
@@ -21,7 +22,7 @@ use crate::sweep::{eta, Progress, ShardResult, SweepCheckpoint, WorkerThroughput
 
 /// The answer to a worker's `Claim`.
 #[derive(Debug, PartialEq)]
-pub(super) enum Claim {
+pub(crate) enum Claim {
     /// Run these shards.
     Assign(Vec<u32>),
     /// Nothing is queued, but other links hold shards that come back to
@@ -32,14 +33,14 @@ pub(super) enum Claim {
     Shutdown,
 }
 
-/// A merged `ShardDone`: what the shell persists and announces.
-pub(super) struct Merged {
+/// A merged `ShardDone`: the number that versions its delta record, and
+/// what the shell announces.
+pub(crate) struct Merged {
     /// The merge number (shards merged this run), which versions the
     /// delta record.
     pub(super) version: u64,
-    /// The delta record's payload: `shard | ShardResult`.
-    pub(super) delta: Vec<u8>,
-    /// Bug groups the shard brought into the sweep for the first time.
+    /// Bug groups the shard brought into the sweep for the first time;
+    /// empty unless the merge asked for them.
     pub(super) discovered: Vec<BugGroup>,
     /// True when the slot holds no other shard, so its next `Claim` is
     /// already on the wire.
@@ -62,7 +63,7 @@ struct Slot {
 
 /// The coordinator's state: the shard queue, what every slot holds, the
 /// merged checkpoint, the running counts and the budget.
-pub(super) struct Coordinator {
+pub(crate) struct Coordinator {
     queue: VecDeque<u32>,
     slots: Vec<Slot>,
     checkpoint: SweepCheckpoint,
@@ -80,9 +81,10 @@ pub(super) struct Coordinator {
     /// overshoot the budget by workers × shard size.
     assigned_candidates: u64,
     stopping: bool,
-    /// Bug-group keys already merged: the checkpoint's at startup, grown
-    /// per merge, so a group is discovered exactly once.
-    seen_groups: BTreeSet<GroupKey>,
+    /// Bug-group keys already merged, so a group is discovered exactly
+    /// once. Built from the checkpoint by the first merge that asks for
+    /// discoveries, so a run that announces none never holds it.
+    seen_groups: Option<BTreeSet<GroupKey>>,
     shard_sizes: Vec<u64>,
     total_workloads: u64,
     seeded_shards: usize,
@@ -92,7 +94,7 @@ pub(super) struct Coordinator {
 impl Coordinator {
     /// A run resuming `checkpoint`: every missing shard is queued, in
     /// order. `shard_sizes` holds each shard's candidate count.
-    pub(super) fn new(
+    pub(crate) fn new(
         checkpoint: SweepCheckpoint,
         shard_sizes: Vec<u64>,
         total_workloads: u64,
@@ -115,11 +117,7 @@ impl Coordinator {
             processed_this_run: 0,
             assigned_candidates: 0,
             stopping: false,
-            seen_groups: checkpoint
-                .grouped()
-                .entries()
-                .map(|(k, _)| k.clone())
-                .collect(),
+            seen_groups: None,
             seeded_shards: checkpoint.completed_shards(),
             checkpoint,
             shard_sizes,
@@ -150,22 +148,31 @@ impl Coordinator {
         self.stopping || self.limit_reached() || (self.queue.is_empty() && !self.in_flight())
     }
 
-    /// A `Claim` from `slot`. `stop` is the stop hook's answer: like a
-    /// reached stop limit, it ends all handing out of work for the run,
-    /// while the shards in flight still merge.
-    pub(super) fn claim(&mut self, slot: usize, stop: bool) -> Claim {
+    /// A `Claim` from `slot`. `stop` is the caller's stop condition (the
+    /// stop hook, or an in-process budget or bug limit): like a reached
+    /// stop limit, it ends all handing out of work for the run, while the
+    /// shards in flight still merge. A slot claims only once it has
+    /// reported every shard it holds; a claim before that is refused before
+    /// it touches any count.
+    pub(crate) fn claim(&mut self, slot: usize, stop: bool) -> FsResult<Claim> {
+        let held = &self.slots[slot].held;
+        if !held.is_empty() {
+            return Err(FsError::Corrupted(format!(
+                "worker claimed while it holds shards {held:?}"
+            )));
+        }
         self.stopping |= stop || self.limit_reached();
         if self.stopping {
-            return Claim::Shutdown;
+            return Ok(Claim::Shutdown);
         }
         if self.queue.is_empty() {
             // A dying link hands its shards back: wait for them rather
             // than shut this worker down and strand that work.
-            return if self.in_flight() {
+            return Ok(if self.in_flight() {
                 Claim::Wait
             } else {
                 Claim::Shutdown
-            };
+            });
         }
         let take = self.config.assign_batch.min(self.queue.len());
         let batch: Vec<u32> = self.queue.drain(..take).collect();
@@ -173,17 +180,24 @@ impl Coordinator {
             self.assigned_candidates += self.shard_sizes[shard as usize];
         }
         self.slots[slot].held.extend(&batch);
-        Claim::Assign(batch)
+        Ok(Claim::Assign(batch))
     }
 
-    /// A `ShardDone` from `slot`: merges the result into the checkpoint. A
-    /// shard the slot does not hold (never assigned to it, or already
-    /// reported) is refused before it touches any count.
-    pub(super) fn shard_done(
+    /// Workloads that produced a bug report, over every merged shard.
+    pub(crate) fn bugs(&self) -> usize {
+        self.buggy
+    }
+
+    /// A `ShardDone` from `slot`: merges the result into the checkpoint,
+    /// and with `discover` renders the bug groups it brings into the sweep
+    /// for the first time. A shard the slot does not hold (never assigned
+    /// to it, or already reported) is refused before it touches any count.
+    pub(crate) fn shard_done(
         &mut self,
         slot: usize,
         shard: u32,
         result: ShardResult,
+        discover: bool,
     ) -> FsResult<Merged> {
         let held = &mut self.slots[slot].held;
         let Some(position) = held.iter().position(|&s| s == shard) else {
@@ -201,31 +215,31 @@ impl Coordinator {
         self.merged_this_run += 1;
         self.slots[slot].shards += 1;
         self.slots[slot].tested += result.tested;
-        // Groups are rendered only when the shard brings a new one.
         let mut discovered = Vec::new();
-        if result
-            .groups
-            .entries()
-            .any(|(key, _)| !self.seen_groups.contains(key))
-        {
-            discovered = result
-                .groups
-                .groups()
-                .into_iter()
-                .filter(|g| self.seen_groups.insert((g.skeleton.clone(), g.consequence)))
-                .collect();
+        if discover {
+            let checkpoint = &self.checkpoint;
+            let seen = self.seen_groups.get_or_insert_with(|| {
+                let grouped = checkpoint.grouped();
+                grouped.entries().map(|(key, _)| key.clone()).collect()
+            });
+            for (key, entry) in result.groups.entries() {
+                if !seen.contains(key) {
+                    seen.insert(key.clone());
+                    discovered.push(BugGroup {
+                        skeleton: key.0.clone(),
+                        consequence: key.1,
+                        count: entry.count as usize,
+                        example: entry.exemplar.clone(),
+                    });
+                }
+            }
         }
-        let mut enc = Encoder::new();
-        enc.put_u32(shard);
-        result.encode(&mut enc);
-        // Merged as a one-shard checkpoint, so the one aggregation
-        // primitive (`merge`) is the one the protocol exercises.
-        let mut incoming = self.checkpoint.subset([]);
-        incoming.record(shard, result);
-        self.checkpoint.merge(&incoming)?;
+        // The slot held the shard, and a held shard is never recorded yet
+        // (`link_down` requeues only unrecorded ones): this overwrites
+        // nothing.
+        self.checkpoint.record(shard, result);
         Ok(Merged {
             version: self.merged_this_run as u64,
-            delta: enc.finish(),
             discovered,
             idle,
         })
@@ -241,7 +255,7 @@ impl Coordinator {
     /// not merged go back to the front of the queue with their share of
     /// the budget, and the slot stops counting as alive, so progress never
     /// shows a live rate on a dead endpoint.
-    pub(super) fn link_down(&mut self, slot: usize) {
+    pub(crate) fn link_down(&mut self, slot: usize) {
         for shard in std::mem::take(&mut self.slots[slot].held) {
             if !self.checkpoint.has_shard(shard) {
                 self.queue.push_front(shard);
@@ -254,7 +268,7 @@ impl Coordinator {
     }
 
     /// A progress snapshot `elapsed` into the run.
-    pub(super) fn progress(&self, elapsed: Duration) -> Progress {
+    pub(crate) fn progress(&self, elapsed: Duration) -> Progress {
         let completed = self.checkpoint.completed_shards();
         let total_shards = self.checkpoint.num_shards();
         Progress {
@@ -299,7 +313,7 @@ impl Coordinator {
     /// processed. A slot's `error` fails the run only when the sweep is
     /// unfinished and no stop limit was reached: the shards a failed slot
     /// completed are merged, and surviving slots usually absorb the rest.
-    pub(super) fn finish(self, error: Option<FsError>) -> FsResult<(SweepCheckpoint, usize)> {
+    pub(crate) fn finish(self, error: Option<FsError>) -> FsResult<(SweepCheckpoint, usize)> {
         match error {
             Some(error) if !self.checkpoint.is_complete() && !self.limit_reached() => Err(error),
             _ => Ok((self.checkpoint, self.processed_this_run)),
@@ -314,6 +328,7 @@ mod tests {
     use crate::distrib::SweepJob;
     use b3_ace::Bounds;
     use b3_crashmonkey::{BugReport, Consequence};
+    use b3_vfs::codec::Encoder;
 
     /// Shards of the schedule tests' job.
     const SHARDS: u32 = 8;
@@ -421,6 +436,18 @@ mod tests {
         }
     }
 
+    /// Everything an event may change: the queue, what each slot holds,
+    /// the budget, the merge count and the stop.
+    fn books(core: &Coordinator) -> (VecDeque<u32>, Vec<Vec<u32>>, u64, usize, bool) {
+        (
+            core.queue.clone(),
+            core.slots.iter().map(|slot| slot.held.clone()).collect(),
+            core.assigned_candidates,
+            core.merged_this_run,
+            core.stopping,
+        )
+    }
+
     /// One coordinator run under a schedule drawn from `rng`: links come
     /// up, claim, report and die; `chaos` adds link losses, duplicate and
     /// foreign `ShardDone`s, a stop and a coordinator crash. Returns the
@@ -464,25 +491,31 @@ mod tests {
             };
             if chaos && rng.one_in(12) {
                 // The link dies (a respawn may bring the slot back), or
-                // reports a shard it does not hold: a duplicate of a merged
-                // shard, or one that is queued or held elsewhere. That is
+                // breaks the protocol: it reports a shard it does not hold
+                // (a duplicate of a merged shard, or one that is queued or
+                // held elsewhere), or claims while it holds shards. That is
                 // fatal, and must change nothing first.
                 let shard = rng.below(SHARDS as usize) as u32;
-                if rng.one_in(2) && !pending.contains(&shard) {
-                    let (queue, budget) = (core.queue.clone(), core.assigned_candidates);
-                    let refused = core.shard_done(slot, shard, result_for(shard));
-                    assert!(refused.is_err(), "shard {shard} is not held by slot {slot}");
-                    assert_eq!(
-                        (core.queue.clone(), core.assigned_candidates),
-                        (queue, budget)
-                    );
-                    links[slot] = Link::Gone;
-                } else {
-                    links[slot] = Link::Down;
-                }
+                let before = books(&core);
+                let refused = match rng.below(3) {
+                    0 if !pending.contains(&shard) => Some(
+                        core.shard_done(slot, shard, result_for(shard), true)
+                            .map(|_| ()),
+                    ),
+                    1 if !pending.is_empty() => Some(core.claim(slot, stop).map(|_| ())),
+                    _ => None,
+                };
+                links[slot] = match refused {
+                    Some(refused) => {
+                        assert!(refused.is_err(), "slot {slot} broke the protocol");
+                        assert!(books(&core) == before, "a refused event changed the books");
+                        Link::Gone
+                    }
+                    None => Link::Down,
+                };
                 core.link_down(slot);
             } else if pending.is_empty() {
-                match core.claim(slot, stop) {
+                match core.claim(slot, stop).expect("an idle slot may claim") {
                     Claim::Assign(batch) => *pending = batch,
                     Claim::Wait => assert!(core.in_flight(), "a wait needs shards in flight"),
                     Claim::Shutdown => {
@@ -493,7 +526,7 @@ mod tests {
                 }
             } else {
                 let shard = pending.swap_remove(rng.below(pending.len()));
-                let merged = core.shard_done(slot, shard, result_for(shard));
+                let merged = core.shard_done(slot, shard, result_for(shard), true);
                 let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
                 assert_eq!(merged.idle, pending.is_empty());
                 tally.merges[shard as usize] += 1;
@@ -560,8 +593,37 @@ mod tests {
         }
     }
 
-    /// Seeded schedules of claims, results, link losses, refused results,
-    /// stops and coordinator restarts, with 1–4 slots.
+    /// A slot claims only after reporting its batch: a second claim with
+    /// a shard still held is refused before it changes anything, instead of
+    /// answering `Wait` to a slot that then waits for itself forever.
+    #[test]
+    fn a_claim_from_a_slot_that_holds_shards_is_refused() {
+        let job = SweepJob::new(Bounds::tiny(), 2);
+        let config = DistribConfig {
+            workers: 1,
+            ..DistribConfig::default()
+        };
+        let mut core = Coordinator::new(job.empty_checkpoint(), vec![5; 2], 10, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        let before = books(&core);
+        // Not even the stop it carries is taken.
+        let refused = core.claim(0, true).unwrap_err();
+        assert!(
+            refused.to_string().contains("holds shards [0]"),
+            "{refused}"
+        );
+        assert!(
+            books(&core) == before,
+            "the refused claim changed the books"
+        );
+        core.shard_done(0, 0, result_for(0), true).unwrap();
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![1]));
+        core.shard_done(0, 1, result_for(1), true).unwrap();
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
+    }
+
+    /// Seeded schedules of claims, results, link losses, refused results
+    /// and claims, stops and coordinator restarts, with 1–4 slots.
     #[test]
     fn seeded_schedules_merge_every_shard_once() {
         check_seeds(0..300);

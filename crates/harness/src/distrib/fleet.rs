@@ -875,10 +875,17 @@ impl FleetCoordinator {
     }
 }
 
+/// How long a client may take to send the rest of a frame once its first
+/// byte arrived. Client requests are small, so a client that stalls this
+/// long mid-frame is dead or hostile, and its connection is closed.
+const CLIENT_FRAME_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Reads one client frame. The first byte is awaited in 200 ms polls, so an
 /// idle connection notices a daemon stop; the frame itself is then read by
-/// [`read_frame`] with the timeout cleared. `Ok(None)` means the client hung
-/// up cleanly, or the daemon is stopping and the connection was idle.
+/// [`read_frame`] within [`CLIENT_FRAME_TIMEOUT`], so a stalled one cannot
+/// keep the connection (and a stopping daemon) waiting. `Ok(None)` means the
+/// client hung up cleanly, or the daemon is stopping and the connection was
+/// idle.
 fn read_client_frame(stream: &mut TcpStream, stop: &AtomicBool) -> FsResult<Option<Vec<u8>>> {
     let timeout = |timeout| {
         stream
@@ -903,7 +910,7 @@ fn read_client_frame(stream: &mut TcpStream, stop: &AtomicBool) -> FsResult<Opti
             Err(e) => return Err(transport_err("wait for a client frame", e)),
         }
     }
-    timeout(None)?;
+    timeout(Some(CLIENT_FRAME_TIMEOUT))?;
     read_frame(stream).map(Some)
 }
 
@@ -1382,6 +1389,27 @@ mod tests {
         returned
             .recv_timeout(Duration::from_secs(10))
             .expect("serve_clients returns with an idle client still connected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A client that stalls inside a frame must not pin its connection
+    /// thread either: the rest of the frame is waited for a bounded time,
+    /// then the connection is closed and a stopping daemon returns.
+    #[test]
+    fn a_client_stalled_mid_frame_does_not_keep_serve_clients_from_returning() {
+        use std::io::Write;
+        let dir = fleet_dir("stalled-client");
+        let fleet = std::sync::Arc::new(FleetCoordinator::open(FleetConfig::new(&dir)).unwrap());
+        let (addr, returned) = serve_in_background(&fleet);
+        let mut stalled = TcpStream::connect(addr).expect("client connects");
+        stalled
+            .write_all(&[8, 0])
+            .expect("half a length prefix sends");
+        std::thread::sleep(Duration::from_millis(300));
+        fleet.request_stop();
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve_clients returns with a client stalled mid-frame");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,13 +33,13 @@
 //! A `ShardDone` frame carries the shard's **grouped** result — per-bug-group
 //! exemplars and counts ([`crate::dedup::GroupTable`]), not every raw
 //! report — so frame size, coordinator memory, and checkpoint size are all
-//! bounded by bug diversity rather than bug density. Every frame is merged
-//! into the coordinator's [`SweepCheckpoint`] (via [`SweepCheckpoint::merge`]
-//! — union of completed shards) and durably appended to the checkpoint
-//! file as one small fsync'd *delta record* (see [`segment`], specified in
-//! `docs/FORMATS.md`); the file is an append-only segment log, compacted to
-//! a fresh snapshot atomically when the run starts and whenever the deltas
-//! outgrow the last snapshot — never rewritten in full per merge.
+//! bounded by bug diversity rather than bug density. Every frame's result is
+//! recorded into the coordinator's [`SweepCheckpoint`] — once per shard, as
+//! only the slot holding a shard may report it — and durably appended to
+//! the checkpoint file as one small fsync'd *delta record* (see [`segment`],
+//! specified in `docs/FORMATS.md`); the file is an append-only segment log,
+//! compacted to a fresh snapshot atomically when the run starts and whenever
+//! the deltas outgrow the last snapshot — never rewritten in full per merge.
 //!
 //! **Worker death is survivable at every layer.** Killing the coordinator
 //! loses at most the shards that were in flight (a torn trailing record is
@@ -61,10 +61,10 @@
 //! one thread per worker slot connects and respawns links, runs the
 //! handshake, moves frames, appends the delta records to the checkpoint
 //! file, waits on a condition variable, fires the hooks, and calls the core
-//! once per event under one lock.
+//! once per event under one lock. The in-process sweep engine runs the same
+//! core: its threads are slots that run their shards themselves.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -81,7 +81,7 @@ use crate::runner::{spawn_progress_monitor, RunConfig, RunSummary};
 use crate::sweep::{Progress, PruneMode, SweepCheckpoint};
 
 pub mod auth;
-mod coordinator;
+pub(crate) mod coordinator;
 pub mod fleet;
 pub mod protocol;
 mod recordlog;
@@ -652,13 +652,14 @@ pub fn run_with_transport_hooked(
         transport,
         hooks,
     };
-    let done = AtomicBool::new(false);
     let (failed_workers, respawns, error) = std::thread::scope(|scope| {
         let shell = &shell;
-        if let Some(callback) = shell.hooks.progress {
+        // Held until every slot is joined; a slot's panic drops it on the way
+        // out, so the monitor stops and the panic surfaces.
+        let _monitor = shell.hooks.progress.map(|callback| {
             let snapshot = move || shell.core().progress(started.elapsed());
-            spawn_progress_monitor(scope, callback, config.progress_interval, &done, snapshot);
-        }
+            spawn_progress_monitor(scope, callback, config.progress_interval, snapshot)
+        });
         let handles: Vec<_> = (0..config.workers)
             .map(|index| scope.spawn(move || shell.serve_slot(index)))
             .collect();
@@ -675,7 +676,6 @@ pub fn run_with_transport_hooked(
                 first_error.get_or_insert(error);
             }
         }
-        done.store(true, Ordering::Relaxed);
         (failed_workers, respawns, first_error)
     });
     // No final rewrite: every merged shard is already on disk as a delta
@@ -697,8 +697,8 @@ pub fn run_with_transport_hooked(
 
 /// Recovers a lock result whose mutex a panicking thread poisoned: the
 /// core is consistent between calls, and the panic itself surfaces when
-/// its thread is joined.
-fn unpoisoned<T>(result: LockResult<T>) -> T {
+/// its thread is joined. Both callers of the core lock it through this.
+pub(crate) fn unpoisoned<T>(result: LockResult<T>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -916,17 +916,18 @@ impl Shell<'_> {
                     let mut core = self.core();
                     let claim = loop {
                         match core.claim(index, stop) {
+                            Err(error) => break 'session LinkEnd::Fatal(error),
                             // The wait has no bound, so nothing stays
                             // unpersisted across it.
-                            Claim::Wait if unpersisted.is_some() => {
+                            Ok(Claim::Wait) if unpersisted.is_some() => {
                                 drop(core);
                                 if let Err(error) = self.persist(unpersisted.take()) {
                                     break 'session LinkEnd::Fatal(error);
                                 }
                                 core = self.core();
                             }
-                            Claim::Wait => core = unpoisoned(self.wake.wait(core)),
-                            claim => break claim,
+                            Ok(Claim::Wait) => core = unpoisoned(self.wake.wait(core)),
+                            Ok(claim) => break claim,
                         }
                     };
                     drop(core);
@@ -951,7 +952,14 @@ impl Shell<'_> {
                     }
                 }
                 FromWorker::ShardDone { shard, result } => {
-                    let merged = match self.core().shard_done(index, shard, result) {
+                    // The delta record's payload, `shard | ShardResult`,
+                    // encoded before the core takes the result, outside its
+                    // lock.
+                    let mut delta = Encoder::new();
+                    delta.put_u32(shard);
+                    result.encode(&mut delta);
+                    let discover = self.hooks.on_discovery.is_some();
+                    let merged = match self.core().shard_done(index, shard, result, discover) {
                         Ok(merged) => merged,
                         Err(error) => break LinkEnd::Fatal(error),
                     };
@@ -961,7 +969,7 @@ impl Shell<'_> {
                     }
                     // When this was the last shard the worker held, its
                     // `Claim` is already on the wire: answer that first.
-                    let delta = Some((merged.version, merged.delta));
+                    let delta = Some((merged.version, delta.finish()));
                     if merged.idle {
                         unpersisted = delta;
                     } else if let Err(error) = self.persist(delta) {
@@ -1007,6 +1015,44 @@ mod tests {
             row.endpoint, "127.0.0.1:9999",
             "the endpoint stays for attribution"
         );
+    }
+
+    /// A slot thread that panics (here in the transport's `connect`) fails
+    /// the run with its panic, also when a progress monitor is running: the
+    /// monitor must stop instead of keeping the thread scope open forever.
+    #[test]
+    fn a_panicking_slot_fails_a_run_that_has_a_progress_hook() {
+        struct PanickingTransport;
+        impl Transport for PanickingTransport {
+            fn describe(&self) -> String {
+                "panicking".into()
+            }
+            fn connect(
+                &self,
+                _cancelled: &(dyn Fn() -> bool + Sync),
+            ) -> FsResult<Option<Box<dyn WorkerLink>>> {
+                panic!("connect panicked");
+            }
+        }
+
+        let (sender, ended) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let job = SweepJob::new(Bounds::tiny(), 2);
+            let config = DistribConfig {
+                workers: 1,
+                progress_interval: Duration::from_millis(10),
+                ..DistribConfig::default()
+            };
+            let progress = |_: &Progress| {};
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_with_transport(&job, &config, &PanickingTransport, Some(&progress))
+            }));
+            let _ = sender.send(run.is_err());
+        });
+        let panicked = ended
+            .recv_timeout(Duration::from_secs(15))
+            .expect("the run ends instead of waiting for its progress monitor");
+        assert!(panicked, "the slot's panic surfaces");
     }
 
     /// A coordinator with no slot, or with empty batches, cannot run a

@@ -17,7 +17,6 @@ use super::protocol::PROTOCOL_VERSION;
 use super::protocol::{read_frame, transport_err, write_frame, FromWorker, Hello, ToWorker};
 use super::with_job_space;
 use crate::engine::JobSpace;
-use crate::runner::LiveCounters;
 
 /// Exit code a worker uses when its injected crash hook fires (the chaos
 /// tests' stand-in for a worker VM dying mid-shard).
@@ -176,9 +175,6 @@ fn claim_loop<S: JobSpace>(
     mut workloads_until_crash: Option<u64>,
 ) -> FsResult<()> {
     let mut tester = space.tester();
-    // Nobody watches a worker's live counters; the coordinator counts from
-    // the `ShardDone` frames.
-    let live = LiveCounters::default();
     // The shard gate never stops a shard — it is the chaos hook
     // ([`WorkerOptions::die_after_workloads`]): die mid-shard, leaving the
     // claimed shard unreported.
@@ -196,7 +192,7 @@ fn claim_loop<S: JobSpace>(
         match ToWorker::from_frame(&read_frame(reader)?)? {
             ToWorker::Assign(shards) => {
                 for shard in shards {
-                    let (result, _) = space.run_shard(&mut tester, shard, &live, &mut tick);
+                    let (result, _) = space.run_shard(&mut tester, shard, &mut tick);
                     write_frame(writer, &FromWorker::ShardDone { shard, result }.to_frame())?;
                 }
             }

@@ -6,12 +6,18 @@
 //! workload, merge the results. A [`JobSpace`] supplies what differs
 //! between spaces — generator, per-thread tester, the [`Step`] each
 //! candidate (or pruned run of candidates) becomes — and the rest is
-//! written once: [`shard_loop`] is the only
-//! shard loop, [`run_resumable`] the only in-process scheduler. Both are
-//! monomorphized per space; nothing is dispatched dynamically per workload.
+//! written once: [`shard_loop`] is the only shard loop, monomorphized per
+//! space, so nothing is dispatched dynamically per workload.
+//!
+//! There is one shard scheduler, the distributed coordinator core
+//! (`distrib/coordinator.rs`): it decides which shard runs next, merges
+//! every result and stops the run. [`run_resumable`] drives it with
+//! threads, as the distributed shell drives it with worker links; what the
+//! engine keeps of its own is the workload budget, which counts executed
+//! workloads rather than shards.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -26,7 +32,9 @@ use b3_vfs::snapshot::EntryInterner;
 use b3_vfs::workload::Workload;
 use b3_vfs::MutantSet;
 
-use crate::runner::{spawn_progress_monitor, LiveCounters, RunConfig, RunSummary, WorkerGuard};
+use crate::distrib::coordinator::{Claim, Coordinator};
+use crate::distrib::{unpoisoned, DistribConfig};
+use crate::runner::{spawn_progress_monitor, RunConfig, RunSummary};
 use crate::sweep::{fnv1a64, AuditFailure, ProgressHook, PruneMode, ShardResult, SweepCheckpoint};
 
 /// One step of a shard: a candidate to run, or candidates counted without
@@ -72,7 +80,6 @@ pub(crate) trait JobSpace: Sync {
         &self,
         tester: &mut Self::Tester,
         shard: u32,
-        live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool);
 }
@@ -87,7 +94,6 @@ fn shard_loop<T: Target>(
     tester: &T,
     steps: impl Iterator<Item = Step<T::Workload>>,
     name: impl Fn(&T::Workload) -> &str,
-    live: &LiveCounters,
     mut gate: impl FnMut() -> bool,
 ) -> (ShardResult, bool) {
     // Triage witnesses are per shard: a shard's audited counter depends on
@@ -101,7 +107,6 @@ fn shard_loop<T: Target>(
             Step::Test(workload) => (workload, None),
             Step::Pruned(run) => {
                 result.pruned += run;
-                live.pruned.fetch_add(run as usize, Ordering::Relaxed);
                 continue;
             }
             Step::Audit(workload, plan) => (workload, Some(plan)),
@@ -112,11 +117,10 @@ fn shard_loop<T: Target>(
         let Some(plan) = audit else {
             // A report whose group this shard already holds is only counted.
             let outcome = target::test(tester, &workload, Some(&result.groups));
-            live.record(result.absorb(outcome));
+            result.absorb(outcome);
             continue;
         };
         result.pruned += 1;
-        live.pruned.fetch_add(1, Ordering::Relaxed);
         // Crash-test the pruned member and its representative and record a
         // divergence; both timings count (audit work is real work).
         result.audited += 1;
@@ -175,11 +179,16 @@ fn outcome_signature(outcome: &FsResult<WorkloadOutcome>) -> String {
 }
 
 /// Runs (or resumes) an in-process sweep of `space` on `config.threads`
-/// threads that steal whole shards, recording every completed shard into
-/// `checkpoint`. Shards already recorded are not re-run; a shard the
-/// workload budget or bug limit interrupts is left unrecorded (the next
-/// call re-runs it in full) but still counts toward the *returned* summary,
-/// so a sweep stopped by `stop_after_bugs` reports the bug that stopped it.
+/// threads, recording every completed shard into `checkpoint`. Each thread
+/// is a slot of one [`Coordinator`] and drives it as a distributed worker's
+/// link does: it claims a shard, runs it, and reports it for merging. Shards
+/// already recorded are not re-run.
+///
+/// The workload budget is taken before every executed workload. A shard it
+/// interrupts is handed back unrecorded (the next call re-runs it in full)
+/// but still counts toward the *returned* summary. The budget and the bug
+/// limit stop the run at the next claim: the core then hands out no more
+/// shards, and the ones running finish.
 ///
 /// # Panics
 /// Panics when `checkpoint` was not made for this space, shard count and
@@ -198,79 +207,90 @@ pub(crate) fn run_resumable<S: JobSpace>(
          bounds/shard/crash-point/prune/engine configuration"
     );
     let start = Instant::now();
-    let pending = checkpoint.missing_shards();
-
-    // Seed the live counters with the checkpointed work so progress
-    // reports are global, not per-resume.
-    let seeded = checkpoint.summary();
-    let seeded_shards = checkpoint.completed_shards();
-    let counters = LiveCounters {
-        tested: seeded.tested.into(),
-        skipped: seeded.skipped.into(),
-        pruned: seeded.pruned.into(),
-        bugs: (checkpoint.total_buggy() as usize).into(),
-        completed_shards: seeded_shards.into(),
+    let slots = DistribConfig {
+        workers: config.threads.max(1),
+        ..DistribConfig::default()
     };
-
-    let next_pending = AtomicUsize::new(0);
+    // The core's shard sizes only gate its own workload limit, which this
+    // caller leaves unset: the budget below counts executed workloads.
+    let scheduler = Mutex::new(Coordinator::new(
+        std::mem::replace(checkpoint, empty.clone()),
+        vec![0; empty.num_shards()],
+        space.total_candidates(),
+        &slots,
+    ));
+    let lock = || unpoisoned(scheduler.lock());
     let budget = AtomicUsize::new(config.stop_after_workloads.unwrap_or(usize::MAX));
-    let done = AtomicBool::new(false);
-    let threads = config.threads.max(1);
-    let active_workers = AtomicUsize::new(threads);
-    let recorded = Mutex::new(checkpoint);
-    let abandoned: Mutex<Vec<ShardResult>> = Mutex::new(Vec::new());
-    let bug_limit_hit = || {
-        config
-            .stop_after_bugs
-            .is_some_and(|limit| counters.bugs.load(Ordering::Relaxed) >= limit)
-    };
-    // True while neither the bug limit nor the workload budget is spent.
     let gate = || {
-        let take_budget = |left: usize| left.checked_sub(1);
-        !bug_limit_hit()
-            && budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take_budget)
-                .is_ok()
+        let take = |left: usize| left.checked_sub(1);
+        budget
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take)
+            .is_ok()
+    };
+    // One thread's slot: returns the partial result of the shard the budget
+    // interrupted, if any.
+    let run_slot = |slot: usize| {
+        let mut tester = space.tester();
+        let mut interrupted = None;
+        loop {
+            let mut core = lock();
+            let stop = budget.load(Ordering::Relaxed) == 0
+                || config
+                    .stop_after_bugs
+                    .is_some_and(|limit| core.bugs() >= limit);
+            let claim = core
+                .claim(slot, stop)
+                .expect("a thread claims with no shard held");
+            // A thread cannot hand a shard back but by stopping the run, so
+            // one told to wait for another's shards has nothing left to run.
+            let Claim::Assign(batch) = claim else {
+                core.link_down(slot);
+                return interrupted;
+            };
+            drop(core);
+            for shard in batch {
+                let (result, complete) = space.run_shard(&mut tester, shard, gate);
+                let mut core = lock();
+                if !complete {
+                    // The spent budget stops the next claim.
+                    core.link_down(slot);
+                    interrupted = Some(result);
+                    break;
+                }
+                // Nothing announces discoveries in process.
+                let merged = core.shard_done(slot, shard, result, false);
+                merged.expect("a thread reports only the shard it holds");
+            }
+        }
     };
 
-    std::thread::scope(|scope| {
-        if let Some((callback, interval)) = progress {
-            let total = space.total_candidates();
-            let (counters, budget) = (&counters, &budget);
-            spawn_progress_monitor(scope, callback, interval, &done, move || {
-                let stopping = bug_limit_hit() || budget.load(Ordering::Relaxed) == 0;
-                counters.snapshot(start, total, empty.num_shards(), seeded_shards, stopping)
-            });
-        }
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _guard = WorkerGuard::new(&active_workers, &done);
-                let mut tester = space.tester();
-                while let Some(&shard) = pending.get(next_pending.fetch_add(1, Ordering::Relaxed)) {
-                    let (result, complete) = space.run_shard(&mut tester, shard, &counters, gate);
-                    if !complete {
-                        abandoned
-                            .lock()
-                            .expect("abandoned results poisoned")
-                            .push(result);
-                        break;
-                    }
-                    counters.completed_shards.fetch_add(1, Ordering::Relaxed);
-                    recorded
-                        .lock()
-                        .expect("checkpoint poisoned")
-                        .record(shard, result);
-                }
-            });
-        }
+    let interrupted: Vec<ShardResult> = std::thread::scope(|scope| {
+        let _monitor = progress.map(|(callback, interval)| {
+            spawn_progress_monitor(scope, callback, interval, move || {
+                lock().progress(start.elapsed())
+            })
+        });
+        let threads: Vec<_> = (0..slots.workers)
+            .map(|slot| scope.spawn(move || run_slot(slot)))
+            .collect();
+        threads
+            .into_iter()
+            .filter_map(|thread| {
+                thread
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .collect()
     });
 
-    let checkpoint = recorded.into_inner().expect("checkpoint poisoned");
-    let abandoned = abandoned.into_inner().expect("abandoned results poisoned");
+    let (merged, _) = unpoisoned(scheduler.into_inner())
+        .finish(None)
+        .expect("a run without a slot error finishes");
+    *checkpoint = merged;
     let mut summary = checkpoint.summary();
-    if !abandoned.is_empty() {
+    if !interrupted.is_empty() {
         let mut grouped = checkpoint.grouped();
-        for partial in abandoned {
+        for partial in interrupted {
             partial.add_counts(&mut summary);
             grouped.merge_from(&partial.groups);
         }
@@ -453,10 +473,9 @@ impl<'a> JobSpace for FsSpace<'a> {
         &self,
         monkey: &mut CrashMonkey<'a>,
         shard: u32,
-        live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool) {
-        shard_loop(monkey, self.steps(shard), |w| &w.name, live, gate)
+        shard_loop(monkey, self.steps(shard), |w| &w.name, gate)
     }
 }
 
@@ -491,14 +510,13 @@ impl<'a> JobSpace for AppSpace<'a> {
         &self,
         harness: &mut AppHarness<'a>,
         shard: u32,
-        live: &LiveCounters,
         gate: impl FnMut() -> bool,
     ) -> (ShardResult, bool) {
         let shard = self
             .bounds
             .shard(shard as usize, self.checkpoint.num_shards());
         let steps = TxnWorkloadGenerator::for_shard(self.bounds.clone(), &shard).map(Step::Test);
-        shard_loop(harness, steps, |w| &w.name, live, gate)
+        shard_loop(harness, steps, |w| &w.name, gate)
     }
 }
 
@@ -542,9 +560,8 @@ mod tests {
         assert!(reference.is_complete());
 
         let mut tester = space.tester();
-        let live = LiveCounters::default();
         for shard in (0..SHARDS as u32).rev() {
-            let (result, complete) = space.run_shard(&mut tester, shard, &live, || true);
+            let (result, complete) = space.run_shard(&mut tester, shard, || true);
             assert!(complete);
             assert!(
                 result.same_outcome(reference.shard_result(shard)),
@@ -653,11 +670,10 @@ mod tests {
         let config = CrashMonkeyConfig::small();
         let space = FsSpace::new(&spec, config, &bounds, checkpoint, prune, None);
         let mut tester = space.tester();
-        let live = LiveCounters::default();
         let (mut gated, mut pruned, mut audited) = (0, 0, 0);
         for shard in 0..SHARDS as u32 {
             let mut calls = 0;
-            let (result, _) = space.run_shard(&mut tester, shard, &live, || {
+            let (result, _) = space.run_shard(&mut tester, shard, || {
                 calls += 1;
                 true
             });
@@ -677,7 +693,7 @@ mod tests {
 
         // A closed gate abandons the shard before anything runs: the
         // pruned head of the shard is counted, nothing is tested.
-        let (partial, complete) = space.run_shard(&mut tester, 0, &live, || false);
+        let (partial, complete) = space.run_shard(&mut tester, 0, || false);
         assert!(!complete);
         assert_eq!(partial.tested + partial.skipped + partial.audited, 0);
     }

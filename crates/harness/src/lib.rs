@@ -14,16 +14,18 @@
 //!   progress callback bound and observe the run, whose counts come back as
 //!   a [`RunSummary`]. [`Sweep`] (file-system spaces) and [`AppSweep`]
 //!   (`b3_app` transaction spaces) are thin facades over one crate-private
-//!   `engine`: the one shard loop and the one in-process scheduler, generic
-//!   over the job space, which the distributed worker runs too.
+//!   `engine`: the one shard loop, generic over the job space, which the
+//!   distributed worker runs too. Its threads claim, merge and stop through
+//!   the same coordinator core that schedules [`distrib`]'s worker
+//!   processes: there is one shard scheduler.
 //! * [`distrib`] — multi-process *and* multi-host fan-out over the same
 //!   shard machinery: a coordinator process owns the shard queue and
 //!   checkpoint file, workers claim shards over a framed protocol carried
 //!   by a pluggable transport (stdio children, TCP, ssh pipes; see
 //!   `docs/PROTOCOL.md`), dead workers are respawned within a budget, and
-//!   every returned shard result is merged
-//!   ([`sweep::SweepCheckpoint::merge`]) and persisted — the true analogue
-//!   of the paper's 780-VM cluster. On top of it sits the fleet daemon
+//!   every returned shard result is recorded into one
+//!   [`sweep::SweepCheckpoint`] and persisted — the true analogue of the
+//!   paper's 780-VM cluster. On top of it sits the fleet daemon
 //!   ([`distrib::FleetCoordinator`], `b3 fleet serve`): a
 //!   long-lived multi-tenant coordinator with a journaled job queue,
 //!   client frames over TCP, and live bug-group discovery streams.

@@ -1,26 +1,31 @@
 //! What an in-process run is configured with and what it reports: the
 //! [`RunConfig`] a sweep runs under, the [`RunSummary`] it folds its shard
-//! results into, and the live counters and progress monitor the shard
-//! engine (the crate's `engine` module) and the distributed coordinator
-//! share.
+//! results into, and the progress monitor the shard engine (the crate's
+//! `engine` module) and the distributed coordinator share.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use b3_crashmonkey::{BugReport, CrashMonkeyConfig};
 
-use crate::sweep::{eta, Absorbed, Progress};
+use crate::sweep::Progress;
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Number of worker threads (the paper's analogue is VMs per node).
     pub threads: usize,
-    /// Stop after this many workloads have produced bug reports (None = run
-    /// the whole space).
+    /// Stop handing out shards once this many workloads of the merged
+    /// shards have produced bug reports (None = run the whole space).
+    /// Checked whenever a thread claims its next shard: shards already
+    /// running finish and are recorded, so a run can end past the limit.
     pub stop_after_bugs: Option<usize>,
     /// Workload budget: stop after crash-testing this many workloads (None
-    /// = run the whole space). The `--stop-after` knob of the examples.
+    /// = run the whole space). An in-process run takes one unit before
+    /// every workload it executes (tested, skipped or audited), so it
+    /// executes exactly this many unless the space runs out first; pruned
+    /// candidates take none. The `--stop-after` knob of the examples.
     pub stop_after_workloads: Option<usize>,
     /// CrashMonkey configuration used by every worker.
     pub crashmonkey: CrashMonkeyConfig,
@@ -93,95 +98,30 @@ impl RunSummary {
     }
 }
 
-/// Live counters shared between workers and the progress monitor.
-#[derive(Default)]
-pub(crate) struct LiveCounters {
-    pub tested: AtomicUsize,
-    pub skipped: AtomicUsize,
-    pub pruned: AtomicUsize,
-    pub bugs: AtomicUsize,
-    pub completed_shards: AtomicUsize,
-}
+/// Stops the progress monitor when dropped, also while a panic unwinds:
+/// a panicking slot thread then fails its run instead of leaving the thread
+/// scope waiting for the monitor forever.
+pub(crate) struct MonitorStop(Arc<AtomicBool>);
 
-impl LiveCounters {
-    /// Mirrors one absorbed workload outcome into the live counters.
-    pub fn record(&self, absorbed: Absorbed) {
-        match absorbed {
-            Absorbed::Tested { buggy } => {
-                self.tested.fetch_add(1, Ordering::Relaxed);
-                self.bugs.fetch_add(usize::from(buggy), Ordering::Relaxed);
-            }
-            Absorbed::Skipped => {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The counters as a [`Progress`]; `stopping` once the run's budget or
-    /// bug limit is spent.
-    pub fn snapshot(
-        &self,
-        started: Instant,
-        total_workloads: u64,
-        total_shards: usize,
-        seeded_shards: usize,
-        stopping: bool,
-    ) -> Progress {
-        let elapsed = started.elapsed();
-        let completed_shards = self.completed_shards.load(Ordering::Relaxed);
-        Progress {
-            tested: self.tested.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            bugs: self.bugs.load(Ordering::Relaxed),
-            completed_shards,
-            total_shards,
-            total_workloads,
-            elapsed,
-            eta: eta(
-                elapsed,
-                completed_shards,
-                seeded_shards,
-                total_shards,
-                stopping,
-            ),
-            per_worker: Vec::new(),
-        }
-    }
-}
-
-/// Releases the progress monitor when the last worker exits — via `Drop`,
-/// so a panicking worker (e.g. a failed debug assertion) still shuts the
-/// monitor down instead of hanging the thread scope forever.
-pub(crate) struct WorkerGuard<'a> {
-    active: &'a AtomicUsize,
-    done: &'a AtomicBool,
-}
-
-impl<'a> WorkerGuard<'a> {
-    pub fn new(active: &'a AtomicUsize, done: &'a AtomicBool) -> Self {
-        WorkerGuard { active, done }
-    }
-}
-
-impl Drop for WorkerGuard<'_> {
+impl Drop for MonitorStop {
     fn drop(&mut self) {
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Relaxed);
-        }
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
 /// Spawns the periodic progress-monitor thread inside `scope`. Fires the
-/// callback with a fresh `snapshot` every `interval` until `done` is set,
-/// then once more with the final one.
+/// callback with a fresh `snapshot` every `interval` until the returned
+/// guard is dropped, then once more with the final one. Both sweep runners
+/// (the in-process engine and the distributed shell) hold the guard until
+/// their slot threads are joined.
 pub(crate) fn spawn_progress_monitor<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     callback: &'env (dyn Fn(&Progress) + Sync),
     interval: Duration,
-    done: &'env AtomicBool,
     snapshot: impl Fn() -> Progress + Send + 'scope,
-) {
+) -> MonitorStop {
+    let done = Arc::new(AtomicBool::new(false));
+    let stop = MonitorStop(Arc::clone(&done));
     scope.spawn(move || {
         let mut last_fired = Instant::now();
         while !done.load(Ordering::Relaxed) {
@@ -193,6 +133,7 @@ pub(crate) fn spawn_progress_monitor<'scope, 'env>(
         }
         callback(&snapshot());
     });
+    stop
 }
 
 #[cfg(test)]
@@ -202,6 +143,7 @@ mod tests {
     use b3_ace::{Bounds, WorkloadGenerator};
     use b3_fs_cow::CowFsSpec;
     use b3_vfs::KernelEra;
+    use std::sync::atomic::AtomicUsize;
 
     fn tiny_total() -> usize {
         WorkloadGenerator::new(Bounds::tiny()).count()

@@ -1,16 +1,18 @@
 //! Sharded, resumable sweeps over bounded workload spaces: the public
 //! facades ([`Sweep`] for ACE's file-system spaces, [`AppSweep`] for
 //! `b3_app` transaction spaces) and the data they share — per-shard
-//! results, checkpoints, progress, prune modes. The shard loop and the
-//! thread scheduler behind both facades live once, in the crate's `engine`
-//! module.
+//! results, checkpoints, progress, prune modes. The shard loop behind both
+//! facades lives once, in the crate's `engine` module, and so does their
+//! threaded runner of the one shard scheduler, the distributed coordinator
+//! core.
 //!
 //! A sweep splits the bounded space into deterministic generator shards
-//! ([`Bounds::shard`]) and lets worker threads *steal whole shards*:
-//! claiming a shard is one atomic increment, and
-//! inside a shard a worker drives its own generator with no shared state
-//! at all — the in-process analogue of the paper copying workload subsets
-//! to 780 VMs (§6.1).
+//! ([`Bounds::shard`]) and lets worker threads *steal whole shards*: each
+//! thread is a slot of the coordinator core, claims one shard at a time
+//! from its queue and reports the result back for merging, and inside a
+//! shard it drives its own generator with no shared state at all — the
+//! in-process analogue of the paper copying workload subsets to 780 VMs
+//! (§6.1).
 //!
 //! Because every shard is independently enumerable, a sweep can stop and
 //! resume: a [`SweepCheckpoint`] records the per-shard results of every
@@ -36,8 +38,9 @@ use crate::engine::{self, in_process_scope, AppSpace, FsSpace};
 use crate::postprocess::BugGroup;
 use crate::runner::{RunConfig, RunSummary};
 
-/// Live throughput of one remote worker process, as observed by a
-/// distributed sweep coordinator (see [`crate::distrib`]).
+/// Live throughput of one worker slot — a worker process of a distributed
+/// sweep (see [`crate::distrib`]), or a thread of an in-process one — as
+/// counted from the shards it has merged.
 #[derive(Debug, Clone)]
 pub struct WorkerThroughput {
     /// Worker index (0-based, stable for the life of the coordinator).
@@ -45,14 +48,14 @@ pub struct WorkerThroughput {
     /// Transport endpoint of the worker's current link (`child:<pid>`,
     /// `host:port`, `ssh:<host>#<pid>`), so multi-host progress output is
     /// attributable to a machine rather than a bare index. Empty until the
-    /// worker's handshake arrives (and for in-process sweeps).
+    /// worker's handshake arrives, and always for in-process threads.
     pub endpoint: String,
     /// Workloads this worker has tested so far.
     pub tested: u64,
     /// Shards this worker has completed so far.
     pub shards: u64,
     /// Workloads tested per second of wall-clock time, or `None` once the
-    /// worker has exited (cleanly or not).
+    /// worker (or thread) has exited, cleanly or not.
     pub throughput: Option<f64>,
 }
 
@@ -79,8 +82,9 @@ pub struct Progress {
     pub elapsed: Duration,
     /// Estimated time to completion, extrapolated from throughput so far.
     pub eta: Option<Duration>,
-    /// Per-worker throughput, populated only by distributed sweeps (one
-    /// entry per worker process); empty for in-process sweeps.
+    /// Per-worker throughput: one entry per worker process of a distributed
+    /// sweep, or per thread of an in-process one. The counts above and these
+    /// rows advance as shards merge, not per workload.
     pub per_worker: Vec<WorkerThroughput>,
 }
 
@@ -324,14 +328,6 @@ pub struct ShardResult {
     pub(crate) audit_failures: Vec<AuditFailure>,
 }
 
-/// What [`ShardResult::absorb`] recorded, so callers can mirror the outcome
-/// into live counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Absorbed {
-    Tested { buggy: bool },
-    Skipped,
-}
-
 impl ShardResult {
     /// True when two results describe the same outcome — identical counts
     /// and grouped reports — ignoring `workload_time_nanos`, which is
@@ -349,12 +345,11 @@ impl ShardResult {
     }
 
     /// Folds one CrashMonkey outcome into this shard's counters.
-    pub(crate) fn absorb(&mut self, outcome: FsResult<WorkloadOutcome>) -> Absorbed {
+    pub(crate) fn absorb(&mut self, outcome: FsResult<WorkloadOutcome>) {
         match outcome {
             Ok(outcome) => {
                 if outcome.skipped.is_some() {
                     self.skipped += 1;
-                    Absorbed::Skipped
                 } else {
                     self.tested += 1;
                     self.workload_time_nanos += outcome.timing.total.as_nanos() as u64;
@@ -372,8 +367,7 @@ impl ShardResult {
                             detail: divergence.clone(),
                         });
                     }
-                    let buggy = outcome.found_bug();
-                    if buggy {
+                    if outcome.found_bug() {
                         self.buggy += 1;
                     }
                     for bug in outcome.bugs {
@@ -384,13 +378,9 @@ impl ShardResult {
                     for counted in &outcome.counted {
                         self.groups.count(&outcome.skeleton, counted.consequence);
                     }
-                    Absorbed::Tested { buggy }
                 }
             }
-            Err(_) => {
-                self.skipped += 1;
-                Absorbed::Skipped
-            }
+            Err(_) => self.skipped += 1,
         }
     }
 
@@ -548,11 +538,11 @@ impl SweepCheckpoint {
     /// Merges the completed shards of `other` into `self` (set union of
     /// per-shard grouped results).
     ///
-    /// Merging is the coordinator's aggregation primitive: workers (or whole
-    /// partial runs) each produce a checkpoint covering a subset of the
-    /// shards, and any merge order converges to the same union — the
-    /// operation is commutative, associative, and idempotent, which
-    /// `tests/checkpoint_merge.rs` pins down property-by-property. The
+    /// Merging aggregates whole partial runs: each produces a checkpoint
+    /// covering a subset of the shards, and any merge order converges to
+    /// the same union — the operation is commutative, associative, and
+    /// idempotent, which `tests/checkpoint_merge.rs` pins down
+    /// property-by-property. The
     /// aggregate group view ([`SweepCheckpoint::grouped`]) unions the
     /// per-shard [`GroupTable`]s — counts add, and each group keeps the
     /// lexicographically-first exemplar — so the grouped result is also
@@ -821,10 +811,10 @@ impl<'a> Sweep<'a> {
 
     /// Runs (or resumes) the sweep, recording every completed shard into
     /// `checkpoint`. Shards already present in the checkpoint are not
-    /// re-run; shards interrupted by a workload budget or bug limit are not
-    /// recorded (so the next call re-runs them), but the work done inside
-    /// them still counts toward the *returned* summary — a sweep stopped by
-    /// `stop_after_bugs` reports the bugs that stopped it. Once
+    /// re-run; a shard the workload budget interrupts is not recorded (so
+    /// the next call re-runs it), but the work done inside it still counts
+    /// toward the *returned* summary. The bug limit interrupts nothing: it
+    /// stops the run once the shard whose bugs reach it is recorded. Once
     /// [`SweepCheckpoint::is_complete`], [`SweepCheckpoint::summary`] equals
     /// an uninterrupted run's counts.
     ///

@@ -336,40 +336,50 @@ fn audit_sample_is_unchanged_by_block_pruning() {
 /// The pruned counter threads through checkpoint resume: interrupting a
 /// representative sweep and resuming it yields the same totals as an
 /// uninterrupted one, with pruned counts restored from the checkpoint
-/// rather than recounted from zero.
+/// rather than recounted from zero. The interrupted run executes exactly its
+/// workload budget, on one thread or two: pruned candidates take none of it.
 #[test]
 fn representative_sweep_resumes_with_pruned_counts() {
     let bounds = symmetric_seq2_bounds();
     let uninterrupted = sweep(&bounds, PruneMode::Representative);
+    let budget = uninterrupted.tested / 2;
 
     let spec = CowFsSpec::new(KernelEra::V4_16);
-    let partial_config = RunConfig {
-        threads: 2,
-        stop_after_workloads: Some(uninterrupted.tested / 2),
-        ..RunConfig::default()
-    };
-    let sweeper = Sweep::new(&spec, partial_config)
-        .shards(NUM_SHARDS)
-        .prune(PruneMode::Representative);
-    let mut checkpoint = sweeper.empty_checkpoint(&bounds);
-    let partial = sweeper.run_resumable(&bounds, &mut checkpoint);
-    assert!(partial.tested < uninterrupted.tested);
-    // Serialize/restore between the partial run and the resume, as a real
-    // kill/restart would.
-    let mut restored = b3_harness::SweepCheckpoint::from_bytes(&checkpoint.to_bytes())
-        .expect("checkpoint round-trips");
-    let resume_config = RunConfig {
-        threads: 2,
-        ..RunConfig::default()
-    };
-    let resumed = Sweep::new(&spec, resume_config)
-        .shards(NUM_SHARDS)
-        .prune(PruneMode::Representative)
-        .run_resumable(&bounds, &mut restored);
-    assert_eq!(resumed.tested, uninterrupted.tested);
-    assert_eq!(resumed.skipped, uninterrupted.skipped);
-    assert_eq!(resumed.pruned, uninterrupted.pruned);
-    assert_eq!(report_bytes(&resumed), report_bytes(&uninterrupted));
+    for threads in [1, 2] {
+        let partial_config = RunConfig {
+            threads,
+            stop_after_workloads: Some(budget),
+            ..RunConfig::default()
+        };
+        let sweeper = Sweep::new(&spec, partial_config)
+            .shards(NUM_SHARDS)
+            .prune(PruneMode::Representative);
+        let mut checkpoint = sweeper.empty_checkpoint(&bounds);
+        let partial = sweeper.run_resumable(&bounds, &mut checkpoint);
+        assert!(partial.tested < uninterrupted.tested);
+        assert_eq!(
+            partial.tested + partial.skipped,
+            budget,
+            "{threads} threads"
+        );
+        assert!(partial.pruned > 0, "{threads} threads");
+        // Serialize/restore between the partial run and the resume, as a
+        // real kill/restart would.
+        let mut restored = b3_harness::SweepCheckpoint::from_bytes(&checkpoint.to_bytes())
+            .expect("checkpoint round-trips");
+        let resume_config = RunConfig {
+            threads: 2,
+            ..RunConfig::default()
+        };
+        let resumed = Sweep::new(&spec, resume_config)
+            .shards(NUM_SHARDS)
+            .prune(PruneMode::Representative)
+            .run_resumable(&bounds, &mut restored);
+        assert_eq!(resumed.tested, uninterrupted.tested);
+        assert_eq!(resumed.skipped, uninterrupted.skipped);
+        assert_eq!(resumed.pruned, uninterrupted.pruned);
+        assert_eq!(report_bytes(&resumed), report_bytes(&uninterrupted));
+    }
 }
 
 /// A representative-mode checkpoint is scoped by the canon version, so a

@@ -190,11 +190,6 @@ impl MemTree {
         self.inodes.values().map(Arc::as_ref)
     }
 
-    /// Number of inodes (including the root).
-    pub fn num_inodes(&self) -> usize {
-        self.inodes.len()
-    }
-
     /// The next inode number that will be allocated.
     pub fn next_ino(&self) -> InodeId {
         self.next_ino
@@ -211,11 +206,6 @@ impl MemTree {
     pub fn insert_inode_raw(&mut self, inode: Inode) {
         self.next_ino = self.next_ino.max(inode.ino + 1);
         self.inodes.insert(inode.ino, Arc::new(inode));
-    }
-
-    /// Removes an inode verbatim (recovery/log-replay use only).
-    pub fn remove_inode_raw(&mut self, ino: InodeId) -> Option<Inode> {
-        self.inodes.remove(&ino).map(Arc::unwrap_or_clone)
     }
 
     fn alloc_ino(&mut self) -> FsResult<InodeId> {

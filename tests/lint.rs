@@ -14,6 +14,9 @@
 //! * **A coordinator core without I/O**: `harness/src/distrib/coordinator.rs`
 //!   decides and the shell around it does the I/O, so the core names no
 //!   lock, thread, clock, socket, file or link.
+//! * **One shard scheduler**: the in-process engine
+//!   (`harness/src/engine.rs`) claims and merges through that core, so it
+//!   neither lists the missing shards nor records a result itself.
 //! * **Wire-tag documentation**: every frame-tag constant in
 //!   `protocol::wire` must be named in `docs/PROTOCOL.md`, so a new frame
 //!   cannot ship undocumented. (`tests/docs.rs` checks the converse — the
@@ -160,6 +163,21 @@ fn the_coordinator_core_does_no_io() {
         1,
         "distrib/mod.rs recovers poisoned locks in more than one place:\n{}",
         recoveries.join("\n")
+    );
+}
+
+/// The coordinator core owns the shard queue and the merge for both of its
+/// callers. The in-process engine therefore never builds its own queue
+/// (`missing_shards`) nor records a shard result (`SweepCheckpoint::record`)
+/// outside its tests.
+#[test]
+fn the_engine_schedules_through_the_coordinator_core() {
+    let engine = repo_root().join("crates/harness/src/engine.rs");
+    let hits = scan(&[engine], &["missing_shards", ".record("]);
+    assert!(
+        hits.is_empty(),
+        "the engine schedules shards itself:\n{}",
+        hits.join("\n")
     );
 }
 
