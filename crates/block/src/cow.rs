@@ -28,7 +28,6 @@ use bytes::Bytes;
 
 use crate::device::{
     check_read, check_write, gather_blocks, or_zeroes, pad_block, BlockDevice, BlockIndex,
-    BLOCK_SIZE,
 };
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
@@ -209,12 +208,6 @@ impl CowSnapshotDevice {
         self.overlay.len()
     }
 
-    /// Approximate memory consumed by the overlay, in bytes. This is the
-    /// quantity the paper's §6.5 memory-consumption numbers are about.
-    pub fn overlay_bytes(&self) -> u64 {
-        self.overlay.len() as u64 * BLOCK_SIZE as u64
-    }
-
     /// Reference to the base image this snapshot overlays.
     pub fn base(&self) -> &DiskImage {
         &self.base
@@ -299,6 +292,7 @@ impl BlockDevice for CowSnapshotDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::BLOCK_SIZE;
     use crate::ramdisk::RamDisk;
 
     fn base_image() -> DiskImage {
@@ -404,15 +398,6 @@ mod tests {
         other.write_block(7, b"layered", IoFlags::DATA).unwrap();
         assert!(layered == other.freeze());
         assert!(DiskImage::empty(8) != DiskImage::empty(9));
-    }
-
-    #[test]
-    fn overlay_bytes_accounting() {
-        let mut snap = CowSnapshotDevice::new(DiskImage::empty(64));
-        for i in 0..10 {
-            snap.write_block(i, b"x", IoFlags::DATA).unwrap();
-        }
-        assert_eq!(snap.overlay_bytes(), 10 * BLOCK_SIZE as u64);
     }
 
     #[test]

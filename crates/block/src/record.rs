@@ -304,11 +304,6 @@ impl LogHandle {
     pub fn is_empty(&self) -> bool {
         self.shared.lock().log.is_empty()
     }
-
-    /// Total bytes of recorded write payload.
-    pub fn recorded_bytes(&self) -> u64 {
-        self.shared.lock().log.recorded_bytes()
-    }
 }
 
 impl std::fmt::Debug for LogHandle {
@@ -500,7 +495,7 @@ mod tests {
         let (mut dev, log) = recording(16);
         dev.write_block(0, &[1u8; 100], IoFlags::DATA).unwrap();
         dev.write_block(1, &[2u8; 200], IoFlags::DATA).unwrap();
-        assert_eq!(log.recorded_bytes(), 300);
+        assert_eq!(log.snapshot().recorded_bytes(), 300);
     }
 
     #[test]
@@ -521,7 +516,8 @@ mod tests {
             })
             .sum();
         assert_eq!(snapshot.recorded_bytes(), rescanned);
-        assert_eq!(log.fork_device().log_handle().recorded_bytes(), rescanned);
+        let fork = log.fork_device().log_handle().snapshot();
+        assert_eq!(fork.recorded_bytes(), rescanned);
     }
 
     #[test]

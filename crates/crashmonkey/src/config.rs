@@ -88,13 +88,6 @@ pub struct CrashMonkeyConfig {
     /// device synchronously). Needed to reproduce the ext4 direct-write
     /// i_disksize bug (known workload 4).
     pub direct_write_is_persistence_point: bool,
-    /// Model the kernel-imposed delays the paper reports for the real
-    /// CrashMonkey (§6.3): ~1 s to mount a file system plus a 2 s settle
-    /// delay after the workload, which together account for 84% of the 4.6 s
-    /// per-workload latency. The simulated file systems have no such delays;
-    /// when this flag is set the reported *modeled* latency adds them so the
-    /// benchmark output can be compared against the paper's numbers.
-    pub model_kernel_delays: bool,
 }
 
 impl Default for CrashMonkeyConfig {
@@ -103,7 +96,6 @@ impl Default for CrashMonkeyConfig {
             device_blocks: 100 * 1024 * 1024 / BLOCK_SIZE as u64,
             crash_points: CrashPointPolicy::LastOnly,
             direct_write_is_persistence_point: true,
-            model_kernel_delays: false,
         }
     }
 }
@@ -138,17 +130,6 @@ impl CrashMonkeyConfig {
             ..CrashMonkeyConfig::small()
         }
     }
-
-    /// The kernel-imposed delay (in seconds) the paper measured per
-    /// workload: ~1 s mount delay + 2 s settle delay + ~0.9 s of other
-    /// kernel-side waits, i.e. 84% of the 4.6 s end-to-end latency.
-    pub fn modeled_kernel_delay_seconds(&self) -> f64 {
-        if self.model_kernel_delays {
-            4.6 * 0.84
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,18 +141,5 @@ mod tests {
         let config = CrashMonkeyConfig::default();
         assert_eq!(config.device_blocks * BLOCK_SIZE as u64, 100 * 1024 * 1024);
         assert_eq!(config.crash_points, CrashPointPolicy::LastOnly);
-    }
-
-    #[test]
-    fn modeled_delay_only_when_enabled() {
-        assert_eq!(
-            CrashMonkeyConfig::default().modeled_kernel_delay_seconds(),
-            0.0
-        );
-        let modeled = CrashMonkeyConfig {
-            model_kernel_delays: true,
-            ..CrashMonkeyConfig::default()
-        };
-        assert!((modeled.modeled_kernel_delay_seconds() - 3.864).abs() < 1e-9);
     }
 }

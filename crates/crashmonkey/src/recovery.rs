@@ -8,7 +8,7 @@
 //! match. The test suite therefore doubles as an equivalence proof for each
 //! file system's recover.
 
-use b3_block::{CowSnapshotDevice, IoLog, IoRecord, BLOCK_SIZE};
+use b3_block::CowSnapshotDevice;
 use b3_vfs::error::FsResult;
 use b3_vfs::fs::{FileSystem, FsSpec};
 use b3_vfs::snapshot::LogicalSnapshot;
@@ -38,25 +38,4 @@ pub(crate) fn recover(
         );
     }
     recovered
-}
-
-/// Bytes of copy-on-write state the crash state at `checkpoint` holds on
-/// top of the base image: distinct blocks written before its marker, times
-/// the block size (§6.5's accounting, and what a replay up to the
-/// checkpoint would have copied).
-pub(crate) fn overlay_bytes(log: &IoLog, checkpoint: u32) -> u64 {
-    let mut blocks: Vec<_> = log
-        .records()
-        .iter()
-        .take_while(
-            |record| !matches!(record, IoRecord::Checkpoint { id, .. } if *id == checkpoint),
-        )
-        .filter_map(|record| match record {
-            IoRecord::Write { index, .. } => Some(*index),
-            _ => None,
-        })
-        .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks.len() as u64 * BLOCK_SIZE as u64
 }

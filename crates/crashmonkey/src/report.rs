@@ -359,48 +359,6 @@ pub struct PhaseTiming {
     pub checking: Duration,
     /// End-to-end time.
     pub total: Duration,
-    /// The modeled kernel-imposed delay (mount + settle) that the real
-    /// CrashMonkey pays per workload; zero unless the configuration enables
-    /// modeling (see `CrashMonkeyConfig::model_kernel_delays`).
-    pub modeled_kernel_delay_seconds: f64,
-}
-
-impl PhaseTiming {
-    /// End-to-end latency including the modeled kernel delays, in seconds —
-    /// the number to compare against the paper's 4.6 s.
-    pub fn modeled_total_seconds(&self) -> f64 {
-        self.total.as_secs_f64() + self.modeled_kernel_delay_seconds
-    }
-}
-
-/// Resource accounting for one workload (§6.5).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ResourceStats {
-    /// Bytes of block IO recorded while profiling.
-    pub recorded_io_bytes: u64,
-    /// Bytes held in copy-on-write overlays across all constructed crash
-    /// states (the paper's ~20 MB average memory consumption figure).
-    pub crash_state_overlay_bytes: u64,
-    /// Bytes of persistent storage used by the serialized workload (the
-    /// paper reports ~480 KB per workload).
-    pub workload_storage_bytes: u64,
-}
-
-/// Length in bytes of `value`'s text rendering, counted as it is written
-/// instead of by building the string.
-pub(crate) fn rendered_len(value: &impl std::fmt::Display) -> u64 {
-    struct ByteCount(u64);
-    impl std::fmt::Write for ByteCount {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0 += s.len() as u64;
-            Ok(())
-        }
-    }
-    let mut count = ByteCount(0);
-    // The sink never fails, and neither do the workload language's
-    // `Display` impls.
-    let _ = std::fmt::Write::write_fmt(&mut count, format_args!("{value}"));
-    count.0
 }
 
 /// The outcome of testing one workload on one file system.
@@ -447,8 +405,6 @@ pub struct WorkloadOutcome {
     pub skipped: Option<String>,
     /// Phase timings.
     pub timing: PhaseTiming,
-    /// Resource accounting.
-    pub resource: ResourceStats,
 }
 
 impl WorkloadOutcome {
@@ -473,7 +429,6 @@ impl WorkloadOutcome {
             triage_divergences: Vec::new(),
             skipped: None,
             timing: PhaseTiming::default(),
-            resource: ResourceStats::default(),
         }
     }
 
@@ -606,15 +561,5 @@ mod tests {
         assert_eq!(members, [XattrInconsistent, DataLoss, TxnDurabilityLoss]);
         assert_eq!(set.max(), Some(TxnDurabilityLoss));
         assert_eq!(ConsequenceSet::default().max(), None);
-    }
-
-    #[test]
-    fn modeled_total_adds_delay() {
-        let timing = PhaseTiming {
-            total: Duration::from_millis(100),
-            modeled_kernel_delay_seconds: 3.9,
-            ..PhaseTiming::default()
-        };
-        assert!((timing.modeled_total_seconds() - 4.0).abs() < 1e-9);
     }
 }

@@ -313,7 +313,6 @@ fn test_on<T: Target>(
         Finished::Failed(run) => {
             let mut outcome = target.judge(workload).0;
             outcome.skipped = Some(T::skip(run)?);
-            outcome.resource.recorded_io_bytes = T::points(run).0.recorded_bytes();
             outcome
         }
     };
@@ -366,7 +365,6 @@ fn crash_points<T: Target>(
     let audit = policy.triage_audit();
     let (mut outcome, judge) = target.judge(workload);
     let (recording, points) = T::points(run);
-    outcome.resource.recorded_io_bytes = recording.recorded_bytes();
     let base = carried.formatted_image()?;
     let mut log: Option<IoLog> = None;
     // Every checkpoint of the log has its digest here, when triaging.
@@ -381,7 +379,7 @@ fn crash_points<T: Target>(
             checkpoint,
         )
     };
-    let (mut recovery, mut checking, mut furthest) = (Duration::ZERO, Duration::ZERO, 0);
+    let (mut recovery, mut checking) = (Duration::ZERO, Duration::ZERO);
     for point in policy.select(points) {
         let (checkpoint, cell) = T::point(point);
         // A few checkpoints per workload: a scan beats a map.
@@ -419,7 +417,6 @@ fn crash_points<T: Target>(
                 let check_start = Instant::now();
                 let held = target.hold(&judge, point, state, recovered)?;
                 checking += check_start.elapsed();
-                furthest = furthest.max(checkpoint);
                 outcome.checkpoints_tested += 1;
                 Some(held)
             }
@@ -468,14 +465,10 @@ fn crash_points<T: Target>(
             }
         }
     }
-    if let Some(log) = log.as_ref().filter(|_| furthest > 0) {
-        outcome.resource.crash_state_overlay_bytes = recovery::overlay_bytes(log, furthest);
-    }
     outcome.timing.crash_state_construction = start.elapsed() - checking;
     outcome.timing.recovery = recovery;
     outcome.timing.checking = checking;
     outcome.timing.total = start.elapsed();
-    outcome.timing.modeled_kernel_delay_seconds = carried.config.modeled_kernel_delay_seconds();
     Ok(outcome)
 }
 

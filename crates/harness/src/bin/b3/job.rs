@@ -23,6 +23,7 @@ pub struct JobSpec {
     prune: PruneMode,
     audit_k: Option<u32>,
     crash_points: CrashPointPolicy,
+    triage_audit: Option<u32>,
     engine: EngineProfile,
 }
 
@@ -36,6 +37,7 @@ impl JobSpec {
             prune: PruneMode::Off,
             audit_k: None,
             crash_points: CrashPointPolicy::LastOnly,
+            triage_audit: None,
             engine: EngineProfile::none(),
         }
     }
@@ -55,14 +57,7 @@ impl JobSpec {
                     "crash-point policy (last/all/triaged)",
                 )?;
             }
-            "--triage-audit" => match &mut self.crash_points {
-                CrashPointPolicy::AllTriaged { audit } => *audit = args.parsed()?,
-                _ => {
-                    return Err(Exit::usage(
-                        "--triage-audit requires --crash-points triaged",
-                    ))
-                }
-            },
+            "--triage-audit" => self.triage_audit = Some(args.parsed()?),
             "--engine" => {
                 self.engine = EngineProfile::parse(&args.value()?)
                     .map_err(|e| Exit::usage(format!("--engine: {e}")))?;
@@ -100,9 +95,20 @@ impl JobSpec {
             (PruneMode::Audit { .. }, Some(samples_per_class)) => {
                 PruneMode::Audit { samples_per_class }
             }
-            (mode, _) => mode,
+            (_, Some(_)) => return Err(Exit::usage("--audit-k requires --prune audit")),
+            (mode, None) => mode,
         };
-        job.crashmonkey.crash_points = self.crash_points;
+        job.crashmonkey.crash_points = match (self.crash_points, self.triage_audit) {
+            (CrashPointPolicy::AllTriaged { .. }, Some(audit)) => {
+                CrashPointPolicy::AllTriaged { audit }
+            }
+            (_, Some(_)) => {
+                return Err(Exit::usage(
+                    "--triage-audit requires --crash-points triaged",
+                ))
+            }
+            (policy, None) => policy,
+        };
         job.validate().map_err(|e| Exit::usage(e.to_string()))?;
         Ok(job)
     }
@@ -204,6 +210,20 @@ mod tests {
         assert_eq!(job.scope(), "btrfs@3.13/blk4096/cp210/app:fixed");
         let job = parse("--preset tiny-seq2 --prune audit --audit-k 3").unwrap();
         assert_eq!(job.scope(), "btrfs@4.16/blk4096/cp010/canon1:audit3");
+        // The audit budgets may come before the flags they refine, and a
+        // repeated policy keeps the budget.
+        let job = parse("--audit-k 3 --preset tiny-seq2 --prune audit").unwrap();
+        assert_eq!(job.scope(), "btrfs@4.16/blk4096/cp010/canon1:audit3");
+        for argv in [
+            "--triage-audit 2 --crash-points triaged",
+            "--crash-points triaged --triage-audit 2 --crash-points triaged",
+        ] {
+            assert_eq!(
+                parse(argv).unwrap().scope(),
+                "btrfs@4.16/blk4096/cp2a210",
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
@@ -211,6 +231,10 @@ mod tests {
         for argv in [
             "--triage-audit 2",
             "--crash-points all --triage-audit 2",
+            "--crash-points triaged --triage-audit 2 --crash-points all",
+            "--audit-k 3",
+            "--prune rep --audit-k 3",
+            "--audit-k 3 --prune audit --prune off",
             "--preset tiny --engine torn-commit",
             "--preset app-tiny --prune rep",
             "--preset nope",

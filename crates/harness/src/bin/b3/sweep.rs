@@ -21,8 +21,16 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
     let mut checkpoint: Option<PathBuf> = None;
     let mut stop_after: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
+    // The last pool flag given that only a worker pool reads.
+    let mut pool_only: Option<String> = None;
     while let Some(flag) = args.next_flag()? {
-        if spec.take(&flag, &mut args)? || pool.take(&flag, &mut args)? {
+        if spec.take(&flag, &mut args)? {
+            continue;
+        }
+        if pool.take(&flag, &mut args)? {
+            if flag != "--workers" {
+                pool_only = Some(flag);
+            }
             continue;
         }
         match flag.as_str() {
@@ -37,6 +45,11 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
         return Err(Exit::usage(
             "--checkpoint needs a worker pool: an --in-process sweep is not persisted",
         ));
+    }
+    if let Some(flag) = pool_only.filter(|_| in_process) {
+        return Err(Exit::usage(format!(
+            "{flag} needs a worker pool: an --in-process sweep runs on threads"
+        )));
     }
 
     let mut resumed_shards = None;

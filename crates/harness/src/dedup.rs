@@ -13,7 +13,7 @@
 //! reports (or partial tables) are folded in:
 //! [`GroupTable::merge_from`] adds counts and takes the name-minimal
 //! exemplar, making it commutative, associative, and idempotent-friendly —
-//! exactly what [`crate::sweep::SweepCheckpoint::merge`] needs so that a
+//! exactly what [`crate::sweep::SweepCheckpoint::grouped`] needs so that a
 //! distributed sweep's grouped results equal post-hoc
 //! [`crate::postprocess::group_reports`] over the raw report stream,
 //! regardless of shard partition or arrival order.

@@ -324,6 +324,8 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::dedup::GroupTable;
     use crate::distrib::SweepJob;
     use b3_ace::Bounds;
@@ -398,6 +400,18 @@ mod tests {
     struct Tally {
         merges: [usize; SHARDS as usize],
         discovered: BTreeSet<GroupKey>,
+        /// Per bug group, whether the first merge that brought it came
+        /// over a link: a thread's merge announces nothing.
+        first_by_link: BTreeMap<GroupKey, bool>,
+    }
+
+    impl Tally {
+        fn merged(&mut self, shard: u32, by_link: bool) {
+            self.merges[shard as usize] += 1;
+            for (key, _) in result_for(shard).groups.entries() {
+                self.first_by_link.entry(key.clone()).or_insert(by_link);
+            }
+        }
     }
 
     /// Checks the bookkeeping every event must keep: each shard is queued,
@@ -450,19 +464,39 @@ mod tests {
 
     /// One coordinator run under a schedule drawn from `rng`: links come
     /// up, claim, report and die; `chaos` adds link losses, duplicate and
-    /// foreign `ShardDone`s, a stop and a coordinator crash. Returns the
-    /// checkpoint a restart sees: every shard whose merge returned.
+    /// foreign `ShardDone`s, a stop and a coordinator crash. The first
+    /// `threads` slots act as the in-process engine's threads instead
+    /// (see `thread_step`); `chaos` gives them a workload budget or a
+    /// bug limit. Returns the checkpoint a restart sees: every shard whose
+    /// merge returned.
     fn run_once(
         rng: &mut Rng,
         checkpoint: SweepCheckpoint,
         sizes: &[u64],
         config: &DistribConfig,
+        threads: usize,
         chaos: bool,
         tally: &mut Tally,
     ) -> SweepCheckpoint {
         let seeded = checkpoint.clone();
         let mut core = Coordinator::new(checkpoint, sizes.to_vec(), 0, config);
-        let mut links = vec![Link::Down; config.workers];
+        // A thread is a slot from the start: it never calls `link_up`.
+        let mut links: Vec<Link> = (0..config.workers)
+            .map(|slot| {
+                if slot < threads {
+                    Link::Up {
+                        pending: Vec::new(),
+                    }
+                } else {
+                    Link::Down
+                }
+            })
+            .collect();
+        let total: u64 = sizes.iter().sum();
+        let mut limits = Limits {
+            budget: (chaos && rng.one_in(3)).then(|| rng.below(total as usize + 1) as u64),
+            bugs: (chaos && rng.one_in(3)).then(|| rng.below(2 * SHARDS as usize)),
+        };
         let mut stop = false;
         for _ in 0..10_000 {
             let live: Vec<usize> = (0..links.len())
@@ -474,6 +508,11 @@ mod tests {
             }
             let slot = live[rng.below(live.len())];
             stop |= chaos && rng.one_in(40);
+            if slot < threads {
+                thread_step(&mut core, slot, &mut links[slot], &mut limits, sizes, tally);
+                check_books(&core, &seeded, &links);
+                continue;
+            }
             let pending = match &mut links[slot] {
                 Link::Up { pending } => pending,
                 _ if core.no_work_left() => {
@@ -529,7 +568,7 @@ mod tests {
                 let merged = core.shard_done(slot, shard, result_for(shard), true);
                 let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
                 assert_eq!(merged.idle, pending.is_empty());
-                tally.merges[shard as usize] += 1;
+                tally.merged(shard, true);
                 for group in merged.discovered {
                     let key = (group.skeleton, group.consequence);
                     assert!(
@@ -543,9 +582,71 @@ mod tests {
         panic!("the schedule did not end in 10 000 events");
     }
 
+    /// The stop limits of an in-process run: the workload budget left, and
+    /// the bug limit.
+    struct Limits {
+        budget: Option<u64>,
+        bugs: Option<usize>,
+    }
+
+    /// One event of an in-process slot, as `engine::run_resumable`'s
+    /// threads drive the core: an idle thread claims with the stop its
+    /// budget or bug limit gives, and leaves with `link_down` on anything
+    /// but an assignment; a busy one runs its next shard and reports it
+    /// without discoveries, unless the budget runs out inside the shard,
+    /// which leaves it unrecorded and ends the thread.
+    fn thread_step(
+        core: &mut Coordinator,
+        slot: usize,
+        link: &mut Link,
+        limits: &mut Limits,
+        sizes: &[u64],
+        tally: &mut Tally,
+    ) {
+        let Link::Up { pending } = link else {
+            unreachable!("a thread is up until it leaves");
+        };
+        if pending.is_empty() {
+            let stop =
+                limits.budget == Some(0) || limits.bugs.is_some_and(|limit| core.bugs() >= limit);
+            let claim = core.claim(slot, stop);
+            match claim.expect("a thread claims with no shard held") {
+                Claim::Assign(batch) => {
+                    *pending = batch;
+                    return;
+                }
+                Claim::Wait => assert!(core.in_flight(), "a wait needs shards in flight"),
+                Claim::Shutdown => assert!(core.no_work_left(), "shut down with work left"),
+            }
+            core.link_down(slot);
+            *link = Link::Gone;
+            return;
+        }
+        let shard = pending.remove(0);
+        let size = sizes[shard as usize];
+        if let Some(left) = &mut limits.budget {
+            if *left < size {
+                *left = 0;
+                core.link_down(slot);
+                *link = Link::Gone;
+                return;
+            }
+            *left -= size;
+        }
+        let merged = core.shard_done(slot, shard, result_for(shard), false);
+        let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+        assert!(
+            merged.discovered.is_empty(),
+            "a thread asked for no discoveries"
+        );
+        assert_eq!(merged.idle, pending.is_empty());
+        tally.merged(shard, false);
+    }
+
     /// Runs seed `seed`: a chaotic run, up to two more after coordinator
     /// restarts or stops, then a clean run that must complete from the
-    /// checkpoint they left.
+    /// checkpoint they left. A seeded share of the slots are in-process
+    /// threads in every run.
     fn run_schedule(seed: u64, sizes: &[u64], job: &SweepJob) {
         let mut rng = Rng(seed);
         let total: u64 = sizes.iter().sum();
@@ -556,17 +657,22 @@ mod tests {
             stop_after_workloads: rng.one_in(4).then(|| rng.below(total as usize)),
             ..DistribConfig::default()
         };
+        let threads = rng.below(config.workers + 1);
         let mut tally = Tally::default();
         let mut checkpoint = job.empty_checkpoint();
         for _ in 0..1 + rng.below(3) {
-            checkpoint = run_once(&mut rng, checkpoint, sizes, &config, true, &mut tally);
+            checkpoint = run_once(
+                &mut rng, checkpoint, sizes, &config, threads, true, &mut tally,
+            );
         }
         let clean = DistribConfig {
             workers: config.workers,
             assign_batch: config.assign_batch,
             ..DistribConfig::default()
         };
-        let checkpoint = run_once(&mut rng, checkpoint, sizes, &clean, false, &mut tally);
+        let checkpoint = run_once(
+            &mut rng, checkpoint, sizes, &clean, threads, false, &mut tally,
+        );
         assert!(checkpoint.is_complete(), "the clean run completes");
         assert_eq!(tally.merges, [1; SHARDS as usize], "each shard merged once");
         let mut reference = GroupTable::new();
@@ -579,8 +685,23 @@ mod tests {
             enc.finish()
         };
         assert_eq!(bytes(&checkpoint.grouped()), bytes(&reference));
-        let keys: BTreeSet<GroupKey> = reference.entries().map(|(k, _)| k.clone()).collect();
-        assert_eq!(tally.discovered, keys, "every group discovered once");
+        // A group a link's merge brought into the sweep first is
+        // discovered (once: see `run_once`). One a thread brought first
+        // may be announced by a later link merge, as a thread's merges do
+        // not mark groups seen; only tests mix the two kinds of slot.
+        let announced: BTreeSet<GroupKey> = tally
+            .first_by_link
+            .iter()
+            .filter(|(_, &by_link)| by_link)
+            .map(|(key, _)| key.clone())
+            .collect();
+        assert!(
+            announced.is_subset(&tally.discovered),
+            "a group not discovered"
+        );
+        if threads == 0 {
+            assert_eq!(tally.discovered, announced, "every group discovered once");
+        }
     }
 
     /// Runs every seed of `seeds`, naming the one that fails.

@@ -321,7 +321,9 @@ impl SweepJob {
             cm.device_blocks,
             cp,
             u8::from(cm.direct_write_is_persistence_point),
-            u8::from(cm.model_kernel_delays),
+            // The slot of a retired kernel-delay flag, always 0, kept so
+            // the scopes of existing checkpoints still match.
+            0,
         );
         // App jobs drive the WAL/KV engine on top of the file system, and
         // the engine's seeded-bug profile changes every shard result — so
@@ -374,7 +376,9 @@ impl SweepJob {
         enc.put_u8(cp_code);
         enc.put_u32(cp_audit);
         enc.put_bool(self.crashmonkey.direct_write_is_persistence_point);
-        enc.put_bool(self.crashmonkey.model_kernel_delays);
+        // Reserved: the retired `model_kernel_delays` flag's byte, always
+        // false, so frames and fleet queues keep their layout.
+        enc.put_bool(false);
         self.prune.encode(enc);
     }
 
@@ -419,8 +423,12 @@ impl SweepJob {
             device_blocks,
             crash_points,
             direct_write_is_persistence_point: dec.get_bool()?,
-            model_kernel_delays: dec.get_bool()?,
         };
+        if dec.get_bool()? {
+            return Err(FsError::Corrupted(
+                "job sets the reserved byte of the retired kernel-delay flag".into(),
+            ));
+        }
         let prune = PruneMode::decode(dec)?;
         Ok(SweepJob {
             fs,
@@ -1076,6 +1084,26 @@ mod tests {
             assert!(error.to_string().contains("at least 1"), "{error}");
         }
         DistribConfig::default().validate().unwrap();
+    }
+
+    /// The byte the retired kernel-delay flag held stays in the job body,
+    /// always 0: a job that sets it came from a build that modeled the
+    /// delays, and is refused rather than run without them.
+    #[test]
+    fn a_job_that_sets_the_reserved_byte_is_refused() {
+        let mut enc = Encoder::new();
+        SweepJob::new(Bounds::tiny(), 2).encode(&mut enc);
+        let mut bytes = enc.finish();
+        // The body ends with the two flag bytes and the 5-byte prune mode.
+        let reserved = bytes.len() - 6;
+        assert_eq!(bytes[reserved], 0);
+        SweepJob::decode(&mut Decoder::new(&bytes)).unwrap();
+        bytes[reserved] = 1;
+        let error = SweepJob::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(
+            error.to_string().contains("retired kernel-delay flag"),
+            "{error}"
+        );
     }
 
     /// The error table in `docs/PROTOCOL.md`: desynced streams are fatal

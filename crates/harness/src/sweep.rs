@@ -332,8 +332,7 @@ impl ShardResult {
     /// True when two results describe the same outcome — identical counts
     /// and grouped reports — ignoring `workload_time_nanos`, which is
     /// wall-clock and differs between independent runs of the same shard.
-    /// This is the comparison duplicate-shard merges must use: a
-    /// legitimately re-run shard reproduces everything *except* its timing.
+    #[cfg(test)]
     pub(crate) fn same_outcome(&self, other: &ShardResult) -> bool {
         self.tested == other.tested
             && self.skipped == other.skipped
@@ -479,8 +478,8 @@ impl SweepCheckpoint {
     /// string. The scope participates in the fingerprint, so checkpoints
     /// recorded under different execution contexts — e.g. different file
     /// systems or CrashMonkey configurations in a distributed sweep
-    /// ([`crate::distrib`]) — refuse to resume or merge into each other
-    /// even over identical bounds.
+    /// ([`crate::distrib`]) — refuse to resume each other even over
+    /// identical bounds.
     pub fn scoped(bounds: &Bounds, num_shards: usize, scope: &str) -> Self {
         SweepCheckpoint {
             fingerprint: Self::fingerprint_for(bounds, num_shards, scope),
@@ -533,73 +532,6 @@ impl SweepCheckpoint {
     /// pair.
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
-    }
-
-    /// Merges the completed shards of `other` into `self` (set union of
-    /// per-shard grouped results).
-    ///
-    /// Merging aggregates whole partial runs: each produces a checkpoint
-    /// covering a subset of the shards, and any merge order converges to
-    /// the same union — the operation is commutative, associative, and
-    /// idempotent, which `tests/checkpoint_merge.rs` pins down
-    /// property-by-property. The
-    /// aggregate group view ([`SweepCheckpoint::grouped`]) unions the
-    /// per-shard [`GroupTable`]s — counts add, and each group keeps the
-    /// lexicographically-first exemplar — so the grouped result is also
-    /// independent of shard partition and merge order, and equals post-hoc
-    /// [`crate::postprocess::group_reports`] over the raw report stream.
-    ///
-    /// Checkpoints with different fingerprints (different bounds, shard
-    /// counts, or scopes) describe different sweeps; merging them is
-    /// rejected rather than silently combined. When both sides recorded the
-    /// same shard the incoming result wins (last-writer-wins) — a shard's
-    /// *outcome* (counts and grouped reports) is a pure function of
-    /// (bounds, scope, shard index), so duplicates must agree on everything
-    /// except the wall-clock per-shard timing, and debug builds assert
-    /// exactly that via the timing-ignoring `ShardResult::same_outcome`
-    /// (full `ShardResult` equality would spuriously panic on a
-    /// legitimately re-run shard). The union is therefore commutative,
-    /// associative, and idempotent up to that timing field.
-    pub fn merge(&mut self, other: &SweepCheckpoint) -> FsResult<()> {
-        if self.fingerprint != other.fingerprint || self.num_shards != other.num_shards {
-            return Err(FsError::InvalidArgument(format!(
-                "cannot merge sweep checkpoints of different sweeps \
-                 (ours {:?}, theirs {:?})",
-                self.fingerprint, other.fingerprint
-            )));
-        }
-        for (&shard, result) in &other.results {
-            if let Some(existing) = self.results.get(&shard) {
-                debug_assert!(
-                    existing.same_outcome(result),
-                    "shard {shard} was re-run with a different outcome; a shard's \
-                     counts and reports must be a pure function of \
-                     (bounds, scope, shard index)"
-                );
-            }
-            self.results.insert(shard, result.clone());
-        }
-        Ok(())
-    }
-
-    /// A copy of this checkpoint restricted to the given shards (shards the
-    /// checkpoint has no result for are ignored). `subset` and [`merge`]
-    /// together let a coordinator split a checkpoint across workers and
-    /// reassemble it.
-    ///
-    /// [`merge`]: SweepCheckpoint::merge
-    pub fn subset(&self, shards: impl IntoIterator<Item = u32>) -> SweepCheckpoint {
-        let mut results = BTreeMap::new();
-        for shard in shards {
-            if let Some(result) = self.results.get(&shard) {
-                results.insert(shard, result.clone());
-            }
-        }
-        SweepCheckpoint {
-            fingerprint: self.fingerprint.clone(),
-            num_shards: self.num_shards,
-            results,
-        }
     }
 
     /// Shards not yet recorded, in ascending order — the work remaining.
@@ -1284,7 +1216,11 @@ mod tests {
                 timing.total >= timing.profile + timing.recovery,
                 "{timing:?}"
             );
-            assert!(outcome.resource.recorded_io_bytes > 0, "{}", workload.name);
+            let mut run = harness.mount_run().unwrap();
+            for txn in &workload.txns {
+                run.step(txn);
+            }
+            assert!(run.log().recorded_bytes() > 0, "{}", workload.name);
         }
     }
 

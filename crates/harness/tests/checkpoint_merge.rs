@@ -1,37 +1,87 @@
-//! Property tests for the checkpoint merge algebra.
-//!
-//! A distributed sweep reassembles its result from per-worker partial
-//! checkpoints, so the correctness of the whole fan-out rests on `merge`
-//! being a true set union: commutative, associative, idempotent, and
-//! refusing to combine checkpoints of different sweeps. The subsets here
-//! are carved (via [`SweepCheckpoint::subset`]) out of one real completed
-//! sweep, so every merged shard carries real results, grouped reports
-//! included.
+//! Property tests for the grouped result of a sharded sweep.
 //!
 //! Shard results are deduplicated at the source (per-group exemplars +
-//! counts, see `b3_harness::dedup`), so this suite additionally pins the
-//! **dedup equivalence**: merging grouped shard results over *any* shard
-//! partition, in *any* order, produces the same (group → count, exemplar)
-//! table as post-hoc `group_reports` over the raw, ungrouped report stream
-//! of a sequential, single-threaded CrashMonkey pass over the generator.
+//! counts, see `b3_harness::dedup`), and a sweep's grouped view is the union
+//! of its per-shard tables under [`GroupTable::merge_from`]. This suite pins
+//! the **dedup equivalence**: merging per-shard tables over *any* shard
+//! partition, in *any* order, encodes to the same bytes as post-hoc
+//! `group_reports` over the raw, ungrouped report stream of a sequential,
+//! single-threaded CrashMonkey pass over the generator, and as the grouped
+//! checkpoint of a threaded sweep over the same shards.
 
 use std::sync::OnceLock;
 
 use b3_ace::{Bounds, WorkloadGenerator};
 use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig};
 use b3_fs_cow::CowFsSpec;
-use b3_harness::{group_reports, BugGroup, RunConfig, Sweep, SweepCheckpoint};
+use b3_harness::{group_reports, GroupTable, RunConfig, Sweep, SweepCheckpoint};
+use b3_vfs::codec::Encoder;
 use b3_vfs::KernelEra;
 use proptest::prelude::*;
 
-const NUM_SHARDS: usize = 8;
+/// Enough shards that four bug groups span two or more of them, so merges
+/// add counts and pick exemplars across tables.
+const NUM_SHARDS: usize = 16;
 
-/// One fully swept checkpoint over the tiny bounds, computed once.
-fn full_checkpoint() -> &'static SweepCheckpoint {
-    static FULL: OnceLock<SweepCheckpoint> = OnceLock::new();
-    FULL.get_or_init(|| {
-        let bounds = Bounds::tiny();
-        let spec = CowFsSpec::new(KernelEra::V4_16);
+/// The tiny bounds at sequence length 2 (the CLI's `tiny-seq2`, 150
+/// candidates): at length 1 the space holds two bug reports.
+fn bounds() -> Bounds {
+    let mut bounds = Bounds::tiny();
+    bounds.seq_len = 2;
+    bounds
+}
+
+/// The 3.13 era, whose bugs give the space 12 groups.
+fn spec() -> CowFsSpec {
+    CowFsSpec::new(KernelEra::V3_13)
+}
+
+fn bytes(table: &GroupTable) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    table.encode(&mut enc);
+    enc.finish()
+}
+
+/// One group table per shard, computed once: a
+/// CrashMonkey folded over the shard's generator, every report observed.
+fn shard_tables() -> &'static [GroupTable] {
+    static TABLES: OnceLock<Vec<GroupTable>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let (bounds, spec) = (bounds(), spec());
+        bounds
+            .shards(NUM_SHARDS)
+            .iter()
+            .map(|shard| {
+                let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+                let mut table = GroupTable::new();
+                for workload in WorkloadGenerator::for_shard(bounds.clone(), shard) {
+                    if let Ok(outcome) = monkey.test_workload(&workload) {
+                        outcome.bugs.into_iter().for_each(|bug| table.observe(bug));
+                    }
+                }
+                table
+            })
+            .collect()
+    })
+}
+
+/// The two references, encoded: the *raw* report stream over the same
+/// bounds grouped post hoc (one CrashMonkey folded over the whole generator
+/// with no threads, keeping every report — the §5.3 reference), and a
+/// threaded sweep's grouped checkpoint.
+fn references() -> &'static (Vec<u8>, Vec<u8>) {
+    static REFERENCES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    REFERENCES.get_or_init(|| {
+        let (bounds, spec) = (bounds(), spec());
+        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
+        let raw: Vec<_> = WorkloadGenerator::new(bounds.clone())
+            .filter_map(|workload| monkey.test_workload(&workload).ok())
+            .flat_map(|outcome| outcome.bugs)
+            .collect();
+        let post_hoc = GroupTable::from_reports(&raw);
+        assert!(!post_hoc.is_empty(), "the space finds bugs on 3.13");
+        assert_eq!(post_hoc.groups(), group_reports(&raw));
+
         let mut checkpoint = SweepCheckpoint::new(&bounds, NUM_SHARDS);
         let config = RunConfig {
             threads: 2,
@@ -41,188 +91,38 @@ fn full_checkpoint() -> &'static SweepCheckpoint {
             .shards(NUM_SHARDS)
             .run_resumable(&bounds, &mut checkpoint);
         assert!(checkpoint.is_complete());
-        checkpoint
+        (bytes(&post_hoc), bytes(&checkpoint.grouped()))
     })
-}
-
-/// The post-hoc grouping of the *raw* report stream over the same bounds:
-/// one CrashMonkey folded over the generator with no threads (the slow
-/// path, which keeps every report), grouped after the fact — the §5.3
-/// reference the grouped checkpoint must match.
-fn post_hoc_groups() -> &'static Vec<BugGroup> {
-    static GROUPS: OnceLock<Vec<BugGroup>> = OnceLock::new();
-    GROUPS.get_or_init(|| {
-        let spec = CowFsSpec::new(KernelEra::V4_16);
-        let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
-        let raw: Vec<_> = WorkloadGenerator::new(Bounds::tiny())
-            .filter_map(|workload| monkey.test_workload(&workload).ok())
-            .flat_map(|outcome| outcome.bugs)
-            .collect();
-        group_reports(&raw)
-    })
-}
-
-/// The sub-checkpoint holding the shards selected by `mask`'s bits.
-fn subset(mask: u8) -> SweepCheckpoint {
-    full_checkpoint().subset((0..NUM_SHARDS as u32).filter(|shard| mask & (1 << shard) != 0))
-}
-
-fn merged(a: &SweepCheckpoint, b: &SweepCheckpoint) -> SweepCheckpoint {
-    let mut union = a.clone();
-    union.merge(b).expect("same-sweep merge succeeds");
-    union
 }
 
 proptest! {
-    #[test]
-    fn merge_is_commutative(a in 0u32..256, b in 0u32..256) {
-        let (a, b) = (subset(a as u8), subset(b as u8));
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
-
-    #[test]
-    fn merge_is_associative(a in 0u32..256, b in 0u32..256, c in 0u32..256) {
-        let (a, b, c) = (subset(a as u8), subset(b as u8), subset(c as u8));
-        prop_assert_eq!(
-            merged(&merged(&a, &b), &c),
-            merged(&a, &merged(&b, &c))
-        );
-    }
-
-    #[test]
-    fn merge_is_idempotent(a in 0u32..256) {
-        let a = subset(a as u8);
-        prop_assert_eq!(merged(&a, &a), a);
-    }
-
-    #[test]
-    fn merge_is_a_set_union_over_shards(a in 0u32..256, b in 0u32..256) {
-        // Merging overlapping subsets of the same run equals the subset of
-        // the bitmask union — duplicate shards collapse, nothing is counted
-        // twice.
-        let union = merged(&subset(a as u8), &subset(b as u8));
-        prop_assert_eq!(union, subset((a | b) as u8));
-    }
-
-    #[test]
-    fn merged_summary_counts_are_additive_for_disjoint_subsets(a in 0u32..256, b in 0u32..256) {
-        let (a, b) = ((a as u8) & !(b as u8), b as u8);
-        let union = merged(&subset(a), &subset(b));
-        let summary = union.summary();
-        let (sa, sb) = (subset(a).summary(), subset(b).summary());
-        prop_assert_eq!(summary.tested, sa.tested + sb.tested);
-        prop_assert_eq!(summary.skipped, sa.skipped + sb.skipped);
-        // Raw-report totals add; group counts union (counts add per key,
-        // exemplars take the lexicographic minimum), so the number of
-        // *groups* is bounded by the union of the two sides' group keys.
-        prop_assert_eq!(summary.raw_reports, sa.raw_reports + sb.raw_reports);
-        let grouped = union.grouped();
-        prop_assert_eq!(grouped.total_reports() as usize, summary.raw_reports);
-        prop_assert_eq!(summary.reports.len(), grouped.len());
-    }
-
-    /// The dedup-equivalence property: split the shards into up to four
-    /// partition cells by an arbitrary assignment, merge the cells in an
-    /// arbitrary rotation, and the grouped result — every group's key,
-    /// raw-report count, and byte-exact exemplar — equals post-hoc
-    /// `group_reports` over the raw report stream of an ungrouped sweep.
+    /// Split the shards into up to four partition cells by an arbitrary
+    /// assignment, merge each cell's tables (in either shard order), then
+    /// merge the cells in an arbitrary rotation: the result — every
+    /// group's key, raw-report count and byte-exact exemplar — encodes to
+    /// the references' bytes.
     #[test]
     fn any_partition_and_order_matches_post_hoc_grouping(
         assignment in prop::collection::vec(0usize..4, NUM_SHARDS..NUM_SHARDS + 1),
         rotation in 0usize..4,
+        reversed in any::<bool>(),
     ) {
-        let mut cells = vec![Vec::new(); 4];
-        for (shard, &cell) in assignment.iter().enumerate() {
-            cells[cell].push(shard as u32);
+        let tables = shard_tables();
+        let mut cells = vec![GroupTable::new(); 4];
+        let mut shards: Vec<usize> = (0..NUM_SHARDS).collect();
+        if reversed {
+            shards.reverse();
         }
-        let mut rebuilt = subset(0);
+        for shard in shards {
+            cells[assignment[shard]].merge_from(&tables[shard]);
+        }
+        let mut rebuilt = GroupTable::new();
         for step in 0..4 {
-            let cell = &cells[(step + rotation) % 4];
-            rebuilt
-                .merge(&full_checkpoint().subset(cell.iter().copied()))
-                .expect("same-sweep merge succeeds");
+            rebuilt.merge_from(&cells[(step + rotation) % 4]);
         }
-        prop_assert!(rebuilt.is_complete());
-        let grouped = rebuilt.bug_groups();
-        let reference = post_hoc_groups();
-        prop_assert_eq!(grouped.len(), reference.len());
-        for (ours, theirs) in grouped.iter().zip(reference.iter()) {
-            prop_assert_eq!(ours, theirs);
-        }
+        let (post_hoc, swept) = references();
+        let rebuilt = bytes(&rebuilt);
+        prop_assert!(&rebuilt == post_hoc, "differs from post-hoc grouping");
+        prop_assert!(&rebuilt == swept, "differs from the sweep's grouped checkpoint");
     }
-}
-
-#[test]
-fn merging_checkpoints_of_different_shard_counts_is_rejected() {
-    let bounds = Bounds::tiny();
-    let mut ours = subset(0b0000_1111);
-    let theirs = SweepCheckpoint::new(&bounds, NUM_SHARDS + 1);
-    let before = ours.clone();
-    assert!(ours.merge(&theirs).is_err());
-    assert!(
-        ours == before,
-        "a rejected merge must leave the checkpoint untouched"
-    );
-    let mut theirs = SweepCheckpoint::new(&bounds, NUM_SHARDS + 1);
-    assert!(theirs.merge(&before).is_err());
-}
-
-#[test]
-fn merging_checkpoints_of_different_bounds_is_rejected() {
-    let mut ours = subset(0b1111_0000);
-    let theirs = SweepCheckpoint::new(&Bounds::paper_seq1(), NUM_SHARDS);
-    assert!(ours.merge(&theirs).is_err());
-}
-
-/// A shard legitimately re-run (after a crash, or by a second worker)
-/// reproduces identical counts and grouped reports but *different*
-/// wall-clock timing. Merging the re-run into a checkpoint that already
-/// holds the shard must not trip the duplicate-shard debug assertion: the
-/// comparison is the timing-ignoring `same_outcome`, not full equality.
-#[test]
-fn rerun_shard_with_different_timing_merges_without_panic() {
-    let bounds = Bounds::tiny();
-    let spec = CowFsSpec::new(KernelEra::V4_16);
-    let config = RunConfig {
-        threads: 1,
-        ..RunConfig::default()
-    };
-    // Two independent runs of the same sweep: same outcomes, different
-    // per-shard `workload_time_nanos`.
-    let mut first = SweepCheckpoint::new(&bounds, NUM_SHARDS);
-    Sweep::new(&spec, config)
-        .shards(NUM_SHARDS)
-        .run_resumable(&bounds, &mut first);
-    let mut second = SweepCheckpoint::new(&bounds, NUM_SHARDS);
-    Sweep::new(&spec, config)
-        .shards(NUM_SHARDS)
-        .run_resumable(&bounds, &mut second);
-    assert!(first.is_complete() && second.is_complete());
-
-    // Every shard is a duplicate here; with the old full-equality debug
-    // assertion this merge would spuriously panic whenever any shard's
-    // timing differed between the runs.
-    let summary_before = first.summary();
-    first.merge(&second).expect("same-sweep merge succeeds");
-    let summary_after = first.summary();
-    assert_eq!(summary_before.tested, summary_after.tested);
-    assert_eq!(summary_before.raw_reports, summary_after.raw_reports);
-    assert_eq!(summary_before.reports, summary_after.reports);
-}
-
-#[test]
-fn merging_all_single_shard_subsets_rebuilds_the_full_checkpoint() {
-    let mut rebuilt = subset(0);
-    for shard in 0..NUM_SHARDS {
-        rebuilt
-            .merge(&subset(1 << shard))
-            .expect("same-sweep merge succeeds");
-    }
-    assert!(rebuilt.is_complete());
-    assert_eq!(&rebuilt, full_checkpoint());
-    assert_eq!(
-        rebuilt.to_bytes(),
-        full_checkpoint().to_bytes(),
-        "shard-wise reassembly is byte-identical to the uninterrupted run"
-    );
 }

@@ -64,7 +64,7 @@ fn in_process_and_tcp_fanout_write_the_same_bytes_for_both_spaces() {
 
 #[test]
 fn usage_errors_exit_2_from_every_subcommand() {
-    let bad: [&[&str]; 18] = [
+    let bad: [&[&str]; 28] = [
         &[],
         &["frobnicate"],
         &["sweep", "--era", "3.13", "--nope"],
@@ -78,6 +78,25 @@ fn usage_errors_exit_2_from_every_subcommand() {
         &["fleet", "status", "--dir", "x", "--assert-all-done=no"],
         &["sweep", "--transport", "carrier-pigeon"],
         &["sweep", "--in-process", "--checkpoint", "x.ck"],
+        // Pool flags an in-process sweep would ignore, before and after it.
+        &["sweep", "--in-process", "--transport", "tcp"],
+        &["sweep", "--listen", "127.0.0.1:0", "--in-process"],
+        &["sweep", "--in-process", "--ssh", "host"],
+        &["sweep", "--in-process", "--remote-worker", "b3"],
+        &["sweep", "--in-process", "--secret", "s"],
+        &["sweep", "--challenge-loopback", "--in-process"],
+        &["sweep", "--in-process", "--respawn", "1"],
+        // Audit budgets without the mode they budget.
+        &["sweep", "--in-process", "--audit-k", "3"],
+        &["sweep", "--triage-audit", "2", "--crash-points", "all"],
+        &[
+            "fleet",
+            "enqueue",
+            "--control",
+            "127.0.0.1:1",
+            "--audit-k",
+            "3",
+        ],
         &["worker", "--bogus"],
         &["fleet"],
         &["fleet", "status"],
