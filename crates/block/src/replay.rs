@@ -327,6 +327,37 @@ mod tests {
         assert_eq!(&full.read_block(3).unwrap()[..5], b"third");
     }
 
+    /// A replay up to a checkpoint copies each block written before its
+    /// marker once, however often it was written: the overlay holds the
+    /// distinct written blocks, which is how a crash state's copy-on-write
+    /// memory is counted from the log alone.
+    #[test]
+    fn replay_overlays_each_block_written_before_the_marker_once() {
+        let image = DiskImage::empty(32);
+        let mut dev = RecordingDevice::new(CowSnapshotDevice::new(image.clone()));
+        let log = dev.log_handle();
+        dev.write_block(1, b"one", IoFlags::DATA).unwrap();
+        dev.write_block(1, b"two", IoFlags::DATA).unwrap();
+        dev.write_block(2, b"three", IoFlags::DATA).unwrap();
+        log.checkpoint(); // cp 1
+        dev.write_block(1, b"four", IoFlags::DATA).unwrap();
+        dev.write_block(3, b"five", IoFlags::DATA).unwrap();
+        log.checkpoint(); // cp 2
+        let log = log.snapshot();
+        for (checkpoint, writes, distinct) in [(1, 3, 2), (2, 5, 3)] {
+            let mut replayed = CowSnapshotDevice::new(image.clone());
+            let applied = replay_until_checkpoint(&log, checkpoint, &mut replayed).unwrap();
+            assert_eq!(applied, writes, "checkpoint {checkpoint}");
+            assert_eq!(
+                replayed.overlay_blocks(),
+                distinct,
+                "checkpoint {checkpoint}"
+            );
+        }
+        let state = crash_state(&image, &log, 1).unwrap();
+        assert_eq!(&state.read_block(1).unwrap()[..3], b"two");
+    }
+
     #[test]
     fn replay_until_unknown_checkpoint_applies_everything() {
         let (image, log) = recorded_run();

@@ -226,6 +226,72 @@ mod tests {
         }
     }
 
+    /// Every order of `n` items, as index lists.
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for shorter in orders(n - 1) {
+            for at in 0..n {
+                let mut order = shorter.clone();
+                order.insert(at, n - 1);
+                all.push(order);
+            }
+        }
+        all
+    }
+
+    /// A job is a function of its flags, not of their order: each audit
+    /// budget is resolved against the mode it refines once every flag is
+    /// read.
+    #[test]
+    fn every_order_of_the_audit_flags_describes_one_job() {
+        let flags = [
+            "--prune audit",
+            "--audit-k 3",
+            "--crash-points triaged",
+            "--triage-audit 2",
+        ];
+        let all = orders(flags.len());
+        assert_eq!(all.len(), 24);
+        for order in all {
+            let argv: Vec<&str> = order.iter().map(|&i| flags[i]).collect();
+            let argv = argv.join(" ");
+            let job = parse(&argv).unwrap_or_else(|e| panic!("{argv:?}: {}", e.message));
+            assert_eq!(
+                job.scope(),
+                "btrfs@4.16/blk4096/cp2a210/canon1:audit3",
+                "{argv:?}"
+            );
+        }
+    }
+
+    /// A budget given without the mode it budgets names that mode.
+    #[test]
+    fn an_audit_budget_without_its_mode_names_the_mode() {
+        for (argv, needs) in [
+            ("--audit-k 3", "--audit-k requires --prune audit"),
+            (
+                "--audit-k 3 --prune rep",
+                "--audit-k requires --prune audit",
+            ),
+            (
+                "--triage-audit 2",
+                "--triage-audit requires --crash-points triaged",
+            ),
+            (
+                "--triage-audit 2 --crash-points triaged --crash-points last",
+                "--triage-audit requires --crash-points triaged",
+            ),
+        ] {
+            let exit = parse(argv)
+                .err()
+                .unwrap_or_else(|| panic!("{argv:?} must be rejected"));
+            assert!(exit.message.contains(needs), "{argv:?}: {}", exit.message);
+        }
+    }
+
     #[test]
     fn contradictory_and_unknown_flags_are_usage_errors() {
         for argv in [

@@ -743,6 +743,152 @@ mod tests {
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
     }
 
+    /// A core over a fresh `shards`-shard job whose shards hold five
+    /// candidates each.
+    fn core_for(shards: usize, config: &DistribConfig) -> Coordinator {
+        let job = SweepJob::new(Bounds::tiny(), shards);
+        let sizes = vec![5; shards];
+        Coordinator::new(job.empty_checkpoint(), sizes, 5 * shards as u64, config)
+    }
+
+    /// A thread whose budget runs out inside a shard leaves it unrecorded:
+    /// `link_down` puts it back at the front of the queue with its share
+    /// of the budget, and the next claim, from any slot, gets it first.
+    #[test]
+    fn a_shard_its_slot_leaves_goes_back_to_the_front_of_the_queue() {
+        let config = DistribConfig {
+            workers: 2,
+            ..DistribConfig::default()
+        };
+        let mut core = core_for(4, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        assert_eq!(core.claim(1, false).unwrap(), Claim::Assign(vec![1]));
+        assert_eq!(core.assigned_candidates, 10);
+        core.link_down(0);
+        assert_eq!(core.queue, [0, 2, 3]);
+        assert_eq!(core.assigned_candidates, 5);
+        assert!(!core.checkpoint.has_shard(0));
+        core.shard_done(1, 1, result_for(1), false).unwrap();
+        assert_eq!(core.claim(1, false).unwrap(), Claim::Assign(vec![0]));
+        let progress = core.progress(Duration::from_secs(1));
+        assert_eq!(progress.per_worker[0].throughput, None, "slot 0 left");
+        assert!(progress.per_worker[1].throughput.is_some());
+    }
+
+    /// With the queue empty and a shard in flight, an idle slot is told to
+    /// wait. A thread leaves instead, taking nothing from the queue; when
+    /// the holder's link dies its shard flows back, and a new link on that
+    /// slot finishes the run.
+    #[test]
+    fn a_slot_that_leaves_on_a_wait_strands_no_shard() {
+        let config = DistribConfig {
+            workers: 2,
+            ..DistribConfig::default()
+        };
+        let mut core = core_for(1, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        assert_eq!(core.claim(1, false).unwrap(), Claim::Wait);
+        core.link_down(1);
+        assert!(core.queue.is_empty() && !core.no_work_left());
+        core.link_down(0);
+        assert_eq!(core.queue, [0]);
+        core.link_up(0, "sim:0");
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        assert!(core.shard_done(0, 0, result_for(0), true).unwrap().idle);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
+        let (checkpoint, processed) = core.finish(None).unwrap();
+        assert!(checkpoint.is_complete());
+        assert_eq!(processed, 11, "shard 0 tests 10 and skips 1");
+    }
+
+    /// A claim carrying a stop shuts its slot down, and every later claim
+    /// too, but the shards already handed out still merge and the run ends
+    /// with them.
+    #[test]
+    fn a_stop_ends_the_handing_out_but_shards_in_flight_still_merge() {
+        let config = DistribConfig {
+            workers: 3,
+            ..DistribConfig::default()
+        };
+        let mut core = core_for(4, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        assert_eq!(core.claim(1, true).unwrap(), Claim::Shutdown);
+        assert_eq!(core.claim(2, false).unwrap(), Claim::Shutdown);
+        assert!(core.no_work_left());
+        let merged = core.shard_done(0, 0, result_for(0), false).unwrap();
+        assert_eq!((merged.version, merged.idle), (1, true));
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
+        assert_eq!(core.queue, [1, 2, 3], "the unassigned shards stay queued");
+        let (checkpoint, processed) = core.finish(None).unwrap();
+        assert_eq!(checkpoint.missing_shards(), [1, 2, 3]);
+        assert_eq!(processed, 11);
+    }
+
+    /// A slot's error fails the run only while the sweep is unfinished and
+    /// no stop limit was reached; otherwise the merged shards stand.
+    #[test]
+    fn a_slot_error_fails_only_an_unfinished_run_below_its_limits() {
+        let error = || Some(FsError::Corrupted("slot failed".into()));
+        let run = |config: &DistribConfig, shards_to_merge: u32| {
+            let mut core = core_for(2, config);
+            for shard in 0..shards_to_merge {
+                assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![shard]));
+                core.shard_done(0, shard, result_for(shard), false).unwrap();
+            }
+            core
+        };
+        let config = DistribConfig {
+            workers: 1,
+            ..DistribConfig::default()
+        };
+        let refused = run(&config, 1).finish(error()).expect_err("run fails");
+        assert!(refused.to_string().contains("slot failed"), "{refused}");
+        let (complete, _) = run(&config, 2).finish(error()).unwrap();
+        assert!(complete.is_complete());
+        let limited = DistribConfig {
+            stop_after_shards: Some(1),
+            ..config
+        };
+        let mut core = run(&limited, 1);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
+        let (partial, processed) = core.finish(error()).unwrap();
+        assert_eq!((partial.completed_shards(), processed), (1, 11));
+    }
+
+    /// A merge that asks for discoveries announces each bug group the first
+    /// time a shard brings it into the sweep, with that shard's count and
+    /// exemplar; groups of the resumed checkpoint are never announced, and
+    /// a merge that does not ask announces nothing.
+    #[test]
+    fn discoveries_announce_each_group_once_past_the_resumed_checkpoint() {
+        let job = SweepJob::new(Bounds::tiny(), 4);
+        let mut checkpoint = job.empty_checkpoint();
+        checkpoint.record(0, result_for(0));
+        let config = DistribConfig {
+            workers: 1,
+            assign_batch: 3,
+            ..DistribConfig::default()
+        };
+        let mut core = Coordinator::new(checkpoint, vec![5; 4], 20, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![1, 2, 3]));
+        let names = |merged: Merged| -> Vec<String> {
+            let groups = merged.discovered.iter();
+            groups
+                .map(|group| format!("{}:{}", group.skeleton, group.example.workload_name))
+                .collect()
+        };
+        // Shard 3 shares skeleton0/FileMissing with the resumed shard 0.
+        let merged = core.shard_done(0, 3, result_for(3), true).unwrap();
+        assert_eq!(names(merged), ["skeleton4:w3"]);
+        let merged = core.shard_done(0, 1, result_for(1), false).unwrap();
+        assert!(names(merged).is_empty());
+        let merged = core.shard_done(0, 2, result_for(2), true).unwrap();
+        assert!(merged.idle);
+        assert_eq!(merged.discovered.len(), 2);
+        assert!(merged.discovered.iter().all(|group| group.count == 1));
+        assert_eq!(names(merged), ["skeleton2:w2", "skeleton3:w2"]);
+    }
+
     /// Seeded schedules of claims, results, link losses, refused results
     /// and claims, stops and coordinator restarts, with 1–4 slots.
     #[test]

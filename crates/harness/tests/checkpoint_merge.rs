@@ -7,8 +7,11 @@
 //! partition, in *any* order, encodes to the same bytes as post-hoc
 //! `group_reports` over the raw, ungrouped report stream of a sequential,
 //! single-threaded CrashMonkey pass over the generator, and as the grouped
-//! checkpoint of a threaded sweep over the same shards.
+//! checkpoint of a threaded sweep over the same shards. Over disjoint shard
+//! sets the merge is a union: commutative, associative, and additive in its
+//! report counts.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use b3_ace::{Bounds, WorkloadGenerator};
@@ -65,12 +68,30 @@ fn shard_tables() -> &'static [GroupTable] {
     })
 }
 
-/// The two references, encoded: the *raw* report stream over the same
-/// bounds grouped post hoc (one CrashMonkey folded over the whole generator
-/// with no threads, keeping every report — the §5.3 reference), and a
-/// threaded sweep's grouped checkpoint.
-fn references() -> &'static (Vec<u8>, Vec<u8>) {
-    static REFERENCES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+/// The merge of the tables of the shards whose bits `mask` sets, in shard
+/// order.
+fn table(mask: u16) -> GroupTable {
+    let mut table = GroupTable::new();
+    for (shard, shard_table) in shard_tables().iter().enumerate() {
+        if mask & (1 << shard) != 0 {
+            table.merge_from(shard_table);
+        }
+    }
+    table
+}
+
+fn merged(a: &GroupTable, b: &GroupTable) -> GroupTable {
+    let mut union = a.clone();
+    union.merge_from(b);
+    union
+}
+
+/// The two references: the *raw* report stream over the same bounds
+/// grouped post hoc and encoded (one CrashMonkey folded over the whole
+/// generator with no threads, keeping every report — the §5.3 reference),
+/// and a threaded sweep's checkpoint.
+fn references() -> &'static (Vec<u8>, SweepCheckpoint) {
+    static REFERENCES: OnceLock<(Vec<u8>, SweepCheckpoint)> = OnceLock::new();
     REFERENCES.get_or_init(|| {
         let (bounds, spec) = (bounds(), spec());
         let monkey = CrashMonkey::with_config(&spec, CrashMonkeyConfig::small());
@@ -91,7 +112,7 @@ fn references() -> &'static (Vec<u8>, Vec<u8>) {
             .shards(NUM_SHARDS)
             .run_resumable(&bounds, &mut checkpoint);
         assert!(checkpoint.is_complete());
-        (bytes(&post_hoc), bytes(&checkpoint.grouped()))
+        (bytes(&post_hoc), checkpoint)
     })
 }
 
@@ -123,6 +144,83 @@ proptest! {
         let (post_hoc, swept) = references();
         let rebuilt = bytes(&rebuilt);
         prop_assert!(&rebuilt == post_hoc, "differs from post-hoc grouping");
-        prop_assert!(&rebuilt == swept, "differs from the sweep's grouped checkpoint");
+        prop_assert!(
+            rebuilt == bytes(&swept.grouped()),
+            "differs from the sweep's grouped checkpoint"
+        );
     }
+
+    #[test]
+    fn merge_is_commutative(a in any::<u16>(), b in any::<u16>()) {
+        let (a, b) = (table(a & !b), table(b));
+        prop_assert_eq!(bytes(&merged(&a, &b)), bytes(&merged(&b, &a)));
+    }
+
+    #[test]
+    fn merge_is_associative(a in any::<u16>(), b in any::<u16>(), c in any::<u16>()) {
+        let (b, c) = (b & !a, c & !(a | b));
+        let (a, b, c) = (table(a), table(b), table(c));
+        prop_assert_eq!(
+            bytes(&merged(&merged(&a, &b), &c)),
+            bytes(&merged(&a, &merged(&b, &c)))
+        );
+    }
+
+    /// Merging the tables of two disjoint shard sets gives the table of
+    /// their union. Over overlapping sets a shared shard's reports count
+    /// twice, but the groups are still the union of both sides', each with
+    /// the name-first exemplar of the two.
+    #[test]
+    fn merge_is_a_set_union_over_shards(a in any::<u16>(), b in any::<u16>()) {
+        prop_assert_eq!(
+            bytes(&merged(&table(a & !b), &table(b))),
+            bytes(&table(a | b))
+        );
+        let (a, b) = (table(a), table(b));
+        let union = merged(&a, &b);
+        let keys = |table: &GroupTable| -> BTreeSet<_> {
+            table.entries().map(|(key, _)| key.clone()).collect()
+        };
+        prop_assert_eq!(keys(&union), &keys(&a) | &keys(&b));
+        for (key, entry) in union.entries() {
+            let sides: Vec<_> = [&a, &b]
+                .into_iter()
+                .filter_map(|side| side.entries().find(|(k, _)| *k == key))
+                .map(|(_, entry)| entry)
+                .collect();
+            let count: u64 = sides.iter().map(|side| side.count).sum();
+            prop_assert_eq!(entry.count, count);
+            let first = sides.iter().map(|side| &side.exemplar).min_by_key(|e| &e.workload_name);
+            prop_assert_eq!(Some(&entry.exemplar), first);
+        }
+    }
+
+    #[test]
+    fn merged_summary_counts_are_additive_for_disjoint_subsets(
+        a in any::<u16>(),
+        b in any::<u16>(),
+    ) {
+        let (a, b) = (table(a & !b), table(b));
+        let union = merged(&a, &b);
+        prop_assert_eq!(union.total_reports(), a.total_reports() + b.total_reports());
+        prop_assert!(union.len() >= a.len().max(b.len()));
+        prop_assert!(union.len() <= a.len() + b.len());
+    }
+}
+
+/// Shard by shard, the per-shard tables rebuild the threaded sweep's
+/// grouped checkpoint, and with it its summary's report totals and
+/// exemplars.
+#[test]
+fn merging_all_single_shard_subsets_rebuilds_the_full_checkpoint() {
+    let mut rebuilt = GroupTable::new();
+    for shard in 0..NUM_SHARDS {
+        rebuilt.merge_from(&table(1 << shard));
+    }
+    let (_, swept) = references();
+    assert!(swept.is_complete());
+    assert_eq!(bytes(&rebuilt), bytes(&swept.grouped()));
+    let summary = swept.summary();
+    assert_eq!(summary.raw_reports as u64, rebuilt.total_reports());
+    assert_eq!(summary.reports, rebuilt.into_exemplars());
 }

@@ -115,6 +115,40 @@ fn usage_errors_exit_2_from_every_subcommand() {
     assert_eq!(ran.status.code(), Some(1));
 }
 
+/// An in-process sweep names the pool flag it refuses, whichever of them
+/// is given, and still takes `--workers`, its thread count.
+#[test]
+fn in_process_sweep_names_the_pool_flag_it_refuses() {
+    for flag in [
+        &["--transport", "tcp"][..],
+        &["--listen", "127.0.0.1:0"],
+        &["--ssh", "host"],
+        &["--remote-worker", "b3"],
+        &["--secret", "s"],
+        &["--challenge-loopback"],
+        &["--respawn", "1"],
+    ] {
+        let argv = [&["sweep", "--preset", "tiny", "--in-process"], flag].concat();
+        let ran = b3(&argv);
+        let stderr = String::from_utf8_lossy(&ran.stderr);
+        assert_eq!(ran.status.code(), Some(2), "{argv:?}: {stderr}");
+        let needs = format!("{} needs a worker pool", flag[0]);
+        assert!(stderr.contains(&needs), "{argv:?}: {stderr}");
+    }
+    let ran = b3(&[
+        "sweep",
+        "--preset",
+        "tiny",
+        "--in-process",
+        "--workers",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&ran.stdout);
+    let stderr = String::from_utf8_lossy(&ran.stderr);
+    assert!(ran.status.success(), "{stderr}");
+    assert!(stdout.contains("sweep complete"), "{stdout}");
+}
+
 /// Offsets and sizes are workload text. One no file system can hold fails
 /// the operation — the workload "did not execute", exit 1 — instead of
 /// aborting the process on an allocation failure or an overflow.
