@@ -20,6 +20,17 @@
 //! image *is* the crash state. A written block lives in one buffer that the
 //! overlay, the image layers it moves into and the log record share by
 //! reference count.
+//!
+//! What is shared and what is copied: a block is stored as the write's
+//! payload, unpadded — what it lacks of [`BLOCK_SIZE`](crate::BLOCK_SIZE)
+//! reads as zeroes — so [`BlockDevice::write_block_bytes`] stores the
+//! caller's buffer (often a view of a whole blob) as it is, and only
+//! [`BlockDevice::write_block`] copies, once, from a borrowed slice. Reads
+//! copy: [`BlockDevice::read_block`] and
+//! [`read_blocks`](BlockDevice::read_blocks) hand out owned, zero-filled
+//! buffers, since the file systems decode from them; a superblock-sized
+//! head is read with [`BlockDevice::read_block_into`], into the caller's
+//! buffer. A layer and its link to the parent image are one allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +38,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::device::{
-    check_read, check_write, gather_blocks, or_zeroes, pad_block, BlockDevice, BlockIndex,
+    check_read, check_write, copy_stored, gather_blocks, read_stored, same_block, BlockDevice,
+    BlockIndex,
 };
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
@@ -45,21 +57,31 @@ pub const MAX_CHAIN_DEPTH: u32 = 32;
 /// Produced by [`RamDisk::snapshot`](crate::RamDisk::snapshot) (a single
 /// layer) or [`CowSnapshotDevice::freeze`] / [`CowSnapshotDevice::commit`]
 /// (a layer over the frozen base), and shared by any number of snapshots.
-/// Cloning is O(1).
+/// Cloning is O(1): one reference count on the top layer, which holds its
+/// parent image.
 #[derive(Debug, Clone)]
 pub struct DiskImage {
-    layer: Arc<HashMap<BlockIndex, Bytes>>,
-    parent: Option<Arc<DiskImage>>,
+    top: Arc<Layer>,
     num_blocks: u64,
     depth: u32,
 }
 
+/// One immutable block layer and the image it shadows: a layer and its
+/// link to the rest of the chain are one allocation.
+#[derive(Debug)]
+struct Layer {
+    blocks: HashMap<BlockIndex, Bytes>,
+    parent: Option<DiskImage>,
+}
+
 impl DiskImage {
     /// Wraps an existing block map as a single-layer image.
-    pub fn new(blocks: Arc<HashMap<BlockIndex, Bytes>>, num_blocks: u64) -> Self {
+    pub fn new(blocks: HashMap<BlockIndex, Bytes>, num_blocks: u64) -> Self {
         DiskImage {
-            layer: blocks,
-            parent: None,
+            top: Arc::new(Layer {
+                blocks,
+                parent: None,
+            }),
             num_blocks,
             depth: 0,
         }
@@ -67,7 +89,7 @@ impl DiskImage {
 
     /// Creates an empty (all-zero) image of the given size.
     pub fn empty(num_blocks: u64) -> Self {
-        DiskImage::new(Arc::new(HashMap::new()), num_blocks)
+        DiskImage::new(HashMap::new(), num_blocks)
     }
 
     /// True when both images are clones of one original (and therefore hold
@@ -76,15 +98,17 @@ impl DiskImage {
     /// of the top layer is a sound, O(1) content-identity witness — two
     /// independently built images never share it, however equal their bytes.
     pub fn ptr_eq(&self, other: &DiskImage) -> bool {
-        Arc::ptr_eq(&self.layer, &other.layer)
+        Arc::ptr_eq(&self.top, &other.top)
     }
 
     /// Stacks `layer` on top of `parent` without copying the parent's
     /// blocks. Flattens the chain when it grows past [`MAX_CHAIN_DEPTH`].
     pub fn layered(parent: &DiskImage, layer: HashMap<BlockIndex, Bytes>) -> Self {
         let image = DiskImage {
-            layer: Arc::new(layer),
-            parent: Some(Arc::new(parent.clone())),
+            top: Arc::new(Layer {
+                blocks: layer,
+                parent: Some(parent.clone()),
+            }),
             num_blocks: parent.num_blocks,
             depth: parent.depth + 1,
         };
@@ -104,14 +128,14 @@ impl DiskImage {
                 merged.insert(*index, block.clone());
             }
         });
-        DiskImage::new(Arc::new(merged), self.num_blocks)
+        DiskImage::new(merged, self.num_blocks)
     }
 
     fn for_each_layer_oldest_first(&self, f: &mut dyn FnMut(&HashMap<BlockIndex, Bytes>)) {
-        if let Some(parent) = &self.parent {
+        if let Some(parent) = &self.top.parent {
             parent.for_each_layer_oldest_first(f);
         }
-        f(&self.layer);
+        f(&self.top.blocks);
     }
 
     /// Number of addressable blocks.
@@ -127,8 +151,8 @@ impl DiskImage {
     /// Number of distinct blocks with non-default contents across all
     /// layers.
     pub fn allocated_blocks(&self) -> usize {
-        if self.parent.is_none() {
-            return self.layer.len();
+        if self.top.parent.is_none() {
+            return self.top.blocks.len();
         }
         let mut seen: std::collections::HashSet<BlockIndex> = std::collections::HashSet::new();
         self.for_each_layer_oldest_first(&mut |layer| seen.extend(layer.keys()));
@@ -138,16 +162,16 @@ impl DiskImage {
     /// Reads one block from the image.
     pub fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks)?;
-        Ok(or_zeroes(self.get(index)).to_vec())
+        Ok(read_stored(self.get(index)))
     }
 
     pub(crate) fn get(&self, index: BlockIndex) -> Option<&Bytes> {
         let mut image = self;
         loop {
-            if let Some(block) = image.layer.get(&index) {
+            if let Some(block) = image.top.blocks.get(&index) {
                 return Some(block);
             }
-            match &image.parent {
+            match &image.top.parent {
                 Some(parent) => image = parent,
                 None => return None,
             }
@@ -172,7 +196,7 @@ impl PartialEq for DiskImage {
         }
         written
             .into_iter()
-            .all(|index| or_zeroes(self.get(index)) == or_zeroes(other.get(index)))
+            .all(|index| same_block(self.get(index), other.get(index)))
     }
 }
 
@@ -239,22 +263,6 @@ impl CowSnapshotDevice {
     fn stored(&self, index: BlockIndex) -> Option<&Bytes> {
         self.overlay.get(&index).or_else(|| self.base.get(index))
     }
-
-    /// [`BlockDevice::write_block`], handing back the padded block the
-    /// overlay now holds so a recorder can log a view of the same buffer.
-    pub(crate) fn store_block(
-        &mut self,
-        index: BlockIndex,
-        data: &[u8],
-        flags: IoFlags,
-    ) -> BlockResult<Bytes> {
-        check_write(index, self.num_blocks(), data)?;
-        self.stats
-            .record_write(data.len(), flags.contains(IoFlags::FUA));
-        let block = pad_block(data);
-        self.overlay.insert(index, block.clone());
-        Ok(block)
-    }
 }
 
 impl BlockDevice for CowSnapshotDevice {
@@ -264,7 +272,13 @@ impl BlockDevice for CowSnapshotDevice {
 
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks())?;
-        Ok(or_zeroes(self.stored(index)).to_vec())
+        Ok(read_stored(self.stored(index)))
+    }
+
+    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()> {
+        check_read(index, self.num_blocks())?;
+        copy_stored(self.stored(index), out);
+        Ok(())
     }
 
     fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>> {
@@ -272,7 +286,20 @@ impl BlockDevice for CowSnapshotDevice {
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
-        self.store_block(index, data, flags).map(drop)
+        self.write_block_bytes(index, Bytes::copy_from_slice(data), flags)
+    }
+
+    fn write_block_bytes(
+        &mut self,
+        index: BlockIndex,
+        data: Bytes,
+        flags: IoFlags,
+    ) -> BlockResult<()> {
+        check_write(index, self.num_blocks(), &data)?;
+        self.stats
+            .record_write(data.len(), flags.contains(IoFlags::FUA));
+        self.overlay.insert(index, data);
+        Ok(())
     }
 
     fn flush(&mut self) -> BlockResult<()> {

@@ -1,6 +1,6 @@
 //! The object-safe [`BlockDevice`] trait.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::{BlockError, BlockResult};
 use crate::flags::IoFlags;
@@ -26,9 +26,33 @@ pub trait BlockDevice: Send {
     /// Reads one block. Blocks that were never written read as zeroes.
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>>;
 
+    /// Reads the first `out.len()` bytes of one block into `out`, for a
+    /// caller that needs only the head of a block (a superblock) and no
+    /// block-sized buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is longer than [`BLOCK_SIZE`].
+    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()> {
+        out.copy_from_slice(&self.read_block(index)?[..out.len()]);
+        Ok(())
+    }
+
     /// Writes one block. `data` may be shorter than [`BLOCK_SIZE`]; the
     /// remainder of the block is zero-filled. Longer payloads are rejected.
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()>;
+
+    /// [`write_block`](BlockDevice::write_block) from a shared buffer.
+    /// Devices that keep blocks as [`Bytes`] keep `data` itself — a view
+    /// of a larger buffer included — instead of a copy; the default copies.
+    fn write_block_bytes(
+        &mut self,
+        index: BlockIndex,
+        data: Bytes,
+        flags: IoFlags,
+    ) -> BlockResult<()> {
+        self.write_block(index, &data, flags)
+    }
 
     /// Flushes the device's volatile write cache.
     fn flush(&mut self) -> BlockResult<()>;
@@ -43,15 +67,6 @@ pub trait BlockDevice: Send {
             out.extend_from_slice(&self.read_block(index + i)?);
         }
         Ok(out)
-    }
-
-    /// Writes `data` across consecutive blocks starting at `index`. The last
-    /// block is zero-padded.
-    fn write_blocks(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
-        for (i, chunk) in data.chunks(BLOCK_SIZE).enumerate() {
-            self.write_block(index + i as u64, chunk, flags)?;
-        }
-        Ok(())
     }
 
     /// Capacity of the device in bytes.
@@ -87,19 +102,43 @@ pub(crate) fn check_read(index: BlockIndex, num_blocks: u64) -> BlockResult<()> 
     Ok(())
 }
 
-/// Copies `data` into a fresh zero-padded [`BLOCK_SIZE`] block: the one
-/// buffer a written block lives in, shared from then on by reference count.
-pub(crate) fn pad_block(data: &[u8]) -> Bytes {
-    let mut block = BytesMut::zeroed(BLOCK_SIZE);
-    block[..data.len()].copy_from_slice(data);
-    block.freeze()
+// Devices that keep blocks as shared buffers store each write's payload as
+// it came: a stored block may be shorter than `BLOCK_SIZE`, and what it
+// lacks reads as zeroes, as a block that was never written does. A written
+// block therefore costs no padded copy, and a block written from a view of
+// a larger buffer (a blob's) shares that buffer.
+
+/// Appends the block `stored` holds to `out`, zero-filled to
+/// [`BLOCK_SIZE`]; a block never written (`None`) appends zeroes only.
+pub(crate) fn push_block(out: &mut Vec<u8>, stored: Option<&Bytes>) {
+    let payload = stored.map_or(&[][..], |block| &block[..]);
+    out.extend_from_slice(payload);
+    out.resize(out.len() + BLOCK_SIZE - payload.len(), 0);
 }
 
-/// What a block reads as: the stored buffer, or zeroes when it was never
-/// written.
-pub(crate) fn or_zeroes(stored: Option<&Bytes>) -> &[u8] {
-    const ZEROES: &[u8] = &[0u8; BLOCK_SIZE];
-    stored.map_or(ZEROES, |block| &block[..])
+/// [`BlockDevice::read_block`] over a block stored as a shared buffer.
+pub(crate) fn read_stored(stored: Option<&Bytes>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(BLOCK_SIZE);
+    push_block(&mut out, stored);
+    out
+}
+
+/// [`BlockDevice::read_block_into`] over a block stored as a shared buffer.
+pub(crate) fn copy_stored(stored: Option<&Bytes>, out: &mut [u8]) {
+    assert!(out.len() <= BLOCK_SIZE, "a read ends inside its block");
+    let payload = stored.map_or(&[][..], |block| &block[..]);
+    let copied = payload.len().min(out.len());
+    out[..copied].copy_from_slice(&payload[..copied]);
+    out[copied..].fill(0);
+}
+
+/// True when two stored blocks read the same: the longer one's tail past
+/// the shorter one's payload is zeroes (a block never written is empty).
+pub(crate) fn same_block(a: Option<&Bytes>, b: Option<&Bytes>) -> bool {
+    let a = a.map_or(&[][..], |block| &block[..]);
+    let b = b.map_or(&[][..], |block| &block[..]);
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    long[..short.len()] == *short && long[short.len()..].iter().all(|&byte| byte == 0)
 }
 
 /// [`BlockDevice::read_blocks`] over blocks stored as shared buffers: each
@@ -116,7 +155,7 @@ pub(crate) fn gather_blocks<'a>(
     let mut out = Vec::with_capacity(count.min(num_blocks) as usize * BLOCK_SIZE);
     for i in index..index.saturating_add(count) {
         check_read(i, num_blocks)?;
-        out.extend_from_slice(or_zeroes(stored(i)));
+        push_block(&mut out, stored(i));
     }
     Ok(out)
 }
@@ -126,11 +165,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pad_block_zero_fills() {
-        let block = pad_block(b"hello");
+    fn a_short_stored_block_reads_zero_filled() {
+        let block = read_stored(Some(&Bytes::from("hello")));
         assert_eq!(block.len(), BLOCK_SIZE);
         assert_eq!(&block[..5], b"hello");
         assert!(block[5..].iter().all(|&b| b == 0));
+        assert_eq!(read_stored(None), vec![0u8; BLOCK_SIZE]);
+        let mut head = [7u8; 8];
+        copy_stored(Some(&Bytes::from("hello")), &mut head);
+        assert_eq!(&head, b"hello\0\0\0");
+        let mut short = [7u8; 2];
+        copy_stored(Some(&Bytes::from("hello")), &mut short);
+        assert_eq!(&short, b"he");
+        copy_stored(None, &mut head);
+        assert_eq!(head, [0u8; 8]);
+    }
+
+    #[test]
+    fn stored_blocks_compare_as_they_read() {
+        let short = Bytes::from("ab");
+        let padded = Bytes::from(vec![b'a', b'b', 0, 0]);
+        assert!(same_block(Some(&short), Some(&padded)));
+        assert!(same_block(Some(&padded), Some(&short)));
+        assert!(same_block(None, Some(&Bytes::from(vec![0u8; BLOCK_SIZE]))));
+        assert!(same_block(None, Some(&Bytes::new())));
+        assert!(!same_block(Some(&short), Some(&Bytes::from("ac"))));
+        assert!(!same_block(Some(&short), Some(&Bytes::from("ab\0x"))));
+        assert!(!same_block(None, Some(&short)));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! A RAM-backed block device.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::cow::DiskImage;
 use crate::device::{
-    check_read, check_write, or_zeroes, pad_block, BlockDevice, BlockIndex, BLOCK_SIZE,
+    check_read, check_write, copy_stored, read_stored, BlockDevice, BlockIndex, BLOCK_SIZE,
 };
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
@@ -49,7 +48,7 @@ impl RamDisk {
     /// Freezes the current contents into an immutable [`DiskImage`] that can
     /// back any number of copy-on-write snapshots.
     pub fn snapshot(&self) -> DiskImage {
-        DiskImage::new(Arc::new(self.blocks.clone()), self.num_blocks)
+        DiskImage::new(self.blocks.clone(), self.num_blocks)
     }
 }
 
@@ -60,14 +59,29 @@ impl BlockDevice for RamDisk {
 
     fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks)?;
-        Ok(or_zeroes(self.blocks.get(&index)).to_vec())
+        Ok(read_stored(self.blocks.get(&index)))
+    }
+
+    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()> {
+        check_read(index, self.num_blocks)?;
+        copy_stored(self.blocks.get(&index), out);
+        Ok(())
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
-        check_write(index, self.num_blocks, data)?;
+        self.write_block_bytes(index, Bytes::copy_from_slice(data), flags)
+    }
+
+    fn write_block_bytes(
+        &mut self,
+        index: BlockIndex,
+        data: Bytes,
+        flags: IoFlags,
+    ) -> BlockResult<()> {
+        check_write(index, self.num_blocks, &data)?;
         self.stats
             .record_write(data.len(), flags.contains(IoFlags::FUA));
-        self.blocks.insert(index, pad_block(data));
+        self.blocks.insert(index, data);
         Ok(())
     }
 
@@ -123,8 +137,11 @@ mod tests {
     #[test]
     fn multi_block_helpers() {
         let mut disk = RamDisk::new(16);
-        let data = vec![0xabu8; BLOCK_SIZE + 100];
-        disk.write_blocks(2, &data, IoFlags::DATA).unwrap();
+        let data = Bytes::from(vec![0xabu8; BLOCK_SIZE + 100]);
+        disk.write_block_bytes(2, data.slice(..BLOCK_SIZE), IoFlags::DATA)
+            .unwrap();
+        disk.write_block_bytes(3, data.slice(BLOCK_SIZE..), IoFlags::DATA)
+            .unwrap();
         let read = disk.read_blocks(2, 2).unwrap();
         assert_eq!(&read[..data.len()], &data[..]);
         assert!(read[data.len()..].iter().all(|&b| b == 0));

@@ -19,14 +19,19 @@
 //! [`replay_until_checkpoint`](crate::replay_until_checkpoint) stays the
 //! reference every frozen image is asserted against in debug builds.
 //!
-//! A recorded write is padded once into one buffer: the overlay holds the
-//! block and the log record holds a view of its payload bytes
-//! ([`Bytes::slice`]). The wrapper keeps both — the snapshot and the log —
-//! behind the state it shares with its [`LogHandle`], so the holder of the
-//! handle can *fork* the recording ([`LogHandle::fork_device`]): an
-//! independent device with the same contents, the same log and the same
-//! images so far, all reference-counted and shared with the original, never
-//! copied.
+//! A recorded write is one buffer, shared and never padded: the overlay
+//! holds it as the block (what it lacks of [`BLOCK_SIZE`](crate::BLOCK_SIZE)
+//! reads as zeroes) and the log record holds the same [`Bytes`] as the
+//! payload. A write through [`BlockDevice::write_block_bytes`] — every
+//! block of a file system's blob, a view of the one buffer the blob was
+//! encoded into — is stored and logged without a copy; a write through
+//! [`BlockDevice::write_block`] copies its payload once.
+//!
+//! The wrapper keeps both — the snapshot and the log — behind the state it
+//! shares with its [`LogHandle`], so the holder of the handle can *fork*
+//! the recording ([`LogHandle::fork_device`]): an independent device with
+//! the same contents, the same log and the same images so far, all
+//! reference-counted and shared with the original, never copied.
 
 use std::sync::Arc;
 
@@ -200,6 +205,23 @@ impl IoLog {
         count
     }
 
+    /// A copy to be extended, as a forked recording's log is: the record
+    /// and marker vectors are allocated at the capacity their next append
+    /// would grow them to, so the fork's first appends do not reallocate.
+    fn fork(&self) -> IoLog {
+        fn with_room<T: Clone>(items: &[T]) -> Vec<T> {
+            let mut copy = Vec::with_capacity(2 * items.len());
+            copy.extend_from_slice(items);
+            copy
+        }
+        IoLog {
+            records: with_room(&self.records),
+            recorded_bytes: self.recorded_bytes,
+            writes: self.writes,
+            markers: with_room(&self.markers),
+        }
+    }
+
     /// Sequence numbers are dense: a record's is its index.
     fn next_seq(&self) -> u64 {
         self.records.len() as u64
@@ -239,7 +261,6 @@ impl IoLog {
 
 /// What a [`RecordingDevice`] and its [`LogHandle`]s share: the snapshot the
 /// file system writes to and the log of what it wrote.
-#[derive(Clone)]
 struct Recording {
     inner: CowSnapshotDevice,
     log: IoLog,
@@ -285,8 +306,13 @@ impl LogHandle {
     /// continue from the fork point on both. O(overlay + log) reference
     /// count bumps — no block, payload or checkpoint image is copied.
     pub fn fork_device(&self) -> RecordingDevice {
+        let shared = self.shared.lock();
+        let fork = Recording {
+            inner: shared.inner.clone(),
+            log: shared.log.fork(),
+        };
         RecordingDevice {
-            shared: Arc::new(Mutex::new(self.shared.lock().clone())),
+            shared: Arc::new(Mutex::new(fork)),
         }
     }
 
@@ -361,16 +387,27 @@ impl BlockDevice for RecordingDevice {
         self.shared.lock().inner.read_block(index)
     }
 
+    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()> {
+        self.shared.lock().inner.read_block_into(index, out)
+    }
+
     fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>> {
         self.shared.lock().inner.read_blocks(index, count)
     }
 
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()> {
+        self.write_block_bytes(index, Bytes::copy_from_slice(data), flags)
+    }
+
+    fn write_block_bytes(
+        &mut self,
+        index: BlockIndex,
+        data: Bytes,
+        flags: IoFlags,
+    ) -> BlockResult<()> {
         let mut shared = self.shared.lock();
-        let block = shared.inner.store_block(index, data, flags)?;
-        shared
-            .log
-            .push_write(index, block.slice(..data.len()), flags);
+        shared.inner.write_block_bytes(index, data.clone(), flags)?;
+        shared.log.push_write(index, data, flags);
         Ok(())
     }
 

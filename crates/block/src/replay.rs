@@ -257,7 +257,7 @@ fn replay_records(records: &[IoRecord], target: &mut dyn BlockDevice) -> BlockRe
             IoRecord::Write {
                 index, data, flags, ..
             } => {
-                target.write_block(*index, data, *flags)?;
+                target.write_block_bytes(*index, data.clone(), *flags)?;
                 applied += 1;
             }
             IoRecord::Flush { .. } => target.flush()?,

@@ -21,12 +21,12 @@ use b3_block::CowSnapshotDevice;
 use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::fs::{FileSystem, FsSpec};
 use b3_vfs::metadata::FileType;
-use b3_vfs::path::{join, normalize, parent};
+use b3_vfs::path::{normalize, parent, SharedPath};
 use b3_vfs::snapshot::{EntrySnapshot, SnapshotDiff};
 use b3_vfs::workload::{Op, Workload};
 
 use crate::config::CrashMonkeyConfig;
-use crate::profiler::{CheckpointInfo, Expectation, ProfileResult};
+use crate::profiler::{CheckpointInfo, Expectation, ProfileResult, RenamePair};
 use crate::report::{BugReport, Consequence, ConsequenceSet, WorkloadOutcome};
 
 /// The outcome of checking one crash state.
@@ -65,7 +65,7 @@ pub struct CheckVerdict {
 /// whose candidates are the same. A triage witness holds one too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeldVerdict {
-    rename_candidates: Vec<(String, String)>,
+    rename_candidates: Vec<RenamePair>,
     pub(crate) verdict: CheckVerdict,
 }
 
@@ -195,7 +195,7 @@ impl<'a> AutoChecker<'a> {
     /// verdict no longer depends on the workload.
     fn check_with_candidates(
         &self,
-        rename_pairs: &[(String, String)],
+        rename_pairs: &[RenamePair],
         info: &CheckpointInfo,
         state: CowSnapshotDevice,
         recovered: FsResult<Box<dyn FileSystem>>,
@@ -254,7 +254,7 @@ struct Recovered<'i> {
 /// `NotFound` makes the file system unreadable; the first one in that order
 /// is returned.
 fn read_recovered<'i>(
-    rename_pairs: &'i [(String, String)],
+    rename_pairs: &'i [RenamePair],
     info: &'i CheckpointInfo,
     fs: &dyn FileSystem,
 ) -> FsResult<Vec<Recovered<'i>>> {
@@ -263,49 +263,42 @@ fn read_recovered<'i>(
         Err(error) => return Err(error),
     }
     let renames = rename_pairs.iter().chain(info.durable_renames.iter());
-    let mut relevant: Vec<(&str, Option<&Expectation>)> = Vec::with_capacity(
+    let mut relevant: Vec<Recovered<'i>> = Vec::with_capacity(
         info.persisted.len() + 2 * (rename_pairs.len() + info.durable_renames.len()),
     );
+    let read = |path, expectation| Recovered {
+        path,
+        expectation,
+        found: None,
+    };
     relevant.extend(
         info.persisted
             .iter()
-            .map(|(path, expectation)| (path.as_str(), Some(expectation))),
+            .map(|(path, expectation)| read(&**path, Some(expectation))),
     );
-    relevant.extend(renames.flat_map(|(from, to)| [(from.as_str(), None), (to.as_str(), None)]));
+    relevant.extend(renames.flat_map(|(from, to)| [read(&**from, None), read(&**to, None)]));
     // A path both persisted and a rename endpoint keeps its expectation.
-    relevant.sort_unstable_by_key(|&(path, expectation)| (path, expectation.is_none()));
-    relevant.dedup_by_key(|&mut (path, _)| path);
+    relevant.sort_unstable_by_key(|read| (read.path, read.expectation.is_none()));
+    relevant.dedup_by_key(|read| read.path);
 
-    relevant
-        .into_iter()
-        .map(|(path, expectation)| {
-            let oracle = expectation.and_then(|_| info.oracle.get(path));
-            let expectation = expectation.filter(|_| oracle.is_some());
-            let meta = match fs.metadata(path) {
-                Ok(meta) => meta,
-                Err(FsError::NotFound(_)) => {
-                    return Ok(Recovered {
-                        path,
-                        expectation,
-                        found: None,
-                    })
-                }
-                Err(error) => return Err(error),
-            };
-            let ino = meta.ino;
-            let mut entry = EntrySnapshot::from_metadata(meta);
-            if let (Some(expectation), Some(oracle)) = (expectation, oracle) {
-                if reads_payload(expectation, oracle.file_type, entry.file_type) {
-                    entry.read_payload(fs, path)?;
-                }
+    for read in &mut relevant {
+        let oracle = read.expectation.and_then(|_| info.oracle.get(read.path));
+        read.expectation = read.expectation.filter(|_| oracle.is_some());
+        let meta = match fs.metadata(read.path) {
+            Ok(meta) => meta,
+            Err(FsError::NotFound(_)) => continue,
+            Err(error) => return Err(error),
+        };
+        let ino = meta.ino;
+        let mut entry = EntrySnapshot::from_metadata(meta);
+        if let (Some(expectation), Some(oracle)) = (read.expectation, oracle) {
+            if reads_payload(expectation, oracle.file_type, entry.file_type) {
+                entry.read_payload(fs, read.path)?;
             }
-            Ok(Recovered {
-                path,
-                expectation,
-                found: Some((ino, entry)),
-            })
-        })
-        .collect()
+        }
+        read.found = Some((ino, entry));
+    }
+    Ok(relevant)
 }
 
 /// Whether a comparison reads the payload of a recovered entry of type
@@ -325,7 +318,7 @@ fn reads_payload(expectation: &Expectation, oracle: FileType, actual: FileType) 
 /// The read checks of a recovered file system read in place, or the error
 /// that left it unreadable.
 fn read_checks(
-    rename_pairs: &[(String, String)],
+    rename_pairs: &[RenamePair],
     info: &CheckpointInfo,
     fs: &dyn FileSystem,
 ) -> FsResult<CheckVerdict> {
@@ -484,11 +477,14 @@ fn write_checks(info: &CheckpointInfo, fs: &mut dyn FileSystem, verdict: &mut Ch
     // Remove the deepest directories first.
     dirs.sort_by_key(|d| std::cmp::Reverse(b3_vfs::path::depth(d)));
     dirs.dedup();
+    let mut path = String::new();
     for dir in dirs {
         if !fs.exists(dir) {
             continue;
         }
-        if let Err(error) = remove_recursively(fs, dir) {
+        path.clear();
+        path.push_str(dir);
+        if let Err(error) = remove_recursively(fs, &mut path) {
             verdict.write_failures.push(format!(
                 "directory '{dir}' cannot be removed after recovery: {error}"
             ));
@@ -512,7 +508,7 @@ mod reference {
     /// The verdict on a fork of the recovered `fs`, whose device holds
     /// `state`, by the reference reading.
     pub(super) fn verdict(
-        rename_pairs: &[(String, String)],
+        rename_pairs: &[RenamePair],
         info: &CheckpointInfo,
         fs: &dyn FileSystem,
         state: CowSnapshotDevice,
@@ -523,19 +519,19 @@ mod reference {
     }
 
     pub(super) fn read_checks(
-        rename_pairs: &[(String, String)],
+        rename_pairs: &[RenamePair],
         info: &CheckpointInfo,
         fs: &dyn FileSystem,
     ) -> FsResult<CheckVerdict> {
         let relevant: std::collections::BTreeSet<&str> = info
             .persisted
             .keys()
-            .map(String::as_str)
+            .map(|path| &**path)
             .chain(
                 rename_pairs
                     .iter()
                     .chain(info.durable_renames.iter())
-                    .flat_map(|(from, to)| [from.as_str(), to.as_str()]),
+                    .flat_map(|(from, to)| [&**from, &**to]),
             )
             .collect();
         let crash = LogicalSnapshot::capture_paths(fs, relevant)?;
@@ -581,35 +577,39 @@ mod reference {
 /// The rename pairs the atomicity check must consider: renames whose
 /// destination was explicitly persisted, plus renames whose source had been
 /// persisted before the rename executed (tracked by the profiler).
-fn rename_candidates(workload: &Workload, info: &CheckpointInfo) -> Vec<(String, String)> {
+fn rename_candidates(workload: &Workload, info: &CheckpointInfo) -> Vec<RenamePair> {
     let explicit = workload.all_ops().filter_map(|op| match op {
         Op::Rename { from, to } => {
-            let to = normalize(to);
-            info.persisted
-                .contains_key(to.as_ref())
-                .then(|| (normalize(from).into_owned(), to.into_owned()))
+            let (to, _) = info.persisted.get_key_value(normalize(to).as_ref())?;
+            Some((SharedPath::from(normalize(from)), to.clone()))
         }
         _ => None,
     });
     let tracked = info.persisted_renames.iter().cloned();
-    let mut candidates: Vec<(String, String)> = explicit.chain(tracked).collect();
+    let mut candidates: Vec<RenamePair> = explicit.chain(tracked).collect();
     candidates.sort();
     candidates.dedup();
     candidates
 }
 
-/// Recursively removes a directory and its contents.
-fn remove_recursively(fs: &mut dyn FileSystem, path: &str) -> Result<(), FsError> {
+/// Recursively removes the directory at `path`, a canonical path other
+/// than the root, and its contents. Each child's path is built in `path`
+/// itself, which holds the directory's path again on return.
+fn remove_recursively(fs: &mut dyn FileSystem, path: &mut String) -> Result<(), FsError> {
     let entries = fs.readdir(path)?;
+    let len = path.len();
     for name in entries {
-        let child = join(path, &name);
-        match fs.metadata(&child) {
-            Ok(meta) if meta.is_dir() => remove_recursively(fs, &child)?,
-            Ok(_) => fs.unlink(&child)?,
+        path.push('/');
+        path.push_str(&name);
+        let removed = match fs.metadata(path) {
+            Ok(meta) if meta.is_dir() => remove_recursively(fs, path),
+            Ok(_) => fs.unlink(path),
             // A dangling entry: readdir lists it but it cannot be resolved,
             // so it can neither be unlinked nor will rmdir succeed.
-            Err(error) => return Err(error),
-        }
+            Err(error) => Err(error),
+        };
+        path.truncate(len);
+        removed?;
     }
     fs.rmdir(path)
 }
@@ -753,7 +753,7 @@ fn summarize_expectations(info: &CheckpointInfo) -> String {
         .persisted
         .iter()
         .map(|(path, expectation)| {
-            let name = if path.is_empty() { "/" } else { path.as_str() };
+            let name = if path.is_empty() { "/" } else { path };
             match expectation.entry.file_type {
                 FileType::Regular => format!("{name} ({} bytes)", expectation.entry.size),
                 FileType::Directory => format!("{name}/"),
@@ -861,7 +861,7 @@ mod tests {
     fn summarize_expectations_lists_paths() {
         let mut persisted = BTreeMap::new();
         persisted.insert(
-            "A/foo".to_string(),
+            "A/foo".into(),
             Expectation {
                 entry: entry(FileType::Regular, 100).into(),
                 existence_only: false,
@@ -1011,7 +1011,7 @@ mod tests {
         persisted: &dyn FileSystem,
         paths: &[(&str, bool)],
         oracle: &dyn FileSystem,
-        durable_renames: Vec<(String, String)>,
+        durable_renames: Vec<RenamePair>,
     ) -> CheckpointInfo {
         let captured = b3_vfs::snapshot::LogicalSnapshot::capture(persisted).unwrap();
         let persisted = paths
@@ -1022,7 +1022,7 @@ mod tests {
                     entry,
                     existence_only,
                 };
-                (path.to_string(), expectation)
+                (path.into(), expectation)
             })
             .collect();
         CheckpointInfo {
@@ -1043,7 +1043,7 @@ mod tests {
     /// Also returns the reads the in-place checks made.
     fn judge(
         info: &CheckpointInfo,
-        pairs: &[(String, String)],
+        pairs: &[RenamePair],
         recovered: impl Fn() -> Traced,
     ) -> (CheckVerdict, Vec<String>) {
         let mut fs = recovered();
@@ -1256,7 +1256,7 @@ mod tests {
             write(fs, "B/foo", 0, 4096, 3)
         };
         let oracle = fs_with(renamed);
-        let pairs = [("A/foo".to_string(), "B/foo".to_string())];
+        let pairs: [RenamePair; 1] = [("A/foo".into(), "B/foo".into())];
         let info = info_of(oracle.as_ref(), &[], oracle.as_ref(), vec![]);
         let half_applied = |fs: &mut dyn FileSystem| {
             renamed(fs)?;

@@ -23,6 +23,19 @@
 //! stopped between two operations, `Profiler::step` advances it by one,
 //! and a state can be forked. The harness's [`Trunk`] uses that to run the
 //! operation prefix consecutive workloads share only once.
+//!
+//! What a checkpoint and a fork share, and what they copy: oracle entries,
+//! expectations and the oracle itself sit behind `Arc`s, and every path the
+//! profiler keeps — the oracle's keys, the persisted set's, the rename
+//! lists and the alias bookkeeping — is a [`SharedPath`]. Making a shared
+//! persisted set or oracle writable, recording a checkpoint's rename lists
+//! and forking a run therefore bump reference counts; a persisted set's
+//! keys are the oracle's own. What is still copied per fork are the
+//! containers, which each side goes on to change: the maps' nodes, the
+//! rename and checkpoint vectors, and what the file system's and the
+//! recorder's forks copy. A path is allocated where an operation names it
+//! (a dirty mark, a rename) or a capture first finds it, and shared from
+//! there.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -32,13 +45,16 @@ use b3_vfs::error::{FsError, FsResult};
 use b3_vfs::exec::Executor;
 use b3_vfs::fs::{FileSystem, FsSpec, WriteMode};
 use b3_vfs::metadata::{FileType, Metadata};
-use b3_vfs::path::{is_ancestor, normalize, parent};
+use b3_vfs::path::{is_ancestor, normalize, parent, SharedPath};
 use b3_vfs::snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot};
 use b3_vfs::workload::{Op, Workload, WriteSpec};
 
 use crate::checker::HeldVerdict;
 use crate::config::CrashMonkeyConfig;
 use crate::trunk::{Finished, Held, Trunk, TrunkRun};
+
+/// A rename as the rename lists hold it: (old path, new path).
+pub type RenamePair = (SharedPath, SharedPath);
 
 /// What a persistence operation guaranteed about one path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,18 +79,18 @@ pub struct CheckpointInfo {
     pub op_index: usize,
     /// Expectations for every explicitly persisted path, shared with the
     /// run and with every other checkpoint until an operation changes them.
-    pub persisted: Arc<BTreeMap<String, Expectation>>,
+    pub persisted: Arc<BTreeMap<SharedPath, Expectation>>,
     /// Renames (old path, new path) whose source had been explicitly
     /// persisted before the rename executed. The persisted object may
     /// legally survive a crash under either name, but never under both —
     /// which is what the rename-atomicity check verifies.
-    pub persisted_renames: Vec<(String, String)>,
+    pub persisted_renames: Vec<RenamePair>,
     /// Renames (old path, new path) that are themselves *durable* at this
     /// checkpoint: the renamed inode's new name was explicitly fsynced (or a
     /// global sync ran) after the rename executed. After such a checkpoint
     /// the old name must not exist at all — not even as a different inode —
     /// which is what the op-order-aware durable-rename check verifies.
-    pub durable_renames: Vec<(String, String)>,
+    pub durable_renames: Vec<RenamePair>,
     /// Full logical state at this instant (the clean-unmount oracle), shared
     /// rather than copied per checkpoint.
     pub oracle: Arc<LogicalSnapshot>,
@@ -111,12 +127,12 @@ struct OracleTracker {
     /// through one hard link invalidate the aliases that share the inode.
     /// Only maintained once a `link` has executed — without hard links no
     /// two paths share an inode and the bookkeeping is pure overhead.
-    inos: BTreeMap<String, u64>,
+    inos: BTreeMap<SharedPath, u64>,
     /// Paths whose single entry must be re-captured.
-    dirty_entries: BTreeSet<String>,
+    dirty_entries: BTreeSet<SharedPath>,
     /// Paths whose whole subtree must be re-captured (rename sources and
     /// destinations).
-    dirty_subtrees: BTreeSet<String>,
+    dirty_subtrees: BTreeSet<SharedPath>,
     /// True once any `link` executed (enables alias tracking).
     saw_link: bool,
     /// False until the first full capture.
@@ -142,15 +158,15 @@ impl OracleTracker {
     }
 
     fn mark_entry(&mut self, path: &str) {
-        self.dirty_entries.insert(normalize(path).into_owned());
+        self.dirty_entries.insert(normalize(path).into());
     }
 
     fn mark_with_parent(&mut self, path: &str) {
         let path = normalize(path);
         if let Ok(parent_path) = parent(&path) {
-            self.dirty_entries.insert(parent_path.to_string());
+            self.dirty_entries.insert(parent_path.into());
         }
-        self.dirty_entries.insert(path.into_owned());
+        self.dirty_entries.insert(path.into());
     }
 
     /// Marks exactly what `op` may have changed as dirty: the entry itself
@@ -181,8 +197,8 @@ impl OracleTracker {
             Op::Rename { from, to } => {
                 self.mark_with_parent(from);
                 self.mark_with_parent(to);
-                self.dirty_subtrees.insert(normalize(from).into_owned());
-                self.dirty_subtrees.insert(normalize(to).into_owned());
+                self.dirty_subtrees.insert(normalize(from).into());
+                self.dirty_subtrees.insert(normalize(to).into());
             }
             Op::Fsync { .. } | Op::Fdatasync { .. } | Op::Msync { .. } | Op::Sync => {}
         }
@@ -316,7 +332,7 @@ impl OracleTracker {
             snapshot.intern_entry(path, interner);
         }
         if !self.dirty_subtrees.is_empty() {
-            let subtree_paths: Vec<String> = snapshot
+            let subtree_paths: Vec<SharedPath> = snapshot
                 .iter()
                 .map(|(p, _)| p.clone())
                 .filter(|p| {
@@ -481,19 +497,17 @@ impl<'a> Profiler<'a> {
         // guaranteed either, unless re-persisted), but the pair is
         // remembered for the rename-atomicity check.
         if let Op::Rename { from, to } = op {
-            let from = normalize(from);
-            let to = normalize(to);
+            let from = SharedPath::from(normalize(from));
+            let to = SharedPath::from(normalize(to));
             if let Ok(meta) = fs.metadata(&to) {
                 state
                     .renames_seen
-                    .push((from.to_string(), to.to_string(), meta.ino));
+                    .push((from.clone(), to.clone(), meta.ino));
             }
-            if state.persisted.contains_key(from.as_ref()) {
-                state
-                    .persisted_renames
-                    .push((from.to_string(), to.to_string()));
+            if state.persisted.contains_key(&from) {
+                state.persisted_renames.push((from.clone(), to));
             }
-            let moved = |path: &String| *path == from || is_ancestor(&from, path);
+            let moved = |path: &SharedPath| *path == from || is_ancestor(&from, path);
             if state.persisted.keys().any(moved) {
                 Arc::make_mut(&mut state.persisted).retain(|path, _| !moved(path));
             }
@@ -508,7 +522,7 @@ impl<'a> Profiler<'a> {
                 let path = normalize(path);
                 if let Ok(meta) = fs.metadata(&path) {
                     for (from, to, ino) in &state.renames_seen {
-                        if *to == path && *ino == meta.ino {
+                        if **to == *path && *ino == meta.ino {
                             push_unique(&mut state.durable_renames, (from.clone(), to.clone()));
                         }
                     }
@@ -555,11 +569,11 @@ pub struct ProfileState {
     /// Its counter seeds write data, so it is part of the state.
     executor: Executor,
     oracle: OracleTracker,
-    persisted: Arc<BTreeMap<String, Expectation>>,
-    persisted_renames: Vec<(String, String)>,
+    persisted: Arc<BTreeMap<SharedPath, Expectation>>,
+    persisted_renames: Vec<RenamePair>,
     /// All renames executed so far: (old path, new path, moved inode).
-    renames_seen: Vec<(String, String, u64)>,
-    durable_renames: Vec<(String, String)>,
+    renames_seen: Vec<(SharedPath, SharedPath, u64)>,
+    durable_renames: Vec<RenamePair>,
     pub(crate) checkpoints: Vec<CheckpointInfo>,
     /// Set by the operation that could not be executed; it ended the run.
     pub(crate) exec_error: Option<FsError>,
@@ -629,7 +643,7 @@ impl ProfileState {
     }
 }
 
-fn push_unique(list: &mut Vec<(String, String)>, pair: (String, String)) {
+fn push_unique(list: &mut Vec<RenamePair>, pair: RenamePair) {
     if !list.contains(&pair) {
         list.push(pair);
     }
@@ -649,7 +663,7 @@ fn is_direct_write(op: &Op) -> bool {
 /// `op` completed, using the oracle captured at that instant. The set is
 /// copied first, if it is shared, only when `op` can change it.
 fn update_expectations(
-    persisted: &mut Arc<BTreeMap<String, Expectation>>,
+    persisted: &mut Arc<BTreeMap<SharedPath, Expectation>>,
     oracle: &LogicalSnapshot,
     op: &Op,
     fs: &dyn FileSystem,
@@ -666,18 +680,21 @@ fn update_expectations(
                 };
                 (path.clone(), expectation)
             });
-            *persisted = Arc::new(everything.collect());
+            // In path order, so each insert appends: no sorting buffer.
+            let mut all = BTreeMap::new();
+            all.extend(everything);
+            *persisted = Arc::new(all);
         }
         Op::Fsync { path } | Op::Fdatasync { path } | Op::Msync { path, .. } => {
-            let path = normalize(path);
-            let Some(entry) = oracle.get_shared(&path) else {
+            // Keys are the oracle's own paths, shared rather than copied.
+            let Some((path, entry)) = oracle.get_key_value(&normalize(path)) else {
                 return;
             };
             let persisted = Arc::make_mut(persisted);
             persisted.insert(
-                path.to_string(),
+                path.clone(),
                 Expectation {
-                    entry: Arc::clone(&entry),
+                    entry: Arc::clone(entry),
                     existence_only: false,
                 },
             );
@@ -687,12 +704,14 @@ fn update_expectations(
             if entry.file_type == FileType::Directory {
                 if let Some(children) = &entry.children {
                     for child in children {
-                        let child_path = b3_vfs::path::join(&path, child);
-                        if let Some(child_entry) = oracle.get_shared(&child_path) {
-                            persisted.entry(child_path).or_insert_with(|| Expectation {
-                                entry: child_entry,
-                                existence_only: true,
-                            });
+                        let child_path = b3_vfs::path::join(path, child);
+                        if let Some((child_path, child_entry)) = oracle.get_key_value(&child_path) {
+                            persisted
+                                .entry(child_path.clone())
+                                .or_insert_with(|| Expectation {
+                                    entry: Arc::clone(child_entry),
+                                    existence_only: true,
+                                });
                         }
                     }
                 }
@@ -702,9 +721,9 @@ fn update_expectations(
                 // survive — a guarantee the developers of every file system
                 // the paper tested confirmed (§5.1), and what its new bugs 5
                 // and 7 break.
-                if let Ok(meta) = fs.metadata(&path) {
+                if let Ok(meta) = fs.metadata(path) {
                     for (other_path, other_entry) in oracle.iter_shared() {
-                        if *other_path == path || other_entry.file_type != FileType::Regular {
+                        if other_path == path || other_entry.file_type != FileType::Regular {
                             continue;
                         }
                         if fs.metadata(other_path).is_ok_and(|m| m.ino == meta.ino) {
@@ -993,10 +1012,7 @@ mod tests {
         );
         let result = profile(&workload);
         let cp = result.checkpoints.last().unwrap();
-        assert_eq!(
-            cp.durable_renames,
-            vec![("A/foo".to_string(), "A/bar".to_string())]
-        );
+        assert_eq!(cp.durable_renames, vec![("A/foo".into(), "A/bar".into())]);
         // The first checkpoint (the sync before the rename) must not list
         // the rename as durable.
         assert!(result.checkpoints[0].durable_renames.is_empty());

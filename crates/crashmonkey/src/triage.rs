@@ -207,21 +207,13 @@ impl<H> TriageCache<H> {
                     + info.persisted_renames.len()
                     + info.durable_renames.len()),
         );
-        relevant.extend(info.persisted.keys().map(String::as_str));
+        relevant.extend(info.persisted.keys().map(|path| &**path));
         for (from, to) in seed
             .rename_ops
             .iter()
             .copied()
-            .chain(
-                info.persisted_renames
-                    .iter()
-                    .map(|(f, t)| (f.as_str(), t.as_str())),
-            )
-            .chain(
-                info.durable_renames
-                    .iter()
-                    .map(|(f, t)| (f.as_str(), t.as_str())),
-            )
+            .chain(info.persisted_renames.iter().map(|(f, t)| (&**f, &**t)))
+            .chain(info.durable_renames.iter().map(|(f, t)| (&**f, &**t)))
         {
             relevant.push(from);
             relevant.push(to);
@@ -337,7 +329,7 @@ mod tests {
         for (path, e) in persisted {
             oracle.insert(path.to_string(), (*e).clone());
             map.insert(
-                path.to_string(),
+                path.into(),
                 Expectation {
                     entry: e,
                     existence_only: false,

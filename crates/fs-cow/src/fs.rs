@@ -76,7 +76,7 @@ impl Persistence for Cow {
         }
         .record_persist(path, kind)?;
         self.log.items.extend(items);
-        core.write_log(&self.log.encode())
+        core.write_log(self.log.encode())
     }
 
     fn before_write(&mut self, core: &TreeCore, path: &str, mode: WriteMode) {

@@ -18,6 +18,7 @@ use b3_vfs::tree::{
     decode_inode, encode_inode, encoded_inode_len, Inode, InodeId, MemTree, DIRENT_SIZE,
 };
 use b3_vfs::treefs::SyncKind;
+use bytes::Bytes;
 
 use crate::bugs::CowBugs;
 
@@ -87,15 +88,15 @@ impl LogTree {
             .any(|item| matches!(item, LogItem::DentryAdd { child_ino, .. } if *child_ino == ino))
     }
 
-    /// Serializes the log.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serializes the log, into one buffer of exactly the encoded length.
+    pub fn encode(&self) -> Bytes {
         let item_len = |item: &LogItem| match item {
             LogItem::Inode { inode } => 1 + encoded_inode_len(inode),
             LogItem::DentryAdd { name, .. } => 1 + 8 + 8 + name.len() + 8,
             LogItem::DentryRemove { name, .. } => 1 + 8 + 8 + name.len(),
         };
         let len = 4 + 8 + self.items.iter().map(item_len).sum::<usize>();
-        let mut enc = Encoder::with_capacity(len);
+        let mut enc = Encoder::exact(len);
         enc.put_u32(LOG_MAGIC);
         enc.put_u64(self.items.len() as u64);
         for item in &self.items {
@@ -121,8 +122,7 @@ impl LogTree {
                 }
             }
         }
-        debug_assert_eq!(enc.len(), len, "the log's length is computed up front");
-        enc.finish()
+        enc.freeze()
     }
 
     /// Deserializes a log previously produced by [`LogTree::encode`].
@@ -370,7 +370,7 @@ impl Recorder<'_> {
                     let still_current = self
                         .working
                         .inode(*dir_ino)
-                        .is_some_and(|dir| dir.entries.get(name) == Some(&ino));
+                        .is_some_and(|dir| dir.entries.get(name.as_str()) == Some(&ino));
                     if !still_current {
                         stale_logged_names.push((*dir_ino, name.clone()));
                     }
@@ -474,7 +474,7 @@ impl Recorder<'_> {
             // As above: if the stale name is now held by a different inode,
             // persist that occupant too.
             if let Some(dir) = self.working.inode(dir_ino) {
-                if let Some(&occupant) = dir.entries.get(&name) {
+                if let Some(&occupant) = dir.entries.get(name.as_str()) {
                     if occupant != ino {
                         if let Some(occupant_inode) = self.working.inode(occupant) {
                             let mut logged = occupant_inode.clone();
@@ -505,7 +505,7 @@ impl Recorder<'_> {
                         if *child != ino && !committed_parent_entries.contains_key(name) {
                             items.push(LogItem::DentryAdd {
                                 dir_ino: parent_ino,
-                                name: name.clone(),
+                                name: name.to_string(),
                                 child_ino: *child,
                             });
                         }
@@ -665,12 +665,12 @@ impl Recorder<'_> {
                         .has_conflicting_add(dir_ino, name, *child)
                         || items.iter().any(|item| {
                             matches!(item, LogItem::DentryAdd { dir_ino: d, name: n, child_ino: c }
-                                if *d == dir_ino && n == name && *c != *child)
+                                if *d == dir_ino && **n == **name && *c != *child)
                         });
                     if self.bugs.rename_over_logged_skips_new_inode && replaces_logged {
                         items.push(LogItem::DentryAdd {
                             dir_ino,
-                            name: name.clone(),
+                            name: name.to_string(),
                             child_ino: *child,
                         });
                         continue;
@@ -689,7 +689,7 @@ impl Recorder<'_> {
                     });
                     items.push(LogItem::DentryAdd {
                         dir_ino,
-                        name: name.clone(),
+                        name: name.to_string(),
                         child_ino: *child,
                     });
                 }
@@ -700,7 +700,7 @@ impl Recorder<'_> {
             if !working_dir.entries.contains_key(name) {
                 items.push(LogItem::DentryRemove {
                     dir_ino,
-                    name: name.clone(),
+                    name: name.to_string(),
                 });
             }
         }
@@ -873,7 +873,7 @@ pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<Me
                             "log replay: dentry targets non-directory inode {dir_ino}"
                         )));
                     }
-                    dir.entries.get(name).copied()
+                    dir.entries.get(name.as_str()).copied()
                 };
                 let dir = tree.inode_mut(*dir_ino).expect("checked above");
                 match existing {
@@ -889,13 +889,13 @@ pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<Me
                                  (existing inode {existing_child}, logged inode {child_ino})"
                             )));
                         }
-                        dir.entries.insert(name.clone(), *child_ino);
+                        dir.entries.insert(name.as_str().into(), *child_ino);
                         if bugs.replay_dup_dentry_double_count {
                             dir.dir_size += DIRENT_SIZE;
                         }
                     }
                     None => {
-                        dir.entries.insert(name.clone(), *child_ino);
+                        dir.entries.insert(name.as_str().into(), *child_ino);
                         dir.dir_size += DIRENT_SIZE;
                         if bugs.replay_dup_dentry_double_count {
                             dir.dir_size += DIRENT_SIZE;
@@ -907,7 +907,7 @@ pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<Me
                 let Some(dir) = tree.inode(*dir_ino) else {
                     continue;
                 };
-                let Some(&child) = dir.entries.get(name) else {
+                let Some(&child) = dir.entries.get(name.as_str()) else {
                     continue;
                 };
                 // The multilink check looks at the *committed* inode: the
@@ -921,7 +921,7 @@ pub fn replay(committed: &MemTree, log: &LogTree, bugs: &CowBugs) -> FsResult<Me
                     continue;
                 }
                 let dir = tree.inode_mut(*dir_ino).expect("checked above");
-                dir.entries.remove(name);
+                dir.entries.remove(name.as_str());
                 dir.dir_size = dir.dir_size.saturating_sub(DIRENT_SIZE);
             }
         }

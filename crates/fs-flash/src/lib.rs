@@ -245,7 +245,7 @@ impl Persistence for Flash {
             paths,
             parent_inos,
         });
-        core.write_log(&encode_records(&self.records))
+        core.write_log(encode_records(&self.records).into())
     }
 
     fn after_fallocate(
@@ -312,10 +312,10 @@ fn roll_forward(
                 Some(_) => {
                     // Re-pointing an existing name does not change the
                     // directory's size bookkeeping.
-                    dir.entries.insert(name.to_string(), record.inode.ino);
+                    dir.entries.insert(name.into(), record.inode.ino);
                 }
                 None => {
-                    dir.entries.insert(name.to_string(), record.inode.ino);
+                    dir.entries.insert(name.into(), record.inode.ino);
                     dir.dir_size += b3_vfs::tree::DIRENT_SIZE;
                 }
             }

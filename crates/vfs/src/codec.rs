@@ -5,12 +5,63 @@
 //! than pulling in a serialization framework; the format is
 //! length-prefixed, little-endian, and versioned by each caller.
 
+use bytes::{Bytes, BytesMut};
+
 use crate::error::{FsError, FsResult};
 
-/// An append-only byte buffer writer.
+/// Where an [`Encoder`] appends its bytes.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put_slice(&mut self, bytes: &[u8]);
+
+    /// Bytes appended so far.
+    fn len(&self) -> usize;
+
+    /// True if nothing has been appended.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// A buffer of a length known up front, allocated once and filled front to
+/// back: what a structure written to disk is encoded into, so the blob
+/// writer can hand its blocks to the device as views of this one buffer.
+#[derive(Debug)]
+pub struct Exact {
+    buf: BytesMut,
+    filled: usize,
+}
+
+impl Sink for Exact {
+    /// # Panics
+    ///
+    /// If `bytes` overruns the length the buffer was made with.
+    fn put_slice(&mut self, bytes: &[u8]) {
+        let end = self.filled + bytes.len();
+        self.buf[self.filled..end].copy_from_slice(bytes);
+        self.filled = end;
+    }
+
+    fn len(&self) -> usize {
+        self.filled
+    }
+}
+
+/// An append-only byte buffer writer: into a growable `Vec<u8>` by default,
+/// or into an [`Exact`] buffer ([`Encoder::exact`]).
 #[derive(Debug, Default, Clone)]
-pub struct Encoder {
-    buf: Vec<u8>,
+pub struct Encoder<S = Vec<u8>> {
+    buf: S,
 }
 
 impl Encoder {
@@ -19,19 +70,36 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Creates an empty encoder with room for `capacity` bytes, for callers
-    /// that know the encoded length up front.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Encoder {
-            buf: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Consumes the encoder, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
 
+impl Encoder<Exact> {
+    /// An encoder of exactly `len` bytes, in one allocation.
+    pub fn exact(len: usize) -> Self {
+        Encoder {
+            buf: Exact {
+                buf: BytesMut::zeroed(len),
+                filled: 0,
+            },
+        }
+    }
+
+    /// Consumes the encoder, returning the encoded bytes without a copy.
+    ///
+    /// # Panics
+    ///
+    /// If fewer bytes were written than the encoder was made for.
+    pub fn freeze(self) -> Bytes {
+        let Exact { buf, filled } = self.buf;
+        assert_eq!(filled, buf.len(), "an exact encoder is filled completely");
+        buf.freeze()
+    }
+}
+
+impl<S: Sink> Encoder<S> {
     /// Current length of the encoded output.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -44,23 +112,23 @@ impl Encoder {
 
     /// Writes one byte.
     pub fn put_u8(&mut self, value: u8) {
-        self.buf.push(value);
+        self.buf.put_slice(&[value]);
     }
 
     /// Writes a little-endian u32.
     pub fn put_u32(&mut self, value: u32) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
+        self.buf.put_slice(&value.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
     pub fn put_u64(&mut self, value: u64) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
+        self.buf.put_slice(&value.to_le_bytes());
     }
 
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, value: &[u8]) {
         self.put_u64(value.len() as u64);
-        self.buf.extend_from_slice(value);
+        self.buf.put_slice(value);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -141,8 +209,13 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> FsResult<String> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes)
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn get_str_ref(&mut self) -> FsResult<&'a str> {
+        let len = self.get_u64()? as usize;
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| FsError::Corrupted("invalid UTF-8 in serialized string".to_string()))
     }
 
@@ -177,6 +250,36 @@ mod tests {
         assert!(dec.get_bool().unwrap());
         assert!(!dec.get_bool().unwrap());
         assert!(dec.is_exhausted());
+    }
+
+    #[test]
+    fn an_exact_encoder_writes_what_a_growable_one_does() {
+        fn encode(enc: &mut Encoder<impl Sink>) {
+            enc.put_u32(7);
+            enc.put_str("A/foo");
+            enc.put_bool(true);
+        }
+        let mut growable = Encoder::new();
+        encode(&mut growable);
+        let bytes = growable.finish();
+        let mut exact = Encoder::exact(bytes.len());
+        encode(&mut exact);
+        assert_eq!(exact.len(), bytes.len());
+        assert_eq!(&exact.freeze()[..], &bytes[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "filled completely")]
+    fn an_exact_encoder_left_short_panics() {
+        let mut enc = Encoder::exact(9);
+        enc.put_u64(1);
+        enc.freeze();
+    }
+
+    #[test]
+    #[should_panic]
+    fn an_exact_encoder_overrun_panics() {
+        Encoder::exact(3).put_u32(1);
     }
 
     #[test]

@@ -7,8 +7,20 @@
 //! fresh blocks from a bump allocator, and the superblock is flipped last
 //! with FLUSH+FUA — the write ordering every journaling/COW file system
 //! relies on for crash consistency.
+//!
+//! A blob is handed over as one [`Bytes`] buffer, and [`write_blob`] writes
+//! each of its blocks as a view of that buffer
+//! ([`BlockDevice::write_block_bytes`]): a device that keeps blocks as
+//! shared buffers — the recorder's snapshot and its IO log — stores and
+//! logs the views, so the bytes are written into memory once, by the
+//! encoder. The tree ([`MemTree::encode`](crate::tree::MemTree::encode)),
+//! CowFs's log and the superblock are each encoded into a buffer of exactly
+//! their length; FlashFs's node log still grows a `Vec` and is copied into
+//! its buffer once. Reads copy: [`read_blob`] gathers the blocks into one
+//! `Vec` the decoder walks, and decoding copies again into the tree.
 
 use b3_block::{BlockDevice, BlockIndex, IoFlags, BLOCK_SIZE};
+use bytes::Bytes;
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::{FsError, FsResult};
@@ -85,8 +97,8 @@ impl SuperBlock {
     pub const ENCODED_LEN: usize = 4 + 6 * 8 + 1;
 
     /// Serializes the superblock into a single block payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(Self::ENCODED_LEN);
+    pub fn encode(&self) -> Bytes {
+        let mut enc = Encoder::exact(Self::ENCODED_LEN);
         enc.put_u32(self.magic);
         enc.put_u64(self.generation);
         enc.put_u64(self.tree.start);
@@ -95,8 +107,7 @@ impl SuperBlock {
         enc.put_u64(self.log.len);
         enc.put_u64(self.alloc_cursor);
         enc.put_bool(self.dirty);
-        debug_assert_eq!(enc.len(), Self::ENCODED_LEN);
-        enc.finish()
+        enc.freeze()
     }
 
     /// Decodes a superblock previously written with [`SuperBlock::encode`],
@@ -129,28 +140,31 @@ impl SuperBlock {
     /// ordering point of every commit).
     pub fn write_to(&self, dev: &mut dyn BlockDevice) -> FsResult<()> {
         dev.flush()?;
-        dev.write_block(
+        dev.write_block_bytes(
             0,
-            &self.encode(),
+            self.encode(),
             IoFlags::META | IoFlags::FLUSH | IoFlags::FUA,
         )?;
         Ok(())
     }
 
-    /// Reads and validates the superblock from block 0.
+    /// Reads and validates the superblock from block 0 — its encoded
+    /// length only, into a buffer on the stack.
     pub fn read_from(dev: &dyn BlockDevice, expected_magic: u32) -> FsResult<SuperBlock> {
-        let block = dev.read_block(0)?;
-        SuperBlock::decode(&block, expected_magic)
+        let mut head = [0u8; Self::ENCODED_LEN];
+        dev.read_block_into(0, &mut head)?;
+        SuperBlock::decode(&head, expected_magic)
     }
 }
 
 /// Writes `bytes` as a blob starting at the superblock's allocation cursor,
-/// advancing the cursor. Returns the blob reference. The data is written
-/// with META|SYNC flags (these writes happen on persistence paths).
+/// advancing the cursor. Returns the blob reference. Each block is written
+/// as a view of `bytes` (the last one short, an empty blob as one empty
+/// write), so a device that keeps blocks as shared buffers copies nothing.
 pub fn write_blob(
     dev: &mut dyn BlockDevice,
     sb: &mut SuperBlock,
-    bytes: &[u8],
+    bytes: Bytes,
     flags: IoFlags,
 ) -> FsResult<BlobRef> {
     let num_blocks = (bytes.len() as u64).div_ceil(BLOCK_SIZE as u64).max(1);
@@ -171,15 +185,18 @@ pub fn write_blob(
         sb.alloc_cursor = FIRST_DATA_BLOCK;
     }
     let start = sb.alloc_cursor;
+    let len = bytes.len();
     if bytes.is_empty() {
-        dev.write_block(start, &[], flags)?;
-    } else {
-        dev.write_blocks(start, bytes, flags)?;
+        dev.write_block_bytes(start, Bytes::new(), flags)?;
+    }
+    for (index, offset) in (start..).zip((0..len).step_by(BLOCK_SIZE)) {
+        let block = bytes.slice(offset..len.min(offset + BLOCK_SIZE));
+        dev.write_block_bytes(index, block, flags)?;
     }
     sb.alloc_cursor = start + num_blocks;
     Ok(BlobRef {
         start,
-        len: bytes.len() as u64,
+        len: len as u64,
     })
 }
 
@@ -231,13 +248,13 @@ mod tests {
         let mut dev = RamDisk::new(64);
         let mut sb = SuperBlock::new(MAGIC);
         let data = vec![0x5au8; BLOCK_SIZE + 123];
-        let blob = write_blob(&mut dev, &mut sb, &data, IoFlags::META).unwrap();
+        let blob = write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::META).unwrap();
         assert_eq!(blob.start, FIRST_DATA_BLOCK);
         assert_eq!(blob.num_blocks(), 2);
         assert_eq!(sb.alloc_cursor, FIRST_DATA_BLOCK + 2);
         assert_eq!(read_blob(&dev, blob).unwrap(), data);
 
-        let second = write_blob(&mut dev, &mut sb, b"tiny", IoFlags::META).unwrap();
+        let second = write_blob(&mut dev, &mut sb, Bytes::from("tiny"), IoFlags::META).unwrap();
         assert_eq!(second.start, FIRST_DATA_BLOCK + 2);
         assert_eq!(read_blob(&dev, second).unwrap(), b"tiny");
     }
@@ -255,7 +272,7 @@ mod tests {
         let mut sb = SuperBlock::new(MAGIC);
         sb.alloc_cursor = 15;
         let data = vec![1u8; 2 * BLOCK_SIZE];
-        let blob = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap();
+        let blob = write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::DATA).unwrap();
         assert_eq!(blob.start, FIRST_DATA_BLOCK);
     }
 
@@ -266,13 +283,13 @@ mod tests {
         sb.alloc_cursor = 12;
         // 8 + 8 >= 16: the largest blob a 16-block device holds is 7 blocks.
         let data = vec![1u8; 8 * BLOCK_SIZE];
-        let err = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap_err();
+        let err = write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::DATA).unwrap_err();
         assert!(matches!(err, FsError::NoSpace));
         assert_eq!(sb.alloc_cursor, 12, "a refused blob moves no cursor");
         let data = vec![1u8; 9 * BLOCK_SIZE];
-        assert!(write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).is_err());
+        assert!(write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::DATA).is_err());
         let data = vec![1u8; 7 * BLOCK_SIZE];
-        let blob = write_blob(&mut dev, &mut sb, &data, IoFlags::DATA).unwrap();
+        let blob = write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::DATA).unwrap();
         assert_eq!(blob.start, FIRST_DATA_BLOCK);
     }
 }

@@ -7,8 +7,16 @@
 //! semantics) are identical across all of them.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::error::{FsError, FsResult};
+
+/// A path held where sets and lists of paths are copied often — a logical
+/// snapshot's keys, the profiler's persisted set and rename lists: copying
+/// one bumps a reference count instead of copying the string. Compares,
+/// orders and hashes as its `str`, so a map keyed by it iterates in the
+/// order a `String`-keyed one does.
+pub type SharedPath = Arc<str>;
 
 /// Maximum length of a single path component, mirroring `NAME_MAX`.
 pub const NAME_MAX: usize = 255;

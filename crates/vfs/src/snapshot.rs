@@ -16,7 +16,7 @@ use std::sync::Arc;
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
 use crate::metadata::{FileType, Metadata};
-use crate::path::{is_ancestor, join, normalize};
+use crate::path::{is_ancestor, join, normalize, SharedPath};
 
 /// The captured state of a single file, directory, symlink, or fifo.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -77,10 +77,12 @@ impl EntrySnapshot {
 /// Entries are reference-counted so snapshots can be cloned per checkpoint
 /// in O(entries) pointer bumps, with unchanged entries structurally shared
 /// between adjacent checkpoints — the representation behind the profiler's
-/// incremental oracle maintenance.
+/// incremental oracle maintenance. Paths are [`SharedPath`]s, so a clone
+/// copies no string either, and a persisted set built from a snapshot
+/// shares its paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogicalSnapshot {
-    entries: BTreeMap<String, Arc<EntrySnapshot>>,
+    entries: BTreeMap<SharedPath, Arc<EntrySnapshot>>,
 }
 
 impl LogicalSnapshot {
@@ -132,7 +134,7 @@ impl LogicalSnapshot {
             Some(entry) => match self.entries.get_mut(path.as_ref()) {
                 Some(slot) => *slot = Arc::new(entry),
                 None => {
-                    self.entries.insert(path.into_owned(), Arc::new(entry));
+                    self.entries.insert(path.into(), Arc::new(entry));
                 }
             },
             None => {
@@ -148,7 +150,7 @@ impl LogicalSnapshot {
     pub fn refresh_subtree(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
         let path = normalize(path);
         self.entries
-            .retain(|p, _| *p != path && !is_ancestor(&path, p));
+            .retain(|p, _| **p != *path && !is_ancestor(&path, p));
         match fs.metadata(&path) {
             Ok(_) => self.walk(fs, &path),
             Err(FsError::NotFound(_)) => Ok(()),
@@ -159,14 +161,14 @@ impl LogicalSnapshot {
     /// Inserts or replaces an entry verbatim (test and tooling use).
     pub fn insert(&mut self, path: impl Into<String>, entry: EntrySnapshot) {
         self.entries
-            .insert(normalize(&path.into()).into_owned(), Arc::new(entry));
+            .insert(normalize(&path.into()).into(), Arc::new(entry));
     }
 
     fn walk(&mut self, fs: &dyn FileSystem, path: &str) -> FsResult<()> {
         let mut entry = EntrySnapshot::from_metadata(fs.metadata(path)?);
         entry.read_payload(fs, path)?;
         let children = entry.children.clone();
-        self.entries.insert(path.to_string(), Arc::new(entry));
+        self.entries.insert(path.into(), Arc::new(entry));
         for name in children.into_iter().flatten() {
             match self.walk(fs, &join(path, &name)) {
                 Ok(()) => {}
@@ -202,25 +204,32 @@ impl LogicalSnapshot {
         self.entries.get(normalize(path).as_ref()).cloned()
     }
 
+    /// Looks up one entry together with the snapshot's own copy of its
+    /// path, for a caller that keys something by the path: cloning the
+    /// returned [`SharedPath`] copies no string.
+    pub fn get_key_value(&self, path: &str) -> Option<(&SharedPath, &Arc<EntrySnapshot>)> {
+        self.entries.get_key_value(normalize(path).as_ref())
+    }
+
     /// Returns true if a path exists in the snapshot.
     pub fn contains(&self, path: &str) -> bool {
         self.get(path).is_some()
     }
 
     /// Iterates over `(path, entry)` pairs in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &EntrySnapshot)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&SharedPath, &EntrySnapshot)> {
         self.entries
             .iter()
             .map(|(path, entry)| (path, entry.as_ref()))
     }
 
     /// Iterates over `(path, shared entry)` pairs in path order.
-    pub fn iter_shared(&self) -> impl Iterator<Item = (&String, &Arc<EntrySnapshot>)> {
+    pub fn iter_shared(&self) -> impl Iterator<Item = (&SharedPath, &Arc<EntrySnapshot>)> {
         self.entries.iter()
     }
 
     /// All captured paths.
-    pub fn paths(&self) -> Vec<String> {
+    pub fn paths(&self) -> Vec<SharedPath> {
         self.entries.keys().cloned().collect()
     }
 
@@ -706,7 +715,7 @@ mod tests {
     fn snapshot_with(entries: Vec<(&str, EntrySnapshot)>) -> LogicalSnapshot {
         let mut snapshot = LogicalSnapshot::default();
         for (path, e) in entries {
-            snapshot.entries.insert(path.to_string(), Arc::new(e));
+            snapshot.entries.insert(path.into(), Arc::new(e));
         }
         snapshot
     }

@@ -23,10 +23,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::codec::{Decoder, Encoder};
+use bytes::Bytes;
+
+use crate::codec::{Decoder, Encoder, Sink};
 use crate::error::{FsError, FsResult};
 use crate::metadata::{FileType, Metadata};
-use crate::path::{components, is_ancestor, is_root, join, normalize, split_parent, validate};
+use crate::path::{
+    components, is_ancestor, is_root, join, normalize, split_parent, validate, SharedPath,
+};
 use crate::workload::FallocMode;
 
 /// Inode number.
@@ -83,8 +87,10 @@ pub struct Inode {
     /// from `entries` because buggy log replay can corrupt one but not the
     /// other — the mechanism behind the "directory un-removable" bugs.
     pub dir_size: u64,
-    /// Directory entries: name → child inode.
-    pub entries: BTreeMap<String, InodeId>,
+    /// Directory entries: name → child inode. Names are shared, so the
+    /// copy of a directory inode that a mutation of a shared tree makes
+    /// copies no name.
+    pub entries: BTreeMap<SharedPath, InodeId>,
     /// Symlink target.
     pub symlink_target: String,
     /// Extended attributes.
@@ -296,7 +302,7 @@ impl MemTree {
 
     fn add_entry(&mut self, parent: InodeId, name: &str, child: InodeId) {
         let dir = self.live_mut(parent);
-        dir.entries.insert(name.to_string(), child);
+        dir.entries.insert(name.into(), child);
         dir.dir_size += DIRENT_SIZE;
     }
 
@@ -623,7 +629,7 @@ impl MemTree {
         if !inode.is_dir() {
             return Err(FsError::NotADirectory(path.to_string()));
         }
-        Ok(inode.entries.keys().cloned().collect())
+        Ok(inode.entries.keys().map(ToString::to_string).collect())
     }
 
     /// Metadata of a path.
@@ -647,9 +653,12 @@ impl MemTree {
     const MAGIC: u32 = 0x4d54_5245; // "MTRE"
     const VERSION: u32 = 1;
 
-    /// Serializes the whole tree to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+    /// Serializes the whole tree to bytes, into one buffer of exactly the
+    /// encoded length.
+    pub fn encode(&self) -> Bytes {
+        // The magic and version, `next_ino` and the inode count.
+        let len = 4 + 4 + 8 + 8 + self.inodes().map(encoded_inode_len).sum::<usize>();
+        let mut enc = Encoder::exact(len);
         enc.put_u32(Self::MAGIC);
         enc.put_u32(Self::VERSION);
         enc.put_u64(self.next_ino);
@@ -657,7 +666,7 @@ impl MemTree {
         for inode in self.inodes() {
             encode_inode(&mut enc, inode);
         }
-        enc.finish()
+        enc.freeze()
     }
 
     /// Deserializes a tree previously produced by [`MemTree::encode`].
@@ -706,7 +715,7 @@ pub fn encoded_inode_len(inode: &Inode) -> usize {
 }
 
 /// Serializes one inode (also used by the file systems' log/journal records).
-pub fn encode_inode(enc: &mut Encoder, inode: &Inode) {
+pub fn encode_inode(enc: &mut Encoder<impl Sink>, inode: &Inode) {
     enc.put_u64(inode.ino);
     enc.put_u8(match inode.kind {
         FileType::Regular => 0,
@@ -758,9 +767,9 @@ pub fn decode_inode(dec: &mut Decoder<'_>) -> FsResult<Inode> {
     let num_entries = dec.get_u64()?;
     let mut entries = BTreeMap::new();
     for _ in 0..num_entries {
-        let name = dec.get_str()?;
+        let name = dec.get_str_ref()?;
         let child = dec.get_u64()?;
-        entries.insert(name, child);
+        entries.insert(name.into(), child);
     }
     Ok(Inode {
         ino,

@@ -18,6 +18,7 @@
 //! use (see [`crate::recover`]).
 
 use b3_block::{BlockDevice, IoFlags, StateDelta};
+use bytes::Bytes;
 
 use crate::diskfmt::{read_blob, write_blob, BlobRef, SuperBlock};
 use crate::error::{FsError, FsResult};
@@ -49,7 +50,7 @@ impl TreeCore {
         self.sb.tree = write_blob(
             self.dev.as_mut(),
             &mut self.sb,
-            &tree.encode(),
+            tree.encode(),
             IoFlags::META,
         )?;
         self.sb.log = BlobRef::EMPTY;
@@ -62,7 +63,7 @@ impl TreeCore {
 
     /// Writes `bytes` as the persistence log and flips the superblock to
     /// it: what an `fsync` that does not commit leaves on disk.
-    pub fn write_log(&mut self, bytes: &[u8]) -> FsResult<()> {
+    pub fn write_log(&mut self, bytes: Bytes) -> FsResult<()> {
         self.sb.log = write_blob(
             self.dev.as_mut(),
             &mut self.sb,
@@ -175,7 +176,7 @@ impl<P: Persistence> TreeFs<P> {
         sb.tree = write_blob(
             dev.as_mut(),
             &mut sb,
-            &MemTree::new().encode(),
+            MemTree::new().encode(),
             IoFlags::META,
         )?;
         sb.write_to(dev.as_mut())?;

@@ -492,13 +492,24 @@ impl Workload {
             .collect()
     }
 
-    /// The skeleton as a compact string, e.g. `"link-write"`.
+    /// The skeleton as a compact string, e.g. `"link-write"`, built in one
+    /// allocation: every crash-tested workload's outcome carries one.
     pub fn skeleton_string(&self) -> String {
-        self.skeleton()
-            .iter()
-            .map(OpKind::as_str)
-            .collect::<Vec<_>>()
-            .join("-")
+        let kinds = || {
+            self.ops
+                .iter()
+                .filter(|op| !op.is_persistence_point())
+                .map(|op| op.kind().as_str())
+        };
+        let len = kinds().map(|kind| kind.len() + 1).sum::<usize>();
+        let mut skeleton = String::with_capacity(len.saturating_sub(1));
+        for kind in kinds() {
+            if !skeleton.is_empty() {
+                skeleton.push('-');
+            }
+            skeleton.push_str(kind);
+        }
+        skeleton
     }
 
     /// Number of core (non-persistence) operations — the paper's

@@ -191,10 +191,13 @@ fn resume_demo() {
     let spec = CowFsSpec::new(KernelEra::V4_16);
     let shards = 16;
 
-    // A budget slightly above one shard's candidate count: the "killed" run
-    // completes a couple of shards and abandons the one it dies inside.
+    // A budget slightly above one shard's candidate count, spent by one
+    // thread: the "killed" run completes the first shard and abandons the
+    // one it dies inside. (Split across several threads, the budget would
+    // end every shard part-way and record none.)
     let per_shard = WorkloadGenerator::estimate_candidates(&bounds) / shards as u64;
     let budgeted = RunConfig {
+        threads: 1,
         stop_after_workloads: Some(per_shard as usize + 50),
         ..RunConfig::default()
     };
@@ -208,6 +211,10 @@ fn resume_demo() {
         checkpoint.completed_shards(),
         shards,
         checkpoint.to_bytes().len()
+    );
+    assert!(
+        checkpoint.completed_shards() >= 1,
+        "the budgeted run records the shard it completed"
     );
 
     // "Restart": restore the checkpoint from its serialized bytes and finish.
