@@ -266,7 +266,7 @@ fn read_recovered<'i>(
     let mut relevant: Vec<Recovered<'i>> = Vec::with_capacity(
         info.persisted.len() + 2 * (rename_pairs.len() + info.durable_renames.len()),
     );
-    let read = |path, expectation| Recovered {
+    let unread = |path, expectation| Recovered {
         path,
         expectation,
         found: None,
@@ -274,9 +274,9 @@ fn read_recovered<'i>(
     relevant.extend(
         info.persisted
             .iter()
-            .map(|(path, expectation)| read(&**path, Some(expectation))),
+            .map(|(path, expectation)| unread(&**path, Some(expectation))),
     );
-    relevant.extend(renames.flat_map(|(from, to)| [read(&**from, None), read(&**to, None)]));
+    relevant.extend(renames.flat_map(|(from, to)| [unread(&**from, None), unread(&**to, None)]));
     // A path both persisted and a rename endpoint keeps its expectation.
     relevant.sort_unstable_by_key(|read| (read.path, read.expectation.is_none()));
     relevant.dedup_by_key(|read| read.path);
