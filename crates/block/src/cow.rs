@@ -43,7 +43,6 @@ use crate::device::{
 };
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
-use crate::stats::DeviceStats;
 
 /// Chain length at which [`DiskImage::layered`] collapses the stack into a
 /// single layer. A recording produces one layer per checkpoint that wrote
@@ -54,9 +53,9 @@ pub const MAX_CHAIN_DEPTH: u32 = 32;
 /// An immutable, reference-counted disk image: one block layer plus an
 /// optional parent image the layer shadows.
 ///
-/// Produced by [`RamDisk::snapshot`](crate::RamDisk::snapshot) (a single
-/// layer) or [`CowSnapshotDevice::freeze`] / [`CowSnapshotDevice::commit`]
-/// (a layer over the frozen base), and shared by any number of snapshots.
+/// Built as a single layer by [`DiskImage::new`] / [`DiskImage::empty`],
+/// or as a layer over the frozen base by [`CowSnapshotDevice::freeze`] /
+/// [`CowSnapshotDevice::commit`], and shared by any number of snapshots.
 /// Cloning is O(1): one reference count on the top layer, which holds its
 /// parent image.
 #[derive(Debug, Clone)]
@@ -209,7 +208,6 @@ impl PartialEq for DiskImage {
 pub struct CowSnapshotDevice {
     base: DiskImage,
     overlay: HashMap<BlockIndex, Bytes>,
-    stats: DeviceStats,
 }
 
 impl CowSnapshotDevice {
@@ -218,7 +216,6 @@ impl CowSnapshotDevice {
         CowSnapshotDevice {
             base,
             overlay: HashMap::new(),
-            stats: DeviceStats::new(),
         }
     }
 
@@ -293,26 +290,19 @@ impl BlockDevice for CowSnapshotDevice {
         &mut self,
         index: BlockIndex,
         data: Bytes,
-        flags: IoFlags,
+        _flags: IoFlags,
     ) -> BlockResult<()> {
         check_write(index, self.num_blocks(), &data)?;
-        self.stats
-            .record_write(data.len(), flags.contains(IoFlags::FUA));
         self.overlay.insert(index, data);
         Ok(())
     }
 
     fn flush(&mut self) -> BlockResult<()> {
-        self.stats.record_flush();
         Ok(())
     }
 
-    fn stats(&self) -> DeviceStats {
-        self.stats
-    }
-
-    fn freeze_image(&self) -> Option<DiskImage> {
-        Some(self.freeze())
+    fn freeze_image(&self) -> DiskImage {
+        self.freeze()
     }
 }
 
@@ -320,13 +310,97 @@ impl BlockDevice for CowSnapshotDevice {
 mod tests {
     use super::*;
     use crate::device::BLOCK_SIZE;
-    use crate::ramdisk::RamDisk;
+    use crate::error::BlockError;
 
+    /// A single-layer image with two written blocks.
     fn base_image() -> DiskImage {
-        let mut disk = RamDisk::new(32);
-        disk.write_block(0, b"base-block-0", IoFlags::META).unwrap();
-        disk.write_block(5, b"base-block-5", IoFlags::DATA).unwrap();
-        disk.snapshot()
+        let blocks = HashMap::from([
+            (0, Bytes::from("base-block-0")),
+            (5, Bytes::from("base-block-5")),
+        ]);
+        DiskImage::new(blocks, 32)
+    }
+
+    #[test]
+    fn unwritten_blocks_read_zeroes() {
+        let disk = CowSnapshotDevice::new(DiskImage::empty(16));
+        assert_eq!(disk.read_block(3).unwrap(), vec![0u8; BLOCK_SIZE]);
+        let mut head = [9u8; 4];
+        disk.read_block_into(3, &mut head).unwrap();
+        assert_eq!(head, [0u8; 4]);
+    }
+
+    #[test]
+    fn a_short_write_reads_back_zero_filled() {
+        let mut disk = CowSnapshotDevice::new(DiskImage::empty(16));
+        disk.write_block(7, b"payload", IoFlags::DATA).unwrap();
+        let block = disk.read_block(7).unwrap();
+        assert_eq!(&block[..7], b"payload");
+        assert!(block[7..].iter().all(|&b| b == 0));
+        let mut head = [9u8; 10];
+        disk.read_block_into(7, &mut head).unwrap();
+        assert_eq!(&head, b"payload\0\0\0");
+        assert_eq!(disk.overlay_blocks(), 1);
+    }
+
+    #[test]
+    fn out_of_range_io_is_rejected() {
+        let mut disk = CowSnapshotDevice::new(DiskImage::empty(4));
+        let past_end = |index| BlockError::OutOfRange {
+            index,
+            num_blocks: 4,
+        };
+        assert_eq!(disk.read_block(4).unwrap_err(), past_end(4));
+        let mut head = [0u8; 8];
+        assert_eq!(disk.read_block_into(4, &mut head).unwrap_err(), past_end(4));
+        assert_eq!(disk.read_blocks(3, 2).unwrap_err(), past_end(4));
+        let write = disk.write_block(9, b"x", IoFlags::NONE);
+        assert_eq!(write.unwrap_err(), past_end(9));
+        let write = disk.write_block_bytes(4, Bytes::from("x"), IoFlags::NONE);
+        assert_eq!(write.unwrap_err(), past_end(4));
+        assert_eq!(disk.overlay_blocks(), 0);
+    }
+
+    #[test]
+    fn oversized_writes_are_rejected() {
+        let mut disk = CowSnapshotDevice::new(DiskImage::empty(4));
+        let oversized = BlockError::OversizedWrite {
+            len: BLOCK_SIZE + 1,
+        };
+        let big = vec![1u8; BLOCK_SIZE + 1];
+        let write = disk.write_block(0, &big, IoFlags::DATA);
+        assert_eq!(write.unwrap_err(), oversized);
+        let write = disk.write_block_bytes(0, Bytes::from(big), IoFlags::DATA);
+        assert_eq!(write.unwrap_err(), oversized);
+        // A rejected write leaves nothing behind.
+        assert_eq!(disk.overlay_blocks(), 0);
+        assert_eq!(disk.read_block(0).unwrap(), vec![0u8; BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn read_blocks_spans_written_and_unwritten_blocks() {
+        let mut disk = CowSnapshotDevice::new(DiskImage::empty(16));
+        let data = Bytes::from(vec![0xabu8; BLOCK_SIZE + 100]);
+        disk.write_block_bytes(2, data.slice(..BLOCK_SIZE), IoFlags::DATA)
+            .unwrap();
+        disk.write_block_bytes(3, data.slice(BLOCK_SIZE..), IoFlags::DATA)
+            .unwrap();
+        let read = disk.read_blocks(1, 4).unwrap();
+        assert_eq!(read.len(), 4 * BLOCK_SIZE);
+        assert!(read[..BLOCK_SIZE].iter().all(|&b| b == 0));
+        assert_eq!(&read[BLOCK_SIZE..BLOCK_SIZE + data.len()], &data[..]);
+        assert!(read[BLOCK_SIZE + data.len()..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_frozen_image_keeps_what_was_written_before_it() {
+        let mut disk = CowSnapshotDevice::new(DiskImage::empty(8));
+        disk.write_block(0, b"before", IoFlags::META).unwrap();
+        let image = disk.freeze_image();
+        assert!(image == disk.freeze());
+        disk.write_block(0, b"after!", IoFlags::META).unwrap();
+        assert_eq!(&image.read_block(0).unwrap()[..6], b"before");
+        assert_eq!(&disk.read_block(0).unwrap()[..6], b"after!");
     }
 
     #[test]

@@ -4,7 +4,6 @@ use bytes::Bytes;
 
 use crate::error::{BlockError, BlockResult};
 use crate::flags::IoFlags;
-use crate::stats::DeviceStats;
 
 /// Size of one logical block, in bytes. All file systems in this workspace
 /// use 4 KiB blocks, matching the page size the paper's file systems use.
@@ -33,54 +32,33 @@ pub trait BlockDevice: Send {
     /// # Panics
     ///
     /// If `out` is longer than [`BLOCK_SIZE`].
-    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()> {
-        out.copy_from_slice(&self.read_block(index)?[..out.len()]);
-        Ok(())
-    }
+    fn read_block_into(&self, index: BlockIndex, out: &mut [u8]) -> BlockResult<()>;
+
+    /// Reads `count` consecutive blocks starting at `index` into one buffer.
+    fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>>;
 
     /// Writes one block. `data` may be shorter than [`BLOCK_SIZE`]; the
-    /// remainder of the block is zero-filled. Longer payloads are rejected.
+    /// remainder of the block reads as zeroes. Longer payloads are rejected.
     fn write_block(&mut self, index: BlockIndex, data: &[u8], flags: IoFlags) -> BlockResult<()>;
 
-    /// [`write_block`](BlockDevice::write_block) from a shared buffer.
-    /// Devices that keep blocks as [`Bytes`] keep `data` itself — a view
-    /// of a larger buffer included — instead of a copy; the default copies.
+    /// [`write_block`](BlockDevice::write_block) from a shared buffer: the
+    /// device keeps `data` itself — a view of a larger buffer included —
+    /// instead of a copy.
     fn write_block_bytes(
         &mut self,
         index: BlockIndex,
         data: Bytes,
         flags: IoFlags,
-    ) -> BlockResult<()> {
-        self.write_block(index, &data, flags)
-    }
+    ) -> BlockResult<()>;
 
     /// Flushes the device's volatile write cache.
     fn flush(&mut self) -> BlockResult<()>;
 
-    /// Cumulative IO statistics for this device.
-    fn stats(&self) -> DeviceStats;
-
-    /// Reads `count` consecutive blocks starting at `index` into one buffer.
-    fn read_blocks(&self, index: BlockIndex, count: u64) -> BlockResult<Vec<u8>> {
-        let mut out = Vec::with_capacity((count as usize) * BLOCK_SIZE);
-        for i in 0..count {
-            out.extend_from_slice(&self.read_block(index + i)?);
-        }
-        Ok(out)
-    }
-
-    /// Capacity of the device in bytes.
-    fn size_bytes(&self) -> u64 {
-        self.num_blocks() * BLOCK_SIZE as u64
-    }
-
     /// Freezes the device's current contents into an immutable
-    /// [`DiskImage`](crate::DiskImage), when the implementation supports it.
-    /// Used to capture a formatted file system once and re-mount snapshots
-    /// of it for every workload instead of re-running mkfs.
-    fn freeze_image(&self) -> Option<crate::DiskImage> {
-        None
-    }
+    /// [`DiskImage`](crate::DiskImage). Used to capture a formatted file
+    /// system once and re-mount snapshots of it for every workload instead
+    /// of re-running mkfs.
+    fn freeze_image(&self) -> crate::DiskImage;
 }
 
 /// Validates the common preconditions shared by all device implementations.
@@ -102,8 +80,8 @@ pub(crate) fn check_read(index: BlockIndex, num_blocks: u64) -> BlockResult<()> 
     Ok(())
 }
 
-// Devices that keep blocks as shared buffers store each write's payload as
-// it came: a stored block may be shorter than `BLOCK_SIZE`, and what it
+// Both devices keep blocks as shared buffers and store each write's payload
+// as it came: a stored block may be shorter than `BLOCK_SIZE`, and what it
 // lacks reads as zeroes, as a block that was never written does. A written
 // block therefore costs no padded copy, and a block written from a view of
 // a larger buffer (a blob's) shares that buffer.

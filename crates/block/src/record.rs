@@ -42,7 +42,6 @@ use crate::cow::{CowSnapshotDevice, DiskImage};
 use crate::device::{BlockDevice, BlockIndex};
 use crate::error::BlockResult;
 use crate::flags::IoFlags;
-use crate::stats::DeviceStats;
 
 /// Identifier of a checkpoint (persistence point) within a recorded run.
 /// Checkpoints are numbered from 1 in the order they are inserted.
@@ -94,9 +93,6 @@ impl IoRecord {
 struct Marker {
     /// Index of the marker in [`IoLog::records`].
     position: usize,
-    /// Number of write records before the marker — kept on append so
-    /// [`IoLog::writes_until_checkpoint`] is a lookup instead of a rescan.
-    writes: usize,
     /// The recorder's contents when the marker was inserted.
     image: DiskImage,
 }
@@ -112,8 +108,6 @@ pub struct IoLog {
     records: Vec<IoRecord>,
     /// Running total of write payload bytes appended so far.
     recorded_bytes: u64,
-    /// Running number of write records appended so far.
-    writes: usize,
     /// `markers[id - 1]` belongs to checkpoint `id`.
     markers: Vec<Marker>,
 }
@@ -178,33 +172,6 @@ impl IoLog {
         self.recorded_bytes
     }
 
-    /// Number of write records between the start of the log and the given
-    /// checkpoint (exclusive of later records). Unknown checkpoint ids count
-    /// every write in the log.
-    ///
-    /// Checkpoint ids are assigned densely from 1 on append, so this is an
-    /// O(1) index lookup; [`IoLog::writes_until_checkpoint_scanning`] is the
-    /// reference implementation it must agree with.
-    pub fn writes_until_checkpoint(&self, checkpoint: CheckpointId) -> usize {
-        self.marker(checkpoint)
-            .map_or(self.writes, |marker| marker.writes)
-    }
-
-    /// The pre-index implementation of [`IoLog::writes_until_checkpoint`]:
-    /// a linear rescan of the record stream. Kept as the behavioural
-    /// reference the O(1) index is tested against.
-    pub fn writes_until_checkpoint_scanning(&self, checkpoint: CheckpointId) -> usize {
-        let mut count = 0;
-        for record in &self.records {
-            match record {
-                IoRecord::Checkpoint { id, .. } if *id == checkpoint => return count,
-                IoRecord::Write { .. } => count += 1,
-                _ => {}
-            }
-        }
-        count
-    }
-
     /// A copy to be extended, as a forked recording's log is: the record
     /// and marker vectors are allocated at the capacity their next append
     /// would grow them to, so the fork's first appends do not reallocate.
@@ -217,7 +184,6 @@ impl IoLog {
         IoLog {
             records: with_room(&self.records),
             recorded_bytes: self.recorded_bytes,
-            writes: self.writes,
             markers: with_room(&self.markers),
         }
     }
@@ -228,7 +194,6 @@ impl IoLog {
     }
 
     fn push_write(&mut self, index: BlockIndex, data: Bytes, flags: IoFlags) {
-        self.writes += 1;
         self.recorded_bytes += data.len() as u64;
         self.records.push(IoRecord::Write {
             seq: self.next_seq(),
@@ -247,7 +212,6 @@ impl IoLog {
     fn push_checkpoint(&mut self, image: DiskImage) -> CheckpointId {
         self.markers.push(Marker {
             position: self.records.len(),
-            writes: self.writes,
             image,
         });
         let id = self.num_checkpoints();
@@ -418,12 +382,8 @@ impl BlockDevice for RecordingDevice {
         Ok(())
     }
 
-    fn stats(&self) -> DeviceStats {
-        self.shared.lock().inner.stats()
-    }
-
-    fn freeze_image(&self) -> Option<crate::DiskImage> {
-        self.shared.lock().inner.freeze_image()
+    fn freeze_image(&self) -> DiskImage {
+        self.shared.lock().inner.freeze()
     }
 }
 
@@ -482,52 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn writes_until_checkpoint_counts_prefix_writes() {
-        let (mut dev, log) = recording(16);
-        dev.write_block(0, b"a", IoFlags::META).unwrap();
-        dev.write_block(1, b"b", IoFlags::META).unwrap();
-        log.checkpoint();
-        dev.write_block(2, b"c", IoFlags::META).unwrap();
-        log.checkpoint();
-        let snapshot = log.snapshot();
-        assert_eq!(snapshot.writes_until_checkpoint(1), 2);
-        assert_eq!(snapshot.writes_until_checkpoint(2), 3);
-        // Unknown checkpoint: counts all writes.
-        assert_eq!(snapshot.writes_until_checkpoint(9), 3);
-    }
-
-    #[test]
-    fn writes_until_checkpoint_index_matches_scanning_reference() {
-        let (mut dev, log) = recording(64);
-        // An irregular interleaving: bare checkpoints, runs of writes,
-        // flushes between markers, writes after the last marker.
-        log.checkpoint();
-        for i in 0..5u64 {
-            dev.write_block(i, b"w", IoFlags::DATA).unwrap();
-        }
-        dev.flush().unwrap();
-        log.checkpoint();
-        log.checkpoint();
-        dev.write_block(9, b"tail", IoFlags::META).unwrap();
-        log.checkpoint();
-        dev.write_block(10, b"post", IoFlags::META).unwrap();
-
-        let snapshot = log.snapshot();
-        // Checkpoint 0 is never assigned; 9 is unknown; both must agree
-        // with the scan (which counts all writes for ids it never finds).
-        for id in 0..=9 {
-            assert_eq!(
-                snapshot.writes_until_checkpoint(id),
-                snapshot.writes_until_checkpoint_scanning(id),
-                "checkpoint {id}"
-            );
-        }
-        assert_eq!(snapshot.writes_until_checkpoint(1), 0);
-        assert_eq!(snapshot.writes_until_checkpoint(4), 6);
-        assert_eq!(snapshot.writes_until_checkpoint(9), 7);
-    }
-
-    #[test]
     fn recorded_bytes_sums_payloads() {
         let (mut dev, log) = recording(16);
         dev.write_block(0, &[1u8; 100], IoFlags::DATA).unwrap();
@@ -555,6 +469,39 @@ mod tests {
         assert_eq!(snapshot.recorded_bytes(), rescanned);
         let fork = log.fork_device().log_handle().snapshot();
         assert_eq!(fork.recorded_bytes(), rescanned);
+    }
+
+    #[test]
+    fn the_recorder_reads_what_its_snapshot_holds() {
+        let (mut dev, _log) = recording(8);
+        dev.write_block_bytes(3, Bytes::from("head"), IoFlags::META)
+            .unwrap();
+        dev.write_block(4, &[5u8; BLOCK_SIZE], IoFlags::DATA)
+            .unwrap();
+        let mut head = [7u8; 6];
+        dev.read_block_into(3, &mut head).unwrap();
+        assert_eq!(&head, b"head\0\0");
+        let snapshot = CowSnapshotDevice::new(dev.freeze_image());
+        assert_eq!(
+            dev.read_blocks(2, 3).unwrap(),
+            snapshot.read_blocks(2, 3).unwrap()
+        );
+        assert!(dev.read_blocks(7, 2).is_err());
+    }
+
+    #[test]
+    fn freezing_a_recording_logs_nothing() {
+        let (mut dev, log) = recording(16);
+        dev.write_block(2, b"frozen", IoFlags::DATA).unwrap();
+        let image = dev.freeze_image();
+        assert_eq!(&image.read_block(2).unwrap()[..6], b"frozen");
+        assert_eq!((log.len(), log.num_checkpoints()), (1, 0));
+        dev.write_block(2, b"later!", IoFlags::DATA).unwrap();
+        assert_eq!(&image.read_block(2).unwrap()[..6], b"frozen");
+        // The freeze made no layer: the next checkpoint's image is one
+        // layer over the base, as if no freeze had happened.
+        log.checkpoint();
+        assert_eq!(log.snapshot().image_at(1).unwrap().chain_depth(), 2);
     }
 
     #[test]

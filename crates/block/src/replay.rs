@@ -169,9 +169,8 @@ fn replayed_image(base: &DiskImage, log: &IoLog, checkpoint: CheckpointId) -> Di
 /// Each state is [`crash_state`]'s — a snapshot of the image the log froze
 /// at that checkpoint — so consecutive states share every block of their
 /// common prefix. What the stream adds is the bookkeeping between them: the
-/// [`StateDelta`] of each step and the running
-/// [`replayed_bytes`](Self::replayed_bytes) footprint, both read off the
-/// block indexes of the records between two markers.
+/// [`StateDelta`] of each step, read off the block indexes of the records
+/// between two markers.
 ///
 /// Checkpoints may be requested in any order at the same cost, but only a
 /// stream visited in increasing order (the order [`IoLog`] assigns them)
@@ -202,24 +201,10 @@ impl<'a> CrashStateStream<'a> {
         }
     }
 
-    /// Bytes of copy-on-write state the furthest crash state reached holds
-    /// on top of the base image (distinct written blocks × block size) —
-    /// §6.5's accounting, and what a replay up to that checkpoint would
-    /// have copied.
-    pub fn replayed_bytes(&self) -> u64 {
-        StateDelta::from_blocks(written_blocks(&self.log.records()[..self.position])).bytes()
-    }
-
-    /// Returns the crash state at `checkpoint`.
-    pub fn state_at(&mut self, checkpoint: CheckpointId) -> BlockResult<CowSnapshotDevice> {
-        Ok(self.step_to(checkpoint)?.state)
-    }
-
-    /// Like [`state_at`](Self::state_at), but also reports the
-    /// [`StateDelta`] — the distinct blocks written between the previously
-    /// returned state and this one (the base image, on the first step). The
-    /// delta is `None` on out-of-order requests and on every step after
-    /// one.
+    /// Returns the crash state at `checkpoint` and the [`StateDelta`] — the
+    /// distinct blocks written between the previously returned state and
+    /// this one (the base image, on the first step). The delta is `None` on
+    /// out-of-order requests and on every step after one.
     pub fn step_to(&mut self, checkpoint: CheckpointId) -> BlockResult<CrashStateStep> {
         let state = crash_state(self.base, self.log, checkpoint)?;
         if checkpoint <= self.reached {
@@ -269,17 +254,18 @@ fn replay_records(records: &[IoRecord], target: &mut dyn BlockDevice) -> BlockRe
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use bytes::Bytes;
+
     use super::*;
     use crate::flags::IoFlags;
-    use crate::ramdisk::RamDisk;
     use crate::record::RecordingDevice;
 
     /// Builds a base image, then records a three-checkpoint run on top of it.
     fn recorded_run() -> (DiskImage, IoLog) {
-        let mut base = RamDisk::new(32);
-        base.write_block(0, b"superblock-v0", IoFlags::META)
-            .unwrap();
-        let image = base.snapshot();
+        let superblock = Bytes::from("superblock-v0");
+        let image = DiskImage::new(HashMap::from([(0, superblock)]), 32);
 
         let mut dev = RecordingDevice::new(CowSnapshotDevice::new(image.clone()));
         let log = dev.log_handle();
@@ -380,7 +366,7 @@ mod tests {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
         for checkpoint in 1..=log.num_checkpoints() {
-            let frozen = stream.state_at(checkpoint).unwrap();
+            let frozen = stream.step_to(checkpoint).unwrap().state;
             let mut replayed = CowSnapshotDevice::new(image.clone());
             replay_until_checkpoint(&log, checkpoint, &mut replayed).unwrap();
             for block in 0..image.num_blocks() {
@@ -426,8 +412,8 @@ mod tests {
     fn stream_states_are_independent_and_share_the_prefix() {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
-        let mut s1 = stream.state_at(1).unwrap();
-        let s2 = stream.state_at(2).unwrap();
+        let mut s1 = stream.step_to(1).unwrap().state;
+        let s2 = stream.step_to(2).unwrap().state;
         // Layered images: the second state's chain extends the first's.
         assert!(s2.base().chain_depth() > s1.base().chain_depth());
         s1.write_block(9, b"mutate", IoFlags::DATA).unwrap();
@@ -513,13 +499,9 @@ mod tests {
     fn stream_out_of_order_request_returns_the_earlier_state() {
         let (image, log) = recorded_run();
         let mut stream = CrashStateStream::new(&image, &log);
-        let _ = stream.state_at(3).unwrap();
-        let footprint = stream.replayed_bytes();
-        assert_eq!(footprint, 4 * BLOCK_SIZE as u64);
-        let s1 = stream.state_at(1).unwrap();
+        let _ = stream.step_to(3).unwrap();
+        let s1 = stream.step_to(1).unwrap().state;
         assert_eq!(&s1.read_block(1).unwrap()[..5], b"first");
         assert!(s1.read_block(2).unwrap().iter().all(|&b| b == 0));
-        // The footprint stays that of the furthest state reached.
-        assert_eq!(stream.replayed_bytes(), footprint);
     }
 }

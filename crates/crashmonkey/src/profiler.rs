@@ -367,10 +367,7 @@ pub fn formatted_image_with(
     let device = CowSnapshotDevice::new(DiskImage::empty(config.device_blocks));
     let mut fs = spec.mkfs(Box::new(device))?;
     set_up(fs.as_mut())?;
-    let device = fs.unmount()?;
-    device.freeze_image().ok_or_else(|| {
-        FsError::Corrupted("mkfs device does not support freezing into an image".into())
-    })
+    Ok(fs.unmount()?.freeze_image())
 }
 
 /// The workload profiler.

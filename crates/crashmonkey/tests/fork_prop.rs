@@ -159,10 +159,7 @@ impl Side {
     fn observe(&self) -> (LogicalSnapshot, DiskImage, IoLog) {
         (
             LogicalSnapshot::capture(self.fs.as_ref()).expect("capture"),
-            self.log
-                .fork_device()
-                .freeze_image()
-                .expect("recording devices freeze"),
+            self.log.fork_device().freeze_image(),
             self.log.snapshot(),
         )
     }

@@ -319,11 +319,7 @@ fn every_file_system_keeps_its_unmountable_text() {
                 DEVICE_BLOCKS,
             ))))
             .expect("mkfs");
-        let image = fs
-            .unmount()
-            .expect("unmount")
-            .freeze_image()
-            .expect("freeze");
+        let image = fs.unmount().expect("unmount").freeze_image();
         let block = image.read_block(0).expect("superblock");
         let magic = u32::from_le_bytes(block[..4].try_into().expect("magic"));
         let mut sb = SuperBlock::decode(&block, magic).expect("superblock");

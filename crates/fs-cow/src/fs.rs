@@ -205,8 +205,9 @@ impl FsSpec for CowFsSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RamDisk, RecordingDevice};
-    use b3_vfs::exec::{apply_workload, Executor};
+    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RecordingDevice};
+    use b3_vfs::error::FsError;
+    use b3_vfs::exec::Executor;
     use b3_vfs::snapshot::LogicalSnapshot;
     use b3_vfs::workload::{Op, Workload};
 
@@ -266,7 +267,7 @@ mod tests {
 
     #[test]
     fn recover_writes_nothing_to_the_crash_state_and_mount_commits() {
-        let crashed = crashed_device().freeze_image().unwrap();
+        let crashed = crashed_device().freeze_image();
         let spec = CowFsSpec::patched();
         let mut session = spec.recovery_session();
         let recovered = image_after(&crashed, |dev| session.recover(&spec, dev, None));
@@ -362,14 +363,16 @@ mod tests {
                 },
             ],
         );
-        apply_workload(&mut fs, &workload).unwrap();
+        Executor::new().apply_all(&mut fs, &workload).unwrap();
         assert_eq!(fs.metadata("A/foo").unwrap().nlink, 2);
     }
 
     #[test]
     fn spec_round_trip_with_fsck() {
         let spec = CowFsSpec::patched();
-        let mut fs = spec.mkfs(Box::new(RamDisk::new(2048))).unwrap();
+        let mut fs = spec
+            .mkfs(Box::new(CowSnapshotDevice::new(DiskImage::empty(2048))))
+            .unwrap();
         fs.mkdir("A").unwrap();
         fs.create("A/x").unwrap();
         let mut dev = fs.unmount().unwrap();
@@ -377,6 +380,54 @@ mod tests {
         assert!(report.contains("no errors"));
         let fs = spec.mount(dev).unwrap();
         assert!(fs.exists("A/x"));
+    }
+
+    /// A create whose target exists counts as done, like `touch` and
+    /// `mkdir -p`: ACE's dependency resolution may create what a later
+    /// core `creat` names again.
+    #[test]
+    fn the_executor_treats_an_existing_create_target_as_created() {
+        let (mut fs, _log) = fresh_fs(KernelEra::Patched);
+        let mut exec = Executor::new();
+        let creates = [
+            Op::Mkdir { path: "A".into() },
+            Op::Creat {
+                path: "A/foo".into(),
+            },
+            Op::Mkfifo {
+                path: "A/fifo".into(),
+            },
+        ];
+        for op in &creates {
+            exec.apply(&mut fs, op).unwrap();
+            exec.apply(&mut fs, op).unwrap();
+        }
+        assert!(fs.metadata("A").unwrap().is_dir());
+        assert!(fs.exists("A/foo") && fs.exists("A/fifo"));
+        assert_eq!(exec.ops_applied(), 6);
+    }
+
+    /// Removing what does not exist stays an error: a workload removes only
+    /// what it created.
+    #[test]
+    fn the_executor_reports_removing_a_missing_path() {
+        let (mut fs, _log) = fresh_fs(KernelEra::Patched);
+        let mut exec = Executor::new();
+        let removes = [
+            Op::Unlink {
+                path: "gone".into(),
+            },
+            Op::Remove {
+                path: "gone".into(),
+            },
+            Op::Rmdir {
+                path: "gone".into(),
+            },
+        ];
+        for op in &removes {
+            let result = exec.apply(&mut fs, op);
+            assert!(matches!(result, Err(FsError::NotFound(_))), "{op:?}");
+        }
     }
 
     #[test]

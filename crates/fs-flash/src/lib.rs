@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn recover_writes_nothing_to_the_crash_state_and_mount_checkpoints() {
-        let crashed = crashed_device().freeze_image().unwrap();
+        let crashed = crashed_device().freeze_image();
         let spec = FlashFsSpec::patched();
         let mut session = spec.recovery_session();
         let recovered = image_after(&crashed, |dev| session.recover(&spec, dev, None));

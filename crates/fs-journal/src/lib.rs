@@ -203,7 +203,7 @@ impl FsSpec for JournalFsSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RamDisk, RecordingDevice};
+    use b3_block::{CowSnapshotDevice, DiskImage, LogHandle, RecordingDevice};
     use b3_vfs::workload::FallocMode;
 
     /// A fresh file system on a recorder, whose handle gives the device as
@@ -396,7 +396,9 @@ mod tests {
     fn xfs_stand_in_is_patched() {
         let spec = JournalFsSpec::xfs_stand_in();
         assert_eq!(spec.name(), "xfs-sim");
-        let fs = spec.mkfs(Box::new(RamDisk::new(1024))).unwrap();
+        let fs = spec
+            .mkfs(Box::new(CowSnapshotDevice::new(DiskImage::empty(1024))))
+            .unwrap();
         assert_eq!(fs.fs_name(), "journalfs");
     }
 }

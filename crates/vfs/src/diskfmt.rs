@@ -213,13 +213,17 @@ pub fn read_blob(dev: &dyn BlockDevice, blob: BlobRef) -> FsResult<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use b3_block::RamDisk;
+    use b3_block::{CowSnapshotDevice, DiskImage};
+
+    fn blank_disk(num_blocks: u64) -> CowSnapshotDevice {
+        CowSnapshotDevice::new(DiskImage::empty(num_blocks))
+    }
 
     const MAGIC: u32 = 0xc0ff_ee01;
 
     #[test]
     fn superblock_round_trip() {
-        let mut dev = RamDisk::new(64);
+        let mut dev = blank_disk(64);
         let mut sb = SuperBlock::new(MAGIC);
         sb.generation = 5;
         sb.tree = BlobRef { start: 9, len: 777 };
@@ -231,7 +235,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_unmountable() {
-        let mut dev = RamDisk::new(64);
+        let mut dev = blank_disk(64);
         SuperBlock::new(MAGIC).write_to(&mut dev).unwrap();
         let err = SuperBlock::read_from(&dev, 0x1234).unwrap_err();
         assert!(matches!(err, FsError::Unmountable(_)));
@@ -239,13 +243,13 @@ mod tests {
 
     #[test]
     fn zeroed_device_is_unmountable() {
-        let dev = RamDisk::new(64);
+        let dev = blank_disk(64);
         assert!(SuperBlock::read_from(&dev, MAGIC).is_err());
     }
 
     #[test]
     fn blob_round_trip_and_cursor_advance() {
-        let mut dev = RamDisk::new(64);
+        let mut dev = blank_disk(64);
         let mut sb = SuperBlock::new(MAGIC);
         let data = vec![0x5au8; BLOCK_SIZE + 123];
         let blob = write_blob(&mut dev, &mut sb, data.clone().into(), IoFlags::META).unwrap();
@@ -261,14 +265,14 @@ mod tests {
 
     #[test]
     fn empty_blob_reference() {
-        let dev = RamDisk::new(16);
+        let dev = blank_disk(16);
         assert!(!BlobRef::EMPTY.is_present());
         assert!(read_blob(&dev, BlobRef::EMPTY).unwrap().is_empty());
     }
 
     #[test]
     fn allocator_wraps_when_full() {
-        let mut dev = RamDisk::new(16);
+        let mut dev = blank_disk(16);
         let mut sb = SuperBlock::new(MAGIC);
         sb.alloc_cursor = 15;
         let data = vec![1u8; 2 * BLOCK_SIZE];
@@ -278,7 +282,7 @@ mod tests {
 
     #[test]
     fn blob_larger_than_the_device_is_no_space() {
-        let mut dev = RamDisk::new(16);
+        let mut dev = blank_disk(16);
         let mut sb = SuperBlock::new(MAGIC);
         sb.alloc_cursor = 12;
         // 8 + 8 >= 16: the largest blob a 16-block device holds is 7 blocks.

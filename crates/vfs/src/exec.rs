@@ -19,46 +19,21 @@ pub const WRITE_BLOCK: u64 = 4096;
 /// writes in corpus workloads such as the btrfs punch-hole bug).
 pub const UNALIGNED_LEN: u64 = 3000;
 
-/// Policy knobs for workload execution.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecPolicy {
-    /// Treat `EEXIST` from `creat`/`mkdir` as success, like `touch` and
-    /// `mkdir -p`. ACE-generated workloads rely on this because dependency
-    /// resolution may create a file that a later core `creat` also names.
-    pub idempotent_creates: bool,
-    /// Treat `ENOENT` from `unlink`/`remove`/`rmdir` as success. Disabled by
-    /// default; corpus workloads are exact and should not need it.
-    pub ignore_missing_removes: bool,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            idempotent_creates: true,
-            ignore_missing_removes: false,
-        }
-    }
-}
-
 /// Stateful workload executor.
+///
+/// `EEXIST` from `creat`/`mkdir`/`mkfifo` counts as success, like `touch`
+/// and `mkdir -p`: ACE's dependency resolution may create a file that a
+/// later core `creat` also names. `ENOENT` from `unlink`/`remove`/`rmdir`
+/// stays an error, since a workload removes only what it created.
 #[derive(Debug, Default, Clone)]
 pub struct Executor {
-    policy: ExecPolicy,
     op_counter: u64,
 }
 
 impl Executor {
-    /// Creates an executor with the default policy.
+    /// Creates an executor that has applied no operation yet.
     pub fn new() -> Self {
-        Executor::with_policy(ExecPolicy::default())
-    }
-
-    /// Creates an executor with an explicit policy.
-    pub fn with_policy(policy: ExecPolicy) -> Self {
-        Executor {
-            policy,
-            op_counter: 0,
-        }
+        Executor::default()
     }
 
     /// Number of operations applied so far.
@@ -71,25 +46,18 @@ impl Executor {
         self.op_counter += 1;
         let seed = self.op_counter;
         let result = match op {
-            Op::Creat { path } => soften_exists(fs.create(path), self.policy.idempotent_creates),
-            Op::Mkdir { path } => soften_exists(fs.mkdir(path), self.policy.idempotent_creates),
-            Op::Mkfifo { path } => soften_exists(fs.mkfifo(path), self.policy.idempotent_creates),
+            Op::Creat { path } => soften_exists(fs.create(path)),
+            Op::Mkdir { path } => soften_exists(fs.mkdir(path)),
+            Op::Mkfifo { path } => soften_exists(fs.mkfifo(path)),
             Op::Symlink { target, linkpath } => fs.symlink(target, linkpath),
             Op::Link { existing, new } => fs.link(existing, new),
-            Op::Unlink { path } => {
-                soften_missing(fs.unlink(path), self.policy.ignore_missing_removes)
-            }
-            Op::Remove { path } => {
-                let result = match fs.metadata(path) {
-                    Ok(meta) if meta.is_dir() => fs.rmdir(path),
-                    Ok(_) => fs.unlink(path),
-                    Err(e) => Err(e),
-                };
-                soften_missing(result, self.policy.ignore_missing_removes)
-            }
-            Op::Rmdir { path } => {
-                soften_missing(fs.rmdir(path), self.policy.ignore_missing_removes)
-            }
+            Op::Unlink { path } => fs.unlink(path),
+            Op::Remove { path } => match fs.metadata(path) {
+                Ok(meta) if meta.is_dir() => fs.rmdir(path),
+                Ok(_) => fs.unlink(path),
+                Err(e) => Err(e),
+            },
+            Op::Rmdir { path } => fs.rmdir(path),
             Op::Rename { from, to } => fs.rename(from, to),
             Op::Write { path, mode, spec } => {
                 let (offset, len) = resolve_write(fs, path, *spec)?;
@@ -129,16 +97,6 @@ impl Executor {
         }
         Ok(())
     }
-}
-
-/// Applies one operation with a fresh default-policy executor.
-pub fn apply_op(fs: &mut dyn FileSystem, op: &Op) -> FsResult<()> {
-    Executor::new().apply(fs, op)
-}
-
-/// Applies a whole workload with a fresh default-policy executor.
-pub fn apply_workload(fs: &mut dyn FileSystem, workload: &Workload) -> FsResult<()> {
-    Executor::new().apply_all(fs, workload)
 }
 
 /// Resolves a [`WriteSpec`] into a concrete `(offset, len)` against the
@@ -196,16 +154,9 @@ pub fn fill_data(seed: u64, offset: u64, len: u64) -> Vec<u8> {
     data
 }
 
-fn soften_exists(result: FsResult<()>, soften: bool) -> FsResult<()> {
+fn soften_exists(result: FsResult<()>) -> FsResult<()> {
     match result {
-        Err(FsError::AlreadyExists(_)) if soften => Ok(()),
-        other => other,
-    }
-}
-
-fn soften_missing(result: FsResult<()>, soften: bool) -> FsResult<()> {
-    match result {
-        Err(FsError::NotFound(_)) if soften => Ok(()),
+        Err(FsError::AlreadyExists(_)) => Ok(()),
         other => other,
     }
 }
@@ -297,9 +248,9 @@ mod tests {
 
     #[test]
     fn softening_helpers() {
-        assert!(soften_exists(Err(FsError::AlreadyExists("x".into())), true).is_ok());
-        assert!(soften_exists(Err(FsError::AlreadyExists("x".into())), false).is_err());
-        assert!(soften_missing(Err(FsError::NotFound("x".into())), true).is_ok());
-        assert!(soften_missing(Err(FsError::NoSpace), true).is_err());
+        assert!(soften_exists(Ok(())).is_ok());
+        assert!(soften_exists(Err(FsError::AlreadyExists("x".into()))).is_ok());
+        assert!(soften_exists(Err(FsError::NotFound("x".into()))).is_err());
+        assert!(soften_exists(Err(FsError::NoSpace)).is_err());
     }
 }

@@ -33,7 +33,7 @@ pub mod workload;
 
 pub use era::{KernelEra, Mutant, MutantSet};
 pub use error::{FsError, FsResult};
-pub use exec::{apply_op, apply_workload, ExecPolicy, Executor};
+pub use exec::Executor;
 pub use fs::{FileSystem, FsSpec, WriteMode};
 pub use metadata::{FileType, Metadata};
 pub use recover::{RecoverDelta, RemountSession};

@@ -45,7 +45,7 @@ pub mod prelude {
     pub use b3_app::{
         AppHarness, EngineProfile, TxnBounds, TxnOracle, TxnWorkloadGenerator, WalKv,
     };
-    pub use b3_block::{BlockDevice, RamDisk};
+    pub use b3_block::BlockDevice;
     pub use b3_crashmonkey::{
         BugReport, Consequence, CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome,
     };

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: ACE workloads driven through CrashMonkey
 //! against every simulated file system.
 
+use b3::block::{CowSnapshotDevice, DiskImage};
 use b3::prelude::*;
 use b3_harness::baseline::{regression_suite_covers, RandomWorkloads};
 use b3_harness::corpus;
@@ -84,7 +85,9 @@ fn all_file_systems_round_trip_cleanly() {
         Box::new(VeriFsSpec::patched()),
     ];
     for spec in &specs {
-        let mut fs = spec.mkfs(Box::new(RamDisk::new(4096))).unwrap();
+        let mut fs = spec
+            .mkfs(Box::new(CowSnapshotDevice::new(DiskImage::empty(4096))))
+            .unwrap();
         fs.mkdir("A").unwrap();
         fs.create("A/foo").unwrap();
         fs.write("A/foo", 0, &[42u8; 5000], b3_vfs::fs::WriteMode::Buffered)

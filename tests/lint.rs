@@ -17,6 +17,12 @@
 //! * **One shard scheduler**: the in-process engine
 //!   (`harness/src/engine.rs`) claims and merges through that core, so it
 //!   neither lists the missing shards nor records a result itself.
+//! * **The paper's two block devices**: CrashMonkey's block layer is a
+//!   wrapper device that records IO and inserts checkpoint markers, and an
+//!   in-memory copy-on-write device that crash states are built from
+//!   (§5.1). Non-test code implements `BlockDevice` only for those two, in
+//!   `block/src/record.rs` and `block/src/cow.rs`; a blank disk is a
+//!   snapshot of an empty image, not a third device.
 //! * **Wire-tag documentation**: every frame-tag constant in
 //!   `protocol::wire` must be named in `docs/PROTOCOL.md`, so a new frame
 //!   cannot ship undocumented. (`tests/docs.rs` checks the converse — the
@@ -177,6 +183,36 @@ fn the_engine_schedules_through_the_coordinator_core() {
     assert!(
         hits.is_empty(),
         "the engine schedules shards itself:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// The block layer is the paper's two devices (§5.1): the recording
+/// wrapper and the copy-on-write snapshot device. Every other device a
+/// file system runs on — the blank disk mkfs formats included — is a
+/// snapshot over a `DiskImage`, so non-test code implements `BlockDevice`
+/// in exactly those two files.
+#[test]
+fn the_block_layer_is_the_papers_two_devices() {
+    let root = repo_root();
+    let mut roots = vec![
+        root.join("src"),
+        root.join("examples"),
+        root.join("b3-bench/src"),
+    ];
+    let crates = std::fs::read_dir(root.join("crates")).expect("read crates/");
+    for entry in crates {
+        roots.push(entry.expect("directory entry").path().join("src"));
+    }
+    let hits = scan(&roots, &["BlockDevice for "]);
+    let mut files: Vec<&str> = hits
+        .iter()
+        .map(|hit| hit.split(':').next().unwrap_or_default())
+        .collect();
+    files.sort_unstable();
+    assert!(
+        files == ["crates/block/src/cow.rs", "crates/block/src/record.rs"],
+        "block devices other than the recording and copy-on-write ones:\n{}",
         hits.join("\n")
     );
 }
