@@ -3,7 +3,7 @@
 //! [`TxnBounds`] plays the role `b3_ace::Bounds` plays for syscall
 //! workloads: it defines a finite, totally ordered space of transaction
 //! sequences, counts it exactly, and splits it into contiguous shards so
-//! the sweep/distrib/fleet stack can fan it out unchanged. Enumeration
+//! the sweep/distrib stack can fan it out unchanged. Enumeration
 //! order is the odometer order the decode in
 //! [`generator`](crate::generator) realises: workload index `i` always
 //! decodes to the same transaction sequence, on any worker.

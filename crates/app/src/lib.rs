@@ -19,7 +19,7 @@
 //!   crash-consistency failures.
 //! - [`TxnBounds`] / [`TxnWorkloadGenerator`]: odometer-style bounded
 //!   enumeration of transaction sequences, with `shard` and `skip_to`
-//!   mirroring `b3_ace::Bounds` so the sweep/distrib/fleet stack works
+//!   mirroring `b3_ace::Bounds` so the sweep/distrib stack works
 //!   unchanged.
 //! - [`TxnOracle`]: given a transaction history and a recovered KV state,
 //!   decides whether the state is a legal crash outcome — committed

@@ -147,17 +147,6 @@ impl DiskImage {
         self.depth + 1
     }
 
-    /// Number of distinct blocks with non-default contents across all
-    /// layers.
-    pub fn allocated_blocks(&self) -> usize {
-        if self.top.parent.is_none() {
-            return self.top.blocks.len();
-        }
-        let mut seen: std::collections::HashSet<BlockIndex> = std::collections::HashSet::new();
-        self.for_each_layer_oldest_first(&mut |layer| seen.extend(layer.keys()));
-        seen.len()
-    }
-
     /// Reads one block from the image.
     pub fn read_block(&self, index: BlockIndex) -> BlockResult<Vec<u8>> {
         check_read(index, self.num_blocks)?;
@@ -202,8 +191,8 @@ impl PartialEq for DiskImage {
 /// A writable copy-on-write overlay on top of a [`DiskImage`].
 ///
 /// Reads fall through to the base image unless the block has been overwritten
-/// in the overlay. [`CowSnapshotDevice::reset`] drops the overlay, returning
-/// the device to the base image in O(overlay) time.
+/// in the overlay. Going back to the base image is a new snapshot of it,
+/// O(1): the base is shared, not copied.
 #[derive(Debug, Clone)]
 pub struct CowSnapshotDevice {
     base: DiskImage,
@@ -219,13 +208,9 @@ impl CowSnapshotDevice {
         }
     }
 
-    /// Drops all modifications, returning to the base image.
-    pub fn reset(&mut self) {
-        self.overlay.clear();
-    }
-
     /// Number of blocks currently held in the copy-on-write overlay.
-    pub fn overlay_blocks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn overlay_blocks(&self) -> usize {
         self.overlay.len()
     }
 
@@ -421,18 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_drops_overlay() {
-        let mut snap = CowSnapshotDevice::new(base_image());
-        snap.write_block(0, b"overlay!", IoFlags::DATA).unwrap();
-        snap.write_block(20, b"new", IoFlags::DATA).unwrap();
-        assert_eq!(snap.overlay_blocks(), 2);
-        snap.reset();
-        assert_eq!(snap.overlay_blocks(), 0);
-        assert_eq!(&snap.read_block(0).unwrap()[..12], b"base-block-0");
-        assert!(snap.read_block(20).unwrap().iter().all(|&b| b == 0));
-    }
-
-    #[test]
     fn freeze_layers_overlay_over_base() {
         let mut snap = CowSnapshotDevice::new(base_image());
         snap.write_block(5, b"frozen", IoFlags::DATA).unwrap();
@@ -443,7 +416,6 @@ mod tests {
         assert_eq!(&frozen.read_block(0).unwrap()[..12], b"base-block-0");
         // The frozen image shares the base instead of copying it.
         assert_eq!(frozen.chain_depth(), 2);
-        assert_eq!(frozen.allocated_blocks(), 3);
     }
 
     #[test]

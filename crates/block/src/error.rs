@@ -20,10 +20,6 @@ pub enum BlockError {
         /// The length of the rejected payload.
         len: usize,
     },
-    /// The device has been marked read-only (e.g. a frozen base image).
-    ReadOnly,
-    /// The device was disconnected mid-operation (used for fault injection).
-    Disconnected,
     /// A crash state was requested for a checkpoint the log does not hold.
     UnknownCheckpoint {
         /// The requested checkpoint id.
@@ -43,8 +39,6 @@ impl fmt::Display for BlockError {
             BlockError::OversizedWrite { len } => {
                 write!(f, "write of {len} bytes exceeds block size")
             }
-            BlockError::ReadOnly => write!(f, "device is read-only"),
-            BlockError::Disconnected => write!(f, "device is disconnected"),
             BlockError::UnknownCheckpoint {
                 checkpoint,
                 recorded,
@@ -82,6 +76,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error>(_: &E) {}
-        assert_err(&BlockError::ReadOnly);
+        assert_err(&BlockError::OversizedWrite { len: 1 });
     }
 }

@@ -3,8 +3,8 @@
 //! These mirror the subset of Linux block-layer request flags that matter for
 //! crash-consistency testing: whether a request carries data or metadata,
 //! whether it is a barrier/flush, whether it is forced-unit-access (FUA), and
-//! whether it is one of CrashMonkey's synthetic *checkpoint* markers inserted
-//! at persistence points.
+//! whether it was issued synchronously. CrashMonkey's checkpoint markers are
+//! records of their own in the IO log, not flagged requests.
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign};
@@ -28,11 +28,6 @@ impl IoFlags {
     pub const FUA: IoFlags = IoFlags(1 << 3);
     /// The request is synchronous (issued from an fsync-like path).
     pub const SYNC: IoFlags = IoFlags(1 << 4);
-    /// CrashMonkey checkpoint marker: an empty request correlating the
-    /// completion of a persistence operation with the block IO stream.
-    pub const CHECKPOINT: IoFlags = IoFlags(1 << 5);
-    /// Journal / log commit block (useful when eyeballing recorded traces).
-    pub const COMMIT: IoFlags = IoFlags(1 << 6);
 
     /// Returns true if every flag in `other` is also set in `self`.
     pub fn contains(self, other: IoFlags) -> bool {
@@ -84,8 +79,6 @@ impl fmt::Debug for IoFlags {
             (IoFlags::FLUSH, "FLUSH"),
             (IoFlags::FUA, "FUA"),
             (IoFlags::SYNC, "SYNC"),
-            (IoFlags::CHECKPOINT, "CHECKPOINT"),
-            (IoFlags::COMMIT, "COMMIT"),
         ] {
             if self.contains(flag) {
                 names.push(name);
@@ -132,7 +125,7 @@ mod tests {
 
     #[test]
     fn round_trip_bits() {
-        let flags = IoFlags::CHECKPOINT | IoFlags::SYNC;
+        let flags = IoFlags::FUA | IoFlags::SYNC;
         assert_eq!(IoFlags::from_bits(flags.bits()), flags);
     }
 }

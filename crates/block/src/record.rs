@@ -77,17 +77,6 @@ pub enum IoRecord {
     },
 }
 
-impl IoRecord {
-    /// The record's sequence number.
-    pub fn seq(&self) -> u64 {
-        match self {
-            IoRecord::Write { seq, .. }
-            | IoRecord::Flush { seq }
-            | IoRecord::Checkpoint { seq, .. } => *seq,
-        }
-    }
-}
-
 /// What the log keeps per checkpoint marker, besides the marker record.
 #[derive(Debug, Clone)]
 struct Marker {
@@ -399,6 +388,15 @@ mod tests {
         (device, handle)
     }
 
+    /// A record's sequence number.
+    fn seq(record: &IoRecord) -> u64 {
+        match record {
+            IoRecord::Write { seq, .. }
+            | IoRecord::Flush { seq }
+            | IoRecord::Checkpoint { seq, .. } => *seq,
+        }
+    }
+
     #[test]
     fn writes_are_forwarded_and_recorded() {
         let (mut dev, log) = recording(16);
@@ -431,11 +429,7 @@ mod tests {
 
         let snapshot = log.snapshot();
         assert_eq!(snapshot.num_checkpoints(), 2);
-        let seqs: Vec<u64> = snapshot
-            .records()
-            .iter()
-            .map(super::IoRecord::seq)
-            .collect();
+        let seqs: Vec<u64> = snapshot.records().iter().map(seq).collect();
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(seqs, sorted, "records must be in arrival order");
@@ -540,7 +534,7 @@ mod tests {
         // on both sides, as if each had recorded the prefix itself.
         assert_eq!(fork_log.checkpoint(), 2);
         assert_eq!(log.checkpoint(), 2);
-        assert_eq!(fork_log.snapshot().records()[2].seq(), 2);
-        assert_eq!(log.snapshot().records()[2].seq(), 2);
+        assert_eq!(seq(&fork_log.snapshot().records()[2]), 2);
+        assert_eq!(seq(&log.snapshot().records()[2]), 2);
     }
 }

@@ -167,8 +167,8 @@ mod tests {
     /// Scopes and fingerprints printed by the three pre-`b3` parsers
     /// (`sweep_coordinator`, `app_sweep`, `b3-sweep-fleet enqueue`) for the
     /// argv on the left — with what each used to inherit from its private
-    /// defaults spelled out — so the checkpoint files and fleet queues they
-    /// wrote still resume. Columns: argv, scope, fingerprint after `scope|`.
+    /// defaults spelled out — so the checkpoint files they wrote still
+    /// resume. Columns: argv, scope, fingerprint after `scope|`.
     #[test]
     fn argv_of_every_old_parser_keeps_its_scope_and_fingerprint() {
         let seq1 = "seq-1/seq1/[Creat,Mkdir,Falloc,WriteBuffered,WriteMmap,Link,WriteDirect,Unlink,Rmdir,SetXattr,RemoveXattr,Remove,Truncate,Rename]/sequence length 1; 14 operations; 6 files in 2 directories (max depth 2); 4 write patterns; 5 falloc modes/p1111/598cand/16shards";

@@ -6,9 +6,8 @@
 //! * `b3 worker` is the worker side of the protocol (`docs/PROTOCOL.md`):
 //!   over stdio when a coordinator spawned it, or dialing one with
 //!   `--connect HOST:PORT`.
-//! * `b3 fleet serve|enqueue|status|results|groups|watch` is the
-//!   long-lived multi-job daemon (`b3_harness::distrib::fleet`) and its
-//!   clients.
+//! * `b3 groups` prints the merged bug groups of a checkpoint file,
+//!   offline.
 //! * `b3 analyze` prints the static persistence-order analysis of one
 //!   workload (`docs/ANALYSIS.md`).
 //!
@@ -19,14 +18,13 @@
 
 mod analyze;
 mod args;
-mod fleet;
 mod job;
 mod pool;
 mod sweep;
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use b3_harness::distrib::{worker_connect, worker_main, WorkerOptions};
+use b3_harness::distrib::{load_checkpoint, worker_connect, worker_main, WorkerOptions};
 use b3_harness::{bug_group_table, GroupTable};
 use b3_vfs::codec::Encoder;
 use b3_vfs::error::FsError;
@@ -36,12 +34,7 @@ use args::Args;
 const USAGE: &str = "\
 usage: b3 sweep   [JOB] [POOL] [--in-process] [--checkpoint FILE] [--stop-after N] [--out FILE]
        b3 worker  [--connect HOST:PORT] [--secret S] [--die-after-workloads N]
-       b3 fleet serve   --dir DIR [--control ADDR] [--exit-when-idle] [POOL]
-       b3 fleet enqueue --control ADDR [JOB]
-       b3 fleet status  (--control ADDR | --dir DIR) [--assert-all-done]
-       b3 fleet results --control ADDR --job ID [--out FILE]
-       b3 fleet groups  --checkpoint FILE [--out FILE]
-       b3 fleet watch   --control ADDR [--count N]
+       b3 groups  --checkpoint FILE [--out FILE]
        b3 analyze [--file PATH | --corpus ID] [--fs NAME] [--era ERA] [--name NAME]
 JOB:  --preset P --fs NAME --era ERA --shards N --prune off|rep|audit --audit-k K
       --crash-points last|all|triaged --triage-audit N --engine PROFILE
@@ -84,8 +77,9 @@ impl From<FsError> for Exit {
 }
 
 /// The one group-table printer: with `--out FILE` the table's wire bytes
-/// (byte-comparable across in-process, distributed and fleet runs of the
-/// same job), otherwise the rendered table.
+/// (byte-comparable across in-process and distributed runs of the same
+/// job, and with `b3 groups` of the run's checkpoint), otherwise the
+/// rendered table.
 fn print_groups(out: Option<&Path>, groups: &GroupTable) -> Result<(), Exit> {
     let Some(path) = out else {
         let table = groups.groups();
@@ -132,11 +126,28 @@ fn worker(mut args: Args) -> Result<i32, Exit> {
     })
 }
 
+/// `b3 groups`: the merged bug groups of a checkpoint file, read offline.
+fn groups(mut args: Args) -> Result<(), Exit> {
+    let mut checkpoint: Option<PathBuf> = None;
+    let mut out: Option<PathBuf> = None;
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--checkpoint" => checkpoint = Some(args.value()?.into()),
+            "--out" => out = Some(args.value()?.into()),
+            _ => return Err(args.unknown()),
+        }
+    }
+    let path = checkpoint.ok_or_else(|| Exit::usage("missing --checkpoint"))?;
+    let checkpoint = load_checkpoint(&path)?
+        .ok_or_else(|| Exit::runtime(format!("no checkpoint at {}", path.display())))?;
+    print_groups(out.as_deref(), &checkpoint.grouped())
+}
+
 fn run(mut args: Args) -> Result<i32, Exit> {
     match args.word().as_deref() {
         Some("sweep") => sweep::run(args).map(|()| 0),
         Some("worker") => worker(args),
-        Some("fleet") => fleet::run(args).map(|()| 0),
+        Some("groups") => groups(args).map(|()| 0),
         Some("analyze") => analyze::run(args).map(|()| 0),
         Some(other) => Err(Exit::usage(format!("unknown command {other:?}"))),
         None => Err(Exit::usage("missing command")),

@@ -21,7 +21,7 @@ pub fn env_secret() -> Option<String> {
 /// The pool flags, with their defaults.
 pub struct PoolSpec {
     pub workers: usize,
-    pub secret: Option<String>,
+    secret: Option<String>,
     tcp: bool,
     listen: Option<String>,
     ssh: Vec<String>,

@@ -11,7 +11,7 @@
 //!
 //! The workspace vendors no cryptography crate, so SHA-256 (FIPS 180-4)
 //! and HMAC (RFC 2104) are implemented here directly and pinned against
-//! the published test vectors. The goal is fleet hygiene — keeping a
+//! the published test vectors. The goal is pool hygiene — keeping a
 //! stray or stale worker from joining a listener exposed beyond the
 //! machine — not resistance against an active network attacker (frames
 //! are neither encrypted nor per-message authenticated).

@@ -3,21 +3,19 @@
 //! link hands back, and when the run stops handing out work.
 //!
 //! Two callers run it, each calling one method here per event under one
-//! lock. [`super::run_with_transport_hooked`] is the distributed shell: one
+//! lock. [`super::run_with_transport`] is the distributed shell: one
 //! thread per worker slot moves frames, appends the checkpoint records and
 //! waits. The crate's in-process engine (`engine::run_resumable`) makes each
 //! of its threads a slot that runs the shards it claims itself. Nothing in
 //! this file holds a lock, a thread, a clock, a socket or a file, so a test
 //! can drive it through any schedule of events on one thread.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use b3_vfs::error::{FsError, FsResult};
 
 use super::DistribConfig;
-use crate::dedup::GroupKey;
-use crate::postprocess::BugGroup;
 use crate::sweep::{eta, Progress, ShardResult, SweepCheckpoint, WorkerThroughput};
 
 /// The answer to a worker's `Claim`.
@@ -34,14 +32,11 @@ pub(crate) enum Claim {
 }
 
 /// A merged `ShardDone`: the number that versions its delta record, and
-/// what the shell announces.
+/// whether the slot's next `Claim` is due.
 pub(crate) struct Merged {
     /// The merge number (shards merged this run), which versions the
     /// delta record.
     pub(super) version: u64,
-    /// Bug groups the shard brought into the sweep for the first time;
-    /// empty unless the merge asked for them.
-    pub(super) discovered: Vec<BugGroup>,
     /// True when the slot holds no other shard, so its next `Claim` is
     /// already on the wire.
     pub(super) idle: bool,
@@ -81,10 +76,6 @@ pub(crate) struct Coordinator {
     /// overshoot the budget by workers × shard size.
     assigned_candidates: u64,
     stopping: bool,
-    /// Bug-group keys already merged, so a group is discovered exactly
-    /// once. Built from the checkpoint by the first merge that asks for
-    /// discoveries, so a run that announces none never holds it.
-    seen_groups: Option<BTreeSet<GroupKey>>,
     shard_sizes: Vec<u64>,
     total_workloads: u64,
     seeded_shards: usize,
@@ -117,7 +108,6 @@ impl Coordinator {
             processed_this_run: 0,
             assigned_candidates: 0,
             stopping: false,
-            seen_groups: None,
             seeded_shards: checkpoint.completed_shards(),
             checkpoint,
             shard_sizes,
@@ -148,10 +138,10 @@ impl Coordinator {
         self.stopping || self.limit_reached() || (self.queue.is_empty() && !self.in_flight())
     }
 
-    /// A `Claim` from `slot`. `stop` is the caller's stop condition (the
-    /// stop hook, or an in-process budget or bug limit): like a reached
-    /// stop limit, it ends all handing out of work for the run, while the
-    /// shards in flight still merge. A slot claims only once it has
+    /// A `Claim` from `slot`. `stop` is the caller's stop condition (an
+    /// in-process budget or bug limit): like a reached stop limit, it ends
+    /// all handing out of work for the run, while the shards in flight
+    /// still merge. A slot claims only once it has
     /// reported every shard it holds; a claim before that is refused before
     /// it touches any count.
     pub(crate) fn claim(&mut self, slot: usize, stop: bool) -> FsResult<Claim> {
@@ -188,16 +178,14 @@ impl Coordinator {
         self.buggy
     }
 
-    /// A `ShardDone` from `slot`: merges the result into the checkpoint,
-    /// and with `discover` renders the bug groups it brings into the sweep
-    /// for the first time. A shard the slot does not hold (never assigned
-    /// to it, or already reported) is refused before it touches any count.
+    /// A `ShardDone` from `slot`: merges the result into the checkpoint. A
+    /// shard the slot does not hold (never assigned to it, or already
+    /// reported) is refused before it touches any count.
     pub(crate) fn shard_done(
         &mut self,
         slot: usize,
         shard: u32,
         result: ShardResult,
-        discover: bool,
     ) -> FsResult<Merged> {
         let held = &mut self.slots[slot].held;
         let Some(position) = held.iter().position(|&s| s == shard) else {
@@ -215,32 +203,12 @@ impl Coordinator {
         self.merged_this_run += 1;
         self.slots[slot].shards += 1;
         self.slots[slot].tested += result.tested;
-        let mut discovered = Vec::new();
-        if discover {
-            let checkpoint = &self.checkpoint;
-            let seen = self.seen_groups.get_or_insert_with(|| {
-                let grouped = checkpoint.grouped();
-                grouped.entries().map(|(key, _)| key.clone()).collect()
-            });
-            for (key, entry) in result.groups.entries() {
-                if !seen.contains(key) {
-                    seen.insert(key.clone());
-                    discovered.push(BugGroup {
-                        skeleton: key.0.clone(),
-                        consequence: key.1,
-                        count: entry.count as usize,
-                        example: entry.exemplar.clone(),
-                    });
-                }
-            }
-        }
         // The slot held the shard, and a held shard is never recorded yet
         // (`link_down` requeues only unrecorded ones): this overwrites
         // nothing.
         self.checkpoint.record(shard, result);
         Ok(Merged {
             version: self.merged_this_run as u64,
-            discovered,
             idle,
         })
     }
@@ -324,7 +292,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     use crate::dedup::GroupTable;
     use crate::distrib::SweepJob;
@@ -395,24 +362,8 @@ mod tests {
         Gone,
     }
 
-    /// What the schedules of one seed did, across every run.
-    #[derive(Default)]
-    struct Tally {
-        merges: [usize; SHARDS as usize],
-        discovered: BTreeSet<GroupKey>,
-        /// Per bug group, whether the first merge that brought it came
-        /// over a link: a thread's merge announces nothing.
-        first_by_link: BTreeMap<GroupKey, bool>,
-    }
-
-    impl Tally {
-        fn merged(&mut self, shard: u32, by_link: bool) {
-            self.merges[shard as usize] += 1;
-            for (key, _) in result_for(shard).groups.entries() {
-                self.first_by_link.entry(key.clone()).or_insert(by_link);
-            }
-        }
-    }
+    /// How often each shard was merged, across every run of one seed.
+    type Tally = [usize; SHARDS as usize];
 
     /// Checks the bookkeeping every event must keep: each shard is queued,
     /// held by one slot, or merged, and the budget counts exactly the
@@ -537,10 +488,9 @@ mod tests {
                 let shard = rng.below(SHARDS as usize) as u32;
                 let before = books(&core);
                 let refused = match rng.below(3) {
-                    0 if !pending.contains(&shard) => Some(
-                        core.shard_done(slot, shard, result_for(shard), true)
-                            .map(|_| ()),
-                    ),
+                    0 if !pending.contains(&shard) => {
+                        Some(core.shard_done(slot, shard, result_for(shard)).map(|_| ()))
+                    }
                     1 if !pending.is_empty() => Some(core.claim(slot, stop).map(|_| ())),
                     _ => None,
                 };
@@ -565,17 +515,10 @@ mod tests {
                 }
             } else {
                 let shard = pending.swap_remove(rng.below(pending.len()));
-                let merged = core.shard_done(slot, shard, result_for(shard), true);
+                let merged = core.shard_done(slot, shard, result_for(shard));
                 let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
                 assert_eq!(merged.idle, pending.is_empty());
-                tally.merged(shard, true);
-                for group in merged.discovered {
-                    let key = (group.skeleton, group.consequence);
-                    assert!(
-                        tally.discovered.insert(key.clone()),
-                        "{key:?} discovered twice"
-                    );
-                }
+                tally[shard as usize] += 1;
             }
             check_books(&core, &seeded, &links);
         }
@@ -592,9 +535,9 @@ mod tests {
     /// One event of an in-process slot, as `engine::run_resumable`'s
     /// threads drive the core: an idle thread claims with the stop its
     /// budget or bug limit gives, and leaves with `link_down` on anything
-    /// but an assignment; a busy one runs its next shard and reports it
-    /// without discoveries, unless the budget runs out inside the shard,
-    /// which leaves it unrecorded and ends the thread.
+    /// but an assignment; a busy one runs its next shard and reports it,
+    /// unless the budget runs out inside the shard, which leaves it
+    /// unrecorded and ends the thread.
     fn thread_step(
         core: &mut Coordinator,
         slot: usize,
@@ -633,14 +576,10 @@ mod tests {
             }
             *left -= size;
         }
-        let merged = core.shard_done(slot, shard, result_for(shard), false);
+        let merged = core.shard_done(slot, shard, result_for(shard));
         let merged = merged.unwrap_or_else(|e| panic!("shard {shard}: {e}"));
-        assert!(
-            merged.discovered.is_empty(),
-            "a thread asked for no discoveries"
-        );
         assert_eq!(merged.idle, pending.is_empty());
-        tally.merged(shard, false);
+        tally[shard as usize] += 1;
     }
 
     /// Runs seed `seed`: a chaotic run, up to two more after coordinator
@@ -674,7 +613,7 @@ mod tests {
             &mut rng, checkpoint, sizes, &clean, threads, false, &mut tally,
         );
         assert!(checkpoint.is_complete(), "the clean run completes");
-        assert_eq!(tally.merges, [1; SHARDS as usize], "each shard merged once");
+        assert_eq!(tally, [1; SHARDS as usize], "each shard merged once");
         let mut reference = GroupTable::new();
         for shard in 0..SHARDS {
             reference.merge_from(&result_for(shard).groups);
@@ -685,23 +624,6 @@ mod tests {
             enc.finish()
         };
         assert_eq!(bytes(&checkpoint.grouped()), bytes(&reference));
-        // A group a link's merge brought into the sweep first is
-        // discovered (once: see `run_once`). One a thread brought first
-        // may be announced by a later link merge, as a thread's merges do
-        // not mark groups seen; only tests mix the two kinds of slot.
-        let announced: BTreeSet<GroupKey> = tally
-            .first_by_link
-            .iter()
-            .filter(|(_, &by_link)| by_link)
-            .map(|(key, _)| key.clone())
-            .collect();
-        assert!(
-            announced.is_subset(&tally.discovered),
-            "a group not discovered"
-        );
-        if threads == 0 {
-            assert_eq!(tally.discovered, announced, "every group discovered once");
-        }
     }
 
     /// Runs every seed of `seeds`, naming the one that fails.
@@ -737,9 +659,9 @@ mod tests {
             books(&core) == before,
             "the refused claim changed the books"
         );
-        core.shard_done(0, 0, result_for(0), true).unwrap();
+        core.shard_done(0, 0, result_for(0)).unwrap();
         assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![1]));
-        core.shard_done(0, 1, result_for(1), true).unwrap();
+        core.shard_done(0, 1, result_for(1)).unwrap();
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
     }
 
@@ -768,7 +690,7 @@ mod tests {
         assert_eq!(core.queue, [0, 2, 3]);
         assert_eq!(core.assigned_candidates, 5);
         assert!(!core.checkpoint.has_shard(0));
-        core.shard_done(1, 1, result_for(1), false).unwrap();
+        core.shard_done(1, 1, result_for(1)).unwrap();
         assert_eq!(core.claim(1, false).unwrap(), Claim::Assign(vec![0]));
         let progress = core.progress(Duration::from_secs(1));
         assert_eq!(progress.per_worker[0].throughput, None, "slot 0 left");
@@ -794,7 +716,7 @@ mod tests {
         assert_eq!(core.queue, [0]);
         core.link_up(0, "sim:0");
         assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
-        assert!(core.shard_done(0, 0, result_for(0), true).unwrap().idle);
+        assert!(core.shard_done(0, 0, result_for(0)).unwrap().idle);
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
         let (checkpoint, processed) = core.finish(None).unwrap();
         assert!(checkpoint.is_complete());
@@ -815,7 +737,7 @@ mod tests {
         assert_eq!(core.claim(1, true).unwrap(), Claim::Shutdown);
         assert_eq!(core.claim(2, false).unwrap(), Claim::Shutdown);
         assert!(core.no_work_left());
-        let merged = core.shard_done(0, 0, result_for(0), false).unwrap();
+        let merged = core.shard_done(0, 0, result_for(0)).unwrap();
         assert_eq!((merged.version, merged.idle), (1, true));
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
         assert_eq!(core.queue, [1, 2, 3], "the unassigned shards stay queued");
@@ -833,7 +755,7 @@ mod tests {
             let mut core = core_for(2, config);
             for shard in 0..shards_to_merge {
                 assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![shard]));
-                core.shard_done(0, shard, result_for(shard), false).unwrap();
+                core.shard_done(0, shard, result_for(shard)).unwrap();
             }
             core
         };
@@ -853,40 +775,6 @@ mod tests {
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
         let (partial, processed) = core.finish(error()).unwrap();
         assert_eq!((partial.completed_shards(), processed), (1, 11));
-    }
-
-    /// A merge that asks for discoveries announces each bug group the first
-    /// time a shard brings it into the sweep, with that shard's count and
-    /// exemplar; groups of the resumed checkpoint are never announced, and
-    /// a merge that does not ask announces nothing.
-    #[test]
-    fn discoveries_announce_each_group_once_past_the_resumed_checkpoint() {
-        let job = SweepJob::new(Bounds::tiny(), 4);
-        let mut checkpoint = job.empty_checkpoint();
-        checkpoint.record(0, result_for(0));
-        let config = DistribConfig {
-            workers: 1,
-            assign_batch: 3,
-            ..DistribConfig::default()
-        };
-        let mut core = Coordinator::new(checkpoint, vec![5; 4], 20, &config);
-        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![1, 2, 3]));
-        let names = |merged: Merged| -> Vec<String> {
-            let groups = merged.discovered.iter();
-            groups
-                .map(|group| format!("{}:{}", group.skeleton, group.example.workload_name))
-                .collect()
-        };
-        // Shard 3 shares skeleton0/FileMissing with the resumed shard 0.
-        let merged = core.shard_done(0, 3, result_for(3), true).unwrap();
-        assert_eq!(names(merged), ["skeleton4:w3"]);
-        let merged = core.shard_done(0, 1, result_for(1), false).unwrap();
-        assert!(names(merged).is_empty());
-        let merged = core.shard_done(0, 2, result_for(2), true).unwrap();
-        assert!(merged.idle);
-        assert_eq!(merged.discovered.len(), 2);
-        assert!(merged.discovered.iter().all(|group| group.count == 1));
-        assert_eq!(names(merged), ["skeleton2:w2", "skeleton3:w2"]);
     }
 
     /// Seeded schedules of claims, results, link losses, refused results

@@ -48,19 +48,19 @@
 //! single-process sweep. Killing a *worker* re-queues its in-flight shards
 //! and — when [`DistribConfig::respawn_budget`] allows — asks the transport
 //! for a replacement link (a fresh child, a fresh inbound connection, a
-//! fresh ssh session), so a fleet of perpetually crashing workers still
+//! fresh ssh session), so a pool of perpetually crashing workers still
 //! drives the sweep to completion (`tests/distrib.rs` proves the
 //! differential, chaos, and respawn directions).
 //!
 //! **One file decides, this one moves bytes.** Every decision of a run —
 //! which shards a `Claim` gets, when a link waits or is shut down, what a
-//! `ShardDone` merges and discovers, what a lost link hands back to the
+//! `ShardDone` merges, what a lost link hands back to the
 //! queue, the budget and the stop — is made by the coordinator core in
 //! `coordinator.rs`, which holds no lock, thread, clock, socket or file and
 //! is tested under seeded schedules on one thread. This file is its shell:
 //! one thread per worker slot connects and respawns links, runs the
 //! handshake, moves frames, appends the delta records to the checkpoint
-//! file, waits on a condition variable, fires the hooks, and calls the core
+//! file, waits on a condition variable, and calls the core
 //! once per event under one lock. The in-process sweep engine runs the same
 //! core: its threads are slots that run their shards themselves.
 
@@ -82,17 +82,12 @@ use crate::sweep::{Progress, PruneMode, SweepCheckpoint};
 
 pub mod auth;
 pub(crate) mod coordinator;
-pub mod fleet;
 pub mod protocol;
 mod recordlog;
 pub mod segment;
 mod transport;
 mod worker;
 
-pub use fleet::{
-    inspect_queue, ClientRequest, DaemonReply, FleetClient, FleetConfig, FleetCoordinator,
-    FleetEvent, FleetSubscription, JobState, JobStatus,
-};
 pub use protocol::{Hello, PROTOCOL_VERSION};
 pub use segment::{load_checkpoint, save_checkpoint, segment_stats, SegmentStats};
 pub use transport::{
@@ -100,7 +95,6 @@ pub use transport::{
 };
 pub use worker::{worker_connect, worker_main, WorkerOptions, WORKER_CRASH_EXIT};
 
-use crate::postprocess::BugGroup;
 use coordinator::{Claim, Coordinator};
 use protocol::{validate_hello, FromWorker, ToWorker};
 use segment::Persister;
@@ -110,7 +104,7 @@ use segment::Persister;
 /// the reference WAL/KV engine (`b3_app`). Either way the unit of work is
 /// a shard and the unit of result is a [`crate::sweep::ShardResult`], so
 /// everything downstream of the generator — claim/assign frames,
-/// checkpoint merging, the fleet queue — is space-agnostic.
+/// checkpoint merging — is space-agnostic.
 #[derive(Debug, Clone)]
 pub enum SweepSpace {
     /// ACE's bounded file-system operation space.
@@ -377,7 +371,7 @@ impl SweepJob {
         enc.put_u32(cp_audit);
         enc.put_bool(self.crashmonkey.direct_write_is_persistence_point);
         // Reserved: the retired `model_kernel_delays` flag's byte, always
-        // false, so frames and fleet queues keep their layout.
+        // false, so frames and checkpoints keep their layout.
         enc.put_bool(false);
         self.prune.encode(enc);
     }
@@ -454,8 +448,8 @@ pub struct DistribConfig {
     /// How many replacement links a dead worker slot may establish: the
     /// dead link's in-flight shards are re-queued and the transport is
     /// asked for a fresh link (a new child, a new inbound TCP connection,
-    /// a new ssh session). `0` (the default) keeps the PR 3 behavior — a
-    /// dead worker just shrinks the fleet. Version-mismatch and `Reject`
+    /// a new ssh session). `0` (the default): a dead worker just shrinks
+    /// the pool. Version-mismatch and `Reject`
     /// failures are never respawned (a replacement of the same binary
     /// would fail the same way).
     pub respawn_budget: usize,
@@ -546,26 +540,6 @@ impl DistribOutcome {
     }
 }
 
-/// Observation and control hooks for [`run_with_transport_hooked`] — what
-/// the fleet daemon plugs into a job run. All hooks are optional; the
-/// no-hook default is exactly [`run_with_transport`].
-#[derive(Default)]
-pub struct DistribHooks<'a> {
-    /// Fired every [`DistribConfig::progress_interval`] with a state
-    /// snapshot (and once more when the run ends).
-    pub progress: Option<&'a (dyn Fn(&Progress) + Sync)>,
-    /// Fired once per bug group the first time it is merged into the
-    /// checkpoint *in this run* (groups restored from the checkpoint file
-    /// do not re-fire) — the fleet daemon's live discovery stream.
-    pub on_discovery: Option<&'a (dyn Fn(&BugGroup) + Sync)>,
-    /// Polled at every claim; returning `true` stops handing out work, as
-    /// if a stop budget had been reached — in-flight shards still finish
-    /// and persist, so the run winds down to a cleanly resumable
-    /// checkpoint. The fleet daemon uses this for graceful shutdown with
-    /// a job mid-flight.
-    pub should_stop: Option<&'a (dyn Fn() -> bool + Sync)>,
-}
-
 /// Runs (or resumes) a distributed sweep over any [`Transport`]: serves
 /// `config.workers` worker slots, feeds each link
 /// [`DistribConfig::assign_batch`] shards per claim, merges every returned
@@ -583,33 +557,14 @@ pub struct DistribHooks<'a> {
 /// replacement link while [`DistribConfig::respawn_budget`] lasts. If a
 /// slot gives up, surviving slots absorb its work; if *every* slot gives
 /// up the coordinator returns an incomplete (but persisted) checkpoint the
-/// next run picks up.
+/// next run picks up. `progress`, when given, fires every
+/// [`DistribConfig::progress_interval`] with a state snapshot, and once
+/// more when the run ends.
 pub fn run_with_transport(
     job: &SweepJob,
     config: &DistribConfig,
     transport: &dyn Transport,
     progress: Option<&(dyn Fn(&Progress) + Sync)>,
-) -> FsResult<DistribOutcome> {
-    run_with_transport_hooked(
-        job,
-        config,
-        transport,
-        DistribHooks {
-            progress,
-            ..DistribHooks::default()
-        },
-    )
-}
-
-/// [`run_with_transport`] with the full [`DistribHooks`] surface: live
-/// bug-group discovery streaming and cooperative stop, in addition to the
-/// progress callback. This is the entry point the fleet daemon
-/// ([`fleet::FleetCoordinator`]) schedules queued jobs through.
-pub fn run_with_transport_hooked(
-    job: &SweepJob,
-    config: &DistribConfig,
-    transport: &dyn Transport,
-    hooks: DistribHooks<'_>,
 ) -> FsResult<DistribOutcome> {
     config.validate()?;
     job.validate()?;
@@ -658,13 +613,12 @@ pub fn run_with_transport_hooked(
         persister,
         config,
         transport,
-        hooks,
     };
     let (failed_workers, respawns, error) = std::thread::scope(|scope| {
         let shell = &shell;
         // Held until every slot is joined; a slot's panic drops it on the way
         // out, so the monitor stops and the panic surfaces.
-        let _monitor = shell.hooks.progress.map(|callback| {
+        let _monitor = progress.map(|callback| {
             let snapshot = move || shell.core().progress(started.elapsed());
             spawn_progress_monitor(scope, callback, config.progress_interval, snapshot)
         });
@@ -712,8 +666,8 @@ pub(crate) fn unpoisoned<T>(result: LockResult<T>) -> T {
 
 /// The I/O shell of one run around its [`Coordinator`]: the slot threads
 /// share it, call the core under its one lock, and do everything the core
-/// does not — connect and respawn, handshake, frames, the checkpoint file,
-/// waiting and the hooks.
+/// does not — connect and respawn, handshake, frames, the checkpoint file
+/// and waiting.
 struct Shell<'a> {
     core: Mutex<Coordinator>,
     /// Notified whenever a merge, a requeue or a stop may change what a
@@ -723,7 +677,6 @@ struct Shell<'a> {
     persister: Option<Persister>,
     config: &'a DistribConfig,
     transport: &'a dyn Transport,
-    hooks: DistribHooks<'a>,
 }
 
 /// How one link's session ended, as seen by the slot's respawn loop.
@@ -918,12 +871,9 @@ impl Shell<'_> {
                     )))
                 }
                 FromWorker::Claim => {
-                    // The fleet daemon's graceful-stop hook, polled at
-                    // every claim (the scheduling decision point).
-                    let stop = self.hooks.should_stop.is_some_and(|hook| hook());
                     let mut core = self.core();
                     let claim = loop {
-                        match core.claim(index, stop) {
+                        match core.claim(index, false) {
                             Err(error) => break 'session LinkEnd::Fatal(error),
                             // The wait has no bound, so nothing stays
                             // unpersisted across it.
@@ -966,15 +916,11 @@ impl Shell<'_> {
                     let mut delta = Encoder::new();
                     delta.put_u32(shard);
                     result.encode(&mut delta);
-                    let discover = self.hooks.on_discovery.is_some();
-                    let merged = match self.core().shard_done(index, shard, result, discover) {
+                    let merged = match self.core().shard_done(index, shard, result) {
                         Ok(merged) => merged,
                         Err(error) => break LinkEnd::Fatal(error),
                     };
                     self.wake.notify_all();
-                    if let Some(hook) = self.hooks.on_discovery {
-                        merged.discovered.iter().for_each(hook);
-                    }
                     // When this was the last shard the worker held, its
                     // `Claim` is already on the wire: answer that first.
                     let delta = Some((merged.version, delta.finish()));
@@ -1143,7 +1089,6 @@ mod tests {
             persister,
             config,
             transport: &transport,
-            hooks: DistribHooks::default(),
         };
         shell.serve_link(0, link)
     }

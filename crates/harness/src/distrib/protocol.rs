@@ -23,11 +23,6 @@
 //! 4. the worker recomputes the fingerprint from the decoded job and either
 //!    [`FromWorker::Reject`]s a mismatch or starts the `Claim` →
 //!    `Assign`/`Shutdown` → `ShardDone` loop.
-//!
-//! The fleet daemon speaks a second frame family over the same envelope —
-//! the client frames in [`super::fleet`] (`Enqueue`/`Status`/…, tags
-//! `0x10`–`0x14` and `0x90`–`0x94`) — documented alongside the session
-//! frames in `docs/PROTOCOL.md`.
 
 use std::io::{Read, Write};
 
@@ -47,24 +42,25 @@ use crate::sweep::ShardResult;
 /// report frames; v3 added the prune mode to `SweepJob` and the
 /// pruned/audited counters + audit-failure list to `ShardResult`
 /// (representative sweeps); v4 added the shared-secret `Challenge` frame
-/// and the `auth` field in `Hello` (authenticated TCP workers), plus the
-/// fleet daemon's client frames (`Enqueue`/`Status`/`Results`/`Cancel`/
-/// `Subscribe` and their replies); v5 widened the crash-point policy in
+/// and the `auth` field in `Hello` (authenticated TCP workers), plus a
+/// job-queue daemon's client frames (tags `0x10`–`0x14` and
+/// `0x90`–`0x94`); v5 widened the crash-point policy in
 /// `SweepJob` from an `All` bool to a one-byte policy code plus the triage
 /// audit budget (`CrashPointPolicy::AllTriaged`, see docs/ANALYSIS.md);
 /// v6 added the job-space kind byte ([`wire::SPACE_FS`]/[`wire::SPACE_APP`])
 /// to `SweepJob`, so a job can carry either the ACE file-system bounds or
 /// the application transaction bounds plus the WAL/KV engine profile
 /// (`b3_app`, see docs/APP.md); v7 dropped the calibrated rate from
-/// `Hello` (shard batches are a fixed size).
+/// `Hello` (shard batches are a fixed size). The daemon and its client
+/// frames were later deleted without a bump: no worker session frame
+/// changed, a worker never sent or received those tags, and both sides
+/// still refuse them as unknown.
 pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Frame tag bytes. Coordinator-to-worker tags occupy the low range,
 /// worker-to-coordinator tags have the high bit set — so a desynced stream
 /// (a frame read in the wrong direction) fails tag dispatch immediately
-/// instead of mis-parsing a payload. The fleet daemon's client protocol
-/// follows the same convention one range up: client-to-daemon tags sit at
-/// `0x10`–`0x14`, daemon-to-client tags at `0x90`–`0x94`.
+/// instead of mis-parsing a payload.
 pub mod wire {
     /// Coordinator → worker: the sweep job + expected checkpoint fingerprint.
     pub const JOB: u8 = 0x01;
@@ -82,26 +78,6 @@ pub mod wire {
     pub const SHARD_DONE: u8 = 0x82;
     /// Worker → coordinator: the job was refused (fingerprint mismatch).
     pub const REJECT: u8 = 0x83;
-    /// Client → daemon: add a sweep job to the fleet queue.
-    pub const ENQUEUE: u8 = 0x10;
-    /// Client → daemon: report every job's state.
-    pub const STATUS: u8 = 0x11;
-    /// Client → daemon: fetch one job's merged bug groups.
-    pub const RESULTS: u8 = 0x12;
-    /// Client → daemon: cancel a still-queued job.
-    pub const CANCEL: u8 = 0x13;
-    /// Client → daemon: stream bug-group discoveries as they are merged.
-    pub const SUBSCRIBE: u8 = 0x14;
-    /// Daemon → client: a job id acknowledging `Enqueue` or `Cancel`.
-    pub const ACK: u8 = 0x90;
-    /// Daemon → client: the queue's job states (`Status` reply).
-    pub const STATUS_REPORT: u8 = 0x91;
-    /// Daemon → client: one job's state + merged bug groups (`Results` reply).
-    pub const RESULTS_REPORT: u8 = 0x92;
-    /// Daemon → client: the request failed (reason attached).
-    pub const CLIENT_ERROR: u8 = 0x93;
-    /// Daemon → client: one newly merged bug group (subscription stream).
-    pub const EVENT: u8 = 0x94;
     /// Job-space kind inside a `Job` frame: ACE file-system bounds follow.
     pub const SPACE_FS: u8 = 0x00;
     /// Job-space kind inside a `Job` frame: app transaction bounds + one

@@ -1,8 +1,7 @@
-//! The record log: the one file format under both of B3's own persistent
-//! files, the `B3SG` checkpoint ([`super::segment`]) and the `B3FQ` fleet
-//! queue journal ([`super::fleet`]). This module is the only code that
-//! knows the framing, the torn-tail rule, the durable append and the atomic
-//! rewrite; the two owners only say what their magic and record tags mean.
+//! The record log: the file format under B3's own persistent file, the
+//! `B3SG` checkpoint ([`super::segment`]). This module is the only code
+//! that knows the framing, the torn-tail rule, the durable append and the
+//! atomic rewrite; the owner only says what its magic and record tags mean.
 //! The specification is the "Record log" section of `docs/FORMATS.md`.
 //!
 //! Layout: 4 magic bytes, then records of `tag(u8) | len(u32 LE) | payload`.
@@ -214,9 +213,8 @@ impl<F: LogFile> AppendLog<F> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fleet::{job_record, state_record, QUEUE_FILE, QUEUE_MAGIC};
+    use super::super::load_checkpoint;
     use super::super::segment::{REC_DELTA, REC_SNAPSHOT, SEGMENT_MAGIC};
-    use super::super::{inspect_queue, load_checkpoint, JobState, SweepJob};
     use super::*;
     use crate::sweep::{ShardResult, SweepCheckpoint};
     use b3_ace::Bounds;
@@ -267,7 +265,7 @@ mod tests {
         }
     }
 
-    /// The append half both logs share, driven through a writer that fails
+    /// The append half of the log, driven through a writer that fails
     /// after N bytes: a failed append leaves the file replaying to exactly
     /// the records before it, the next append lands and replays, and when
     /// the rollback itself fails the log refuses appends until the file is
@@ -346,11 +344,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(path.parent().expect("scratch dir"));
     }
 
-    /// One real log of each format, through its public loader: the file's
-    /// records in order, and what each prefix of whole records loads to
-    /// (`None`: refused as corrupt).
+    /// One real log, through its public loader: the file's records in
+    /// order, and what each prefix of whole records loads to (`None`:
+    /// refused as corrupt).
     struct Sample {
-        name: &'static str,
         magic: [u8; 4],
         records: Vec<Vec<u8>>,
         loads: Vec<Option<String>>,
@@ -379,7 +376,6 @@ mod tests {
         }
         let path = dir.join("sample.ck");
         Sample {
-            name: "B3SG",
             magic: SEGMENT_MAGIC,
             records,
             loads,
@@ -391,121 +387,78 @@ mod tests {
         }
     }
 
-    /// A `B3FQ` journal of two jobs, each with a state record.
-    fn queue_sample(dir: &Path) -> Sample {
-        let job = SweepJob::new(Bounds::tiny(), 4);
-        let records = vec![
-            job_record(1, &job),
-            job_record(2, &job),
-            state_record(1, JobState::Running, ""),
-            state_record(2, JobState::Failed, "boom"),
-        ];
-        let rows = |rows: &[(u64, JobState, &str)]| Some(format!("{rows:?}"));
-        let (queued, running, failed) = (JobState::Queued, JobState::Running, JobState::Failed);
-        let loads = vec![
-            rows(&[]),
-            rows(&[(1, queued, "")]),
-            rows(&[(1, queued, ""), (2, queued, "")]),
-            rows(&[(1, running, ""), (2, queued, "")]),
-            rows(&[(1, running, ""), (2, failed, "boom")]),
-        ];
-        let dir = dir.to_path_buf();
-        Sample {
-            name: "B3FQ",
-            magic: QUEUE_MAGIC,
-            records,
-            loads,
-            load: Box::new(move |bytes| {
-                std::fs::write(dir.join(QUEUE_FILE), bytes).expect("sample writes");
-                let rows = inspect_queue(&dir)?;
-                let rows: Vec<_> = rows
-                    .iter()
-                    .map(|row| (row.id, row.state, row.error.as_str()))
-                    .collect();
-                Ok(format!("{rows:?}"))
-            }),
-        }
-    }
-
     /// ROADMAP item 3's decoder robustness, for the record-log scan: every
-    /// truncation and every single-bit flip of a real file of each format
-    /// loads or is refused as corrupt — never a panic, never another error
-    /// — and a cut anywhere loads exactly the whole records before it.
+    /// truncation and every single-bit flip of a real `B3SG` file loads or
+    /// is refused as corrupt — never a panic, never another error — and a
+    /// cut anywhere loads exactly the whole records before it.
     #[test]
     fn every_cut_and_every_bit_flip_loads_or_is_corrupt() {
         let dir = scratch("cut-and-flip");
-        for sample in [segment_sample(&dir), queue_sample(&dir)] {
-            let name = sample.name;
-            let image = [&sample.magic[..], &sample.records.concat()].concat();
-            let ends: Vec<usize> = (sample.records.iter())
-                .scan(sample.magic.len(), |end, record| {
-                    *end += record.len();
-                    Some(*end)
-                })
-                .collect();
-            for cut in 0..=image.len() {
-                let whole = ends.iter().filter(|&&end| end <= cut).count();
-                // Short of the magic there is no log at all.
-                let expected = sample.loads[whole]
-                    .clone()
-                    .filter(|_| cut >= sample.magic.len());
-                match (expected, (sample.load)(&image[..cut])) {
-                    (Some(expected), Ok(loaded)) => {
-                        assert_eq!(loaded, expected, "{name} cut at {cut}");
-                    }
-                    (None, Err(FsError::Corrupted(_))) => {}
-                    (expected, loaded) => {
-                        panic!("{name} cut at {cut}: wanted {expected:?}, got {loaded:?}")
-                    }
+        let sample = segment_sample(&dir);
+        let image = [&sample.magic[..], &sample.records.concat()].concat();
+        let ends: Vec<usize> = (sample.records.iter())
+            .scan(sample.magic.len(), |end, record| {
+                *end += record.len();
+                Some(*end)
+            })
+            .collect();
+        for cut in 0..=image.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            // Short of the magic there is no log at all.
+            let expected = sample.loads[whole]
+                .clone()
+                .filter(|_| cut >= sample.magic.len());
+            match (expected, (sample.load)(&image[..cut])) {
+                (Some(expected), Ok(loaded)) => {
+                    assert_eq!(loaded, expected, "cut at {cut}");
+                }
+                (None, Err(FsError::Corrupted(_))) => {}
+                (expected, loaded) => {
+                    panic!("cut at {cut}: wanted {expected:?}, got {loaded:?}")
                 }
             }
-            for bit in 0..image.len() * 8 {
-                let mut flipped = image.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                match (sample.load)(&flipped) {
-                    Ok(_) | Err(FsError::Corrupted(_)) => {}
-                    Err(other) => panic!("{name} bit {bit} flipped: {other}"),
-                }
+        }
+        for bit in 0..image.len() * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match (sample.load)(&flipped) {
+                Ok(_) | Err(FsError::Corrupted(_)) => {}
+                Err(other) => panic!("bit {bit} flipped: {other}"),
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The framing half of both logs' corruption tables: a wrong magic, an
+    /// The framing half of the log's corruption table: a wrong magic, an
     /// unknown tag, and a record whose payload decodes short of its
     /// declared length are refused with a message naming the case and the
     /// file.
     #[test]
-    fn framing_corruption_is_rejected_in_both_logs() {
+    fn framing_corruption_is_rejected() {
         let dir = scratch("framing");
-        for sample in [segment_sample(&dir), queue_sample(&dir)] {
-            let mut padded = sample.records[0].clone();
-            padded.push(0);
-            let len = padded.len() as u32 - 5;
-            padded[1..5].copy_from_slice(&len.to_le_bytes());
-            for (case, bytes, needle) in [
-                ("wrong magic", b"NOPE".to_vec(), "magic"),
-                (
-                    "unknown tag",
-                    [&sample.magic[..], &frame(7, b"junk")].concat(),
-                    "unknown record tag 0x7",
-                ),
-                (
-                    "leftover bytes",
-                    [&sample.magic[..], &padded].concat(),
-                    "1 bytes left over",
-                ),
-            ] {
-                let error = (sample.load)(&bytes).expect_err(case);
-                let message = error.to_string();
-                assert!(matches!(error, FsError::Corrupted(_)), "{case}: {message}");
-                assert!(
-                    message.contains(needle),
-                    "{}: {case}: {message}",
-                    sample.name
-                );
-                assert!(message.contains(&*dir.to_string_lossy()), "{message}");
-            }
+        let sample = segment_sample(&dir);
+        let mut padded = sample.records[0].clone();
+        padded.push(0);
+        let len = padded.len() as u32 - 5;
+        padded[1..5].copy_from_slice(&len.to_le_bytes());
+        for (case, bytes, needle) in [
+            ("wrong magic", b"NOPE".to_vec(), "magic"),
+            (
+                "unknown tag",
+                [&sample.magic[..], &frame(7, b"junk")].concat(),
+                "unknown record tag 0x7",
+            ),
+            (
+                "leftover bytes",
+                [&sample.magic[..], &padded].concat(),
+                "1 bytes left over",
+            ),
+        ] {
+            let error = (sample.load)(&bytes).expect_err(case);
+            let message = error.to_string();
+            assert!(matches!(error, FsError::Corrupted(_)), "{case}: {message}");
+            assert!(message.contains(needle), "{case}: {message}");
+            assert!(message.contains(&*dir.to_string_lossy()), "{message}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -214,9 +214,9 @@ mod tests {
         enc.finish()
     }
 
-    /// The `B3SG` half of the corruption table (the framing half, shared
-    /// with `B3FQ`, is in `recordlog`): what the records say must make
-    /// sense, and the refusal names the case and the file.
+    /// The `B3SG` half of the corruption table (the framing half is in
+    /// `recordlog`): what the records say must make sense, and the refusal
+    /// names the case and the file.
     #[test]
     fn corrupt_segment_logs_are_rejected() {
         let path = Path::new("job.ck");

@@ -320,7 +320,7 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// Binds the listener (e.g. `"127.0.0.1:0"` for an ephemeral loopback
-    /// port, `"0.0.0.0:7733"` to serve a fleet).
+    /// port, `"0.0.0.0:7733"` to take workers from other machines).
     pub fn bind(addr: &str) -> FsResult<TcpTransport> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| transport_err(&format!("bind tcp listener on {addr}"), e))?;
@@ -521,7 +521,7 @@ impl Transport for TcpTransport {
 /// ssh process's stdio — the remote worker's stdin/stdout *are* the pipe,
 /// exactly as with a local child. Multiple hosts are used round-robin, so
 /// one transport can fan a coordinator's worker slots (and respawns) out
-/// across a fleet. Endpoints are `ssh:<host>#<pid>` (the pid of the local
+/// across machines. Endpoints are `ssh:<host>#<pid>` (the pid of the local
 /// ssh client, so two sessions to the same host stay distinguishable).
 ///
 /// `BatchMode=yes` makes a missing key/agent fail fast instead of hanging

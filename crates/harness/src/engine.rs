@@ -257,8 +257,7 @@ pub(crate) fn run_resumable<S: JobSpace>(
                     interrupted = Some(result);
                     break;
                 }
-                // Nothing announces discoveries in process.
-                let merged = core.shard_done(slot, shard, result, false);
+                let merged = core.shard_done(slot, shard, result);
                 merged.expect("a thread reports only the shard it holds");
             }
         }

@@ -25,10 +25,9 @@
 //!   `docs/PROTOCOL.md`), dead workers are respawned within a budget, and
 //!   every returned shard result is recorded into one
 //!   [`sweep::SweepCheckpoint`] and persisted — the true analogue of the
-//!   paper's 780-VM cluster. On top of it sits the fleet daemon
-//!   ([`distrib::FleetCoordinator`], `b3 fleet serve`): a
-//!   long-lived multi-tenant coordinator with a journaled job queue,
-//!   client frames over TCP, and live bug-group discovery streams.
+//!   paper's 780-VM cluster. One `b3 sweep --checkpoint` runs one bounded
+//!   space at a time, resumes after a kill, and takes workers from other
+//!   machines.
 //! * [`dedup`] — first-class report deduplication: the grouped
 //!   (exemplar + count) [`dedup::GroupTable`] that shard results, checkpoint
 //!   aggregation, and post-hoc grouping all share, bounding sweep memory and
@@ -56,10 +55,8 @@ pub mod sweep;
 pub use corpus::{CorpusEntry, FsKind, ReproStatus};
 pub use dedup::{GroupEntry, GroupTable};
 pub use distrib::{
-    run_with_transport, run_with_transport_hooked, ChildTransport, DistribConfig, DistribHooks,
-    DistribOutcome, FleetClient, FleetConfig, FleetCoordinator, FleetEvent, JobState, JobStatus,
-    SshTransport, SweepJob, SweepSpace, TcpTransport, Transport, WorkerCommand, WorkerLink,
-    WorkerOptions,
+    run_with_transport, ChildTransport, DistribConfig, DistribOutcome, SshTransport, SweepJob,
+    SweepSpace, TcpTransport, Transport, WorkerCommand, WorkerLink, WorkerOptions,
 };
 pub use postprocess::{group_reports, BugGroup, KnownBugDatabase};
 pub use report::{bug_group_table, Table};

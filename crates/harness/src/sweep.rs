@@ -249,8 +249,7 @@ pub struct AuditFailure {
     pub detail: String,
 }
 
-/// The one-line form every reporter (the `b3 sweep` summary, a failed
-/// fleet job's error) prints.
+/// The one-line form every reporter (the `b3 sweep` summary) prints.
 impl std::fmt::Display for AuditFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -770,8 +769,8 @@ impl<'a> Sweep<'a> {
 /// space against one (file system, engine profile) pair: the `b3_app` front
 /// of the shard engine [`Sweep`] runs on. Because the per-shard results are
 /// ordinary [`ShardResult`]s, app sweeps flow through the sweep
-/// checkpoints, the distributed coordinator, and the fleet daemon without
-/// any format changes.
+/// checkpoints and the distributed coordinator without any format
+/// changes.
 pub struct AppSweep<'a> {
     spec: &'a (dyn FsSpec + Sync),
     config: RunConfig,

@@ -1,6 +1,7 @@
 //! The `b3` command line, driven as a process: one job description gives
-//! byte-identical group tables whichever way the sweep is run, and every
-//! subcommand answers a bad command line with usage on stderr and exit 2.
+//! byte-identical group tables whichever way the sweep is run (threads,
+//! workers it launches, or workers that dial in), and every subcommand
+//! answers a bad command line with usage on stderr and exit 2.
 
 use std::process::{Command, Output};
 
@@ -64,18 +65,17 @@ fn in_process_and_tcp_fanout_write_the_same_bytes_for_both_spaces() {
 
 #[test]
 fn usage_errors_exit_2_from_every_subcommand() {
-    let bad: [&[&str]; 28] = [
+    let bad: [&[&str]; 25] = [
         &[],
         &["frobnicate"],
+        // The job-queue daemon's command is gone.
+        &["fleet", "serve"],
         &["sweep", "--era", "3.13", "--nope"],
         &["sweep", "--workers"],
         &["sweep", "--workers", "0"],
-        &["fleet", "serve", "--dir", "x", "--workers", "0"],
         // A value given to a flag that takes none, mid-line and last.
         &["sweep", "--in-process=false", "--preset", "tiny-seq2"],
         &["sweep", "--preset", "tiny-seq2", "--challenge-loopback=no"],
-        &["fleet", "serve", "--dir", "x", "--exit-when-idle=no"],
-        &["fleet", "status", "--dir", "x", "--assert-all-done=no"],
         &["sweep", "--transport", "carrier-pigeon"],
         &["sweep", "--in-process", "--checkpoint", "x.ck"],
         // Pool flags an in-process sweep would ignore, before and after it.
@@ -89,19 +89,11 @@ fn usage_errors_exit_2_from_every_subcommand() {
         // Audit budgets without the mode they budget.
         &["sweep", "--in-process", "--audit-k", "3"],
         &["sweep", "--triage-audit", "2", "--crash-points", "all"],
-        &[
-            "fleet",
-            "enqueue",
-            "--control",
-            "127.0.0.1:1",
-            "--audit-k",
-            "3",
-        ],
         &["worker", "--bogus"],
-        &["fleet"],
-        &["fleet", "status"],
-        &["fleet", "serve", "--control", "127.0.0.1:0"],
-        &["fleet", "enqueue", "--control", "127.0.0.1:1", "--audit-k"],
+        &["groups"],
+        &["groups", "--out", "x"],
+        &["groups", "--checkpoint"],
+        &["groups", "--checkpoint", "x", "--nope"],
         &["analyze", "--file", "a", "--corpus", "b"],
     ];
     for argv in bad {
@@ -111,8 +103,85 @@ fn usage_errors_exit_2_from_every_subcommand() {
         assert!(stderr.contains("usage: b3 sweep"), "{argv:?}: {stderr}");
     }
     // Not a usage error: a well-formed command that fails at run time.
-    let ran = b3(&["fleet", "status", "--control", "127.0.0.1:1"]);
+    let missing = std::env::temp_dir().join(format!("b3-cli-missing-{}.ck", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let ran = b3(&["groups", "--checkpoint", missing]);
     assert_eq!(ran.status.code(), Some(1));
+}
+
+/// `b3 sweep --listen ADDR --secret S` takes its workers from outside its
+/// own process tree: a `b3 worker --connect ADDR --secret S` somebody else
+/// started joins the pool (challenged even on loopback here), while one
+/// with the wrong secret is turned away (costing the sweep one of its two
+/// worker slots), and the groups the admitted worker finds are
+/// byte-identical to the in-process reference.
+#[test]
+fn a_listening_sweep_admits_an_externally_started_worker() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("b3-cli-listen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (listened, reference) = (dir.join("listen.groups"), dir.join("in-process.groups"));
+    let mut sweep = Command::new(env!("CARGO_BIN_EXE_b3"))
+        .args(["sweep", "--preset", "tiny-seq2", "--workers", "2"])
+        .args(["--listen", "127.0.0.1:0", "--secret", "cli-test-secret"])
+        .args(["--challenge-loopback", "--out"])
+        .arg(&listened)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("sweep starts");
+    let stdout = std::io::BufReader::new(sweep.stdout.take().expect("sweep stdout is piped"));
+    let mut lines = stdout.lines().map(|line| line.expect("sweep stdout reads"));
+
+    // The sweep prints where its listener materialized.
+    let marker = "worker listener on ";
+    let line = lines
+        .find(|line| line.contains(marker))
+        .unwrap_or_else(|| panic!("sweep never printed {marker:?}"));
+    let rest = &line[line.find(marker).expect("marker found") + marker.len()..];
+    let addr = rest.split(' ').next().expect("address");
+
+    let worker = |secret: &str| {
+        Command::new(env!("CARGO_BIN_EXE_b3"))
+            .args(["worker", "--connect", addr, "--secret", secret])
+            .status()
+            .expect("worker runs")
+    };
+    let refused = worker("not-the-secret");
+    let admitted = worker("cli-test-secret");
+    let rest: Vec<String> = lines.collect();
+    let ran = sweep.wait().expect("sweep exits");
+    assert!(
+        !refused.success(),
+        "a worker with the wrong secret must be refused"
+    );
+    assert!(admitted.success(), "the worker runs the job to Shutdown");
+    assert!(ran.success(), "{rest:?}");
+    assert!(
+        rest.iter().any(|line| line.contains("sweep complete")),
+        "{rest:?}"
+    );
+
+    let reference_arg = reference.to_str().expect("utf-8 temp path");
+    let ran = b3(&[
+        "sweep",
+        "--preset",
+        "tiny-seq2",
+        "--in-process",
+        "--out",
+        reference_arg,
+    ]);
+    assert!(
+        ran.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ran.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&listened).expect("--out file written"),
+        std::fs::read(&reference).expect("reference written")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An in-process sweep names the pool flag it refuses, whichever of them

@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn block_error_converts() {
-        let err: FsError = b3_block::BlockError::ReadOnly.into();
+        let err: FsError = b3_block::BlockError::OversizedWrite { len: 1 }.into();
         assert_eq!(err.tag(), "EIO");
     }
 

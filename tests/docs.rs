@@ -177,13 +177,14 @@ fn markdown_files(dir: &std::path::Path, found: &mut Vec<PathBuf>) {
 /// A document that still names one of the five entry points it replaced,
 /// a batch-sizing flag or field that was deleted, a type the one
 /// crash-point loop replaced, the thread pool and benches the shard engine
-/// and the examples replaced, or the capture the AutoChecker no longer
-/// makes (`capture_paths` is only its reference now), sends readers to
+/// and the examples replaced, the capture the AutoChecker no longer makes
+/// (`capture_paths` is only its reference now), or the job-queue daemon
+/// and its journal that `b3 sweep --checkpoint` replaced, sends readers to
 /// something that no longer exists or no longer runs. History is exempt: the change
 /// log, the roadmap's done-items and the issue being worked.
 #[test]
 fn no_document_names_a_replaced_entry_point() {
-    const REPLACED: [&str; 17] = [
+    const REPLACED: [&str; 21] = [
         "b3-sweep-fleet",
         "b3-sweep-worker",
         "b3-analyze",
@@ -201,6 +202,10 @@ fn no_document_names_a_replaced_entry_point() {
         "cargo bench",
         "B3_BENCH_QUICK",
         "capture_paths",
+        "b3 fleet",
+        "B3FQ",
+        "queue.b3fq",
+        "FleetCoordinator",
     ];
     const HISTORY: [&str; 3] = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"];
     let root = repo_root();
@@ -270,16 +275,6 @@ fn protocol_spec_matches_the_wire_constants() {
         ("Claim".to_string(), wire::CLAIM),
         ("ShardDone".to_string(), wire::SHARD_DONE),
         ("Reject".to_string(), wire::REJECT),
-        ("Enqueue".to_string(), wire::ENQUEUE),
-        ("Status".to_string(), wire::STATUS),
-        ("Results".to_string(), wire::RESULTS),
-        ("Cancel".to_string(), wire::CANCEL),
-        ("Subscribe".to_string(), wire::SUBSCRIBE),
-        ("Ack".to_string(), wire::ACK),
-        ("StatusReport".to_string(), wire::STATUS_REPORT),
-        ("ResultsReport".to_string(), wire::RESULTS_REPORT),
-        ("ClientError".to_string(), wire::CLIENT_ERROR),
-        ("Event".to_string(), wire::EVENT),
     ]
     .into();
     assert_eq!(
