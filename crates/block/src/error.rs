@@ -74,6 +74,15 @@ mod tests {
     }
 
     #[test]
+    fn display_unknown_checkpoint() {
+        let err = BlockError::UnknownCheckpoint {
+            checkpoint: 7,
+            recorded: 3,
+        };
+        assert_eq!(err.to_string(), "no checkpoint 7 in a log of 3 checkpoints");
+    }
+
+    #[test]
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error>(_: &E) {}
         assert_err(&BlockError::OversizedWrite { len: 1 });

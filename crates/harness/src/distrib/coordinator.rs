@@ -665,6 +665,38 @@ mod tests {
         assert_eq!(core.claim(0, false).unwrap(), Claim::Shutdown);
     }
 
+    /// A `ShardDone` for a shard the slot does not hold — one another slot
+    /// holds, one still queued, or a repeat of one already merged — is
+    /// refused before it changes the books or the merged counts.
+    #[test]
+    fn a_shard_the_slot_does_not_hold_is_refused_and_changes_nothing() {
+        let config = DistribConfig {
+            workers: 2,
+            assign_batch: 1,
+            ..DistribConfig::default()
+        };
+        let mut core = core_for(3, &config);
+        assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
+        assert_eq!(core.claim(1, false).unwrap(), Claim::Assign(vec![1]));
+        core.shard_done(0, 0, result_for(0)).unwrap();
+        let before = (books(&core), core.tested);
+        for (slot, shard) in [(0, 1), (0, 2), (0, 0), (1, 0)] {
+            let refused = core
+                .shard_done(slot, shard, result_for(shard))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                refused.to_string().contains("does not hold"),
+                "slot {slot}, shard {shard}: {refused}"
+            );
+            assert!(
+                (books(&core), core.tested) == before,
+                "slot {slot}, shard {shard}: the refusal changed the books"
+            );
+        }
+        assert!(!core.checkpoint.has_shard(2));
+    }
+
     /// A core over a fresh `shards`-shard job whose shards hold five
     /// candidates each.
     fn core_for(shards: usize, config: &DistribConfig) -> Coordinator {

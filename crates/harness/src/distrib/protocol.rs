@@ -402,6 +402,133 @@ mod tests {
         }
     }
 
+    /// The job-queue daemon's client tags (`0x10`–`0x14` requests,
+    /// `0x90`–`0x94` replies) were retired without a version bump, which is
+    /// only sound while both sides refuse them as unknown: a stray client
+    /// frame on a worker link must desync loudly, not parse.
+    #[test]
+    fn retired_client_tags_are_refused_in_both_directions() {
+        for tag in (0x10..=0x14).chain(0x90..=0x94) {
+            let to_worker = ToWorker::from_frame(&[tag]).unwrap_err().to_string();
+            assert!(
+                to_worker.contains(&format!("unknown coordinator message tag {tag:#x}")),
+                "{to_worker}"
+            );
+            let from_worker = FromWorker::from_frame(&[tag]).unwrap_err().to_string();
+            assert!(
+                from_worker.contains(&format!("unknown worker message tag {tag:#x}")),
+                "{from_worker}"
+            );
+        }
+    }
+
+    /// A `Job` frame carries both kinds of space and every non-default
+    /// knob a scope depends on: the decoded job re-encodes to the same
+    /// bytes, keeps its scope, and carries the fingerprint unchanged.
+    #[test]
+    fn job_frames_round_trip_both_spaces_with_their_fingerprint() {
+        use crate::sweep::PruneMode;
+        use b3_ace::Bounds;
+        use b3_app::{EngineProfile, TxnBounds};
+        use b3_crashmonkey::CrashPointPolicy;
+
+        let mut fs_job = SweepJob::new(Bounds::tiny(), 3);
+        fs_job.crashmonkey.crash_points = CrashPointPolicy::AllTriaged { audit: 2 };
+        fs_job.prune = PruneMode::Audit {
+            samples_per_class: 4,
+        };
+        let engine = EngineProfile {
+            torn_commit: true,
+            ..EngineProfile::default()
+        };
+        let mut app_job = SweepJob::new_app(TxnBounds::tiny(), engine, 5);
+        app_job.crashmonkey.crash_points = CrashPointPolicy::All;
+        for job in [fs_job, app_job] {
+            let fingerprint = job.empty_checkpoint().fingerprint().to_string();
+            let frame = ToWorker::Job {
+                job: Box::new(job.clone()),
+                fingerprint: fingerprint.clone(),
+            }
+            .to_frame();
+            let ToWorker::Job {
+                job: decoded,
+                fingerprint: echoed,
+            } = ToWorker::from_frame(&frame).unwrap()
+            else {
+                panic!("expected Job");
+            };
+            assert_eq!(echoed, fingerprint);
+            assert_eq!(decoded.scope(), job.scope());
+            assert_eq!(decoded.empty_checkpoint().fingerprint(), fingerprint);
+            let reencoded = ToWorker::Job {
+                job: decoded,
+                fingerprint,
+            }
+            .to_frame();
+            assert_eq!(reencoded, frame, "{}", job.scope());
+        }
+    }
+
+    /// `Assign` keeps its shard order, and one that declares more shards
+    /// than its bytes hold is refused before the allocation it asks for.
+    #[test]
+    fn assign_round_trips_and_an_overlong_count_is_corrupt() {
+        let frame = ToWorker::Assign(vec![7, 0, u32::MAX]).to_frame();
+        match ToWorker::from_frame(&frame).unwrap() {
+            ToWorker::Assign(shards) => assert_eq!(shards, [7, 0, u32::MAX]),
+            other => panic!("expected Assign, got {other:?}"),
+        }
+        let mut enc = Encoder::new();
+        enc.put_u8(wire::ASSIGN);
+        enc.put_u64(u64::MAX);
+        enc.put_u32(1);
+        let error = ToWorker::from_frame(&enc.finish()).unwrap_err();
+        assert!(matches!(error, FsError::Corrupted(_)), "{error}");
+        assert!(error.to_string().contains("only 4 bytes remain"), "{error}");
+    }
+
+    #[test]
+    fn shard_done_round_trips_its_shard_and_result() {
+        let result = ShardResult {
+            tested: 11,
+            ..ShardResult::default()
+        };
+        let frame = FromWorker::ShardDone {
+            shard: 3,
+            result: result.clone(),
+        }
+        .to_frame();
+        match FromWorker::from_frame(&frame).unwrap() {
+            FromWorker::ShardDone {
+                shard,
+                result: decoded,
+            } => {
+                assert_eq!(shard, 3);
+                assert_eq!(decoded, result);
+            }
+            other => panic!("expected ShardDone, got {other:?}"),
+        }
+    }
+
+    /// Frames written back to back read back one at a time; a stream that
+    /// ends inside a frame is a transport error (a dead link, retried), not
+    /// a corrupt one.
+    #[test]
+    fn frames_read_back_in_order_and_a_cut_frame_is_a_transport_error() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &FromWorker::Claim.to_frame()).unwrap();
+        write_frame(&mut stream, b"second").unwrap();
+        let cut = stream.len() - 2;
+        let mut reader = std::io::Cursor::new(&stream[..cut]);
+        assert!(matches!(
+            FromWorker::from_frame(&read_frame(&mut reader).unwrap()).unwrap(),
+            FromWorker::Claim
+        ));
+        let error = read_frame(&mut reader).unwrap_err();
+        assert!(matches!(error, FsError::Device(_)), "{error}");
+        assert!(error.to_string().contains("read frame payload"), "{error}");
+    }
+
     #[test]
     fn oversized_frame_is_refused_before_allocation() {
         let mut stream: Vec<u8> = Vec::new();

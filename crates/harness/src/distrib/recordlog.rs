@@ -344,6 +344,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(path.parent().expect("scratch dir"));
     }
 
+    /// The files in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("dir lists")
+            .map(|entry| entry.expect("entry").file_name().to_string_lossy().into())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// An atomic write replaces the whole file and leaves only it behind;
+    /// reading a file that is not there is `None`, not an error.
+    #[test]
+    fn atomic_writes_replace_the_file_and_leave_no_temp_file() {
+        let dir = scratch("atomic");
+        let path = dir.join("log");
+        assert_eq!(read(&path).expect("a missing log reads"), None);
+        write_atomic(&path, b"first, longer image").expect("first write");
+        write_atomic(&path, b"second").expect("second write");
+        assert_eq!(read(&path).expect("log reads"), Some(b"second".to_vec()));
+        assert_eq!(listing(&dir), ["log"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write whose rename fails — here the target is a non-empty
+    /// directory — is a `Device` error naming the path, and removes the
+    /// temp file it made.
+    #[test]
+    fn a_failed_atomic_write_removes_its_temp_file() {
+        let dir = scratch("atomic-fails");
+        let path = dir.join("taken");
+        std::fs::create_dir_all(path.join("inside")).expect("blocking dir");
+        let error = write_atomic(&path, b"image").expect_err("rename onto a directory");
+        assert!(matches!(error, FsError::Device(_)), "{error}");
+        assert!(error.to_string().contains("persist"), "{error}");
+        assert_eq!(listing(&dir), ["taken"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The two shapes of a torn tail — a header cut short of its 5 bytes,
+    /// and a declared length running past end-of-file — both end the scan
+    /// after the last whole record and report the torn bytes' length.
+    #[test]
+    fn scan_stops_at_a_torn_tail_and_reports_its_length() {
+        const LOG: Format = Format {
+            magic: *b"B3RT",
+            tags: &[1],
+            noun: "test log",
+        };
+        let whole = [&LOG.magic[..], &frame(1, b"ok")].concat();
+        let long = frame(1, &[9u8; 100]);
+        for (tail, torn) in [
+            (&long[..0], 0),
+            (&long[..3], 3),
+            (&long[..5], 5),
+            (&long[..15], 15),
+            (&long[..long.len() - 1], long.len() - 1),
+        ] {
+            let bytes = [&whole[..], tail].concat();
+            let mut payloads = Vec::new();
+            let left = scan(&LOG, Path::new("t"), &bytes, |_, dec| {
+                payloads.push(dec.get_rest().to_vec());
+                Ok(())
+            })
+            .expect("a torn tail is not corruption");
+            assert_eq!(left, torn);
+            assert_eq!(payloads, [b"ok".to_vec()]);
+        }
+    }
+
     /// One real log, through its public loader: the file's records in
     /// order, and what each prefix of whole records loads to (`None`:
     /// refused as corrupt).

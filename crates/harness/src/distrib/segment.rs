@@ -238,6 +238,91 @@ mod tests {
         }
     }
 
+    fn scratch(test: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("b3-segment-{test}-{}.ck", std::process::id()))
+    }
+
+    /// A saved checkpoint is one snapshot record that loads back to the
+    /// same checkpoint; a missing file loads as `None` but has no stats.
+    #[test]
+    fn a_saved_checkpoint_loads_back_as_one_snapshot() {
+        let path = scratch("save");
+        assert!(load_checkpoint(&path)
+            .expect("a missing file loads")
+            .is_none());
+        let error = segment_stats(&path).expect_err("no stats without a file");
+        assert!(matches!(error, FsError::NotFound(_)), "{error}");
+        let mut checkpoint = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "test");
+        checkpoint.record(
+            2,
+            ShardResult {
+                tested: 3,
+                ..ShardResult::default()
+            },
+        );
+        save_checkpoint(&path, &checkpoint).expect("checkpoint saves");
+        let loaded = load_checkpoint(&path).expect("checkpoint loads");
+        assert_eq!(format!("{loaded:?}"), format!("{:?}", Some(checkpoint)));
+        let stats = segment_stats(&path).expect("stats read");
+        assert_eq!(
+            stats,
+            SegmentStats {
+                snapshots: 1,
+                deltas: 0,
+                truncated_tail_bytes: 0
+            }
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A compaction encoded before a delta that reached the disk first is
+    /// skipped, so the delta survives; a compaction as new as the newest
+    /// delta replaces the deltas with its snapshot.
+    #[test]
+    fn a_compaction_older_than_the_newest_delta_is_skipped() {
+        let path = scratch("stale-compaction");
+        let empty = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "test");
+        let persister = Persister::open(&path, &empty).expect("persister opens");
+        persister.append_delta(2, &delta(1)).expect("delta appends");
+        persister
+            .compact(1, &empty.to_bytes())
+            .expect("stale compaction");
+        assert_eq!(segment_stats(&path).expect("stats").deltas, 1);
+
+        let mut merged = empty.clone();
+        merged.record(
+            1,
+            ShardResult {
+                tested: 1,
+                ..ShardResult::default()
+            },
+        );
+        persister
+            .compact(2, &merged.to_bytes())
+            .expect("current compaction");
+        let stats = segment_stats(&path).expect("stats");
+        assert_eq!((stats.snapshots, stats.deltas), (1, 0));
+        let loaded = load_checkpoint(&path).expect("loads").expect("exists");
+        assert_eq!(format!("{loaded:?}"), format!("{merged:?}"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Appended deltas ask for a compaction exactly when their bytes first
+    /// exceed both the snapshot and the [`MIN_COMPACT_BYTES`] floor.
+    #[test]
+    fn deltas_ask_for_a_compaction_once_they_outgrow_the_floor() {
+        let path = scratch("compaction-due");
+        let checkpoint = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "test");
+        let persister = Persister::open(&path, &checkpoint).expect("persister opens");
+        // The persister frames payloads without decoding them.
+        let payload = vec![0u8; (MIN_COMPACT_BYTES / 4) as usize];
+        let due: Vec<bool> = (1..=5)
+            .map(|version| persister.append_delta(version, &payload).expect("appends"))
+            .collect();
+        assert_eq!(due, [false, false, false, true, true]);
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// A snapshot whose declared length swallows the deltas after it is
     /// refused, not loaded without them: a record must decode to its last
     /// byte.

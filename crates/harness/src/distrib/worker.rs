@@ -208,3 +208,122 @@ fn claim_loop<S: JobSpace>(
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distrib::SweepJob;
+    use crate::sweep::PruneMode;
+    use b3_ace::Bounds;
+    use b3_app::{EngineProfile, TxnBounds};
+
+    /// The coordinator's side of a session, as the frames the worker reads.
+    fn coordinator_frames(messages: &[ToWorker]) -> std::io::Cursor<Vec<u8>> {
+        let mut stream = Vec::new();
+        for message in messages {
+            write_frame(&mut stream, &message.to_frame()).expect("frame writes");
+        }
+        std::io::Cursor::new(stream)
+    }
+
+    /// Every frame the worker wrote, decoded.
+    fn worker_frames(stream: &[u8]) -> Vec<FromWorker> {
+        let mut reader = std::io::Cursor::new(stream);
+        let mut frames = Vec::new();
+        while (reader.position() as usize) < stream.len() {
+            let frame = read_frame(&mut reader).expect("worker frame reads");
+            frames.push(FromWorker::from_frame(&frame).expect("worker frame decodes"));
+        }
+        frames
+    }
+
+    /// A `Job` frame carrying the fingerprint the coordinator would send.
+    fn job_frame(job: SweepJob) -> ToWorker {
+        let fingerprint = job.empty_checkpoint().fingerprint().to_string();
+        ToWorker::Job {
+            job: Box::new(job),
+            fingerprint,
+        }
+    }
+
+    /// Runs one session against the scripted coordinator frames.
+    fn session(messages: &[ToWorker], secret: Option<&str>) -> (FsResult<()>, Vec<FromWorker>) {
+        let options = WorkerOptions {
+            secret: secret.map(str::to_string),
+            ..WorkerOptions::default()
+        };
+        let mut written = Vec::new();
+        let result = worker_loop(&mut coordinator_frames(messages), &mut written, &options);
+        (result, worker_frames(&written))
+    }
+
+    /// On a challenged link the worker's `Hello` carries the HMAC of the
+    /// coordinator's nonce under its secret, and only then does it take
+    /// the job and claim work.
+    #[test]
+    fn a_challenged_worker_answers_with_the_hmac_of_its_secret() {
+        let nonce = "0011223344556677".to_string();
+        let (result, frames) = session(
+            &[
+                ToWorker::Challenge {
+                    nonce: nonce.clone(),
+                },
+                job_frame(SweepJob::new(Bounds::tiny(), 2)),
+                ToWorker::Shutdown,
+            ],
+            Some("s3cret"),
+        );
+        result.expect("the session ends at Shutdown");
+        let [FromWorker::Hello(hello), FromWorker::Claim] = &frames[..] else {
+            panic!("expected Hello then Claim, got {frames:?}");
+        };
+        assert_eq!(hello.version, PROTOCOL_VERSION);
+        assert_eq!(hello.auth, super::super::auth::auth_tag("s3cret", &nonce));
+    }
+
+    /// A challenged worker that has no secret says so in a `Reject` (never
+    /// a `Hello` with an empty answer) and fails the session.
+    #[test]
+    fn a_challenged_worker_without_a_secret_rejects_the_session() {
+        let (result, frames) = session(&[ToWorker::Challenge { nonce: "00".into() }], None);
+        let error = result.expect_err("no secret, no session");
+        assert!(matches!(error, FsError::InvalidArgument(_)), "{error}");
+        let [FromWorker::Reject { reason }] = &frames[..] else {
+            panic!("expected one Reject, got {frames:?}");
+        };
+        assert!(reason.contains("--secret"), "{reason}");
+    }
+
+    /// A worker checks the job itself, not only its fingerprint: an app
+    /// job that asks for pruning is refused before any shard is claimed.
+    #[test]
+    fn a_worker_rejects_a_job_no_runner_can_honor() {
+        let mut job = SweepJob::new_app(TxnBounds::tiny(), EngineProfile::default(), 2);
+        job.prune = PruneMode::Representative;
+        let (result, frames) = session(&[job_frame(job)], None);
+        result.expect_err("an invalid job fails the worker");
+        let [FromWorker::Hello(_), FromWorker::Reject { reason }] = &frames[..] else {
+            panic!("expected Hello then Reject, got {frames:?}");
+        };
+        assert!(reason.contains("prune must be off"), "{reason}");
+    }
+
+    /// Frames out of the session's order end it as corrupt: a session
+    /// that does not open with a `Job`, a second `Job`, and a `Challenge`
+    /// after the handshake.
+    #[test]
+    fn frames_out_of_session_order_are_corrupt() {
+        let job = || job_frame(SweepJob::new(Bounds::tiny(), 2));
+        let challenge = || ToWorker::Challenge { nonce: "00".into() };
+        for (messages, needle) in [
+            (vec![ToWorker::Assign(vec![0])], "expected a Job"),
+            (vec![job(), job()], "unexpected second Job"),
+            (vec![job(), challenge()], "unexpected mid-session Challenge"),
+        ] {
+            let (result, _) = session(&messages, None);
+            let error = result.expect_err(needle);
+            assert!(matches!(error, FsError::Corrupted(_)), "{error}");
+            assert!(error.to_string().contains(needle), "{error}");
+        }
+    }
+}

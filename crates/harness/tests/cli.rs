@@ -184,6 +184,86 @@ fn a_listening_sweep_admits_an_externally_started_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One job run to the end across a kill, then read back offline: a sweep
+/// under a non-default scope stops early, its checkpoint gets the torn
+/// record a coordinator killed mid-append leaves, and the same command
+/// resumes it to completion. The resumed run's `--out`, and `b3 groups` of
+/// the checkpoint it left, are each byte-identical to an in-process
+/// reference of the same job; without `--out`, `b3 groups` renders the
+/// table.
+#[test]
+fn a_resumed_torn_checkpoint_and_its_offline_groups_match_the_in_process_bytes() {
+    use std::io::Write as _;
+
+    let dir = std::env::temp_dir().join(format!("b3-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (ck, resumed, offline, reference) = (
+        path("resume.ck"),
+        path("resumed.groups"),
+        path("offline.groups"),
+        path("in-process.groups"),
+    );
+    let job = [
+        "sweep",
+        "--preset",
+        "tiny-seq2",
+        "--crash-points",
+        "triaged",
+        "--prune",
+        "rep",
+    ];
+    let ok = |argv: &[&str]| {
+        let ran = b3(argv);
+        let stderr = String::from_utf8_lossy(&ran.stderr);
+        assert!(ran.status.success(), "{argv:?} failed: {stderr}");
+        String::from_utf8_lossy(&ran.stdout).into_owned()
+    };
+
+    let pool = ["--workers", "2", "--checkpoint", &ck];
+    let stopped = ok(&[&job[..], &pool, &["--stop-after", "50"]].concat());
+    assert!(stopped.contains("sweep incomplete"), "{stopped}");
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&ck)
+        .expect("checkpoint opens")
+        .write_all(b"\x02\xf0\xff\x00\x00torn-by-a-crash")
+        .expect("torn record appended");
+    let finished = ok(&[&job[..], &pool, &["--out", &resumed]].concat());
+    assert!(finished.contains("sweep complete"), "{finished}");
+    assert!(!finished.contains("bug groups: 0 "), "{finished}");
+    ok(&["groups", "--checkpoint", &ck, "--out", &offline]);
+    ok(&[
+        &job[..],
+        &["--in-process", "--workers", "2", "--out", &reference],
+    ]
+    .concat());
+
+    let read = |path: &str| std::fs::read(path).expect("--out file written");
+    assert_eq!(read(&resumed), read(&reference));
+    assert_eq!(read(&offline), read(&reference));
+    let rendered = ok(&["groups", "--checkpoint", &ck]);
+    assert!(!rendered.contains("no bug groups"), "{rendered}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `b3 groups` of a file that is not a checkpoint fails at run time (exit
+/// 1) with a message naming the file, not a usage error.
+#[test]
+fn groups_refuses_a_file_that_is_not_a_checkpoint() {
+    let path = std::env::temp_dir().join(format!("b3-cli-not-a-ck-{}.ck", std::process::id()));
+    std::fs::write(&path, b"NOPE, not a checkpoint").expect("file written");
+    let arg = path.to_str().expect("utf-8 temp path");
+    let ran = b3(&["groups", "--checkpoint", arg]);
+    let stderr = String::from_utf8_lossy(&ran.stderr);
+    assert_eq!(ran.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not a segment checkpoint"), "{stderr}");
+    assert!(stderr.contains(arg), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// An in-process sweep names the pool flag it refuses, whichever of them
 /// is given, and still takes `--workers`, its thread count.
 #[test]
