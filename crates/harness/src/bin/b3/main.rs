@@ -140,7 +140,7 @@ fn groups(mut args: Args) -> Result<(), Exit> {
     let path = checkpoint.ok_or_else(|| Exit::usage("missing --checkpoint"))?;
     let checkpoint = load_checkpoint(&path)?
         .ok_or_else(|| Exit::runtime(format!("no checkpoint at {}", path.display())))?;
-    print_groups(out.as_deref(), &checkpoint.grouped())
+    print_groups(out.as_deref(), checkpoint.grouped())
 }
 
 fn run(mut args: Args) -> Result<i32, Exit> {

@@ -147,7 +147,7 @@ pub fn run(mut args: Args) -> Result<(), Exit> {
         SweepSpace::Fs(bounds) => print_sampled_sharing(&job, bounds),
         SweepSpace::App { bounds, engine } => print_sampled_app_sharing(&job, bounds, *engine),
     }
-    print_groups(out.as_deref(), &groups)?;
+    print_groups(out.as_deref(), groups)?;
     match (swept.is_complete(), &checkpoint) {
         (true, _) => println!("sweep complete"),
         (false, Some(path)) => println!(

@@ -32,7 +32,7 @@
 //! still become an exemplar are rendered and [`observe`](GroupTable::observe)d,
 //! and the table ends equal to the one every report rendered would build.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 
 use b3_crashmonkey::{BugReport, Consequence, Exemplars};
@@ -133,13 +133,13 @@ impl GroupTable {
                 let entry = occupied.get_mut();
                 entry.count += 1;
                 if report.workload_name < entry.exemplar.workload_name {
-                    entry.exemplar = report;
+                    entry.exemplar = trimmed(report);
                 }
             }
             std::collections::btree_map::Entry::Vacant(vacant) => {
                 vacant.insert(GroupEntry {
                     count: 1,
-                    exemplar: report,
+                    exemplar: trimmed(report),
                 });
             }
         }
@@ -172,18 +172,30 @@ impl GroupTable {
     /// associative, so any merge order converges to the same table.
     pub fn merge_from(&mut self, other: &GroupTable) {
         for (key, incoming) in &other.entries {
-            match self.entries.entry(key.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut occupied) => {
-                    let entry = occupied.get_mut();
-                    entry.count += incoming.count;
-                    if incoming.exemplar.workload_name < entry.exemplar.workload_name {
-                        entry.exemplar = incoming.exemplar.clone();
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(vacant) => {
-                    vacant.insert(incoming.clone());
-                }
-            }
+            self.fold(Cow::Borrowed(key), Cow::Borrowed(incoming));
+        }
+    }
+
+    /// The consuming twin of [`merge_from`](GroupTable::merge_from): the
+    /// same union, but `other`'s keys and exemplars are moved in, never
+    /// cloned.
+    pub fn merge(&mut self, other: GroupTable) {
+        for (key, incoming) in other.entries {
+            self.fold(Cow::Owned(key), Cow::Owned(incoming));
+        }
+    }
+
+    /// Folds one group of another table in: counts add, and the group
+    /// keeps the name-minimal exemplar of the two. A key or an exemplar is
+    /// copied only when it is kept and borrowed.
+    fn fold(&mut self, key: Cow<'_, GroupKey>, incoming: Cow<'_, GroupEntry>) {
+        let Some(entry) = self.entries.get_mut(key.as_ref()) else {
+            self.entries.insert(key.into_owned(), incoming.into_owned());
+            return;
+        };
+        entry.count += incoming.count;
+        if incoming.exemplar.workload_name < entry.exemplar.workload_name {
+            entry.exemplar = incoming.into_owned().exemplar;
         }
     }
 
@@ -270,6 +282,19 @@ impl GroupTable {
     }
 }
 
+/// `report` with its buffers cut to their contents. An exemplar lives as
+/// long as the sweep's checkpoint, and the text a check renders is built
+/// by growing buffers, so on a bug-dense space the spare capacity would
+/// add about a quarter to the table.
+fn trimmed(mut report: BugReport) -> BugReport {
+    report.all_consequences.shrink_to_fit();
+    report.expected.shrink_to_fit();
+    report.actual.shrink_to_fit();
+    report.diffs.shrink_to_fit();
+    report.write_check_failures.shrink_to_fit();
+    report
+}
+
 impl Exemplars for GroupTable {
     fn exemplar(&self, skeleton: &str, consequence: Consequence) -> Option<&str> {
         let key: &dyn KeyView = &(skeleton, consequence);
@@ -329,11 +354,13 @@ mod tests {
         // Split into three slices, merge in a shuffled order.
         let parts: Vec<GroupTable> = reports.chunks(7).map(GroupTable::from_reports).collect();
         for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
-            let mut merged = GroupTable::new();
+            let (mut merged, mut moved) = (GroupTable::new(), GroupTable::new());
             for index in order {
                 merged.merge_from(&parts[index]);
+                moved.merge(parts[index].clone());
             }
             assert_eq!(merged, whole);
+            assert_eq!(moved, whole);
         }
     }
 

@@ -61,13 +61,9 @@ struct Slot {
 pub(crate) struct Coordinator {
     queue: VecDeque<u32>,
     slots: Vec<Slot>,
+    /// The merged checkpoint, whose summed counters a progress snapshot
+    /// reads.
     checkpoint: SweepCheckpoint,
-    /// Running totals mirroring the checkpoint, so a progress snapshot
-    /// does not re-aggregate it.
-    tested: usize,
-    skipped: usize,
-    pruned: usize,
-    buggy: usize,
     merged_this_run: usize,
     processed_this_run: usize,
     /// Candidates of every shard assigned this run (held or merged). A
@@ -91,7 +87,6 @@ impl Coordinator {
         total_workloads: u64,
         config: &DistribConfig,
     ) -> Coordinator {
-        let seeded = checkpoint.summary();
         Coordinator {
             queue: checkpoint.missing_shards().into(),
             slots: (0..config.workers)
@@ -100,10 +95,6 @@ impl Coordinator {
                     ..Slot::default()
                 })
                 .collect(),
-            tested: seeded.tested,
-            skipped: seeded.skipped,
-            pruned: seeded.pruned,
-            buggy: checkpoint.total_buggy() as usize,
             merged_this_run: 0,
             processed_this_run: 0,
             assigned_candidates: 0,
@@ -118,13 +109,9 @@ impl Coordinator {
 
     /// True once a stop limit of the configuration is reached.
     fn limit_reached(&self) -> bool {
-        let config = &self.config;
-        config
-            .stop_after_shards
-            .is_some_and(|limit| self.merged_this_run >= limit)
-            || config.stop_after_workloads.is_some_and(|limit| {
-                self.processed_this_run >= limit || self.assigned_candidates >= limit as u64
-            })
+        self.config.stop_after_workloads.is_some_and(|limit| {
+            self.processed_this_run >= limit || self.assigned_candidates >= limit as u64
+        })
     }
 
     fn in_flight(&self) -> bool {
@@ -175,7 +162,7 @@ impl Coordinator {
 
     /// Workloads that produced a bug report, over every merged shard.
     pub(crate) fn bugs(&self) -> usize {
-        self.buggy
+        self.checkpoint.total_buggy() as usize
     }
 
     /// A `ShardDone` from `slot`: merges the result into the checkpoint. A
@@ -195,17 +182,13 @@ impl Coordinator {
         };
         held.swap_remove(position);
         let idle = held.is_empty();
-        self.tested += result.tested as usize;
-        self.skipped += result.skipped as usize;
-        self.pruned += result.pruned as usize;
-        self.buggy += result.buggy as usize;
         self.processed_this_run += (result.tested + result.skipped + result.pruned) as usize;
         self.merged_this_run += 1;
         self.slots[slot].shards += 1;
         self.slots[slot].tested += result.tested;
         // The slot held the shard, and a held shard is never recorded yet
-        // (`link_down` requeues only unrecorded ones): this overwrites
-        // nothing.
+        // (`link_down` requeues only unrecorded ones): this merges the
+        // result, where a repeat would be dropped.
         self.checkpoint.record(shard, result);
         Ok(Merged {
             version: self.merged_this_run as u64,
@@ -239,11 +222,12 @@ impl Coordinator {
     pub(crate) fn progress(&self, elapsed: Duration) -> Progress {
         let completed = self.checkpoint.completed_shards();
         let total_shards = self.checkpoint.num_shards();
+        let totals = self.checkpoint.totals();
         Progress {
-            tested: self.tested,
-            skipped: self.skipped,
-            pruned: self.pruned,
-            bugs: self.buggy,
+            tested: totals.tested as usize,
+            skipped: totals.skipped as usize,
+            pruned: totals.pruned as usize,
+            bugs: self.bugs(),
             completed_shards: completed,
             total_shards,
             total_workloads: self.total_workloads,
@@ -592,7 +576,6 @@ mod tests {
         let config = DistribConfig {
             workers: 1 + rng.below(4),
             assign_batch: 1 + rng.below(3),
-            stop_after_shards: rng.one_in(4).then(|| rng.below(SHARDS as usize)),
             stop_after_workloads: rng.one_in(4).then(|| rng.below(total as usize)),
             ..DistribConfig::default()
         };
@@ -623,7 +606,7 @@ mod tests {
             table.encode(&mut enc);
             enc.finish()
         };
-        assert_eq!(bytes(&checkpoint.grouped()), bytes(&reference));
+        assert_eq!(bytes(checkpoint.grouped()), bytes(&reference));
     }
 
     /// Runs every seed of `seeds`, naming the one that fails.
@@ -679,7 +662,8 @@ mod tests {
         assert_eq!(core.claim(0, false).unwrap(), Claim::Assign(vec![0]));
         assert_eq!(core.claim(1, false).unwrap(), Claim::Assign(vec![1]));
         core.shard_done(0, 0, result_for(0)).unwrap();
-        let before = (books(&core), core.tested);
+        let tested = |core: &Coordinator| core.checkpoint.totals().tested;
+        let before = (books(&core), tested(&core));
         for (slot, shard) in [(0, 1), (0, 2), (0, 0), (1, 0)] {
             let refused = core
                 .shard_done(slot, shard, result_for(shard))
@@ -690,7 +674,7 @@ mod tests {
                 "slot {slot}, shard {shard}: {refused}"
             );
             assert!(
-                (books(&core), core.tested) == before,
+                (books(&core), tested(&core)) == before,
                 "slot {slot}, shard {shard}: the refusal changed the books"
             );
         }
@@ -800,7 +784,7 @@ mod tests {
         let (complete, _) = run(&config, 2).finish(error()).unwrap();
         assert!(complete.is_complete());
         let limited = DistribConfig {
-            stop_after_shards: Some(1),
+            stop_after_workloads: Some(5),
             ..config
         };
         let mut core = run(&limited, 1);

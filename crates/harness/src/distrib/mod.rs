@@ -83,7 +83,6 @@ use crate::sweep::{Progress, PruneMode, SweepCheckpoint};
 pub mod auth;
 pub(crate) mod coordinator;
 pub mod protocol;
-mod recordlog;
 pub mod segment;
 mod transport;
 mod worker;
@@ -453,10 +452,6 @@ pub struct DistribConfig {
     /// failures are never respawned (a replacement of the same binary
     /// would fail the same way).
     pub respawn_budget: usize,
-    /// Stop handing out work after this many shards have been merged *in
-    /// this run* (the chaos tests' stand-in for killing the coordinator
-    /// after a partial merge).
-    pub stop_after_shards: Option<usize>,
     /// Stop handing out work once this many workloads have been processed
     /// in this run. Shards are the scheduling unit, so the run overshoots
     /// to the end of in-flight shards.
@@ -476,7 +471,6 @@ impl Default for DistribConfig {
             workers: 4,
             assign_batch: 1,
             respawn_budget: 0,
-            stop_after_shards: None,
             stop_after_workloads: None,
             checkpoint_path: None,
             progress_interval: Duration::from_secs(1),

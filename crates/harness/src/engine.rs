@@ -288,10 +288,10 @@ pub(crate) fn run_resumable<S: JobSpace>(
     *checkpoint = merged;
     let mut summary = checkpoint.summary();
     if !interrupted.is_empty() {
-        let mut grouped = checkpoint.grouped();
+        let mut grouped = checkpoint.grouped().clone();
         for partial in interrupted {
             partial.add_counts(&mut summary);
-            grouped.merge_from(&partial.groups);
+            grouped.merge(partial.groups);
         }
         summary.reports = grouped.into_exemplars();
     }
@@ -547,35 +547,34 @@ mod tests {
         bounds
     }
 
-    /// The engine-level differential every space must pass: each shard of
-    /// the threaded in-process engine equals the worker path (ungated
+    /// The engine-level differential every space must pass: the threaded
+    /// in-process engine's checkpoint equals the worker path's (ungated
     /// `run_shard` calls on one long-lived tester, here in reverse order so
     /// the tester carries over different state than the engine's threads
-    /// did), and a budget-interrupted run resumed to completion equals the
-    /// uninterrupted one shard by shard.
+    /// did, recorded into a fresh checkpoint in that order), and so does a
+    /// budget-interrupted run resumed to completion.
     fn check_engine<S: JobSpace>(space: &S) -> RunSummary {
-        let mut reference = space.empty_checkpoint().clone();
-        let uninterrupted = run_resumable(space, &threads(2, None), None, &mut reference);
-        assert!(reference.is_complete());
+        let mut engine = space.empty_checkpoint().clone();
+        let uninterrupted = run_resumable(space, &threads(2, None), None, &mut engine);
+        assert!(engine.is_complete());
 
         let mut tester = space.tester();
+        let mut reference = space.empty_checkpoint().clone();
+        let mut hungriest = 0;
         for shard in (0..SHARDS as u32).rev() {
             let (result, complete) = space.run_shard(&mut tester, shard, || true);
             assert!(complete);
-            assert!(
-                result.same_outcome(reference.shard_result(shard)),
-                "shard {shard}: worker path {result:?} != engine {:?}",
-                reference.shard_result(shard)
-            );
+            hungriest = hungriest.max(result.tested + result.skipped + result.audited);
+            reference.record(shard, result);
         }
+        assert!(
+            engine.same_outcome(&reference),
+            "worker path {reference:?} != engine {engine:?}"
+        );
 
         // One more than the hungriest shard needs: every round completes
         // at least one shard, and interrupts the next.
-        let hungriest = (0..SHARDS as u32)
-            .map(|shard| reference.shard_result(shard))
-            .map(|result| result.tested + result.skipped + result.audited)
-            .max();
-        let budgeted = threads(1, hungriest.map(|most| most as usize + 1));
+        let budgeted = threads(1, Some(hungriest as usize + 1));
         let mut resumed = space.empty_checkpoint().clone();
         let mut rounds = 0;
         while !resumed.is_complete() {
@@ -586,11 +585,10 @@ mod tests {
             assert!(rounds < 100, "the budgeted sweep must converge");
         }
         assert!(rounds > 1, "the budget must actually interrupt the sweep");
-        for shard in 0..SHARDS as u32 {
-            assert!(resumed
-                .shard_result(shard)
-                .same_outcome(reference.shard_result(shard)));
-        }
+        assert!(
+            resumed.same_outcome(&reference),
+            "resumed {resumed:?} != worker path {reference:?}"
+        );
         uninterrupted
     }
 

@@ -15,13 +15,14 @@
 //! (§6.1).
 //!
 //! Because every shard is independently enumerable, a sweep can stop and
-//! resume: a [`SweepCheckpoint`] records the per-shard results of every
-//! *completed* shard (serialized with the workspace codec), and a resumed
-//! sweep re-runs only the shards the checkpoint is missing. A killed sweep
-//! therefore converges to exactly the same [`RunSummary`] counts as an
-//! uninterrupted one — partially processed shards are simply re-run.
+//! resume: a [`SweepCheckpoint`] records which shards *completed* and
+//! their results, merged into one (serialized with the workspace codec),
+//! and a resumed sweep re-runs only the shards the checkpoint is missing.
+//! A killed sweep therefore converges to exactly the same [`RunSummary`]
+//! counts as an uninterrupted one — partially processed shards are simply
+//! re-run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -298,8 +299,11 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// [`b3_crashmonkey::BugReport`], a shard records its per-group exemplars
 /// and counts in a [`GroupTable`]. A shard of a bug-dense file system can
 /// produce tens of thousands of raw reports in a few dozen groups, so this
-/// bounds shard frames, coordinator memory, and checkpoint size by bug
-/// *diversity* rather than bug *density*.
+/// bounds a shard frame by bug *diversity* rather than bug *density*. A
+/// [`SweepCheckpoint`] merges each recorded result into one table, so
+/// coordinator memory and checkpoint size are bounded by the sweep's groups
+/// plus 4 bytes per recorded shard (its id; audit failures aside), however
+/// many shards the groups span.
 ///
 /// Public only because it rides inside the public protocol frames
 /// ([`crate::distrib::protocol::FromWorker::ShardDone`]); its fields are an
@@ -397,6 +401,24 @@ impl ShardResult {
     }
 
     pub(crate) fn encode(&self, enc: &mut Encoder) {
+        self.encode_tally(enc);
+        encode_failures(&self.audit_failures, enc);
+    }
+
+    /// Decodes one shard result. All length fields are validated against
+    /// the remaining buffer (see [`GroupTable::decode`]), so a truncated or
+    /// corrupt worker frame yields an error instead of a huge allocation.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> FsResult<ShardResult> {
+        let tally = ShardResult::decode_tally(dec)?;
+        Ok(ShardResult {
+            audit_failures: decode_failures(dec)?,
+            ..tally
+        })
+    }
+
+    /// Writes the six counters and the group table: all but the
+    /// audit-failure list.
+    fn encode_tally(&self, enc: &mut Encoder) {
         enc.put_u64(self.tested);
         enc.put_u64(self.skipped);
         enc.put_u64(self.pruned);
@@ -404,56 +426,60 @@ impl ShardResult {
         enc.put_u64(self.buggy);
         enc.put_u64(self.workload_time_nanos);
         self.groups.encode(enc);
-        enc.put_u64(self.audit_failures.len() as u64);
-        for failure in &self.audit_failures {
-            failure.encode(enc);
-        }
     }
 
-    /// Decodes one shard result. All length fields are validated against
-    /// the remaining buffer (see [`GroupTable::decode`]), so a truncated or
-    /// corrupt worker frame yields an error instead of a huge allocation.
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> FsResult<ShardResult> {
-        let tested = dec.get_u64()?;
-        let skipped = dec.get_u64()?;
-        let pruned = dec.get_u64()?;
-        let audited = dec.get_u64()?;
-        let buggy = dec.get_u64()?;
-        let workload_time_nanos = dec.get_u64()?;
-        let groups = GroupTable::decode(dec)?;
-        let failure_count = dec.get_u64()? as usize;
-        // Each failure is at least four string length prefixes (32 bytes).
-        if failure_count > dec.remaining() / 32 {
-            return Err(FsError::Corrupted(format!(
-                "shard result declares {failure_count} audit failures but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut audit_failures = Vec::with_capacity(failure_count);
-        for _ in 0..failure_count {
-            audit_failures.push(AuditFailure::decode(dec)?);
-        }
+    /// Reads what [`ShardResult::encode_tally`] writes, with an empty
+    /// audit-failure list.
+    fn decode_tally(dec: &mut Decoder<'_>) -> FsResult<ShardResult> {
         Ok(ShardResult {
-            tested,
-            skipped,
-            pruned,
-            audited,
-            buggy,
-            workload_time_nanos,
-            groups,
-            audit_failures,
+            tested: dec.get_u64()?,
+            skipped: dec.get_u64()?,
+            pruned: dec.get_u64()?,
+            audited: dec.get_u64()?,
+            buggy: dec.get_u64()?,
+            workload_time_nanos: dec.get_u64()?,
+            groups: GroupTable::decode(dec)?,
+            audit_failures: Vec::new(),
         })
     }
 }
 
-// "B3S4": bumped from "B3S3" when shard results grew the pruned/audited
-// counters and the audit-failure list (representative sweeps). "B3S3"
-// itself was the bump from raw report lists to grouped exemplar + count
-// tables ("B3S2"). Either older format fails cleanly at decode ("bad sweep
-// checkpoint magic") instead of as garbage fields.
-const CHECKPOINT_MAGIC: u32 = 0x4233_5334;
+fn encode_failures(failures: &[AuditFailure], enc: &mut Encoder) {
+    enc.put_u64(failures.len() as u64);
+    for failure in failures {
+        failure.encode(enc);
+    }
+}
 
-/// Persistent record of a sweep's completed shards.
+fn decode_failures(dec: &mut Decoder<'_>) -> FsResult<Vec<AuditFailure>> {
+    let count = dec.get_u64()? as usize;
+    // Each failure is at least four string length prefixes (32 bytes).
+    if count > dec.remaining() / 32 {
+        return Err(FsError::Corrupted(format!(
+            "{count} audit failures declared but only {} bytes remain",
+            dec.remaining()
+        )));
+    }
+    (0..count).map(|_| AuditFailure::decode(dec)).collect()
+}
+
+// "B3S5": bumped from "B3S4" when a checkpoint stopped keeping one result
+// per shard and kept the recorded shard ids, one merged result and the
+// audit failures per shard instead. "B3S4" added the pruned/audited
+// counters and the audit-failure list (representative sweeps), "B3S3"
+// grouped exemplar + count tables, "B3S2" held raw report lists. Every
+// older format fails cleanly at decode ("bad sweep checkpoint magic")
+// instead of as garbage fields.
+const CHECKPOINT_MAGIC: u32 = 0x4233_5335;
+
+/// Persistent record of a sweep's completed shards: which shards are
+/// recorded, and their results merged into one.
+///
+/// A recorded result is merged at once: its counters are added to the
+/// running totals and its [`GroupTable`] is unioned into the one table, so
+/// the checkpoint's size is the sweep's bug groups plus a shard id per
+/// recorded shard, not a table per shard. Only audit failures stay keyed
+/// by shard, so a summary lists them in shard order.
 ///
 /// Serialized with the workspace codec ([`SweepCheckpoint::to_bytes`] /
 /// [`SweepCheckpoint::from_bytes`]); the caller decides where the bytes
@@ -464,7 +490,13 @@ const CHECKPOINT_MAGIC: u32 = 0x4233_5334;
 pub struct SweepCheckpoint {
     fingerprint: String,
     num_shards: u32,
-    results: BTreeMap<u32, ShardResult>,
+    /// The shards whose results are merged into `totals`.
+    recorded: BTreeSet<u32>,
+    /// Every recorded result merged: counters summed, group tables
+    /// unioned. Its own audit-failure list stays empty.
+    totals: ShardResult,
+    /// The audit failures of each recorded shard that has any.
+    audit_failures: BTreeMap<u32, Vec<AuditFailure>>,
 }
 
 impl SweepCheckpoint {
@@ -483,7 +515,9 @@ impl SweepCheckpoint {
         SweepCheckpoint {
             fingerprint: Self::fingerprint_for(bounds, num_shards, scope),
             num_shards: num_shards as u32,
-            results: BTreeMap::new(),
+            recorded: BTreeSet::new(),
+            totals: ShardResult::default(),
+            audit_failures: BTreeMap::new(),
         }
     }
 
@@ -501,7 +535,9 @@ impl SweepCheckpoint {
                 bounds.candidates()
             ),
             num_shards: num_shards as u32,
-            results: BTreeMap::new(),
+            recorded: BTreeSet::new(),
+            totals: ShardResult::default(),
+            audit_failures: BTreeMap::new(),
         }
     }
 
@@ -536,19 +572,19 @@ impl SweepCheckpoint {
     /// Shards not yet recorded, in ascending order — the work remaining.
     pub fn missing_shards(&self) -> Vec<u32> {
         (0..self.num_shards)
-            .filter(|shard| !self.results.contains_key(shard))
+            .filter(|shard| !self.recorded.contains(shard))
             .collect()
     }
 
     /// True when the given shard's result is recorded.
     pub fn has_shard(&self, shard: u32) -> bool {
-        self.results.contains_key(&shard)
+        self.recorded.contains(&shard)
     }
 
     /// Total workloads that produced at least one bug report, across all
     /// recorded shards.
     pub fn total_buggy(&self) -> u64 {
-        self.results.values().map(|r| r.buggy).sum()
+        self.totals.buggy
     }
 
     /// Number of shards the sweep is split into.
@@ -558,51 +594,86 @@ impl SweepCheckpoint {
 
     /// Shards whose results are recorded.
     pub fn completed_shards(&self) -> usize {
-        self.results.len()
+        self.recorded.len()
     }
 
     /// True once every shard's result is recorded.
     pub fn is_complete(&self) -> bool {
-        self.results.len() == self.num_shards as usize
+        self.recorded.len() == self.num_shards as usize
     }
 
     /// Aggregates all recorded shard results into a summary (elapsed time is
     /// zero — the checkpoint records work, not wall-clock). The summary's
     /// `reports` are the deduplicated group **exemplars** in group-key
-    /// order; `raw_reports` counts every underlying report.
+    /// order; `raw_reports` counts every underlying report; audit failures
+    /// are listed in shard order.
     pub fn summary(&self) -> RunSummary {
         let mut summary = RunSummary::default();
-        for result in self.results.values() {
-            result.add_counts(&mut summary);
-        }
-        summary.reports = self.grouped().into_exemplars();
+        self.totals.add_counts(&mut summary);
+        summary.audit_failures = self.audit_failures.values().flatten().cloned().collect();
+        let groups = self.totals.groups.entries();
+        summary.reports = groups.map(|(_, entry)| entry.exemplar.clone()).collect();
         summary
     }
 
     /// The union of every recorded shard's group table: per bug group, the
     /// total raw-report count and the lexicographically-first exemplar.
     /// Independent of shard partition and merge order.
-    pub fn grouped(&self) -> GroupTable {
-        let mut table = GroupTable::new();
-        for result in self.results.values() {
-            table.merge_from(&result.groups);
-        }
-        table
+    pub fn grouped(&self) -> &GroupTable {
+        &self.totals.groups
     }
 
     /// The deduplicated bug groups of all recorded shards (the
     /// post-processing view of [`SweepCheckpoint::grouped`]).
     pub fn bug_groups(&self) -> Vec<BugGroup> {
-        self.grouped().groups()
+        self.totals.groups.groups()
     }
 
+    /// The counters of every recorded shard, summed.
+    pub(crate) fn totals(&self) -> &ShardResult {
+        &self.totals
+    }
+
+    /// Merges `shard`'s result into the checkpoint, moving its groups into
+    /// the one table. A shard already recorded is left as it is: its
+    /// result is in the totals once.
     pub(crate) fn record(&mut self, shard: u32, result: ShardResult) {
-        self.results.insert(shard, result);
+        if !self.recorded.insert(shard) {
+            return;
+        }
+        let ShardResult {
+            tested,
+            skipped,
+            pruned,
+            audited,
+            buggy,
+            workload_time_nanos,
+            groups,
+            audit_failures,
+        } = result;
+        let totals = &mut self.totals;
+        totals.tested += tested;
+        totals.skipped += skipped;
+        totals.pruned += pruned;
+        totals.audited += audited;
+        totals.buggy += buggy;
+        totals.workload_time_nanos += workload_time_nanos;
+        totals.groups.merge(groups);
+        if !audit_failures.is_empty() {
+            self.audit_failures.insert(shard, audit_failures);
+        }
     }
 
+    /// True when two checkpoints record the same shards with the same
+    /// outcome, ignoring wall-clock workload time (see
+    /// [`ShardResult::same_outcome`]).
     #[cfg(test)]
-    pub(crate) fn shard_result(&self, shard: u32) -> &ShardResult {
-        &self.results[&shard]
+    pub(crate) fn same_outcome(&self, other: &SweepCheckpoint) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.num_shards == other.num_shards
+            && self.recorded == other.recorded
+            && self.totals.same_outcome(&other.totals)
+            && self.audit_failures == other.audit_failures
     }
 
     /// Serializes the checkpoint.
@@ -611,46 +682,93 @@ impl SweepCheckpoint {
         enc.put_u32(CHECKPOINT_MAGIC);
         enc.put_str(&self.fingerprint);
         enc.put_u32(self.num_shards);
-        enc.put_u64(self.results.len() as u64);
-        for (shard, result) in &self.results {
-            enc.put_u32(*shard);
-            result.encode(&mut enc);
+        enc.put_u64(self.recorded.len() as u64);
+        for &shard in &self.recorded {
+            enc.put_u32(shard);
+        }
+        self.totals.encode_tally(&mut enc);
+        enc.put_u64(self.audit_failures.len() as u64);
+        for (&shard, failures) in &self.audit_failures {
+            enc.put_u32(shard);
+            encode_failures(failures, &mut enc);
         }
         enc.finish()
     }
 
-    /// Deserializes a checkpoint produced by [`SweepCheckpoint::to_bytes`].
+    /// Deserializes a checkpoint produced by [`SweepCheckpoint::to_bytes`];
+    /// bytes past its end are corruption.
     pub fn from_bytes(bytes: &[u8]) -> FsResult<SweepCheckpoint> {
-        SweepCheckpoint::decode(&mut Decoder::new(bytes))
+        let mut dec = Decoder::new(bytes);
+        let checkpoint = SweepCheckpoint::decode(&mut dec)?;
+        match dec.remaining() {
+            0 => Ok(checkpoint),
+            left => Err(FsError::Corrupted(format!(
+                "sweep checkpoint: {left} bytes after its end"
+            ))),
+        }
     }
 
-    /// Reads one checkpoint off `dec` (a snapshot record's payload).
+    /// Reads one checkpoint off `dec` (a snapshot record's payload). Every
+    /// declared count is checked against the bytes left before anything is
+    /// read for it, and shard ids must ascend: only what
+    /// [`SweepCheckpoint::to_bytes`] writes is accepted.
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> FsResult<SweepCheckpoint> {
         if dec.get_u32()? != CHECKPOINT_MAGIC {
             return Err(FsError::Corrupted("bad sweep checkpoint magic".into()));
         }
         let fingerprint = dec.get_str()?;
         let num_shards = dec.get_u32()?;
-        let count = dec.get_u64()? as usize;
-        // Each recorded shard needs at least its index, six counters, an
-        // (empty) group table, and an (empty) audit-failure list — 68
-        // bytes; a declared count beyond what the buffer can hold is
-        // corruption, not an allocation request.
-        if count > dec.remaining() / 68 {
-            return Err(FsError::Corrupted(format!(
-                "checkpoint declares {count} shard results but only {} bytes remain",
+        let corrupt = |what: String| Err(FsError::Corrupted(format!("sweep checkpoint: {what}")));
+        let count = dec.get_u64()?;
+        if count > (dec.remaining() / 4) as u64 {
+            return corrupt(format!(
+                "{count} recorded shards declared but only {} bytes remain",
                 dec.remaining()
-            )));
+            ));
         }
-        let mut results = BTreeMap::new();
+        let mut recorded = BTreeSet::new();
         for _ in 0..count {
             let shard = dec.get_u32()?;
-            results.insert(shard, ShardResult::decode(dec)?);
+            if shard >= num_shards || recorded.last().is_some_and(|&last| shard <= last) {
+                return corrupt(format!(
+                    "recorded shard {shard} out of order or past {num_shards} shards"
+                ));
+            }
+            recorded.insert(shard);
+        }
+        let totals = ShardResult::decode_tally(dec)?;
+        // Each entry is at least a shard id, a list count and one failure
+        // of four empty strings: 44 bytes.
+        let failing = dec.get_u64()?;
+        if failing > (dec.remaining() / 44) as u64 {
+            return corrupt(format!(
+                "{failing} shards with audit failures declared but only {} bytes remain",
+                dec.remaining()
+            ));
+        }
+        let mut audit_failures = BTreeMap::new();
+        for _ in 0..failing {
+            let shard = dec.get_u32()?;
+            let ascending = audit_failures
+                .last_key_value()
+                .is_none_or(|(&last, _)| shard > last);
+            if !ascending || !recorded.contains(&shard) {
+                return corrupt(format!(
+                    "audit failures of shard {shard}, out of order or not recorded"
+                ));
+            }
+            let failures = decode_failures(dec)?;
+            if failures.is_empty() {
+                return corrupt(format!("an empty audit-failure list for shard {shard}"));
+            }
+            audit_failures.insert(shard, failures);
         }
         Ok(SweepCheckpoint {
             fingerprint,
             num_shards,
-            results,
+            recorded,
+            totals,
+            audit_failures,
         })
     }
 }
@@ -1044,14 +1162,166 @@ mod tests {
         bytes[failure_count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut dec = Decoder::new(&bytes);
         assert!(ShardResult::decode(&mut dec).is_err());
+    }
 
-        // Same for a checkpoint declaring more shard results than fit.
-        let bounds = Bounds::tiny();
-        let checkpoint = SweepCheckpoint::new(&bounds, 4);
-        let mut bytes = checkpoint.to_bytes();
-        let shard_count_offset = bytes.len() - 8; // trailing empty map count
-        bytes[shard_count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(SweepCheckpoint::from_bytes(&bytes).is_err());
+    /// A bug report of group (`skeleton`, data loss) from `workload`.
+    fn report(skeleton: &str, workload: &str) -> b3_crashmonkey::BugReport {
+        let consequence = b3_crashmonkey::Consequence::DataLoss;
+        b3_crashmonkey::BugReport {
+            workload_name: workload.into(),
+            skeleton: skeleton.into(),
+            fs_name: "cowfs".into(),
+            crash_point: 1,
+            consequence,
+            all_consequences: vec![consequence],
+            expected: String::new(),
+            actual: String::new(),
+            diffs: Vec::new(),
+            write_check_failures: Vec::new(),
+        }
+    }
+
+    /// The result of shard `shard` in [`populated_checkpoint`]: a group
+    /// every shard shares, one of its own, and `shard` audit failures.
+    fn populated_result(shard: u32) -> ShardResult {
+        let mut groups = GroupTable::new();
+        groups.observe(report("link", &format!("w-{shard}")));
+        groups.observe(report(&format!("rename{shard}"), &format!("w-{shard}")));
+        ShardResult {
+            tested: 10 + u64::from(shard),
+            skipped: 1,
+            buggy: 1,
+            workload_time_nanos: 7,
+            groups,
+            audit_failures: (0..shard)
+                .map(|n| AuditFailure {
+                    class: format!("class{n}"),
+                    representative: "rep".into(),
+                    member: format!("member{shard}"),
+                    detail: "diverged".into(),
+                })
+                .collect(),
+            ..ShardResult::default()
+        }
+    }
+
+    /// A checkpoint with every part of its payload present: three of four
+    /// shards recorded, a group they share, and audit failures in two.
+    fn populated_checkpoint() -> SweepCheckpoint {
+        let mut checkpoint = SweepCheckpoint::scoped(&Bounds::tiny(), 4, "decode");
+        for shard in [2, 0, 3] {
+            checkpoint.record(shard, populated_result(shard));
+        }
+        checkpoint
+    }
+
+    /// Where the fields of [`populated_checkpoint`]'s bytes start: the
+    /// recorded-shard count, the list of shards with audit failures, and
+    /// the first such shard's failure count.
+    fn populated_offsets(checkpoint: &SweepCheckpoint) -> [usize; 3] {
+        let shards_at = 4 + 8 + checkpoint.fingerprint().len() + 4;
+        let mut groups = Encoder::new();
+        checkpoint.grouped().encode(&mut groups);
+        let failing_at = shards_at + 8 + 4 * checkpoint.completed_shards() + 6 * 8 + groups.len();
+        [shards_at, failing_at, failing_at + 8 + 4]
+    }
+
+    #[test]
+    fn a_checkpoint_merges_each_shard_once_and_keeps_failures_in_shard_order() {
+        let checkpoint = populated_checkpoint();
+        assert_eq!(checkpoint.missing_shards(), [1]);
+        assert_eq!(checkpoint.total_buggy(), 3);
+        let grouped = checkpoint.grouped();
+        assert_eq!(grouped.len(), 4, "one shared group and one per shard");
+        let (_, shared) = grouped.entries().next().expect("the shared group");
+        assert_eq!((shared.count, &*shared.exemplar.workload_name), (3, "w-0"));
+
+        let summary = checkpoint.summary();
+        assert_eq!(
+            (summary.tested, summary.skipped, summary.raw_reports),
+            (35, 3, 6)
+        );
+        assert_eq!(summary.total_workload_time, Duration::from_nanos(21));
+        let members: Vec<&str> = (summary.audit_failures.iter())
+            .map(|failure| failure.member.as_str())
+            .collect();
+        assert_eq!(
+            members,
+            ["member2", "member2", "member3", "member3", "member3"]
+        );
+
+        let bytes = checkpoint.to_bytes();
+        assert_eq!(SweepCheckpoint::from_bytes(&bytes).unwrap(), checkpoint);
+        let mut repeated = checkpoint.clone();
+        repeated.record(2, populated_result(3));
+        assert_eq!(
+            repeated.to_bytes(),
+            bytes,
+            "a recorded shard is not merged twice"
+        );
+    }
+
+    /// Every cut of a `B3S5` payload short of its end is refused as
+    /// corrupt, never a panic.
+    #[test]
+    fn every_truncation_of_a_checkpoint_is_corrupt() {
+        let bytes = populated_checkpoint().to_bytes();
+        for cut in 0..bytes.len() {
+            match SweepCheckpoint::from_bytes(&bytes[..cut]) {
+                Err(FsError::Corrupted(_)) => {}
+                other => panic!("cut at {cut} of {}: {other:?}", bytes.len()),
+            }
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        let error = SweepCheckpoint::from_bytes(&longer).expect_err("a byte past the end");
+        assert!(
+            error.to_string().contains("1 bytes after its end"),
+            "{error}"
+        );
+    }
+
+    /// An inflated recorded-shard count, count of shards with audit
+    /// failures, or per-shard failure count is refused as corrupt. At
+    /// `u64::MAX` it is refused before anything is read or allocated for
+    /// it; one past the truth reads into the next field and is refused
+    /// there.
+    #[test]
+    fn inflated_checkpoint_counts_are_corrupt() {
+        let checkpoint = populated_checkpoint();
+        let bytes = checkpoint.to_bytes();
+        let [shards_at, failing_at, failures_at] = populated_offsets(&checkpoint);
+        for (at, truth) in [(shards_at, 3), (failing_at, 2), (failures_at, 2)] {
+            let declared = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            assert_eq!(declared, truth, "the count at {at}");
+            for inflated in [truth + 1, u64::MAX] {
+                let mut patched = bytes.clone();
+                patched[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+                match SweepCheckpoint::from_bytes(&patched) {
+                    Err(FsError::Corrupted(_)) => {}
+                    other => panic!("count at {at} set to {inflated}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A `B3S4` payload — one result per shard — is refused by its magic,
+    /// not migrated.
+    #[test]
+    fn a_b3s4_checkpoint_is_refused_by_its_magic() {
+        let checkpoint = SweepCheckpoint::new(&Bounds::tiny(), 2);
+        let mut enc = Encoder::new();
+        enc.put_u32(0x4233_5334);
+        enc.put_str(checkpoint.fingerprint());
+        enc.put_u32(2);
+        enc.put_u64(1);
+        enc.put_u32(0);
+        ShardResult::default().encode(&mut enc);
+        let error = SweepCheckpoint::from_bytes(&enc.finish()).expect_err("a B3S4 payload");
+        assert!(
+            error.to_string().contains("bad sweep checkpoint magic"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -111,6 +111,13 @@ fn assert_summaries_equivalent(distributed: &RunSummary, single: &RunSummary) {
     );
 }
 
+/// The workload budget that stops a fresh run of `job` once its first
+/// `shards` shards are assigned: the coordinator assigns while the
+/// candidates it has handed out stay below the budget.
+fn first_shards(job: &SweepJob, shards: usize) -> Option<usize> {
+    Some(job.shard_sizes()[..shards].iter().sum::<u64>() as usize)
+}
+
 /// A per-test checkpoint path in the system temp directory.
 fn checkpoint_path(test: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("b3-{test}-{}.ck", std::process::id()));
@@ -235,15 +242,18 @@ fn chaos_killed_workers_and_coordinator_converge_to_uninterrupted_counts() {
     );
 
     // Rounds 2..: resume with healthy workers, but stop the coordinator
-    // after at most two newly merged shards each round — the moral
-    // equivalent of killing it after a partial merge, since the checkpoint
-    // file is (atomically) rewritten on every merge. Each round starts a
-    // fresh coordinator that reloads the file from disk.
+    // after a few newly merged shards each round — the moral equivalent of
+    // killing it after a partial merge, since every merge is appended to
+    // the checkpoint file as it lands. A budget one workload above the
+    // largest shard stops the handing out once two shards of these
+    // near-equal ones are assigned. Each round starts a fresh coordinator
+    // that reloads the file from disk and merges it into one checkpoint.
+    let two_shards = job.shard_sizes().into_iter().max().unwrap_or(0) as usize + 1;
     let mut rounds = 0;
     loop {
         let config = DistribConfig {
             workers: 4,
-            stop_after_shards: Some(2),
+            stop_after_workloads: Some(two_shards),
             checkpoint_path: Some(path.clone()),
             ..DistribConfig::default()
         };
@@ -258,15 +268,18 @@ fn chaos_killed_workers_and_coordinator_converge_to_uninterrupted_counts() {
     }
     assert!(
         rounds > 1,
-        "stop_after_shards must actually interrupt the coordinator"
+        "the workload budget must actually interrupt the coordinator"
     );
 
-    // The final checkpoint is indistinguishable from an uninterrupted run.
+    // The final checkpoint is indistinguishable from an uninterrupted run:
+    // the same counts, and the same groups, byte for byte.
     let converged = load_checkpoint(&path)
         .expect("checkpoint file is readable")
         .expect("final checkpoint exists");
     assert!(converged.is_complete());
     assert_summaries_equivalent(&converged.summary(), &single);
+    let (_, reference) = post_hoc_reference(&small_seq2_bounds());
+    assert_eq!(converged.bug_groups(), reference);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -280,7 +293,7 @@ fn checkpoint_file_grows_by_deltas_not_rewrites() {
     let job = SweepJob::new(bounds, NUM_SHARDS);
     let config = DistribConfig {
         workers: 2,
-        stop_after_shards: Some(3),
+        stop_after_workloads: first_shards(&job, 3),
         checkpoint_path: Some(path.clone()),
         ..DistribConfig::default()
     };
@@ -316,7 +329,7 @@ fn torn_trailing_record_is_ignored_on_load() {
     let job = SweepJob::new(bounds, NUM_SHARDS);
     let config = DistribConfig {
         workers: 2,
-        stop_after_shards: Some(4),
+        stop_after_workloads: first_shards(&job, 4),
         checkpoint_path: Some(path.clone()),
         ..DistribConfig::default()
     };

@@ -64,7 +64,7 @@ fn assert_sweep_groups_every_report(
     assert_eq!(summary.raw_reports, reports.len());
     assert_eq!(summary.raw_reports as u64, reference.total_reports());
     assert!(
-        encoded(&checkpoint.grouped()) == encoded(&reference),
+        encoded(checkpoint.grouped()) == encoded(&reference),
         "the sweep's groups differ from grouping every rendered report"
     );
 }

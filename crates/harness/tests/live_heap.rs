@@ -7,6 +7,9 @@
 //! a cache, an interner, a thread-local, a leak — grows them pass by pass.
 //! The first pass is the baseline, so state built once per process is not
 //! counted.
+//!
+//! The same counter bounds what a finished sweep keeps: its checkpoint
+//! holds the one merged bug-group table, not one table per shard.
 
 // A global allocator is `unsafe` to implement; this binary's counting one
 // only forwards to the system allocator.
@@ -78,24 +81,27 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// How far a later pass's live bytes may sit from the first pass's.
 const SLACK: isize = 4 << 10;
 
-/// Runs `bounds` with all three seeded engine bugs on patched CowFs, every
-/// crash point tested, `AppSweep::run` three times on two threads, and
-/// checks the live heap after each pass against the first.
-fn passes_leave_nothing_behind(bounds: &TxnBounds, shards: usize) {
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
-    let spec = FsKind::Cow.spec(KernelEra::Patched);
-    let config = RunConfig {
+/// Two threads, every crash point tested.
+fn all_points() -> RunConfig {
+    RunConfig {
         threads: 2,
         crashmonkey: b3_crashmonkey::CrashMonkeyConfig {
             crash_points: CrashPointPolicy::All,
             ..b3_crashmonkey::CrashMonkeyConfig::small()
         },
         ..RunConfig::default()
-    };
-    let engine = EngineProfile::all();
+    }
+}
+
+/// Runs `bounds` with all three seeded engine bugs on patched CowFs, every
+/// crash point tested, `AppSweep::run` three times on two threads, and
+/// checks the live heap after each pass against the first.
+fn passes_leave_nothing_behind(bounds: &TxnBounds, shards: usize) {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = FsKind::Cow.spec(KernelEra::Patched);
     let mut live = Vec::new();
     for _ in 0..3 {
-        let summary = AppSweep::new(spec.as_ref(), config, engine)
+        let summary = AppSweep::new(spec.as_ref(), all_points(), EngineProfile::all())
             .shards(shards)
             .run(bounds);
         assert!(summary.tested > 0 && !summary.reports.is_empty());
@@ -113,6 +119,51 @@ fn passes_leave_nothing_behind(bounds: &TxnBounds, shards: usize) {
     }
 }
 
+/// How many times the live bytes of a copy of a finished checkpoint's
+/// `grouped()` table its checkpoint may hold: the table itself, the
+/// recorded shard ids and the counters fit well inside.
+const CHECKPOINT_OVER_TABLE: f64 = 1.25;
+
+/// Runs `bounds` as [`passes_leave_nothing_behind`] does, once, and checks
+/// the live bytes its checkpoint holds (what dropping it frees) against
+/// those of a copy of its merged group table.
+fn checkpoint_holds_one_group_table(bounds: &TxnBounds, shards: usize) {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = FsKind::Cow.spec(KernelEra::Patched);
+    let sweep = AppSweep::new(spec.as_ref(), all_points(), EngineProfile::all()).shards(shards);
+    let mut checkpoint = sweep.empty_checkpoint(bounds);
+    sweep.run_resumable(bounds, &mut checkpoint);
+    assert!(checkpoint.is_complete() && !checkpoint.grouped().is_empty());
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let table = checkpoint.grouped().clone();
+    let table_bytes = LIVE.load(Ordering::Relaxed) - before;
+    let groups = table.len();
+    drop(table);
+    let before = LIVE.load(Ordering::Relaxed);
+    drop(checkpoint);
+    let held = before - LIVE.load(Ordering::Relaxed);
+    eprintln!(
+        "{shards} shards, {groups} groups: checkpoint {held} bytes, table {table_bytes} bytes"
+    );
+    assert!(
+        held as f64 <= CHECKPOINT_OVER_TABLE * table_bytes as f64,
+        "a checkpoint of {shards} shards holds {held} bytes, its {groups}-group table {table_bytes}"
+    );
+}
+
+#[test]
+fn a_finished_checkpoint_holds_one_group_table() {
+    checkpoint_holds_one_group_table(&TxnBounds::tiny(), 16);
+}
+
+/// The benchmark's app space (`app_walkv`): run in release.
+#[test]
+#[ignore]
+fn a_finished_checkpoint_holds_one_group_table_on_the_bench_space() {
+    checkpoint_holds_one_group_table(&bench_bounds(), 64);
+}
+
 #[test]
 fn app_passes_leave_the_live_heap_unchanged() {
     passes_leave_nothing_behind(&TxnBounds::tiny(), 4);
@@ -122,13 +173,17 @@ fn app_passes_leave_the_live_heap_unchanged() {
 #[test]
 #[ignore]
 fn app_passes_leave_the_live_heap_unchanged_on_the_bench_space() {
-    let bounds = TxnBounds {
+    passes_leave_nothing_behind(&bench_bounds(), 64);
+}
+
+/// The benchmark's app space (`app_walkv`).
+fn bench_bounds() -> TxnBounds {
+    TxnBounds {
         name_prefix: "app-bench".into(),
         max_txns: 3,
         max_ops_per_txn: 2,
         keys: 2,
         ops: vec![TxnOpKind::Put, TxnOpKind::Append],
         allow_abort: true,
-    };
-    passes_leave_nothing_behind(&bounds, 64);
+    }
 }

@@ -321,7 +321,7 @@ fn bench_seq2_all_and_triaged_sweeps_group_identically_on_buggy_cowfs() {
         let mut checkpoint = sweep.empty_checkpoint(&bounds);
         let summary = sweep.run_resumable(&bounds, &mut checkpoint);
         assert!(checkpoint.is_complete());
-        (summary, checkpoint.grouped())
+        (summary, checkpoint.grouped().clone())
     };
     let (all, all_groups) = grouped(CrashPointPolicy::All);
     let (triaged, triaged_groups) = grouped(CrashPointPolicy::AllTriaged { audit: 0 });

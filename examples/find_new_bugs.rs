@@ -52,7 +52,7 @@ fn sweep(
         summary.throughput(),
         summary.raw_reports
     );
-    checkpoint.grouped()
+    checkpoint.grouped().clone()
 }
 
 fn main() {

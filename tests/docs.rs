@@ -340,11 +340,11 @@ fn formats_spec_matches_the_on_disk_bytes() {
         "FORMATS.md must name the segment magic"
     );
     assert!(
-        spec.contains("B3S4"),
+        spec.contains("B3S5"),
         "FORMATS.md must name the checkpoint payload magic"
     );
     assert!(
-        !spec.contains("(`B3S3`)"),
+        !spec.contains("(`B3S4`)"),
         "FORMATS.md must not still title a section with the superseded magic"
     );
     assert!(
