@@ -781,6 +781,7 @@ mod tests {
             symlink_target: None,
             children: None,
             xattrs: BTreeMap::new(),
+            digest: Default::default(),
         }
     }
 

@@ -63,7 +63,6 @@ pub use report::{
     BugReport, Consequence, ConsequenceSet, CountedReport, PhaseTiming, WorkloadOutcome,
 };
 pub use target::{Carried, Exemplars, Sharing, Target};
-use triage::TriageCache;
 pub use trunk::{Finished, Held, ProfileSharing, Trunk, TrunkRun};
 
 /// The CrashMonkey test harness for one target file system.
@@ -161,8 +160,9 @@ impl<'a> CrashMonkey<'a> {
 /// What judging one syscall workload's crash states needs.
 pub struct FsJudge<'a> {
     workload: &'a Workload,
-    /// The workload's part of every triage key.
-    seed: triage::KeySeed<'a>,
+    /// The workload's part of every triage key; `None` unless the policy
+    /// triages, since no other policy computes a key.
+    seed: Option<triage::KeySeed<'a>>,
 }
 
 impl<'a> Target for CrashMonkey<'a> {
@@ -203,18 +203,17 @@ impl<'a> Target for CrashMonkey<'a> {
 
     fn judge<'j>(&'j self, workload: &'j Workload) -> (WorkloadOutcome, FsJudge<'j>) {
         let outcome = WorkloadOutcome::new(workload, self.carried.spec().name());
-        let seed = triage::KeySeed::of(workload);
+        let triages = self.carried.config().crash_points.triage_audit().is_some();
+        let seed = triages.then(|| triage::KeySeed::of(workload));
         (outcome, FsJudge { workload, seed })
     }
 
-    fn key(
-        &self,
-        triage: &mut TriageCache<HeldVerdict>,
-        judge: &FsJudge<'_>,
-        point: &CheckpointInfo,
-        digest: u128,
-    ) -> u128 {
-        triage.key(digest, &judge.seed, point)
+    fn key(&self, judge: &FsJudge<'_>, point: &CheckpointInfo, digest: u128) -> u128 {
+        let seed = judge
+            .seed
+            .as_ref()
+            .expect("keys are computed only when triaging");
+        seed.key(digest, point)
     }
 
     fn answers(&self, judge: &FsJudge<'_>, point: &CheckpointInfo, held: &HeldVerdict) -> bool {

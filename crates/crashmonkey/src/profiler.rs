@@ -46,7 +46,7 @@ use b3_vfs::exec::Executor;
 use b3_vfs::fs::{FileSystem, FsSpec, WriteMode};
 use b3_vfs::metadata::{FileType, Metadata};
 use b3_vfs::path::{is_ancestor, normalize, parent, SharedPath};
-use b3_vfs::snapshot::{EntryInterner, EntrySnapshot, LogicalSnapshot};
+use b3_vfs::snapshot::{DigestCell, EntryInterner, EntrySnapshot, LogicalSnapshot};
 use b3_vfs::workload::{Op, Workload, WriteSpec};
 
 use crate::checker::HeldVerdict;
@@ -773,6 +773,9 @@ fn apply_direct_write_expectation(
         return;
     }
     let entry = Arc::make_mut(&mut expectation.entry);
+    // A unique `Arc` is changed in place: the digest memoized for the old
+    // content must go with it.
+    entry.digest = DigestCell::default();
     let end = offset + len;
     let mut data = entry.data.clone().unwrap_or_default();
     if (data.len() as u64) < end {
@@ -1050,5 +1053,60 @@ mod tests {
              mark the rename durable: {:?}",
             cp.durable_renames
         );
+    }
+
+    #[test]
+    fn a_direct_write_in_place_leaves_no_stale_digest() {
+        let regular = |data: &[u8]| EntrySnapshot {
+            file_type: FileType::Regular,
+            size: data.len() as u64,
+            nlink: 1,
+            blocks: Metadata::sectors_for(4096),
+            data: Some(data.to_vec()),
+            symlink_target: None,
+            children: None,
+            xattrs: BTreeMap::new(),
+            digest: DigestCell::default(),
+        };
+        let info = |entry: Arc<EntrySnapshot>| CheckpointInfo {
+            id: 1,
+            op_index: 0,
+            persisted: Arc::new(BTreeMap::from([(
+                "foo".into(),
+                Expectation {
+                    entry,
+                    existence_only: false,
+                },
+            )])),
+            persisted_renames: Vec::new(),
+            durable_renames: Vec::new(),
+            oracle: Arc::default(),
+            verdict: Held::default(),
+        };
+        let workload = Workload::new("w", vec![Op::Creat { path: "foo".into() }]);
+        let seed = crate::triage::KeySeed::of(&workload);
+
+        let mut written = info(Arc::new(regular(b"data")));
+        let before = seed.key(7, &written);
+        let expectation = Arc::get_mut(&mut written.persisted)
+            .and_then(|persisted| persisted.get_mut("foo"))
+            .expect("the checkpoint owns its only expectation");
+        let unique = Arc::as_ptr(&expectation.entry);
+        apply_direct_write_expectation(expectation, &regular(b"dataMORE"), 4, 4);
+        assert_eq!(
+            Arc::as_ptr(&expectation.entry),
+            unique,
+            "a uniquely owned entry is extended in place"
+        );
+        assert_eq!(expectation.entry.data.as_deref(), Some(&b"dataMORE"[..]));
+
+        let after = seed.key(7, &written);
+        let fresh = Arc::new((*written.persisted["foo"].entry).clone());
+        assert_eq!(
+            after,
+            seed.key(7, &info(fresh)),
+            "the key follows the content"
+        );
+        assert_ne!(after, before);
     }
 }

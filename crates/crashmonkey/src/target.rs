@@ -102,13 +102,7 @@ pub trait Target {
 
     /// The triage key of the crash state at `point`, whose content digest
     /// is `digest`: equal keys must mean equal held values.
-    fn key(
-        &self,
-        _triage: &mut TriageCache<Self::Held>,
-        _judge: &Self::Judge<'_>,
-        _point: &Self::Point,
-        digest: u128,
-    ) -> u128 {
+    fn key(&self, _judge: &Self::Judge<'_>, _point: &Self::Point, digest: u128) -> u128 {
         digest
     }
 
@@ -384,7 +378,7 @@ fn crash_points<T: Target>(
         let (checkpoint, cell) = T::point(point);
         // A few checkpoints per workload: a scan beats a map.
         let digest = digests.iter().find(|(id, _)| *id == checkpoint);
-        let key = digest.map(|(_, digest)| target.key(triage, &judge, point, *digest));
+        let key = digest.map(|(_, digest)| target.key(&judge, point, *digest));
         let found = match key {
             Some(key) => triage.lookup(key),
             None => cell

@@ -27,7 +27,6 @@
 //! both pin that claim dynamically.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use b3_analyze::Digest128;
 use b3_vfs::snapshot::EntrySnapshot;
@@ -43,22 +42,13 @@ use crate::profiler::CheckpointInfo;
 #[derive(Debug)]
 pub struct TriageCache<H> {
     witnesses: HashMap<u128, H>,
-    /// Per-entry digest memo, keyed by `Arc` pointer identity. Oracle
-    /// entries are interned (`EntryInterner`), so the same snapshot is
-    /// revisited at checkpoint after checkpoint; hashing its data payload
-    /// once instead of every time is what keeps key construction off the
-    /// profile. The memoized `Weak` pins the *allocation* (an `ArcInner` is
-    /// not freed while weak references remain), so a pointer in this map can
-    /// never be reused for different content — pointer equality alone proves
-    /// the memoized digest applies — while the entry's heap payload is still
-    /// freed the moment the last `Arc` drops.
-    entry_digests: HashMap<usize, (std::sync::Weak<EntrySnapshot>, u128)>,
 }
 
 /// The workload-constant part of a triage key, computed once per workload
-/// and shared by every checkpoint's [`TriageCache::key`] call. Hoisting it
-/// matters: under `AllTriaged` the key is on the per-crash-state hot path,
-/// and the rename list (plus its digest) never changes within a workload.
+/// that triages and shared by every checkpoint's [`KeySeed::key`] call.
+/// Hoisting it matters: under `AllTriaged` the key is on the per-crash-state
+/// hot path, and the rename list (plus its digest) never changes within a
+/// workload.
 pub(crate) struct KeySeed<'w> {
     /// Every `(from, to)` rename of the workload, in program order. These
     /// seed the checker's rename-atomicity candidates, so their endpoints
@@ -90,6 +80,80 @@ impl<'w> KeySeed<'w> {
             rename_ops,
         }
     }
+
+    /// Computes the triage key for one crash point: the crash state's
+    /// content digest combined with the checker projection of its
+    /// checkpoint. A key reads no cache: the entry digests it absorbs are
+    /// memoized in the entries themselves.
+    pub(crate) fn key(&self, state_digest: u128, info: &CheckpointInfo) -> u128 {
+        let mut d = Digest128::new();
+        d.write(&state_digest.to_le_bytes());
+
+        // Persisted expectations: path, strength, and the exact entry state
+        // the persistence operation guaranteed.
+        d.write_u64(info.persisted.len() as u64);
+        for (path, expectation) in info.persisted.iter() {
+            d.write_str(path);
+            d.write(&[u8::from(expectation.existence_only)]);
+            d.write(&entry_digest(&expectation.entry).to_le_bytes());
+        }
+
+        // Rename sets, each with a domain separator so an entry moving
+        // between lists changes the key.
+        for (tag, renames) in [(1u8, &info.persisted_renames), (2u8, &info.durable_renames)] {
+            d.write(&[tag]);
+            d.write_u64(renames.len() as u64);
+            for (from, to) in renames {
+                d.write_str(from);
+                d.write_str(to);
+            }
+        }
+
+        // The workload's rename operations, in program order: together with
+        // the persisted set above they determine the checker's
+        // rename-atomicity candidate pairs. Precomputed per workload and
+        // absorbed as one chunk.
+        d.write(&self.rename_section.to_le_bytes());
+
+        // Oracle state at every path the checker can read: the persisted
+        // paths plus both endpoints of every rename the checks may consult.
+        // This is a superset of the checker's `relevant` set, so equal keys
+        // imply equal oracle views wherever the checks look. Sorted and
+        // deduplicated so the digest does not depend on discovery order.
+        let mut relevant: Vec<&str> = Vec::with_capacity(
+            info.persisted.len()
+                + 2 * (self.rename_ops.len()
+                    + info.persisted_renames.len()
+                    + info.durable_renames.len()),
+        );
+        relevant.extend(info.persisted.keys().map(|path| &**path));
+        for (from, to) in self
+            .rename_ops
+            .iter()
+            .copied()
+            .chain(info.persisted_renames.iter().map(|(f, t)| (&**f, &**t)))
+            .chain(info.durable_renames.iter().map(|(f, t)| (&**f, &**t)))
+        {
+            relevant.push(from);
+            relevant.push(to);
+        }
+        relevant.sort_unstable();
+        relevant.dedup();
+        d.write(&[4u8]);
+        d.write_u64(relevant.len() as u64);
+        for path in relevant {
+            d.write_str(path);
+            match info.oracle.get(path) {
+                Some(entry) => {
+                    d.write(&[1]);
+                    d.write(&entry_digest(entry).to_le_bytes());
+                }
+                None => d.write(&[0]),
+            }
+        }
+
+        d.value()
+    }
 }
 
 /// Upper bound on recorded witnesses. On overflow the whole verdict map is
@@ -98,28 +162,19 @@ impl<'w> KeySeed<'w> {
 /// function of the workload sequence, so shard results stay reproducible.
 const VERDICT_CAP: usize = 262_144;
 
-/// Upper bound on memoized entry digests. The memo pins its `Arc`s (that is
-/// what makes pointer identity safe), so an unbounded memo would defeat the
-/// interner's eviction; clearing it is semantically free — digests are pure
-/// content functions.
-const ENTRY_MEMO_CAP: usize = 32_768;
-
 impl<H> Default for TriageCache<H> {
     fn default() -> Self {
         TriageCache {
             witnesses: HashMap::new(),
-            entry_digests: HashMap::new(),
         }
     }
 }
 
 impl<H> TriageCache<H> {
-    /// Drops every witness (and the entry-digest memo). Shard boundaries
-    /// call this so a shard's outcome never depends on which other shards
-    /// ran in the same process.
+    /// Drops every witness. Shard boundaries call this so a shard's outcome
+    /// never depends on which other shards ran in the same process.
     pub(crate) fn reset(&mut self) {
         self.witnesses.clear();
-        self.entry_digests.clear();
     }
 
     /// The witness for `key`, if one was recorded.
@@ -139,103 +194,24 @@ impl<H> TriageCache<H> {
     pub(crate) fn len(&self) -> usize {
         self.witnesses.len()
     }
+}
 
-    /// The content digest of one entry snapshot, memoized by `Arc` identity.
-    fn entry_digest(&mut self, entry: &Arc<EntrySnapshot>) -> u128 {
-        let ptr = Arc::as_ptr(entry) as usize;
-        if let Some((_, digest)) = self.entry_digests.get(&ptr) {
-            return *digest;
-        }
+/// The content digest of one entry snapshot, computed once per entry
+/// allocation: the entry's [`DigestCell`](b3_vfs::snapshot::DigestCell)
+/// keeps it for every later key that reads the entry.
+fn entry_digest(entry: &EntrySnapshot) -> u128 {
+    let fresh = || {
         let mut d = Digest128::new();
         digest_entry(&mut d, entry);
-        let digest = d.value();
-        if self.entry_digests.len() >= ENTRY_MEMO_CAP {
-            self.entry_digests.clear();
-        }
-        self.entry_digests
-            .insert(ptr, (Arc::downgrade(entry), digest));
-        digest
-    }
-
-    /// Computes the triage key for one crash point: the crash state's
-    /// content digest combined with the checker projection of its
-    /// checkpoint.
-    pub(crate) fn key(
-        &mut self,
-        state_digest: u128,
-        seed: &KeySeed<'_>,
-        info: &CheckpointInfo,
-    ) -> u128 {
-        let mut d = Digest128::new();
-        d.write(&state_digest.to_le_bytes());
-
-        // Persisted expectations: path, strength, and the exact entry state
-        // the persistence operation guaranteed.
-        d.write_u64(info.persisted.len() as u64);
-        for (path, expectation) in info.persisted.iter() {
-            d.write_str(path);
-            d.write(&[u8::from(expectation.existence_only)]);
-            let entry = self.entry_digest(&expectation.entry);
-            d.write(&entry.to_le_bytes());
-        }
-
-        // Rename sets, each with a domain separator so an entry moving
-        // between lists changes the key.
-        for (tag, renames) in [(1u8, &info.persisted_renames), (2u8, &info.durable_renames)] {
-            d.write(&[tag]);
-            d.write_u64(renames.len() as u64);
-            for (from, to) in renames {
-                d.write_str(from);
-                d.write_str(to);
-            }
-        }
-
-        // The workload's rename operations, in program order: together with
-        // the persisted set above they determine the checker's
-        // rename-atomicity candidate pairs. Precomputed per workload and
-        // absorbed as one chunk.
-        d.write(&seed.rename_section.to_le_bytes());
-
-        // Oracle state at every path the checker can read: the persisted
-        // paths plus both endpoints of every rename the checks may consult.
-        // This is a superset of the checker's `relevant` set, so equal keys
-        // imply equal oracle views wherever the checks look. Sorted and
-        // deduplicated so the digest does not depend on discovery order.
-        let mut relevant: Vec<&str> = Vec::with_capacity(
-            info.persisted.len()
-                + 2 * (seed.rename_ops.len()
-                    + info.persisted_renames.len()
-                    + info.durable_renames.len()),
-        );
-        relevant.extend(info.persisted.keys().map(|path| &**path));
-        for (from, to) in seed
-            .rename_ops
-            .iter()
-            .copied()
-            .chain(info.persisted_renames.iter().map(|(f, t)| (&**f, &**t)))
-            .chain(info.durable_renames.iter().map(|(f, t)| (&**f, &**t)))
-        {
-            relevant.push(from);
-            relevant.push(to);
-        }
-        relevant.sort_unstable();
-        relevant.dedup();
-        d.write(&[4u8]);
-        d.write_u64(relevant.len() as u64);
-        for path in relevant {
-            d.write_str(path);
-            match info.oracle.get_shared(path) {
-                Some(entry) => {
-                    d.write(&[1]);
-                    let entry = self.entry_digest(&entry);
-                    d.write(&entry.to_le_bytes());
-                }
-                None => d.write(&[0]),
-            }
-        }
-
         d.value()
-    }
+    };
+    let digest = entry.digest.get_or_init(fresh);
+    debug_assert_eq!(
+        digest,
+        fresh(),
+        "the entry changed after its digest was memoized"
+    );
+    digest
 }
 
 /// Digests every field of an entry snapshot, length-prefixing the variable
@@ -320,6 +296,7 @@ mod tests {
             symlink_target: None,
             children: None,
             xattrs: BTreeMap::new(),
+            digest: Default::default(),
         })
     }
 
@@ -349,12 +326,12 @@ mod tests {
 
     #[test]
     fn key_ignores_workload_identity_but_not_renames() {
-        let mut cache = TriageCache::<()>::default();
-        let info = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
+        let foo = entry(FileType::Regular, 4, Some(b"data"));
+        let info = info_with(vec![("foo", foo.clone())]);
         let a = Workload::new("name-a", vec![Op::Creat { path: "foo".into() }]);
         let b = Workload::new("name-b", vec![Op::Mkdir { path: "X".into() }]);
         let (seed_a, seed_b) = (KeySeed::of(&a), KeySeed::of(&b));
-        assert_eq!(cache.key(7, &seed_a, &info), cache.key(7, &seed_b, &info));
+        assert_eq!(seed_a.key(7, &info), seed_b.key(7, &info));
 
         let with_rename = Workload::new(
             "name-c",
@@ -364,32 +341,53 @@ mod tests {
             }],
         );
         assert_ne!(
-            cache.key(7, &seed_a, &info),
-            cache.key(7, &KeySeed::of(&with_rename), &info)
+            seed_a.key(7, &info),
+            KeySeed::of(&with_rename).key(7, &info)
         );
 
-        // The entry-digest memo must not change what a key hashes to: a
-        // fresh cache (empty memo) computes the same key.
+        // The memoized entry digests must not change what a key hashes to:
+        // a fresh clone of the entry, whose digest cell is empty, gives the
+        // same key.
+        assert!(foo.digest.get().is_some());
+        let fresh = Arc::new((*foo).clone());
+        assert!(fresh.digest.get().is_none());
         assert_eq!(
-            TriageCache::<()>::default().key(7, &seed_a, &info),
-            cache.key(7, &seed_a, &info)
+            seed_a.key(7, &info_with(vec![("foo", fresh)])),
+            seed_a.key(7, &info)
         );
     }
 
     #[test]
     fn key_depends_on_state_digest_and_projection() {
-        let mut cache = TriageCache::<()>::default();
         let info = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
         let w = Workload::new("w", vec![Op::Creat { path: "foo".into() }]);
         let seed = KeySeed::of(&w);
-        assert_ne!(cache.key(1, &seed, &info), cache.key(2, &seed, &info));
+        assert_ne!(seed.key(1, &info), seed.key(2, &info));
 
         let other = info_with(vec![("foo", entry(FileType::Regular, 5, Some(b"datum")))]);
-        assert_ne!(cache.key(1, &seed, &info), cache.key(1, &seed, &other));
+        assert_ne!(seed.key(1, &info), seed.key(1, &other));
 
         let mut durable = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
         durable.durable_renames.push(("a".into(), "foo".into()));
-        assert_ne!(cache.key(1, &seed, &info), cache.key(1, &seed, &durable));
+        assert_ne!(seed.key(1, &info), seed.key(1, &durable));
+    }
+
+    #[test]
+    fn a_key_pins_no_entry() {
+        let info = info_with(vec![("foo", entry(FileType::Regular, 4, Some(b"data")))]);
+        let w = Workload::new("w", vec![Op::Creat { path: "foo".into() }]);
+        KeySeed::of(&w).key(7, &info);
+
+        let foo = &info.persisted["foo"].entry;
+        assert!(foo.digest.get().is_some(), "the key memoized the digest");
+        assert_eq!(Arc::strong_count(foo), 1);
+        assert_eq!(Arc::weak_count(foo), 0, "nothing else refers to the entry");
+        let watch = Arc::downgrade(foo);
+        drop(info);
+        assert!(
+            watch.upgrade().is_none(),
+            "dropping the last `Arc` of a keyed entry frees it"
+        );
     }
 
     #[test]

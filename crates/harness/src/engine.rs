@@ -28,7 +28,6 @@ use b3_crashmonkey::target::{self, Target};
 use b3_crashmonkey::{CrashMonkey, CrashMonkeyConfig, CrashPointPolicy, WorkloadOutcome};
 use b3_vfs::error::FsResult;
 use b3_vfs::fs::FsSpec;
-use b3_vfs::snapshot::EntryInterner;
 use b3_vfs::workload::Workload;
 use b3_vfs::MutantSet;
 
@@ -340,10 +339,6 @@ pub(crate) struct FsSpace<'a> {
     /// Present unless `prune` is off. A pure function of the bounds, so
     /// every thread and worker process prunes the same candidates.
     classifier: Option<Arc<Classifier>>,
-    /// One bounded oracle interner shared by every tester of the space:
-    /// content-equal oracle/expectation entries produced by different
-    /// workloads (and different shards) collapse to one allocation.
-    interner: Arc<EntryInterner>,
 }
 
 impl<'a> FsSpace<'a> {
@@ -368,7 +363,6 @@ impl<'a> FsSpace<'a> {
             checkpoint,
             prune,
             classifier,
-            interner: Arc::default(),
         }
     }
 
@@ -465,7 +459,7 @@ impl<'a> JobSpace for FsSpace<'a> {
     }
 
     fn tester(&self) -> CrashMonkey<'a> {
-        CrashMonkey::with_interner(self.spec, self.config, self.interner.clone())
+        CrashMonkey::with_config(self.spec, self.config)
     }
 
     fn run_shard(

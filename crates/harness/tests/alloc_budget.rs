@@ -78,10 +78,14 @@ static ALLOCATOR: Counting = Counting;
 /// shard order, the first seven of its 64 shards and part of the eighth.
 const SLICE: usize = 10_000;
 
-/// Allocations the slice may make: 72.73 per executed workload. The tree
-/// before blobs were written from one shared buffer, paths were shared and
-/// the checks stopped copying them made 990 095 (99.01 per workload).
-const BUDGET: u64 = 727_287;
+/// Allocations the slice may make: 72.68 per executed workload, counted as
+/// the command above runs it. With `--nocapture` the count is 2 lower: the
+/// test runner's output capture allocates inside the counted window. The
+/// tree before blobs were written from one shared buffer, paths were
+/// shared and the checks stopped copying them made 990 095 (99.01 per
+/// workload); the one before the sweep stopped interning oracle entries and
+/// `All` stopped building triage key seeds made 727 289 (72.73).
+const BUDGET: u64 = 726_828;
 
 /// How far apart the passes' counts may be.
 const NOISE: u64 = 64;

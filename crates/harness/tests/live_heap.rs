@@ -1,12 +1,12 @@
-//! Live heap across repeated app sweeps: a pass leaves nothing behind.
+//! Live heap across repeated sweeps: a pass leaves nothing behind.
 //!
-//! A counting global allocator tracks the bytes this process holds. The
-//! sweep runs three times on two threads, as the benchmark's in-process pass
-//! does, and the live bytes after the second and third pass must equal
-//! those after the first within a few KiB. Anything a pass leaves behind —
-//! a cache, an interner, a thread-local, a leak — grows them pass by pass.
-//! The first pass is the baseline, so state built once per process is not
-//! counted.
+//! A counting global allocator tracks the bytes this process holds. An app
+//! sweep and a file-system sweep each run three times on two threads, as
+//! the benchmark's in-process pass does, and the live bytes after the
+//! second and third pass must equal those after the first within a few
+//! KiB. Anything a pass leaves behind — a cache, an interner, a
+//! thread-local, a leak — grows them pass by pass. The first pass is the
+//! baseline, so state built once per process is not counted.
 //!
 //! The same counter bounds what a finished sweep keeps: its checkpoint
 //! holds the one merged bug-group table, not one table per shard.
@@ -19,9 +19,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use b3_ace::Bounds;
 use b3_app::{EngineProfile, TxnBounds, TxnOpKind};
-use b3_crashmonkey::CrashPointPolicy;
-use b3_harness::{AppSweep, FsKind, RunConfig};
+use b3_crashmonkey::{CrashMonkeyConfig, CrashPointPolicy};
+use b3_harness::{AppSweep, FsKind, RunConfig, RunSummary, Sweep};
+use b3_vfs::workload::FileSet;
 use b3_vfs::{KernelEra, MutantSet};
 
 /// The system allocator, counting the bytes it has handed out and not had
@@ -81,29 +83,30 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// How far a later pass's live bytes may sit from the first pass's.
 const SLACK: isize = 4 << 10;
 
-/// Two threads, every crash point tested.
-fn all_points() -> RunConfig {
+/// Two threads, every crash point covered under `crash_points`.
+fn two_threads(crash_points: CrashPointPolicy) -> RunConfig {
     RunConfig {
         threads: 2,
-        crashmonkey: b3_crashmonkey::CrashMonkeyConfig {
-            crash_points: CrashPointPolicy::All,
-            ..b3_crashmonkey::CrashMonkeyConfig::small()
+        crashmonkey: CrashMonkeyConfig {
+            crash_points,
+            ..CrashMonkeyConfig::small()
         },
         ..RunConfig::default()
     }
 }
 
-/// Runs `bounds` with all three seeded engine bugs on patched CowFs, every
-/// crash point tested, `AppSweep::run` three times on two threads, and
-/// checks the live heap after each pass against the first.
-fn passes_leave_nothing_behind(bounds: &TxnBounds, shards: usize) {
+/// Two threads, every crash point tested.
+fn all_points() -> RunConfig {
+    two_threads(CrashPointPolicy::All)
+}
+
+/// Runs `pass` three times and checks the live heap after each pass
+/// against the first. Every pass must test something and report a bug.
+fn passes_leave_nothing_behind(pass: impl Fn() -> RunSummary) {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
-    let spec = FsKind::Cow.spec(KernelEra::Patched);
     let mut live = Vec::new();
     for _ in 0..3 {
-        let summary = AppSweep::new(spec.as_ref(), all_points(), EngineProfile::all())
-            .shards(shards)
-            .run(bounds);
+        let summary = pass();
         assert!(summary.tested > 0 && !summary.reports.is_empty());
         drop(summary);
         live.push(LIVE.load(Ordering::Relaxed));
@@ -164,16 +167,51 @@ fn a_finished_checkpoint_holds_one_group_table_on_the_bench_space() {
     checkpoint_holds_one_group_table(&bench_bounds(), 64);
 }
 
+/// `AppSweep::run` of `bounds` with all three seeded engine bugs on
+/// patched CowFs, every crash point tested.
+fn app_passes(bounds: &TxnBounds, shards: usize) {
+    let spec = FsKind::Cow.spec(KernelEra::Patched);
+    passes_leave_nothing_behind(|| {
+        AppSweep::new(spec.as_ref(), all_points(), EngineProfile::all())
+            .shards(shards)
+            .run(bounds)
+    });
+}
+
+/// `Sweep::run` of `bounds` on CowFs of the evaluation era, every crash
+/// point covered and triaged, as the benchmark's `seq2_cow_triaged` does.
+fn fs_passes(bounds: &Bounds, shards: usize) {
+    let spec = FsKind::Cow.spec(KernelEra::EVALUATION);
+    let config = two_threads(CrashPointPolicy::AllTriaged { audit: 0 });
+    passes_leave_nothing_behind(|| Sweep::new(spec.as_ref(), config).shards(shards).run(bounds));
+}
+
 #[test]
 fn app_passes_leave_the_live_heap_unchanged() {
-    passes_leave_nothing_behind(&TxnBounds::tiny(), 4);
+    app_passes(&TxnBounds::tiny(), 4);
 }
 
 /// The benchmark's app space (`app_walkv`): run in release.
 #[test]
 #[ignore]
 fn app_passes_leave_the_live_heap_unchanged_on_the_bench_space() {
-    passes_leave_nothing_behind(&bench_bounds(), 64);
+    app_passes(&bench_bounds(), 64);
+}
+
+#[test]
+fn fs_passes_leave_the_live_heap_unchanged() {
+    let bounds = Bounds {
+        seq_len: 2,
+        ..Bounds::tiny()
+    };
+    fs_passes(&bounds, 4);
+}
+
+/// The benchmark's seq-2 space (`seq2_cow_triaged`): run in release.
+#[test]
+#[ignore]
+fn fs_passes_leave_the_live_heap_unchanged_on_the_bench_space() {
+    fs_passes(&bench_seq2(), 64);
 }
 
 /// The benchmark's app space (`app_walkv`).
@@ -185,5 +223,18 @@ fn bench_bounds() -> TxnBounds {
         keys: 2,
         ops: vec![TxnOpKind::Put, TxnOpKind::Append],
         allow_abort: true,
+    }
+}
+
+/// The benchmark's seq-2 space: the paper's 14 operations, two core
+/// operations, over two directories with one file each and one top-level
+/// file.
+fn bench_seq2() -> Bounds {
+    Bounds {
+        files: FileSet::new(
+            vec!["A".into(), "B".into()],
+            vec!["foo".into(), "A/foo".into(), "B/foo".into()],
+        ),
+        ..Bounds::paper_seq2()
     }
 }

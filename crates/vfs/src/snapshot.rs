@@ -11,7 +11,7 @@
 //! any [`SnapshotDiff`]s for explicitly-persisted files.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
@@ -19,7 +19,7 @@ use crate::metadata::{FileType, Metadata};
 use crate::path::{is_ancestor, join, normalize, SharedPath};
 
 /// The captured state of a single file, directory, symlink, or fifo.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct EntrySnapshot {
     /// Entry type.
     pub file_type: FileType,
@@ -37,6 +37,77 @@ pub struct EntrySnapshot {
     pub children: Option<Vec<String>>,
     /// Extended attributes.
     pub xattrs: BTreeMap<String, Vec<u8>>,
+    /// A digest of the fields above, filled by the first reader that needs
+    /// one. Not part of the entry's value.
+    pub digest: DigestCell,
+}
+
+impl std::fmt::Debug for EntrySnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EntrySnapshot")
+            .field("file_type", &self.file_type)
+            .field("size", &self.size)
+            .field("nlink", &self.nlink)
+            .field("blocks", &self.blocks)
+            .field("data", &self.data)
+            .field("symlink_target", &self.symlink_target)
+            .field("children", &self.children)
+            .field("xattrs", &self.xattrs)
+            .finish()
+    }
+}
+
+/// A fill-once memo of a content digest of the [`EntrySnapshot`] that holds
+/// it, computed by whichever reader needs one (the triage key hashes every
+/// entry it reads). Each entry allocation then pays for its digest once,
+/// and the memo is freed with the entry.
+///
+/// The cell says what has been computed already, never what the entry
+/// *is*: it always compares equal, hashes to nothing and is left out of the
+/// entry's `Debug`. A clone starts empty, since cloning is how an entry is
+/// copied before it changes (`Arc::make_mut`); code that changes an entry
+/// in place resets the cell with [`Default`].
+///
+/// The digest is kept as bytes: a `u128` would align every entry to 16
+/// bytes and add 16 more to each allocation.
+#[derive(Default)]
+pub struct DigestCell(OnceLock<[u8; 16]>);
+
+impl DigestCell {
+    /// The memoized digest, `None` until some reader filled the cell.
+    pub fn get(&self) -> Option<u128> {
+        self.0.get().copied().map(u128::from_le_bytes)
+    }
+
+    /// The memoized digest, filling an empty cell with `digest()` first.
+    pub fn get_or_init(&self, digest: impl FnOnce() -> u128) -> u128 {
+        u128::from_le_bytes(*self.0.get_or_init(|| digest().to_le_bytes()))
+    }
+}
+
+impl Clone for DigestCell {
+    /// An empty cell: the clone's digest is computed when it is first read.
+    fn clone(&self) -> Self {
+        DigestCell::default()
+    }
+}
+
+impl PartialEq for DigestCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DigestCell {}
+
+impl std::hash::Hash for DigestCell {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
+
+impl std::fmt::Debug for DigestCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DigestCell")
+    }
 }
 
 impl EntrySnapshot {
@@ -52,6 +123,7 @@ impl EntrySnapshot {
             symlink_target: None,
             children: None,
             xattrs: meta.xattrs,
+            digest: DigestCell::default(),
         }
     }
 
@@ -709,6 +781,7 @@ mod tests {
             symlink_target: None,
             children: None,
             xattrs: BTreeMap::new(),
+            digest: DigestCell::default(),
         }
     }
 
@@ -718,6 +791,25 @@ mod tests {
             snapshot.entries.insert(path.into(), Arc::new(e));
         }
         snapshot
+    }
+
+    #[test]
+    fn the_digest_cell_is_no_part_of_the_entry() {
+        use std::hash::{BuildHasher, RandomState};
+        let filled = entry(FileType::Regular, 8);
+        assert_eq!(filled.digest.get_or_init(|| 42), 42);
+        assert_eq!(
+            filled.digest.get_or_init(|| 7),
+            42,
+            "a filled cell keeps its digest"
+        );
+        let clone = filled.clone();
+        assert_eq!(clone.digest.get(), None, "a clone starts empty");
+        assert_eq!(clone, filled);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&clone), hasher.hash_one(&filled));
+        assert_eq!(format!("{clone:?}"), format!("{filled:?}"));
+        assert!(!format!("{filled:?}").contains("digest"));
     }
 
     #[test]
